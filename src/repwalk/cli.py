@@ -4,7 +4,9 @@ Every run with an identical configuration produces byte-identical output:
 rationals serialize as p/q strings, floats as shortest round-trip decimals,
 samplers are pinned by --seed (and --threads, through per-worker derived
 seeds).  Wall-clock timing goes to stderr so artifacts stay deterministic.
-Exit codes: 0 ok, 2 usage error, 3 capacity error.
+Exit codes: 0 ok, 2 usage error, 3 capacity error, 4 sampler failure (the
+GL sampler reached its attempt cap, or its threshold enclosures failed to
+separate a uniform draw).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .characters import character_table
-from .errors import CapacityError
+from .characters import DEFAULT_TABLE_LIMIT, character_table
+from .errors import CapacityError, SamplerError
 from .glasymptotics import (
     GLPlancherelSampler,
     acceptance_probability,
@@ -97,7 +99,6 @@ def _emit(args, text: str):
 
 def _chunked(sample_fn, count: int, seed: int, threads: int) -> list:
     """Split count across workers with derived seeds; merge in worker order."""
-    threads = max(1, threads)
     base = count // threads
     sizes = [base + (1 if i < count % threads else 0) for i in range(threads)]
     jobs = [(sizes[i], derive_seed(seed, i)) for i in range(threads) if sizes[i]]
@@ -260,11 +261,10 @@ def _cmd_gl_lower(args):
 
 def _cmd_gl_sample(args):
     u = Fraction(args.u) if args.u else None
-    threads = max(1, args.threads)
     samples = []
     attempts = 0
-    base = args.count // threads
-    sizes = [base + (1 if i < args.count % threads else 0) for i in range(threads)]
+    base = args.count // args.threads
+    sizes = [base + (1 if i < args.count % args.threads else 0) for i in range(args.threads)]
     for i, size in enumerate(sizes):
         if not size:
             continue
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("characters", _cmd_characters, help="character table of S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--exact-limit", type=int, default=12)
+    p.add_argument("--exact-limit", type=int, default=DEFAULT_TABLE_LIMIT)
 
     p = add("sn-walk", _cmd_sn_walk, help="r-step walk distribution on Irr(S_n)")
     p.add_argument("--n", type=int, required=True)
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
 
     p = add("gl-irreps", _cmd_gl_irreps, help="families, dimensions, Plancherel measure")
     p.add_argument("--n", type=int, required=True)
@@ -441,10 +441,21 @@ def _mode_flags(p):
     p.add_argument("--float", dest="mode", action="store_const", const="float")
 
 
+MAX_THREADS = 64
+
+
+def _thread_count(text: str) -> int:
+    """--threads value: an integer in 1..MAX_THREADS, checked before any pool exists."""
+    value = int(text)
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_THREADS}, got {value}")
+    return value
+
+
 def _sampling_flags(p):
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
 
 
 def main(argv=None) -> int:
@@ -462,6 +473,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except SamplerError as exc:
+        print(f"sampler error: {exc}", file=sys.stderr)
+        return 4
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

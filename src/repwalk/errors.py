@@ -12,3 +12,8 @@ class CapacityError(Exception):
         self.requested = requested
         self.limit = limit
         super().__init__(f"{what}: requested {requested} exceeds limit {limit}")
+
+
+class SamplerError(RuntimeError):
+    """A sampler gave up: its attempt cap ran out, or threshold enclosures
+    failed to separate a uniform draw at the highest precision."""

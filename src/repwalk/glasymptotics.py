@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError
+from .errors import CapacityError, SamplerError
 from .glirreps import (
     CuspidalLabel,
     GLIrrep,
@@ -319,7 +319,7 @@ class _ThresholdSet:
                     break
             if not ambiguous:
                 return self._terminal
-        raise RuntimeError("threshold enclosures failed to separate a uniform draw")
+        raise SamplerError("threshold enclosures failed to separate a uniform draw")
 
 
 _REJECT = object()
@@ -458,7 +458,7 @@ class GLPlancherelSampler:
             phi = self._attempt()
             if phi is not None:
                 return phi
-        raise RuntimeError(
+        raise SamplerError(
             f"no acceptance within {self.attempt_cap} attempts; try a different u "
             f"(current u = {self.u})"
         )

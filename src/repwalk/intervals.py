@@ -45,9 +45,6 @@ class Interval:
     def contains(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def midpoint(self) -> float:
         return float((self.lo + self.hi) / 2)
 

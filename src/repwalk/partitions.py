@@ -4,13 +4,17 @@ A partition is a weakly decreasing tuple of positive integers; it indexes
 irreducible representations of S_n, conjugacy classes of S_n, and the
 components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
+The Young lattice of size n numbers the partitions of n and records which
+of them share a partition of n-1 below, as flat integer arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 
 class Partition(tuple):
@@ -19,7 +23,7 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         parts = tuple(parts)
         for i, p in enumerate(parts):
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {parts!r}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
@@ -121,6 +125,73 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return tuple(Partition(p) for p in _gen_partitions(n, n))
+
+
+class YoungLattice(NamedTuple):
+    """Partitions of n as integer ids, their dimensions and common corners.
+
+    Ids follow enumerate_partitions(n).  Row i of the CSR arrays lists the
+    partitions rho that share a partition of n-1 with lam = parts[i]:
+    dst[off[i]:off[i+1]] holds their ids and cnt the number of partitions
+    of n-1 below both (the number of removable corners of lam on the
+    diagonal, 1 elsewhere).  A row lists rho in down-up order: remove a
+    corner of lam, bottom row first, then add a box, top row first; the
+    first path to reach rho fixes its place.  Every field is read-only, as
+    the cache hands the same lattice to every caller.
+    """
+
+    n: int
+    parts: tuple[Partition, ...]
+    index: Mapping[tuple, int]
+    dims: tuple[int, ...]
+    off: memoryview
+    dst: memoryview
+    cnt: memoryview
+
+
+# four entries, as _float_engine keeps, so a cached engine's lattice stays too
+@lru_cache(maxsize=4)
+def young_lattice(n: int) -> YoungLattice:
+    """The cached Young lattice of size n, built on plain tuples."""
+    parts = enumerate_partitions(n)
+    index = {lam: i for i, lam in enumerate(parts)}
+    # up[m]: ids of mu + one box, top row first, for the m-th partition mu
+    # of n-1; below[i]: the m under parts[i], bottom corner first
+    up: list[list[int]] = []
+    below: list[list[int]] = [[] for _ in parts]
+    for m, mu in enumerate(_gen_partitions(n - 1, n - 1)):
+        ids = [index[mu[:j] + (mu[j] + 1,) + mu[j + 1:]]
+               for j in range(len(mu)) if j == 0 or mu[j - 1] > mu[j]]
+        ids.append(index[mu + (1,)])
+        for i in ids:
+            below[i].append(m)
+        up.append(ids)
+    off, dst, cnt = array("q", [0]), array("q"), array("B")
+    for ms in below:
+        counts: dict[int, int] = {}
+        for m in ms:
+            for j in up[m]:
+                counts[j] = counts.get(j, 0) + 1
+        dst.extend(counts)
+        cnt.extend(counts.values())
+        off.append(len(dst))
+    n_fact = math.factorial(n)
+    dims = tuple(n_fact // _hook_product(lam) for lam in parts)
+    return YoungLattice(n, parts, MappingProxyType(index), dims,
+                        *(memoryview(a).toreadonly() for a in (off, dst, cnt)))
+
+
+def _hook_product(lam: tuple[int, ...]) -> int:
+    """Product of the hook lengths of a plain weakly decreasing tuple."""
+    cols = [0] * (lam[0] if lam else 0)
+    for p in lam:
+        for j in range(p):
+            cols[j] += 1
+    prod = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            prod *= p - j + cols[j] - i - 1
+    return prod
 
 
 def partition_stats(lam: Partition) -> PartitionStats:

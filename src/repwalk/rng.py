@@ -5,13 +5,11 @@ All samplers in this package draw from SplitMix64, a tiny reproducible
 ``derive_seed(seed, worker)``, so a (seed, worker-count) pair pins every
 sampled byte.  Exact categorical sampling never touches floating point:
 uniform integers below an arbitrary bound come from bit-rejection, and
-lazily extended uniforms in [0,1) support comparisons against rational
+lazily extended uniforms in [0,1) support comparisons against dyadic
 interval thresholds.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -77,8 +75,8 @@ class LazyUniform:
     """A uniform U in [0,1) revealed 64 bits at a time.
 
     After b bits, U is only known to lie in [v/2^b, (v+1)/2^b).  Comparisons
-    against a rational threshold (or a rational interval enclosing one)
-    extend the bit stream until they resolve, so the decision U < t is exact.
+    against a dyadic interval enclosing a threshold extend the bit stream
+    until they resolve, so the decision U < t is exact.
     """
 
     __slots__ = ("_rng", "_value", "_bits")
@@ -91,40 +89,6 @@ class LazyUniform:
     def _extend(self):
         self._value = (self._value << 64) | self._rng.next_u64()
         self._bits += 64
-
-    def is_below(self, t: Fraction) -> bool:
-        """Decide U < t for an exactly known rational t."""
-        while True:
-            if self._bits == 0:
-                self._extend()
-            num, den = t.numerator, t.denominator
-            # U_hi = (v+1)/2^b, U_lo = v/2^b
-            if (self._value + 1) * den <= num << self._bits:
-                return True
-            if self._value * den >= num << self._bits:
-                return False
-            self._extend()
-
-    def compare_enclosure(self, lo: Fraction, hi: Fraction, max_bits: int = 4096):
-        """Decide U < t for a true t known only to lie in [lo, hi].
-
-        Returns True/False when decidable, None when U provably lies inside
-        [lo, hi] at max_bits resolution (caller must tighten the enclosure).
-        """
-        while True:
-            if self._bits == 0:
-                self._extend()
-            b, v = self._bits, self._value
-            if (v + 1) * lo.denominator <= lo.numerator << b:
-                return True
-            if v * hi.denominator >= hi.numerator << b:
-                return False
-            if b >= max_bits:
-                u_lo = Fraction(v, 1 << b)
-                u_hi = Fraction(v + 1, 1 << b)
-                if lo <= u_lo and u_hi <= hi:
-                    return None
-            self._extend()
 
     def compare_scaled(self, lo_int: int, hi_int: int, scale_bits: int,
                        slack_bits: int = 128):

@@ -4,11 +4,13 @@ The chain steps from lam to rho with probability d_rho * mult(rho in
 lam (x) eta) / (d_lam * n), where eta is the n-dimensional defining
 representation.  Two independent kernel constructions are provided: the
 down-up corner-box chain and the character-theoretic tensor decomposition;
-they agree exactly.  The spectrum is indexed by conjugacy classes with
-eigenvalue fixed_points/n, which drives the L2 mixing bound, the moment
-transfer method, and the Chebyshev lower-bound estimate.  Monte Carlo
-samplers (exact-rational inverse CDF) and an RSK shuffle oracle round out
-the module.
+they agree exactly.  The down-up kernel is the Doob transform of the integer
+common-corner matrix of the Young lattice, so exact walks and TV curves run
+as integer path counts with one division at the end.  The spectrum is
+indexed by conjugacy classes with eigenvalue fixed_points/n, which drives
+the L2 mixing bound, the moment transfer method, and the Chebyshev
+lower-bound estimate.  Monte Carlo samplers (exact-rational inverse CDF)
+and an RSK shuffle oracle round out the module.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice, repeat
+from operator import mul, truediv
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .characters import (
     fixed_point_profile,
 )
 from .errors import CapacityError
-from .partitions import Partition, dimension_sn, enumerate_partitions
+from .partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
 from .rng import SplitMix64
 
 EXACT_KERNEL_LIMIT = 18
@@ -104,9 +108,9 @@ class SpectrumEntry:
 def plancherel_sn(n: int, mode: str = "exact") -> WalkDistribution:
     """Plancherel measure: mass d_lam^2 / n! on each partition of n."""
     n_fact = math.factorial(n)
+    lat = young_lattice(n)
     masses = {}
-    for lam in enumerate_partitions(n):
-        d = dimension_sn(lam)
+    for lam, d in zip(lat.parts, lat.dims):
         masses[lam] = Fraction(d * d, n_fact) if mode == "exact" else (d * d) / n_fact
     return WalkDistribution(n, mode, masses)
 
@@ -116,26 +120,55 @@ def kernel_downup(n: int, mode: str = "exact") -> SparseKernel:
 
     The double sum collapses: K(lam, rho) = #common corners * d_rho/(n d_lam).
     """
+    _check_size(n, mode)
+    lat = young_lattice(n)
+    parts, dims, off, dst, cnt = lat.parts, lat.dims, lat.off, lat.dst, lat.cnt
+    rows = {}
+    for i, lam in enumerate(parts):
+        den = n * dims[i]
+        row = {}
+        for j, c in zip(dst[off[i]:off[i + 1]], cnt[off[i]:off[i + 1]]):
+            num = c * dims[j]
+            row[parts[j]] = Fraction(num, den) if mode == "exact" else num / den
+        rows[lam] = row
+    return SparseKernel(n, mode, rows)
+
+
+def _check_size(n: int, mode: str) -> None:
     if n < 2:
         raise ValueError("the walk needs n >= 2")
     if mode == "exact" and n > EXACT_KERNEL_LIMIT:
         raise CapacityError("exact kernel", n, EXACT_KERNEL_LIMIT)
     if n > FLOAT_LIMIT:
         raise CapacityError("kernel", n, FLOAT_LIMIT)
-    rows = {}
-    for lam in enumerate_partitions(n):
-        d_lam = dimension_sn(lam)
-        counts: dict[Partition, int] = {}
-        for mu in lam.removable_corners():
-            for rho in mu.addable_corners():
-                counts[rho] = counts.get(rho, 0) + 1
-        row = {}
-        for rho, c in counts.items():
-            num = c * dimension_sn(rho)
-            den = n * d_lam
-            row[rho] = Fraction(num, den) if mode == "exact" else num / den
-        rows[lam] = row
-    return SparseKernel(n, mode, rows)
+
+
+def _path_counts(n: int, start: Partition):
+    """The lattice, the id s of start, and a_0, a_1, ... with a_r[rho] = (A^r)[s, rho].
+
+    A = (c(lam, rho)) is the symmetric common-corner count matrix and K is
+    its Doob transform, K(lam, rho) = c(lam, rho) d_rho / (n d_lam), so
+    K^r(s, rho) = d_rho a_r[rho] / (n^r d_s): every step is an integer
+    mat-vec, and one division at the end gives the law.
+    """
+    _check_size(n, "exact")
+    lat = young_lattice(n)
+    s = lat.index[start]
+    return lat, s, _count_steps(lat, s)
+
+
+def _count_steps(lat, start: int):
+    off, dst, cnt = lat.off.tolist(), lat.dst.tolist(), lat.cnt.tolist()
+    a = [0] * len(lat.parts)
+    a[start] = 1
+    while True:
+        yield a
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            if x:
+                for j in range(off[i], off[i + 1]):
+                    out[dst[j]] += x * cnt[j]
+        a = out
 
 
 def tensor_multiplicity(n: int, lam: Partition, rho: Partition,
@@ -201,8 +234,7 @@ def _as_start(n: int, start) -> Partition:
     return start
 
 
-def walk_distribution(n: int, r: int, start=None, mode: str = "exact",
-                      kernel: SparseKernel | None = None) -> WalkDistribution:
+def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
     """Distribution after r steps from start (default: the one-row partition)."""
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -213,11 +245,12 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact",
         for _ in range(r):
             v = eng.step(v)
         return eng.to_distribution(v, r)
-    if kernel is None:
-        kernel = kernel_downup(n, mode)
-    masses: dict[Partition, Fraction] = {start: Fraction(1)}
-    for _ in range(r):
-        masses = kernel.apply_dist(masses)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    lat, s, walk = _path_counts(n, start)
+    a = next(islice(walk, r, None))
+    den = n**r * lat.dims[s]
+    masses = {lat.parts[i]: Fraction(lat.dims[i] * x, den) for i, x in enumerate(a) if x}
     return WalkDistribution(n, "exact", masses)
 
 
@@ -395,12 +428,17 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
             v = eng.step(v)
             rows.append((r, eng.tv(v), sn_upper_bound(n, r)))
         return rows
-    kernel = kernel_downup(n, "exact")
-    masses = {Partition((n,)): Fraction(1)}
-    for r in range(1, rmax + 1):
-        masses = kernel.apply_dist(masses)
-        tv = tv_to_plancherel(WalkDistribution(n, "exact", masses))
-        rows.append((r, tv, sn_upper_bound(n, r)))
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    # 2 TV = sum_rho |d_rho a_rho n! - d_rho^2 n^r d_s| / (n^r d_s n!)
+    lat, s, walk = _path_counts(n, Partition((n,)))
+    n_fact = math.factorial(n)
+    scaled = [d * n_fact for d in lat.dims]
+    squares = [d * d for d in lat.dims]
+    for r, a in zip(range(1, rmax + 1), islice(walk, 1, None)):
+        den = n**r * lat.dims[s]
+        num = sum(abs(x * y - z * den) for x, y, z in zip(scaled, a, squares))
+        rows.append((r, Fraction(num, 2 * den * n_fact), sn_upper_bound(n, r)))
     return rows
 
 
@@ -411,25 +449,18 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
 class _FloatEngine:
     def __init__(self, n: int):
         self.n = n
-        self.parts = enumerate_partitions(n)
-        self.index = {lam: i for i, lam in enumerate(self.parts)}
+        lat = young_lattice(n)
+        self.parts, self.index = lat.parts, lat.index
         n_fact = math.factorial(n)
-        dims = [dimension_sn(lam) for lam in self.parts]
+        dims = lat.dims
         self.pi = np.array([d * d / n_fact for d in dims])
-        src, dst, val = [], [], []
-        for li, lam in enumerate(self.parts):
-            counts: dict[Partition, int] = {}
-            for mu in lam.removable_corners():
-                for rho in mu.addable_corners():
-                    counts[rho] = counts.get(rho, 0) + 1
-            for rho, c in counts.items():
-                src.append(li)
-                dst.append(self.index[rho])
-                # exact integer ratio, correctly rounded to double
-                val.append((c * dims[self.index[rho]]) / (n * dims[li]))
-        self.src = np.array(src, dtype=np.int64)
-        self.dst = np.array(dst, dtype=np.int64)
-        self.val = np.array(val)
+        row_nnz = np.diff(np.frombuffer(lat.off, dtype=np.int64))
+        self.src = np.repeat(np.arange(len(dims), dtype=np.int64), row_nnz)
+        self.dst = np.frombuffer(lat.dst, dtype=np.int64)
+        # exact integer ratios c d_rho / (n d_lam), each correctly rounded to double
+        nums = map(mul, lat.cnt, map(dims.__getitem__, lat.dst))
+        dens = chain.from_iterable(map(repeat, (n * d for d in dims), row_nnz.tolist()))
+        self.val = np.fromiter(map(truediv, nums, dens), dtype=float, count=len(lat.dst))
 
     def delta(self, start: Partition) -> np.ndarray:
         v = np.zeros(len(self.parts))
@@ -475,7 +506,8 @@ def _choose_by_dimension(rng: SplitMix64, candidates: list[Partition]) -> tuple[
 def plancherel_growth_step(rng: SplitMix64, mu: Partition) -> Partition:
     """One up step: add a corner box with probability d_rho / ((m+1) d_mu)."""
     rho, total = _choose_by_dimension(rng, mu.addable_corners())
-    assert total == (mu.size + 1) * dimension_sn(mu)
+    if total != (mu.size + 1) * dimension_sn(mu):
+        raise ArithmeticError(f"up-step weights of {mu} do not sum to (m+1) d_mu")
     return rho
 
 
@@ -496,9 +528,11 @@ def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
     """One down-up move with exact rational thresholds."""
     n = lam.size
     mu, down_total = _choose_by_dimension(rng, lam.removable_corners())
-    assert down_total == dimension_sn(lam)
+    if down_total != dimension_sn(lam):
+        raise ArithmeticError(f"down-step weights of {lam} do not sum to d_lam")
     rho, up_total = _choose_by_dimension(rng, mu.addable_corners())
-    assert up_total == n * dimension_sn(mu)
+    if up_total != n * dimension_sn(mu):
+        raise ArithmeticError(f"up-step weights of {mu} do not sum to n d_mu")
     return rho
 
 

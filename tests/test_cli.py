@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from repwalk.cli import main
+from repwalk.errors import SamplerError
+from repwalk.glasymptotics import GLPlancherelSampler
 
 
 def run(tmp_path, *argv):
@@ -170,3 +174,29 @@ def test_threads_flag_accepted(tmp_path):
                      "--count", "8", "--seed", "1", "--threads", "2")
     assert code == 0
     assert len([l for l in text.splitlines() if not l.startswith("#")]) == 9
+
+
+def test_threads_cap_usage_error(tmp_path):
+    # rejected while parsing, before a pool exists, so no thread starts
+    for cmd in (["sn-sample", "--n", "5", "--r", "2"], ["sn-moments", "--n", "5", "--r", "2"],
+                ["gl-sample", "--n", "2", "--q", "2"]):
+        for value in ("100000", "0"):
+            assert main([*cmd, "--threads", value]) == 2
+
+
+def test_sampler_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # the attempt cap raises SamplerError, which the CLI maps to exit code 4
+    def reject(self):
+        self.attempts += 1
+
+    monkeypatch.setattr(GLPlancherelSampler, "_attempt", reject)
+    with pytest.raises(SamplerError):
+        GLPlancherelSampler(2, 2, attempt_cap=3).sample()
+
+    def give_up(self):
+        raise SamplerError("no acceptance within 1 attempts")
+
+    monkeypatch.setattr(GLPlancherelSampler, "sample", give_up)
+    code, _ = run(tmp_path, "gl-sample", "--n", "2", "--q", "2", "--count", "3")
+    assert code == 4
+    assert "no acceptance" in capsys.readouterr().err

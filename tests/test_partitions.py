@@ -12,6 +12,7 @@ from repwalk.partitions import (
     log_dimension_sn,
     partition_count,
     partition_stats,
+    young_lattice,
 )
 
 from oracles import count_standard_tableaux
@@ -35,6 +36,8 @@ def test_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    with pytest.raises(ValueError):
+        Partition((True,))
     assert Partition(()) == EMPTY
 
 
@@ -145,3 +148,24 @@ def test_string_round_trip():
     for n in range(7):
         for lam in enumerate_partitions(n):
             assert Partition.from_string(lam.to_string()) == lam
+
+
+def test_young_lattice_matches_partition_corners():
+    # ids, dimensions and common-corner rows against the Partition methods,
+    # rows in first-seen down-up order
+    assert young_lattice(0).dims == (1,) and len(young_lattice(0).dst) == 0
+    for n in range(1, 13):
+        lat = young_lattice(n)
+        assert lat.parts == enumerate_partitions(n)
+        assert all(lat.index[lam] == i for i, lam in enumerate(lat.parts))
+        assert lat.dims == tuple(dimension_sn(lam) for lam in lat.parts)
+        assert len(lat.off) == len(lat.parts) + 1 and lat.off[-1] == len(lat.dst) == len(lat.cnt)
+        for i, lam in enumerate(lat.parts):
+            counts = {}
+            for mu in lam.removable_corners():
+                for rho in mu.addable_corners():
+                    counts[rho] = counts.get(rho, 0) + 1
+            row = slice(lat.off[i], lat.off[i + 1])
+            assert [lat.parts[j] for j in lat.dst[row]] == list(counts)
+            assert list(lat.cnt[row]) == list(counts.values())
+            assert counts[lam] == len(lam.removable_corners())

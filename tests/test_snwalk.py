@@ -6,6 +6,7 @@ import pytest
 from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.snwalk import (
+    _float_engine,
     class_walk_probability,
     kernel_downup,
     kernel_from_tensor,
@@ -21,9 +22,25 @@ from repwalk.snwalk import (
     transposition_moments_closed,
     tv_to_plancherel,
     tv_witness,
+    WalkDistribution,
     walk_distribution,
     walk_distribution_spectral,
 )
+
+
+def cutoff_steps(n):
+    return math.ceil(0.5 * n * math.log(n))
+
+
+def reference_walk(n, start, rmax):
+    """[masses after r steps for r = 0..rmax] from the Fraction kernel."""
+    kernel = kernel_downup(n)
+    masses = {start: Fraction(1)}
+    out = [masses]
+    for _ in range(rmax):
+        masses = kernel.apply_dist(masses)
+        out.append(masses)
+    return out
 
 
 def transpositions(n):
@@ -306,3 +323,49 @@ def test_tv_curve_modes_agree():
 def test_exact_kernel_capacity():
     with pytest.raises(CapacityError):
         kernel_downup(19, "exact")
+
+
+def test_integer_walk_equals_fraction_kernel_every_start():
+    for n in range(2, 11):
+        rmax = 2 * cutoff_steps(n)
+        for start in enumerate_partitions(n):
+            for r, masses in enumerate(reference_walk(n, start, rmax)):
+                assert walk_distribution(n, r, start).masses == masses
+
+
+def test_integer_walk_equals_fraction_kernel_near_cutoff():
+    for n in range(13, 19):
+        rc = cutoff_steps(n)
+        ref = reference_walk(n, Partition((n,)), rc + 2)
+        for r in (rc - 2, rc, rc + 2):
+            assert walk_distribution(n, r).masses == ref[r]
+
+
+def test_exact_tv_curve_equals_tv_over_reference_walk():
+    for n in (2, 5, 8, 11):
+        rmax = 2 * cutoff_steps(n)
+        ref = reference_walk(n, Partition((n,)), rmax)
+        curve = sn_tv_curve(n, rmax, "exact")
+        assert [r for r, _, _ in curve] == list(range(1, rmax + 1))
+        for r, tv, bound in curve:
+            assert tv == tv_to_plancherel(WalkDistribution(n, "exact", ref[r]))
+            assert bound == sn_upper_bound(n, r)
+
+
+def test_float_engine_edges_match_corner_loop_and_kernel():
+    for n in range(2, 19):
+        eng = _float_engine(n)
+        src, dst = [], []
+        for li, lam in enumerate(eng.parts):
+            seen = {}
+            for mu in lam.removable_corners():
+                for rho in mu.addable_corners():
+                    seen.setdefault(rho, None)
+            src += [li] * len(seen)
+            dst += [eng.index[rho] for rho in seen]
+        assert eng.src.tolist() == src
+        assert eng.dst.tolist() == dst
+        kernel = kernel_downup(n)
+        assert eng.val.tolist() == [
+            float(kernel.entry(eng.parts[i], eng.parts[j])) for i, j in zip(src, dst)
+        ]
