@@ -37,6 +37,13 @@ class CycleType:
         return cls(lam, class_size_of(lam), sum(1 for p in lam if p == 1))
 
 
+def cycle_lengths(cycle_type) -> Partition:
+    """The cycle lengths of a CycleType, or of anything Partition accepts."""
+    if isinstance(cycle_type, CycleType):
+        return cycle_type.cycle_lengths
+    return Partition(cycle_type)
+
+
 def class_size_of(lam: Partition) -> int:
     """n! / prod(i^m_i * m_i!) with m_i the multiplicity of part i."""
     lam = Partition(lam)
@@ -114,7 +121,7 @@ def _mn(shape: tuple, cycles: tuple) -> int:
 def mn_character(lam: Partition, cycle_type) -> int:
     """Character value of the irreducible labelled lam at the given class."""
     lam = Partition(lam)
-    cycles = cycle_type.cycle_lengths if isinstance(cycle_type, CycleType) else Partition(cycle_type)
+    cycles = cycle_lengths(cycle_type)
     if lam.size != cycles.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size} vs |{cycles}| = {cycles.size}")
     return _mn(tuple(lam), tuple(sorted(cycles, reverse=True)))

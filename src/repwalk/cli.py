@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .characters import DEFAULT_TABLE_LIMIT, character_table
@@ -46,7 +47,6 @@ from .partitions import Partition, enumerate_partitions
 from .rng import derive_seed
 from .series import euler_lhs_rhs
 from .snwalk import (
-    moment_fc,
     moment_fc_reduced,
     rsk_samples,
     sn_tv_curve,
@@ -97,11 +97,16 @@ def _emit(args, text: str):
             fh.write(text)
 
 
+def _split(count: int, seed: int, threads: int) -> list[tuple[int, int]]:
+    """(count, derived seed) per worker that has work, in worker order."""
+    base, extra = divmod(count, threads)
+    sizes = [base + (i < extra) for i in range(threads)]
+    return [(size, derive_seed(seed, i)) for i, size in enumerate(sizes) if size]
+
+
 def _chunked(sample_fn, count: int, seed: int, threads: int) -> list:
     """Split count across workers with derived seeds; merge in worker order."""
-    base = count // threads
-    sizes = [base + (1 if i < count % threads else 0) for i in range(threads)]
-    jobs = [(sizes[i], derive_seed(seed, i)) for i in range(threads) if sizes[i]]
+    jobs = _split(count, seed, threads)
     if threads == 1:
         return [x for c, s in jobs for x in sample_fn(c, s)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -195,18 +200,16 @@ def _cmd_sn_rsk(args):
 
 def _cmd_sn_moments(args):
     transposition = Partition([2] + [1] * (args.n - 2))
+    size = math.comb(args.n, 2)  # the class size of the transpositions
     rows = []
     for s in (1, 2):
         for method in ("transfer", "direct", "closed"):
-            rows.append([
-                s, method,
-                moment_fc(args.n, transposition, s, args.r, method),
-                moment_fc_reduced(args.n, transposition, s, args.r, method),
-            ])
+            red = moment_fc_reduced(args.n, transposition, s, args.r, method)
+            # the value moment_fc returns, without computing red twice
+            rows.append([s, method, float(red) * size ** (s / 2), red])
     if args.samples:
         from .partitions import dimension_sn
 
-        size = math.comb(args.n, 2)
         table = character_table(args.n)
         ci = table.partitions.index(transposition)
         draws = _chunked(
@@ -263,14 +266,9 @@ def _cmd_gl_sample(args):
     u = Fraction(args.u) if args.u else None
     samples = []
     attempts = 0
-    base = args.count // args.threads
-    sizes = [base + (1 if i < args.count % args.threads else 0) for i in range(args.threads)]
-    for i, size in enumerate(sizes):
-        if not size:
-            continue
-        sampler = GLPlancherelSampler(args.n, args.q, u, derive_seed(args.seed, i))
-        for _ in range(size):
-            samples.append(sampler.sample())
+    for size, seed in _split(args.count, args.seed, args.threads):
+        sampler = GLPlancherelSampler(args.n, args.q, u, seed)
+        samples.extend(sampler.sample() for _ in range(size))
         attempts += sampler.attempts
     rate = acceptance_probability(args.n, args.q, u if u is not None else default_rejection_u(args.n))
     extra = [
@@ -458,10 +456,15 @@ def _sampling_flags(p):
     p.add_argument("--threads", type=_thread_count, default=1)
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.monotonic()

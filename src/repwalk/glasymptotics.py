@@ -13,6 +13,13 @@ samples of GL(n,q).  The sampler's accept/reject path compares lazily
 extended uniforms against certified rational interval thresholds; no
 floating point is involved.  A representation-valued cycle index ties the
 enumerated Plancherel data to the infinite product, coefficientwise.
+
+Certified enclosures are memoized in bounded lru caches, each with
+cache_info(): suq_normalizer on (u, q, terms, prec), so one sampler's count,
+component and high-degree thresholds share one Z(u^d, q^d) per degree and
+precision, and later samplers with the same (n, q, u) reuse it; and
+intervals.euler_product_enclosure on (u, q, terms, prec), shared by
+acceptance_probability and the high-degree threshold.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .errors import CapacityError, SamplerError
 from .glirreps import (
@@ -28,7 +36,14 @@ from .glirreps import (
     cuspidal_count,
     plancherel_gl,
 )
-from .intervals import Interval, euler_product_enclosure
+from .intervals import (
+    Interval,
+    ceil_scaled,
+    enclosure_from_scaled,
+    euler_product_enclosure,
+    floor_scaled,
+    guard_bits,
+)
 from .partitions import Partition, enumerate_partitions
 from .rng import LazyUniform, SplitMix64
 from .series import q_pochhammer
@@ -44,13 +59,22 @@ DEFAULT_ATTEMPT_CAP = 10_000_000
 
 
 def suq_weight(u, q, lam: Partition) -> Fraction:
-    """Unnormalized weight u^|lam| / (q^(sum lam_i^2) prod (1 - q^-h)^2)."""
+    """Unnormalized weight u^|lam| / (q^(sum lam_i^2) prod (1 - q^-h)^2).
+
+    With u = a/b, q = c/e and 1 - q^-h = (c^h - e^h)/c^h this is one integer
+    quotient a^|lam| e^(sum lam_i^2) c^(2 sum h - sum lam_i^2) over
+    b^|lam| prod (c^h - e^h)^2; the exponent of c is sum lam'_j^2 >= 0.
+    """
     u, q = Fraction(u), Fraction(q)
     lam = Partition(lam)
-    w = u**lam.size / q ** sum(p * p for p in lam)
-    for h in lam.hooks():
-        w /= (1 - q**-h) ** 2
-    return w
+    hooks = lam.hooks()
+    squares = sum(p * p for p in lam)
+    c, e = q.numerator, q.denominator
+    den = u.denominator**lam.size
+    for h in hooks:
+        den *= (c**h - e**h) ** 2
+    num = u.numerator**lam.size * e**squares * c ** (2 * sum(hooks) - squares)
+    return Fraction(num, den)
 
 
 def _normalizer_terms(u: Fraction, q: Fraction, target: Fraction) -> int:
@@ -64,11 +88,16 @@ def _normalizer_terms(u: Fraction, q: Fraction, target: Fraction) -> int:
         t *= 2
 
 
+@lru_cache(maxsize=512)
 def suq_normalizer(u, q, terms: int | None = None, prec: int = DEFAULT_PREC) -> Interval:
     """Certified enclosure of Z(u,q) = prod_{t>=1} (1 - u/q^t)^t for 0 < u < q.
 
-    The omitted factors each lie in (1 - u/q^t, 1); the Weierstrass product
-    inequality turns their sum into a rational lower bound on the tail.
+    The head prod_{t<=terms} f_t^t, f_t = 1 - u/q^t, is the product of the
+    suffix products S_m = prod_{m<=t<=terms} f_t, both kept as integer
+    endpoints at a fixed dyadic scale and rounded outward after each of the
+    2*terms products.  The omitted factors each lie in (1 - u/q^t, 1); the
+    Weierstrass product inequality turns their sum into a rational lower
+    bound on the tail.  Memoized on (u, q, terms, prec) in a bounded cache.
     """
     u, q = Fraction(u), Fraction(q)
     if not 0 < u < q or q <= 1:
@@ -76,13 +105,22 @@ def suq_normalizer(u, q, terms: int | None = None, prec: int = DEFAULT_PREC) -> 
     target = Fraction(1, 1 << max(prec - 16, 16))
     if terms is None:
         terms = _normalizer_terms(u, q, target)
-    head = Interval.point(1)
+    scale = prec + guard_bits(2 * terms)
+    s_lo = s_hi = head_lo = head_hi = 1 << scale
+    # f_t = (b c^t - a e^t) / (b c^t) for u = a/b, q = c/e; t runs downwards
+    c_t, e_t = q.numerator**terms, q.denominator**terms
+    for _ in range(terms):
+        num = u.denominator * c_t - u.numerator * e_t
+        den = u.denominator * c_t
+        s_lo = s_lo * num // den
+        s_hi = -(-s_hi * num // den)
+        head_lo = head_lo * s_lo >> scale
+        head_hi = -(-head_hi * s_hi >> scale)
+        c_t //= q.numerator
+        e_t //= q.denominator
     z = 1 / q
-    for t in range(1, terms + 1):
-        head = (head * Interval.point(1 - u * z**t).pow_int(t, prec)).rounded(prec)
     tail_sum = u * z ** (terms + 1) * ((terms + 1) - terms * z) / (1 - z) ** 2
-    lo = head.lo * (1 - tail_sum) if tail_sum < 1 else Fraction(0)
-    return Interval(max(lo, Fraction(0)), head.hi).rounded(prec)
+    return enclosure_from_scaled(head_lo, head_hi, scale, prec, max(Fraction(0), 1 - tail_sum))
 
 
 def suq_mass(u, q, lam: Partition, normalizer_terms: int | None = None,
@@ -300,9 +338,7 @@ class _ThresholdSet:
             scale = self._prec << level
             flat = []
             for outcome, iv in self._builder(scale):
-                lo = (iv.lo.numerator << scale) // iv.lo.denominator
-                hi = -((-(iv.hi.numerator << scale)) // iv.hi.denominator)
-                flat.append((outcome, lo, hi))
+                flat.append((outcome, floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale)))
             self._cache[level] = (flat, scale)
         return self._cache[level]
 
@@ -329,26 +365,29 @@ class _DegreePlan:
     """Per-degree sampling machinery: occupation counts and component law."""
 
     def __init__(self, n: int, q: int, u: Fraction, d: int, prec: int):
+        # the builders close over locals, never self: a plan (and the sampler
+        # holding it) is then freed by reference counting, not by a later
+        # cyclic collection that would keep its thresholds alive meanwhile
         self.d = d
-        self.n_labels = cuspidal_count(d, q)
-        self.max_count = min(self.n_labels, n // d)
+        self.n_labels = n_labels = cuspidal_count(d, q)
+        self.max_count = max_count = min(n_labels, n // d)
         self.sizes_cap = n // d
         ud, qd = u**d, Fraction(q) ** d
-        self.partitions = [
+        self.partitions = partitions = [
             lam for m in range(1, self.sizes_cap + 1) for lam in enumerate_partitions(m)
         ]
-        weights = [suq_weight(ud, qd, lam) for lam in self.partitions]
+        weights = [suq_weight(ud, qd, lam) for lam in partitions]
 
         def build_counts(p: int) -> list:
             z = suq_normalizer(ud, qd, prec=p)
             occ = z.one_minus()
             out = []
             cum = Interval.point(0)
-            for j in range(self.max_count + 1):
+            for j in range(max_count + 1):
                 pmf = (
-                    math.comb(self.n_labels, j)
+                    math.comb(n_labels, j)
                     * occ.pow_int(j, p)
-                    * z.pow_int(self.n_labels - j, p)
+                    * z.pow_int(n_labels - j, p)
                 )
                 cum = (cum + pmf).rounded(p)
                 out.append((j, cum))
@@ -359,13 +398,33 @@ class _DegreePlan:
             ratio = z / z.one_minus()  # Z/(1-Z)
             out = []
             cum = Fraction(0)
-            for lam, w in zip(self.partitions, weights):
+            for lam, w in zip(partitions, weights):
                 cum += w
                 out.append((lam, (ratio * cum).rounded(p)))
             return out
 
         self.count_thresholds = _ThresholdSet(build_counts, _REJECT, prec)
         self.component_thresholds = _ThresholdSet(build_components, _REJECT, prec)
+
+
+def _build_high_degree(q: int, u: Fraction, plans: list, prec: int) -> list:
+    """Single threshold: probability that every label of degree > n is empty.
+
+    Computed as prod_{m>=0}(1 - u/q^m) / prod_{d<=n} Z_d^(N_d): the full
+    all-empty probability divided by the explicit low-degree factors.
+    (high_degree_empty_direct bounds the same quantity degree by degree;
+    the tests check the two enclosures overlap.)
+    """
+    q = Fraction(q)
+    terms = _normalizer_terms(u, q, Fraction(1, 1 << prec))
+    full = euler_product_enclosure(u, q, terms, prec)
+    low = Interval.point(1)
+    for plan in plans:
+        z_d = suq_normalizer(u**plan.d, q**plan.d, prec=prec)
+        low = (low * z_d.pow_int(plan.n_labels, prec)).rounded(prec)
+    iv = full / low
+    iv = Interval(max(Fraction(0), iv.lo), min(Fraction(1), iv.hi))
+    return [(True, iv)]
 
 
 class GLPlancherelSampler:
@@ -384,26 +443,8 @@ class GLPlancherelSampler:
         self.attempt_cap = attempt_cap
         self.attempts = 0
         self.plans = [_DegreePlan(n, q, self.u, d, prec) for d in range(1, n + 1)]
-        self.high_degree_empty = _ThresholdSet(self._build_high_degree, _REJECT, prec)
-
-    def _build_high_degree(self, prec: int) -> list:
-        """Single threshold: probability that every label of degree > n is empty.
-
-        Computed as prod_{m>=0}(1 - u/q^m) / prod_{d<=n} Z_d^(N_d): the full
-        all-empty probability divided by the explicit low-degree factors.
-        (high_degree_empty_direct bounds the same quantity degree by degree;
-        the tests check the two enclosures overlap.)
-        """
-        q, u = Fraction(self.q), self.u
-        terms = _normalizer_terms(u, q, Fraction(1, 1 << prec))
-        full = euler_product_enclosure(u, q, terms, prec)
-        low = Interval.point(1)
-        for plan in self.plans:
-            z_d = suq_normalizer(u**plan.d, q**plan.d, prec=prec)
-            low = (low * z_d.pow_int(plan.n_labels, prec)).rounded(prec)
-        iv = full / low
-        iv = Interval(max(Fraction(0), iv.lo), min(Fraction(1), iv.hi))
-        return [(True, iv)]
+        self.high_degree_empty = _ThresholdSet(
+            partial(_build_high_degree, q, self.u, self.plans), _REJECT, prec)
 
     def _draw_indices(self, count: int, pool: int) -> list[int]:
         """Uniform sorted count-subset of range(pool)."""

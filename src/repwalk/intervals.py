@@ -5,23 +5,26 @@ certified rational endpoints (no floating point): normalizing constants of
 partition measures, binomial tail probabilities inside the GL Plancherel
 sampler, and acceptance-rate predictions.  Rounding endpoints outward to a
 fixed number of dyadic bits keeps numerators small through repeated
-squaring while preserving soundness.
+squaring while preserving soundness.  Long products run on integer
+endpoints at a fixed dyadic scale (floor below, ceiling above), with
+guard_bits(k) extra bits absorbing the rounding of k products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
-def _floor_dyadic(x: Fraction, prec: int) -> Fraction:
-    scaled = x.numerator * (1 << prec)
-    return Fraction(scaled // x.denominator, 1 << prec)
+def floor_scaled(x: Fraction, scale: int) -> int:
+    """floor(x * 2^scale)."""
+    return (x.numerator << scale) // x.denominator
 
 
-def _ceil_dyadic(x: Fraction, prec: int) -> Fraction:
-    scaled = x.numerator * (1 << prec)
-    return Fraction(-((-scaled) // x.denominator), 1 << prec)
+def ceil_scaled(x: Fraction, scale: int) -> int:
+    """ceil(x * 2^scale)."""
+    return -((-x.numerator << scale) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,9 @@ class Interval:
 
     def rounded(self, prec: int) -> "Interval":
         """Round endpoints outward to prec dyadic bits."""
-        return Interval(_floor_dyadic(self.lo, prec), _ceil_dyadic(self.hi, prec))
+        one = 1 << prec
+        return Interval(Fraction(floor_scaled(self.lo, prec), one),
+                        Fraction(ceil_scaled(self.hi, prec), one))
 
     def __add__(self, other) -> "Interval":
         other = _as_interval(other)
@@ -128,19 +133,50 @@ def product_one_minus_geometric(u: Fraction, q: Fraction, count: int) -> Fractio
     return out
 
 
+def guard_bits(products: int) -> int:
+    """Extra working bits that absorb the floor/ceil error of `products`
+    outward-rounded products, so the final rounding to prec dominates."""
+    return 2 * products.bit_length() + 2
+
+
+def enclosure_from_scaled(lo: int, hi: int, scale: int, prec: int,
+                          lo_factor: Fraction) -> Interval:
+    """[lo * lo_factor, hi] / 2^scale, rounded outward to prec <= scale bits;
+    lo_factor >= 0 is an exact lower bound on a factor the head omits."""
+    shift = scale - prec
+    lo = lo * lo_factor.numerator // (lo_factor.denominator << shift)
+    hi = -(-hi >> shift)
+    return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
+
+
+@lru_cache(maxsize=64)
 def euler_product_enclosure(u: Fraction, q: Fraction, terms: int,
                             prec: int | None = None) -> Interval:
     """Enclosure of prod_{m=0}^inf (1 - u/q^m) for 0 < u < 1 < q.
 
     The omitted tail prod_{m>terms-1}(1 - u q^-m) lies in
     [1 - u q^(1-terms)/(q-1), 1] by the Weierstrass product inequality.
+    With prec=None the head product is exact; with prec set it is a running
+    product of integer endpoints at a fixed dyadic scale, floored below and
+    ceiled above after every factor, then rounded outward to prec bits.
+    Memoized on (u, q, terms, prec) in a bounded cache (see cache_info()).
     """
     u, q = Fraction(u), Fraction(q)
     if not 0 < u < 1 or q <= 1:
         raise ValueError("need 0 < u < 1 < q")
-    head = product_one_minus_geometric(u, q, terms)
-    tail_lo = 1 - u * q ** (1 - terms) / (q - 1)
-    if tail_lo < 0:
-        tail_lo = Fraction(0)
-    iv = Interval(head * tail_lo, head)
-    return iv.rounded(prec) if prec is not None else iv
+    tail_lo = max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1))
+    if prec is None:
+        head = product_one_minus_geometric(u, q, terms)
+        return Interval(head * tail_lo, head)
+    scale = prec + guard_bits(terms)
+    lo = hi = 1 << scale
+    # 1 - u/q^m = (ud qn^m - un qd^m) / (ud qn^m)
+    qn_m, qd_m = 1, 1
+    for _ in range(terms):
+        num = u.denominator * qn_m - u.numerator * qd_m
+        den = u.denominator * qn_m
+        lo = lo * num // den
+        hi = -(-hi * num // den)
+        qn_m *= q.numerator
+        qd_m *= q.denominator
+    return enclosure_from_scaled(lo, hi, scale, prec, tail_lo)

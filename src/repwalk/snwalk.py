@@ -29,6 +29,7 @@ from .characters import (
     DEFAULT_TABLE_LIMIT,
     CycleType,
     character_table,
+    cycle_lengths,
     enumerate_classes,
     fixed_point_profile,
 )
@@ -321,16 +322,16 @@ def class_walk_probability(n: int, cycle_type, s: int,
     if s < 0:
         raise ValueError("s must be non-negative")
     table = character_table(n, limit)
-    cycles = cycle_type.cycle_lengths if isinstance(cycle_type, CycleType) else Partition(cycle_type)
-    ci = table.partitions.index(cycles)
+    ci = table.partitions.index(cycle_lengths(cycle_type))
     n_fact = math.factorial(n)
-    dims = [dimension_sn(lam) for lam in table.partitions]
+    # d^2 (chi(T)/d) (chi(C)/d)^s = chi(T) * [d (chi(C)/d)^s], the bracket per row
+    weights = [
+        d * Fraction(row[ci], d) ** s
+        for d, row in zip((dimension_sn(lam) for lam in table.partitions), table.values)
+    ]
     out = {}
     for tj, t in enumerate(table.classes):
-        total = Fraction(0)
-        for i in range(len(table.partitions)):
-            d = dims[i]
-            total += d * d * Fraction(table.values[i][tj], d) * Fraction(table.values[i][ci], d) ** s
+        total = sum(w * row[tj] for w, row in zip(weights, table.values))
         p = Fraction(t.class_size, n_fact) * total
         if p < 0:
             raise ArithmeticError("negative class probability")
@@ -365,7 +366,7 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
     """
     if s not in (1, 2):
         raise ValueError("s must be 1 or 2 (higher s is quadratically costly)")
-    cycles = cycle_type.cycle_lengths if isinstance(cycle_type, CycleType) else Partition(cycle_type)
+    cycles = cycle_lengths(cycle_type)
     if method == "transfer":
         probs = class_walk_probability(n, cycles, s, limit)
         sizes = {c.cycle_lengths: c for c in enumerate_classes(n)}
@@ -393,7 +394,7 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
 
 def moment_fc(n: int, cycle_type, s: int, r: int, method: str = "transfer") -> float:
     """E[(f_C)^s] after r steps, as a float (the |C|^(s/2) factor reattached)."""
-    cycles = cycle_type.cycle_lengths if isinstance(cycle_type, CycleType) else Partition(cycle_type)
+    cycles = cycle_lengths(cycle_type)
     size = CycleType.from_partition(cycles).class_size
     red = moment_fc_reduced(n, cycles, s, r, method)
     return float(red) * size ** (s / 2)

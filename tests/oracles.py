@@ -238,3 +238,46 @@ def irreducible_monic_count_brute(d: int, p: int, exclude_x: bool = True) -> int
         if not divisible:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# certified GL enclosures, computed the direct way
+
+
+def suq_weight_per_hook(u, q, lam: Partition) -> Fraction:
+    """u^|lam| / (q^(sum lam_i^2) prod_h (1 - q^-h)^2), one division per hook."""
+    u, q = Fraction(u), Fraction(q)
+    w = u**lam.size / q ** sum(p * p for p in lam)
+    for h in lam.hooks():
+        w /= (1 - q**-h) ** 2
+    return w
+
+
+def suq_normalizer_pow_int(u, q, prec: int):
+    """Z(u,q) = prod_{t>=1} (1 - u/q^t)^t enclosed factor by factor: each
+    factor raised by its own rounded interval power, the tail closed by the
+    Weierstrass bound."""
+    from repwalk.intervals import Interval
+
+    u, q = Fraction(u), Fraction(q)
+    z = 1 / q
+    target = Fraction(1, 1 << max(prec - 16, 16))
+    terms = 8
+    while u * z ** (terms + 1) * ((terms + 1) - terms * z) / (1 - z) ** 2 >= target:
+        terms *= 2
+    head = Interval.point(1)
+    for t in range(1, terms + 1):
+        head = (head * Interval.point(1 - u * z**t).pow_int(t, prec)).rounded(prec)
+    tail_sum = u * z ** (terms + 1) * ((terms + 1) - terms * z) / (1 - z) ** 2
+    lo = head.lo * (1 - tail_sum) if tail_sum < 1 else Fraction(0)
+    return Interval(max(lo, Fraction(0)), head.hi).rounded(prec)
+
+
+def euler_product_exact(u, q, terms: int) -> tuple[Fraction, Fraction]:
+    """[head * (1 - u q^(1-terms)/(q-1)), head] with head the exact product
+    of (1 - u/q^m) over m < terms."""
+    u, q = Fraction(u), Fraction(q)
+    head = Fraction(1)
+    for m in range(terms):
+        head *= 1 - u / q**m
+    return head * max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1)), head

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from repwalk.cli import main
+from repwalk import cli
+from repwalk.cli import build_parser, main
 from repwalk.errors import SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
 
@@ -200,3 +201,93 @@ def test_sampler_failure_exit_code(tmp_path, monkeypatch, capsys):
     code, _ = run(tmp_path, "gl-sample", "--n", "2", "--q", "2", "--count", "3")
     assert code == 4
     assert "no acceptance" in capsys.readouterr().err
+
+
+def _main_stdout(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def _fresh_stdout(capsys, argv):
+    args = build_parser().parse_args(argv)
+    code = args.func(args)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("with_flags,without", [
+    (["sn-walk", "--n", "5", "--r", "3", "--start", "3+2"],
+     ["sn-walk", "--n", "5", "--r", "3"]),
+    (["gl-sample", "--n", "3", "--q", "2", "--count", "4", "--u", "1/2", "--threads", "2"],
+     ["gl-sample", "--n", "3", "--q", "2", "--count", "4"]),
+    (["sn-sample", "--n", "6", "--r", "4", "--count", "6", "--threads", "2"],
+     ["sn-sample", "--n", "6", "--r", "4", "--count", "6"]),
+])
+def test_parser_reuse_keeps_no_state(capsys, with_flags, without):
+    # main parses with one parser per process; optional flags of one call
+    # must not leak into the next
+    assert cli._parser() is cli._parser()
+    first = _main_stdout(capsys, with_flags)
+    second = _main_stdout(capsys, without)
+    assert first == _fresh_stdout(capsys, with_flags)
+    assert second == _fresh_stdout(capsys, without)
+    assert first[0] == second[0] == 0
+    assert first[1] != second[1]
+    assert main(["sn-walk", "--n", "3", "--bogus"]) == 2
+    assert main([*without, "--threads", "0"]) == 2
+    assert _main_stdout(capsys, without) == second
+
+
+# gl-sample stdout as produced when every enclosure was built from pow_int
+# factor powers and the exact Euler product, without shared caches
+GL_SAMPLE_GOLDEN = {
+    ("--n", "4", "--q", "2", "--count", "5", "--seed", "11"): """\
+# repwalk 0.1.0
+# command: gl-sample count=5 n=4 q=2 seed=11 threads=1
+# attempts: 63
+# predicted acceptance rate: 0.10758629947291376
+index,family
+0,1.0:1+1;2.0:1
+1,1.0:2;2.0:1
+2,1.0:2+1+1
+3,1.0:2;2.0:1
+4,1.0:2+1+1
+""",
+    ("--n", "3", "--q", "3", "--count", "4", "--seed", "2", "--u", "1/2"): """\
+# repwalk 0.1.0
+# command: gl-sample count=4 n=3 q=3 seed=2 threads=1 u=1/2
+# attempts: 19
+# predicted acceptance rate: 0.08382255720523289
+index,family
+0,3.7:1
+1,1.1:1;2.2:1
+2,1.0:1+1+1
+3,1.0:1;1.1:1+1
+""",
+    ("--n", "6", "--q", "2", "--count", "5", "--seed", "7", "--threads", "2"): """\
+# repwalk 0.1.0
+# command: gl-sample count=5 n=6 q=2 seed=7 threads=2
+# attempts: 17
+# predicted acceptance rate: 0.07079720059748666
+index,family
+0,1.0:1+1+1+1+1+1
+1,1.0:1+1;4.1:1
+2,1.0:1+1;2.0:1+1
+3,1.0:1;2.0:1;3.0:1
+4,1.0:3+1;2.0:1
+""",
+    ("--n", "12", "--q", "3", "--count", "3", "--seed", "5"): """\
+# repwalk 0.1.0
+# command: gl-sample count=3 n=12 q=3 seed=5 threads=1
+# attempts: 90
+# predicted acceptance rate: 0.03102064664638503
+index,family
+0,1.0:1;3.4:1;8.338:1
+1,1.0:2;4.7:1;6.86:1
+2,1.1:1;2.2:1;9.2180:1
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GL_SAMPLE_GOLDEN))
+def test_gl_sample_golden(capsys, argv):
+    assert _main_stdout(capsys, ["gl-sample", *argv]) == (0, GL_SAMPLE_GOLDEN[argv])

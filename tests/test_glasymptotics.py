@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from repwalk.errors import CapacityError
+from oracles import suq_normalizer_pow_int, suq_weight_per_hook
 from repwalk.glasymptotics import (
     GLPlancherelSampler,
     acceptance_probability,
@@ -23,7 +26,8 @@ from repwalk.glasymptotics import (
     suq_weight,
 )
 from repwalk.glirreps import plancherel_gl, unipotent_marginal
-from repwalk.partitions import EMPTY, Partition
+from repwalk.intervals import euler_product_enclosure
+from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.series import euler_lhs, q_pochhammer
 
 
@@ -32,6 +36,59 @@ def test_suq_weight_examples():
     # single box: u / (q * (1 - 1/q)^2)
     assert suq_weight(1, 2, Partition((1,))) == 2
     assert suq_weight(Fraction(1, 2), 2, Partition((1,))) == 1
+
+
+@pytest.mark.parametrize("u,q", [
+    (1, 2), (Fraction(1, 2), 2), (Fraction(63, 64), 2), (Fraction(5, 6), 3),
+    (Fraction(19, 20) ** 3, 27), (1, 9),
+])
+def test_normalizer_suffix_products_match_pow_int(u, q):
+    z = suq_normalizer(u, q, prec=320)
+    for ref_prec in (320, 400):
+        ref = suq_normalizer_pow_int(u, q, ref_prec)
+        assert z.lo <= ref.hi and ref.lo <= z.hi
+    assert ref.width < Fraction(1, 2**380)  # nearly a point: z must hold Z itself
+    assert z.width < Fraction(1, 2**300)
+
+
+@pytest.mark.parametrize("u,q", [
+    (1, 2), (Fraction(1, 2), 3), (Fraction(63, 64), 2), (Fraction(3, 7), Fraction(5, 2)),
+    (Fraction(19, 20) ** 3, 27), (2, Fraction(9, 4)),
+])
+def test_suq_weight_integer_quotient(u, q):
+    for m in range(9):
+        for lam in enumerate_partitions(m):
+            assert suq_weight(u, q, lam) == suq_weight_per_hook(u, q, lam)
+
+
+def test_sampler_setup_shares_cached_enclosures():
+    sampler = GLPlancherelSampler(7, 2, seed=1)
+    sampler.sample()
+    acceptance_probability(7, 2, sampler.u)
+    normalizers = suq_normalizer.cache_info()
+    products = euler_product_enclosure.cache_info()
+    # a second sampler with the same (n, q, u) builds no new enclosure
+    again = GLPlancherelSampler(7, 2, seed=2)
+    again.sample()
+    acceptance_probability(7, 2, again.u)
+    assert suq_normalizer.cache_info().misses == normalizers.misses
+    assert euler_product_enclosure.cache_info().misses == products.misses
+    assert suq_normalizer.cache_info().maxsize and euler_product_enclosure.cache_info().maxsize
+
+
+def test_sampler_freed_by_reference_counting():
+    # no reference cycle through the threshold builders: a finished sampler and
+    # its thresholds go at once, not at some later cyclic collection
+    sampler = GLPlancherelSampler(4, 2, seed=1)
+    sampler.sample()
+    refs = [weakref.ref(sampler), weakref.ref(sampler.plans[0]),
+            weakref.ref(sampler.high_degree_empty)]
+    gc.disable()
+    try:
+        del sampler
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_normalizer_enclosure():

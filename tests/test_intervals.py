@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import euler_product_exact
+from repwalk.glasymptotics import _normalizer_terms
 from repwalk.intervals import Interval, euler_product_enclosure
 
 
@@ -60,3 +62,16 @@ def test_euler_product_enclosure():
     assert tight.lo >= wide.lo and tight.hi <= wide.hi
     assert tight.width < Fraction(1, 2**100)
     assert wide.lo > Fraction(1, 4) and wide.hi < Fraction(1, 3)
+
+
+@pytest.mark.parametrize("u,q", [
+    (Fraction(1, 2), 2), (Fraction(63, 64), 2), (Fraction(5, 6), 3),
+    (Fraction(2, 3), Fraction(7, 2)), (Fraction(19, 20) ** 3, 27),
+])
+def test_euler_product_rounded_contains_exact(u, q):
+    terms = _normalizer_terms(u, Fraction(q), Fraction(1, 2**320))
+    exact = euler_product_enclosure(u, q, terms)
+    assert (exact.lo, exact.hi) == euler_product_exact(u, q, terms)
+    rounded = euler_product_enclosure(u, q, terms, 320)
+    assert rounded.lo <= exact.lo and exact.hi <= rounded.hi
+    assert rounded.width < Fraction(1, 2**300)
