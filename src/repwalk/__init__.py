@@ -33,10 +33,9 @@ from .snwalk import (
     kernel_from_tensor,
     moment_fc,
     moment_fc_reduced,
+    plancherel_samples,
     plancherel_sn,
-    rsk_oracle,
-    sample_plancherel_sn,
-    sample_walk,
+    rsk_samples,
     sn_lower_bound_estimate,
     sn_tv_curve,
     sn_upper_bound,
@@ -45,6 +44,7 @@ from .snwalk import (
     tv_to_plancherel,
     walk_distribution,
     walk_distribution_spectral,
+    walk_samples,
 )
 from .glirreps import (
     CuspidalLabel,
@@ -69,7 +69,7 @@ from .glasymptotics import (
     acceptance_probability,
     cycle_index_lhs,
     cycle_index_rhs,
-    gl_plancherel_sample,
+    gl_plancherel_samples,
     limit_marginal,
     suq_mass,
     suq_measure,

@@ -2,7 +2,7 @@
 
 Every run with an identical configuration produces byte-identical output:
 rationals serialize as p/q strings, floats as shortest round-trip decimals,
-samplers are pinned by --seed (and --threads, through per-worker derived
+samplers are pinned by --seed (and --threads, through per-stream derived
 seeds).  Wall-clock timing goes to stderr so artifacts stay deterministic.
 Exit codes: 0 ok, 2 usage error, 3 capacity error, 4 sampler failure (the
 GL sampler reached its attempt cap, or its threshold enclosures failed to
@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,10 +42,12 @@ from .glirreps import (
     DEFAULT_ENUM_Q,
 )
 from .hsp import hsp_bounds, subgroup_closure, weak_sampling_distribution
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, dimension_sn, enumerate_partitions
 from .rng import derive_seed
 from .series import euler_lhs_rhs
 from .snwalk import (
+    EXACT_KERNEL_LIMIT,
+    _float_error_bound,
     moment_fc_reduced,
     rsk_samples,
     sn_tv_curve,
@@ -98,20 +99,19 @@ def _emit(args, text: str):
 
 
 def _split(count: int, seed: int, threads: int) -> list[tuple[int, int]]:
-    """(count, derived seed) per worker that has work, in worker order."""
+    """(count, derived seed) per seed stream that has work, in stream order."""
     base, extra = divmod(count, threads)
     sizes = [base + (i < extra) for i in range(threads)]
     return [(size, derive_seed(seed, i)) for i, size in enumerate(sizes) if size]
 
 
 def _chunked(sample_fn, count: int, seed: int, threads: int) -> list:
-    """Split count across workers with derived seeds; merge in worker order."""
-    jobs = _split(count, seed, threads)
-    if threads == 1:
-        return [x for c, s in jobs for x in sample_fn(c, s)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda job: sample_fn(*job), jobs))
-    return [x for part in parts for x in part]
+    """Run the seed streams of _split in turn and merge them in stream order.
+
+    --threads only chooses the split (a thread pool gave no speedup under
+    the GIL), so output is pinned by (seed, threads).
+    """
+    return [x for c, s in _split(count, seed, threads) for x in sample_fn(c, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +157,7 @@ def _cmd_sn_tv_curve(args):
     rows = sn_tv_curve(args.n, args.rmax, args.mode)
     extra = []
     if args.mode == "float":
-        from .partitions import enumerate_partitions as _parts
-        from .snwalk import FLOAT_ENTRY_RELERR
-
-        err = args.rmax * len(_parts(args.n)) * FLOAT_ENTRY_RELERR
+        err = _float_error_bound(args.n, args.rmax)
         extra.append(f"# accumulated float error bound at rmax: {err!r}")
     _write_csv(args, "sn-tv-curve", ["r", "tv", "l2_bound"], rows, extra)
     return 0
@@ -170,7 +167,7 @@ def _cmd_sn_cutoff(args):
     n, c = args.n, args.c
     r = math.ceil(0.5 * n * math.log(n) + c * n)
     target = math.exp(-2 * c) / 2
-    mode = "exact" if n <= 12 else "float"
+    mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     dist = walk_distribution(n, r, mode=mode)
     tv = float(tv_to_plancherel(dist))
     rows = [[r, target, tv, sn_upper_bound(n, r)]]
@@ -208,8 +205,6 @@ def _cmd_sn_moments(args):
             # the value moment_fc returns, without computing red twice
             rows.append([s, method, float(red) * size ** (s / 2), red])
     if args.samples:
-        from .partitions import dimension_sn
-
         table = character_table(args.n)
         ci = table.partitions.index(transposition)
         draws = _chunked(
@@ -443,7 +438,7 @@ MAX_THREADS = 64
 
 
 def _thread_count(text: str) -> int:
-    """--threads value: an integer in 1..MAX_THREADS, checked before any pool exists."""
+    """--threads value: an integer in 1..MAX_THREADS, checked while parsing."""
     value = int(text)
     if not 1 <= value <= MAX_THREADS:
         raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_THREADS}, got {value}")

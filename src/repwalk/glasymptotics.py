@@ -46,7 +46,7 @@ from .intervals import (
 )
 from .partitions import Partition, enumerate_partitions
 from .rng import LazyUniform, SplitMix64
-from .series import q_pochhammer
+from .series import TruncSeries, q_pochhammer
 
 SAMPLE_N_LIMIT = 20
 SAMPLE_Q_LIMIT = 3
@@ -192,17 +192,6 @@ def _poly_trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs) if coeffs else (Fraction(0),)
 
 
-def _poly_mul(a, b, cap: int):
-    out = [Fraction(0)] * min(len(a) + len(b) - 1, cap + 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y and i + j <= cap:
-                out[i + j] += x * y
-    return out
-
-
 def cycle_index_lhs(n_max: int, q: int, marker: str = "none") -> list[tuple[Fraction, ...]]:
     """Coefficients of u^m, m <= n_max, of 1 + sum_m Z-hat_m u^m/(1/q)_m.
 
@@ -228,54 +217,34 @@ def cycle_index_rhs(q: int, order: int, marker: str = "none") -> list[tuple[Frac
     """Same coefficients from the product over cuspidal labels.
 
     Each degree-d label contributes 1 + sum_lam marker(lam) u^(d|lam|)
-    w(lam), with w the S-weight at (u^d, q^d); there are cuspidal_count(d,q)
-    interchangeable copies, of which exactly one (the unit character) is
-    tracked when marker='unipotent'.
+    w(lam), with w the S-weight at (u^d, q^d); the cuspidal_count(d,q)
+    interchangeable copies give one series power.  When marker='unipotent'
+    exactly one label (the unit character) is tracked, so the coefficient
+    of u^i t^k is marked[k] * rest[i-k], marked[k] being its size-k weight
+    and rest the product over the untracked labels.
     """
     if marker not in ("none", "unipotent"):
         raise ValueError("marker must be 'none' or 'unipotent'")
-    # series[i] = dense t-polynomial coefficient of u^i
-    series = [[Fraction(1)]] + [[Fraction(0)] for _ in range(order)]
-
-    def mul_into(series, factor):
-        out = [[Fraction(0)] for _ in range(order + 1)]
-        for i in range(order + 1):
-            if series[i] == [Fraction(0)]:
-                continue
-            for j in range(order + 1 - i):
-                if factor[j] == [Fraction(0)]:
-                    continue
-                prod = _poly_mul(series[i], factor[j], order)
-                dst = out[i + j]
-                if len(dst) < len(prod):
-                    dst.extend([Fraction(0)] * (len(prod) - len(dst)))
-                for k, v in enumerate(prod):
-                    dst[k] += v
-        return out
-
+    rest = TruncSeries.one(order)
+    marked = [Fraction(1)]  # replaced at d = 1, which order 0 never reaches
     for d in range(1, order + 1):
-        n_labels = cuspidal_count(d, q)
-        plain = [[Fraction(0)] for _ in range(order + 1)]
-        plain[0] = [Fraction(1)]
-        marked = [[Fraction(0)] for _ in range(order + 1)]
-        marked[0] = [Fraction(1)]
-        for size in range(1, order // d + 1):
-            for lam in enumerate_partitions(size):
-                w = suq_weight(Fraction(1), Fraction(q) ** d, lam)
-                u_pow = d * size
-                plain[u_pow][0] += w
-                dst = marked[u_pow]
-                if len(dst) < size + 1:
-                    dst.extend([Fraction(0)] * (size + 1 - len(dst)))
-                dst[size] += w
+        qd = Fraction(q) ** d
+        # by_size[s] = total weight of the partitions of s, the u^(d s) coefficient
+        by_size = [Fraction(1)] + [
+            sum(suq_weight(1, qd, lam) for lam in enumerate_partitions(size))
+            for size in range(1, order // d + 1)
+        ]
+        copies = cuspidal_count(d, q)
         if d == 1 and marker == "unipotent":
-            series = mul_into(series, marked)
-            copies = n_labels - 1
-        else:
-            copies = n_labels
-        for _ in range(copies):
-            series = mul_into(series, plain)
-    return [_poly_trim(list(poly)) for poly in series]
+            marked = by_size
+            copies -= 1
+        plain = [Fraction(0)] * (order + 1)
+        plain[::d] = by_size
+        rest = rest * TruncSeries(order, tuple(plain)) ** copies
+    if marker == "none":
+        return [(c,) for c in rest.coeffs]
+    return [_poly_trim([marked[k] * rest.coeffs[i - k] for k in range(i + 1)])
+            for i in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +474,7 @@ class GLPlancherelSampler:
         )
 
 
-def gl_plancherel_sample(n: int, q: int, u=None, seed: int = 0) -> GLIrrep:
-    """One exact Plancherel-distributed irreducible family of GL(n,q)."""
-    return GLPlancherelSampler(n, q, u, seed).sample()
-
-
 def gl_plancherel_samples(n: int, q: int, count: int, u=None, seed: int = 0) -> list[GLIrrep]:
+    """count exact Plancherel-distributed irreducible families of GL(n,q), from one sampler."""
     sampler = GLPlancherelSampler(n, q, u, seed)
     return [sampler.sample() for _ in range(count)]

@@ -51,7 +51,8 @@ def cuspidal_count(d: int, q: int) -> int:
     if d < 1 or q < 2:
         raise ValueError("need d >= 1 and q >= 2")
     total = sum(mobius(d // e) * (q**e - 1) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    if total % d:
+        raise ArithmeticError(f"Moebius sum {total} is not divisible by d = {d}")
     return total // d
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .characters import DEFAULT_TABLE_LIMIT, character_table
 from .errors import CapacityError
 from .partitions import Partition, dimension_sn
-from .snwalk import WalkDistribution
+from .snwalk import WalkDistribution, tv_to_plancherel
 
 CLOSURE_CAP = 10**6
 
@@ -154,11 +154,7 @@ def hsp_bounds(H: SubgroupSpec, limit: int = DEFAULT_TABLE_LIMIT) -> HspBounds:
     classes; bound_ks = (1/2) sum |C meet H| / sqrt(|C|).  Always
     exact_tv <= bound_sharp <= bound_ks.
     """
-    from .snwalk import plancherel_sn
-
-    dist = weak_sampling_distribution(H, limit)
-    pi = plancherel_sn(H.n)
-    tv = sum(abs(dist.masses[lam] - pi.masses[lam]) for lam in pi.masses) / 2
+    tv = tv_to_plancherel(weak_sampling_distribution(H, limit))
     identity = Partition([1] * H.n)
     sharp_sq = Fraction(0)
     ks = 0.0

@@ -45,6 +45,11 @@ FLOAT_LIMIT = 40
 FLOAT_ENTRY_RELERR = 1e-14
 
 
+def _float_error_bound(n: int, r: int) -> float:
+    """The accumulated float error bound after r steps on the partitions of n."""
+    return r * len(enumerate_partitions(n)) * FLOAT_ENTRY_RELERR
+
+
 @dataclass
 class WalkDistribution:
     """Probability vector over partitions of n (exact rational or float)."""
@@ -478,8 +483,7 @@ class _FloatEngine:
 
     def to_distribution(self, v: np.ndarray, r: int) -> WalkDistribution:
         masses = {lam: float(v[i]) for i, lam in enumerate(self.parts)}
-        err = r * len(self.parts) * FLOAT_ENTRY_RELERR
-        return WalkDistribution(self.n, "float", masses, error_bound=err)
+        return WalkDistribution(self.n, "float", masses, error_bound=_float_error_bound(self.n, r))
 
 
 @lru_cache(maxsize=4)
@@ -512,19 +516,6 @@ def plancherel_growth_step(rng: SplitMix64, mu: Partition) -> Partition:
     return rho
 
 
-def sample_plancherel_sn(n: int, seed: int) -> Partition:
-    """Plancherel-distributed partition of n via the growth process from empty."""
-    rng = SplitMix64(seed)
-    return _grow(rng, n)
-
-
-def _grow(rng: SplitMix64, n: int) -> Partition:
-    lam = Partition(())
-    for _ in range(n):
-        lam = plancherel_growth_step(rng, lam)
-    return lam
-
-
 def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
     """One down-up move with exact rational thresholds."""
     n = lam.size
@@ -535,15 +526,6 @@ def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
     if up_total != n * dimension_sn(mu):
         raise ArithmeticError(f"up-step weights of {mu} do not sum to n d_mu")
     return rho
-
-
-def sample_walk(n: int, r: int, seed: int) -> Partition:
-    """Simulate r down-up steps from the one-row partition."""
-    rng = SplitMix64(seed)
-    lam = Partition((n,))
-    for _ in range(r):
-        lam = walk_step(rng, lam)
-    return lam
 
 
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
@@ -559,8 +541,16 @@ def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
 
 
 def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
+    """count Plancherel-distributed partitions of n, each grown from the empty
+    partition by plancherel_growth_step, from one seeded stream."""
     rng = SplitMix64(seed)
-    return [_grow(rng, n) for _ in range(count)]
+    out = []
+    for _ in range(count):
+        lam = Partition(())
+        for _ in range(n):
+            lam = plancherel_growth_step(rng, lam)
+        out.append(lam)
+    return out
 
 
 def rsk_shape(word) -> Partition:
@@ -585,20 +575,13 @@ def top_to_random_step(rng: SplitMix64, deck: list[int]) -> None:
     deck.insert(rng.randrange(len(deck) + 1), card)
 
 
-def rsk_oracle(n: int, r: int, seed: int) -> Partition:
-    """RSK shape after r top-to-random shuffles of the identity deck.
+def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
+    """RSK shapes after r top-to-random shuffles of the identity deck, count
+    independent decks from one seeded stream.
 
     Distributed like walk_distribution(n, r) started at the one-row
     partition; the package tests this statistically rather than assuming it.
     """
-    rng = SplitMix64(seed)
-    deck = list(range(1, n + 1))
-    for _ in range(r):
-        top_to_random_step(rng, deck)
-    return rsk_shape(deck)
-
-
-def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):

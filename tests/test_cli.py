@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from repwalk import cli
 from repwalk.cli import build_parser, main
 from repwalk.errors import SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
+from repwalk.snwalk import EXACT_KERNEL_LIMIT, tv_to_plancherel, walk_distribution
 
 
 def run(tmp_path, *argv):
@@ -170,6 +172,20 @@ def test_hsp_json(tmp_path):
     }
 
 
+@pytest.mark.parametrize("n,c", [(13, "-0.5"), (15, "0.5"), (18, "0.5"), (18, "3")])
+def test_sn_cutoff_exact_up_to_kernel_limit(capsys, n, c):
+    # sn-cutoff runs the exact walk for n <= EXACT_KERNEL_LIMIT and prints
+    # float() of the exact rational TV
+    assert n <= EXACT_KERNEL_LIMIT
+    code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
+    r, _, tv, _ = out.splitlines()[-1].split(",")
+    exact = tv_to_plancherel(walk_distribution(n, int(r), mode="exact"))
+    assert code == 0 and isinstance(exact, Fraction)
+    assert tv == repr(float(exact))
+    if (n, c) == (18, "0.5"):
+        assert tv == "0.07177072618859481"  # the float walk printed ...479
+
+
 def test_threads_flag_accepted(tmp_path):
     code, text = run(tmp_path, "sn-sample", "--n", "5", "--r", "2",
                      "--count", "8", "--seed", "1", "--threads", "2")
@@ -178,7 +194,7 @@ def test_threads_flag_accepted(tmp_path):
 
 
 def test_threads_cap_usage_error(tmp_path):
-    # rejected while parsing, before a pool exists, so no thread starts
+    # rejected while parsing, before any seed stream is split or sampled
     for cmd in (["sn-sample", "--n", "5", "--r", "2"], ["sn-moments", "--n", "5", "--r", "2"],
                 ["gl-sample", "--n", "2", "--q", "2"]):
         for value in ("100000", "0"):
@@ -291,3 +307,125 @@ index,family
 @pytest.mark.parametrize("argv", sorted(GL_SAMPLE_GOLDEN))
 def test_gl_sample_golden(capsys, argv):
     assert _main_stdout(capsys, ["gl-sample", *argv]) == (0, GL_SAMPLE_GOLDEN[argv])
+
+
+# sampler stdout recorded when --threads ran its seed streams on a thread
+# pool; running them in turn must print the same bytes
+THREADS_GOLDEN = {
+    ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '1'): """\
+# repwalk 0.1.0
+# command: sn-sample count=7 n=9 r=12 seed=5 threads=1
+index,partition
+0,4+2+2+1
+1,4+2+2+1
+2,4+3+1+1
+3,5+3+1
+4,5+3+1
+5,5+3+1
+6,6+2+1
+""",
+    ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '1'): """\
+# repwalk 0.1.0
+# command: sn-rsk count=7 n=8 r=11 seed=4 threads=1
+index,partition
+0,3+2+2+1
+1,4+3+1
+2,4+2+1+1
+3,6+2
+4,5+2+1
+5,4+3+1
+6,4+2+1+1
+""",
+    ('sn-moments', '--n', '7', '--r', '9', '--samples', '10', '--seed', '2', '--threads', '1'): """\
+# repwalk 0.1.0
+# command: sn-moments n=7 r=9 samples=10 seed=2 threads=1
+s,method,value,reduced_exact
+1,transfer,0.2217978470725213,1953125/40353607
+1,direct,0.2217978470725213,1953125/40353607
+1,closed,0.2217978470725213,1953125/40353607
+2,transfer,1.069839357854677,6167411/121060821
+2,direct,1.069839357854677,6167411/121060821
+2,closed,1.069839357854677,6167411/121060821
+1,empirical,0.17457431218879388,
+2,empirical,0.6571428571428573,
+""",
+    ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '2'): """\
+# repwalk 0.1.0
+# command: sn-sample count=7 n=9 r=12 seed=5 threads=2
+index,partition
+0,4+2+2+1
+1,4+2+2+1
+2,4+3+1+1
+3,5+3+1
+4,5+2+2
+5,5+3+1
+6,5+2+1+1
+""",
+    ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '2'): """\
+# repwalk 0.1.0
+# command: sn-rsk count=7 n=8 r=11 seed=4 threads=2
+index,partition
+0,3+2+2+1
+1,4+3+1
+2,4+2+1+1
+3,6+2
+4,3+3+1+1
+5,5+2+1
+6,3+2+2+1
+""",
+    ('sn-moments', '--n', '7', '--r', '9', '--samples', '10', '--seed', '2', '--threads', '2'): """\
+# repwalk 0.1.0
+# command: sn-moments n=7 r=9 samples=10 seed=2 threads=2
+s,method,value,reduced_exact
+1,transfer,0.2217978470725213,1953125/40353607
+1,direct,0.2217978470725213,1953125/40353607
+1,closed,0.2217978470725213,1953125/40353607
+2,transfer,1.069839357854677,6167411/121060821
+2,direct,1.069839357854677,6167411/121060821
+2,closed,1.069839357854677,6167411/121060821
+1,empirical,0.24003967925959158,
+2,empirical,1.223809523809524,
+""",
+    ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '3'): """\
+# repwalk 0.1.0
+# command: sn-sample count=7 n=9 r=12 seed=5 threads=3
+index,partition
+0,4+2+2+1
+1,4+2+2+1
+2,4+3+1+1
+3,5+2+2
+4,5+3+1
+5,5+2+1+1
+6,4+3+1+1
+""",
+    ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '3'): """\
+# repwalk 0.1.0
+# command: sn-rsk count=7 n=8 r=11 seed=4 threads=3
+index,partition
+0,3+2+2+1
+1,4+3+1
+2,4+2+1+1
+3,3+3+1+1
+4,5+2+1
+5,4+2+2
+6,3+3+1+1
+""",
+    ('sn-moments', '--n', '7', '--r', '9', '--samples', '10', '--seed', '2', '--threads', '3'): """\
+# repwalk 0.1.0
+# command: sn-moments n=7 r=9 samples=10 seed=2 threads=3
+s,method,value,reduced_exact
+1,transfer,0.2217978470725213,1953125/40353607
+1,direct,0.2217978470725213,1953125/40353607
+1,closed,0.2217978470725213,1953125/40353607
+2,transfer,1.069839357854677,6167411/121060821
+2,direct,1.069839357854677,6167411/121060821
+2,closed,1.069839357854677,6167411/121060821
+1,empirical,0.4146139914483854,
+2,empirical,1.2619047619047619,
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(THREADS_GOLDEN))
+def test_threads_split_golden(capsys, argv):
+    assert _main_stdout(capsys, list(argv)) == (0, THREADS_GOLDEN[argv])

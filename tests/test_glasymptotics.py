@@ -15,7 +15,6 @@ from repwalk.glasymptotics import (
     cycle_index_lhs,
     cycle_index_rhs,
     default_rejection_u,
-    gl_plancherel_sample,
     gl_plancherel_samples,
     high_degree_empty_direct,
     limit_marginal,
@@ -146,6 +145,19 @@ def test_cycle_index_identity():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_cycle_index_rhs_closed_form(q):
+    # with every marker 1 the product is sum_m u^m/(1/q)_m (Euler); with the
+    # unipotent marker, setting t = 1 must give the same coefficients
+    for m_max in range(9):
+        plain = cycle_index_rhs(q, m_max, "none")
+        marked = cycle_index_rhs(q, m_max, "unipotent")
+        assert len(plain) == len(marked) == m_max + 1
+        for m in range(m_max + 1):
+            assert plain[m] == (1 / q_pochhammer(q, m),)
+            assert sum(marked[m]) == 1 / q_pochhammer(q, m)
+
+
 def test_cycle_index_reduces_to_euler_series():
     for q in (2, 3):
         lhs = cycle_index_lhs(3, q, "none")
@@ -197,9 +209,27 @@ def test_sampler_determinism():
 
 def test_sampler_capacity():
     with pytest.raises(CapacityError):
-        gl_plancherel_sample(25, 2)
+        gl_plancherel_samples(25, 2, 1)
     with pytest.raises(CapacityError):
-        gl_plancherel_sample(2, 5)
+        gl_plancherel_samples(2, 5, 1)
+
+
+# one family per (n, q, u, seed), recorded from the single-sample function
+# that once stood beside gl_plancherel_samples; count=1 must reproduce it
+GL_SINGLE = {
+    (3, 2, None, 1): "1.0:1+1+1",
+    (2, 2, Fraction(1, 2), 9): "1.0:1+1",
+    (4, 3, Fraction(1, 2), 5): "1.0:1;3.1:1",
+    (6, 2, None, 17): "1.0:3+1+1+1",
+    (10, 2, Fraction(1, 2), 3): "3.0:1;7.1:1",
+}
+
+
+@pytest.mark.parametrize("key", list(GL_SINGLE))
+def test_gl_samples_count_one_recorded(key):
+    n, q, u, seed = key
+    (phi,) = gl_plancherel_samples(n, q, 1, u=u, seed=seed)
+    assert phi.descriptor() == GL_SINGLE[key]
 
 
 def test_sampler_matches_plancherel_22():

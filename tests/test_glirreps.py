@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from repwalk import glirreps
 from repwalk.errors import CapacityError
 from repwalk.glirreps import (
     CuspidalLabel,
@@ -34,6 +35,15 @@ def test_cuspidal_count_examples():
     assert cuspidal_count(2, 2) == 1
     assert cuspidal_count(3, 2) == 2
     assert cuspidal_count(1, 3) == 2
+
+
+def test_cuspidal_count_indivisible_sum_raises(monkeypatch):
+    # with every Moebius value forced to 1, d = 3 and q = 2 give the sum
+    # (2 - 1) + (8 - 1) = 8, which 3 does not divide; unlike an assert, the
+    # check also runs under python -O
+    monkeypatch.setattr(glirreps, "mobius", lambda k: 1)
+    with pytest.raises(ArithmeticError):
+        cuspidal_count.__wrapped__(3, 2)
 
 
 def test_cuspidal_count_matches_irreducible_polynomials():

@@ -3,16 +3,15 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from repwalk.partitions import Partition, enumerate_partitions
 from repwalk.rng import SplitMix64, derive_seed
 from repwalk.snwalk import (
     plancherel_samples,
     plancherel_sn,
-    rsk_oracle,
     rsk_samples,
     rsk_shape,
-    sample_plancherel_sn,
-    sample_walk,
     walk_distribution,
     walk_samples,
 )
@@ -41,9 +40,38 @@ def test_randrange_exact_support():
 
 
 def test_sample_walk_r0_and_determinism():
-    assert sample_walk(7, 0, 99) == Partition((7,))
-    assert sample_walk(6, 4, 123) == sample_walk(6, 4, 123)
+    assert walk_samples(7, 0, 1, 99) == [Partition((7,))]
+    assert walk_samples(6, 4, 1, 123) == walk_samples(6, 4, 1, 123)
     assert walk_samples(6, 3, 10, 5) == walk_samples(6, 3, 10, 5)
+
+
+# one draw per (n, r, seed) or (n, seed), recorded from the single-sample
+# functions each sampler once had beside its count-taking form; both read
+# the same SplitMix64 stream, so count=1 must reproduce them
+WALK_SINGLE = {(7, 0, 99): "7", (6, 4, 123): "3+1+1+1", (10, 15, 1): "5+3+1+1",
+               (12, 20, 2024): "4+3+2+2+1", (20, 30, 7): "8+3+3+2+2+1+1"}
+RSK_SINGLE = {(6, 0, 1): "6", (6, 3, 11): "5+1", (9, 12, 5): "3+3+2+1",
+              (15, 25, 42): "7+4+2+1+1", (25, 40, 3): "9+6+3+3+2+1+1"}
+PLANCHEREL_SINGLE = {(1, 0): "1", (5, 31): "2+1+1+1", (8, 2): "3+2+2+1",
+                     (15, 9): "5+4+3+2+1", (30, 123): "9+6+4+4+2+2+2+1"}
+
+
+@pytest.mark.parametrize("key", sorted(WALK_SINGLE))
+def test_walk_samples_count_one_recorded(key):
+    n, r, seed = key
+    assert walk_samples(n, r, 1, seed) == [Partition.from_string(WALK_SINGLE[key])]
+
+
+@pytest.mark.parametrize("key", sorted(RSK_SINGLE))
+def test_rsk_samples_count_one_recorded(key):
+    n, r, seed = key
+    assert rsk_samples(n, r, 1, seed) == [Partition.from_string(RSK_SINGLE[key])]
+
+
+@pytest.mark.parametrize("key", sorted(PLANCHEREL_SINGLE))
+def test_plancherel_samples_count_one_recorded(key):
+    n, seed = key
+    assert plancherel_samples(n, 1, seed) == [Partition.from_string(PLANCHEREL_SINGLE[key])]
 
 
 def test_plancherel_sampler_frequencies():
@@ -57,7 +85,8 @@ def test_plancherel_sampler_frequencies():
 
 
 def test_plancherel_single_sample_api():
-    assert sample_plancherel_sn(5, 31).size == 5
+    (lam,) = plancherel_samples(5, 1, 31)
+    assert lam.size == 5
 
 
 def test_walk_sampler_tv_to_exact():
@@ -80,7 +109,7 @@ def test_rsk_shape_known_words():
 
 
 def test_rsk_oracle_r0():
-    assert rsk_oracle(6, 0, 1) == Partition((6,))
+    assert rsk_samples(6, 0, 1, 1) == [Partition((6,))]
 
 
 def test_rsk_matches_walk_by_path_enumeration():
