@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 from .errors import CapacityError
 from .partitions import (
     Partition,
-    corner_moves,
     dimension_sn,
     enumerate_partitions,
     log_dimension_sn,
-    partition_stats,
 )
 from .characters import (
     CharacterTable,

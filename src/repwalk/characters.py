@@ -134,14 +134,6 @@ class CharacterTable:
     classes: tuple[CycleType, ...]
     values: tuple[tuple[int, ...], ...]  # [partition index][class index]
 
-    def value(self, lam: Partition, cycles: Partition) -> int:
-        i = self.partitions.index(Partition(lam))
-        j = self.partitions.index(Partition(cycles))
-        return self.values[i][j]
-
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return self.values[self.partitions.index(Partition(lam))]
-
     def verify_orthogonality(self) -> None:
         n_fact = math.factorial(self.n)
         sizes = [c.class_size for c in self.classes]

@@ -32,14 +32,13 @@ from .glasymptotics import (
 from .glirreps import (
     dimension_gl,
     fixed_space_counts,
+    gl_enumerable,
     gl_lower_bound,
     gl_upper_bound,
     gl_upper_bound_squared,
     order_gl,
     plancherel_gl,
     unipotent_tail_bound,
-    DEFAULT_ENUM_N,
-    DEFAULT_ENUM_Q,
 )
 from .hsp import hsp_bounds, subgroup_closure, weak_sampling_distribution
 from .partitions import Partition, dimension_sn, enumerate_partitions
@@ -100,6 +99,8 @@ def _emit(args, text: str):
 
 def _split(count: int, seed: int, threads: int) -> list[tuple[int, int]]:
     """(count, derived seed) per seed stream that has work, in stream order."""
+    if count < 0:
+        raise ValueError(f"the sample count must be non-negative, got {count}")
     base, extra = divmod(count, threads)
     sizes = [base + (i < extra) for i in range(threads)]
     return [(size, derive_seed(seed, i)) for i, size in enumerate(sizes) if size]
@@ -148,7 +149,7 @@ def _cmd_sn_walk(args):
     extra = []
     if args.mode == "float":
         extra.append(f"# accumulated float error bound: {dist.error_bound!r}")
-    rows = [[lam.to_string(), dist.mass(lam)] for lam in enumerate_partitions(args.n)]
+    rows = [[lam.to_string(), dist.masses.get(lam, 0)] for lam in enumerate_partitions(args.n)]
     _write_csv(args, "sn-walk", ["partition", "mass"], rows, extra)
     return 0
 
@@ -249,9 +250,8 @@ def _cmd_gl_bound(args):
 
 
 def _cmd_gl_lower(args):
-    enumerable = args.n <= DEFAULT_ENUM_N and args.q <= DEFAULT_ENUM_Q
     value = gl_lower_bound(args.n, args.q, args.c)
-    method = "exact-marginal" if enumerable else "tail-bound"
+    method = "exact-marginal" if gl_enumerable(args.n, args.q) else "tail-bound"
     rows = [[args.c, value, method, unipotent_tail_bound(args.q, args.c)]]
     _write_csv(args, "gl-lower", ["c", "lower_bound", "method", "tail_bound"], rows)
     return 0
@@ -341,8 +341,16 @@ def _cmd_hsp(args):
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error on a 'usage error:' line, as main reports later ones."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"{self.prog}: usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repwalk",
         description="Random walks on irreducible representations of S_n and GL(n,q).",
     )
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sn-cutoff", _cmd_sn_cutoff, help="cutoff check at r = n log(n)/2 + c n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_finite_float, required=True)
 
     p = add("sn-sample", _cmd_sn_sample, help="simulate the walk")
     p.add_argument("--n", type=int, required=True)
@@ -442,6 +450,14 @@ def _thread_count(text: str) -> int:
     value = int(text)
     if not 1 <= value <= MAX_THREADS:
         raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_THREADS}, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """--c value: a finite float, so r = ceil(n log(n)/2 + c n) exists."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

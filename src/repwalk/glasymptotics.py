@@ -15,7 +15,7 @@ floating point is involved.  A representation-valued cycle index ties the
 enumerated Plancherel data to the infinite product, coefficientwise.
 
 Certified enclosures are memoized in bounded lru caches, each with
-cache_info(): suq_normalizer on (u, q, terms, prec), so one sampler's count,
+cache_info(): suq_normalizer on (u, q, prec), so one sampler's count,
 component and high-degree thresholds share one Z(u^d, q^d) per degree and
 precision, and later samplers with the same (n, q, u) reuse it; and
 intervals.euler_product_enclosure on (u, q, terms, prec), shared by
@@ -52,6 +52,8 @@ SAMPLE_N_LIMIT = 20
 SAMPLE_Q_LIMIT = 3
 DEFAULT_PREC = 320
 DEFAULT_ATTEMPT_CAP = 10_000_000
+EXPLICIT_DEGREES = 24  # degrees high_degree_empty_direct takes as exact powers
+MAX_DOUBLINGS = 6  # precision doublings a threshold set tries before giving up
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def _normalizer_terms(u: Fraction, q: Fraction, target: Fraction) -> int:
 
 
 @lru_cache(maxsize=512)
-def suq_normalizer(u, q, terms: int | None = None, prec: int = DEFAULT_PREC) -> Interval:
+def suq_normalizer(u, q, prec: int = DEFAULT_PREC) -> Interval:
     """Certified enclosure of Z(u,q) = prod_{t>=1} (1 - u/q^t)^t for 0 < u < q.
 
     The head prod_{t<=terms} f_t^t, f_t = 1 - u/q^t, is the product of the
@@ -97,14 +99,14 @@ def suq_normalizer(u, q, terms: int | None = None, prec: int = DEFAULT_PREC) -> 
     endpoints at a fixed dyadic scale and rounded outward after each of the
     2*terms products.  The omitted factors each lie in (1 - u/q^t, 1); the
     Weierstrass product inequality turns their sum into a rational lower
-    bound on the tail.  Memoized on (u, q, terms, prec) in a bounded cache.
+    bound on the tail; terms is the smallest depth whose tail stays below
+    2^-(prec-16).  Memoized on (u, q, prec) in a bounded cache; every caller
+    passes prec by keyword, so one enclosure has one cache key.
     """
     u, q = Fraction(u), Fraction(q)
     if not 0 < u < q or q <= 1:
         raise ValueError("need 0 < u < q and q > 1")
-    target = Fraction(1, 1 << max(prec - 16, 16))
-    if terms is None:
-        terms = _normalizer_terms(u, q, target)
+    terms = _normalizer_terms(u, q, Fraction(1, 1 << max(prec - 16, 16)))
     scale = prec + guard_bits(2 * terms)
     s_lo = s_hi = head_lo = head_hi = 1 << scale
     # f_t = (b c^t - a e^t) / (b c^t) for u = a/b, q = c/e; t runs downwards
@@ -123,10 +125,9 @@ def suq_normalizer(u, q, terms: int | None = None, prec: int = DEFAULT_PREC) -> 
     return enclosure_from_scaled(head_lo, head_hi, scale, prec, max(Fraction(0), 1 - tail_sum))
 
 
-def suq_mass(u, q, lam: Partition, normalizer_terms: int | None = None,
-             prec: int = DEFAULT_PREC) -> Interval:
+def suq_mass(u, q, lam: Partition) -> Interval:
     """Certified enclosure of S_{u,q}(lam)."""
-    return suq_normalizer(u, q, normalizer_terms, prec) * suq_weight(u, q, lam)
+    return suq_normalizer(u, q, prec=DEFAULT_PREC) * suq_weight(u, q, lam)
 
 
 def suq_size_tail_bound(u, q, size_cut: int) -> Fraction:
@@ -163,9 +164,9 @@ class SUQMeasure:
     tail_bound: Fraction
 
 
-def suq_measure(u, q, truncation_size: int, prec: int = DEFAULT_PREC) -> SUQMeasure:
+def suq_measure(u, q, truncation_size: int) -> SUQMeasure:
     u, q = Fraction(u), Fraction(q)
-    z = suq_normalizer(u, q, prec=prec)
+    z = suq_normalizer(u, q, prec=DEFAULT_PREC)
     masses = {}
     for m in range(truncation_size + 1):
         for lam in enumerate_partitions(m):
@@ -173,13 +174,12 @@ def suq_measure(u, q, truncation_size: int, prec: int = DEFAULT_PREC) -> SUQMeas
     return SUQMeasure(u, q, truncation_size, masses, suq_size_tail_bound(u, q, truncation_size))
 
 
-def limit_marginal(q, c_degree: int, truncation_size: int,
-                   prec: int = DEFAULT_PREC) -> dict[Partition, Interval]:
+def limit_marginal(q, c_degree: int, truncation_size: int) -> dict[Partition, Interval]:
     """Masses of S_{1, q^d}: the large-n limit law of a degree-d component."""
     if c_degree < 1:
         raise ValueError("degree must be >= 1")
     qd = Fraction(q) ** c_degree
-    return suq_measure(Fraction(1), qd, truncation_size, prec).masses
+    return suq_measure(Fraction(1), qd, truncation_size).masses
 
 
 # ---------------------------------------------------------------------------
@@ -257,54 +257,54 @@ def default_rejection_u(n: int) -> Fraction:
     return min(max(u, Fraction(1, 2)), Fraction(63, 64))
 
 
-def high_degree_empty_direct(n: int, q: int, u, explicit_degrees: int = 24,
-                             prec: int = DEFAULT_PREC) -> Interval:
+def high_degree_empty_direct(n: int, q: int, u) -> Interval:
     """Enclosure of prod_{d>n} Z(u^d, q^d)^(N_d) built degree by degree.
 
-    Finitely many degrees enter as explicit interval powers; the rest are
+    EXPLICIT_DEGREES degrees enter as explicit interval powers; the rest are
     bounded below through 1 - Z_d <= sum_t t (u^d/q^(dt)) and the geometric
     envelope N_d * (that sum) <= (q/(q-1))^2 u^d.
     """
     u, q = Fraction(u), Fraction(q)
+    prec = DEFAULT_PREC
     explicit = Interval.point(1)
-    for d in range(n + 1, n + 1 + explicit_degrees):
+    for d in range(n + 1, n + 1 + EXPLICIT_DEGREES):
         n_d = cuspidal_count(d, int(q))
         z_d = suq_normalizer(u**d, q**d, prec=prec)
         explicit = (explicit * z_d.pow_int(n_d, prec)).rounded(prec)
-    d = n + 1 + explicit_degrees
+    d = n + 1 + EXPLICIT_DEGREES
     tail_deficit = (q / (q - 1)) ** 2 * u**d / (1 - u)
     lo = max(Fraction(0), explicit.lo * (1 - tail_deficit))
     return Interval(lo, explicit.hi)
 
 
-def acceptance_probability(n: int, q: int, u, prec: int = DEFAULT_PREC) -> Interval:
+def acceptance_probability(n: int, q: int, u) -> Interval:
     """P(total degree = n) = prod_{m>=0}(1 - u/q^m) u^n/(1/q)_n, enclosed."""
     u = Fraction(u)
-    terms = _normalizer_terms(u, Fraction(q), Fraction(1, 1 << prec))
-    head = euler_product_enclosure(u, Fraction(q), terms, prec)
+    terms = _normalizer_terms(u, Fraction(q), Fraction(1, 1 << DEFAULT_PREC))
+    head = euler_product_enclosure(u, Fraction(q), terms, DEFAULT_PREC)
     return head * (u**n / q_pochhammer(q, n))
+
+
+_REJECT = object()
 
 
 class _ThresholdSet:
     """Cumulative interval thresholds; locates a lazy uniform among them.
 
     builder(prec) returns a list of (outcome, Interval) with increasing
-    thresholds; a uniform beyond the last threshold maps to the terminal
-    outcome.  Thresholds are flattened to integers at a fixed dyadic scale
-    so the hot path is pure integer comparison; ambiguities trigger a
-    higher-precision rebuild.
+    thresholds; a uniform beyond the last threshold maps to _REJECT.
+    Thresholds are flattened to integers at a fixed dyadic scale so the hot
+    path is pure integer comparison; an ambiguity triggers a rebuild at
+    DEFAULT_PREC << level, for up to MAX_DOUBLINGS levels.
     """
 
-    def __init__(self, builder, terminal, prec: int = DEFAULT_PREC, max_doublings: int = 6):
+    def __init__(self, builder):
         self._builder = builder
-        self._terminal = terminal
-        self._prec = prec
         self._cache: dict[int, tuple[list, int]] = {}
-        self._max_doublings = max_doublings
 
     def _thresholds(self, level: int) -> tuple[list, int]:
         if level not in self._cache:
-            scale = self._prec << level
+            scale = DEFAULT_PREC << level
             flat = []
             for outcome, iv in self._builder(scale):
                 flat.append((outcome, floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale)))
@@ -312,7 +312,7 @@ class _ThresholdSet:
         return self._cache[level]
 
     def locate(self, u: LazyUniform):
-        for level in range(self._max_doublings + 1):
+        for level in range(MAX_DOUBLINGS + 1):
             thresholds, scale = self._thresholds(level)
             ambiguous = False
             for outcome, lo, hi in thresholds:
@@ -323,17 +323,14 @@ class _ThresholdSet:
                     ambiguous = True
                     break
             if not ambiguous:
-                return self._terminal
+                return _REJECT
         raise SamplerError("threshold enclosures failed to separate a uniform draw")
-
-
-_REJECT = object()
 
 
 class _DegreePlan:
     """Per-degree sampling machinery: occupation counts and component law."""
 
-    def __init__(self, n: int, q: int, u: Fraction, d: int, prec: int):
+    def __init__(self, n: int, q: int, u: Fraction, d: int):
         # the builders close over locals, never self: a plan (and the sampler
         # holding it) is then freed by reference counting, not by a later
         # cyclic collection that would keep its thresholds alive meanwhile
@@ -372,8 +369,8 @@ class _DegreePlan:
                 out.append((lam, (ratio * cum).rounded(p)))
             return out
 
-        self.count_thresholds = _ThresholdSet(build_counts, _REJECT, prec)
-        self.component_thresholds = _ThresholdSet(build_components, _REJECT, prec)
+        self.count_thresholds = _ThresholdSet(build_counts)
+        self.component_thresholds = _ThresholdSet(build_components)
 
 
 def _build_high_degree(q: int, u: Fraction, plans: list, prec: int) -> list:
@@ -399,8 +396,7 @@ def _build_high_degree(q: int, u: Fraction, plans: list, prec: int) -> list:
 class GLPlancherelSampler:
     """Exact Plancherel sampler for Irr(GL(n,q)) by rejection on total degree."""
 
-    def __init__(self, n: int, q: int, u=None, seed: int = 0,
-                 prec: int = DEFAULT_PREC, attempt_cap: int = DEFAULT_ATTEMPT_CAP):
+    def __init__(self, n: int, q: int, u=None, seed: int = 0):
         if n < 1 or n > SAMPLE_N_LIMIT or q > SAMPLE_Q_LIMIT:
             raise CapacityError("GL Plancherel sampler", (n, q), (SAMPLE_N_LIMIT, SAMPLE_Q_LIMIT))
         self.n = n
@@ -409,11 +405,9 @@ class GLPlancherelSampler:
         if not 0 < self.u < 1:
             raise ValueError("need 0 < u < 1")
         self.rng = SplitMix64(seed)
-        self.attempt_cap = attempt_cap
         self.attempts = 0
-        self.plans = [_DegreePlan(n, q, self.u, d, prec) for d in range(1, n + 1)]
-        self.high_degree_empty = _ThresholdSet(
-            partial(_build_high_degree, q, self.u, self.plans), _REJECT, prec)
+        self.plans = [_DegreePlan(n, q, self.u, d) for d in range(1, n + 1)]
+        self.high_degree_empty = _ThresholdSet(partial(_build_high_degree, q, self.u, self.plans))
 
     def _draw_indices(self, count: int, pool: int) -> list[int]:
         """Uniform sorted count-subset of range(pool)."""
@@ -463,13 +457,13 @@ class GLPlancherelSampler:
         return GLIrrep(self.n, self.q, tuple(assignment))
 
     def sample(self) -> GLIrrep:
-        start = self.attempts
-        while self.attempts - start < self.attempt_cap:
+        start, cap = self.attempts, DEFAULT_ATTEMPT_CAP
+        while self.attempts - start < cap:
             phi = self._attempt()
             if phi is not None:
                 return phi
         raise SamplerError(
-            f"no acceptance within {self.attempt_cap} attempts; try a different u "
+            f"no acceptance within {cap} attempts; try a different u "
             f"(current u = {self.u})"
         )
 

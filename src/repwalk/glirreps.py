@@ -22,6 +22,7 @@ from .partitions import EMPTY, Partition, enumerate_partitions
 
 DEFAULT_ENUM_N = 5
 DEFAULT_ENUM_Q = 4
+TAIL_REL_TOL = Fraction(1, 10**15)
 
 
 def mobius(n: int) -> int:
@@ -143,13 +144,17 @@ def _partition_multisets(boxes: int, k: int, cap: Partition | None = None):
                 yield (lam,) + rest
 
 
-def enumerate_gl_irreps(n: int, q: int, max_n: int = DEFAULT_ENUM_N,
-                        max_q: int = DEFAULT_ENUM_Q) -> tuple[GLIrrep, ...]:
+def gl_enumerable(n: int, q: int) -> bool:
+    """Whether GL(n,q) is within the family-enumeration limits."""
+    return n <= DEFAULT_ENUM_N and q <= DEFAULT_ENUM_Q
+
+
+def enumerate_gl_irreps(n: int, q: int) -> tuple[GLIrrep, ...]:
     """Every family of degree n exactly once, in a fixed canonical order."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > max_n or q > max_q:
-        raise CapacityError("GL family enumeration", (n, q), (max_n, max_q))
+    if not gl_enumerable(n, q):
+        raise CapacityError("GL family enumeration", (n, q), (DEFAULT_ENUM_N, DEFAULT_ENUM_Q))
 
     families: list[GLIrrep] = []
 
@@ -268,12 +273,12 @@ def unipotent_mass_bound(q: int, lam: Partition) -> Fraction:
     return value
 
 
-def unipotent_tail_bound(q: int, c: int, rel_tol: Fraction = Fraction(1, 10**15)) -> Fraction:
+def unipotent_tail_bound(q: int, c: int) -> Fraction:
     """Upper bound (1-1/q)^(-6) sum_{m>=c} 1/(q^m - 1) on P(|unipotent part| >= c).
 
     The sum is evaluated exactly until the geometric remainder drops below
-    rel_tol, then closed with that remainder, so the result stays an upper
-    bound.
+    TAIL_REL_TOL times the sum, then closed with that remainder, so the
+    result stays an upper bound.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -285,14 +290,13 @@ def unipotent_tail_bound(q: int, c: int, rel_tol: Fraction = Fraction(1, 10**15)
         m += 1
         # 1/(q^m - 1) <= 2 q^-m, so the remaining sum is <= 2 q^(1-m)/(q-1)
         remainder = Fraction(2 * q, (q - 1) * q**m)
-        if remainder < rel_tol * total:
+        if remainder < TAIL_REL_TOL * total:
             total += remainder
             break
     return prefactor * total
 
 
-def gl_lower_bound(n: int, q: int, c: int,
-                   max_n: int = DEFAULT_ENUM_N, max_q: int = DEFAULT_ENUM_Q):
+def gl_lower_bound(n: int, q: int, c: int):
     """Certified lower bound on TV distance at r = n - c steps.
 
     The walk support at r = n - c keeps the first row of the unipotent part
@@ -301,7 +305,7 @@ def gl_lower_bound(n: int, q: int, c: int,
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    if n <= max_n and q <= max_q:
+    if gl_enumerable(n, q):
         marg = unipotent_marginal(n, q)
         pa = sum(mass for lam, mass in marg.items() if lam and lam[0] >= c)
         return 1 - pa

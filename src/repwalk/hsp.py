@@ -16,14 +16,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
 from typing import NamedTuple
 
-from .characters import DEFAULT_TABLE_LIMIT, character_table
+from .characters import character_table
 from .errors import CapacityError
 from .partitions import Partition, dimension_sn
 from .snwalk import WalkDistribution, tv_to_plancherel
 
 CLOSURE_CAP = 10**6
+INDUCED_CHECK_LIMIT = 8  # the check enumerates all n! permutations
 
 
 def parse_permutation(text: str, n: int) -> tuple[int, ...]:
@@ -89,7 +91,7 @@ class SubgroupSpec:
         return len(self.elements)
 
 
-def subgroup_closure(n: int, generators, cap: int = CLOSURE_CAP) -> SubgroupSpec:
+def subgroup_closure(n: int, generators) -> SubgroupSpec:
     """Breadth-first closure of the generators inside S_n."""
     if isinstance(generators, str):
         generators = parse_generators(generators, n)
@@ -106,8 +108,8 @@ def subgroup_closure(n: int, generators, cap: int = CLOSURE_CAP) -> SubgroupSpec
             for g in gens:
                 e = _compose(g, h)
                 if e not in elements:
-                    if len(elements) >= cap:
-                        raise CapacityError("subgroup closure", f"> {cap}", cap)
+                    if len(elements) >= CLOSURE_CAP:
+                        raise CapacityError("subgroup closure", f"> {CLOSURE_CAP}", CLOSURE_CAP)
                     elements.add(e)
                     nxt.append(e)
         frontier = nxt
@@ -120,10 +122,9 @@ def subgroup_closure(n: int, generators, cap: int = CLOSURE_CAP) -> SubgroupSpec
     return SubgroupSpec(n, gens, frozenset(elements), intersections)
 
 
-def weak_sampling_distribution(H: SubgroupSpec,
-                               limit: int = DEFAULT_TABLE_LIMIT) -> WalkDistribution:
+def weak_sampling_distribution(H: SubgroupSpec) -> WalkDistribution:
     """P_H(rho) = (d_rho/n!) sum_C |C meet H| chi^rho(C), exact."""
-    table = character_table(H.n, limit)
+    table = character_table(H.n)
     n_fact = math.factorial(H.n)
     masses = {}
     for i, lam in enumerate(table.partitions):
@@ -147,18 +148,18 @@ class HspBounds(NamedTuple):
     sharp_squared: Fraction  # exact square of bound_sharp
 
 
-def hsp_bounds(H: SubgroupSpec, limit: int = DEFAULT_TABLE_LIMIT) -> HspBounds:
+def hsp_bounds(H: SubgroupSpec) -> HspBounds:
     """Exact TV distance of P_H from Plancherel plus the two class bounds.
 
     bound_sharp = (1/2) sqrt(sum |C meet H|^2 / |C|) over non-identity
     classes; bound_ks = (1/2) sum |C meet H| / sqrt(|C|).  Always
     exact_tv <= bound_sharp <= bound_ks.
     """
-    tv = tv_to_plancherel(weak_sampling_distribution(H, limit))
+    tv = tv_to_plancherel(weak_sampling_distribution(H))
     identity = Partition([1] * H.n)
     sharp_sq = Fraction(0)
     ks = 0.0
-    table = character_table(H.n, limit)
+    table = character_table(H.n)
     for c in table.classes:
         if c.cycle_lengths == identity:
             continue
@@ -168,17 +169,17 @@ def hsp_bounds(H: SubgroupSpec, limit: int = DEFAULT_TABLE_LIMIT) -> HspBounds:
     return HspBounds(tv, math.sqrt(sharp_sq) / 2, ks / 2, sharp_sq / 4)
 
 
-def induced_character_check(H: SubgroupSpec, limit: int = 8) -> bool:
+def induced_character_check(H: SubgroupSpec) -> bool:
     """Verify chi^eta(C)/d_eta = |C meet H|/|C| for the coset representation.
 
     eta is the permutation action on left cosets of H; its character at g
     counts cosets xH with x^-1 g x in H, evaluated here by direct coset
     enumeration against one representative per class.
     """
-    if H.n > limit:
-        raise CapacityError("induced character check", H.n, limit)
+    if H.n > INDUCED_CHECK_LIMIT:
+        raise CapacityError("induced character check", H.n, INDUCED_CHECK_LIMIT)
     table = character_table(H.n)
-    elements = sorted(_all_permutations(H.n))
+    elements = sorted(permutations(range(H.n)))
     cosets = _left_cosets(H, elements)
     for c in table.classes:
         rep = _class_representative(c.cycle_lengths)
@@ -192,12 +193,6 @@ def induced_character_check(H: SubgroupSpec, limit: int = 8) -> bool:
         if Fraction(fixed, len(cosets)) != Fraction(inter, c.class_size):
             return False
     return True
-
-
-def _all_permutations(n: int):
-    from itertools import permutations
-
-    return [tuple(p) for p in permutations(range(n))]
 
 
 def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -99,17 +99,6 @@ class Partition(tuple):
 EMPTY = Partition(())
 
 
-class PartitionStats(NamedTuple):
-    transpose: Partition
-    n_stat: int
-    hooks: tuple[int, ...]
-
-
-class CornerMoves(NamedTuple):
-    removable: tuple[Partition, ...]
-    addable: tuple[Partition, ...]
-
-
 def _gen_partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
@@ -192,16 +181,6 @@ def _hook_product(lam: tuple[int, ...]) -> int:
         for j in range(p):
             prod *= p - j + cols[j] - i - 1
     return prod
-
-
-def partition_stats(lam: Partition) -> PartitionStats:
-    lam = Partition(lam)
-    return PartitionStats(lam.transpose(), lam.n_stat(), lam.hooks())
-
-
-def corner_moves(lam: Partition) -> CornerMoves:
-    lam = Partition(lam)
-    return CornerMoves(tuple(lam.removable_corners()), tuple(lam.addable_corners()))
 
 
 @lru_cache(maxsize=None)

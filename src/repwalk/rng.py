@@ -13,6 +13,7 @@ from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+SLACK_BITS = 128  # bits of U past a threshold's scale before it counts as unresolved
 
 
 def mix64(z: int) -> int:
@@ -90,12 +91,11 @@ class LazyUniform:
         self._value = (self._value << 64) | self._rng.next_u64()
         self._bits += 64
 
-    def compare_scaled(self, lo_int: int, hi_int: int, scale_bits: int,
-                       slack_bits: int = 128):
+    def compare_scaled(self, lo_int: int, hi_int: int, scale_bits: int):
         """Decide U < t for t enclosed by [lo_int, hi_int] / 2^scale_bits.
 
         Pure integer comparisons.  Returns None once U has been resolved
-        slack_bits beyond the threshold scale without a decision, signalling
+        SLACK_BITS beyond the threshold scale without a decision, signalling
         that the enclosure itself must be tightened.
         """
         while True:
@@ -114,6 +114,6 @@ class LazyUniform:
                     return True
                 if v >= hi_int << shift:
                     return False
-            if b >= scale_bits + slack_bits:
+            if b >= scale_bits + SLACK_BITS:
                 return None
             self._extend()

@@ -37,10 +37,6 @@ class TruncSeries:
     def one(cls, order: int) -> "TruncSeries":
         return cls.from_coeffs(order, [1])
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls.from_coeffs(order, [])
-
     def _check(self, other: "TruncSeries"):
         if self.order != other.order:
             raise ValueError("series orders must match")
@@ -48,10 +44,6 @@ class TruncSeries:
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         return TruncSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
@@ -138,16 +130,16 @@ def gaussian_binomial(a: int, b: int, x: Fraction) -> Fraction:
     return out
 
 
-def euler_lhs_rhs(q, order: int = DEFAULT_ORDER,
-                  threshold: Fraction = STABILIZATION_THRESHOLD) -> tuple[TruncSeries, TruncSeries]:
+def euler_lhs_rhs(q, order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeries]:
     """The two sides of the Euler identity, the right side stabilized.
 
     The partial product is expanded with more and more factors until every
-    coefficient changes by less than `threshold` for STABLE_INCREMENTS
-    consecutive increments.  Two exact cross-checks run along the way: each
-    partial-product coefficient must equal the Gaussian binomial closed form,
-    and its deviation from the limit 1/(1/q)_n must be exactly
-    (1 - prod_{j=0}^{n-1} (1 - q^(-(N+j)))) / (1/q)_n, which shrinks to 0.
+    coefficient changes by less than STABILIZATION_THRESHOLD for
+    STABLE_INCREMENTS consecutive increments.  Two exact cross-checks run
+    along the way: each partial-product coefficient must equal the Gaussian
+    binomial closed form, and its deviation from the limit 1/(1/q)_n must be
+    exactly (1 - prod_{j=0}^{n-1} (1 - q^(-(N+j)))) / (1/q)_n, which shrinks
+    to 0.
     """
     q = Fraction(q)
     lhs = euler_lhs(q, order)
@@ -160,7 +152,7 @@ def euler_lhs_rhs(q, order: int = DEFAULT_ORDER,
         cur = prev * geometric_factor(order, q ** -(n_factors - 1))
         _check_partial_product_closed_form(q, cur, n_factors)
         delta = max(abs(a - b) for a, b in zip(cur.coeffs, prev.coeffs))
-        stable = stable + 1 if delta < threshold else 0
+        stable = stable + 1 if delta < STABILIZATION_THRESHOLD else 0
         prev = cur
     return lhs, prev
 

@@ -26,7 +26,6 @@ from operator import mul, truediv
 import numpy as np
 
 from .characters import (
-    DEFAULT_TABLE_LIMIT,
     CycleType,
     character_table,
     cycle_lengths,
@@ -68,24 +67,17 @@ class WalkDistribution:
 
 @dataclass
 class SparseKernel:
-    """Row-stochastic sparse transition matrix on partitions of n."""
+    """Row-stochastic exact transition matrix on partitions of n."""
 
     n: int
-    mode: str
-    rows: dict[Partition, dict[Partition, Fraction | float]]
+    rows: dict[Partition, dict[Partition, Fraction]]
 
-    def entry(self, lam, rho):
-        zero = Fraction(0) if self.mode == "exact" else 0.0
-        return self.rows.get(Partition(lam), {}).get(Partition(rho), zero)
-
-    def entries(self):
-        for lam, row in self.rows.items():
-            for rho, v in row.items():
-                yield lam, rho, v
+    def entry(self, lam, rho) -> Fraction:
+        return self.rows.get(Partition(lam), {}).get(Partition(rho), Fraction(0))
 
     def apply_dist(self, masses: dict) -> dict:
         """One step: out[rho] = sum_lam masses[lam] * K(lam, rho)."""
-        out: dict[Partition, Fraction | float] = {}
+        out: dict[Partition, Fraction] = {}
         for lam, m in masses.items():
             if not m:
                 continue
@@ -121,32 +113,27 @@ def plancherel_sn(n: int, mode: str = "exact") -> WalkDistribution:
     return WalkDistribution(n, mode, masses)
 
 
-def kernel_downup(n: int, mode: str = "exact") -> SparseKernel:
+def kernel_downup(n: int) -> SparseKernel:
     """Remove a corner box (prob d_mu/d_lam), re-add one (prob d_rho/(n d_mu)).
 
     The double sum collapses: K(lam, rho) = #common corners * d_rho/(n d_lam).
     """
-    _check_size(n, mode)
+    _check_size(n)
     lat = young_lattice(n)
     parts, dims, off, dst, cnt = lat.parts, lat.dims, lat.off, lat.dst, lat.cnt
     rows = {}
     for i, lam in enumerate(parts):
         den = n * dims[i]
-        row = {}
-        for j, c in zip(dst[off[i]:off[i + 1]], cnt[off[i]:off[i + 1]]):
-            num = c * dims[j]
-            row[parts[j]] = Fraction(num, den) if mode == "exact" else num / den
-        rows[lam] = row
-    return SparseKernel(n, mode, rows)
+        rows[lam] = {parts[j]: Fraction(c * dims[j], den)
+                     for j, c in zip(dst[off[i]:off[i + 1]], cnt[off[i]:off[i + 1]])}
+    return SparseKernel(n, rows)
 
 
-def _check_size(n: int, mode: str) -> None:
+def _check_size(n: int) -> None:
     if n < 2:
         raise ValueError("the walk needs n >= 2")
-    if mode == "exact" and n > EXACT_KERNEL_LIMIT:
+    if n > EXACT_KERNEL_LIMIT:
         raise CapacityError("exact kernel", n, EXACT_KERNEL_LIMIT)
-    if n > FLOAT_LIMIT:
-        raise CapacityError("kernel", n, FLOAT_LIMIT)
 
 
 def _path_counts(n: int, start: Partition):
@@ -157,7 +144,7 @@ def _path_counts(n: int, start: Partition):
     K^r(s, rho) = d_rho a_r[rho] / (n^r d_s): every step is an integer
     mat-vec, and one division at the end gives the law.
     """
-    _check_size(n, "exact")
+    _check_size(n)
     lat = young_lattice(n)
     s = lat.index[start]
     return lat, s, _count_steps(lat, s)
@@ -177,10 +164,9 @@ def _count_steps(lat, start: int):
         a = out
 
 
-def tensor_multiplicity(n: int, lam: Partition, rho: Partition,
-                        limit: int = DEFAULT_TABLE_LIMIT) -> int:
+def tensor_multiplicity(n: int, lam: Partition, rho: Partition) -> int:
     """Multiplicity of rho in lam (x) eta as a character inner product."""
-    table = character_table(n, limit)
+    table = character_table(n)
     n_fact = math.factorial(n)
     total = 0
     li = table.partitions.index(Partition(lam))
@@ -195,7 +181,7 @@ def tensor_multiplicity(n: int, lam: Partition, rho: Partition,
     return m
 
 
-def kernel_from_tensor(n: int, limit: int = DEFAULT_TABLE_LIMIT) -> SparseKernel:
+def kernel_from_tensor(n: int) -> SparseKernel:
     """K(lam, rho) = d_rho * mult(rho in lam (x) eta) / (d_lam * n), from characters."""
     parts = enumerate_partitions(n)
     rows = {}
@@ -203,21 +189,21 @@ def kernel_from_tensor(n: int, limit: int = DEFAULT_TABLE_LIMIT) -> SparseKernel
         d_lam = dimension_sn(lam)
         row = {}
         for rho in parts:
-            m = tensor_multiplicity(n, lam, rho, limit)
+            m = tensor_multiplicity(n, lam, rho)
             if m:
                 row[rho] = Fraction(m * dimension_sn(rho), n * d_lam)
         rows[lam] = row
-    return SparseKernel(n, "exact", rows)
+    return SparseKernel(n, rows)
 
 
-def spectrum_sn(n: int, limit: int = DEFAULT_TABLE_LIMIT) -> tuple[SpectrumEntry, ...]:
+def spectrum_sn(n: int) -> tuple[SpectrumEntry, ...]:
     """One spectral entry per conjugacy class.
 
     rational_part holds g_C(rho) = chi^rho(C)/d_rho; the eigenfunction is
     |C|^(1/2) g_C.  Exact identities are checked on g_C so no square roots
     enter the arithmetic.
     """
-    table = character_table(n, limit)
+    table = character_table(n)
     out = []
     for j, c in enumerate(table.classes):
         g = {}
@@ -260,15 +246,14 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
     return WalkDistribution(n, "exact", masses)
 
 
-def walk_distribution_spectral(n: int, r: int, start=None,
-                               limit: int = DEFAULT_TABLE_LIMIT) -> WalkDistribution:
+def walk_distribution_spectral(n: int, r: int, start=None) -> WalkDistribution:
     """Same distribution through the eigenbasis.
 
     K^r(x,y) = sum_C beta_C^r f_C(x) f_C(y) pi(y); the |C| factors combine
     so everything stays rational.
     """
     start = _as_start(n, start)
-    spec = spectrum_sn(n, limit)
+    spec = spectrum_sn(n)
     n_fact = math.factorial(n)
     masses = {}
     for rho in enumerate_partitions(n):
@@ -289,14 +274,14 @@ def walk_distribution_spectral(n: int, r: int, start=None,
 def tv_to_plancherel(dist: WalkDistribution):
     """Half L1 distance to the Plancherel measure (matches dist's mode)."""
     pi = plancherel_sn(dist.n, dist.mode)
-    return sum(abs(dist.mass(lam) - pi.masses[lam]) for lam in pi.masses) / 2
+    return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi.masses.items()) / 2
 
 
 def tv_witness(dist: WalkDistribution):
     """The event A = {dist > pi} and |dist(A) - pi(A)|, the max-form witness."""
     pi = plancherel_sn(dist.n, dist.mode)
-    a = tuple(lam for lam in pi.masses if dist.mass(lam) > pi.masses[lam])
-    gap = abs(sum(dist.mass(l) for l in a) - sum(pi.masses[l] for l in a))
+    a = tuple(lam for lam, p in pi.masses.items() if dist.masses.get(lam, 0) > p)
+    gap = abs(sum(dist.masses.get(l, 0) for l in a) - sum(pi.masses[l] for l in a))
     return a, gap
 
 
@@ -317,8 +302,7 @@ def sn_upper_bound(n: int, r: int) -> float:
     return math.sqrt(sn_upper_bound_squared(n, r))
 
 
-def class_walk_probability(n: int, cycle_type, s: int,
-                           limit: int = DEFAULT_TABLE_LIMIT) -> dict[Partition, Fraction]:
+def class_walk_probability(n: int, cycle_type, s: int) -> dict[Partition, Fraction]:
     """Class distribution of the s-step walk on S_n generated by class C.
 
     Fourier expression: p(T) = (|T|/n!) sum_rho d_rho^2 (chi(T)/d)(chi(C)/d)^s,
@@ -326,7 +310,7 @@ def class_walk_probability(n: int, cycle_type, s: int,
     """
     if s < 0:
         raise ValueError("s must be non-negative")
-    table = character_table(n, limit)
+    table = character_table(n)
     ci = table.partitions.index(cycle_lengths(cycle_type))
     n_fact = math.factorial(n)
     # d^2 (chi(T)/d) (chi(C)/d)^s = chi(T) * [d (chi(C)/d)^s], the bracket per row
@@ -361,8 +345,7 @@ def transposition_moments_closed(n: int, r: int) -> tuple[Fraction, Fraction]:
     return mean_red, second
 
 
-def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfer",
-                      limit: int = DEFAULT_TABLE_LIMIT) -> Fraction:
+def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfer") -> Fraction:
     """E[(f_C)^s] / |C|^(s/2) after r steps from the one-row partition, exact.
 
     method 'transfer' runs the class-walk identity
@@ -373,19 +356,19 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
         raise ValueError("s must be 1 or 2 (higher s is quadratically costly)")
     cycles = cycle_lengths(cycle_type)
     if method == "transfer":
-        probs = class_walk_probability(n, cycles, s, limit)
+        probs = class_walk_probability(n, cycles, s)
         sizes = {c.cycle_lengths: c for c in enumerate_classes(n)}
         return sum(
             p * Fraction(sizes[t].fixed_points, n) ** r for t, p in probs.items()
         )
     if method == "direct":
         dist = walk_distribution(n, r)
-        table = character_table(n, limit)
+        table = character_table(n)
         ci = table.partitions.index(cycles)
         total = Fraction(0)
         for i, lam in enumerate(table.partitions):
             g = Fraction(table.values[i][ci], dimension_sn(lam))
-            total += dist.mass(lam) * g**s
+            total += dist.masses.get(lam, 0) * g**s
         return total
     if method == "closed":
         if cycles != Partition([2] + [1] * (n - 2)):
@@ -530,6 +513,8 @@ def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
 
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """count independent r-step walks from one seeded stream."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
@@ -582,6 +567,10 @@ def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     Distributed like walk_distribution(n, r) started at the one-row
     partition; the package tests this statistically rather than assuming it.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if r < 0:
+        raise ValueError("r must be non-negative")
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):

@@ -1,13 +1,21 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from repwalk import cli
+from repwalk import cli, glasymptotics
 from repwalk.cli import build_parser, main
 from repwalk.errors import SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
-from repwalk.snwalk import EXACT_KERNEL_LIMIT, tv_to_plancherel, walk_distribution
+from repwalk.partitions import Partition
+from repwalk.snwalk import (
+    EXACT_KERNEL_LIMIT,
+    rsk_samples,
+    tv_to_plancherel,
+    walk_distribution,
+    walk_samples,
+)
 
 
 def run(tmp_path, *argv):
@@ -207,8 +215,11 @@ def test_sampler_failure_exit_code(tmp_path, monkeypatch, capsys):
         self.attempts += 1
 
     monkeypatch.setattr(GLPlancherelSampler, "_attempt", reject)
-    with pytest.raises(SamplerError):
-        GLPlancherelSampler(2, 2, attempt_cap=3).sample()
+    monkeypatch.setattr(glasymptotics, "DEFAULT_ATTEMPT_CAP", 3)
+    sampler = GLPlancherelSampler(2, 2)
+    with pytest.raises(SamplerError, match="within 3 attempts"):
+        sampler.sample()
+    assert sampler.attempts == 3
 
     def give_up(self):
         raise SamplerError("no acceptance within 1 attempts")
@@ -429,3 +440,88 @@ s,method,value,reduced_exact
 @pytest.mark.parametrize("argv", sorted(THREADS_GOLDEN))
 def test_threads_split_golden(capsys, argv):
     assert _main_stdout(capsys, list(argv)) == (0, THREADS_GOLDEN[argv])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sn-cutoff", "--n", "10", "--c", "inf"],
+    ["sn-cutoff", "--n", "10", "--c", "-inf"],
+    ["sn-cutoff", "--n", "10", "--c", "nan"],
+    ["sn-rsk", "--n", "0", "--r", "2"],
+    ["sn-sample", "--n", "5", "--r", "-1"],
+    ["sn-rsk", "--n", "5", "--r", "-1"],
+    ["sn-sample", "--n", "5", "--r", "2", "--count", "-2"],
+    ["sn-rsk", "--n", "5", "--r", "2", "--count", "-2"],
+    ["gl-sample", "--n", "2", "--q", "2", "--count", "-2"],
+    ["sn-moments", "--n", "5", "--r", "2", "--samples", "-1"],
+])
+def test_bad_argument_usage_error(capsys, argv):
+    # exit 2 with a usage error line: no traceback, no empty table
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any("usage error:" in line for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+
+
+def test_sampler_argument_checks():
+    with pytest.raises(ValueError):
+        rsk_samples(0, 2, 1, 1)
+    for sample in (walk_samples, rsk_samples):
+        with pytest.raises(ValueError):
+            sample(5, -1, 1, 1)
+        assert sample(5, 0, 2, 1) == [Partition((5,))] * 2
+    with pytest.raises(ValueError):
+        cli._split(-2, 0, 1)
+    assert cli._split(0, 0, 3) == []
+
+
+# stdout recorded when sn-walk, sn-cutoff and gl-lower looked masses up
+# through WalkDistribution.mass and chose the gl-lower method in the CLI;
+# long outputs are kept as the sha256 of their bytes
+LOOKUP_GOLDEN = {
+    ("sn-walk", "--n", "6", "--r", "1", "--exact"): """\
+# repwalk 0.1.0
+# command: sn-walk mode=exact n=6 r=1
+partition,mass
+6,1/6
+5+1,5/6
+4+2,0
+4+1+1,0
+3+3,0
+3+2+1,0
+3+1+1+1,0
+2+2+2,0
+2+2+1+1,0
+2+1+1+1+1,0
+1+1+1+1+1+1,0
+""",
+    ("sn-cutoff", "--n", "24", "--c", "0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=0.5 n=24
+r,cutoff_bound,tv,l2_bound
+51,0.18393972058572117,0.07982168100451804,0.10536090622868025
+""",
+    ("sn-walk", "--n", "19", "--r", "20", "--float"):
+        "cf5529b49332ea6343ff9bb1fcc0afac0d55cfabce06b994b0109ebb5dc0167b",
+    ("gl-lower", "--n", "5", "--q", "4", "--c", "2"):
+        "ddc3198bc8c6ea2d5532819e13b71b406a27ea883d5cf883cf30d0186c97fdf2",
+    ("gl-lower", "--n", "6", "--q", "2", "--c", "2"):
+        "4d3cd73c265ad3530c4f91a273ab9156feae0f6977c30e8c308cf5083a2766f8",
+    ("gl-lower", "--n", "5", "--q", "5", "--c", "1"):
+        "8f9e5f97f2d5d348aea2d6b4af94848d6c90fe68e098fb53cddef9f35f39b5d6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LOOKUP_GOLDEN))
+def test_lookup_golden(capsys, argv):
+    code, out = _main_stdout(capsys, list(argv))
+    assert code == 0
+    want = LOOKUP_GOLDEN[argv]
+    if "\n" in want:
+        assert out == want
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+    if argv[0] == "gl-lower":
+        # enumerable at (5,4) only: (6,2) is past DEFAULT_ENUM_N, (5,5) past DEFAULT_ENUM_Q
+        method = "exact-marginal" if argv[1:5] == ("--n", "5", "--q", "4") else "tail-bound"
+        assert out.splitlines()[-1].split(",")[2] == method

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from repwalk import hsp
 from repwalk.errors import CapacityError
 from repwalk.hsp import (
     cycle_type_of,
@@ -51,9 +52,10 @@ def test_closure_examples():
     assert a5.order == 60
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(hsp, "CLOSURE_CAP", 10)
     with pytest.raises(CapacityError):
-        subgroup_closure(5, "(1 2),(1 2 3 4 5)", cap=10)
+        subgroup_closure(5, "(1 2),(1 2 3 4 5)")
 
 
 def test_intersections_sum_to_order():

@@ -1,0 +1,125 @@
+"""Tuning values are module constants, read when the code runs.
+
+Each limit and precision below has one value in use, so the library takes
+no argument for it.  These tests pin where each capacity limit bites, show
+that a constant patched at run time takes effect, and keep the removed
+arguments from coming back.
+"""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+import repwalk
+from repwalk import characters, glasymptotics, glirreps, hsp, partitions, rng, series, snwalk
+from repwalk.errors import CapacityError, SamplerError
+from repwalk.glirreps import (
+    enumerate_gl_irreps,
+    gl_enumerable,
+    gl_lower_bound,
+    unipotent_marginal,
+    unipotent_tail_bound,
+)
+from repwalk.hsp import hsp_bounds, induced_character_check, subgroup_closure
+from repwalk.partitions import Partition
+from repwalk.snwalk import class_walk_probability, spectrum_sn
+
+REMOVED = [
+    (snwalk.tensor_multiplicity, "limit"),
+    (snwalk.kernel_from_tensor, "limit"),
+    (snwalk.spectrum_sn, "limit"),
+    (snwalk.walk_distribution_spectral, "limit"),
+    (snwalk.class_walk_probability, "limit"),
+    (snwalk.moment_fc_reduced, "limit"),
+    (snwalk.kernel_downup, "mode"),
+    (hsp.weak_sampling_distribution, "limit"),
+    (hsp.hsp_bounds, "limit"),
+    (hsp.induced_character_check, "limit"),
+    (hsp.subgroup_closure, "cap"),
+    (glasymptotics.suq_normalizer, "terms"),
+    (glasymptotics.suq_mass, "normalizer_terms"),
+    (glasymptotics.suq_mass, "prec"),
+    (glasymptotics.suq_measure, "prec"),
+    (glasymptotics.limit_marginal, "prec"),
+    (glasymptotics.acceptance_probability, "prec"),
+    (glasymptotics._DegreePlan, "prec"),
+    (glasymptotics.high_degree_empty_direct, "explicit_degrees"),
+    (glasymptotics.high_degree_empty_direct, "prec"),
+    (glasymptotics._ThresholdSet, "terminal"),
+    (glasymptotics._ThresholdSet, "prec"),
+    (glasymptotics._ThresholdSet, "max_doublings"),
+    (glasymptotics.GLPlancherelSampler, "prec"),
+    (glasymptotics.GLPlancherelSampler, "attempt_cap"),
+    (glirreps.enumerate_gl_irreps, "max_n"),
+    (glirreps.enumerate_gl_irreps, "max_q"),
+    (glirreps.gl_lower_bound, "max_n"),
+    (glirreps.gl_lower_bound, "max_q"),
+    (glirreps.unipotent_tail_bound, "rel_tol"),
+    (series.euler_lhs_rhs, "threshold"),
+    (rng.LazyUniform.compare_scaled, "slack_bits"),
+]
+
+
+@pytest.mark.parametrize("fn,name", REMOVED, ids=lambda x: getattr(x, "__qualname__", x))
+def test_constant_is_not_an_argument(fn, name):
+    assert name not in inspect.signature(fn).parameters
+
+
+def test_character_table_limits():
+    over = characters.DEFAULT_TABLE_LIMIT + 1
+    with pytest.raises(CapacityError):
+        spectrum_sn(over)
+    with pytest.raises(CapacityError):
+        class_walk_probability(over, Partition([2] + [1] * (over - 2)), 1)
+    with pytest.raises(CapacityError):
+        hsp_bounds(subgroup_closure(over, "(1 2)"))
+
+
+def test_induced_character_check_limit():
+    assert hsp.INDUCED_CHECK_LIMIT == 8
+    with pytest.raises(CapacityError):
+        induced_character_check(subgroup_closure(9, "(1 2)"))
+
+
+def test_gl_lower_bound_method_follows_enumerability():
+    assert gl_enumerable(5, 4)
+    assert not gl_enumerable(6, 2) and not gl_enumerable(5, 5)
+    marg = unipotent_marginal(5, 4)
+    assert gl_lower_bound(5, 4, 2) == 1 - sum(m for lam, m in marg.items() if lam and lam[0] >= 2)
+    for n, q in ((6, 2), (5, 5)):
+        with pytest.raises(CapacityError):
+            enumerate_gl_irreps(n, q)
+        assert gl_lower_bound(n, q, 2) == 1 - min(Fraction(1), unipotent_tail_bound(q, 2))
+
+
+def test_enumeration_limit_read_at_run_time(monkeypatch):
+    monkeypatch.setattr(glirreps, "DEFAULT_ENUM_N", 2)
+    assert not gl_enumerable(3, 2)
+    with pytest.raises(CapacityError):
+        enumerate_gl_irreps(3, 2)
+
+
+def test_threshold_doublings_read_at_run_time(monkeypatch):
+    # every comparison unresolved: the set rebuilds MAX_DOUBLINGS times, then gives up
+    levels = []
+
+    def builder(prec):
+        levels.append(prec)
+        return [(0, glasymptotics.Interval(Fraction(1, 3), Fraction(1, 3)))]
+
+    monkeypatch.setattr(glasymptotics, "MAX_DOUBLINGS", 2)
+    monkeypatch.setattr(rng.LazyUniform, "compare_scaled", lambda self, lo, hi, scale: None)
+    thresholds = glasymptotics._ThresholdSet(builder)
+    with pytest.raises(SamplerError):
+        thresholds.locate(rng.LazyUniform(rng.SplitMix64(1)))
+    p = glasymptotics.DEFAULT_PREC
+    assert levels == [p, p << 1, p << 2]
+
+
+def test_pass_through_accessors_are_gone():
+    assert not hasattr(characters.CharacterTable, "value")
+    assert not hasattr(characters.CharacterTable, "row")
+    assert not hasattr(snwalk.SparseKernel, "entries")
+    for name in ("partition_stats", "PartitionStats", "corner_moves", "CornerMoves"):
+        assert not hasattr(partitions, name) and not hasattr(repwalk, name)

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repwalk.partitions import (
     EMPTY,
     Partition,
-    corner_moves,
     dimension_sn,
     enumerate_partitions,
     log_dimension_sn,
     partition_count,
-    partition_stats,
     young_lattice,
 )
 
@@ -62,16 +60,16 @@ def test_enumeration_matches_pentagonal_recurrence():
 
 
 def test_stats_examples():
-    s = partition_stats(Partition((5,)))
-    assert s.n_stat == 0 and sorted(s.hooks) == [1, 2, 3, 4, 5]
-    s = partition_stats(Partition((2, 1)))
-    assert s.transpose == Partition((2, 1))
-    assert s.n_stat == 1
-    assert sorted(s.hooks) == [1, 1, 3]
-    s = partition_stats(Partition((1, 1)))
-    assert s.transpose == Partition((2,))
-    assert s.n_stat == 1
-    assert sorted(s.hooks) == [1, 2]
+    s = Partition((5,))
+    assert s.n_stat() == 0 and sorted(s.hooks()) == [1, 2, 3, 4, 5]
+    s = Partition((2, 1))
+    assert s.transpose() == Partition((2, 1))
+    assert s.n_stat() == 1
+    assert sorted(s.hooks()) == [1, 1, 3]
+    s = Partition((1, 1))
+    assert s.transpose() == Partition((2,))
+    assert s.n_stat() == 1
+    assert sorted(s.hooks()) == [1, 2]
 
 
 @settings(deadline=None)
@@ -83,8 +81,7 @@ def test_transpose_involution(lam):
 @settings(deadline=None)
 @given(partitions())
 def test_hook_identity(lam):
-    stats = partition_stats(lam)
-    assert sum(stats.hooks) == stats.n_stat + stats.transpose.n_stat() + lam.size
+    assert sum(lam.hooks()) == lam.n_stat() + lam.transpose().n_stat() + lam.size
 
 
 def test_dimension_examples():
@@ -111,25 +108,24 @@ def test_log_dimension():
 
 
 def test_corner_moves_examples():
-    m = corner_moves(Partition((3,)))
-    assert set(m.removable) == {Partition((2,))}
-    assert set(m.addable) == {Partition((4,)), Partition((3, 1))}
-    m = corner_moves(EMPTY)
-    assert m.removable == ()
-    assert set(m.addable) == {Partition((1,))}
-    m = corner_moves(Partition((2, 1)))
-    assert set(m.removable) == {Partition((1, 1)), Partition((2,))}
-    assert set(m.addable) == {Partition((3, 1)), Partition((2, 2)), Partition((2, 1, 1))}
+    m = Partition((3,))
+    assert set(m.removable_corners()) == {Partition((2,))}
+    assert set(m.addable_corners()) == {Partition((4,)), Partition((3, 1))}
+    assert EMPTY.removable_corners() == []
+    assert set(EMPTY.addable_corners()) == {Partition((1,))}
+    m = Partition((2, 1))
+    assert set(m.removable_corners()) == {Partition((1, 1)), Partition((2,))}
+    assert set(m.addable_corners()) == {Partition((3, 1)), Partition((2, 2)), Partition((2, 1, 1))}
 
 
 @settings(deadline=None)
 @given(partitions())
 def test_corner_move_counts(lam):
-    m = corner_moves(lam)
-    assert len(m.addable) == len(m.removable) + 1
-    assert all(p.size == lam.size - 1 for p in m.removable)
-    assert all(p.size == lam.size + 1 for p in m.addable)
-    for mu in m.removable:
+    removable, addable = lam.removable_corners(), lam.addable_corners()
+    assert len(addable) == len(removable) + 1
+    assert all(p.size == lam.size - 1 for p in removable)
+    assert all(p.size == lam.size + 1 for p in addable)
+    for mu in removable:
         assert lam in set(mu.addable_corners())
 
 

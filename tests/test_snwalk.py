@@ -322,7 +322,7 @@ def test_tv_curve_modes_agree():
 
 def test_exact_kernel_capacity():
     with pytest.raises(CapacityError):
-        kernel_downup(19, "exact")
+        kernel_downup(19)
 
 
 def test_integer_walk_equals_fraction_kernel_every_start():
