@@ -369,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sn-walk", _cmd_sn_walk, help="r-step walk distribution on Irr(S_n)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_step_count, required=True)
     p.add_argument("--start", default=None, help="start partition, e.g. 5+3")
     _mode_flags(p)
 
     p = add("sn-tv-curve", _cmd_sn_tv_curve, help="TV distance and L2 bound per step")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--rmax", type=_step_count, required=True)
     _mode_flags(p)
 
     p = add("sn-cutoff", _cmd_sn_cutoff, help="cutoff check at r = n log(n)/2 + c n")
@@ -384,17 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sn-sample", _cmd_sn_sample, help="simulate the walk")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_step_count, required=True)
     _sampling_flags(p)
 
     p = add("sn-rsk", _cmd_sn_rsk, help="RSK shapes after top-to-random shuffles")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_step_count, required=True)
     _sampling_flags(p)
 
     p = add("sn-moments", _cmd_sn_moments, help="transposition eigenfunction moments")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_step_count, required=True)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_thread_count, default=1)
@@ -450,6 +450,15 @@ def _thread_count(text: str) -> int:
     value = int(text)
     if not 1 <= value <= MAX_THREADS:
         raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_THREADS}, got {value}")
+    return value
+
+
+def _step_count(text: str) -> int:
+    """--r and --rmax value: a non-negative integer, checked while parsing,
+    so a run that draws nothing still rejects it."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 

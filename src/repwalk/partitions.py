@@ -55,29 +55,28 @@ class Partition(tuple):
                 out.append(p + t[j] - i - j - 1)
         return tuple(sorted(out, reverse=True))
 
+    # A box added or removed at a corner of a valid partition leaves a valid
+    # one, so the corner methods build their results without the checks.
+
     def removable_corners(self) -> list["Partition"]:
-        """Partitions of size-1 obtained by deleting one corner box."""
+        """Partitions of size-1 obtained by deleting one corner box, in
+        reverse-lex order: bottom corner first."""
         out = []
-        for i, p in enumerate(self):
+        for i in range(len(self) - 1, -1, -1):
+            p = self[i]
             if i + 1 < len(self) and self[i + 1] == p:
                 continue
-            parts = list(self)
-            parts[i] -= 1
-            if parts[i] == 0:
-                parts.pop(i)
-            out.append(Partition(parts))
-        return sorted(out, reverse=True)
+            shorter = (p - 1,) if p > 1 else ()
+            out.append(tuple.__new__(Partition, self[:i] + shorter + self[i + 1:]))
+        return out
 
     def addable_corners(self) -> list["Partition"]:
-        """Partitions of size+1 obtained by adding one corner box."""
-        out = []
-        for i in range(len(self)):
-            if i == 0 or self[i - 1] > self[i]:
-                parts = list(self)
-                parts[i] += 1
-                out.append(Partition(parts))
-        out.append(Partition(list(self) + [1]))
-        return sorted(out, reverse=True)
+        """Partitions of size+1 obtained by adding one corner box, in
+        reverse-lex order: top row first."""
+        out = [tuple.__new__(Partition, self[:i] + (self[i] + 1,) + self[i + 1:])
+               for i in range(len(self)) if i == 0 or self[i - 1] > self[i]]
+        out.append(tuple.__new__(Partition, self + (1,)))
+        return out
 
     def to_string(self) -> str:
         return "+".join(str(p) for p in self) if self else "-"
@@ -187,10 +186,8 @@ def _hook_product(lam: tuple[int, ...]) -> int:
 def dimension_sn(lam: Partition) -> int:
     """Hook-length formula: |lam|! / prod of hooks, always an exact integer."""
     lam = Partition(lam)
-    if not lam:
-        return 1
     num = math.factorial(lam.size)
-    den = math.prod(lam.hooks())
+    den = _hook_product(lam)
     if num % den:
         raise ArithmeticError(f"hook product does not divide {lam.size}! for {lam}")
     return num // den

@@ -16,11 +16,12 @@ and an RSK shuffle oracle round out the module.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul, truediv
 
 import numpy as np
@@ -38,6 +39,11 @@ from .rng import SplitMix64
 
 EXACT_KERNEL_LIMIT = 18
 FLOAT_LIMIT = 40
+# the most steps one walk may take.  Every walk the engines accept is mixed
+# to below double precision long before it (the cutoff at n = FLOAT_LIMIT
+# is 74 steps), and the samplers can still run twice past the cutoff at
+# n = 10**4 (92104 steps)
+MAX_WALK_STEPS = 10**5
 
 # per-entry relative accuracy budget; float distributions report the
 # accumulated bound r * p(n) * this
@@ -127,6 +133,13 @@ def kernel_downup(n: int) -> SparseKernel:
         rows[lam] = {parts[j]: Fraction(c * dims[j], den)
                      for j, c in zip(dst[off[i]:off[i + 1]], cnt[off[i]:off[i + 1]])}
     return SparseKernel(n, rows)
+
+
+def _check_steps(r: int) -> None:
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    if r > MAX_WALK_STEPS:
+        raise CapacityError("walk steps", r, MAX_WALK_STEPS)
 
 
 def _check_size(n: int) -> None:
@@ -228,8 +241,7 @@ def _as_start(n: int, start) -> Partition:
 
 def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
     """Distribution after r steps from start (default: the one-row partition)."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    _check_steps(r)
     start = _as_start(n, start)
     if mode == "float":
         eng = _float_engine(n)
@@ -354,6 +366,7 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
     """
     if s not in (1, 2):
         raise ValueError("s must be 1 or 2 (higher s is quadratically costly)")
+    _check_steps(r)
     cycles = cycle_lengths(cycle_type)
     if method == "transfer":
         probs = class_walk_probability(n, cycles, s)
@@ -409,6 +422,7 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one kernel pass."""
+    _check_steps(rmax)
     rows = []
     if mode == "float":
         eng = _float_engine(n)
@@ -480,41 +494,73 @@ def _float_engine(n: int) -> _FloatEngine:
 # samplers
 
 
-def _choose_by_dimension(rng: SplitMix64, candidates: list[Partition]) -> tuple[Partition, int]:
-    """Pick a candidate with probability proportional to its dimension.
+# Row tables of the samplers.  _DOWN[lam] lists the partitions below lam,
+# _UP[mu] those above mu, in the reverse-lex order the corner methods return,
+# each with the running sums of their dimensions.  A row is built and its
+# total checked once; every partition the tables hold is one interned
+# object, and a row that could take them past STEP_TABLE_LIMIT distinct
+# partitions clears them first.  Lookups need no lock; the lock keeps the
+# clear and the interning of one row together, so the bound holds when
+# several threads walk.
+STEP_TABLE_LIMIT = 1 << 13
+_TABLE_LOCK = threading.Lock()
+_DOWN: dict[Partition, tuple[tuple[Partition, ...], tuple[int, ...]]] = {}
+_UP: dict[Partition, tuple[tuple[Partition, ...], tuple[int, ...]]] = {}
+_INTERN: dict[Partition, Partition] = {}
 
-    Candidates arrive in enumeration (reverse-lex) order, which fixes the
-    inverse-CDF tie-break.  Returns (choice, total weight).
-    """
-    weights = [dimension_sn(c) for c in candidates]
-    i = rng.choose_weighted(weights)
-    return candidates[i], sum(weights)
+
+def _clear_step_tables() -> None:
+    _DOWN.clear()
+    _UP.clear()
+    _INTERN.clear()
+
+
+def _store_row(table: dict, key: Partition, corners: list[Partition], total: int, name: str):
+    cum = tuple(accumulate(map(dimension_sn, corners)))
+    if not cum or cum[-1] != total:
+        step = "down" if table is _DOWN else "up"
+        raise ArithmeticError(f"{step}-step weights of {key} do not sum to {name}")
+    with _TABLE_LOCK:
+        # the row adds at most its corners and its key
+        if len(_INTERN) + len(corners) + 1 > STEP_TABLE_LIMIT:
+            _clear_step_tables()
+        intern = _INTERN.setdefault
+        row = tuple([intern(p, p) for p in corners]), cum
+        table[intern(key, key)] = row
+    return row
+
+
+def _down_row(lam: Partition):
+    return _store_row(_DOWN, lam, lam.removable_corners(), dimension_sn(lam), "d_lam")
+
+
+def _up_row(mu: Partition):
+    return _store_row(_UP, mu, mu.addable_corners(), (mu.size + 1) * dimension_sn(mu),
+                      "(|mu|+1) d_mu")
+
+
+# A half-step draws by inverse CDF on a row, with the randrange bound and the
+# tie-break of SplitMix64.choose_weighted, so the same words are drawn.
 
 
 def plancherel_growth_step(rng: SplitMix64, mu: Partition) -> Partition:
     """One up step: add a corner box with probability d_rho / ((m+1) d_mu)."""
-    rho, total = _choose_by_dimension(rng, mu.addable_corners())
-    if total != (mu.size + 1) * dimension_sn(mu):
-        raise ArithmeticError(f"up-step weights of {mu} do not sum to (m+1) d_mu")
-    return rho
+    above, cum = _UP.get(mu) or _up_row(mu)
+    return above[bisect_right(cum, rng.randrange(cum[-1]))]
 
 
 def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
-    """One down-up move with exact rational thresholds."""
-    n = lam.size
-    mu, down_total = _choose_by_dimension(rng, lam.removable_corners())
-    if down_total != dimension_sn(lam):
-        raise ArithmeticError(f"down-step weights of {lam} do not sum to d_lam")
-    rho, up_total = _choose_by_dimension(rng, mu.addable_corners())
-    if up_total != n * dimension_sn(mu):
-        raise ArithmeticError(f"up-step weights of {mu} do not sum to n d_mu")
-    return rho
+    """One down-up move: remove a box with probability d_mu / d_lam, then
+    add one with probability d_rho / (n d_mu)."""
+    below, cum = _DOWN.get(lam) or _down_row(lam)
+    mu = below[bisect_right(cum, rng.randrange(cum[-1]))]
+    above, cum = _UP.get(mu) or _up_row(mu)
+    return above[bisect_right(cum, rng.randrange(cum[-1]))]
 
 
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """count independent r-step walks from one seeded stream."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    _check_steps(r)
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
@@ -569,8 +615,7 @@ def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    _check_steps(r)
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from repwalk.partitions import Partition, enumerate_partitions
+from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 
 
 def cycle_type_brute(perm: tuple[int, ...]) -> Partition:
@@ -281,3 +281,34 @@ def euler_product_exact(u, q, terms: int) -> tuple[Fraction, Fraction]:
     for m in range(terms):
         head *= 1 - u / q**m
     return head * max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1)), head
+
+
+# ---------------------------------------------------------------------------
+# S_n sampler steps as they were before the row tables: corners rebuilt and
+# weights looked up on every call, drawn by SplitMix64.choose_weighted
+
+
+def _choose_by_dimension_reference(rng, candidates):
+    weights = [dimension_sn(c) for c in candidates]
+    i = rng.choose_weighted(weights)
+    return candidates[i], sum(weights)
+
+
+def plancherel_growth_step_reference(rng, mu: Partition) -> Partition:
+    """One up step: add a corner box with probability d_rho / ((m+1) d_mu)."""
+    rho, total = _choose_by_dimension_reference(rng, mu.addable_corners())
+    if total != (mu.size + 1) * dimension_sn(mu):
+        raise ArithmeticError(f"up-step weights of {mu} do not sum to (m+1) d_mu")
+    return rho
+
+
+def walk_step_reference(rng, lam: Partition) -> Partition:
+    """One down-up move with exact rational thresholds."""
+    n = lam.size
+    mu, down_total = _choose_by_dimension_reference(rng, lam.removable_corners())
+    if down_total != dimension_sn(lam):
+        raise ArithmeticError(f"down-step weights of {lam} do not sum to d_lam")
+    rho, up_total = _choose_by_dimension_reference(rng, mu.addable_corners())
+    if up_total != n * dimension_sn(mu):
+        raise ArithmeticError(f"up-step weights of {mu} do not sum to n d_mu")
+    return rho

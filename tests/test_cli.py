@@ -1,16 +1,18 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from repwalk import cli, glasymptotics
 from repwalk.cli import build_parser, main
-from repwalk.errors import SamplerError
+from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
 from repwalk.partitions import Partition
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
+    MAX_WALK_STEPS,
     rsk_samples,
     tv_to_plancherel,
     walk_distribution,
@@ -473,6 +475,51 @@ def test_sampler_argument_checks():
     with pytest.raises(ValueError):
         cli._split(-2, 0, 1)
     assert cli._split(0, 0, 3) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sn-walk", "--n", "5", "--r", "-1"],
+    ["sn-tv-curve", "--n", "5", "--rmax", "-1"],
+    ["sn-sample", "--n", "5", "--r", "-1", "--count", "0"],
+    ["sn-rsk", "--n", "5", "--r", "-1", "--count", "0"],
+    ["sn-moments", "--n", "5", "--r", "-1", "--samples", "0"],
+])
+def test_negative_steps_rejected_while_parsing(capsys, argv):
+    # rejected before any stream is split, so a run that draws nothing
+    # rejects it too, on a line that names the flag
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag = argv[argv.index("-1") - 1]
+    assert captured.out == ""
+    assert f"usage error: argument {flag}: must be non-negative, got -1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sn-cutoff", "--n", "20", "--c", "1e9"],
+    ["sn-walk", "--n", "20", "--r", "100000000", "--float"],
+    ["sn-tv-curve", "--n", "12", "--rmax", str(MAX_WALK_STEPS + 1), "--exact"],
+    ["sn-sample", "--n", "5", "--r", "1000000000", "--count", "1"],
+    ["sn-rsk", "--n", "5", "--r", "1000000000", "--count", "1"],
+    ["sn-moments", "--n", "5", "--r", "1000000000", "--samples", "1"],
+])
+def test_step_cap_capacity_error(capsys, argv):
+    # one capacity error before any step is taken, not a run until killed
+    started = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - started < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capacity error: walk steps: requested" in captured.err
+
+
+def test_step_cap_boundary():
+    for sample in (walk_samples, rsk_samples):
+        assert sample(5, MAX_WALK_STEPS, 0, 1) == []
+        with pytest.raises(CapacityError):
+            sample(5, MAX_WALK_STEPS + 1, 0, 1)
+    for mode in ("exact", "float"):
+        with pytest.raises(CapacityError):
+            walk_distribution(6, MAX_WALK_STEPS + 1, mode=mode)
 
 
 # stdout recorded when sn-walk, sn-cutoff and gl-lower looked masses up

@@ -165,3 +165,17 @@ def test_young_lattice_matches_partition_corners():
             assert [lat.parts[j] for j in lat.dst[row]] == list(counts)
             assert list(lat.cnt[row]) == list(counts.values())
             assert counts[lam] == len(lam.removable_corners())
+
+
+def test_corners_against_containment():
+    # every partition one box below or above, in reverse-lex order, the order
+    # the samplers' inverse-CDF tie-break depends on
+    for n in range(0, 11):
+        for lam in enumerate_partitions(n):
+            def contains(big, small):
+                return len(small) <= len(big) and all(a >= b for a, b in zip(big, small))
+            below = [mu for mu in enumerate_partitions(n - 1) if contains(lam, mu)] if n else []
+            above = [rho for rho in enumerate_partitions(n + 1) if contains(rho, lam)]
+            for got, want in ((lam.removable_corners(), below), (lam.addable_corners(), above)):
+                assert got == want
+                assert all(type(p) is Partition for p in got)
