@@ -46,6 +46,7 @@ from .rng import derive_seed
 from .series import euler_lhs_rhs
 from .snwalk import (
     EXACT_KERNEL_LIMIT,
+    _check_steps,
     _float_error_bound,
     moment_fc_reduced,
     rsk_samples,
@@ -58,11 +59,24 @@ from .snwalk import (
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # an int longer than sys.get_int_max_str_digits()
+        bits = max(abs(Fraction(x).numerator), Fraction(x).denominator).bit_length()
+        raise CapacityError("printed digits", int(bits * math.log10(2)) + 1,
+                            sys.get_int_max_str_digits()) from exc
+
+
+def _check_digits(base: int, exponent: int, factor: int = 1) -> None:
+    """Refuse, before any work, exact output whose unreduced denominator
+    base**exponent * factor is longer than str() prints an int."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    log = exponent * math.log10(base) + math.log10(factor) if base > 1 else 0
+    # within a digit of the limit, decide exactly: N has more digits iff N >= 10**limit
+    if limit and log > limit - 1 and (log > limit + 1 or base**exponent * factor >= 10**limit):
+        raise CapacityError("exact output digits", math.floor(log) + 1, limit)
 
 
 def _meta_lines(command: str, args: argparse.Namespace) -> list[str]:
@@ -143,18 +157,26 @@ def _cmd_characters(args):
     return 0
 
 
+def _error_bound_line(dist) -> str:
+    return f"# accumulated float error bound: {dist.error_bound!r}"
+
+
 def _cmd_sn_walk(args):
     start = Partition.from_string(args.start) if args.start else None
+    if args.mode == "exact":
+        _check_steps(args.r)  # a walk past the step cap keeps that message
+        _check_digits(args.n, args.r, dimension_sn(start) if start else 1)
     dist = walk_distribution(args.n, args.r, start, args.mode)
-    extra = []
-    if args.mode == "float":
-        extra.append(f"# accumulated float error bound: {dist.error_bound!r}")
+    extra = [_error_bound_line(dist)] if args.mode == "float" else []
     rows = [[lam.to_string(), dist.masses.get(lam, 0)] for lam in enumerate_partitions(args.n)]
     _write_csv(args, "sn-walk", ["partition", "mass"], rows, extra)
     return 0
 
 
 def _cmd_sn_tv_curve(args):
+    if args.mode == "exact":
+        _check_steps(args.rmax)
+        _check_digits(args.n, args.rmax)
     rows = sn_tv_curve(args.n, args.rmax, args.mode)
     extra = []
     if args.mode == "float":
@@ -171,8 +193,9 @@ def _cmd_sn_cutoff(args):
     mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     dist = walk_distribution(n, r, mode=mode)
     tv = float(tv_to_plancherel(dist))
+    extra = [_error_bound_line(dist)] if mode == "float" else []
     rows = [[r, target, tv, sn_upper_bound(n, r)]]
-    _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows)
+    _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows, extra)
     return 0
 
 
@@ -199,6 +222,8 @@ def _cmd_sn_rsk(args):
 def _cmd_sn_moments(args):
     transposition = Partition([2] + [1] * (args.n - 2))
     size = math.comb(args.n, 2)  # the class size of the transpositions
+    _check_steps(args.r)
+    _check_digits(args.n, args.r)
     rows = []
     for s in (1, 2):
         for method in ("transfer", "direct", "closed"):
@@ -228,7 +253,7 @@ def _cmd_gl_irreps(args):
         [phi.descriptor(), dimension_gl(phi), mass]
         for phi, mass in masses.items()
     ]
-    extra = [f"# group order: {order_gl(args.n, args.q)}"]
+    extra = ["# group order: " + _fmt(order_gl(args.n, args.q))]
     _write_csv(args, "gl-irreps", ["family", "dimension", "plancherel_mass"], rows, extra)
     return 0
 
@@ -236,12 +261,13 @@ def _cmd_gl_irreps(args):
 def _cmd_gl_counts(args):
     counts = fixed_space_counts(args.n, args.q)
     rows = [[i, counts[i]] for i in sorted(counts)]
-    extra = [f"# group order: {order_gl(args.n, args.q)}"]
+    extra = ["# group order: " + _fmt(order_gl(args.n, args.q))]
     _write_csv(args, "gl-counts", ["fixed_space_dim", "count"], rows, extra)
     return 0
 
 
 def _cmd_gl_bound(args):
+    _check_digits(args.q, 2 * args.r * max(args.n, 0))
     bound = gl_upper_bound(args.n, args.q, args.r)
     squared = gl_upper_bound_squared(args.n, args.q, args.r)
     rows = [[args.r, bound, squared]]
@@ -250,6 +276,7 @@ def _cmd_gl_bound(args):
 
 
 def _cmd_gl_lower(args):
+    _check_digits(args.q, args.c)
     value = gl_lower_bound(args.n, args.q, args.c)
     method = "exact-marginal" if gl_enumerable(args.n, args.q) else "tail-bound"
     rows = [[args.c, value, method, unipotent_tail_bound(args.q, args.c)]]

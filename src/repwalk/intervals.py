@@ -95,10 +95,10 @@ class Interval:
     def one_minus(self) -> "Interval":
         return Interval(1 - self.hi, 1 - self.lo)
 
-    def pow_int(self, k: int, prec: int | None = None) -> "Interval":
+    def pow_int(self, k: int, prec: int) -> "Interval":
         """Nonnegative-base integer power by repeated squaring.
 
-        With prec set, endpoints are rounded outward after each multiply,
+        Endpoints are rounded outward to prec bits after each multiply,
         keeping bit sizes linear in prec rather than in k.
         """
         if self.lo < 0:
@@ -109,12 +109,8 @@ class Interval:
         base = self
         while k:
             if k & 1:
-                out = out * base
-                if prec is not None:
-                    out = out.rounded(prec)
-            base = base * base
-            if prec is not None:
-                base = base.rounded(prec)
+                out = (out * base).rounded(prec)
+            base = (base * base).rounded(prec)
             k >>= 1
         return out
 
@@ -123,14 +119,6 @@ def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
         return x
     return Interval.point(x)
-
-
-def product_one_minus_geometric(u: Fraction, q: Fraction, count: int) -> Fraction:
-    """prod_{m=0}^{count-1} (1 - u / q^m), exact."""
-    out = Fraction(1)
-    for m in range(count):
-        out *= 1 - u * q**-m
-    return out
 
 
 def guard_bits(products: int) -> int:
@@ -150,24 +138,20 @@ def enclosure_from_scaled(lo: int, hi: int, scale: int, prec: int,
 
 
 @lru_cache(maxsize=64)
-def euler_product_enclosure(u: Fraction, q: Fraction, terms: int,
-                            prec: int | None = None) -> Interval:
+def euler_product_enclosure(u: Fraction, q: Fraction, terms: int, prec: int) -> Interval:
     """Enclosure of prod_{m=0}^inf (1 - u/q^m) for 0 < u < 1 < q.
 
     The omitted tail prod_{m>terms-1}(1 - u q^-m) lies in
     [1 - u q^(1-terms)/(q-1), 1] by the Weierstrass product inequality.
-    With prec=None the head product is exact; with prec set it is a running
-    product of integer endpoints at a fixed dyadic scale, floored below and
-    ceiled above after every factor, then rounded outward to prec bits.
-    Memoized on (u, q, terms, prec) in a bounded cache (see cache_info()).
+    The head is a running product of integer endpoints at a fixed dyadic
+    scale, floored below and ceiled above after every factor, then rounded
+    outward to prec bits.  Memoized on (u, q, terms, prec) in a bounded cache
+    (see cache_info()).
     """
     u, q = Fraction(u), Fraction(q)
     if not 0 < u < 1 or q <= 1:
         raise ValueError("need 0 < u < 1 < q")
     tail_lo = max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1))
-    if prec is None:
-        head = product_one_minus_geometric(u, q, terms)
-        return Interval(head * tail_lo, head)
     scale = prec + guard_bits(terms)
     lo = hi = 1 << scale
     # 1 - u/q^m = (ud qn^m - un qd^m) / (ud qn^m)

@@ -137,7 +137,7 @@ class YoungLattice(NamedTuple):
     cnt: memoryview
 
 
-# four entries, as _float_engine keeps, so a cached engine's lattice stays too
+# four entries, as _float_engine keeps: a cached engine steps its lattice in place
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
     """The cached Young lattice of size n, built on plain tuples."""

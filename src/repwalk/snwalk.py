@@ -4,12 +4,13 @@ The chain steps from lam to rho with probability d_rho * mult(rho in
 lam (x) eta) / (d_lam * n), where eta is the n-dimensional defining
 representation.  Two independent kernel constructions are provided: the
 down-up corner-box chain and the character-theoretic tensor decomposition;
-they agree exactly.  The down-up kernel is the Doob transform of the integer
-common-corner matrix of the Young lattice, so exact walks and TV curves run
-as integer path counts with one division at the end.  The spectrum is
-indexed by conjugacy classes with eigenvalue fixed_points/n, which drives
-the L2 mixing bound, the moment transfer method, and the Chebyshev
-lower-bound estimate.  Monte Carlo samplers (exact-rational inverse CDF)
+they agree exactly.  The down-up kernel is the Doob transform of the
+symmetric common-corner matrix A of the Young lattice, so both walks step A
+with one mat-vec, _apply_counts: the exact walk on Python ints with one
+division at the end, the float walk on doubles scaled by 1/n a step.  The
+spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n,
+which drives the L2 mixing bound, the moment transfer method, and the
+Chebyshev lower-bound estimate.  Monte Carlo samplers (exact-rational inverse CDF)
 and an RSK shuffle oracle round out the module.
 """
 
@@ -21,8 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
-from operator import mul, truediv
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class SparseKernel:
 
     n: int
     rows: dict[Partition, dict[Partition, Fraction]]
-
-    def entry(self, lam, rho) -> Fraction:
-        return self.rows.get(Partition(lam), {}).get(Partition(rho), Fraction(0))
 
     def apply_dist(self, masses: dict) -> dict:
         """One step: out[rho] = sum_lam masses[lam] * K(lam, rho)."""
@@ -164,17 +161,18 @@ def _path_counts(n: int, start: Partition):
 
 
 def _count_steps(lat, start: int):
-    off, dst, cnt = lat.off.tolist(), lat.dst.tolist(), lat.cnt.tolist()
-    a = [0] * len(lat.parts)
+    a = np.zeros(len(lat.parts), dtype=object)
     a[start] = 1
     while True:
         yield a
-        out = [0] * len(a)
-        for i, x in enumerate(a):
-            if x:
-                for j in range(off[i], off[i + 1]):
-                    out[dst[j]] += x * cnt[j]
-        a = out
+        a = _apply_counts(lat, a)
+
+
+def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
+    """A w for the common-corner matrix A of lat, exact on Python ints.  A is
+    symmetric, so row i gathers what (A w)[i] sums; no row is empty (diagonal)."""
+    off, dst = (np.frombuffer(a, dtype=np.int64) for a in (lat.off, lat.dst))
+    return np.add.reduceat(np.frombuffer(lat.cnt, dtype=np.uint8) * w[dst], off[:-1])
 
 
 def tensor_multiplicity(n: int, lam: Partition, rho: Partition) -> int:
@@ -245,10 +243,9 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
     start = _as_start(n, start)
     if mode == "float":
         eng = _float_engine(n)
-        v = eng.delta(start)
-        for _ in range(r):
-            v = eng.step(v)
-        return eng.to_distribution(v, r)
+        law = next(islice(eng.laws(start), r, None))
+        masses = dict(zip(eng.lat.parts, law.tolist()))
+        return WalkDistribution(n, "float", masses, error_bound=_float_error_bound(n, r))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     lat, s, walk = _path_counts(n, start)
@@ -426,11 +423,9 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     rows = []
     if mode == "float":
         eng = _float_engine(n)
-        v = eng.delta(Partition((n,)))
-        for r in range(1, rmax + 1):
-            v = eng.step(v)
-            rows.append((r, eng.tv(v), sn_upper_bound(n, r)))
-        return rows
+        laws = zip(range(1, rmax + 1), islice(eng.laws(Partition((n,))), 1, None))
+        return [(r, float(np.abs(law - eng.pi).sum() / 2), sn_upper_bound(n, r))
+                for r, law in laws]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     # 2 TV = sum_rho |d_rho a_rho n! - d_rho^2 n^r d_s| / (n^r d_s n!)
@@ -450,41 +445,33 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
 
 
 class _FloatEngine:
+    """The walk in doubles on the lattice of n, with no kernel of its own:
+    w_r = A^r e_s / n^r steps as w <- A w / n, and K^r(s, .) = (dims / d_s) w_r."""
+
     def __init__(self, n: int):
-        self.n = n
-        lat = young_lattice(n)
-        self.parts, self.index = lat.parts, lat.index
+        self.lat = lat = young_lattice(n)
         n_fact = math.factorial(n)
-        dims = lat.dims
-        self.pi = np.array([d * d / n_fact for d in dims])
-        row_nnz = np.diff(np.frombuffer(lat.off, dtype=np.int64))
-        self.src = np.repeat(np.arange(len(dims), dtype=np.int64), row_nnz)
-        self.dst = np.frombuffer(lat.dst, dtype=np.int64)
-        # exact integer ratios c d_rho / (n d_lam), each correctly rounded to double
-        nums = map(mul, lat.cnt, map(dims.__getitem__, lat.dst))
-        dens = chain.from_iterable(map(repeat, (n * d for d in dims), row_nnz.tolist()))
-        self.val = np.fromiter(map(truediv, nums, dens), dtype=float, count=len(lat.dst))
+        self.dims = np.array(lat.dims, dtype=float)
+        self.pi = np.array([d * d / n_fact for d in lat.dims])
 
-    def delta(self, start: Partition) -> np.ndarray:
-        v = np.zeros(len(self.parts))
-        v[self.index[start]] = 1.0
-        return v
+    def laws(self, start: Partition):
+        """The laws after 0, 1, 2, ... steps from start."""
+        s = self.lat.index[start]
+        scale = self.dims / self.dims[s]
+        w = np.zeros(len(scale))
+        w[s] = 1.0
+        while True:
+            yield scale * w
+            w = self.step(w)
 
-    def step(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        np.add.at(out, self.dst, self.val * v[self.src])
-        return out
-
-    def tv(self, v: np.ndarray) -> float:
-        return float(np.abs(v - self.pi).sum() / 2)
-
-    def to_distribution(self, v: np.ndarray, r: int) -> WalkDistribution:
-        masses = {lam: float(v[i]) for i, lam in enumerate(self.parts)}
-        return WalkDistribution(self.n, "float", masses, error_bound=_float_error_bound(self.n, r))
+    def step(self, w: np.ndarray) -> np.ndarray:
+        return _apply_counts(self.lat, w) / self.lat.n
 
 
 @lru_cache(maxsize=4)
 def _float_engine(n: int) -> _FloatEngine:
+    if n < 1:
+        raise ValueError("the walk needs n >= 1")
     if n > FLOAT_LIMIT:
         raise CapacityError("float kernel", n, FLOAT_LIMIT)
     return _FloatEngine(n)

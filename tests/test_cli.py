@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -522,9 +523,61 @@ def test_step_cap_boundary():
             walk_distribution(6, MAX_WALK_STEPS + 1, mode=mode)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sn-walk", "--n", "6", "--r", "6000", "--exact"],
+    ["sn-tv-curve", "--n", "6", "--rmax", "6000", "--exact"],
+    ["sn-moments", "--n", "6", "--r", "9000"],
+    ["gl-bound", "--n", "3", "--q", "2", "--r", "100000"],
+    ["gl-lower", "--n", "6", "--q", "2", "--c", "20000"],
+])
+def test_exact_output_digit_limit_fails_fast(capsys, argv):
+    # each ran for 0.8 to 17 s before str() refused its output as a usage error
+    started = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capacity error: exact output digits: requested" in captured.err
+    assert "usage error" not in captured.err
+
+
+def test_exact_output_digit_limit_boundary(capsys):
+    # 6^5525 has 4300 digits and 6^5526 has 4301: at Python's default limit
+    # the longest walk from (6) whose masses str() prints is still printed;
+    # the limit is read on every run, so a lower one refuses sooner
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits, r in ((4300, 5525), (640, 822)):
+            sys.set_int_max_str_digits(digits)
+            assert main(["sn-walk", "--n", "6", "--r", str(r), "--exact"]) == 0
+            capsys.readouterr()
+            assert main(["sn-walk", "--n", "6", "--r", str(r + 1), "--exact"]) == 3
+            assert "capacity error: exact output digits" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_printed_digits_past_the_prediction_are_a_capacity_error(capsys):
+    # the gl-lower tail bound sums about 50 terms 1/(q^m - 1), so its
+    # denominator outgrows q^c long before q^c reaches the limit, and
+    # gl-counts has no prediction; str() refusing a number is reported as a
+    # capacity error all the same
+    assert main(["gl-lower", "--n", "6", "--q", "2", "--c", "264"]) == 0
+    capsys.readouterr()
+    for argv in (["gl-lower", "--n", "6", "--q", "2", "--c", "265"],
+                 ["gl-counts", "--n", "80", "--q", "5"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capacity error: printed digits: requested" in captured.err
+
+
 # stdout recorded when sn-walk, sn-cutoff and gl-lower looked masses up
 # through WalkDistribution.mass and chose the gl-lower method in the CLI;
-# long outputs are kept as the sha256 of their bytes
+# long outputs are kept as the sha256 of their bytes.  Re-recorded since:
+# sn-cutoff prints its float error bound, and the float walk steps the
+# lattice's count matrix (432 of the 490 masses at n=19 moved in their last
+# digits, by at most 2.1e-17)
 LOOKUP_GOLDEN = {
     ("sn-walk", "--n", "6", "--r", "1", "--exact"): """\
 # repwalk 0.1.0
@@ -545,11 +598,12 @@ partition,mass
     ("sn-cutoff", "--n", "24", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=24
+# accumulated float error bound: 8.0325e-10
 r,cutoff_bound,tv,l2_bound
 51,0.18393972058572117,0.07982168100451804,0.10536090622868025
 """,
     ("sn-walk", "--n", "19", "--r", "20", "--float"):
-        "cf5529b49332ea6343ff9bb1fcc0afac0d55cfabce06b994b0109ebb5dc0167b",
+        "8cd9a04430b6578a9fbc529b0fa688bf588d1f7f61a537a3e89ac3639ff61ac3",
     ("gl-lower", "--n", "5", "--q", "4", "--c", "2"):
         "ddc3198bc8c6ea2d5532819e13b71b406a27ea883d5cf883cf30d0186c97fdf2",
     ("gl-lower", "--n", "6", "--q", "2", "--c", "2"):

@@ -52,16 +52,16 @@ def test_pow_int_encloses_true_power():
 
 def test_pow_int_rejects_negative_base():
     with pytest.raises(ValueError):
-        Interval(Fraction(-1), Fraction(1)).pow_int(2)
+        Interval(Fraction(-1), Fraction(1)).pow_int(2, 64)
 
 
 def test_euler_product_enclosure():
     # prod_{m>=0} (1 - u/2^m) at u = 1/2, converging from both sides
-    wide = euler_product_enclosure(Fraction(1, 2), Fraction(2), 10)
+    wide_lo, wide_hi = euler_product_exact(Fraction(1, 2), Fraction(2), 10)
     tight = euler_product_enclosure(Fraction(1, 2), Fraction(2), 120, prec=256)
-    assert tight.lo >= wide.lo and tight.hi <= wide.hi
+    assert tight.lo >= wide_lo and tight.hi <= wide_hi
     assert tight.width < Fraction(1, 2**100)
-    assert wide.lo > Fraction(1, 4) and wide.hi < Fraction(1, 3)
+    assert wide_lo > Fraction(1, 4) and wide_hi < Fraction(1, 3)
 
 
 @pytest.mark.parametrize("u,q", [
@@ -70,8 +70,7 @@ def test_euler_product_enclosure():
 ])
 def test_euler_product_rounded_contains_exact(u, q):
     terms = _normalizer_terms(u, Fraction(q), Fraction(1, 2**320))
-    exact = euler_product_enclosure(u, q, terms)
-    assert (exact.lo, exact.hi) == euler_product_exact(u, q, terms)
+    exact_lo, exact_hi = euler_product_exact(u, q, terms)
     rounded = euler_product_enclosure(u, q, terms, 320)
-    assert rounded.lo <= exact.lo and exact.hi <= rounded.hi
+    assert rounded.lo <= exact_lo and exact_hi <= rounded.hi
     assert rounded.width < Fraction(1, 2**300)

@@ -6,7 +6,8 @@ import pytest
 from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.snwalk import (
-    _float_engine,
+    _float_error_bound,
+    _path_counts,
     class_walk_probability,
     kernel_downup,
     kernel_from_tensor,
@@ -352,20 +353,19 @@ def test_exact_tv_curve_equals_tv_over_reference_walk():
             assert bound == sn_upper_bound(n, r)
 
 
-def test_float_engine_edges_match_corner_loop_and_kernel():
+def test_float_masses_within_error_bound_of_exact_law():
+    # every float mass within the bound the distribution reports, from (n)
+    # up to 3x the cutoff for n <= 18, and from every start for n <= 10
     for n in range(2, 19):
-        eng = _float_engine(n)
-        src, dst = [], []
-        for li, lam in enumerate(eng.parts):
-            seen = {}
-            for mu in lam.removable_corners():
-                for rho in mu.addable_corners():
-                    seen.setdefault(rho, None)
-            src += [li] * len(seen)
-            dst += [eng.index[rho] for rho in seen]
-        assert eng.src.tolist() == src
-        assert eng.dst.tolist() == dst
-        kernel = kernel_downup(n)
-        assert eng.val.tolist() == [
-            float(kernel.entry(eng.parts[i], eng.parts[j])) for i, j in zip(src, dst)
-        ]
+        starts = enumerate_partitions(n) if n <= 10 else [Partition((n,))]
+        rmax = 3 * cutoff_steps(n)
+        for start in starts:
+            lat, s, walk = _path_counts(n, start)
+            for r, a in zip(range(rmax + 1), walk):
+                dist = walk_distribution(n, r, start, mode="float")
+                assert dist.error_bound == _float_error_bound(n, r)
+                bound = Fraction(dist.error_bound)
+                assert list(dist.masses) == list(lat.parts)
+                den = n**r * lat.dims[s]
+                for (lam, m), d, x in zip(dist.masses.items(), lat.dims, a):
+                    assert abs(Fraction(m) - Fraction(d * x, den)) <= bound, (n, start, r, lam)

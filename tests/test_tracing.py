@@ -43,3 +43,25 @@ def test_tracer_installs_and_uninstalls():
     assert [cli.main] + [getattr(snwalk, a) for a in names] == originals
     assert [vars(Partition)[a] for a in corners] == corner_originals
     assert partitions.dimension_sn is dimension and snwalk.dimension_sn is dimension
+
+
+def test_float_step_metric_counts_every_step():
+    # snwalk.float_step_ms is the wrapped _FloatEngine.step averaged over its
+    # calls; a float walk that stepped past the wrapper would read 0
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        before = tracer.aggs["snwalk.float_step"].totals()[0]
+        snwalk.walk_distribution(19, 3, mode="float")
+        assert tracer.aggs["snwalk.float_step"].totals()[0] - before == 3
+    finally:
+        tracer.uninstall()
+
+
+def test_names_the_benchmark_reads_resolve():
+    # perfbench/worker.py clears the engine cache between cold builds, and
+    # perfbench/checks.py recomputes the printed float bound from this constant
+    assert callable(snwalk._float_engine.cache_clear)
+    assert snwalk._float_engine.cache_info().maxsize == 4
+    bound = 3 * partitions.partition_count(19) * snwalk.FLOAT_ENTRY_RELERR
+    assert snwalk._float_error_bound(19, 3) == bound
