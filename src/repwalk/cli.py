@@ -30,6 +30,7 @@ from .glasymptotics import (
     default_rejection_u,
 )
 from .glirreps import (
+    _tail_denominator_log10,
     dimension_gl,
     fixed_space_counts,
     gl_enumerable,
@@ -69,14 +70,25 @@ def _fmt(x) -> str:
                             sys.get_int_max_str_digits()) from exc
 
 
-def _check_digits(base: int, exponent: int, factor: int = 1) -> None:
-    """Refuse, before any work, exact output whose unreduced denominator
-    base**exponent * factor is longer than str() prints an int."""
+def _refuse_digits(log_lo: float, label: str, exact=None) -> None:
+    """Refuse, before the work, output holding an integer N >= 10**log_lo
+    once N is longer than str() prints an int.  Near the limit, exact()
+    gives N and decides; without it, a longer N is refused later, by _fmt."""
     limit = sys.get_int_max_str_digits()  # 0: no limit
+    if not limit or log_lo <= limit - 2:
+        return
+    if exact is not None and log_lo <= limit + 1:
+        fits = exact() < 10**limit  # N has at most `limit` digits
+    else:
+        fits = log_lo < limit
+    if not fits:
+        raise CapacityError(label, max(math.floor(log_lo), limit) + 1, limit)
+
+
+def _check_digits(base: int, exponent: int, factor: int = 1) -> None:
+    """Refuse exact output whose unreduced denominator is base**exponent * factor."""
     log = exponent * math.log10(base) + math.log10(factor) if base > 1 else 0
-    # within a digit of the limit, decide exactly: N has more digits iff N >= 10**limit
-    if limit and log > limit - 1 and (log > limit + 1 or base**exponent * factor >= 10**limit):
-        raise CapacityError("exact output digits", math.floor(log) + 1, limit)
+    _refuse_digits(log, "exact output digits", lambda: base**exponent * factor)
 
 
 def _meta_lines(command: str, args: argparse.Namespace) -> list[str]:
@@ -259,6 +271,10 @@ def _cmd_gl_irreps(args):
 
 
 def _cmd_gl_counts(args):
+    if args.n >= 1 and args.q >= 2:
+        # |GL(n,q)| = q^(n^2) prod_{k<=n} (1 - q^-k) > q^(n^2) / 4, the largest number printed
+        _refuse_digits(args.n**2 * math.log10(args.q) - 0.61, "printed digits",
+                       lambda: order_gl(args.n, args.q))
     counts = fixed_space_counts(args.n, args.q)
     rows = [[i, counts[i]] for i in sorted(counts)]
     extra = ["# group order: " + _fmt(order_gl(args.n, args.q))]
@@ -277,6 +293,7 @@ def _cmd_gl_bound(args):
 
 def _cmd_gl_lower(args):
     _check_digits(args.q, args.c)
+    _refuse_digits(_tail_denominator_log10(args.q, args.c), "printed digits")
     value = gl_lower_bound(args.n, args.q, args.c)
     method = "exact-marginal" if gl_enumerable(args.n, args.q) else "tail-bound"
     rows = [[args.c, value, method, unipotent_tail_bound(args.q, args.c)]]

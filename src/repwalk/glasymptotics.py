@@ -15,19 +15,28 @@ floating point is involved.  A representation-valued cycle index ties the
 enumerated Plancherel data to the infinite product, coefficientwise.
 
 Certified enclosures are memoized in bounded lru caches, each with
-cache_info(): suq_normalizer on (u, q, prec), so one sampler's count,
-component and high-degree thresholds share one Z(u^d, q^d) per degree and
-precision, and later samplers with the same (n, q, u) reuse it; and
-intervals.euler_product_enclosure on (u, q, terms, prec), shared by
-acceptance_probability and the high-degree threshold.
+cache_info(): suq_normalizer on (u, q, prec) (512 entries), so one
+sampler's count, component and high-degree thresholds share one
+Z(u^d, q^d) per degree and precision, and later samplers with the same
+(n, q, u) reuse it; and intervals.euler_product_enclosure on
+(u, q, terms, prec) (64), shared by acceptance_probability and the
+high-degree threshold.  The sampler's threshold tables are cached too:
+_count_thresholds on (u^d, q^d, N_d, max_count) and _component_thresholds
+on (u^d, q^d, n // d) (TABLE_CACHE_SIZE = 512 each), and the high-degree
+entries on (n, q, u, prec) (HIGH_DEGREE_CACHE_SIZE = 64).  Tables are read
+lazily, component tables partition by partition in size order, only as
+far as draws land; no cache holds a sampler or a plan.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import islice
 
 from .errors import CapacityError, SamplerError
 from .glirreps import (
@@ -54,6 +63,10 @@ DEFAULT_PREC = 320
 DEFAULT_ATTEMPT_CAP = 10_000_000
 EXPLICIT_DEGREES = 24  # degrees high_degree_empty_direct takes as exact powers
 MAX_DOUBLINGS = 6  # precision doublings a threshold set tries before giving up
+# count and component tables kept: every degree of every (n, q) the sampler
+# takes at its default u is 2 * (1 + ... + SAMPLE_N_LIMIT) = 420 of each
+TABLE_CACHE_SIZE = 512
+HIGH_DEGREE_CACHE_SIZE = 64  # high-degree thresholds, one per (n, q, u, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -289,29 +302,111 @@ _REJECT = object()
 
 
 class _ThresholdSet:
-    """Cumulative interval thresholds; locates a lazy uniform among them.
+    """Cumulative interval thresholds; locates a uniform draw among them.
 
-    builder(prec) returns a list of (outcome, Interval) with increasing
-    thresholds; a uniform beyond the last threshold maps to _REJECT.
-    Thresholds are flattened to integers at a fixed dyadic scale so the hot
-    path is pure integer comparison; an ambiguity triggers a rebuild at
-    DEFAULT_PREC << level, for up to MAX_DOUBLINGS levels.
+    builder(prec) returns an iterable of (outcome, Interval) with increasing
+    thresholds, read lazily: per precision level the set keeps the entries
+    read so far, flattened to integers at scale DEFAULT_PREC << level, and
+    reads more only when a draw lands past them.  A uniform beyond the last
+    threshold maps to _REJECT.
+
+    A draw costs one rng.next_u64() word v and one bisect: at level 0 the
+    set keeps running maxima of lo >> (DEFAULT_PREC - 64) and of
+    ceil(hi / 2^(DEFAULT_PREC - 64)), so v alone decides unless some earlier
+    threshold's [lo, hi] straddles it at 64 bits (about 2^-64 per
+    threshold).  Only then is the uniform extended from v, 64 bits at a
+    time, and compared with each threshold in turn; a comparison still
+    unresolved triggers a rebuild at DEFAULT_PREC << level, for up to
+    MAX_DOUBLINGS levels.  Both paths draw the same words and give the same
+    outcome as that scan alone.  Reading and flattening hold a lock, so
+    samplers in several threads may share a set; a builder that raises is
+    started again past the entries kept, on the next read.
     """
 
     def __init__(self, builder):
         self._builder = builder
-        self._cache: dict[int, tuple[list, int]] = {}
+        self._lock = threading.Lock()
+        self._flat: dict[int, list] = {}  # level -> (outcome, lo, hi) read so far
+        # level -> entry iterator, or None once the builder has ended; a
+        # level without one starts (again) past the entries read
+        self._entries: dict[int, object] = {}
+        # level 0 per threshold: its outcome and the running maxima of the top
+        # 64 bits; lo64 is appended last, so an index below len(self._lo64)
+        # is complete in all three for a reader without the lock
+        self._outcomes: list = []
+        self._hi64: list[int] = []
+        self._lo64: list[int] = []
+
+    def _grow(self, level: int) -> bool:
+        """Read one more threshold at a level; False once its builder has ended."""
+        scale = DEFAULT_PREC << level
+        with self._lock:
+            flat = self._flat.setdefault(level, [])
+            if level not in self._entries:
+                self._entries[level] = islice(self._builder(scale), len(flat), None)
+            entries = self._entries[level]
+            if entries is None:
+                return False
+            try:
+                outcome, iv = next(entries)
+                lo, hi = floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale)
+                flat.append((outcome, lo, hi))
+                if level == 0:
+                    shift = scale - 64
+                    lo64, hi64 = lo >> shift, -(-hi >> shift)
+                    if self._lo64:
+                        lo64, hi64 = max(lo64, self._lo64[-1]), max(hi64, self._hi64[-1])
+                    self._hi64.append(hi64)
+                    self._outcomes.append(outcome)
+                    self._lo64.append(lo64)
+            except StopIteration:
+                self._entries[level] = None
+                return False
+            except BaseException:
+                # a generator that raised is finished but has not ended: drop
+                # it, and any half-kept entry, so the next read starts again
+                del self._entries[level]
+                if level == 0:
+                    kept = len(self._lo64)
+                    del flat[kept:], self._hi64[kept:], self._outcomes[kept:]
+                raise
+            return True
 
     def _thresholds(self, level: int) -> tuple[list, int]:
-        if level not in self._cache:
-            scale = DEFAULT_PREC << level
-            flat = []
-            for outcome, iv in self._builder(scale):
-                flat.append((outcome, floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale)))
-            self._cache[level] = (flat, scale)
-        return self._cache[level]
+        """(flat, scale): every (outcome, lo, hi) at scale DEFAULT_PREC << level."""
+        while self._grow(level):
+            pass
+        return self._flat[level], DEFAULT_PREC << level
 
-    def locate(self, u: LazyUniform):
+    def locate(self, rng: SplitMix64):
+        """The outcome of the first threshold above a fresh uniform, or _REJECT."""
+        v = rng.next_u64()
+        lo64 = self._lo64
+        end = len(lo64)  # once: another thread may append meanwhile
+        # thresholds before j have lo64 <= v: none of them can hold U < t
+        j = bisect_right(lo64, v, 0, end)
+        past = j == end
+        if past:
+            j, past = self._read_past(v)
+        if j and v < self._hi64[j - 1]:
+            return self._scan(LazyUniform(rng, v))
+        return _REJECT if past else self._outcomes[j]
+
+    def _read_past(self, v: int) -> tuple[int, bool]:
+        """For a word v past the thresholds read so far: read on until one
+        lies above v.  Returns its index, or the count of thresholds and True
+        when v is past all of them."""
+        lo64 = self._lo64
+        while True:
+            end = len(lo64)
+            j = bisect_right(lo64, v, 0, end)
+            if j < end:
+                return j, False
+            # once the builder has ended, no other thread can append either
+            if not self._grow(0) and len(lo64) == end:
+                return j, True
+
+    def _scan(self, u: LazyUniform):
         for level in range(MAX_DOUBLINGS + 1):
             thresholds, scale = self._thresholds(level)
             ambiguous = False
@@ -327,53 +422,66 @@ class _ThresholdSet:
         raise SamplerError("threshold enclosures failed to separate a uniform draw")
 
 
+def _count_entries(ud: Fraction, qd: Fraction, n_labels: int, max_count: int, prec: int) -> list:
+    """P(at most j of the n_labels degree-d labels are occupied), j <= max_count:
+    each label is empty with probability Z(u^d, q^d), independently."""
+    z = suq_normalizer(ud, qd, prec=prec)
+    occ = z.one_minus()
+    out = []
+    cum = Interval.point(0)
+    for j in range(max_count + 1):
+        pmf = math.comb(n_labels, j) * occ.pow_int(j, prec) * z.pow_int(n_labels - j, prec)
+        cum = (cum + pmf).rounded(prec)
+        out.append((j, cum))
+    return out
+
+
+def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
+    """The law of an occupied label's partition, S(u^d, q^d) given lam nonempty:
+    Z/(1-Z) times the cumulative weight, over the partitions of 1 .. sizes_cap
+    in enumerate_partitions order; suq_weight runs only for the entries a
+    reader reaches."""
+    z = suq_normalizer(ud, qd, prec=prec)
+    ratio = z / z.one_minus()
+    one = 1 << prec
+    cum = Fraction(0)
+    for m in range(1, sizes_cap + 1):
+        for lam in enumerate_partitions(m):
+            cum += suq_weight(ud, qd, lam)
+            # (ratio * cum).rounded(prec), in integers
+            num, den = cum.numerator << prec, cum.denominator
+            lo = ratio.lo.numerator * num // (ratio.lo.denominator * den)
+            hi = -(-ratio.hi.numerator * num // (ratio.hi.denominator * den))
+            yield lam, Interval(Fraction(lo, one), Fraction(hi, one))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _count_thresholds(ud: Fraction, qd: Fraction, n_labels: int, max_count: int) -> _ThresholdSet:
+    return _ThresholdSet(partial(_count_entries, ud, qd, n_labels, max_count))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _component_thresholds(ud: Fraction, qd: Fraction, sizes_cap: int) -> _ThresholdSet:
+    return _ThresholdSet(partial(_component_entries, ud, qd, sizes_cap))
+
+
 class _DegreePlan:
-    """Per-degree sampling machinery: occupation counts and component law."""
+    """Per-degree sampling machinery: occupation counts and component law.
+
+    Both threshold sets come from the shared caches; components have size
+    at most n // d, as a larger one alone exceeds the total degree n.
+    """
 
     def __init__(self, n: int, q: int, u: Fraction, d: int):
-        # the builders close over locals, never self: a plan (and the sampler
-        # holding it) is then freed by reference counting, not by a later
-        # cyclic collection that would keep its thresholds alive meanwhile
         self.d = d
         self.n_labels = n_labels = cuspidal_count(d, q)
-        self.max_count = max_count = min(n_labels, n // d)
-        self.sizes_cap = n // d
         ud, qd = u**d, Fraction(q) ** d
-        self.partitions = partitions = [
-            lam for m in range(1, self.sizes_cap + 1) for lam in enumerate_partitions(m)
-        ]
-        weights = [suq_weight(ud, qd, lam) for lam in partitions]
-
-        def build_counts(p: int) -> list:
-            z = suq_normalizer(ud, qd, prec=p)
-            occ = z.one_minus()
-            out = []
-            cum = Interval.point(0)
-            for j in range(max_count + 1):
-                pmf = (
-                    math.comb(n_labels, j)
-                    * occ.pow_int(j, p)
-                    * z.pow_int(n_labels - j, p)
-                )
-                cum = (cum + pmf).rounded(p)
-                out.append((j, cum))
-            return out
-
-        def build_components(p: int) -> list:
-            z = suq_normalizer(ud, qd, prec=p)
-            ratio = z / z.one_minus()  # Z/(1-Z)
-            out = []
-            cum = Fraction(0)
-            for lam, w in zip(partitions, weights):
-                cum += w
-                out.append((lam, (ratio * cum).rounded(p)))
-            return out
-
-        self.count_thresholds = _ThresholdSet(build_counts)
-        self.component_thresholds = _ThresholdSet(build_components)
+        self.count_thresholds = _count_thresholds(ud, qd, n_labels, min(n_labels, n // d))
+        self.component_thresholds = _component_thresholds(ud, qd, n // d)
 
 
-def _build_high_degree(q: int, u: Fraction, plans: list, prec: int) -> list:
+@lru_cache(maxsize=HIGH_DEGREE_CACHE_SIZE)
+def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
     """Single threshold: probability that every label of degree > n is empty.
 
     Computed as prod_{m>=0}(1 - u/q^m) / prod_{d<=n} Z_d^(N_d): the full
@@ -381,16 +489,16 @@ def _build_high_degree(q: int, u: Fraction, plans: list, prec: int) -> list:
     (high_degree_empty_direct bounds the same quantity degree by degree;
     the tests check the two enclosures overlap.)
     """
-    q = Fraction(q)
-    terms = _normalizer_terms(u, q, Fraction(1, 1 << prec))
-    full = euler_product_enclosure(u, q, terms, prec)
+    qf = Fraction(q)
+    terms = _normalizer_terms(u, qf, Fraction(1, 1 << prec))
+    full = euler_product_enclosure(u, qf, terms, prec)
     low = Interval.point(1)
-    for plan in plans:
-        z_d = suq_normalizer(u**plan.d, q**plan.d, prec=prec)
-        low = (low * z_d.pow_int(plan.n_labels, prec)).rounded(prec)
+    for d in range(1, n + 1):
+        z_d = suq_normalizer(u**d, qf**d, prec=prec)
+        low = (low * z_d.pow_int(cuspidal_count(d, q), prec)).rounded(prec)
     iv = full / low
     iv = Interval(max(Fraction(0), iv.lo), min(Fraction(1), iv.hi))
-    return [(True, iv)]
+    return ((True, iv),)
 
 
 class GLPlancherelSampler:
@@ -407,7 +515,8 @@ class GLPlancherelSampler:
         self.rng = SplitMix64(seed)
         self.attempts = 0
         self.plans = [_DegreePlan(n, q, self.u, d) for d in range(1, n + 1)]
-        self.high_degree_empty = _ThresholdSet(partial(_build_high_degree, q, self.u, self.plans))
+        # the entries are cached; the set is the sampler's own, freed with it
+        self.high_degree_empty = _ThresholdSet(partial(_high_degree_entries, n, q, self.u))
 
     def _draw_indices(self, count: int, pool: int) -> list[int]:
         """Uniform sorted count-subset of range(pool)."""
@@ -426,17 +535,18 @@ class GLPlancherelSampler:
 
     def _attempt(self) -> GLIrrep | None:
         self.attempts += 1
+        rng = self.rng
         counts = []
         floor_total = 0
         for plan in self.plans:
-            outcome = plan.count_thresholds.locate(LazyUniform(self.rng))
+            outcome = plan.count_thresholds.locate(rng)
             if outcome is _REJECT:
                 return None
             counts.append(outcome)
             floor_total += plan.d * outcome
         if floor_total > self.n:
             return None
-        if self.high_degree_empty.locate(LazyUniform(self.rng)) is _REJECT:
+        if self.high_degree_empty.locate(rng) is _REJECT:
             return None
         assignment = []
         total = 0
@@ -445,7 +555,7 @@ class GLPlancherelSampler:
                 continue
             indices = self._draw_indices(k, plan.n_labels)
             for idx in indices:
-                lam = plan.component_thresholds.locate(LazyUniform(self.rng))
+                lam = plan.component_thresholds.locate(rng)
                 if lam is _REJECT:
                     return None
                 total += plan.d * lam.size

@@ -42,7 +42,7 @@ def mobius(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cuspidal_count(d: int, q: int) -> int:
     """Number of cuspidal characters of GL(d,q): (1/d) sum_{e|d} mu(d/e)(q^e - 1).
 
@@ -181,7 +181,7 @@ def _family_sort_key(phi: GLIrrep):
     return (pairs, idxs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def order_gl(n: int, q: int) -> int:
     """|GL(n,q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
     out = 1
@@ -294,6 +294,50 @@ def unipotent_tail_bound(q: int, c: int) -> Fraction:
             total += remainder
             break
     return prefactor * total
+
+
+def _divisor_totients(m: int) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every divisor d of m >= 1, by trial division."""
+    out = [(1, 1)]
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            powers = [(1, 1)]
+            while m % p == 0:
+                m //= p
+                e = powers[-1][0] * p
+                powers.append((e, e - e // p))
+            out = [(d * e, f * g) for d, f in out for e, g in powers]
+        p += 1
+    if m > 1:
+        out += [(d * m, f * (m - 1)) for d, f in out]
+    return out
+
+
+def _tail_denominator_log10(q: int, c: int) -> float:
+    """A lower bound on log10 of the denominator unipotent_tail_bound(q, c)
+    has in lowest terms, found without summing.
+
+    The sum runs over m = c..M, and its stopping rule puts M - c between
+    k_lo and k_hi below.  A primitive prime p of Phi_d(q) (q has order d
+    mod p) divides q^m - 1 only when d | m.  For d > k_hi at most one m in
+    the range is a multiple of d, so p keeps that term's power in the sum's
+    denominator, through the prefactor and in 1 - bound.  For d >= 3 those
+    primes make up Phi_d(q) / gcd(Phi_d(q), d), at least
+    q^phi(d) (1/q; 1/q)_inf / d > q^phi(d) 10^-0.54 / d, and distinct d
+    give distinct primes.
+    """
+    if q < 2 or c < 1:
+        return 0.0
+    log_q = math.log(q)
+    k_lo = math.floor(math.log(1 / TAIL_REL_TOL) / log_q) - 2
+    k_hi = max(math.ceil(math.log(2 * q / ((q - 1) * TAIL_REL_TOL)) / log_q) + 1, 2)
+    total = 0.0
+    for m in range(c, c + k_lo + 1):
+        for d, phi in _divisor_totients(m):
+            if d > k_hi:
+                total += phi * math.log10(q) - 0.54 - math.log10(d)
+    return total
 
 
 def gl_lower_bound(n: int, q: int, c: int):

@@ -73,7 +73,7 @@ class SplitMix64:
 
 
 class LazyUniform:
-    """A uniform U in [0,1) revealed 64 bits at a time.
+    """A uniform U in [0,1) revealed 64 bits at a time, from a first word on.
 
     After b bits, U is only known to lie in [v/2^b, (v+1)/2^b).  Comparisons
     against a dyadic interval enclosing a threshold extend the bit stream
@@ -82,10 +82,10 @@ class LazyUniform:
 
     __slots__ = ("_rng", "_value", "_bits")
 
-    def __init__(self, rng: SplitMix64):
+    def __init__(self, rng: SplitMix64, word: int):
         self._rng = rng
-        self._value = 0
-        self._bits = 0
+        self._value = word
+        self._bits = 64
 
     def _extend(self):
         self._value = (self._value << 64) | self._rng.next_u64()
@@ -99,8 +99,6 @@ class LazyUniform:
         that the enclosure itself must be tightened.
         """
         while True:
-            if self._bits == 0:
-                self._extend()
             b, v = self._bits, self._value
             if b <= scale_bits:
                 shift = scale_bits - b

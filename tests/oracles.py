@@ -312,3 +312,54 @@ def walk_step_reference(rng, lam: Partition) -> Partition:
     if up_total != n * dimension_sn(mu):
         raise ArithmeticError(f"up-step weights of {mu} do not sum to n d_mu")
     return rho
+
+
+# ---------------------------------------------------------------------------
+# GL threshold lookup as it was before the 64-bit first-word decision: a scan
+# comparing a lazily revealed uniform with each threshold in turn
+
+
+def threshold_locate_reference(builder, rng):
+    """Outcome of one uniform among the thresholds of builder, or
+    glasymptotics._REJECT past them.
+
+    The uniform U is revealed 64 bits at a time from its first comparison
+    on.  Each threshold is flattened to [lo, hi] at scale DEFAULT_PREC <<
+    level; U < t is decided once U's known bits lie wholly below lo or at or
+    above hi, and left unresolved SLACK_BITS past the scale, which rebuilds
+    every threshold at the next level, up to MAX_DOUBLINGS.
+    """
+    from repwalk import glasymptotics
+    from repwalk.errors import SamplerError
+    from repwalk.intervals import ceil_scaled, floor_scaled
+    from repwalk.rng import SLACK_BITS
+
+    value = bits = 0
+
+    def below(lo, hi, scale):
+        """U < t for t in [lo, hi] / 2^scale: True, False or None (unresolved)."""
+        nonlocal value, bits
+        while True:
+            if bits == 0:
+                value, bits = rng.next_u64(), 64
+            # U lies in [value, value + 1) / 2^bits; compare at the finer scale
+            up, down = max(scale - bits, 0), max(bits - scale, 0)
+            if (value + 1) << up <= lo << down:
+                return True
+            if value << up >= hi << down:
+                return False
+            if bits >= scale + SLACK_BITS:
+                return None
+            value, bits = (value << 64) | rng.next_u64(), bits + 64
+
+    for level in range(glasymptotics.MAX_DOUBLINGS + 1):
+        scale = glasymptotics.DEFAULT_PREC << level
+        for outcome, iv in builder(scale):
+            res = below(floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale), scale)
+            if res is None:
+                break
+            if res:
+                return outcome
+        else:
+            return glasymptotics._REJECT
+    raise SamplerError("threshold enclosures failed to separate a uniform draw")

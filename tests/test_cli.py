@@ -10,6 +10,7 @@ from repwalk import cli, glasymptotics
 from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
+from repwalk.glirreps import fixed_space_counts
 from repwalk.partitions import Partition
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
@@ -315,6 +316,77 @@ index,family
 1,1.0:2;4.7:1;6.86:1
 2,1.1:1;2.2:1;9.2180:1
 """,
+    # the largest sizes the sampler takes, where every degree's tables are
+    # longest; the attempts line pins the rejected attempts as well
+    ("--n", "20", "--q", "3", "--count", "25", "--seed", "232508330"): """\
+# repwalk 0.1.0
+# command: gl-sample count=25 n=20 q=3 seed=232508330 threads=1
+# attempts: 1515
+# predicted acceptance rate: 0.018540098798013906
+index,family
+0,1.1:1;8.52:1;11.6136:1
+1,20.17045049:1
+2,1.1:1+1+1;2.0:1+1;5.3:1;8.693:1
+3,1.0:1+1+1;1.1:1;3.0:1;5.21:1;8.650:1
+4,1.1:1+1;3.2:1+1;5.22:1;7.86:1
+5,1.1:1;2.0:1;2.1:1;3.0:1;12.19430:1
+6,1.0:1+1+1;3.1:1;14.150136:1
+7,1.0:1+1;5.46:1;13.102724:1
+8,2.0:1;18.8216245:1
+9,1.1:1;19.17186364:1
+10,1.0:1+1;18.16681100:1
+11,1.1:1;4.13:1;7.248:1;8.280:1
+12,8.756:1;12.15144:1
+13,1.1:1;8.258:1;11.5100:1
+14,1.0:1;2.0:1;17.3175113:1
+15,1.1:1;3.0:1;5.39:1;11.11311:1
+16,1.0:1;1.1:1+1;2.2:1;5.1:1;10.1484:1
+17,1.1:1;7.224:1;12.17876:1
+18,1.1:1;2.2:1;5.37:1;6.68:1+1
+19,1.0:1;1.1:1+1;7.170:1;10.5471:1
+20,1.0:1+1+1;2.2:1;5.5:1;5.13:1;5.27:1
+21,1.0:1;2.2:1;5.2:1;6.34:1;6.52:1
+22,2.0:1;18.8188530:1
+23,1.0:1;1.1:1+1+1;3.7:1;13.75857:1
+24,1.0:1+1;2.2:1;5.15:1;11.2017:1
+""",
+    ("--n", "17", "--q", "2", "--count", "30", "--seed", "5"): """\
+# repwalk 0.1.0
+# command: gl-sample count=30 n=17 q=2 seed=5 threads=1
+# attempts: 1763
+# predicted acceptance rate: 0.02302377054117127
+index,family
+0,1.0:2+1+1;13.175:1
+1,1.0:1+1+1;2.0:1+1;3.0:1;7.8:1
+2,1.0:2+1+1;13.315:1
+3,1.0:1+1;7.15:1;8.25:1
+4,1.0:1;2.0:1;6.1:1;8.18:1
+5,1.0:1+1+1+1;2.0:1;3.1:1;4.0:1;4.2:1
+6,8.22:1;9.55:1
+7,1.0:1+1+1;3.0:1;3.1:1;8.13:1
+8,1.0:2+1+1;4.1:1;9.13:1
+9,17.5081:1
+10,1.0:1;16.2437:1
+11,1.0:1+1;3.1:1+1;9.29:1
+12,1.0:1;16.2993:1
+13,2.0:1+1;3.0:1;10.96:1
+14,1.0:1;4.0:1;4.2:1;8.27:1
+15,1.0:2;2.0:1;3.1:1+1;7.7:1
+16,1.0:2+1+1;2.0:1;3.1:1;8.6:1
+17,1.0:1+1+1;7.3:1;7.4:1
+18,1.0:1+1+1+1;13.53:1
+19,1.0:1+1;15.1074:1
+20,2.0:1+1;4.2:1;9.13:1
+21,1.0:2+1+1+1+1;2.0:1+1;3.0:1;4.2:1
+22,1.0:1+1+1+1+1+1+1;10.37:1
+23,1.0:2+1;14.616:1
+24,1.0:1+1+1+1+1+1;11.29:1
+25,1.0:1+1+1+1+1;3.0:1;3.1:1;6.0:1
+26,2.0:1;15.557:1
+27,1.0:2;3.0:1;3.1:1+1;6.4:1
+28,1.0:1+1;2.0:1;6.0:1;7.9:1
+29,1.0:1;2.0:1;6.6:1;8.2:1
+""",
 }
 
 
@@ -559,9 +631,10 @@ def test_exact_output_digit_limit_boundary(capsys):
 
 def test_printed_digits_past_the_prediction_are_a_capacity_error(capsys):
     # the gl-lower tail bound sums about 50 terms 1/(q^m - 1), so its
-    # denominator outgrows q^c long before q^c reaches the limit, and
-    # gl-counts has no prediction; str() refusing a number is reported as a
-    # capacity error all the same
+    # denominator outgrows q^c long before q^c reaches the limit, and a
+    # printed number that no prediction refused (c = 265 here) is refused as
+    # a capacity error all the same; gl-counts is refused by its own
+    # prediction of the group order, with the same message
     assert main(["gl-lower", "--n", "6", "--q", "2", "--c", "264"]) == 0
     capsys.readouterr()
     for argv in (["gl-lower", "--n", "6", "--q", "2", "--c", "265"],
@@ -570,6 +643,47 @@ def test_printed_digits_past_the_prediction_are_a_capacity_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "capacity error: printed digits: requested" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gl-counts", "--n", "200", "--q", "2"],
+    ["gl-counts", "--n", "120", "--q", "5"],
+    ["gl-counts", "--n", "2000", "--q", "3"],
+    ["gl-lower", "--n", "6", "--q", "2", "--c", "14284"],
+    ["gl-lower", "--n", "6", "--q", "3", "--c", "9000"],
+])
+def test_printed_digit_predictions_fail_fast(capsys, argv):
+    # gl-counts ran 3 to 10 s and gl-lower --c 14284 2.8 s before str()
+    # refused a number; the group order and the tail bound's denominator
+    # are now bounded from the arguments first
+    started = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capacity error: printed digits: requested" in captured.err
+
+
+@pytest.mark.parametrize("q,n,digits", [(3, 37, 653), (2, 56, 944), (2, 48, 694)])
+def test_gl_counts_digit_prediction_is_exact(capsys, monkeypatch, q, n, digits):
+    # |GL(n,q)| has `digits` digits (at (3, 37) and (2, 56) q^(n^2) has one
+    # more): a limit of exactly `digits` still prints the table, one below
+    # refuses it before the counts are computed; at (2, 48) the lower bound
+    # q^(n^2) / 4 has only `digits` - 1 digits, so the order itself decides
+    counted = []
+    monkeypatch.setattr(cli, "fixed_space_counts", lambda *a: counted.append(a) or fixed_space_counts(*a))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(digits)
+        assert main(["gl-counts", "--n", str(n), "--q", str(q)]) == 0
+        order = capsys.readouterr().out.split("# group order: ")[1].split()[0]
+        assert len(order) == digits and len(counted) == 1
+        sys.set_int_max_str_digits(digits - 1)
+        assert main(["gl-counts", "--n", str(n), "--q", str(q)]) == 3
+        assert "capacity error: printed digits" in capsys.readouterr().err
+        assert len(counted) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # stdout recorded when sn-walk, sn-cutoff and gl-lower looked masses up

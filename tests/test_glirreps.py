@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,3 +207,30 @@ def test_gl_lower_bound():
     v = gl_lower_bound(30, 2, 25)
     assert 0.99 < float(v) <= 1
     assert gl_lower_bound(30, 2, 1) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 97])
+def test_tail_denominator_log10_is_a_lower_bound(q):
+    # the CLI refuses gl-lower from this bound before summing, so it must
+    # never exceed the digits of either printed fraction's denominator
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for c in (1, 2, 3, 10, 51, 52, 53, 100, 264, 265, 400):
+            tail = unipotent_tail_bound(q, c)
+            bound = glirreps._tail_denominator_log10(q, c)
+            assert bound <= math.log10(tail.denominator)
+            if tail < 1:
+                assert bound <= math.log10(gl_lower_bound(6, q, c).denominator)
+            if c >= 100:  # and it grows with the sum, not with q^c alone
+                assert bound > 0.6 * math.log10(tail.denominator)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_divisor_totients():
+    for m in range(1, 200):
+        pairs = glirreps._divisor_totients(m)
+        assert sorted(d for d, _ in pairs) == [d for d in range(1, m + 1) if m % d == 0]
+        assert sum(phi for _, phi in pairs) == m  # sum over d | m of phi(d) = m
+        assert all(phi == sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1) for d, phi in pairs)

@@ -101,18 +101,18 @@ def test_enumeration_limit_read_at_run_time(monkeypatch):
 
 
 def test_threshold_doublings_read_at_run_time(monkeypatch):
-    # every comparison unresolved: the set rebuilds MAX_DOUBLINGS times, then gives up
+    # a threshold known only to lie in [0, 1] leaves every comparison
+    # unresolved: the set rebuilds MAX_DOUBLINGS times, then gives up
     levels = []
 
     def builder(prec):
         levels.append(prec)
-        return [(0, glasymptotics.Interval(Fraction(1, 3), Fraction(1, 3)))]
+        return [(0, glasymptotics.Interval(Fraction(0), Fraction(1)))]
 
     monkeypatch.setattr(glasymptotics, "MAX_DOUBLINGS", 2)
-    monkeypatch.setattr(rng.LazyUniform, "compare_scaled", lambda self, lo, hi, scale: None)
     thresholds = glasymptotics._ThresholdSet(builder)
     with pytest.raises(SamplerError):
-        thresholds.locate(rng.LazyUniform(rng.SplitMix64(1)))
+        thresholds.locate(rng.SplitMix64(1))
     p = glasymptotics.DEFAULT_PREC
     assert levels == [p, p << 1, p << 2]
 

@@ -1,0 +1,260 @@
+"""The GL sampler's threshold sets against the plain scan they replace.
+
+_ThresholdSet decides a draw from its first 64-bit word by one bisect and
+falls back to the scan only where a threshold straddles that word.  The
+reference in oracles.py is the scan alone; every case below must give the
+same outcome and leave the generator in the same state, so the sampler
+draws the same words as before.
+"""
+
+import random
+import sys
+import threading
+from fractions import Fraction
+from functools import partial
+
+import pytest
+
+from oracles import threshold_locate_reference
+from repwalk import glasymptotics, glirreps, intervals
+from repwalk.errors import SamplerError
+from repwalk.partitions import partition_count
+from repwalk.glasymptotics import (
+    GLPlancherelSampler,
+    Interval,
+    _component_entries,
+    _count_entries,
+    _REJECT,
+    _ThresholdSet,
+)
+from repwalk.rng import _GOLDEN, SplitMix64
+
+
+def _first_word(seed: int) -> int:
+    return SplitMix64(seed).next_u64()
+
+
+def _words_drawn(rng: SplitMix64, seed: int) -> int:
+    """Words rng has drawn since SplitMix64(seed): each adds the golden gamma."""
+    return (rng._state - seed) * pow(_GOLDEN, -1, 1 << 64) % (1 << 64)
+
+
+def _draw_both(builder, seed: int, draws: int, thresholds=None) -> None:
+    """A set and the reference draw from twin generators, draws times."""
+    thresholds = thresholds or _ThresholdSet(builder)
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(draws):
+        try:
+            expected = threshold_locate_reference(builder, slow)
+        except SamplerError:
+            expected = SamplerError
+        try:
+            got = thresholds.locate(fast)
+        except SamplerError:
+            got = SamplerError
+        assert got is expected or got == expected
+        assert fast._state == slow._state
+
+
+def _random_interval(rnd: random.Random) -> Interval:
+    kind = rnd.randrange(4)
+    x = Fraction(rnd.randrange(1, 1 << 20), 1 << 20)
+    if kind == 0:  # a point on a 20-bit dyadic
+        return Interval.point(x)
+    if kind == 1:  # a point with an odd denominator
+        return Interval.point(Fraction(rnd.randrange(1, 999), 999))
+    if kind == 2:  # narrow, as the sampler's enclosures are
+        return Interval(x, x + Fraction(1, 1 << 300))
+    return Interval(x, x + Fraction(rnd.randrange(1, 64), 256))  # wide
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_locate_matches_scan_on_random_tables(seed):
+    # thresholds in increasing order, and in any order: the running maxima
+    # must decide as the scan does either way; prefixes end the table anywhere
+    rnd = random.Random(seed)
+    for ordered in (True, False):
+        entries = [(k, _random_interval(rnd)) for k in range(rnd.randrange(1, 12))]
+        if ordered:
+            entries.sort(key=lambda e: e[1].lo)
+        for end in {1, rnd.randrange(1, len(entries) + 1), len(entries)}:
+            _draw_both(lambda prec, e=entries[:end]: iter(e), seed, 50)
+
+
+def _cold_and_warm(builder):
+    """A set that has read nothing yet, and one that has read every threshold."""
+    warm = _ThresholdSet(builder)
+    warm._thresholds(0)
+    return _ThresholdSet(builder), warm
+
+
+def test_point_threshold_on_a_64_bit_dyadic():
+    # t = v / 2^64 exactly: the first word v gives U >= t; at (v + 1) / 2^64, U < t
+    for seed in range(5):
+        v = _first_word(seed)
+        for t, expected in ((v, _REJECT), (v + 1, 0), (v - 1, _REJECT)):
+            builder = lambda prec, t=t: [(0, Interval.point(Fraction(t, 1 << 64)))]
+            for thresholds in _cold_and_warm(builder):
+                rng = SplitMix64(seed)
+                assert thresholds.locate(rng) is expected
+                assert _words_drawn(rng, seed) == 1
+            _draw_both(builder, seed, 1)
+
+
+def test_word_equal_to_a_threshold_lo64():
+    # lo >> 256 == v for one threshold: the first word cannot decide it, so
+    # the scan reads a second word and resolves it (U >= t there); thresholds
+    # around it must not change that
+    for seed in range(5):
+        v = _first_word(seed)
+        near = Fraction(v, 1 << 64) + Fraction(1, 1 << 300)
+        for around in (0, 1, 2):
+            entries = [(0, Interval.point(Fraction(1, 1 << 70)))] if around else []
+            entries.append((len(entries), Interval(near, near + Fraction(1, 1 << 310))))
+            if around > 1:
+                entries.append((len(entries), Interval.point(Fraction(v + 1, 1 << 64))))
+            builder = lambda prec, e=entries: iter(e)
+            slow = SplitMix64(seed)
+            expected = threshold_locate_reference(builder, slow)
+            assert expected == (_REJECT if around < 2 else 2)
+            for thresholds in _cold_and_warm(builder):
+                fast = SplitMix64(seed)
+                assert thresholds.locate(fast) == expected
+                assert fast._state == slow._state
+                assert _words_drawn(fast, seed) == 2
+
+
+def test_unresolvable_threshold_raises_after_the_same_words():
+    builder = lambda prec: [(0, Interval(Fraction(0), Fraction(1)))]
+    _draw_both(builder, 3, 1)
+    with pytest.raises(SamplerError):
+        _ThresholdSet(builder).locate(SplitMix64(3))
+
+
+@pytest.mark.parametrize("n,q,u", [(6, 2, None), (9, 3, None), (4, 2, Fraction(1, 2))])
+def test_locate_matches_scan_on_sampler_tables(n, q, u):
+    sampler = GLPlancherelSampler(n, q, u)
+    for plan in sampler.plans:
+        ud, qd = sampler.u**plan.d, Fraction(q) ** plan.d
+        counts = partial(_count_entries, ud, qd, plan.n_labels, min(plan.n_labels, n // plan.d))
+        _draw_both(counts, plan.d, 60)
+        _draw_both(partial(_component_entries, ud, qd, n // plan.d), plan.d, 60)
+
+
+def test_builder_that_raises_is_started_again():
+    # an error escaping the builder mid-growth (an interrupt, a failed
+    # normalizer) must not leave the table cut short and taken as ended:
+    # the next reads start the builder again past the entries kept
+    entries = [(k, Interval.point(Fraction(k + 1, 9))) for k in range(8)]
+    calls = []
+
+    def flaky(prec):
+        calls.append(prec)
+        for k, entry in enumerate(entries):
+            if k == 4 and len(calls) == 1:
+                raise KeyboardInterrupt
+            yield entry
+
+    builder = lambda prec: iter(entries)
+    seed = next(s for s in range(100) if _first_word(s) > (5 << 64) // 9)
+    thresholds = _ThresholdSet(flaky)
+    with pytest.raises(KeyboardInterrupt):
+        thresholds.locate(SplitMix64(seed))
+    assert thresholds._lo64 and len(thresholds._lo64) == 4
+    for s in (seed, *range(20)):
+        _draw_both(builder, s, 30, thresholds)
+    assert len(thresholds._lo64) == len(entries) and len(calls) == 2
+    # the builder of a list table raises before it yields anything
+    failures = []
+
+    def failing_list(prec):
+        if not failures:
+            failures.append(prec)
+            raise MemoryError
+        return entries
+
+    thresholds = _ThresholdSet(failing_list)
+    with pytest.raises(MemoryError):
+        thresholds.locate(SplitMix64(seed))
+    _draw_both(builder, seed, 30, thresholds)
+
+
+def test_component_entries_match_rounded_products():
+    # the integer form of (Z/(1-Z) * cumulative weight).rounded(prec), over
+    # the partitions of sizes 1 .. sizes_cap and no further
+    ud, qd, prec = Fraction(2, 3) ** 2, Fraction(9), 320
+    z = glasymptotics.suq_normalizer(ud, qd, prec=prec)
+    ratio = z / z.one_minus()
+    cum = Fraction(0)
+    expected = []
+    for m in range(1, 7):
+        for lam in glasymptotics.enumerate_partitions(m):
+            cum += glasymptotics.suq_weight(ud, qd, lam)
+            expected.append((lam, (ratio * cum).rounded(prec)))
+    assert list(_component_entries(ud, qd, 6, prec)) == expected
+
+
+def test_component_table_grows_only_where_draws_land():
+    sampler = GLPlancherelSampler(20, 3, seed=4)
+    for _ in range(3):
+        sampler.sample()
+    first = sampler.plans[0].component_thresholds
+    assert 0 < len(first._lo64) < sum(partition_count(m) for m in range(1, 21))
+    # a second sampler with the same (n, q, u) reads the same tables
+    again = GLPlancherelSampler(20, 3, seed=5)
+    assert [p.component_thresholds for p in again.plans] == \
+        [p.component_thresholds for p in sampler.plans]
+    assert [p.count_thresholds for p in again.plans] == [p.count_thresholds for p in sampler.plans]
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 3), (6, 2)])
+def test_component_table_ends_at_its_cap(n, q):
+    # a degree-d plan draws partitions of size <= n // d; a word past them is
+    # a rejection, decided on that table, not a larger partition
+    sampler = GLPlancherelSampler(n, q, seed=8)
+    for _ in range(200):
+        sampler.sample()
+    for plan in sampler.plans:
+        read, _ = plan.component_thresholds._thresholds(0)
+        sizes = [lam.size for lam, _, _ in read]
+        assert sizes == [m for m in range(1, n // plan.d + 1) for _ in range(partition_count(m))]
+
+
+def test_caches_are_bounded():
+    caches = (glirreps.cuspidal_count, glirreps.order_gl, glasymptotics.suq_normalizer,
+              glasymptotics._count_thresholds, glasymptotics._component_thresholds,
+              glasymptotics._high_degree_entries, intervals.euler_product_enclosure)
+    for fn in caches:
+        maxsize = fn.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0, fn.__name__
+
+
+def test_threads_sharing_tables_draw_what_one_thread_draws():
+    # cold shared tables grown from six threads at once at a 1 us switch
+    # interval must give every sampler the draws it gets alone
+    jobs = [(7, 2, seed) for seed in range(3)] + [(8, 3, seed) for seed in range(3)]
+
+    def run(n, q, seed):
+        sampler = GLPlancherelSampler(n, q, seed=seed)
+        return [phi.descriptor() for phi in (sampler.sample() for _ in range(15))], sampler.attempts
+
+    expected = [run(*job) for job in jobs]
+    results = [None] * len(jobs)
+
+    def work(i):
+        results[i] = run(*jobs[i])
+
+    for fn in (glasymptotics._count_thresholds, glasymptotics._component_thresholds):
+        fn.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected

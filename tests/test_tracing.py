@@ -65,3 +65,45 @@ def test_names_the_benchmark_reads_resolve():
     assert snwalk._float_engine.cache_info().maxsize == 4
     bound = 3 * partitions.partition_count(19) * snwalk.FLOAT_ENTRY_RELERR
     assert snwalk._float_error_bound(19, 3) == bound
+
+
+def test_traced_gl_sample_counts_every_word(capsys, monkeypatch):
+    # rng.u64_per_op and glasymptotics.attempts_per_sample read the wrapped
+    # SplitMix64.next_u64 and GLPlancherelSampler.sample: a sampler that drew
+    # words past the method, or a sampler class the tracer no longer wraps,
+    # would skew them without failing a traced run
+    from repwalk import glasymptotics, rng
+
+    streams = []
+
+    class Recorded(rng.SplitMix64):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append((self, self._state))
+
+    monkeypatch.setattr(glasymptotics, "SplitMix64", Recorded)
+    sampler_cls = glasymptotics.GLPlancherelSampler
+    originals = (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"])
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"]) != originals
+        words = tracer.aggs["rng.next_u64"].totals()[0]
+        assert cli.main(["gl-sample", "--n", "9", "--q", "3", "--count", "12", "--seed", "4",
+                         "--threads", "2"]) == 0
+        words = tracer.aggs["rng.next_u64"].totals()[0] - words
+        samples, _, attempts = tracer.aggs["glasymptotics.attempts"].totals()
+        names = [span[1] for span in tracer.spans]
+    finally:
+        tracer.uninstall()
+    assert (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"]) == originals
+    # every word adds the golden gamma to the state
+    inverse = pow(rng._GOLDEN, -1, 1 << 64)
+    advanced = sum((s._state - start) * inverse % (1 << 64) for s, start in streams)
+    assert len(streams) == 2 and words == advanced > 0
+    assert samples == 12 and f"# attempts: {attempts}\n" in capsys.readouterr().out
+    assert names.count("glasymptotics.sampler_init") == 2
+    assert names.count("glasymptotics.first_sample") == 2
+    assert names.count("glasymptotics.warm_sample") == 10
