@@ -14,9 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapacityError
-from .partitions import Partition, dimension_sn, enumerate_partitions
+from .partitions import SIZE_CACHE_SIZE, Partition, dimension_sn, enumerate_partitions
 
 DEFAULT_TABLE_LIMIT = 12
+# Murnaghan-Nakayama values kept: the tables for n <= DEFAULT_TABLE_LIMIT
+# use 12648 of them, all told
+MN_CACHE_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ def class_size_of(lam: Partition) -> int:
     return math.factorial(lam.size) // den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SIZE_CACHE_SIZE)
 def enumerate_classes(n: int) -> tuple[CycleType, ...]:
     """One class per partition of n, in enumerate_partitions order."""
     if n < 1:
@@ -87,7 +90,7 @@ def fixed_point_profile(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MN_CACHE_SIZE)
 def _mn(shape: tuple, cycles: tuple) -> int:
     # Murnaghan-Nakayama on the beta-set shape[i] + (len-1-i); removing a
     # border strip of length k moves one beta value down by k, with sign

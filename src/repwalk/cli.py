@@ -44,9 +44,10 @@ from .glirreps import (
 from .hsp import hsp_bounds, subgroup_closure, weak_sampling_distribution
 from .partitions import Partition, dimension_sn, enumerate_partitions
 from .rng import derive_seed
-from .series import euler_lhs_rhs
+from .series import _check_order, euler_lhs_rhs
 from .snwalk import (
     EXACT_KERNEL_LIMIT,
+    _check_sampler_size,
     _check_steps,
     _float_error_bound,
     moment_fc_reduced,
@@ -212,6 +213,7 @@ def _cmd_sn_cutoff(args):
 
 
 def _cmd_sn_sample(args):
+    _check_sampler_size(args.n)  # before _split, so --count 0 is refused too
     samples = _chunked(
         lambda count, seed: walk_samples(args.n, args.r, count, seed),
         args.count, args.seed, args.threads,
@@ -222,6 +224,7 @@ def _cmd_sn_sample(args):
 
 
 def _cmd_sn_rsk(args):
+    _check_sampler_size(args.n)
     samples = _chunked(
         lambda count, seed: rsk_samples(args.n, args.r, count, seed),
         args.count, args.seed, args.threads,
@@ -320,6 +323,7 @@ def _cmd_gl_sample(args):
 
 
 def _cmd_gl_cycle_index(args):
+    _check_order(args.order)  # before the --check work at a smaller depth
     failures = 0
     lines = []
     if args.check:
@@ -413,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sn-walk", _cmd_sn_walk, help="r-step walk distribution on Irr(S_n)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=_step_count, required=True)
+    p.add_argument("--r", type=_non_negative, required=True)
     p.add_argument("--start", default=None, help="start partition, e.g. 5+3")
     _mode_flags(p)
 
     p = add("sn-tv-curve", _cmd_sn_tv_curve, help="TV distance and L2 bound per step")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmax", type=_step_count, required=True)
+    p.add_argument("--rmax", type=_non_negative, required=True)
     _mode_flags(p)
 
     p = add("sn-cutoff", _cmd_sn_cutoff, help="cutoff check at r = n log(n)/2 + c n")
@@ -428,17 +432,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sn-sample", _cmd_sn_sample, help="simulate the walk")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=_step_count, required=True)
+    p.add_argument("--r", type=_non_negative, required=True)
     _sampling_flags(p)
 
     p = add("sn-rsk", _cmd_sn_rsk, help="RSK shapes after top-to-random shuffles")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=_step_count, required=True)
+    p.add_argument("--r", type=_non_negative, required=True)
     _sampling_flags(p)
 
     p = add("sn-moments", _cmd_sn_moments, help="transposition eigenfunction moments")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=_step_count, required=True)
+    p.add_argument("--r", type=_non_negative, required=True)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_thread_count, default=1)
@@ -469,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gl-cycle-index", _cmd_gl_cycle_index, help="cycle index and Euler identity")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_non_negative, default=6)
     p.add_argument("--check", action="store_true")
 
     p = add("hsp", _cmd_hsp, help="hidden-subgroup distinguishability bounds")
@@ -497,9 +501,9 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _step_count(text: str) -> int:
-    """--r and --rmax value: a non-negative integer, checked while parsing,
-    so a run that draws nothing still rejects it."""
+def _non_negative(text: str) -> int:
+    """--r, --rmax and --order value: a non-negative integer, checked while
+    parsing, so a run that draws nothing still rejects it."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")

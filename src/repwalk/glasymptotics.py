@@ -14,13 +14,18 @@ extended uniforms against certified rational interval thresholds; no
 floating point is involved.  A representation-valued cycle index ties the
 enumerated Plancherel data to the infinite product, coefficientwise.
 
+The weight and the size tail of S come from glirreps (suq_weight,
+suq_size_tail_bound), where the unipotent-part bounds are the same two
+functions at u = 1.  Z(u,q) and the mixing weight prod_m (1 - u/q^m) are
+enclosed here, both truncated by one depth rule (_normalizer_terms), and
+every product prod_d Z(u^d, q^d)^(N_d) goes through _z_power_product.
+
 Certified enclosures are memoized in bounded lru caches, each with
 cache_info(): suq_normalizer on (u, q, prec) (512 entries), so one
 sampler's count, component and high-degree thresholds share one
 Z(u^d, q^d) per degree and precision, and later samplers with the same
-(n, q, u) reuse it; and intervals.euler_product_enclosure on
-(u, q, terms, prec) (64), shared by acceptance_probability and the
-high-degree threshold.  The sampler's threshold tables are cached too:
+(n, q, u) reuse it; and euler_product_enclosure on (u, q, prec) (64),
+shared by acceptance_probability and the high-degree threshold.  The sampler's threshold tables are cached too:
 _count_thresholds on (u^d, q^d, N_d, max_count) and _component_thresholds
 on (u^d, q^d, n // d) (TABLE_CACHE_SIZE = 512 each), and the high-degree
 entries on (n, q, u, prec) (HIGH_DEGREE_CACHE_SIZE = 64).  Tables are read
@@ -44,18 +49,19 @@ from .glirreps import (
     GLIrrep,
     cuspidal_count,
     plancherel_gl,
+    suq_size_tail_bound,
+    suq_weight,
 )
 from .intervals import (
     Interval,
     ceil_scaled,
     enclosure_from_scaled,
-    euler_product_enclosure,
     floor_scaled,
     guard_bits,
 )
 from .partitions import Partition, enumerate_partitions
 from .rng import LazyUniform, SplitMix64
-from .series import TruncSeries, q_pochhammer
+from .series import TruncSeries, _check_order, q_pochhammer
 
 SAMPLE_N_LIMIT = 20
 SAMPLE_Q_LIMIT = 3
@@ -73,34 +79,21 @@ HIGH_DEGREE_CACHE_SIZE = 64  # high-degree thresholds, one per (n, q, u, prec)
 # the measure S_{u,q}
 
 
-def suq_weight(u, q, lam: Partition) -> Fraction:
-    """Unnormalized weight u^|lam| / (q^(sum lam_i^2) prod (1 - q^-h)^2).
-
-    With u = a/b, q = c/e and 1 - q^-h = (c^h - e^h)/c^h this is one integer
-    quotient a^|lam| e^(sum lam_i^2) c^(2 sum h - sum lam_i^2) over
-    b^|lam| prod (c^h - e^h)^2; the exponent of c is sum lam'_j^2 >= 0.
-    """
-    u, q = Fraction(u), Fraction(q)
-    lam = Partition(lam)
-    hooks = lam.hooks()
-    squares = sum(p * p for p in lam)
-    c, e = q.numerator, q.denominator
-    den = u.denominator**lam.size
-    for h in hooks:
-        den *= (c**h - e**h) ** 2
-    num = u.numerator**lam.size * e**squares * c ** (2 * sum(hooks) - squares)
-    return Fraction(num, den)
+def _weierstrass_tail(u: Fraction, q: Fraction, t: int) -> Fraction:
+    """sum_{s>t} s u/q^s = u z^(t+1) ((t+1) - t z) / (1 - z)^2 with z = 1/q:
+    by the Weierstrass product inequality, prod_{s>t} (1 - u/q^s)^s is at
+    least 1 minus this."""
+    z = 1 / q
+    return u * z ** (t + 1) * ((t + 1) - t * z) / (1 - z) ** 2
 
 
 def _normalizer_terms(u: Fraction, q: Fraction, target: Fraction) -> int:
-    """Smallest truncation depth whose Weierstrass remainder is below target."""
-    z = 1 / q
+    """The depth rule: the smallest truncation depth 8 * 2^k whose
+    Weierstrass remainder is below target."""
     t = 8
-    while True:
-        tail = u * z ** (t + 1) * ((t + 1) - t * z) / (1 - z) ** 2
-        if tail < target:
-            return t
+    while _weierstrass_tail(u, q, t) >= target:
         t *= 2
+    return t
 
 
 @lru_cache(maxsize=512)
@@ -133,37 +126,44 @@ def suq_normalizer(u, q, prec: int = DEFAULT_PREC) -> Interval:
         head_hi = -(-head_hi * s_hi >> scale)
         c_t //= q.numerator
         e_t //= q.denominator
-    z = 1 / q
-    tail_sum = u * z ** (terms + 1) * ((terms + 1) - terms * z) / (1 - z) ** 2
-    return enclosure_from_scaled(head_lo, head_hi, scale, prec, max(Fraction(0), 1 - tail_sum))
+    tail_lo = max(Fraction(0), 1 - _weierstrass_tail(u, q, terms))
+    return enclosure_from_scaled(head_lo, head_hi, scale, prec, tail_lo)
+
+
+@lru_cache(maxsize=64)
+def euler_product_enclosure(u, q, prec: int) -> Interval:
+    """Enclosure of prod_{m=0}^inf (1 - u/q^m) for 0 < u < 1 < q.
+
+    The head is the first terms factors, terms from the depth rule of
+    suq_normalizer at target 2^-prec; the omitted tail
+    prod_{m>terms-1}(1 - u q^-m) lies in [1 - u q^(1-terms)/(q-1), 1] by the
+    Weierstrass product inequality.  The head is a running product of
+    integer endpoints at a fixed dyadic scale, floored below and ceiled
+    above after every factor, then rounded outward to prec bits.  Memoized
+    on (u, q, prec) in a bounded cache (see cache_info()).
+    """
+    u, q = Fraction(u), Fraction(q)
+    if not 0 < u < 1 or q <= 1:
+        raise ValueError("need 0 < u < 1 < q")
+    terms = _normalizer_terms(u, q, Fraction(1, 1 << prec))
+    tail_lo = max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1))
+    scale = prec + guard_bits(terms)
+    lo = hi = 1 << scale
+    # 1 - u/q^m = (ud qn^m - un qd^m) / (ud qn^m)
+    qn_m, qd_m = 1, 1
+    for _ in range(terms):
+        num = u.denominator * qn_m - u.numerator * qd_m
+        den = u.denominator * qn_m
+        lo = lo * num // den
+        hi = -(-hi * num // den)
+        qn_m *= q.numerator
+        qd_m *= q.denominator
+    return enclosure_from_scaled(lo, hi, scale, prec, tail_lo)
 
 
 def suq_mass(u, q, lam: Partition) -> Interval:
     """Certified enclosure of S_{u,q}(lam)."""
     return suq_normalizer(u, q, prec=DEFAULT_PREC) * suq_weight(u, q, lam)
-
-
-def suq_size_tail_bound(u, q, size_cut: int) -> Fraction:
-    """Upper bound on the S_{u,q} mass of {|lam| > size_cut}.
-
-    The total weight in size m is at most u^m / ((q^m - 1)(1 - 1/q)^6) and
-    the normalizer is at most 1; the series closes with a geometric bound.
-    """
-    u, q = Fraction(u), Fraction(q)
-    if not 0 < u < q:
-        raise ValueError("need 0 < u < q")
-    prefactor = (1 - 1 / q) ** -6
-    total = Fraction(0)
-    m = size_cut + 1
-    while True:
-        total += u**m / (q**m - 1)
-        m += 1
-        # u^m/(q^m - 1) <= 2 (u/q)^m once q^m >= 2
-        remainder = 2 * (u / q) ** m / (1 - u / q)
-        if remainder < Fraction(1, 10**40) * max(total, Fraction(1, 10**40)):
-            total += remainder
-            break
-    return prefactor * total
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,7 @@ def cycle_index_rhs(q: int, order: int, marker: str = "none") -> list[tuple[Frac
     """
     if marker not in ("none", "unipotent"):
         raise ValueError("marker must be 'none' or 'unipotent'")
+    _check_order(order)
     rest = TruncSeries.one(order)
     marked = [Fraction(1)]  # replaced at d = 1, which order 0 never reaches
     for d in range(1, order + 1):
@@ -270,6 +271,16 @@ def default_rejection_u(n: int) -> Fraction:
     return min(max(u, Fraction(1, 2)), Fraction(63, 64))
 
 
+def _z_power_product(degrees: range, q: int, u: Fraction, prec: int) -> Interval:
+    """prod_{d in degrees} Z(u^d, q^d)^(N_d), N_d = cuspidal_count(d, q),
+    rounded outward to prec bits after every factor."""
+    out = Interval.point(1)
+    for d in degrees:
+        z_d = suq_normalizer(u**d, Fraction(q) ** d, prec=prec)
+        out = (out * z_d.pow_int(cuspidal_count(d, q), prec)).rounded(prec)
+    return out
+
+
 def high_degree_empty_direct(n: int, q: int, u) -> Interval:
     """Enclosure of prod_{d>n} Z(u^d, q^d)^(N_d) built degree by degree.
 
@@ -277,15 +288,10 @@ def high_degree_empty_direct(n: int, q: int, u) -> Interval:
     bounded below through 1 - Z_d <= sum_t t (u^d/q^(dt)) and the geometric
     envelope N_d * (that sum) <= (q/(q-1))^2 u^d.
     """
-    u, q = Fraction(u), Fraction(q)
-    prec = DEFAULT_PREC
-    explicit = Interval.point(1)
-    for d in range(n + 1, n + 1 + EXPLICIT_DEGREES):
-        n_d = cuspidal_count(d, int(q))
-        z_d = suq_normalizer(u**d, q**d, prec=prec)
-        explicit = (explicit * z_d.pow_int(n_d, prec)).rounded(prec)
+    u = Fraction(u)
     d = n + 1 + EXPLICIT_DEGREES
-    tail_deficit = (q / (q - 1)) ** 2 * u**d / (1 - u)
+    explicit = _z_power_product(range(n + 1, d), q, u, DEFAULT_PREC)
+    tail_deficit = Fraction(q, q - 1) ** 2 * u**d / (1 - u)
     lo = max(Fraction(0), explicit.lo * (1 - tail_deficit))
     return Interval(lo, explicit.hi)
 
@@ -293,9 +299,7 @@ def high_degree_empty_direct(n: int, q: int, u) -> Interval:
 def acceptance_probability(n: int, q: int, u) -> Interval:
     """P(total degree = n) = prod_{m>=0}(1 - u/q^m) u^n/(1/q)_n, enclosed."""
     u = Fraction(u)
-    terms = _normalizer_terms(u, Fraction(q), Fraction(1, 1 << DEFAULT_PREC))
-    head = euler_product_enclosure(u, Fraction(q), terms, DEFAULT_PREC)
-    return head * (u**n / q_pochhammer(q, n))
+    return euler_product_enclosure(u, q, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
 
 
 _REJECT = object()
@@ -489,14 +493,7 @@ def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
     (high_degree_empty_direct bounds the same quantity degree by degree;
     the tests check the two enclosures overlap.)
     """
-    qf = Fraction(q)
-    terms = _normalizer_terms(u, qf, Fraction(1, 1 << prec))
-    full = euler_product_enclosure(u, qf, terms, prec)
-    low = Interval.point(1)
-    for d in range(1, n + 1):
-        z_d = suq_normalizer(u**d, qf**d, prec=prec)
-        low = (low * z_d.pow_int(cuspidal_count(d, q), prec)).rounded(prec)
-    iv = full / low
+    iv = euler_product_enclosure(u, q, prec) / _z_power_product(range(1, n + 1), q, u, prec)
     iv = Interval(max(Fraction(0), iv.lo), min(Fraction(1), iv.hi))
     return ((True, iv),)
 

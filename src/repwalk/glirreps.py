@@ -6,7 +6,9 @@ index) pairs; no GL character values are ever computed.  Everything here
 is polynomial in q, so q is any integer >= 2 (only prime powers are
 group-theoretically meaningful; the brute-force test oracles require a
 prime).  Dimensions, Plancherel measure, fixed-space element counts, the
-L2 mixing bound, and the unipotent-part bounds are all exact.
+L2 mixing bound, and the unipotent-part bounds are all exact.  The
+unipotent-part bounds are the S_{u,q} weight and size tail at u = 1;
+glasymptotics builds the measure S_{u,q} on the same two functions.
 """
 
 from __future__ import annotations
@@ -264,36 +266,60 @@ def unipotent_marginal(n: int, q: int) -> dict[Partition, Fraction]:
     return out
 
 
-def unipotent_mass_bound(q: int, lam: Partition) -> Fraction:
-    """Upper bound 1 / (q^(sum lam_i^2) prod_b (1 - q^(-h(b)))^2) on the marginal."""
+def suq_weight(u, q, lam: Partition) -> Fraction:
+    """Unnormalized S_{u,q} weight u^|lam| / (q^(sum lam_i^2) prod (1 - q^-h)^2).
+
+    With u = a/b, q = c/e and 1 - q^-h = (c^h - e^h)/c^h this is one integer
+    quotient a^|lam| e^(sum lam_i^2) c^(2 sum h - sum lam_i^2) over
+    b^|lam| prod (c^h - e^h)^2; the exponent of c is sum lam'_j^2 >= 0.
+    """
+    u, q = Fraction(u), Fraction(q)
     lam = Partition(lam)
-    value = Fraction(1, q ** sum(p * p for p in lam))
-    for h in lam.hooks():
-        value /= (1 - Fraction(1, q**h)) ** 2
-    return value
+    hooks = lam.hooks()
+    squares = sum(p * p for p in lam)
+    c, e = q.numerator, q.denominator
+    den = u.denominator**lam.size
+    for h in hooks:
+        den *= (c**h - e**h) ** 2
+    num = u.numerator**lam.size * e**squares * c ** (2 * sum(hooks) - squares)
+    return Fraction(num, den)
+
+
+def suq_size_tail_bound(u, q, size_cut: int) -> Fraction:
+    """Upper bound (1-1/q)^(-6) sum_{m>size_cut} u^m/(q^m - 1) on the S_{u,q}
+    mass of {|lam| > size_cut}, for 0 < u < q.
+
+    The total weight in size m is at most u^m / ((q^m - 1)(1 - 1/q)^6) and
+    the normalizer is at most 1.  The sum is evaluated exactly until the
+    geometric remainder drops below TAIL_REL_TOL times the sum, then closed
+    with that remainder, so the result stays an upper bound.
+    """
+    u, q = Fraction(u), Fraction(q)
+    if not 0 < u < q:
+        raise ValueError("need 0 < u < q")
+    total = Fraction(0)
+    m = size_cut + 1
+    while True:
+        total += u**m / (q**m - 1)
+        m += 1
+        # u^m/(q^m - 1) <= 2 (u/q)^m once q^m >= 2
+        remainder = 2 * (u / q) ** m / (1 - u / q)
+        if remainder < TAIL_REL_TOL * total:
+            return (1 - 1 / q) ** -6 * (total + remainder)
+
+
+def unipotent_mass_bound(q: int, lam: Partition) -> Fraction:
+    """Upper bound 1 / (q^(sum lam_i^2) prod_b (1 - q^(-h(b)))^2) on the
+    marginal: the S_{1,q} weight of lam."""
+    return suq_weight(1, q, lam)
 
 
 def unipotent_tail_bound(q: int, c: int) -> Fraction:
-    """Upper bound (1-1/q)^(-6) sum_{m>=c} 1/(q^m - 1) on P(|unipotent part| >= c).
-
-    The sum is evaluated exactly until the geometric remainder drops below
-    TAIL_REL_TOL times the sum, then closed with that remainder, so the
-    result stays an upper bound.
-    """
+    """Upper bound (1-1/q)^(-6) sum_{m>=c} 1/(q^m - 1) on P(|unipotent part| >= c):
+    the S_{1,q} size tail past c - 1."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    prefactor = (1 - Fraction(1, q)) ** -6
-    total = Fraction(0)
-    m = c
-    while True:
-        total += Fraction(1, q**m - 1)
-        m += 1
-        # 1/(q^m - 1) <= 2 q^-m, so the remaining sum is <= 2 q^(1-m)/(q-1)
-        remainder = Fraction(2 * q, (q - 1) * q**m)
-        if remainder < TAIL_REL_TOL * total:
-            total += remainder
-            break
-    return prefactor * total
+    return suq_size_tail_bound(1, q, c - 1)
 
 
 def _divisor_totients(m: int) -> list[tuple[int, int]]:

@@ -1,20 +1,21 @@
 """Exact rational interval arithmetic with dyadic outward rounding.
 
-Used wherever an infinite product or a huge power must be enclosed with
-certified rational endpoints (no floating point): normalizing constants of
-partition measures, binomial tail probabilities inside the GL Plancherel
-sampler, and acceptance-rate predictions.  Rounding endpoints outward to a
-fixed number of dyadic bits keeps numerators small through repeated
-squaring while preserving soundness.  Long products run on integer
-endpoints at a fixed dyadic scale (floor below, ceiling above), with
-guard_bits(k) extra bits absorbing the rounding of k products.
+Generic interval code only, no particular product: glasymptotics encloses
+its infinite products (the normalizer Z(u,q), the Euler product of the
+mixing weight) and the binomial tail probabilities of the GL Plancherel
+sampler with it, on certified rational endpoints (no floating point).
+Rounding endpoints outward to a fixed number of dyadic bits keeps
+numerators small through repeated squaring while preserving soundness.
+Long products run on integer endpoints at a fixed dyadic scale (floor
+below, ceiling above), with guard_bits(k) extra bits absorbing the
+rounding of k products, and enclosure_from_scaled turns such endpoints
+into an Interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
 def floor_scaled(x: Fraction, scale: int) -> int:
@@ -136,31 +137,3 @@ def enclosure_from_scaled(lo: int, hi: int, scale: int, prec: int,
     hi = -(-hi >> shift)
     return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
 
-
-@lru_cache(maxsize=64)
-def euler_product_enclosure(u: Fraction, q: Fraction, terms: int, prec: int) -> Interval:
-    """Enclosure of prod_{m=0}^inf (1 - u/q^m) for 0 < u < 1 < q.
-
-    The omitted tail prod_{m>terms-1}(1 - u q^-m) lies in
-    [1 - u q^(1-terms)/(q-1), 1] by the Weierstrass product inequality.
-    The head is a running product of integer endpoints at a fixed dyadic
-    scale, floored below and ceiled above after every factor, then rounded
-    outward to prec bits.  Memoized on (u, q, terms, prec) in a bounded cache
-    (see cache_info()).
-    """
-    u, q = Fraction(u), Fraction(q)
-    if not 0 < u < 1 or q <= 1:
-        raise ValueError("need 0 < u < 1 < q")
-    tail_lo = max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1))
-    scale = prec + guard_bits(terms)
-    lo = hi = 1 << scale
-    # 1 - u/q^m = (ud qn^m - un qd^m) / (ud qn^m)
-    qn_m, qd_m = 1, 1
-    for _ in range(terms):
-        num = u.denominator * qn_m - u.numerator * qd_m
-        den = u.denominator * qn_m
-        lo = lo * num // den
-        hi = -(-hi * num // den)
-        qn_m *= q.numerator
-        qd_m *= q.denominator
-    return enclosure_from_scaled(lo, hi, scale, prec, tail_lo)

@@ -16,6 +16,14 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
+# sizes kept by the per-size caches (enumerate_partitions here,
+# characters.enumerate_classes): more than the FLOAT_LIMIT + 1 = 41 sizes a
+# float sweep up to snwalk.FLOAT_LIMIT cycles through
+SIZE_CACHE_SIZE = 64
+# dimensions kept: 2 * snwalk.STEP_TABLE_LIMIT, so the partitions the
+# samplers' row tables hold between two clears never evict each other
+DIMENSION_CACHE_SIZE = 1 << 14
+
 
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
@@ -107,7 +115,7 @@ def _gen_partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SIZE_CACHE_SIZE)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
@@ -182,7 +190,7 @@ def _hook_product(lam: tuple[int, ...]) -> int:
     return prod
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def dimension_sn(lam: Partition) -> int:
     """Hook-length formula: |lam|! / prod of hooks, always an exact integer."""
     lam = Partition(lam)

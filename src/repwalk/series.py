@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CapacityError
+
 DEFAULT_ORDER = 6
+# the highest order the Euler identity and the cycle index are expanded to:
+# the cycle index runs over every partition up to the order, about 10x the
+# time per ten orders (gl-cycle-index --check at order 30, q = 2: about 1 s)
+ORDER_LIMIT = 30
 STABILIZATION_THRESHOLD = Fraction(1, 10**30)
 STABLE_INCREMENTS = 3
 
@@ -107,6 +113,14 @@ def q_pochhammer(q, r: int) -> Fraction:
     return out
 
 
+def _check_order(order: int) -> None:
+    """Refuse a negative order, and one past ORDER_LIMIT."""
+    if order < 0:
+        raise ValueError(f"the order must be non-negative, got {order}")
+    if order > ORDER_LIMIT:
+        raise CapacityError("series order", order, ORDER_LIMIT)
+
+
 def euler_lhs(q, order: int) -> TruncSeries:
     """sum_{n>=0} u^n / (1/q)_n, truncated at the given order."""
     return TruncSeries(order, tuple(1 / q_pochhammer(q, n) for n in range(order + 1)))
@@ -141,6 +155,7 @@ def euler_lhs_rhs(q, order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeri
     exactly (1 - prod_{j=0}^{n-1} (1 - q^(-(N+j)))) / (1/q)_n, which shrinks
     to 0.
     """
+    _check_order(order)
     q = Fraction(q)
     lhs = euler_lhs(q, order)
     n_factors = order + 1

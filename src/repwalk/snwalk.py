@@ -41,9 +41,13 @@ EXACT_KERNEL_LIMIT = 18
 FLOAT_LIMIT = 40
 # the most steps one walk may take.  Every walk the engines accept is mixed
 # to below double precision long before it (the cutoff at n = FLOAT_LIMIT
-# is 74 steps), and the samplers can still run twice past the cutoff at
-# n = 10**4 (92104 steps)
+# is 74 steps), and it is about twice the cutoff at n = 10**4 (92104 steps)
 MAX_WALK_STEPS = 10**5
+# the largest n the samplers take.  A step's cost grows with n, through
+# big-integer dimensions and randrange(d_lam): from the one-row partition,
+# about 1 ms at n = 300, 17 ms at n = 3000, and 0.33 s over the first 200
+# steps at this limit
+SAMPLER_N_LIMIT = 10**4
 
 # per-entry relative accuracy budget; float distributions report the
 # accumulated bound r * p(n) * this
@@ -137,6 +141,11 @@ def _check_steps(r: int) -> None:
         raise ValueError("r must be non-negative")
     if r > MAX_WALK_STEPS:
         raise CapacityError("walk steps", r, MAX_WALK_STEPS)
+
+
+def _check_sampler_size(n: int) -> None:
+    if n > SAMPLER_N_LIMIT:
+        raise CapacityError("sampler size", n, SAMPLER_N_LIMIT)
 
 
 def _check_size(n: int) -> None:
@@ -547,6 +556,7 @@ def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
 
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """count independent r-step walks from one seeded stream."""
+    _check_sampler_size(n)
     _check_steps(r)
     rng = SplitMix64(seed)
     out = []
@@ -561,6 +571,7 @@ def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
 def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
     """count Plancherel-distributed partitions of n, each grown from the empty
     partition by plancherel_growth_step, from one seeded stream."""
+    _check_sampler_size(n)
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
@@ -602,6 +613,7 @@ def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _check_sampler_size(n)
     _check_steps(r)
     rng = SplitMix64(seed)
     out = []

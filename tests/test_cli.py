@@ -15,6 +15,7 @@ from repwalk.partitions import Partition
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
     MAX_WALK_STEPS,
+    SAMPLER_N_LIMIT,
     rsk_samples,
     tv_to_plancherel,
     walk_distribution,
@@ -593,6 +594,32 @@ def test_step_cap_boundary():
     for mode in ("exact", "float"):
         with pytest.raises(CapacityError):
             walk_distribution(6, MAX_WALK_STEPS + 1, mode=mode)
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["sn-sample", "--n", "320000", "--r", "1", "--count", "1"], "sampler size: requested 320000"),
+    (["sn-sample", "--n", "320000", "--r", "1", "--count", "0"], "sampler size: requested 320000"),
+    (["sn-rsk", "--n", "320000", "--r", "1", "--count", "1"], "sampler size: requested 320000"),
+    (["sn-rsk", "--n", str(SAMPLER_N_LIMIT + 1), "--r", "1", "--count", "0"],
+     f"sampler size: requested {SAMPLER_N_LIMIT + 1}"),
+    (["gl-cycle-index", "--q", "2", "--order", "1000"], "series order: requested 1000"),
+    (["gl-cycle-index", "--q", "2", "--order", "31", "--check"], "series order: requested 31"),
+])
+def test_size_caps_capacity_error(capsys, argv, refusal):
+    # refused before any work, even when nothing would be drawn
+    started = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - started < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capacity error: {refusal}" in captured.err
+
+
+def test_negative_order_rejected_while_parsing(capsys):
+    assert main(["gl-cycle-index", "--q", "2", "--order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: argument --order: must be non-negative, got -1" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

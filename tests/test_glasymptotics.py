@@ -15,6 +15,7 @@ from repwalk.glasymptotics import (
     cycle_index_lhs,
     cycle_index_rhs,
     default_rejection_u,
+    euler_product_enclosure,
     gl_plancherel_samples,
     high_degree_empty_direct,
     limit_marginal,
@@ -25,7 +26,6 @@ from repwalk.glasymptotics import (
     suq_weight,
 )
 from repwalk.glirreps import plancherel_gl, unipotent_marginal
-from repwalk.intervals import euler_product_enclosure
 from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.series import euler_lhs, q_pochhammer
 

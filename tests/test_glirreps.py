@@ -23,7 +23,8 @@ from repwalk.glirreps import (
     unipotent_mass_bound,
     unipotent_tail_bound,
 )
-from repwalk.partitions import EMPTY, Partition
+from repwalk.glasymptotics import suq_size_tail_bound, suq_weight
+from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 
 from oracles import fixed_space_counts_brute, irreducible_monic_count_brute
 
@@ -234,3 +235,12 @@ def test_divisor_totients():
         assert sorted(d for d, _ in pairs) == [d for d in range(1, m + 1) if m % d == 0]
         assert sum(phi for _, phi in pairs) == m  # sum over d | m of phi(d) = m
         assert all(phi == sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1) for d, phi in pairs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_unipotent_bounds_are_the_suq_weight_and_tail_at_u_one(q):
+    for c in range(1, 13):
+        assert unipotent_tail_bound(q, c) == suq_size_tail_bound(1, q, c - 1)
+    for m in range(9):
+        for lam in enumerate_partitions(m):
+            assert unipotent_mass_bound(q, lam) == suq_weight(1, q, lam)

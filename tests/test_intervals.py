@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import euler_product_exact
-from repwalk.glasymptotics import _normalizer_terms
-from repwalk.intervals import Interval, euler_product_enclosure
+from repwalk.glasymptotics import _normalizer_terms, euler_product_enclosure
+from repwalk.intervals import Interval
 
 
 def test_interval_basics():
@@ -58,7 +58,7 @@ def test_pow_int_rejects_negative_base():
 def test_euler_product_enclosure():
     # prod_{m>=0} (1 - u/2^m) at u = 1/2, converging from both sides
     wide_lo, wide_hi = euler_product_exact(Fraction(1, 2), Fraction(2), 10)
-    tight = euler_product_enclosure(Fraction(1, 2), Fraction(2), 120, prec=256)
+    tight = euler_product_enclosure(Fraction(1, 2), Fraction(2), prec=256)
     assert tight.lo >= wide_lo and tight.hi <= wide_hi
     assert tight.width < Fraction(1, 2**100)
     assert wide_lo > Fraction(1, 4) and wide_hi < Fraction(1, 3)
@@ -71,6 +71,6 @@ def test_euler_product_enclosure():
 def test_euler_product_rounded_contains_exact(u, q):
     terms = _normalizer_terms(u, Fraction(q), Fraction(1, 2**320))
     exact_lo, exact_hi = euler_product_exact(u, q, terms)
-    rounded = euler_product_enclosure(u, q, terms, 320)
+    rounded = euler_product_enclosure(u, q, 320)
     assert rounded.lo <= exact_lo and exact_hi <= rounded.hi
     assert rounded.width < Fraction(1, 2**300)

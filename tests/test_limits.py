@@ -6,7 +6,9 @@ that a constant patched at run time takes effect, and keep the removed
 arguments from coming back.
 """
 
+import importlib
 import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -44,6 +46,7 @@ REMOVED = [
     (glasymptotics.limit_marginal, "prec"),
     (glasymptotics.acceptance_probability, "prec"),
     (glasymptotics._DegreePlan, "prec"),
+    (glasymptotics.euler_product_enclosure, "terms"),
     (glasymptotics.high_degree_empty_direct, "explicit_degrees"),
     (glasymptotics.high_degree_empty_direct, "prec"),
     (glasymptotics._ThresholdSet, "terminal"),
@@ -123,3 +126,58 @@ def test_pass_through_accessors_are_gone():
     assert not hasattr(snwalk.SparseKernel, "entries")
     for name in ("partition_stats", "PartitionStats", "corner_moves", "CornerMoves"):
         assert not hasattr(partitions, name) and not hasattr(repwalk, name)
+
+
+def test_sampler_size_cap(monkeypatch):
+    # the limit itself is taken; one past it is refused before any draw,
+    # even when nothing would be drawn
+    limit = snwalk.SAMPLER_N_LIMIT
+    assert limit == 10**4
+    assert snwalk.walk_samples(limit, 0, 1, 1) == [Partition((limit,))]
+    assert snwalk.rsk_samples(limit, 0, 1, 1) == [Partition((limit,))]
+    assert snwalk.plancherel_samples(limit, 0, 1) == []
+    for draw in (lambda n: snwalk.walk_samples(n, 1, 0, 1),
+                 lambda n: snwalk.rsk_samples(n, 1, 0, 1),
+                 lambda n: snwalk.plancherel_samples(n, 0, 1)):
+        with pytest.raises(CapacityError):
+            draw(limit + 1)
+    monkeypatch.setattr(snwalk, "SAMPLER_N_LIMIT", 4)
+    assert snwalk.walk_samples(4, 2, 1, 1) and snwalk.plancherel_samples(4, 1, 1)
+    with pytest.raises(CapacityError):
+        snwalk.walk_samples(5, 2, 1, 1)
+
+
+def test_series_order_cap(monkeypatch):
+    assert series.ORDER_LIMIT == 30
+    monkeypatch.setattr(series, "ORDER_LIMIT", 3)
+    assert len(glasymptotics.cycle_index_rhs(2, 3)) == 4
+    assert len(series.euler_lhs_rhs(2, 3)[0].coeffs) == 4
+    for fn in (glasymptotics.cycle_index_rhs, series.euler_lhs_rhs):
+        with pytest.raises(CapacityError):
+            fn(2, 4)
+        with pytest.raises(ValueError):
+            fn(2, -1)
+
+
+def test_caches_hold_their_working_sets():
+    # a float sweep cycles through every size up to FLOAT_LIMIT; the row
+    # tables hold at most STEP_TABLE_LIMIT partitions between two clears;
+    # the character tables up to DEFAULT_TABLE_LIMIT use 12648 MN values
+    for fn in (partitions.enumerate_partitions, characters.enumerate_classes):
+        assert fn.cache_info().maxsize >= snwalk.FLOAT_LIMIT + 1
+    assert partitions.dimension_sn.cache_info().maxsize == 2 * snwalk.STEP_TABLE_LIMIT
+    assert characters._mn.cache_info().maxsize >= 12648
+
+
+def test_every_cache_is_bounded():
+    # a new unbounded lru_cache anywhere in the package fails here
+    seen = set()
+    for info in pkgutil.iter_modules(repwalk.__path__):
+        module = importlib.import_module(f"repwalk.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                maxsize = value.cache_info().maxsize
+                assert isinstance(maxsize, int) and maxsize > 0, f"{info.name}.{name}"
+                seen.add(value)
+    assert {partitions.enumerate_partitions, partitions.dimension_sn,
+            characters.enumerate_classes, characters._mn} <= seen
