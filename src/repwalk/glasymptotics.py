@@ -238,7 +238,7 @@ def cycle_index_rhs(q: int, order: int, marker: str = "none") -> list[tuple[Frac
     """
     if marker not in ("none", "unipotent"):
         raise ValueError("marker must be 'none' or 'unipotent'")
-    _check_order(order)
+    _check_order(order, q)
     rest = TruncSeries.one(order)
     marked = [Fraction(1)]  # replaced at d = 1, which order 0 never reaches
     for d in range(1, order + 1):

@@ -11,10 +11,13 @@ of them share a partition of n-1 below, as flat integer arrays.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
+
+import numpy as np
+
+from .errors import CapacityError
 
 # sizes kept by the per-size caches (enumerate_partitions here,
 # characters.enumerate_classes): more than the FLOAT_LIMIT + 1 = 41 sizes a
@@ -106,13 +109,36 @@ class Partition(tuple):
 EMPTY = Partition(())
 
 
-def _gen_partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
+def _reverse_lex(n: int) -> Iterator[Partition]:
+    """The partitions of n >= 1 in reverse-lexicographic order, built without
+    Partition's checks (each is valid by construction): ZS1 of Zoghbi and
+    Stojmenovic (1998).  x[:m] is the current partition, x[h] its last part
+    above 1, and every entry of x after h is 1."""
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    new = tuple.__new__
+    yield new(Partition, x[:1])
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            # lower x[h] to r and spread the freed box and the trailing ones
+            # over parts of size r, then one smaller remainder
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield new(Partition, x[:m])
 
 
 @lru_cache(maxsize=SIZE_CACHE_SIZE)
@@ -120,7 +146,7 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(Partition(p) for p in _gen_partitions(n, n))
+    return tuple(_reverse_lex(n)) if n else (EMPTY,)
 
 
 class YoungLattice(NamedTuple):
@@ -134,6 +160,18 @@ class YoungLattice(NamedTuple):
     corner of lam, bottom row first, then add a box, top row first; the
     first path to reach rho fixes its place.  Every field is read-only, as
     the cache hands the same lattice to every caller.
+
+    young_lattice builds it with numpy from the partitions as a zero-padded
+    int8 matrix.  Each edge lam -> mu = lam - e_a, for a removable row a,
+    gets the linear key of mu, sum_i mu_i KEY_BASE^(i+1) mod 2^64: the key
+    of lam less one weight.  Sorting the edges by key lists the lam above
+    each mu, and a build that finds fewer distinct keys than partitions of
+    n-1 raises ArithmeticError.  The rows are filled from those lists,
+    LATTICE_BLOCK rows at a time, with no search.  Dimensions are n! // the
+    product of the hook lengths, which come from the conjugate counts of
+    the cells, multiplied in int64 runs short enough not to overflow.  off
+    and dst are int64, the index type numpy gathers with, so a float step
+    casts nothing.
     """
 
     n: int
@@ -145,36 +183,126 @@ class YoungLattice(NamedTuple):
     cnt: memoryview
 
 
+# rows of the lattice built per numpy pass: a pass's temporaries hold a few
+# entries per row entry of LATTICE_BLOCK rows, whatever p(n)
+LATTICE_BLOCK = 1024
+# odd multiplier of the linear partition keys
+KEY_BASE = 0x9E3779B97F4A7C15
+# parts are stored as int8
+_MAX_PART = 127
+
+
 # four entries, as _float_engine keeps: a cached engine steps its lattice in place
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
-    """The cached Young lattice of size n, built on plain tuples."""
+    """The cached Young lattice of size n, built in numpy row blocks."""
+    if n > _MAX_PART:
+        raise CapacityError("Young lattice size", n, _MAX_PART)
     parts = enumerate_partitions(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    # up[m]: ids of mu + one box, top row first, for the m-th partition mu
-    # of n-1; below[i]: the m under parts[i], bottom corner first
-    up: list[list[int]] = []
-    below: list[list[int]] = [[] for _ in parts]
-    for m, mu in enumerate(_gen_partitions(n - 1, n - 1)):
-        ids = [index[mu[:j] + (mu[j] + 1,) + mu[j + 1:]]
-               for j in range(len(mu)) if j == 0 or mu[j - 1] > mu[j]]
-        ids.append(index[mu + (1,)])
-        for i in ids:
-            below[i].append(m)
-        up.append(ids)
-    off, dst, cnt = array("q", [0]), array("q"), array("B")
-    for ms in below:
-        counts: dict[int, int] = {}
-        for m in ms:
-            for j in up[m]:
-                counts[j] = counts.get(j, 0) + 1
-        dst.extend(counts)
-        cnt.extend(counts.values())
-        off.append(len(dst))
-    n_fact = math.factorial(n)
-    dims = tuple(n_fact // _hook_product(lam) for lam in parts)
-    return YoungLattice(n, parts, MappingProxyType(index), dims,
+    width = n + 1  # a zero column past the longest partition, (1^n)
+    mat = np.frombuffer(b"".join([bytes(lam).ljust(width, b"\0") for lam in parts]),
+                        np.int8).reshape(len(parts), width)
+    off, dst, cnt = _common_corners(mat)
+    index = dict(zip(parts, range(len(parts))))
+    return YoungLattice(n, parts, MappingProxyType(index), _dimensions(mat),
                         *(memoryview(a).toreadonly() for a in (off, dst, cnt)))
+
+
+def _common_corners(mat: np.ndarray):
+    """The CSR arrays off, dst, cnt of the lattice whose partitions are the
+    rows of mat, zero-padded past the longest.
+
+    Each edge lam -> mu = lam - e_a, a a removable row, gets the key of mu;
+    grouping the edges by key lists the lam above each mu in id order, which
+    is top row first.  Row lam is those lists for its mu in turn, bottom
+    corner first, with lam itself kept once, where the bottom corner's mu
+    reaches it, and counted once per corner.
+    """
+    n = mat.shape[1] - 1
+    # each temporary is deleted once used: the peak stays near the output's size
+    removable = mat[:, :-1] > mat[:, 1:]
+    corners = removable.sum(axis=1)
+    lam, col = np.nonzero(removable[:, ::-1])  # id order, bottom corner first
+    del removable
+    weights = np.array([pow(KEY_BASE, i + 1, 1 << 64) for i in range(n + 1)], np.uint64)
+    keys = np.concatenate([mat[i:i + LATTICE_BLOCK].astype(np.uint64) @ weights
+                           for i in range(0, len(mat), LATTICE_BLOCK)])
+    below = keys[lam] - weights[n - 1 - col]
+    del keys, col
+    # int32 edge ids and entry counts: rows hold under 256 entries, so 2^31
+    # of them take p(n) > 8 * 10^6
+    lam = lam.astype(np.int32)
+    # stable, so the lam above one mu stay in id order
+    by_mu = np.argsort(below, kind="stable")
+    below = below[by_mu]
+    new_mu = np.ones(len(below), bool)
+    new_mu[1:] = below[1:] != below[:-1]
+    del below
+    # every partition of n-1 lies below some lam, so fewer keys than
+    # partitions of n-1 means two of them share a key
+    if n and np.count_nonzero(new_mu) != partition_count(n - 1):
+        raise ArithmeticError(f"two partitions of {n - 1} share a lattice key")
+    starts = np.flatnonzero(new_mu).astype(np.int32)
+    group = np.empty(len(new_mu), np.int32)
+    group[by_mu] = np.cumsum(new_mu, dtype=np.int32) - 1
+    above = lam[by_mu]
+    edge_start, edge_size = starts[group], np.diff(starts, append=len(new_mu))[group]
+    del by_mu, new_mu, group
+    first = np.ones(len(lam), bool)
+    first[1:] = lam[1:] != lam[:-1]
+    edges = np.concatenate([[0], np.cumsum(corners)])
+    through = np.concatenate([[0], np.cumsum(edge_size, dtype=np.int32)])
+    sizes = through[edges[1:]] - through[edges[:-1]] - corners + (corners > 0)
+    off = np.concatenate([[0], np.cumsum(sizes)])
+    dst = np.empty(off[-1], np.int64)
+    cnt = np.empty(off[-1], np.uint8)
+    for r0 in range(0, len(mat), LATTICE_BLOCK):
+        r1 = min(r0 + LATTICE_BLOCK, len(mat))
+        e = slice(edges[r0], edges[r1])
+        size = edge_size[e]
+        rho = above[np.repeat(edge_start[e] - through[e], size)
+                    + np.arange(through[edges[r0]], through[edges[r1]])]
+        owner = np.repeat(lam[e], size)
+        diag = rho == owner
+        keep = ~diag | np.repeat(first[e], size)
+        dst[off[r0]:off[r1]] = rho[keep]
+        cnt[off[r0]:off[r1]] = np.where(diag, corners[owner], 1)[keep]
+    return off, dst, cnt
+
+
+def _dimensions(mat: np.ndarray) -> tuple[int, ...]:
+    """n! // the hook product of each row of mat, the hooks multiplied in
+    int64 runs short enough not to overflow, the runs in Python ints."""
+    n = mat.shape[1] - 1
+    per = 1  # each hook is at most n
+    while per < n and n ** (per + 1) < 1 << 63:
+        per += 1
+    n_fact = math.factorial(n)
+    dims: list[int] = []
+    for r0 in range(0, len(mat), LATTICE_BLOCK):
+        runs = _hook_runs(mat[r0:r0 + LATTICE_BLOCK], per).astype(object)
+        dims.extend((n_fact // runs.prod(axis=1)).tolist())
+    return tuple(dims)
+
+
+def _hook_runs(blk: np.ndarray, per: int) -> np.ndarray:
+    """Products of the hook lengths of each row of blk, per at a time.
+
+    The cells of a partition are listed row by row; the cell (i, j) has
+    hook lam_i - j + lam'_j - i - 1, with the conjugate lam'_j counted over
+    the cells of column j.
+    """
+    rows, width = blk.shape
+    n = width - 1
+    flat = blk.ravel().astype(np.int64)
+    i = np.repeat(np.tile(np.arange(width), rows), flat)
+    j = np.arange(rows * n) - np.repeat(np.cumsum(flat) - flat, flat)
+    cell = np.repeat(np.arange(rows), n) * width + j
+    conj = np.bincount(cell, minlength=rows * width)
+    runs = -(-n // per)
+    padded = np.ones((rows, runs * per), np.int64)
+    padded[:, :n] = (np.repeat(flat, flat) - j + conj[cell] - i - 1).reshape(rows, n)
+    return padded.reshape(rows, runs, per).prod(axis=2)
 
 
 def _hook_product(lam: tuple[int, ...]) -> int:

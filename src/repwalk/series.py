@@ -10,6 +10,7 @@ monotonically to 1/(1/q)_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,11 @@ DEFAULT_ORDER = 6
 # the cycle index runs over every partition up to the order, about 10x the
 # time per ten orders (gl-cycle-index --check at order 30, q = 2: about 1 s)
 ORDER_LIMIT = 30
+# the largest order * log2(q) they take, that is q^order <= 2^ORDER_BITS_LIMIT.
+# The rationals grow with q as well: gl-cycle-index --order 30 took 1.6 s at
+# q = 2, 3.2 s at q = 16 (the largest q this lets through at order 30), 3.9 s
+# at q = 32 and 9.3 s at q = 1000, on a 2-core Xeon with Python 3.11
+ORDER_BITS_LIMIT = 120
 STABILIZATION_THRESHOLD = Fraction(1, 10**30)
 STABLE_INCREMENTS = 3
 
@@ -113,12 +119,16 @@ def q_pochhammer(q, r: int) -> Fraction:
     return out
 
 
-def _check_order(order: int) -> None:
-    """Refuse a negative order, and one past ORDER_LIMIT."""
+def _check_order(order: int, q) -> None:
+    """Refuse a negative order, one past ORDER_LIMIT, and q^order past
+    2^ORDER_BITS_LIMIT."""
     if order < 0:
         raise ValueError(f"the order must be non-negative, got {order}")
     if order > ORDER_LIMIT:
         raise CapacityError("series order", order, ORDER_LIMIT)
+    bits = order * math.log2(q) if q > 1 else 0
+    if bits > ORDER_BITS_LIMIT:
+        raise CapacityError("series order * log2(q)", round(bits, 2), ORDER_BITS_LIMIT)
 
 
 def euler_lhs(q, order: int) -> TruncSeries:
@@ -155,7 +165,7 @@ def euler_lhs_rhs(q, order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeri
     exactly (1 - prod_{j=0}^{n-1} (1 - q^(-(N+j)))) / (1/q)_n, which shrinks
     to 0.
     """
-    _check_order(order)
+    _check_order(order, q)
     q = Fraction(q)
     lhs = euler_lhs(q, order)
     n_factors = order + 1

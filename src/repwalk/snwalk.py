@@ -304,15 +304,12 @@ def tv_witness(dist: WalkDistribution):
 
 
 def sn_upper_bound_squared(n: int, r: int) -> Fraction:
-    """Exact square of the L2 bound: (1/4) sum_i count(i) (i/n)^(2r)."""
+    """Exact square of the L2 bound: (1/4) sum_i count(i) (i/n)^(2r), as one
+    integer sum over 4 n^(2r)."""
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    profile = fixed_point_profile(n)
-    total = Fraction(0)
-    for i, count in profile.items():
-        if i <= n - 2:
-            total += count * Fraction(i, n) ** (2 * r)
-    return total / 4
+    num = sum(count * i ** (2 * r) for i, count in fixed_point_profile(n).items() if i <= n - 2)
+    return Fraction(num, 4 * n ** (2 * r))
 
 
 def sn_upper_bound(n: int, r: int) -> float:

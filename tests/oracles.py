@@ -315,6 +315,54 @@ def walk_step_reference(rng, lam: Partition) -> Partition:
 
 
 # ---------------------------------------------------------------------------
+# the Young lattice as it was built on plain tuples: a recursive enumeration,
+# a tuple dict for ids, per-row count dicts and the hook product per partition
+
+
+def _gen_partitions(n: int, max_part: int):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _gen_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def young_lattice_reference(n: int):
+    """The fields of partitions.YoungLattice for n, each as the tuple-dict
+    build produced it: (n, parts, index, dims, off, dst, cnt)."""
+    from array import array
+
+    from repwalk.partitions import _hook_product
+
+    parts = tuple(Partition(p) for p in _gen_partitions(n, n))
+    index = {lam: i for i, lam in enumerate(parts)}
+    # up[m]: ids of mu + one box, top row first, for the m-th partition mu
+    # of n-1; below[i]: the m under parts[i], bottom corner first
+    up: list[list[int]] = []
+    below: list[list[int]] = [[] for _ in parts]
+    for m, mu in enumerate(_gen_partitions(n - 1, n - 1)):
+        ids = [index[mu[:j] + (mu[j] + 1,) + mu[j + 1:]]
+               for j in range(len(mu)) if j == 0 or mu[j - 1] > mu[j]]
+        ids.append(index[mu + (1,)])
+        for i in ids:
+            below[i].append(m)
+        up.append(ids)
+    off, dst, cnt = array("q", [0]), array("q"), array("B")
+    for ms in below:
+        counts: dict[int, int] = {}
+        for m in ms:
+            for j in up[m]:
+                counts[j] = counts.get(j, 0) + 1
+        dst.extend(counts)
+        cnt.extend(counts.values())
+        off.append(len(dst))
+    n_fact = math.factorial(n)
+    dims = tuple(n_fact // _hook_product(lam) for lam in parts)
+    return n, parts, index, dims, off, dst, cnt
+
+
+# ---------------------------------------------------------------------------
 # GL threshold lookup as it was before the 64-bit first-word decision: a scan
 # comparing a lazily revealed uniform with each threshold in turn
 

@@ -604,6 +604,12 @@ def test_step_cap_boundary():
      f"sampler size: requested {SAMPLER_N_LIMIT + 1}"),
     (["gl-cycle-index", "--q", "2", "--order", "1000"], "series order: requested 1000"),
     (["gl-cycle-index", "--q", "2", "--order", "31", "--check"], "series order: requested 31"),
+    (["gl-cycle-index", "--q", "17", "--order", "30"],
+     "series order * log2(q): requested 122.62 exceeds limit 120"),
+    (["gl-cycle-index", "--q", "1000000", "--order", "30", "--check"],
+     "series order * log2(q): requested 597.95 exceeds limit 120"),
+    (["gl-cycle-index", "--q", "1000", "--order", "13"],
+     "series order * log2(q): requested 129.56 exceeds limit 120"),
 ])
 def test_size_caps_capacity_error(capsys, argv, refusal):
     # refused before any work, even when nothing would be drawn
@@ -767,3 +773,82 @@ def test_lookup_golden(capsys, argv):
         # enumerable at (5,4) only: (6,2) is past DEFAULT_ENUM_N, (5,5) past DEFAULT_ENUM_Q
         method = "exact-marginal" if argv[1:5] == ("--n", "5", "--q", "4") else "tail-bound"
         assert out.splitlines()[-1].split(",")[2] == method
+
+
+# stdout recorded while young_lattice was a tuple-dict build and the L2
+# bound a sum of Fraction powers: the row order of the lattice fixes the
+# float sums, so every digit must stay; the two TV curves are kept as the
+# sha256 of their bytes
+LATTICE_GOLDEN = {
+    ("sn-cutoff", "--n", "19", "--c", "-0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=-0.5 n=19
+# accumulated float error bound: 9.31e-11
+r,cutoff_bound,tv,l2_bound
+19,1.3591409142295225,0.6011551463654223,2.355002656148524
+""",
+    ("sn-cutoff", "--n", "19", "--c", "0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=0.5 n=19
+# accumulated float error bound: 1.862e-10
+r,cutoff_bound,tv,l2_bound
+38,0.18393972058572117,0.07713440462203093,0.10146375499028688
+""",
+    ("sn-cutoff", "--n", "27", "--c", "-0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=-0.5 n=27
+# accumulated float error bound: 9.331e-10
+r,cutoff_bound,tv,l2_bound
+31,1.3591409142295225,0.6326450596638994,4.400767117230023
+""",
+    ("sn-cutoff", "--n", "27", "--c", "0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=0.5 n=27
+# accumulated float error bound: 1.7458e-09
+r,cutoff_bound,tv,l2_bound
+58,0.18393972058572117,0.08813897106471723,0.11715367277492027
+""",
+    ("sn-cutoff", "--n", "36", "--c", "-0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=-0.5 n=36
+# accumulated float error bound: 8.44919e-09
+r,cutoff_bound,tv,l2_bound
+47,1.3591409142295225,0.647573759123597,6.2543825699959115
+""",
+    ("sn-cutoff", "--n", "36", "--c", "0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=0.5 n=36
+# accumulated float error bound: 1.492091e-08
+r,cutoff_bound,tv,l2_bound
+83,0.18393972058572117,0.0899166903387158,0.11974601735080319
+""",
+    ("sn-cutoff", "--n", "40", "--c", "-0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=-0.5 n=40
+# accumulated float error bound: 2.016252e-08
+r,cutoff_bound,tv,l2_bound
+54,1.3591409142295225,0.6610916327418938,8.200251570791695
+""",
+    ("sn-cutoff", "--n", "40", "--c", "0.5"): """\
+# repwalk 0.1.0
+# command: sn-cutoff c=0.5 n=40
+# accumulated float error bound: 3.509772e-08
+r,cutoff_bound,tv,l2_bound
+94,0.18393972058572117,0.09296042570310678,0.12409376489566282
+""",
+    ("sn-tv-curve", "--n", "33", "--rmax", "160", "--float"):
+        "36ed6e3b0aa26e71176087e46170ec1738119f5f782b7b4f83a025d827e9c752",
+    ("sn-tv-curve", "--n", "14", "--rmax", "40", "--exact"):
+        "87d0366375821edb89f787cca78813a0e2ef08a60ed08e1d05f98e09ee255093",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LATTICE_GOLDEN))
+def test_lattice_golden(capsys, argv):
+    code, out = _main_stdout(capsys, list(argv))
+    assert code == 0
+    want = LATTICE_GOLDEN[argv]
+    if "\n" in want:
+        assert out == want
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == want

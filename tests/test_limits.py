@@ -159,6 +159,21 @@ def test_series_order_cap(monkeypatch):
             fn(2, -1)
 
 
+def test_series_q_order_cap(monkeypatch):
+    # q^order is capped at 2^ORDER_BITS_LIMIT: q = 16 is the largest q
+    # taken at the highest order
+    assert series.ORDER_BITS_LIMIT == 120
+    series._check_order(series.ORDER_LIMIT, 16)
+    with pytest.raises(CapacityError):
+        series._check_order(series.ORDER_LIMIT, 17)
+    monkeypatch.setattr(series, "ORDER_BITS_LIMIT", 4)
+    assert len(glasymptotics.cycle_index_rhs(2, 4)) == 5
+    assert len(series.euler_lhs_rhs(4, 2)[0].coeffs) == 3
+    for fn, q, order in ((glasymptotics.cycle_index_rhs, 2, 5), (series.euler_lhs_rhs, 4, 3)):
+        with pytest.raises(CapacityError):
+            fn(q, order)
+
+
 def test_caches_hold_their_working_sets():
     # a float sweep cycles through every size up to FLOAT_LIMIT; the row
     # tables hold at most STEP_TABLE_LIMIT partitions between two clears;

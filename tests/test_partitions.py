@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,10 @@ from repwalk.partitions import (
     young_lattice,
 )
 
-from oracles import count_standard_tableaux
+import repwalk.partitions as partitions_module
+from repwalk.snwalk import FLOAT_LIMIT
+
+from oracles import count_standard_tableaux, young_lattice_reference
 
 
 @st.composite
@@ -57,6 +62,13 @@ def test_enumeration_reverse_lex_order():
 def test_enumeration_matches_pentagonal_recurrence():
     for n in range(41):
         assert partition_count(n) == len(enumerate_partitions(n))
+
+
+def test_enumeration_builds_valid_partitions():
+    # the generator skips Partition's checks; each result passes them
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            assert type(lam) is Partition and Partition(tuple(lam)) == lam
 
 
 def test_stats_examples():
@@ -179,3 +191,51 @@ def test_corners_against_containment():
             for got, want in ((lam.removable_corners(), below), (lam.addable_corners(), above)):
                 assert got == want
                 assert all(type(p) is Partition for p in got)
+
+
+@pytest.mark.parametrize("n", [*range(31), 36, 40])
+def test_young_lattice_matches_reference_build(n):
+    # every field equal to the tuple-dict build's, rows in the same order
+    lat = young_lattice(n)
+    assert tuple(lat) == young_lattice_reference(n)
+    assert all(type(d) is int for d in lat.dims)
+
+
+def test_young_lattice_builds_every_float_size():
+    # each build checks that its keys tell the partitions of n - 1 apart;
+    # A d = n d, since the down-up kernel's rows sum to 1
+    for n in range(FLOAT_LIMIT + 1):
+        lat = young_lattice(n)
+        assert len(lat.parts) == partition_count(n)
+        assert sum(d * d for d in lat.dims) == math.factorial(n)
+        assert len(lat.off) == len(lat.parts) + 1 and lat.off[-1] == len(lat.dst) == len(lat.cnt)
+        if n:
+            dims = np.array(lat.dims, dtype=object)
+            counts = np.frombuffer(lat.cnt, dtype=np.uint8) * dims[np.frombuffer(lat.dst, dtype=np.int64)]
+            assert np.add.reduceat(counts, np.frombuffer(lat.off, dtype=np.int64)[:-1]).tolist() == [
+                n * d for d in lat.dims]
+
+
+def test_young_lattice_key_collision_raises(monkeypatch):
+    # with every key weight 1 all partitions of n - 1 share one key
+    monkeypatch.setattr(partitions_module, "KEY_BASE", 1)
+    young_lattice.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="share a lattice key"):
+            young_lattice(6)
+    finally:
+        young_lattice.cache_clear()
+
+
+def test_young_lattice_memory_is_bounded():
+    # a cold build at n = 36, enumeration included, peaked at 12.7 MB on the
+    # tuple-dict build; the row blocks keep the temporaries small
+    young_lattice.cache_clear()
+    enumerate_partitions.cache_clear()
+    tracemalloc.start()
+    try:
+        young_lattice(36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 10**6
