@@ -49,7 +49,6 @@ from .snwalk import (
     EXACT_KERNEL_LIMIT,
     _check_sampler_size,
     _check_steps,
-    _float_engine,
     _float_error_bound,
     moment_fc_reduced,
     rsk_samples,
@@ -206,13 +205,7 @@ def _cmd_sn_cutoff(args):
     target = math.exp(-2 * c) / 2
     mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     dist = walk_distribution(n, r, mode=mode)
-    if mode == "float":
-        # the engine that took the walk holds pi in id order, the order of
-        # dist.masses: the values and the sum of tv_to_plancherel
-        pi = _float_engine(n).pi.tolist()
-        tv = sum(abs(m - p) for m, p in zip(dist.masses.values(), pi)) / 2
-    else:
-        tv = float(tv_to_plancherel(dist))
+    tv = float(tv_to_plancherel(dist))
     extra = [_error_bound_line(dist)] if mode == "float" else []
     rows = [[r, target, tv, sn_upper_bound(n, r)]]
     _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows, extra)

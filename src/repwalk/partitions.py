@@ -203,18 +203,18 @@ def young_lattice(n: int) -> YoungLattice:
     mat = np.frombuffer(b"".join([bytes(lam).ljust(width, b"\0") for lam in parts]),
                         np.int8).reshape(len(parts), width)
     off, dst, cnt = _common_corners(mat)
+    dims = _dimensions(mat)
+    # the index last, so no build's temporaries are held beside it
     index = dict(zip(parts, range(len(parts))))
-    return YoungLattice(n, parts, MappingProxyType(index), _dimensions(mat),
+    return YoungLattice(n, parts, MappingProxyType(index), dims,
                         *(memoryview(a).toreadonly() for a in (off, dst, cnt)))
 
 
 def _common_corners(mat: np.ndarray):
     """The CSR arrays off, dst, cnt of the lattice whose partitions are the
-    rows of mat, zero-padded past the longest.
+    rows of mat, zero-padded past the longest, built as YoungLattice says.
 
-    Each edge lam -> mu = lam - e_a, a a removable row, gets the key of mu;
-    grouping the edges by key lists the lam above each mu in id order, which
-    is top row first.  Row lam is those lists for its mu in turn, bottom
+    Row lam is the lists of the lam above each of its mu in turn, bottom
     corner first, with lam itself kept once, where the bottom corner's mu
     reaches it, and counted once per corner.
     """
@@ -246,7 +246,7 @@ def _common_corners(mat: np.ndarray):
     group = np.empty(len(new_mu), np.int32)
     group[by_mu] = np.cumsum(new_mu, dtype=np.int32) - 1
     above = lam[by_mu]
-    edge_start, edge_size = starts[group], np.diff(starts, append=len(new_mu))[group]
+    edge_start, edge_size = starts[group], np.diff(starts, append=np.int32(len(new_mu)))[group]
     del by_mu, new_mu, group
     first = np.ones(len(lam), bool)
     first[1:] = lam[1:] != lam[:-1]

@@ -290,9 +290,16 @@ def walk_distribution_spectral(n: int, r: int, start=None) -> WalkDistribution:
 
 
 def tv_to_plancherel(dist: WalkDistribution):
-    """Half L1 distance to the Plancherel measure (matches dist's mode)."""
-    pi = plancherel_sn(dist.n, dist.mode)
-    return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi.masses.items()) / 2
+    """Half L1 distance to the Plancherel measure (matches dist's mode).
+
+    A float distribution reads pi from the cached float engine, in id order:
+    the values of plancherel_sn(n, "float") without building its dict."""
+    if dist.mode == "float":
+        eng = _float_engine(dist.n)
+        pi = zip(eng.lat.parts, eng.pi.tolist())
+    else:
+        pi = plancherel_sn(dist.n, dist.mode).masses.items()
+    return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi) / 2
 
 
 def tv_witness(dist: WalkDistribution):

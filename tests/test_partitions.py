@@ -228,8 +228,8 @@ def test_young_lattice_key_collision_raises(monkeypatch):
 
 
 def test_young_lattice_memory_is_bounded():
-    # a cold build at n = 36, enumeration included, peaked at 12.7 MB on the
-    # tuple-dict build; the row blocks keep the temporaries small
+    # a cold build at n = 36, enumeration included, peaks at 10.6 MB; the row
+    # blocks keep the temporaries small
     young_lattice.cache_clear()
     enumerate_partitions.cache_clear()
     tracemalloc.start()
