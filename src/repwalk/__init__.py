@@ -12,7 +12,6 @@ from .partitions import (
     Partition,
     dimension_sn,
     enumerate_partitions,
-    log_dimension_sn,
 )
 from .characters import (
     CharacterTable,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import CapacityError
 from .partitions import SIZE_CACHE_SIZE, Partition, dimension_sn, enumerate_partitions
@@ -75,8 +76,10 @@ def derangements(m: int) -> int:
     return d
 
 
-def fixed_point_profile(n: int) -> dict[int, int]:
-    """Map i -> #permutations of n symbols with exactly i fixed points.
+@lru_cache(maxsize=SIZE_CACHE_SIZE)
+def fixed_point_profile(n: int) -> Mapping[int, int]:
+    """Map i -> #permutations of n symbols with exactly i fixed points,
+    read-only and cached per n.
 
     Zero counts (always i = n-1) are omitted.
     """
@@ -87,7 +90,7 @@ def fixed_point_profile(n: int) -> dict[int, int]:
         c = math.comb(n, i) * derangements(n - i)
         if c:
             out[i] = c
-    return out
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=MN_CACHE_SIZE)
@@ -178,24 +181,3 @@ def character_table(n: int, limit: int = DEFAULT_TABLE_LIMIT) -> CharacterTable:
         _table_cache[n] = table
     return _table_cache[n]
 
-
-def plancherel_fc_moments(n: int, cycles: Partition) -> tuple[Fraction, Fraction]:
-    """Exact mean and variance of |C|^(1/2) chi^rho(C)/d_rho under Plancherel.
-
-    Returned as (mean / |C|^(1/2), variance), both rational; the mean is 0
-    and the variance 1 for every non-identity class by orthogonality.
-    """
-    table = character_table(n)
-    cycles = Partition(cycles)
-    n_fact = math.factorial(n)
-    j = table.partitions.index(cycles)
-    size = table.classes[j].class_size
-    mean_red = Fraction(0)
-    second = Fraction(0)
-    for i, lam in enumerate(table.partitions):
-        d = dimension_sn(lam)
-        g = Fraction(table.values[i][j], d)
-        pi = Fraction(d * d, n_fact)
-        mean_red += pi * g
-        second += pi * g * g * size
-    return mean_red, second - mean_red * mean_red * size

@@ -5,7 +5,7 @@ irreducible representations of S_n, conjugacy classes of S_n, and the
 components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
 The Young lattice of size n numbers the partitions of n and records which
-of them share a partition of n-1 below, as flat integer arrays.
+partitions of n-1 lie below each of them, as flat integer arrays.
 """
 
 from __future__ import annotations
@@ -150,15 +150,18 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 
 class YoungLattice(NamedTuple):
-    """Partitions of n as integer ids, their dimensions and common corners.
+    """Partitions of n as integer ids, their dimensions and containment edges.
 
-    Ids follow enumerate_partitions(n).  Row i of the CSR arrays lists the
-    partitions rho that share a partition of n-1 with lam = parts[i]:
-    dst[off[i]:off[i+1]] holds their ids and cnt the number of partitions
-    of n-1 below both (the number of removable corners of lam on the
-    diagonal, 1 elsewhere).  A row lists rho in down-up order: remove a
-    corner of lam, bottom row first, then add a box, top row first; the
-    first path to reach rho fixes its place.  Every field is read-only, as
+    Ids follow enumerate_partitions(n).  The edges are the nonzero entries
+    of D, the p(n) x p(n-1) containment matrix (D[lam, mu] = 1 when mu is
+    lam less one corner box), kept as int64 CSR arrays in both directions:
+    below[down_off[i]:down_off[i+1]] lists the ids of the partitions of n-1
+    under lam = parts[i], bottom corner first, and
+    above[up_off[m]:up_off[m+1]] the ids of the lam over the m-th partition
+    of n-1, in id order (top row first).  The down-up chain's common-corner
+    matrix is A = D D^T, so a step is two segment sums through the
+    partitions of n-1.  These are numbered in the order of their keys (see
+    below) and named by these arrays alone.  Every field is read-only, as
     the cache hands the same lattice to every caller.
 
     young_lattice builds it with numpy from the partitions as a zero-padded
@@ -166,25 +169,24 @@ class YoungLattice(NamedTuple):
     gets the linear key of mu, sum_i mu_i KEY_BASE^(i+1) mod 2^64: the key
     of lam less one weight.  Sorting the edges by key lists the lam above
     each mu, and a build that finds fewer distinct keys than partitions of
-    n-1 raises ArithmeticError.  The rows are filled from those lists,
-    LATTICE_BLOCK rows at a time, with no search.  Dimensions are n! // the
-    product of the hook lengths, which come from the conjugate counts of
-    the cells, multiplied in int64 runs short enough not to overflow.  off
-    and dst are int64, the index type numpy gathers with, so a float step
-    casts nothing.
+    n-1 raises ArithmeticError.  Dimensions are n! // the product of the
+    hook lengths, which come from the conjugate counts of the cells,
+    multiplied in int64 runs short enough not to overflow, LATTICE_BLOCK
+    rows at a time.
     """
 
     n: int
     parts: tuple[Partition, ...]
     index: Mapping[tuple, int]
     dims: tuple[int, ...]
-    off: memoryview
-    dst: memoryview
-    cnt: memoryview
+    below: memoryview
+    down_off: memoryview
+    above: memoryview
+    up_off: memoryview
 
 
 # rows of the lattice built per numpy pass: a pass's temporaries hold a few
-# entries per row entry of LATTICE_BLOCK rows, whatever p(n)
+# entries per cell of LATTICE_BLOCK rows, whatever p(n)
 LATTICE_BLOCK = 1024
 # odd multiplier of the linear partition keys
 KEY_BASE = 0x9E3779B97F4A7C15
@@ -202,72 +204,43 @@ def young_lattice(n: int) -> YoungLattice:
     width = n + 1  # a zero column past the longest partition, (1^n)
     mat = np.frombuffer(b"".join([bytes(lam).ljust(width, b"\0") for lam in parts]),
                         np.int8).reshape(len(parts), width)
-    off, dst, cnt = _common_corners(mat)
+    edges = _containment(mat)
     dims = _dimensions(mat)
     # the index last, so no build's temporaries are held beside it
     index = dict(zip(parts, range(len(parts))))
     return YoungLattice(n, parts, MappingProxyType(index), dims,
-                        *(memoryview(a).toreadonly() for a in (off, dst, cnt)))
+                        *(memoryview(a).toreadonly() for a in edges))
 
 
-def _common_corners(mat: np.ndarray):
-    """The CSR arrays off, dst, cnt of the lattice whose partitions are the
-    rows of mat, zero-padded past the longest, built as YoungLattice says.
-
-    Row lam is the lists of the lam above each of its mu in turn, bottom
-    corner first, with lam itself kept once, where the bottom corner's mu
-    reaches it, and counted once per corner.
-    """
+def _containment(mat: np.ndarray):
+    """The edge arrays below, down_off, above, up_off of the lattice whose
+    partitions are the rows of mat, zero-padded past the longest, built as
+    YoungLattice says."""
     n = mat.shape[1] - 1
     # each temporary is deleted once used: the peak stays near the output's size
     removable = mat[:, :-1] > mat[:, 1:]
-    corners = removable.sum(axis=1)
+    down_off = np.concatenate([[0], np.cumsum(removable.sum(axis=1))])
     lam, col = np.nonzero(removable[:, ::-1])  # id order, bottom corner first
     del removable
     weights = np.array([pow(KEY_BASE, i + 1, 1 << 64) for i in range(n + 1)], np.uint64)
     keys = np.concatenate([mat[i:i + LATTICE_BLOCK].astype(np.uint64) @ weights
                            for i in range(0, len(mat), LATTICE_BLOCK)])
-    below = keys[lam] - weights[n - 1 - col]
+    key = keys[lam] - weights[n - 1 - col]
     del keys, col
-    # int32 edge ids and entry counts: rows hold under 256 entries, so 2^31
-    # of them take p(n) > 8 * 10^6
-    lam = lam.astype(np.int32)
     # stable, so the lam above one mu stay in id order
-    by_mu = np.argsort(below, kind="stable")
-    below = below[by_mu]
-    new_mu = np.ones(len(below), bool)
-    new_mu[1:] = below[1:] != below[:-1]
-    del below
+    by_mu = np.argsort(key, kind="stable")
+    key = key[by_mu]
+    new_mu = np.ones(len(key), bool)
+    new_mu[1:] = key[1:] != key[:-1]
+    del key
     # every partition of n-1 lies below some lam, so fewer keys than
     # partitions of n-1 means two of them share a key
     if n and np.count_nonzero(new_mu) != partition_count(n - 1):
         raise ArithmeticError(f"two partitions of {n - 1} share a lattice key")
-    starts = np.flatnonzero(new_mu).astype(np.int32)
-    group = np.empty(len(new_mu), np.int32)
-    group[by_mu] = np.cumsum(new_mu, dtype=np.int32) - 1
-    above = lam[by_mu]
-    edge_start, edge_size = starts[group], np.diff(starts, append=np.int32(len(new_mu)))[group]
-    del by_mu, new_mu, group
-    first = np.ones(len(lam), bool)
-    first[1:] = lam[1:] != lam[:-1]
-    edges = np.concatenate([[0], np.cumsum(corners)])
-    through = np.concatenate([[0], np.cumsum(edge_size, dtype=np.int32)])
-    sizes = through[edges[1:]] - through[edges[:-1]] - corners + (corners > 0)
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    dst = np.empty(off[-1], np.int64)
-    cnt = np.empty(off[-1], np.uint8)
-    for r0 in range(0, len(mat), LATTICE_BLOCK):
-        r1 = min(r0 + LATTICE_BLOCK, len(mat))
-        e = slice(edges[r0], edges[r1])
-        size = edge_size[e]
-        rho = above[np.repeat(edge_start[e] - through[e], size)
-                    + np.arange(through[edges[r0]], through[edges[r1]])]
-        owner = np.repeat(lam[e], size)
-        diag = rho == owner
-        keep = ~diag | np.repeat(first[e], size)
-        dst[off[r0]:off[r1]] = rho[keep]
-        cnt[off[r0]:off[r1]] = np.where(diag, corners[owner], 1)[keep]
-    return off, dst, cnt
+    below = np.empty(len(new_mu), np.int64)
+    below[by_mu] = np.cumsum(new_mu) - 1
+    up_off = np.append(np.flatnonzero(new_mu), len(new_mu))
+    return below, down_off, lam[by_mu], up_off
 
 
 def _dimensions(mat: np.ndarray) -> tuple[int, ...]:
@@ -327,14 +300,6 @@ def dimension_sn(lam: Partition) -> int:
     if num % den:
         raise ArithmeticError(f"hook product does not divide {lam.size}! for {lam}")
     return num // den
-
-
-def log_dimension_sn(lam: Partition) -> float:
-    """Double-precision log of dimension_sn, usable far beyond exact range."""
-    lam = Partition(lam)
-    if not lam:
-        return 0.0
-    return math.lgamma(lam.size + 1) - sum(math.log(h) for h in lam.hooks())
 
 
 def partition_count(n: int) -> int:

@@ -5,13 +5,15 @@ lam (x) eta) / (d_lam * n), where eta is the n-dimensional defining
 representation.  Two independent kernel constructions are provided: the
 down-up corner-box chain and the character-theoretic tensor decomposition;
 they agree exactly.  The down-up kernel is the Doob transform of the
-symmetric common-corner matrix A of the Young lattice, so both walks step A
-with one mat-vec, _apply_counts: the exact walk on Python ints with one
-division at the end, the float walk on doubles scaled by 1/n a step.  The
-spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n,
-which drives the L2 mixing bound, the moment transfer method, and the
-Chebyshev lower-bound estimate.  Monte Carlo samplers (exact-rational inverse CDF)
-and an RSK shuffle oracle round out the module.
+symmetric common-corner matrix A = D D^T, where D is the containment matrix
+of the partitions of n over those of n-1.  Both walks step A with one
+function, _apply_counts, as two segment sums over the lattice's edges: up
+to the partitions of n-1, then back down.  The exact walk runs it on Python
+ints with one division at the end, the float walk on doubles scaled by 1/n
+a step.  The spectrum is indexed by conjugacy classes with eigenvalue
+fixed_points/n, which drives the L2 mixing bound, the moment transfer
+method, and the Chebyshev lower-bound estimate.  Monte Carlo samplers
+(exact-rational inverse CDF) and an RSK shuffle oracle round out the module.
 """
 
 from __future__ import annotations
@@ -124,15 +126,20 @@ def kernel_downup(n: int) -> SparseKernel:
     """Remove a corner box (prob d_mu/d_lam), re-add one (prob d_rho/(n d_mu)).
 
     The double sum collapses: K(lam, rho) = #common corners * d_rho/(n d_lam).
+    A row lists rho in the order the paths lam -> mu -> rho first reach it.
     """
     _check_size(n)
     lat = young_lattice(n)
-    parts, dims, off, dst, cnt = lat.parts, lat.dims, lat.off, lat.dst, lat.cnt
+    parts, dims, below, above = lat.parts, lat.dims, lat.below, lat.above
+    down_off, up_off = lat.down_off, lat.up_off
     rows = {}
     for i, lam in enumerate(parts):
+        counts: dict[int, int] = {}
+        for m in below[down_off[i]:down_off[i + 1]]:
+            for j in above[up_off[m]:up_off[m + 1]]:
+                counts[j] = counts.get(j, 0) + 1
         den = n * dims[i]
-        rows[lam] = {parts[j]: Fraction(c * dims[j], den)
-                     for j, c in zip(dst[off[i]:off[i + 1]], cnt[off[i]:off[i + 1]])}
+        rows[lam] = {parts[j]: Fraction(c * dims[j], den) for j, c in counts.items()}
     return SparseKernel(n, rows)
 
 
@@ -178,10 +185,13 @@ def _count_steps(lat, start: int):
 
 
 def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
-    """A w for the common-corner matrix A of lat, exact on Python ints.  A is
-    symmetric, so row i gathers what (A w)[i] sums; no row is empty (diagonal)."""
-    off, dst = (np.frombuffer(a, dtype=np.int64) for a in (lat.off, lat.dst))
-    return np.add.reduceat(np.frombuffer(lat.cnt, dtype=np.uint8) * w[dst], off[:-1])
+    """A w = D (D^T w) for the containment matrix D of lat, exact on Python
+    ints: the first sum takes each partition of n-1 to the total of w over
+    the lam above it, the second each lam to the total of those over the
+    partitions below it.  For n >= 1 no segment is empty."""
+    below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
+                                      for a in (lat.below, lat.down_off, lat.above, lat.up_off))
+    return np.add.reduceat(np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1])
 
 
 def tensor_multiplicity(n: int, lam: Partition, rho: Partition) -> int:
@@ -300,14 +310,6 @@ def tv_to_plancherel(dist: WalkDistribution):
     else:
         pi = plancherel_sn(dist.n, dist.mode).masses.items()
     return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi) / 2
-
-
-def tv_witness(dist: WalkDistribution):
-    """The event A = {dist > pi} and |dist(A) - pi(A)|, the max-form witness."""
-    pi = plancherel_sn(dist.n, dist.mode)
-    a = tuple(lam for lam, p in pi.masses.items() if dist.masses.get(lam, 0) > p)
-    gap = abs(sum(dist.masses.get(l, 0) for l in a) - sum(pi.masses[l] for l in a))
-    return a, gap
 
 
 def sn_upper_bound_squared(n: int, r: int) -> Fraction:

@@ -47,6 +47,49 @@ def fixed_point_counts_brute(n: int) -> dict[int, int]:
     return out
 
 
+def log_dimension_sn(lam: Partition) -> float:
+    """Double-precision log of dimension_sn from the hook lengths."""
+    lam = Partition(lam)
+    if not lam:
+        return 0.0
+    return math.lgamma(lam.size + 1) - sum(math.log(h) for h in lam.hooks())
+
+
+def plancherel_fc_moments(n: int, cycles: Partition) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of |C|^(1/2) chi^rho(C)/d_rho under Plancherel.
+
+    Returned as (mean / |C|^(1/2), variance), both rational; the mean is 0
+    and the variance 1 for every non-identity class by orthogonality.
+    """
+    from repwalk.characters import character_table
+
+    table = character_table(n)
+    cycles = Partition(cycles)
+    n_fact = math.factorial(n)
+    j = table.partitions.index(cycles)
+    size = table.classes[j].class_size
+    mean_red = Fraction(0)
+    second = Fraction(0)
+    for i, lam in enumerate(table.partitions):
+        d = dimension_sn(lam)
+        g = Fraction(table.values[i][j], d)
+        pi = Fraction(d * d, n_fact)
+        mean_red += pi * g
+        second += pi * g * g * size
+    return mean_red, second - mean_red * mean_red * size
+
+
+def tv_witness(dist):
+    """The event A = {dist > pi} and |dist(A) - pi(A)|, the max-form witness
+    of the total variation distance of a WalkDistribution to Plancherel."""
+    from repwalk.snwalk import plancherel_sn
+
+    pi = plancherel_sn(dist.n, dist.mode)
+    a = tuple(lam for lam, p in pi.masses.items() if dist.masses.get(lam, 0) > p)
+    gap = abs(sum(dist.masses.get(l, 0) for l in a) - sum(pi.masses[l] for l in a))
+    return a, gap
+
+
 # ---------------------------------------------------------------------------
 # symmetric group characters from permutation modules (Young's rule +
 # Gram-Schmidt down the reverse-lex order; never touches Murnaghan-Nakayama)

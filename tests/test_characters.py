@@ -9,12 +9,16 @@ from repwalk.characters import (
     enumerate_classes,
     fixed_point_profile,
     mn_character,
-    plancherel_fc_moments,
 )
 from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, dimension_sn
 
-from oracles import character_table_brute, class_sizes_brute, fixed_point_counts_brute
+from oracles import (
+    character_table_brute,
+    class_sizes_brute,
+    fixed_point_counts_brute,
+    plancherel_fc_moments,
+)
 
 
 def test_class_sizes_brute_force():

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -11,9 +13,10 @@ from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
 from repwalk.glirreps import fixed_space_counts
-from repwalk.partitions import Partition
+from repwalk.partitions import Partition, young_lattice
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
+    _count_steps,
     MAX_WALK_STEPS,
     SAMPLER_N_LIMIT,
     rsk_samples,
@@ -722,9 +725,11 @@ def test_gl_counts_digit_prediction_is_exact(capsys, monkeypatch, q, n, digits):
 # stdout recorded when sn-walk, sn-cutoff and gl-lower looked masses up
 # through WalkDistribution.mass and chose the gl-lower method in the CLI;
 # long outputs are kept as the sha256 of their bytes.  Re-recorded since:
-# sn-cutoff prints its float error bound, and the float walk steps the
+# sn-cutoff prints its float error bound, the float walk steps the
 # lattice's count matrix (432 of the 490 masses at n=19 moved in their last
-# digits, by at most 2.1e-17)
+# digits, by at most 2.1e-17), and the walk steps the containment edges, two
+# segment sums a step (286 of the 490 masses at n=19 and the TV at n=24
+# moved, by at most 2.8e-17)
 LOOKUP_GOLDEN = {
     ("sn-walk", "--n", "6", "--r", "1", "--exact"): """\
 # repwalk 0.1.0
@@ -747,10 +752,10 @@ partition,mass
 # command: sn-cutoff c=0.5 n=24
 # accumulated float error bound: 8.0325e-10
 r,cutoff_bound,tv,l2_bound
-51,0.18393972058572117,0.07982168100451804,0.10536090622868025
+51,0.18393972058572117,0.07982168100451802,0.10536090622868025
 """,
     ("sn-walk", "--n", "19", "--r", "20", "--float"):
-        "8cd9a04430b6578a9fbc529b0fa688bf588d1f7f61a537a3e89ac3639ff61ac3",
+        "62a3594e4d17a02fee02eaf2bcad24ccc034f2111f5240256c622e72f4c30baf",
     ("gl-lower", "--n", "5", "--q", "4", "--c", "2"):
         "ddc3198bc8c6ea2d5532819e13b71b406a27ea883d5cf883cf30d0186c97fdf2",
     ("gl-lower", "--n", "6", "--q", "2", "--c", "2"):
@@ -776,9 +781,13 @@ def test_lookup_golden(capsys, argv):
 
 
 # stdout recorded while young_lattice was a tuple-dict build and the L2
-# bound a sum of Fraction powers: the row order of the lattice fixes the
-# float sums, so every digit must stay; the two TV curves are kept as the
-# sha256 of their bytes
+# bound a sum of Fraction powers; the two TV curves are kept as the sha256
+# of their bytes.  The order of the float sums fixes the last digits of a
+# float TV: re-recorded when the walk came to step the containment edges,
+# two segment sums a step, which moved the c = 0.5 TVs at n = 19, 27 and 40
+# (by at most 4.2e-17) and 100 of the 160 rows of the n = 33 curve (by at
+# most 2.2e-16).  test_float_cutoff_tv_matches_exact_tv holds the sn-cutoff
+# TVs to the exact ones.  Exact output and every other digit stay.
 LATTICE_GOLDEN = {
     ("sn-cutoff", "--n", "19", "--c", "-0.5"): """\
 # repwalk 0.1.0
@@ -792,7 +801,7 @@ r,cutoff_bound,tv,l2_bound
 # command: sn-cutoff c=0.5 n=19
 # accumulated float error bound: 1.862e-10
 r,cutoff_bound,tv,l2_bound
-38,0.18393972058572117,0.07713440462203093,0.10146375499028688
+38,0.18393972058572117,0.07713440462203089,0.10146375499028688
 """,
     ("sn-cutoff", "--n", "27", "--c", "-0.5"): """\
 # repwalk 0.1.0
@@ -806,7 +815,7 @@ r,cutoff_bound,tv,l2_bound
 # command: sn-cutoff c=0.5 n=27
 # accumulated float error bound: 1.7458e-09
 r,cutoff_bound,tv,l2_bound
-58,0.18393972058572117,0.08813897106471723,0.11715367277492027
+58,0.18393972058572117,0.08813897106471727,0.11715367277492027
 """,
     ("sn-cutoff", "--n", "36", "--c", "-0.5"): """\
 # repwalk 0.1.0
@@ -834,10 +843,10 @@ r,cutoff_bound,tv,l2_bound
 # command: sn-cutoff c=0.5 n=40
 # accumulated float error bound: 3.509772e-08
 r,cutoff_bound,tv,l2_bound
-94,0.18393972058572117,0.09296042570310678,0.12409376489566282
+94,0.18393972058572117,0.09296042570310681,0.12409376489566282
 """,
     ("sn-tv-curve", "--n", "33", "--rmax", "160", "--float"):
-        "36ed6e3b0aa26e71176087e46170ec1738119f5f782b7b4f83a025d827e9c752",
+        "0e5e59b452b8ad24fd64f48f5b727939e8fab814eb8762a60999229c602f3e44",
     ("sn-tv-curve", "--n", "14", "--rmax", "40", "--exact"):
         "87d0366375821edb89f787cca78813a0e2ef08a60ed08e1d05f98e09ee255093",
 }
@@ -852,3 +861,19 @@ def test_lattice_golden(capsys, argv):
         assert out == want
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("n", [19, 24, 27, 40])
+def test_float_cutoff_tv_matches_exact_tv(capsys, n):
+    # past EXACT_KERNEL_LIMIT sn-cutoff prints a float TV; the integer walk
+    # gives the rational TV at the same r, and the two agree to 2e-15 (the
+    # gaps measure 5.6e-17 to 9.1e-16)
+    code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", "0.5"])
+    assert code == 0
+    r, _, tv, _ = out.splitlines()[-1].split(",")
+    r = int(r)
+    lat = young_lattice(n)
+    a = next(islice(_count_steps(lat, lat.index[Partition((n,))]), r, None))
+    n_fact, den = math.factorial(n), n**r
+    num = sum(abs(d * x * n_fact - d * d * den) for d, x in zip(lat.dims, a))
+    assert abs(Fraction(float(tv)) - Fraction(num, 2 * den * n_fact)) <= 2e-15

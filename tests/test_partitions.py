@@ -10,7 +10,6 @@ from repwalk.partitions import (
     Partition,
     dimension_sn,
     enumerate_partitions,
-    log_dimension_sn,
     partition_count,
     young_lattice,
 )
@@ -18,7 +17,7 @@ from repwalk.partitions import (
 import repwalk.partitions as partitions_module
 from repwalk.snwalk import FLOAT_LIMIT
 
-from oracles import count_standard_tableaux, young_lattice_reference
+from oracles import count_standard_tableaux, log_dimension_sn, young_lattice_reference
 
 
 @st.composite
@@ -159,24 +158,33 @@ def test_string_round_trip():
 
 
 def test_young_lattice_matches_partition_corners():
-    # ids, dimensions and common-corner rows against the Partition methods,
-    # rows in first-seen down-up order
-    assert young_lattice(0).dims == (1,) and len(young_lattice(0).dst) == 0
+    # ids and dimensions, and the edges against the Partition methods: each
+    # id in below names one partition of n - 1, one to one, and each edge
+    # list is the corner list in the same order
+    lat = young_lattice(0)
+    assert lat.dims == (1,) and list(lat.down_off) == [0, 0] and list(lat.up_off) == [0]
+    assert len(lat.below) == len(lat.above) == 0
     for n in range(1, 19):
         lat = young_lattice(n)
         assert lat.parts == enumerate_partitions(n)
         assert all(lat.index[lam] == i for i, lam in enumerate(lat.parts))
         assert lat.dims == tuple(dimension_sn(lam) for lam in lat.parts)
-        assert len(lat.off) == len(lat.parts) + 1 and lat.off[-1] == len(lat.dst) == len(lat.cnt)
+        assert len(lat.down_off) == len(lat.parts) + 1 and lat.down_off[-1] == len(lat.below)
+        assert len(lat.up_off) == partition_count(n - 1) + 1
+        assert lat.up_off[-1] == len(lat.above) == len(lat.below)
+        name = {}
         for i, lam in enumerate(lat.parts):
-            counts = {}
-            for mu in lam.removable_corners():
-                for rho in mu.addable_corners():
-                    counts[rho] = counts.get(rho, 0) + 1
-            row = slice(lat.off[i], lat.off[i + 1])
-            assert [lat.parts[j] for j in lat.dst[row]] == list(counts)
-            assert list(lat.cnt[row]) == list(counts.values())
-            assert counts[lam] == len(lam.removable_corners())
+            ids = lat.below[lat.down_off[i]:lat.down_off[i + 1]]
+            corners = lam.removable_corners()
+            assert len(ids) == len(corners)
+            for m, mu in zip(ids, corners):
+                assert name.setdefault(m, mu) == mu
+        # p(n-1) ids onto the p(n-1) partitions of n - 1: a bijection
+        assert sorted(name) == list(range(partition_count(n - 1)))
+        assert set(name.values()) == set(enumerate_partitions(n - 1))
+        for m, mu in name.items():
+            above = lat.above[lat.up_off[m]:lat.up_off[m + 1]]
+            assert [lat.parts[j] for j in above] == mu.addable_corners()
 
 
 def test_corners_against_containment():
@@ -193,11 +201,29 @@ def test_corners_against_containment():
                 assert all(type(p) is Partition for p in got)
 
 
+def common_corner_rows(lat):
+    """A = D D^T as CSR rows off, dst, cnt expanded from the edges of lat,
+    each row in down-up first-seen order."""
+    off, dst, cnt = [0], [], []
+    for i in range(len(lat.parts)):
+        counts = {}
+        for m in lat.below[lat.down_off[i]:lat.down_off[i + 1]]:
+            for j in lat.above[lat.up_off[m]:lat.up_off[m + 1]]:
+                counts[j] = counts.get(j, 0) + 1
+        dst.extend(counts)
+        cnt.extend(counts.values())
+        off.append(len(dst))
+    return off, dst, cnt
+
+
 @pytest.mark.parametrize("n", [*range(31), 36, 40])
 def test_young_lattice_matches_reference_build(n):
-    # every field equal to the tuple-dict build's, rows in the same order
+    # ids and dimensions equal to the tuple-dict build's, and its
+    # common-corner rows, entry for entry, expanded from the edges
     lat = young_lattice(n)
-    assert tuple(lat) == young_lattice_reference(n)
+    n_ref, parts, index, dims, off, dst, cnt = young_lattice_reference(n)
+    assert (lat.n, lat.parts, lat.index, lat.dims) == (n_ref, parts, index, dims)
+    assert common_corner_rows(lat) == (list(off), list(dst), list(cnt))
     assert all(type(d) is int for d in lat.dims)
 
 
@@ -208,12 +234,13 @@ def test_young_lattice_builds_every_float_size():
         lat = young_lattice(n)
         assert len(lat.parts) == partition_count(n)
         assert sum(d * d for d in lat.dims) == math.factorial(n)
-        assert len(lat.off) == len(lat.parts) + 1 and lat.off[-1] == len(lat.dst) == len(lat.cnt)
+        assert len(lat.down_off) == len(lat.parts) + 1 and lat.down_off[-1] == len(lat.below)
+        assert lat.up_off[-1] == len(lat.above)
         if n:
-            dims = np.array(lat.dims, dtype=object)
-            counts = np.frombuffer(lat.cnt, dtype=np.uint8) * dims[np.frombuffer(lat.dst, dtype=np.int64)]
-            assert np.add.reduceat(counts, np.frombuffer(lat.off, dtype=np.int64)[:-1]).tolist() == [
-                n * d for d in lat.dims]
+            assert len(lat.up_off) == partition_count(n - 1) + 1
+            below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64) for a in lat[4:])
+            up = np.add.reduceat(np.array(lat.dims, dtype=object)[above], up_off[:-1])
+            assert np.add.reduceat(up[below], down_off[:-1]).tolist() == [n * d for d in lat.dims]
 
 
 def test_young_lattice_key_collision_raises(monkeypatch):
@@ -228,8 +255,9 @@ def test_young_lattice_key_collision_raises(monkeypatch):
 
 
 def test_young_lattice_memory_is_bounded():
-    # a cold build at n = 36, enumeration included, peaks at 10.6 MB; the row
-    # blocks keep the temporaries small
+    # a cold build at n = 36, enumeration included, peaks at 8.2 MB: the
+    # partitions, the edge arrays and the dimensions, with the temporaries
+    # of one row block
     young_lattice.cache_clear()
     enumerate_partitions.cache_clear()
     tracemalloc.start()
@@ -238,4 +266,4 @@ def test_young_lattice_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 10**6
+    assert peak <= 9.5 * 10**6

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from repwalk.characters import fixed_point_profile
 from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.snwalk import (
@@ -22,11 +23,12 @@ from repwalk.snwalk import (
     tensor_multiplicity,
     transposition_moments_closed,
     tv_to_plancherel,
-    tv_witness,
     WalkDistribution,
     walk_distribution,
     walk_distribution_spectral,
 )
+
+from oracles import tv_witness
 
 
 def cutoff_steps(n):
@@ -230,6 +232,17 @@ def test_tv_witness_matches_half_l1():
             assert 0 <= tv <= 1
             _, gap = tv_witness(dist)
             assert gap == tv
+
+
+def test_upper_bound_reads_one_cached_profile():
+    # the profile depends on n alone: a curve's rows build it once, and the
+    # cached mapping cannot be changed under later callers
+    fixed_point_profile.cache_clear()
+    for r in range(1, 200):
+        sn_upper_bound(36, r)
+    assert fixed_point_profile.cache_info().misses == 1
+    with pytest.raises(TypeError):
+        fixed_point_profile(36)[0] = 1
 
 
 def test_upper_bound_examples():
