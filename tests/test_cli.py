@@ -877,3 +877,66 @@ def test_float_cutoff_tv_matches_exact_tv(capsys, n):
     n_fact, den = math.factorial(n), n**r
     num = sum(abs(d * x * n_fact - d * d * den) for d, x in zip(lat.dims, a))
     assert abs(Fraction(float(tv)) - Fraction(num, 2 * den * n_fact)) <= 2e-15
+
+
+# stdout recorded while the character-table paths found their rows by
+# linear search and wrote the Fourier sum out each in its own loop; long
+# outputs are kept as the sha256 of their bytes.  One lattice index and one
+# character sum must leave every byte as it was.
+FOURIER_GOLDEN = {
+    ("hsp", "--n", "8", "--gens", "(1 2),(3 4)", "--format", "csv"):
+        "ed2d567dca49753d7339b9c7a7200717e0738db49e83c872a8c64aaa6028f83f",
+    ("hsp", "--n", "8", "--gens", "(1 2),(3 4)", "--format", "json"):
+        "8803b5cdb0c5819814e29b6a45daaae3cfe3e2bc38a885f62273a8b5e4135024",
+    ("hsp", "--n", "8", "--gens", "(1 2 3),(4 5)", "--format", "csv"):
+        "7931134bfe76f04082658aa0344dd2b217e26e039e4ce96a7924b644087d6680",
+    ("hsp", "--n", "8", "--gens", "(1 2 3),(4 5)", "--format", "json"):
+        "f29bfae602cf54a5f772359302e521e3bf1cc594821b4ff5519613b9a3bbacb6",
+    ("hsp", "--n", "12", "--gens", "(1 2),(3 4)", "--format", "csv"):
+        "af3fc54eaeb16d721b75d7f062d0fc4267e9dec58ae1b1a20a2dc626a366c92d",
+    ("hsp", "--n", "12", "--gens", "(1 2),(3 4)", "--format", "json"):
+        "704e080202f707c563a64fe0565dbdd7126979ca6656f84e191fad8473f08da8",
+    ("hsp", "--n", "12", "--gens", "(1 2 3),(4 5)", "--format", "csv"):
+        "175ff62d94a7362eb1d75b3cdeaf1c1c4cd5680b43d1f84086bd6dda7bb0bf28",
+    ("hsp", "--n", "12", "--gens", "(1 2 3),(4 5)", "--format", "json"):
+        "481992dac162dfe9deb2aa427336d554c01f329426de81dc00cf444293384460",
+    ("sn-moments", "--n", "12", "--r", "16"): """\
+# repwalk 0.1.0
+# command: sn-moments n=12 r=16 samples=0 seed=0 threads=1
+s,method,value,reduced_exact
+1,transfer,0.4394121194086181,152587890625/2821109907456
+1,direct,0.4394121194086181,152587890625/2821109907456
+1,closed,0.4394121194086181,152587890625/2821109907456
+2,transfer,1.268961662968006,6516973239557021/338954474640900096
+2,direct,1.268961662968006,6516973239557021/338954474640900096
+2,closed,1.268961662968006,6516973239557021/338954474640900096
+""",
+    ("sn-moments", "--n", "10", "--r", "12", "--samples", "200", "--seed", "5"): """\
+# repwalk 0.1.0
+# command: sn-moments n=10 r=12 samples=200 seed=5 threads=1
+s,method,value,reduced_exact
+1,transfer,0.46098426407973414,16777216/244140625
+1,direct,0.46098426407973414,16777216/244140625
+1,closed,0.46098426407973414,16777216/244140625
+2,transfer,1.282410500624,80150656289/2812500000000
+2,direct,1.282410500624,80150656289/2812500000000
+2,closed,1.282410500624,80150656289/2812500000000
+1,empirical,0.41292721984496117,
+2,empirical,1.3137777777777768,
+""",
+    ("characters", "--n", "9", "--format", "csv"):
+        "c7238ce5611de9574e9c8e46b90e29f77e5f910e025d94ebe8556b6c5ff40fed",
+    ("characters", "--n", "9", "--format", "json"):
+        "0e944e55274f509275e35276b4235b885fe994d42550103065b78dff7ffe2d60",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FOURIER_GOLDEN))
+def test_fourier_golden(capsys, argv):
+    code, out = _main_stdout(capsys, list(argv))
+    assert code == 0
+    want = FOURIER_GOLDEN[argv]
+    if "\n" in want:
+        assert out == want
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == want
