@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CapacityError
-from .partitions import SIZE_CACHE_SIZE, Partition, dimension_sn, enumerate_partitions
+from .partitions import SIZE_CACHE_SIZE, Partition, enumerate_partitions, young_lattice
 
 DEFAULT_TABLE_LIMIT = 12
 # Murnaghan-Nakayama values kept: the tables for n <= DEFAULT_TABLE_LIMIT
@@ -135,10 +137,21 @@ def mn_character(lam: Partition, cycle_type) -> int:
 
 @dataclass(frozen=True)
 class CharacterTable:
+    """The characters of S_n, rows and columns both in enumerate_partitions
+    order, so young_lattice(n).index numbers the irreducibles and the classes."""
+
     n: int
     partitions: tuple[Partition, ...]
     classes: tuple[CycleType, ...]
     values: tuple[tuple[int, ...], ...]  # [partition index][class index]
+
+    def fourier_law(self, w) -> list[Fraction]:
+        """(d_rho/n!) sum_C w[C] chi^rho(C) for each row rho, w a class function
+        listed by class id: the hidden-subgroup law, the tensor multiplicities
+        and the spectral walk law are this sum for three choices of w."""
+        n_fact = math.factorial(self.n)
+        return [Fraction(d * sum(map(mul, w, row)), n_fact)
+                for d, row in zip(young_lattice(self.n).dims, self.values)]
 
     def verify_orthogonality(self) -> None:
         n_fact = math.factorial(self.n)
@@ -155,9 +168,10 @@ class CharacterTable:
                 want = n_fact // sizes[a] if a == b else 0
                 if dot != want:
                     raise ArithmeticError(f"column orthogonality fails at {a},{b}")
-        id_col = self.partitions.index(Partition([1] * self.n) if self.n else Partition())
-        for i, lam in enumerate(self.partitions):
-            if self.values[i][id_col] != dimension_sn(lam):
+        lat = young_lattice(self.n)
+        id_col = lat.index[(1,) * self.n]
+        for lam, row, d in zip(self.partitions, self.values, lat.dims):
+            if row[id_col] != d:
                 raise ArithmeticError(f"identity column is not the dimension at {lam}")
 
 

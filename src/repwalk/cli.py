@@ -42,7 +42,7 @@ from .glirreps import (
     unipotent_tail_bound,
 )
 from .hsp import hsp_bounds, subgroup_closure, weak_sampling_distribution
-from .partitions import Partition, dimension_sn, enumerate_partitions
+from .partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
 from .rng import derive_seed
 from .series import _check_order, euler_lhs_rhs
 from .snwalk import (
@@ -246,17 +246,16 @@ def _cmd_sn_moments(args):
             # the value moment_fc returns, without computing red twice
             rows.append([s, method, float(red) * size ** (s / 2), red])
     if args.samples:
-        table = character_table(args.n)
-        ci = table.partitions.index(transposition)
-        draws = _chunked(
+        values, lat = character_table(args.n).values, young_lattice(args.n)
+        ci = lat.index[transposition]
+        draws = [lat.index[lam] for lam in _chunked(
             lambda count, seed: walk_samples(args.n, args.r, count, seed),
             args.samples, args.seed, args.threads,
-        )
+        )]
         for s in (1, 2):
             total = 0.0
-            for lam in draws:
-                i = table.partitions.index(lam)
-                total += (math.sqrt(size) * table.values[i][ci] / dimension_sn(lam)) ** s
+            for i in draws:
+                total += (math.sqrt(size) * values[i][ci] / lat.dims[i]) ** s
             rows.append([s, "empirical", total / len(draws), ""])
     _write_csv(args, "sn-moments", ["s", "method", "value", "reduced_exact"], rows)
     return 0

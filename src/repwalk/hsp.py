@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .characters import character_table
 from .errors import CapacityError
-from .partitions import Partition, dimension_sn
+from .partitions import Partition
 from .snwalk import WalkDistribution, tv_to_plancherel
 
 CLOSURE_CAP = 10**6
@@ -125,20 +125,12 @@ def subgroup_closure(n: int, generators) -> SubgroupSpec:
 def weak_sampling_distribution(H: SubgroupSpec) -> WalkDistribution:
     """P_H(rho) = (d_rho/n!) sum_C |C meet H| chi^rho(C), exact."""
     table = character_table(H.n)
-    n_fact = math.factorial(H.n)
-    masses = {}
-    for i, lam in enumerate(table.partitions):
-        total = 0
-        for j, c in enumerate(table.classes):
-            inter = H.class_intersections.get(c.cycle_lengths, 0)
-            total += inter * table.values[i][j]
-        mass = Fraction(dimension_sn(lam) * total, n_fact)
-        if mass < 0:
-            raise ArithmeticError("negative sampling probability")
-        masses[lam] = mass
-    if sum(masses.values()) != 1:
+    law = table.fourier_law([H.class_intersections.get(c.cycle_lengths, 0) for c in table.classes])
+    if min(law) < 0:
+        raise ArithmeticError("negative sampling probability")
+    if sum(law) != 1:
         raise ArithmeticError("P_H does not sum to 1")
-    return WalkDistribution(H.n, "exact", masses)
+    return WalkDistribution(H.n, "exact", dict(zip(table.partitions, law)))
 
 
 class HspBounds(NamedTuple):

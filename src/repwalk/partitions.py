@@ -152,9 +152,10 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 class YoungLattice(NamedTuple):
     """Partitions of n as integer ids, their dimensions and containment edges.
 
-    Ids follow enumerate_partitions(n).  The edges are the nonzero entries
-    of D, the p(n) x p(n-1) containment matrix (D[lam, mu] = 1 when mu is
-    lam less one corner box), kept as int64 CSR arrays in both directions:
+    Ids follow enumerate_partitions(n), as characters.enumerate_classes does,
+    so they number the conjugacy classes of S_n too.  The edges are the nonzero
+    entries of D, the p(n) x p(n-1) containment matrix (D[lam, mu] = 1 when
+    mu is lam less one corner box), kept as int64 CSR arrays in both directions:
     below[down_off[i]:down_off[i+1]] lists the ids of the partitions of n-1
     under lam = parts[i], bottom corner first, and
     above[up_off[m]:up_off[m+1]] the ids of the lam over the m-th partition
@@ -235,7 +236,7 @@ def _containment(mat: np.ndarray):
     del key
     # every partition of n-1 lies below some lam, so fewer keys than
     # partitions of n-1 means two of them share a key
-    if n and np.count_nonzero(new_mu) != partition_count(n - 1):
+    if np.count_nonzero(new_mu) != partition_count(n - 1):
         raise ArithmeticError(f"two partitions of {n - 1} share a lattice key")
     below = np.empty(len(new_mu), np.int64)
     below[by_mu] = np.cumsum(new_mu) - 1
@@ -303,7 +304,7 @@ def dimension_sn(lam: Partition) -> int:
 
 
 def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (independent of enumeration)."""
+    """p(n) by Euler's pentagonal-number recurrence (independent of enumeration), 0 for n < 0."""
     p = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0
@@ -320,4 +321,4 @@ def partition_count(n: int) -> int:
                 total += sign * p[m - g2]
             k += 1
         p[m] = total
-    return p[n]
+    return p[n] if n >= 0 else 0

@@ -32,7 +32,6 @@ from .characters import (
     CycleType,
     character_table,
     cycle_lengths,
-    enumerate_classes,
     fixed_point_profile,
 )
 from .errors import CapacityError
@@ -104,12 +103,12 @@ class SparseKernel:
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """Eigenvalue fixed_points/n with eigenfunction f_C = |C|^(1/2) chi/d."""
+    """Eigenvalue fixed_points/n with eigenfunction f_C = |C|^(1/2) g_C, where
+    rational_part holds g_C = chi/d."""
 
     cycle_type: CycleType
     eigenvalue: Fraction
     rational_part: dict[Partition, Fraction] = field(compare=False)
-    eigenfunction: dict[Partition, float] = field(compare=False)
 
 
 def plancherel_sn(n: int, mode: str = "exact") -> WalkDistribution:
@@ -194,72 +193,57 @@ def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
     return np.add.reduceat(np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1])
 
 
+def _partition_of(n: int, lam) -> Partition:
+    """lam as a partition of n, to look up in young_lattice(n).index; a
+    ValueError names any other size."""
+    lam = Partition(lam)
+    if lam.size != n:
+        raise ValueError(f"partition {lam} has size {lam.size}, expected {n}")
+    return lam
+
+
+def _multiplicities(table, lat, li: int) -> list[int]:
+    """mult(rho in lam (x) eta) for every rho in id order, lam the li-th
+    partition: the Fourier law of |C| fp(C) chi^lam(C) is d_rho mult."""
+    w = [c.class_size * c.fixed_points * x for c, x in zip(table.classes, table.values[li])]
+    mults = [p / d for p, d in zip(table.fourier_law(w), lat.dims)]
+    if any(m.denominator != 1 or m < 0 for m in mults):
+        raise ArithmeticError("a tensor multiplicity is not a non-negative integer")
+    return [m.numerator for m in mults]
+
+
 def tensor_multiplicity(n: int, lam: Partition, rho: Partition) -> int:
     """Multiplicity of rho in lam (x) eta as a character inner product."""
-    table = character_table(n)
-    n_fact = math.factorial(n)
-    total = 0
-    li = table.partitions.index(Partition(lam))
-    ri = table.partitions.index(Partition(rho))
-    for j, c in enumerate(table.classes):
-        total += c.class_size * table.values[ri][j] * c.fixed_points * table.values[li][j]
-    if total % n_fact:
-        raise ArithmeticError("tensor multiplicity is not an integer")
-    m = total // n_fact
-    if m < 0:
-        raise ArithmeticError("negative tensor multiplicity")
-    return m
+    table, lat = character_table(n), young_lattice(n)
+    li, ri = lat.index[_partition_of(n, lam)], lat.index[_partition_of(n, rho)]
+    return _multiplicities(table, lat, li)[ri]
 
 
 def kernel_from_tensor(n: int) -> SparseKernel:
     """K(lam, rho) = d_rho * mult(rho in lam (x) eta) / (d_lam * n), from characters."""
-    parts = enumerate_partitions(n)
-    rows = {}
-    for lam in parts:
-        d_lam = dimension_sn(lam)
-        row = {}
-        for rho in parts:
-            m = tensor_multiplicity(n, lam, rho)
-            if m:
-                row[rho] = Fraction(m * dimension_sn(rho), n * d_lam)
-        rows[lam] = row
-    return SparseKernel(n, rows)
+    table, lat = character_table(n), young_lattice(n)
+    return SparseKernel(n, {
+        lam: {rho: Fraction(m * d, n * lat.dims[i])
+              for rho, d, m in zip(lat.parts, lat.dims, _multiplicities(table, lat, i)) if m}
+        for i, lam in enumerate(lat.parts)})
 
 
 def spectrum_sn(n: int) -> tuple[SpectrumEntry, ...]:
-    """One spectral entry per conjugacy class.
-
-    rational_part holds g_C(rho) = chi^rho(C)/d_rho; the eigenfunction is
-    |C|^(1/2) g_C.  Exact identities are checked on g_C so no square roots
-    enter the arithmetic.
-    """
+    """One spectral entry per conjugacy class, its eigenfunction kept as the
+    rational g_C(rho) = chi^rho(C)/d_rho, so no square roots enter."""
     table = character_table(n)
-    out = []
-    for j, c in enumerate(table.classes):
-        g = {}
-        f = {}
-        root = math.sqrt(c.class_size)
-        for i, lam in enumerate(table.partitions):
-            gv = Fraction(table.values[i][j], dimension_sn(lam))
-            g[lam] = gv
-            f[lam] = root * float(gv)
-        out.append(SpectrumEntry(c, Fraction(c.fixed_points, n), g, f))
-    return tuple(out)
-
-
-def _as_start(n: int, start) -> Partition:
-    if start is None:
-        return Partition((n,))
-    start = Partition(start)
-    if start.size != n:
-        raise ValueError(f"start partition {start} has size {start.size}, expected {n}")
-    return start
+    dims = young_lattice(n).dims
+    return tuple(
+        SpectrumEntry(c, Fraction(c.fixed_points, n),
+                      {lam: Fraction(row[j], d)
+                       for lam, d, row in zip(table.partitions, dims, table.values)})
+        for j, c in enumerate(table.classes))
 
 
 def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
     """Distribution after r steps from start (default: the one-row partition)."""
     _check_steps(r)
-    start = _as_start(n, start)
+    start = _partition_of(n, (n,) if start is None else start)
     if mode == "float":
         eng = _float_engine(n)
         law = next(islice(eng.laws(start), r, None))
@@ -277,26 +261,16 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
 def walk_distribution_spectral(n: int, r: int, start=None) -> WalkDistribution:
     """Same distribution through the eigenbasis.
 
-    K^r(x,y) = sum_C beta_C^r f_C(x) f_C(y) pi(y); the |C| factors combine
-    so everything stays rational.
+    K^r(s,rho) = sum_C beta_C^r f_C(s) f_C(rho) pi(rho); the |C| factors
+    combine, so it is the Fourier law of fp(C)^r |C| chi^s(C) over n^r d_s.
     """
-    start = _as_start(n, start)
-    spec = spectrum_sn(n)
-    n_fact = math.factorial(n)
-    masses = {}
-    for rho in enumerate_partitions(n):
-        d = dimension_sn(rho)
-        pi = Fraction(d * d, n_fact)
-        total = Fraction(0)
-        for entry in spec:
-            total += (
-                entry.eigenvalue**r
-                * entry.cycle_type.class_size
-                * entry.rational_part[start]
-                * entry.rational_part[rho]
-            )
-        masses[rho] = total * pi
-    return WalkDistribution(n, "exact", masses)
+    _check_steps(r)
+    table, lat = character_table(n), young_lattice(n)
+    s = lat.index[_partition_of(n, (n,) if start is None else start)]
+    w = [c.fixed_points**r * c.class_size * x for c, x in zip(table.classes, table.values[s])]
+    den = n**r * lat.dims[s]
+    return WalkDistribution(n, "exact", {
+        lam: p / den for lam, p in zip(table.partitions, table.fourier_law(w))})
 
 
 def tv_to_plancherel(dist: WalkDistribution):
@@ -334,14 +308,11 @@ def class_walk_probability(n: int, cycle_type, s: int) -> dict[Partition, Fracti
     """
     if s < 0:
         raise ValueError("s must be non-negative")
-    table = character_table(n)
-    ci = table.partitions.index(cycle_lengths(cycle_type))
+    table, lat = character_table(n), young_lattice(n)
+    ci = lat.index[_partition_of(n, cycle_lengths(cycle_type))]
     n_fact = math.factorial(n)
     # d^2 (chi(T)/d) (chi(C)/d)^s = chi(T) * [d (chi(C)/d)^s], the bracket per row
-    weights = [
-        d * Fraction(row[ci], d) ** s
-        for d, row in zip((dimension_sn(lam) for lam in table.partitions), table.values)
-    ]
+    weights = [d * Fraction(row[ci], d) ** s for d, row in zip(lat.dims, table.values)]
     out = {}
     for tj, t in enumerate(table.classes):
         total = sum(w * row[tj] for w, row in zip(weights, table.values))
@@ -381,19 +352,16 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
     _check_steps(r)
     cycles = cycle_lengths(cycle_type)
     if method == "transfer":
+        # the fixed points of a class are its cycles of length 1
         probs = class_walk_probability(n, cycles, s)
-        sizes = {c.cycle_lengths: c for c in enumerate_classes(n)}
-        return sum(
-            p * Fraction(sizes[t].fixed_points, n) ** r for t, p in probs.items()
-        )
+        return sum(p * Fraction(t.count(1), n) ** r for t, p in probs.items())
     if method == "direct":
-        dist = walk_distribution(n, r)
-        table = character_table(n)
-        ci = table.partitions.index(cycles)
+        table, lat = character_table(n), young_lattice(n)
+        ci = lat.index[_partition_of(n, cycles)]
+        masses = walk_distribution(n, r).masses
         total = Fraction(0)
-        for i, lam in enumerate(table.partitions):
-            g = Fraction(table.values[i][ci], dimension_sn(lam))
-            total += dist.masses.get(lam, 0) * g**s
+        for lam, d, row in zip(lat.parts, lat.dims, table.values):
+            total += masses.get(lam, 0) * Fraction(row[ci], d) ** s
         return total
     if method == "closed":
         if cycles != Partition([2] + [1] * (n - 2)):
@@ -414,7 +382,7 @@ def moment_fc(n: int, cycle_type, s: int, r: int, method: str = "transfer") -> f
 
 
 def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
-    """Certified Chebyshev lower bound on TV distance at r steps.
+    """Chebyshev estimate, in floats, of a lower bound on TV distance at r steps.
 
     Uses the transposition eigenfunction: under Plancherel f_C has mean 0 and
     variance 1, so pi(f_C <= alpha) >= 1 - 1/alpha^2, while under the walk
@@ -577,6 +545,8 @@ def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
 def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
     """count Plancherel-distributed partitions of n, each grown from the empty
     partition by plancherel_growth_step, from one seeded stream."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     _check_sampler_size(n)
     rng = SplitMix64(seed)
     out = []

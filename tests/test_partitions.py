@@ -63,6 +63,12 @@ def test_enumeration_matches_pentagonal_recurrence():
         assert partition_count(n) == len(enumerate_partitions(n))
 
 
+@pytest.mark.parametrize("n", [-3, -2, -1])
+def test_partition_count_of_a_negative_size_is_zero(n):
+    # the pentagonal recurrence reads p(m) = 0 for m < 0
+    assert partition_count(n) == 0
+
+
 def test_enumeration_builds_valid_partitions():
     # the generator skips Partition's checks; each result passes them
     for n in range(13):

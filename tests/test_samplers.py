@@ -87,6 +87,12 @@ def test_plancherel_sampler_frequencies():
 def test_plancherel_single_sample_api():
     (lam,) = plancherel_samples(5, 1, 31)
     assert lam.size == 5
+    assert plancherel_samples(0, 2, 1) == [Partition(())] * 2
+
+
+def test_plancherel_samples_refuse_a_negative_size():
+    with pytest.raises(ValueError, match="non-negative"):
+        plancherel_samples(-3, 2, 1)
 
 
 def test_walk_sampler_tv_to_exact():

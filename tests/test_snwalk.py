@@ -275,6 +275,21 @@ def test_class_walk_probability_examples():
     }
 
 
+@pytest.mark.parametrize("call", [
+    lambda: class_walk_probability(5, (3, 3), 1),
+    lambda: tensor_multiplicity(5, (3, 3), (5,)),
+    lambda: tensor_multiplicity(5, (5,), (3, 3)),
+    lambda: moment_fc_reduced(5, (3, 3), 1, 2, "transfer"),
+    lambda: moment_fc_reduced(5, (3, 3), 1, 2, "direct"),
+], ids=["class_walk_probability", "tensor_multiplicity-lam", "tensor_multiplicity-rho",
+        "moment_fc_reduced-transfer", "moment_fc_reduced-direct"])
+def test_wrong_size_is_a_value_error(call):
+    # a class or partition of 6 at n = 5 is looked up by lattice id; the
+    # refusal names both sizes rather than failing as a missing key
+    with pytest.raises(ValueError, match="has size 6, expected 5"):
+        call()
+
+
 def test_moment_methods_agree_exactly():
     for n in (4, 5, 6):
         c = transpositions(n)

@@ -5,6 +5,8 @@ timing wrappers.  A repwalk name it wraps that is renamed or removed would
 otherwise surface only in a traced benchmark run.  No workload runs here.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -12,7 +14,9 @@ import repwalk.cli as cli
 from repwalk import partitions, snwalk
 from repwalk.partitions import Partition
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+CHECKS = PERFBENCH / "checks.py"
 
 
 def _load_tracing():
@@ -65,6 +69,18 @@ def test_names_the_benchmark_reads_resolve():
     assert snwalk._float_engine.cache_info().maxsize == 4
     bound = 3 * partitions.partition_count(19) * snwalk.FLOAT_ENTRY_RELERR
     assert snwalk._float_error_bound(19, 3) == bound
+
+
+def test_names_the_benchmark_checks_import_resolve():
+    # perfbench/checks.py imports repwalk names inside its check functions,
+    # so a renamed one would fail only inside a benchmark run
+    tree = ast.parse(CHECKS.read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repwalk"
+               for alias in node.names]
+    assert len(imports) >= 10
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_traced_gl_sample_counts_every_word(capsys, monkeypatch):
