@@ -41,7 +41,7 @@ from .glirreps import (
     plancherel_gl,
     unipotent_tail_bound,
 )
-from .hsp import hsp_bounds, subgroup_closure, weak_sampling_distribution
+from .hsp import hsp_bounds, subgroup_closure
 from .partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
 from .rng import derive_seed
 from .series import _check_order, euler_lhs_rhs
@@ -350,7 +350,6 @@ def _cmd_gl_cycle_index(args):
 def _cmd_hsp(args):
     H = subgroup_closure(args.n, args.gens)
     bounds = hsp_bounds(H)
-    dist = weak_sampling_distribution(H)
     per_class = [
         {
             "class": c.cycle_lengths.to_string(),
@@ -368,7 +367,7 @@ def _cmd_hsp(args):
         "sharp_squared": str(bounds.sharp_squared),
         "per_class": per_class,
         "sampling_distribution": {
-            lam.to_string(): str(mass) for lam, mass in dist.masses.items()
+            lam.to_string(): str(mass) for lam, mass in bounds.law.masses.items()
         },
     }
     if args.format == "json":

@@ -138,16 +138,19 @@ class HspBounds(NamedTuple):
     bound_sharp: float
     bound_ks: float
     sharp_squared: Fraction  # exact square of bound_sharp
+    law: WalkDistribution  # P_H, the law the TV is measured on
 
 
 def hsp_bounds(H: SubgroupSpec) -> HspBounds:
-    """Exact TV distance of P_H from Plancherel plus the two class bounds.
+    """Exact TV distance of P_H from Plancherel plus the two class bounds,
+    with P_H itself, so a caller printing both computes it once.
 
     bound_sharp = (1/2) sqrt(sum |C meet H|^2 / |C|) over non-identity
     classes; bound_ks = (1/2) sum |C meet H| / sqrt(|C|).  Always
     exact_tv <= bound_sharp <= bound_ks.
     """
-    tv = tv_to_plancherel(weak_sampling_distribution(H))
+    law = weak_sampling_distribution(H)
+    tv = tv_to_plancherel(law)
     identity = Partition([1] * H.n)
     sharp_sq = Fraction(0)
     ks = 0.0
@@ -158,7 +161,7 @@ def hsp_bounds(H: SubgroupSpec) -> HspBounds:
         inter = H.class_intersections.get(c.cycle_lengths, 0)
         sharp_sq += Fraction(inter * inter, c.class_size)
         ks += inter / math.sqrt(c.class_size)
-    return HspBounds(tv, math.sqrt(sharp_sq) / 2, ks / 2, sharp_sq / 4)
+    return HspBounds(tv, math.sqrt(sharp_sq) / 2, ks / 2, sharp_sq / 4, law)
 
 
 def induced_character_check(H: SubgroupSpec) -> bool:

@@ -7,20 +7,38 @@ sampled byte.  Exact categorical sampling never touches floating point:
 uniform integers below an arbitrary bound come from bit-rejection, and
 lazily extended uniforms in [0,1) support comparisons against dyadic
 interval thresholds.
+
+Word k of the stream seeded s is mix64(s + k * gamma) mod 2^64, so the
+words need no sequential state and are made ahead in numpy ``uint64``
+blocks, whose arithmetic wraps mod 2^64 like the scalar ``mix64``.  A
+stream's first block holds ``BLOCK_FIRST`` words and each refill doubles
+the block up to ``BLOCK_CAP``, so a stream that reads a few words makes few.
+The words and their order are those of the scalar recurrence.  One
+``SplitMix64`` is not to be shared between threads: each thread draws from
+its own stream.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 SLACK_BITS = 128  # bits of U past a threshold's scale before it counts as unresolved
+BLOCK_FIRST = 16  # words in a stream's first block
+BLOCK_CAP = 4096  # the most words one refill makes
+
+# k * gamma mod 2^64 for k = 1..BLOCK_CAP: the state steps within a block
+_STEPS = np.arange(1, BLOCK_CAP + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a 64-bit bijective scrambler."""
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -30,46 +48,68 @@ def derive_seed(seed: int, worker: int) -> int:
 
 
 class SplitMix64:
-    """The SplitMix64 sequence generator (Steele, Lea, Flood 2014)."""
+    """The SplitMix64 sequence generator (Steele, Lea, Flood 2014).
 
-    __slots__ = ("_state",)
+    ``_words`` holds the words of the current block not yet handed out, last
+    word first, so ``next_u64`` is one ``list.pop``; ``_end`` is the state
+    after the block's last word.
+    """
+
+    __slots__ = ("_words", "_end", "_block")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._words: list[int] = []
+        self._end = seed & _MASK
+        self._block = BLOCK_FIRST
+
+    @property
+    def _state(self) -> int:
+        """The state after the last word handed out (the seed before any)."""
+        return (self._end - len(self._words) * _GOLDEN) & _MASK
+
+    def _refill(self) -> None:
+        b = self._block
+        z = _STEPS[:b] + np.uint64(self._end)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_M1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_M2)
+        z ^= z >> np.uint64(31)
+        self._words = z[::-1].tolist()
+        self._end = (self._end + b * _GOLDEN) & _MASK
+        self._block = min(2 * b, BLOCK_CAP)
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return mix64(self._state)
-
-    def randbits(self, k: int) -> int:
-        """Uniform k-bit integer."""
-        out = 0
-        got = 0
-        while got < k:
-            out = (out << 64) | self.next_u64()
-            got += 64
-        return out >> (got - k)
+        try:
+            return self._words.pop()
+        except IndexError:
+            self._refill()
+            return self._words.pop()
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), exact via bit rejection."""
+        """Uniform integer in [0, n), exact via bit rejection.
+
+        Each try reads ceil(k/64) words for k = n.bit_length(), joins them
+        first word highest, and keeps the top k bits.
+        """
         if n <= 0:
             raise ValueError("randrange bound must be positive")
         k = n.bit_length()
+        if k <= 64:
+            shift = 64 - k
+            while True:
+                v = self.next_u64() >> shift
+                if v < n:
+                    return v
+        words = -(-k // 64)
+        shift = 64 * words - k
         while True:
-            v = self.randbits(k)
+            v = 0
+            for _ in range(words):
+                v = (v << 64) | self.next_u64()
+            v >>= shift
             if v < n:
                 return v
-
-    def choose_weighted(self, weights) -> int:
-        """Index i with probability weights[i]/sum, weights exact integers."""
-        total = sum(weights)
-        t = self.randrange(total)
-        acc = 0
-        for i, w in enumerate(weights):
-            acc += w
-            if t < acc:
-                return i
-        raise AssertionError("weights exhausted")  # pragma: no cover
 
 
 class LazyUniform:

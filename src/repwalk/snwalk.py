@@ -213,10 +213,16 @@ def _multiplicities(table, lat, li: int) -> list[int]:
 
 
 def tensor_multiplicity(n: int, lam: Partition, rho: Partition) -> int:
-    """Multiplicity of rho in lam (x) eta as a character inner product."""
+    """Multiplicity of rho in lam (x) eta as a character inner product:
+    (1/n!) sum_C |C| fp(C) chi^lam(C) chi^rho(C)."""
     table, lat = character_table(n), young_lattice(n)
     li, ri = lat.index[_partition_of(n, lam)], lat.index[_partition_of(n, rho)]
-    return _multiplicities(table, lat, li)[ri]
+    m, rem = divmod(sum(c.class_size * c.fixed_points * x * y for c, x, y
+                        in zip(table.classes, table.values[li], table.values[ri])),
+                    math.factorial(n))
+    if rem or m < 0:
+        raise ArithmeticError("a tensor multiplicity is not a non-negative integer")
+    return m
 
 
 def kernel_from_tensor(n: int) -> SparseKernel:
@@ -509,8 +515,9 @@ def _up_row(mu: Partition):
                       "(|mu|+1) d_mu")
 
 
-# A half-step draws by inverse CDF on a row, with the randrange bound and the
-# tie-break of SplitMix64.choose_weighted, so the same words are drawn.
+# A half-step draws by inverse CDF on a row: the first partition whose running
+# dimension sum exceeds randrange(total), the draw and the tie-break of the
+# per-step corner code, so the same words are drawn.
 
 
 def plancherel_growth_step(rng: SplitMix64, mu: Partition) -> Partition:

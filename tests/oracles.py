@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
+from repwalk.rng import _GOLDEN, mix64
 
 
 def cycle_type_brute(perm: tuple[int, ...]) -> Partition:
@@ -327,13 +328,55 @@ def euler_product_exact(u, q, terms: int) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# SplitMix64 as the scalar recurrence it was before the numpy word blocks
+
+
+class ScalarSplitMix64:
+    """The state advanced by the golden gamma once per word, each word
+    mix64(state) computed on its own; randrange by k-bit rejection."""
+
+    def __init__(self, seed: int):
+        self._state = seed % (1 << 64)
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) % (1 << 64)
+        return mix64(self._state)
+
+    def randbits(self, k: int) -> int:
+        out = got = 0
+        while got < k:
+            out = (out << 64) | self.next_u64()
+            got += 64
+        return out >> (got - k)
+
+    def randrange(self, n: int) -> int:
+        k = n.bit_length()
+        while True:
+            v = self.randbits(k)
+            if v < n:
+                return v
+
+
+# ---------------------------------------------------------------------------
 # S_n sampler steps as they were before the row tables: corners rebuilt and
-# weights looked up on every call, drawn by SplitMix64.choose_weighted
+# weights looked up on every call, drawn by choose_weighted
+
+
+def choose_weighted(rng, weights) -> int:
+    """Index i with probability weights[i]/sum, weights exact integers: the
+    first i whose running sum exceeds rng.randrange(sum)."""
+    t = rng.randrange(sum(weights))
+    acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if t < acc:
+            return i
+    raise AssertionError("weights exhausted")
 
 
 def _choose_by_dimension_reference(rng, candidates):
     weights = [dimension_sn(c) for c in candidates]
-    i = rng.choose_weighted(weights)
+    i = choose_weighted(rng, weights)
     return candidates[i], sum(weights)
 
 

@@ -104,6 +104,20 @@ def test_tensor_multiplicities_are_counts():
                 assert m >= 0
 
 
+def test_tensor_multiplicity_is_its_kernel_row_entry():
+    # one class sum per pair against the whole multiplicity row that
+    # kernel_from_tensor reads, for every pair at n <= 8
+    from repwalk.characters import character_table
+    from repwalk.partitions import young_lattice
+    from repwalk.snwalk import _multiplicities
+
+    for n in range(1, 9):
+        table, lat = character_table(n), young_lattice(n)
+        for li, lam in enumerate(lat.parts):
+            row = _multiplicities(table, lat, li)
+            assert [tensor_multiplicity(n, lam, rho) for rho in lat.parts] == row
+
+
 def test_reversibility_and_stationarity():
     for n in (3, 5, 8, 12):
         k = kernel_downup(n)

@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import repwalk.cli as cli
 from repwalk import partitions, snwalk
 from repwalk.partitions import Partition
@@ -123,3 +125,37 @@ def test_traced_gl_sample_counts_every_word(capsys, monkeypatch):
     assert names.count("glasymptotics.sampler_init") == 2
     assert names.count("glasymptotics.first_sample") == 2
     assert names.count("glasymptotics.warm_sample") == 10
+
+
+@pytest.mark.parametrize("command, words_per_step", [("sn-sample", 2), ("sn-rsk", 1)])
+def test_traced_sn_samplers_count_every_word(capsys, monkeypatch, command, words_per_step):
+    # rng.u64_per_op on sn-montecarlo reads the wrapped SplitMix64.next_u64:
+    # a walk or shuffle step that drew words past the method would skew it
+    from repwalk import rng
+
+    streams = []
+
+    class Recorded(rng.SplitMix64):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            streams.append((self, self._state))
+
+    monkeypatch.setattr(snwalk, "SplitMix64", Recorded)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        words = tracer.aggs["rng.next_u64"].totals()[0]
+        assert cli.main([command, "--n", "12", "--r", "20", "--count", "9", "--seed", "6",
+                         "--threads", "2"]) == 0
+        words = tracer.aggs["rng.next_u64"].totals()[0] - words
+    finally:
+        tracer.uninstall()
+    inverse = pow(rng._GOLDEN, -1, 1 << 64)
+    advanced = sum((s._state - start) * inverse % (1 << 64) for s, start in streams)
+    # a step draws at least one word per randrange: two for a walk step,
+    # one for a shuffle
+    assert len(streams) == 2 and words == advanced >= words_per_step * 9 * 20
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows[0] == "index,partition" and len(rows) == 1 + 9
