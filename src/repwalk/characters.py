@@ -147,8 +147,9 @@ class CharacterTable:
 
     def fourier_law(self, w) -> list[Fraction]:
         """(d_rho/n!) sum_C w[C] chi^rho(C) for each row rho, w a class function
-        listed by class id: the hidden-subgroup law, the tensor multiplicities
-        and the spectral walk law are this sum for three choices of w."""
+        listed by class id: the hidden-subgroup law, the tensor multiplicity rows
+        of kernel_from_tensor and the spectral walk law are this sum for three
+        choices of w."""
         n_fact = math.factorial(self.n)
         return [Fraction(d * sum(map(mul, w, row)), n_fact)
                 for d, row in zip(young_lattice(self.n).dims, self.values)]

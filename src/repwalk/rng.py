@@ -10,12 +10,10 @@ interval thresholds.
 
 Word k of the stream seeded s is mix64(s + k * gamma) mod 2^64, so the
 words need no sequential state and are made ahead in numpy ``uint64``
-blocks, whose arithmetic wraps mod 2^64 like the scalar ``mix64``.  A
-stream's first block holds ``BLOCK_FIRST`` words and each refill doubles
-the block up to ``BLOCK_CAP``, so a stream that reads a few words makes few.
-The words and their order are those of the scalar recurrence.  One
-``SplitMix64`` is not to be shared between threads: each thread draws from
-its own stream.
+blocks of ``BLOCK`` words, whose arithmetic wraps mod 2^64 like the scalar
+``mix64``.  The words and their order are those of the scalar recurrence.
+One ``SplitMix64`` is not to be shared between threads: each thread draws
+from its own stream.
 """
 
 from __future__ import annotations
@@ -27,11 +25,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 SLACK_BITS = 128  # bits of U past a threshold's scale before it counts as unresolved
-BLOCK_FIRST = 16  # words in a stream's first block
-BLOCK_CAP = 4096  # the most words one refill makes
+BLOCK = 4096  # words one refill makes
 
-# k * gamma mod 2^64 for k = 1..BLOCK_CAP: the state steps within a block
-_STEPS = np.arange(1, BLOCK_CAP + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+# k * gamma mod 2^64 for k = 1..BLOCK: the state steps within a block
+_STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
 def mix64(z: int) -> int:
@@ -55,12 +52,11 @@ class SplitMix64:
     after the block's last word.
     """
 
-    __slots__ = ("_words", "_end", "_block")
+    __slots__ = ("_words", "_end")
 
     def __init__(self, seed: int):
         self._words: list[int] = []
         self._end = seed & _MASK
-        self._block = BLOCK_FIRST
 
     @property
     def _state(self) -> int:
@@ -68,16 +64,14 @@ class SplitMix64:
         return (self._end - len(self._words) * _GOLDEN) & _MASK
 
     def _refill(self) -> None:
-        b = self._block
-        z = _STEPS[:b] + np.uint64(self._end)
+        z = _STEPS + np.uint64(self._end)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_M1)
         z ^= z >> np.uint64(27)
         z *= np.uint64(_M2)
         z ^= z >> np.uint64(31)
         self._words = z[::-1].tolist()
-        self._end = (self._end + b * _GOLDEN) & _MASK
-        self._block = min(2 * b, BLOCK_CAP)
+        self._end = (self._end + BLOCK * _GOLDEN) & _MASK
 
     def next_u64(self) -> int:
         try:

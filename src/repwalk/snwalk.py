@@ -202,27 +202,29 @@ def _partition_of(n: int, lam) -> Partition:
     return lam
 
 
+def _as_count(m: Fraction) -> int:
+    """A tensor multiplicity, refused unless a non-negative integer."""
+    if m.denominator != 1 or m < 0:
+        raise ArithmeticError("a tensor multiplicity is not a non-negative integer")
+    return m.numerator
+
+
 def _multiplicities(table, lat, li: int) -> list[int]:
     """mult(rho in lam (x) eta) for every rho in id order, lam the li-th
     partition: the Fourier law of |C| fp(C) chi^lam(C) is d_rho mult."""
     w = [c.class_size * c.fixed_points * x for c, x in zip(table.classes, table.values[li])]
-    mults = [p / d for p, d in zip(table.fourier_law(w), lat.dims)]
-    if any(m.denominator != 1 or m < 0 for m in mults):
-        raise ArithmeticError("a tensor multiplicity is not a non-negative integer")
-    return [m.numerator for m in mults]
+    return [_as_count(p / d) for p, d in zip(table.fourier_law(w), lat.dims)]
 
 
 def tensor_multiplicity(n: int, lam: Partition, rho: Partition) -> int:
     """Multiplicity of rho in lam (x) eta as a character inner product:
-    (1/n!) sum_C |C| fp(C) chi^lam(C) chi^rho(C)."""
+    (1/n!) sum_C |C| fp(C) chi^lam(C) chi^rho(C), one entry of the
+    _multiplicities row without the rest."""
     table, lat = character_table(n), young_lattice(n)
     li, ri = lat.index[_partition_of(n, lam)], lat.index[_partition_of(n, rho)]
-    m, rem = divmod(sum(c.class_size * c.fixed_points * x * y for c, x, y
-                        in zip(table.classes, table.values[li], table.values[ri])),
-                    math.factorial(n))
-    if rem or m < 0:
-        raise ArithmeticError("a tensor multiplicity is not a non-negative integer")
-    return m
+    return _as_count(Fraction(sum(c.class_size * c.fixed_points * x * y for c, x, y
+                                  in zip(table.classes, table.values[li], table.values[ri])),
+                              math.factorial(n)))
 
 
 def kernel_from_tensor(n: int) -> SparseKernel:

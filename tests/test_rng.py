@@ -8,19 +8,17 @@ the one-word-at-a-time generator in tests/oracles.py.
 import pytest
 
 from repwalk import rng
-from repwalk.rng import BLOCK_CAP, BLOCK_FIRST, SplitMix64, mix64
+from repwalk.rng import BLOCK, SplitMix64, mix64
 
 from oracles import ScalarSplitMix64
 
 MASK = (1 << 64) - 1
-# the block sizes from a stream's first refill up to the cap
-DOUBLING = [BLOCK_FIRST << i for i in range((BLOCK_CAP // BLOCK_FIRST).bit_length())]
 
 
 @pytest.mark.parametrize("seed", [0, MASK, (1 << 64) + 5])
 def test_block_stream_is_the_scalar_stream(seed):
-    # 10^5 words run through the doubling blocks and many capped ones
-    assert sum(DOUBLING) + 10 * BLOCK_CAP < 10**5
+    # 10^5 words run across many block boundaries
+    assert 10 * BLOCK < 10**5
     stream = SplitMix64(seed)
     state = seed & MASK
     assert stream._state == state
@@ -29,18 +27,6 @@ def test_block_stream_is_the_scalar_stream(seed):
         state = (state + rng._GOLDEN) & MASK
         assert word == mix64(state)
         assert stream._state == state
-
-
-def test_blocks_start_small_and_double_to_the_cap():
-    assert DOUBLING[-1] == BLOCK_CAP
-    stream = SplitMix64(9)
-    sizes = []
-    while len(sizes) < len(DOUBLING) + 2:
-        refill = not stream._words
-        stream.next_u64()
-        if refill:
-            sizes.append(len(stream._words) + 1)
-    assert sizes == DOUBLING + [BLOCK_CAP, BLOCK_CAP]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 1 << 63, MASK, 1 << 64, (1 << 64) + 1, 10**40])

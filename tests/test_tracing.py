@@ -85,52 +85,10 @@ def test_names_the_benchmark_checks_import_resolve():
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
-def test_traced_gl_sample_counts_every_word(capsys, monkeypatch):
-    # rng.u64_per_op and glasymptotics.attempts_per_sample read the wrapped
-    # SplitMix64.next_u64 and GLPlancherelSampler.sample: a sampler that drew
-    # words past the method, or a sampler class the tracer no longer wraps,
-    # would skew them without failing a traced run
-    from repwalk import glasymptotics, rng
-
-    streams = []
-
-    class Recorded(rng.SplitMix64):
-        __slots__ = ()
-
-        def __init__(self, seed):
-            super().__init__(seed)
-            streams.append((self, self._state))
-
-    monkeypatch.setattr(glasymptotics, "SplitMix64", Recorded)
-    sampler_cls = glasymptotics.GLPlancherelSampler
-    originals = (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"])
-    tracer = _load_tracing().Tracer()
-    tracer.install()
-    try:
-        assert (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"]) != originals
-        words = tracer.aggs["rng.next_u64"].totals()[0]
-        assert cli.main(["gl-sample", "--n", "9", "--q", "3", "--count", "12", "--seed", "4",
-                         "--threads", "2"]) == 0
-        words = tracer.aggs["rng.next_u64"].totals()[0] - words
-        samples, _, attempts = tracer.aggs["glasymptotics.attempts"].totals()
-        names = [span[1] for span in tracer.spans]
-    finally:
-        tracer.uninstall()
-    assert (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"]) == originals
-    # every word adds the golden gamma to the state
-    inverse = pow(rng._GOLDEN, -1, 1 << 64)
-    advanced = sum((s._state - start) * inverse % (1 << 64) for s, start in streams)
-    assert len(streams) == 2 and words == advanced > 0
-    assert samples == 12 and f"# attempts: {attempts}\n" in capsys.readouterr().out
-    assert names.count("glasymptotics.sampler_init") == 2
-    assert names.count("glasymptotics.first_sample") == 2
-    assert names.count("glasymptotics.warm_sample") == 10
-
-
-@pytest.mark.parametrize("command, words_per_step", [("sn-sample", 2), ("sn-rsk", 1)])
-def test_traced_sn_samplers_count_every_word(capsys, monkeypatch, command, words_per_step):
-    # rng.u64_per_op on sn-montecarlo reads the wrapped SplitMix64.next_u64:
-    # a walk or shuffle step that drew words past the method would skew it
+def _traced_words(monkeypatch, module, argv, while_installed=lambda: None):
+    """Run the CLI on argv under the tracer, module's SplitMix64 recording
+    every stream it makes.  Returns the tracer, its rng.next_u64 count over
+    the run, the number of streams and the words they advanced."""
     from repwalk import rng
 
     streams = []
@@ -142,20 +100,58 @@ def test_traced_sn_samplers_count_every_word(capsys, monkeypatch, command, words
             super().__init__(seed)
             streams.append((self, self._state))
 
-    monkeypatch.setattr(snwalk, "SplitMix64", Recorded)
+    monkeypatch.setattr(module, "SplitMix64", Recorded)
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
+        while_installed()
         words = tracer.aggs["rng.next_u64"].totals()[0]
-        assert cli.main([command, "--n", "12", "--r", "20", "--count", "9", "--seed", "6",
-                         "--threads", "2"]) == 0
+        assert cli.main(argv) == 0
         words = tracer.aggs["rng.next_u64"].totals()[0] - words
     finally:
         tracer.uninstall()
+    # every word adds the golden gamma to the state
     inverse = pow(rng._GOLDEN, -1, 1 << 64)
     advanced = sum((s._state - start) * inverse % (1 << 64) for s, start in streams)
+    return tracer, words, len(streams), advanced
+
+
+def test_traced_gl_sample_counts_every_word(capsys, monkeypatch):
+    # rng.u64_per_op and glasymptotics.attempts_per_sample read the wrapped
+    # SplitMix64.next_u64 and GLPlancherelSampler.sample: a sampler that drew
+    # words past the method, or a sampler class the tracer no longer wraps,
+    # would skew them without failing a traced run
+    from repwalk import glasymptotics
+
+    sampler_cls = glasymptotics.GLPlancherelSampler
+    originals = (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"])
+
+    def wrapped():
+        assert (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"]) != originals
+
+    tracer, words, streams, advanced = _traced_words(
+        monkeypatch, glasymptotics,
+        ["gl-sample", "--n", "9", "--q", "3", "--count", "12", "--seed", "4", "--threads", "2"],
+        wrapped)
+    assert (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"]) == originals
+    samples, _, attempts = tracer.aggs["glasymptotics.attempts"].totals()
+    names = [span[1] for span in tracer.spans]
+    assert streams == 2 and words == advanced > 0
+    assert samples == 12 and f"# attempts: {attempts}\n" in capsys.readouterr().out
+    assert names.count("glasymptotics.sampler_init") == 2
+    assert names.count("glasymptotics.first_sample") == 2
+    assert names.count("glasymptotics.warm_sample") == 10
+
+
+@pytest.mark.parametrize("command, words_per_step", [("sn-sample", 2), ("sn-rsk", 1)])
+def test_traced_sn_samplers_count_every_word(capsys, monkeypatch, command, words_per_step):
+    # rng.u64_per_op on sn-montecarlo reads the wrapped SplitMix64.next_u64:
+    # a walk or shuffle step that drew words past the method would skew it
+    _, words, streams, advanced = _traced_words(
+        monkeypatch, snwalk,
+        [command, "--n", "12", "--r", "20", "--count", "9", "--seed", "6", "--threads", "2"])
     # a step draws at least one word per randrange: two for a walk step,
     # one for a shuffle
-    assert len(streams) == 2 and words == advanced >= words_per_step * 9 * 20
+    assert streams == 2 and words == advanced >= words_per_step * 9 * 20
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert rows[0] == "index,partition" and len(rows) == 1 + 9
