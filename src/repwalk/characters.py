@@ -179,12 +179,12 @@ class CharacterTable:
 _table_cache: dict[int, CharacterTable] = {}
 
 
-def character_table(n: int, limit: int = DEFAULT_TABLE_LIMIT) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """Full character table of S_n, orthogonality-verified and cached."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > limit:
-        raise CapacityError("character table", n, limit)
+    if n > DEFAULT_TABLE_LIMIT:
+        raise CapacityError("character table", n, DEFAULT_TABLE_LIMIT)
     if n not in _table_cache:
         parts = enumerate_partitions(n)
         classes = enumerate_classes(n)

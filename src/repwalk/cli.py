@@ -48,8 +48,10 @@ from .series import _check_order, euler_lhs_rhs
 from .snwalk import (
     EXACT_KERNEL_LIMIT,
     _check_sampler_size,
+    _check_size,
     _check_steps,
     _float_error_bound,
+    _partition_of,
     moment_fc_reduced,
     rsk_samples,
     sn_tv_curve,
@@ -147,7 +149,7 @@ def _chunked(sample_fn, count: int, seed: int, threads: int) -> list:
 
 
 def _cmd_characters(args):
-    table = character_table(args.n, args.exact_limit)
+    table = character_table(args.n)
     class_labels = [c.cycle_lengths.to_string() for c in table.classes]
     if args.format == "json":
         _write_json(args, "characters", {
@@ -178,6 +180,9 @@ def _cmd_sn_walk(args):
     start = Partition.from_string(args.start) if args.start else None
     if args.mode == "exact":
         _check_steps(args.r)  # a walk past the step cap keeps that message
+        if start:  # its size before dimension_sn, which is slow on a long one
+            _partition_of(args.n, start)
+        _check_size(args.n)
         _check_digits(args.n, args.r, dimension_sn(start) if start else 1)
     dist = walk_distribution(args.n, args.r, start, args.mode)
     extra = [_error_bound_line(dist)] if args.mode == "float" else []
@@ -202,6 +207,7 @@ def _cmd_sn_tv_curve(args):
 def _cmd_sn_cutoff(args):
     n, c = args.n, args.c
     r = math.ceil(0.5 * n * math.log(n) + c * n)
+    _check_steps(r)  # before exp(-2c), which overflows where r < 0
     target = math.exp(-2 * c) / 2
     mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     dist = walk_distribution(n, r, mode=mode)
@@ -235,10 +241,11 @@ def _cmd_sn_rsk(args):
 
 
 def _cmd_sn_moments(args):
-    transposition = Partition([2] + [1] * (args.n - 2))
-    size = math.comb(args.n, 2)  # the class size of the transpositions
     _check_steps(args.r)
     _check_digits(args.n, args.r)
+    table = character_table(args.n)  # its size cap before the n-part partition
+    transposition = Partition([2] + [1] * (args.n - 2))
+    size = math.comb(args.n, 2)  # the class size of the transpositions
     rows = []
     for s in (1, 2):
         for method in ("transfer", "direct", "closed"):
@@ -246,7 +253,7 @@ def _cmd_sn_moments(args):
             # the value moment_fc returns, without computing red twice
             rows.append([s, method, float(red) * size ** (s / 2), red])
     if args.samples:
-        values, lat = character_table(args.n).values, young_lattice(args.n)
+        values, lat = table.values, young_lattice(args.n)
         ci = lat.index[transposition]
         draws = [lat.index[lam] for lam in _chunked(
             lambda count, seed: walk_samples(args.n, args.r, count, seed),
@@ -348,6 +355,7 @@ def _cmd_gl_cycle_index(args):
 
 
 def _cmd_hsp(args):
+    table = character_table(args.n)  # its size cap before the closure
     H = subgroup_closure(args.n, args.gens)
     bounds = hsp_bounds(H)
     per_class = [
@@ -356,7 +364,7 @@ def _cmd_hsp(args):
             "size": c.class_size,
             "intersection": H.class_intersections.get(c.cycle_lengths, 0),
         }
-        for c in character_table(args.n).classes
+        for c in table.classes
     ]
     payload = {
         "n": args.n,
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("characters", _cmd_characters, help="character table of S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--exact-limit", type=int, default=DEFAULT_TABLE_LIMIT)
+    p.set_defaults(exact_limit=DEFAULT_TABLE_LIMIT)  # echoed on the # command: line
 
     p = add("sn-walk", _cmd_sn_walk, help="r-step walk distribution on Irr(S_n)")
     p.add_argument("--n", type=int, required=True)
@@ -483,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _mode_flags(p):
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
+    p.set_defaults(mode="exact")
     p.add_argument("--exact", dest="mode", action="store_const", const="exact")
     p.add_argument("--float", dest="mode", action="store_const", const="float")
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
 
 from .errors import CapacityError
 from .partitions import EMPTY, Partition, enumerate_partitions
@@ -116,36 +115,6 @@ class GLIrrep:
         return cls(n, q, tuple(sorted(assignment)))
 
 
-def _degree_assignments(d: int, boxes: int, n_labels: int):
-    """All ways to place nonempty partitions totalling `boxes` boxes on
-    distinct labels of one degree; yields tuples of (index, partition)."""
-    if boxes == 0:
-        yield ()
-        return
-    for k in range(1, min(boxes, n_labels) + 1):
-        for multiset in _partition_multisets(boxes, k):
-            arrangements = sorted(set(permutations(multiset)))
-            for idxs in combinations(range(n_labels), k):
-                for arr in arrangements:
-                    yield tuple(zip(idxs, arr))
-
-
-def _partition_multisets(boxes: int, k: int, cap: Partition | None = None):
-    """Multisets of exactly k nonempty partitions with sizes summing to boxes,
-    listed weakly decreasing in reverse-lex order to avoid duplicates."""
-    if k == 1:
-        for lam in enumerate_partitions(boxes):
-            if cap is None or lam <= cap:
-                yield (lam,)
-        return
-    for size in range(boxes - k + 1, 0, -1):
-        for lam in enumerate_partitions(size):
-            if cap is not None and lam > cap:
-                continue
-            for rest in _partition_multisets(boxes - size, k - 1, lam):
-                yield (lam,) + rest
-
-
 def gl_enumerable(n: int, q: int) -> bool:
     """Whether GL(n,q) is within the family-enumeration limits."""
     return n <= DEFAULT_ENUM_N and q <= DEFAULT_ENUM_Q
@@ -158,29 +127,33 @@ def enumerate_gl_irreps(n: int, q: int) -> tuple[GLIrrep, ...]:
     if not gl_enumerable(n, q):
         raise CapacityError("GL family enumeration", (n, q), (DEFAULT_ENUM_N, DEFAULT_ENUM_Q))
 
+    labels = [CuspidalLabel(d, i) for d in range(1, n + 1) for i in range(cuspidal_count(d, q))]
     families: list[GLIrrep] = []
 
-    def recurse(d: int, budget: int, acc: list):
+    def recurse(k: int, budget: int, acc: list):
+        # labels[k:] may still be given a partition; labels[:k] are decided
         if budget == 0:
             families.append(GLIrrep(n, q, tuple(acc)))
             return
-        if d > budget:
-            return
-        n_labels = cuspidal_count(d, q)
-        for boxes in range(budget // d, -1, -1):
-            for placed in _degree_assignments(d, boxes, n_labels):
-                added = [(CuspidalLabel(d, i), lam) for i, lam in placed]
-                recurse(d + 1, budget - d * boxes, acc + added)
+        for j in range(k, len(labels)):
+            d = labels[j].degree
+            if d > budget:  # labels come in degree order: none later fits
+                return
+            for size in range(1, budget // d + 1):
+                for lam in enumerate_partitions(size):
+                    recurse(j + 1, budget - d * size, acc + [(labels[j], lam)])
 
-    recurse(1, n, [])
+    recurse(0, n, [])
     families.sort(key=_family_sort_key)
     return tuple(families)
 
 
 def _family_sort_key(phi: GLIrrep):
+    """A total order on families: the sorted (degree, partition) pairs, then
+    the labels used, then the partitions in label order."""
     pairs = sorted((label.degree, tuple(lam)) for label, lam in phi.assignment)
     idxs = sorted((label.degree, label.index) for label, lam in phi.assignment)
-    return (pairs, idxs)
+    return (pairs, idxs, [tuple(lam) for label, lam in sorted(phi.assignment)])
 
 
 @lru_cache(maxsize=256)

@@ -49,18 +49,9 @@ class TruncSeries:
     def one(cls, order: int) -> "TruncSeries":
         return cls.from_coeffs(order, [1])
 
-    def _check(self, other: "TruncSeries"):
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.order != other.order:
             raise ValueError("series orders must match")
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries(self.order, tuple(c * other for c in self.coeffs))
-        self._check(other)
         out = [Fraction(0)] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -71,11 +62,9 @@ class TruncSeries:
                     out[i + j] += a * b
         return TruncSeries(self.order, tuple(out))
 
-    __rmul__ = __mul__
-
     def __pow__(self, k: int) -> "TruncSeries":
         if k < 0:
-            return self.reciprocal() ** (-k)
+            raise ValueError(f"the power must be non-negative, got {k}")
         out = TruncSeries.one(self.order)
         base = self
         while k:
@@ -84,19 +73,6 @@ class TruncSeries:
             base = base * base
             k >>= 1
         return out
-
-    def reciprocal(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if not self.coeffs[0]:
-            raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * self.order
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncSeries(self.order, tuple(out))
 
 
 def geometric_factor(order: int, ratio: Fraction) -> TruncSeries:

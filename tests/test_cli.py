@@ -532,6 +532,9 @@ def test_threads_split_golden(capsys, argv):
     ["sn-rsk", "--n", "5", "--r", "2", "--count", "-2"],
     ["gl-sample", "--n", "2", "--q", "2", "--count", "-2"],
     ["sn-moments", "--n", "5", "--r", "2", "--samples", "-1"],
+    ["sn-cutoff", "--n", "10", "--c", "-400"],  # r < 0, and exp(800) overflows
+    ["sn-walk", "--n", "5", "--r", "3", "--mode", "float"],  # --exact and --float only
+    ["characters", "--n", "13", "--exact-limit", "13"],  # the table cap is fixed
 ])
 def test_bad_argument_usage_error(capsys, argv):
     # exit 2 with a usage error line: no traceback, no empty table
@@ -622,6 +625,34 @@ def test_size_caps_capacity_error(capsys, argv, refusal):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"capacity error: {refusal}" in captured.err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called before the refusal")
+
+
+@pytest.mark.parametrize("argv,slow,code,refusal", [
+    (["hsp", "--n", str(10**7), "--gens", "(1 2)"], "subgroup_closure", 3,
+     "capacity error: character table: requested 10000000"),
+    (["sn-walk", "--n", "5", "--r", "1", "--exact", "--start", "300000"], "dimension_sn", 2,
+     "usage error: partition 300000 has size 300000, expected 5"),
+    (["sn-walk", "--n", "100000", "--r", "1", "--exact", "--start", "100000"], "dimension_sn", 3,
+     "capacity error: exact kernel: requested 100000"),
+    (["sn-moments", "--n", str(10**7), "--r", "1"], "Partition", 3,
+     "capacity error: character table: requested 10000000"),
+    (["sn-cutoff", "--n", "10", "--c", "-400"], "math.exp", 2,
+     "usage error: r must be non-negative"),
+])
+def test_refused_before_the_slow_call(capsys, monkeypatch, argv, slow, code, refusal):
+    # each was refused only after its slow step: 3 s for the n-part
+    # partition, 44 s for the hook product of 300000 boxes, over 120 s for
+    # the closure at n = 4 * 10**6; sn-cutoff overflowed in exp(-2c) and
+    # exited 1 with a traceback
+    monkeypatch.setattr(f"repwalk.cli.{slow}", _must_not_run)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert refusal in captured.err
 
 
 def test_negative_order_rejected_while_parsing(capsys):
@@ -940,3 +971,34 @@ def test_fourier_golden(capsys, argv):
         assert out == want
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# gl-irreps stdout, as the sha256 of its bytes, for every enumerable
+# (n, q), recorded while the families were built from multisets of
+# partitions and their distinct arrangements.  From q = 3 on, families tie
+# on the sorted (degree, partition) pairs and the labels used; the rows of
+# such ties must keep their order.
+GL_IRREPS_GOLDEN = {
+    (1, 2): "3abaac1a4f8289e608f7c6cebef2822c049595ff27cdc72f4f1d659d0c9858c8",
+    (1, 3): "a590b5c6b366c42c36540d71de5a0158c85e47e262f685874abeb622174a8869",
+    (1, 4): "00d6639532555526441dfa69848c65cea3790fed42ef563382535e7d50db2edf",
+    (2, 2): "2470b5dadd09c541c93bc3d269713a63d92474f1c888222798561857ddc6f79e",
+    (2, 3): "63df98c1c541fb077b32aac60c6a9cab4d30b35c6ad11f2e81172386de0f7767",
+    (2, 4): "8f3990a34fec3c79c3c23c37e967490d41abf7144f8fb76e27aa37316a60f29b",
+    (3, 2): "9c0eeb81161729bb5db38b594c305763e9b463f4d9f2ffa6bcd74dabb7aaee65",
+    (3, 3): "9bef33b9a289ba474281867b94e583960055442c4e173b502c0fcf63828d9f11",
+    (3, 4): "24f887c2086c5a9e0293a11ece5247f551abf65db7f53e96cbf7eaa490443b1f",
+    (4, 2): "809897ad69f1c50bf52fdf9bac781219500888147487d0eb04582a1c97a78c59",
+    (4, 3): "05d079aed8467639444d5ef6b7ea2425837c6df0c620ad5abecd656fdab108ef",
+    (4, 4): "bb96062a0e8d459f2e0f13211e08bf50e6833c4c0529c0dad3dc0d0fbe096226",
+    (5, 2): "b66e3894c4b25ec2bb1f26826b91083afdec4f8715ee3c4e3f68c080aae587d7",
+    (5, 3): "c5fe8ba0fcf5d1d2c77a935cb23ee500b069c04ee1c32218951513faa9f1d887",
+    (5, 4): "a560f0f458d3e95b2e8c6b6c3a416e066b88cb0766b37695fd16e2e2056252cb",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(GL_IRREPS_GOLDEN))
+def test_gl_irreps_golden(capsys, n, q):
+    code, out = _main_stdout(capsys, ["gl-irreps", "--n", str(n), "--q", str(q)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GL_IRREPS_GOLDEN[n, q]

@@ -28,6 +28,7 @@ from repwalk.partitions import Partition
 from repwalk.snwalk import class_walk_probability, spectrum_sn
 
 REMOVED = [
+    (characters.character_table, "limit"),
     (snwalk.tensor_multiplicity, "limit"),
     (snwalk.kernel_from_tensor, "limit"),
     (snwalk.spectrum_sn, "limit"),
@@ -77,6 +78,13 @@ def test_character_table_limits():
         class_walk_probability(over, Partition([2] + [1] * (over - 2)), 1)
     with pytest.raises(CapacityError):
         hsp_bounds(subgroup_closure(over, "(1 2)"))
+
+
+def test_table_limit_read_at_run_time(monkeypatch):
+    assert characters.character_table(4).n == 4
+    monkeypatch.setattr(characters, "DEFAULT_TABLE_LIMIT", 3)
+    with pytest.raises(CapacityError):
+        characters.character_table(4)  # cached, and still refused
 
 
 def test_induced_character_check_limit():

@@ -29,42 +29,28 @@ def test_basic_arithmetic():
     sq = one_plus_u * one_plus_u
     assert sq.coeffs == (1, 2, 1, 0, 0)
     one_minus_u = TruncSeries.from_coeffs(4, [1, -1])
-    assert (one_minus_u * one_minus_u.reciprocal()).coeffs == (1, 0, 0, 0, 0)
-    assert one_minus_u.reciprocal().coeffs == (1, 1, 1, 1, 1)
-
-
-def test_reciprocal_requires_unit():
-    with pytest.raises(ZeroDivisionError):
-        TruncSeries.from_coeffs(3, [0, 1]).reciprocal()
+    assert (one_minus_u * geometric_factor(4, 1)).coeffs == (1, 0, 0, 0, 0)
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        TruncSeries.one(3) + TruncSeries.one(4)
+        TruncSeries.one(3) * TruncSeries.one(4)
 
 
 @settings(deadline=None)
 @given(series(), series(), series())
 def test_ring_laws(a, b, c):
     assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
-    assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
-    assert (a + b).coeffs == (b + a).coeffs
     assert (a * b).coeffs == (b * a).coeffs
-
-
-@settings(deadline=None)
-@given(series())
-def test_reciprocal_property(a):
-    if not a.coeffs[0]:
-        return
-    assert (a * a.reciprocal()).coeffs == TruncSeries.one(a.order).coeffs
+    assert (a * TruncSeries.one(a.order)).coeffs == a.coeffs
 
 
 def test_powers():
     g = geometric_factor(5, Fraction(1, 2))
     assert (g**0).coeffs == TruncSeries.one(5).coeffs
     assert (g**3).coeffs == (g * g * g).coeffs
-    assert (g**-1).coeffs == g.reciprocal().coeffs
+    with pytest.raises(ValueError):
+        g**-1
 
 
 def test_q_pochhammer_values():
