@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .characters import DEFAULT_TABLE_LIMIT, character_table
+from .characters import character_table
 from .errors import CapacityError, SamplerError
 from .glasymptotics import (
     GLPlancherelSampler,
@@ -47,6 +47,7 @@ from .rng import derive_seed
 from .series import _check_order, euler_lhs_rhs
 from .snwalk import (
     EXACT_KERNEL_LIMIT,
+    FLOAT_LIMIT,
     _check_sampler_size,
     _check_size,
     _check_steps,
@@ -206,6 +207,11 @@ def _cmd_sn_tv_curve(args):
 
 def _cmd_sn_cutoff(args):
     n, c = args.n, args.c
+    # n before r, whose log(n) and float n fail for n < 1 and n past 10**308
+    if n < 2:
+        raise ValueError("the walk needs n >= 2")
+    if n > FLOAT_LIMIT:
+        raise CapacityError("float kernel", n, FLOAT_LIMIT)
     r = math.ceil(0.5 * n * math.log(n) + c * n)
     _check_steps(r)  # before exp(-2c), which overflows where r < 0
     target = math.exp(-2 * c) / 2
@@ -419,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("characters", _cmd_characters, help="character table of S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(exact_limit=DEFAULT_TABLE_LIMIT)  # echoed on the # command: line
 
     p = add("sn-walk", _cmd_sn_walk, help="r-step walk distribution on Irr(S_n)")
     p.add_argument("--n", type=int, required=True)

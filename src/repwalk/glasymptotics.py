@@ -16,21 +16,22 @@ enumerated Plancherel data to the infinite product, coefficientwise.
 
 The weight and the size tail of S come from glirreps (suq_weight,
 suq_size_tail_bound), where the unipotent-part bounds are the same two
-functions at u = 1.  Z(u,q) and the mixing weight prod_m (1 - u/q^m) are
-enclosed here, both truncated by one depth rule (_normalizer_terms), and
-every product prod_d Z(u^d, q^d)^(N_d) goes through _z_power_product.
+functions at u = 1.  Z(u,q) is enclosed here, truncated by one depth rule
+(_normalizer_terms); the mixing weight prod_m (1 - u/q^m) is
+(1 - u) Z(u,q)/Z(u/q,q), and every product prod_d Z(u^d, q^d)^(N_d) goes
+through _z_power_product.
 
-Certified enclosures are memoized in bounded lru caches, each with
-cache_info(): suq_normalizer on (u, q, prec) (512 entries), so one
-sampler's count, component and high-degree thresholds share one
-Z(u^d, q^d) per degree and precision, and later samplers with the same
-(n, q, u) reuse it; and euler_product_enclosure on (u, q, prec) (64),
-shared by acceptance_probability and the high-degree threshold.  The sampler's threshold tables are cached too:
-_count_thresholds on (u^d, q^d, N_d, max_count) and _component_thresholds
-on (u^d, q^d, n // d) (TABLE_CACHE_SIZE = 512 each), and the high-degree
-entries on (n, q, u, prec) (HIGH_DEGREE_CACHE_SIZE = 64).  Tables are read
-lazily, component tables partition by partition in size order, only as
-far as draws land; no cache holds a sampler or a plan.
+Certified enclosures of Z(u,q) are memoized by suq_normalizer, a bounded
+lru cache on (u, q, prec) (512 entries, see cache_info()): one sampler's
+count, component and high-degree thresholds share one Z(u^d, q^d) per
+degree and precision, later samplers with the same (n, q, u) reuse it,
+and euler_product_enclosure reads Z(u,q) and Z(u/q,q) from it.  The
+sampler's threshold tables are cached too: _count_thresholds on
+(u^d, q^d, N_d, max_count) and _component_thresholds on (u^d, q^d, n // d)
+(TABLE_CACHE_SIZE = 512 each), and the high-degree entries on
+(n, q, u, prec) (HIGH_DEGREE_CACHE_SIZE = 64).  Tables are read lazily,
+component tables partition by partition in size order, only as far as
+draws land; no cache holds a sampler or a plan.
 """
 
 from __future__ import annotations
@@ -130,35 +131,15 @@ def suq_normalizer(u, q, prec: int = DEFAULT_PREC) -> Interval:
     return enclosure_from_scaled(head_lo, head_hi, scale, prec, tail_lo)
 
 
-@lru_cache(maxsize=64)
 def euler_product_enclosure(u, q, prec: int) -> Interval:
-    """Enclosure of prod_{m=0}^inf (1 - u/q^m) for 0 < u < 1 < q.
-
-    The head is the first terms factors, terms from the depth rule of
-    suq_normalizer at target 2^-prec; the omitted tail
-    prod_{m>terms-1}(1 - u q^-m) lies in [1 - u q^(1-terms)/(q-1), 1] by the
-    Weierstrass product inequality.  The head is a running product of
-    integer endpoints at a fixed dyadic scale, floored below and ceiled
-    above after every factor, then rounded outward to prec bits.  Memoized
-    on (u, q, prec) in a bounded cache (see cache_info()).
-    """
+    """Enclosure of E(u,q) = prod_{m>=0} (1 - u/q^m), 0 < u < 1 < q, rounded
+    outward to prec bits: Z(u,q)/Z(u/q,q) = prod_{t>=1} (1 - u/q^t), so E is
+    (1 - u) Z(u,q)/Z(u/q,q), from two cached suq_normalizer enclosures."""
     u, q = Fraction(u), Fraction(q)
     if not 0 < u < 1 or q <= 1:
         raise ValueError("need 0 < u < 1 < q")
-    terms = _normalizer_terms(u, q, Fraction(1, 1 << prec))
-    tail_lo = max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1))
-    scale = prec + guard_bits(terms)
-    lo = hi = 1 << scale
-    # 1 - u/q^m = (ud qn^m - un qd^m) / (ud qn^m)
-    qn_m, qd_m = 1, 1
-    for _ in range(terms):
-        num = u.denominator * qn_m - u.numerator * qd_m
-        den = u.denominator * qn_m
-        lo = lo * num // den
-        hi = -(-hi * num // den)
-        qn_m *= q.numerator
-        qd_m *= q.denominator
-    return enclosure_from_scaled(lo, hi, scale, prec, tail_lo)
+    ratio = suq_normalizer(u, q, prec=prec) / suq_normalizer(u / q, q, prec=prec)
+    return ((1 - u) * ratio).rounded(prec)
 
 
 def suq_mass(u, q, lam: Partition) -> Interval:

@@ -1,12 +1,12 @@
 """Seedable 64-bit random number generation.
 
 All samplers in this package draw from SplitMix64, a tiny reproducible
-64-bit generator.  Parallel workers derive independent streams with
-``derive_seed(seed, worker)``, so a (seed, worker-count) pair pins every
-sampled byte.  Exact categorical sampling never touches floating point:
-uniform integers below an arbitrary bound come from bit-rejection, and
-lazily extended uniforms in [0,1) support comparisons against dyadic
-interval thresholds.
+64-bit generator.  The T seed streams of ``--threads T``, which run one
+after another, take stream i's seed from ``derive_seed(seed, i)``, so a
+(seed, T) pair pins every sampled byte.  Exact categorical sampling never
+touches floating point: uniform integers below an arbitrary bound come
+from bit-rejection, and lazily extended uniforms in [0,1) support
+comparisons against dyadic interval thresholds.
 
 Word k of the stream seeded s is mix64(s + k * gamma) mod 2^64, so the
 words need no sequential state and are made ahead in numpy ``uint64``
@@ -134,18 +134,11 @@ class LazyUniform:
         """
         while True:
             b, v = self._bits, self._value
-            if b <= scale_bits:
-                shift = scale_bits - b
-                if (v + 1) << shift <= lo_int:
-                    return True
-                if v << shift >= hi_int:
-                    return False
-            else:
-                shift = b - scale_bits
-                if v + 1 <= lo_int << shift:
-                    return True
-                if v >= hi_int << shift:
-                    return False
+            # U < t if (v+1)/2^b <= lo/2^scale_bits, U >= t if v/2^b >= hi/2^scale_bits
+            if (v + 1) << scale_bits <= lo_int << b:
+                return True
+            if v << scale_bits >= hi_int << b:
+                return False
             if b >= scale_bits + SLACK_BITS:
                 return None
             self._extend()

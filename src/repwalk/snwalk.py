@@ -111,14 +111,12 @@ class SpectrumEntry:
     rational_part: dict[Partition, Fraction] = field(compare=False)
 
 
-def plancherel_sn(n: int, mode: str = "exact") -> WalkDistribution:
-    """Plancherel measure: mass d_lam^2 / n! on each partition of n."""
+def plancherel_sn(n: int) -> WalkDistribution:
+    """Exact Plancherel measure: mass d_lam^2 / n! on each partition of n."""
     n_fact = math.factorial(n)
     lat = young_lattice(n)
-    masses = {}
-    for lam, d in zip(lat.parts, lat.dims):
-        masses[lam] = Fraction(d * d, n_fact) if mode == "exact" else (d * d) / n_fact
-    return WalkDistribution(n, mode, masses)
+    return WalkDistribution(n, "exact", {
+        lam: Fraction(d * d, n_fact) for lam, d in zip(lat.parts, lat.dims)})
 
 
 def kernel_downup(n: int) -> SparseKernel:
@@ -284,14 +282,13 @@ def walk_distribution_spectral(n: int, r: int, start=None) -> WalkDistribution:
 def tv_to_plancherel(dist: WalkDistribution):
     """Half L1 distance to the Plancherel measure (matches dist's mode).
 
-    A float distribution reads pi from the cached float engine, in id order:
-    the values of plancherel_sn(n, "float") without building its dict."""
+    A float distribution is read in lattice-id order into the cached float
+    engine's tv, the sum sn_tv_curve prints, so both give the same double."""
     if dist.mode == "float":
         eng = _float_engine(dist.n)
-        pi = zip(eng.lat.parts, eng.pi.tolist())
-    else:
-        pi = plancherel_sn(dist.n, dist.mode).masses.items()
-    return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi) / 2
+        return eng.tv(np.array([dist.masses.get(lam, 0.0) for lam in eng.lat.parts]))
+    pi = plancherel_sn(dist.n).masses
+    return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi.items()) / 2
 
 
 def sn_upper_bound_squared(n: int, r: int) -> Fraction:
@@ -415,8 +412,7 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     if mode == "float":
         eng = _float_engine(n)
         laws = zip(range(1, rmax + 1), islice(eng.laws(Partition((n,))), 1, None))
-        return [(r, float(np.abs(law - eng.pi).sum() / 2), sn_upper_bound(n, r))
-                for r, law in laws]
+        return [(r, eng.tv(law), sn_upper_bound(n, r)) for r, law in laws]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     # 2 TV = sum_rho |d_rho a_rho n! - d_rho^2 n^r d_s| / (n^r d_s n!)
@@ -457,6 +453,10 @@ class _FloatEngine:
 
     def step(self, w: np.ndarray) -> np.ndarray:
         return _apply_counts(self.lat, w) / self.lat.n
+
+    def tv(self, law: np.ndarray) -> float:
+        """TV distance to pi of a law in id order, by numpy's pairwise sum."""
+        return float(np.abs(law - self.pi).sum() / 2)
 
 
 @lru_cache(maxsize=4)

@@ -82,10 +82,10 @@ def plancherel_fc_moments(n: int, cycles: Partition) -> tuple[Fraction, Fraction
 
 def tv_witness(dist):
     """The event A = {dist > pi} and |dist(A) - pi(A)|, the max-form witness
-    of the total variation distance of a WalkDistribution to Plancherel."""
+    of the total variation distance of an exact WalkDistribution to Plancherel."""
     from repwalk.snwalk import plancherel_sn
 
-    pi = plancherel_sn(dist.n, dist.mode)
+    pi = plancherel_sn(dist.n)
     a = tuple(lam for lam, p in pi.masses.items() if dist.masses.get(lam, 0) > p)
     gap = abs(sum(dist.masses.get(l, 0) for l in a) - sum(pi.masses[l] for l in a))
     return a, gap

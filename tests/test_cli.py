@@ -16,6 +16,7 @@ from repwalk.glirreps import fixed_space_counts
 from repwalk.partitions import Partition, young_lattice
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
+    FLOAT_LIMIT,
     _count_steps,
     MAX_WALK_STEPS,
     SAMPLER_N_LIMIT,
@@ -655,6 +656,32 @@ def test_refused_before_the_slow_call(capsys, monkeypatch, argv, slow, code, ref
     assert refusal in captured.err
 
 
+@pytest.mark.parametrize("n,code,refusal", [
+    (10**400, 3, f"capacity error: float kernel: requested {10**400} exceeds limit {FLOAT_LIMIT}"),
+    (FLOAT_LIMIT + 1, 3, f"capacity error: float kernel: requested {FLOAT_LIMIT + 1}"),
+    (10**6, 3, "capacity error: float kernel: requested 1000000"),
+    (0, 2, "usage error: the walk needs n >= 2"),
+    (-3, 2, "usage error: the walk needs n >= 2"),
+], ids=["10**400", "FLOAT_LIMIT+1", "10**6", "0", "-3"])
+def test_sn_cutoff_checks_n_before_r(capsys, monkeypatch, n, code, refusal):
+    # r = ceil(n log(n)/2 + c n) is formed only for a walk that can run:
+    # n = 10**400 exited 1 with an OverflowError traceback, n = 0 and -3
+    # with "usage error: math domain error", and n = 10**6 past the step cap
+    monkeypatch.setattr("repwalk.cli.math.log", _must_not_run)
+    assert main(["sn-cutoff", "--n", str(n), "--c", "0"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert refusal in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_characters_command_line(capsys):
+    # the line echoes the parsed flags, and no removed one
+    code, out = _main_stdout(capsys, ["characters", "--n", "3"])
+    assert code == 0
+    assert out.splitlines()[1] == "# command: characters format=csv n=3"
+
+
 def test_negative_order_rejected_while_parsing(capsys):
     assert main(["gl-cycle-index", "--q", "2", "--order", "-1"]) == 2
     captured = capsys.readouterr()
@@ -760,7 +787,8 @@ def test_gl_counts_digit_prediction_is_exact(capsys, monkeypatch, q, n, digits):
 # lattice's count matrix (432 of the 490 masses at n=19 moved in their last
 # digits, by at most 2.1e-17), and the walk steps the containment edges, two
 # segment sums a step (286 of the 490 masses at n=19 and the TV at n=24
-# moved, by at most 2.8e-17)
+# moved, by at most 2.8e-17), and sn-cutoff sums its float TV as
+# sn-tv-curve does (the TV at n=24 moved, by 6.9e-17)
 LOOKUP_GOLDEN = {
     ("sn-walk", "--n", "6", "--r", "1", "--exact"): """\
 # repwalk 0.1.0
@@ -783,7 +811,7 @@ partition,mass
 # command: sn-cutoff c=0.5 n=24
 # accumulated float error bound: 8.0325e-10
 r,cutoff_bound,tv,l2_bound
-51,0.18393972058572117,0.07982168100451802,0.10536090622868025
+51,0.18393972058572117,0.07982168100451809,0.10536090622868025
 """,
     ("sn-walk", "--n", "19", "--r", "20", "--float"):
         "62a3594e4d17a02fee02eaf2bcad24ccc034f2111f5240256c622e72f4c30baf",
@@ -817,64 +845,67 @@ def test_lookup_golden(capsys, argv):
 # float TV: re-recorded when the walk came to step the containment edges,
 # two segment sums a step, which moved the c = 0.5 TVs at n = 19, 27 and 40
 # (by at most 4.2e-17) and 100 of the 160 rows of the n = 33 curve (by at
-# most 2.2e-16).  test_float_cutoff_tv_matches_exact_tv holds the sn-cutoff
-# TVs to the exact ones.  Exact output and every other digit stay.
+# most 2.2e-16).  Re-recorded when sn-cutoff came to sum its float TV as
+# sn-tv-curve does, numpy's pairwise sum over the lattice order, which moved
+# all eight sn-cutoff TVs (by at most 8.9e-16).
+# test_float_cutoff_tv_matches_exact_tv holds the sn-cutoff TVs to the
+# exact ones.  Exact output and every other digit stay.
 LATTICE_GOLDEN = {
     ("sn-cutoff", "--n", "19", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=19
 # accumulated float error bound: 9.31e-11
 r,cutoff_bound,tv,l2_bound
-19,1.3591409142295225,0.6011551463654223,2.355002656148524
+19,1.3591409142295225,0.6011551463654219,2.355002656148524
 """,
     ("sn-cutoff", "--n", "19", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=19
 # accumulated float error bound: 1.862e-10
 r,cutoff_bound,tv,l2_bound
-38,0.18393972058572117,0.07713440462203089,0.10146375499028688
+38,0.18393972058572117,0.07713440462203083,0.10146375499028688
 """,
     ("sn-cutoff", "--n", "27", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=27
 # accumulated float error bound: 9.331e-10
 r,cutoff_bound,tv,l2_bound
-31,1.3591409142295225,0.6326450596638994,4.400767117230023
+31,1.3591409142295225,0.6326450596638991,4.400767117230023
 """,
     ("sn-cutoff", "--n", "27", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=27
 # accumulated float error bound: 1.7458e-09
 r,cutoff_bound,tv,l2_bound
-58,0.18393972058572117,0.08813897106471727,0.11715367277492027
+58,0.18393972058572117,0.08813897106471721,0.11715367277492027
 """,
     ("sn-cutoff", "--n", "36", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=36
 # accumulated float error bound: 8.44919e-09
 r,cutoff_bound,tv,l2_bound
-47,1.3591409142295225,0.647573759123597,6.2543825699959115
+47,1.3591409142295225,0.6475737591235977,6.2543825699959115
 """,
     ("sn-cutoff", "--n", "36", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=36
 # accumulated float error bound: 1.492091e-08
 r,cutoff_bound,tv,l2_bound
-83,0.18393972058572117,0.0899166903387158,0.11974601735080319
+83,0.18393972058572117,0.08991669033871658,0.11974601735080319
 """,
     ("sn-cutoff", "--n", "40", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=40
 # accumulated float error bound: 2.016252e-08
 r,cutoff_bound,tv,l2_bound
-54,1.3591409142295225,0.6610916327418938,8.200251570791695
+54,1.3591409142295225,0.6610916327418935,8.200251570791695
 """,
     ("sn-cutoff", "--n", "40", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=40
 # accumulated float error bound: 3.509772e-08
 r,cutoff_bound,tv,l2_bound
-94,0.18393972058572117,0.09296042570310681,0.12409376489566282
+94,0.18393972058572117,0.0929604257031077,0.12409376489566282
 """,
     ("sn-tv-curve", "--n", "33", "--rmax", "160", "--float"):
         "0e5e59b452b8ad24fd64f48f5b727939e8fab814eb8762a60999229c602f3e44",
@@ -898,7 +929,7 @@ def test_lattice_golden(capsys, argv):
 def test_float_cutoff_tv_matches_exact_tv(capsys, n):
     # past EXACT_KERNEL_LIMIT sn-cutoff prints a float TV; the integer walk
     # gives the rational TV at the same r, and the two agree to 2e-15 (the
-    # gaps measure 5.6e-17 to 9.1e-16)
+    # gaps measure 2.3e-19 to 2.3e-17)
     code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", "0.5"])
     assert code == 0
     r, _, tv, _ = out.splitlines()[-1].split(",")
@@ -910,10 +941,25 @@ def test_float_cutoff_tv_matches_exact_tv(capsys, n):
     assert abs(Fraction(float(tv)) - Fraction(num, 2 * den * n_fact)) <= 2e-15
 
 
+def test_cutoff_tv_is_the_float_curve_row(capsys):
+    # one float TV: sn-cutoff prints the sn-tv-curve --float row at its r
+    # (a sum over the masses dict differed in the last digits at most points)
+    for n in (19, 24, 40):
+        for c in ("-0.5", "0.5"):
+            code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
+            r, _, tv, _ = out.splitlines()[-1].split(",")
+            code_curve, curve = _main_stdout(
+                capsys, ["sn-tv-curve", "--n", str(n), "--rmax", r, "--float"])
+            assert code == code_curve == 0
+            assert curve.splitlines()[-1].split(",")[:2] == [r, tv], (n, c)
+
+
 # stdout recorded while the character-table paths found their rows by
 # linear search and wrote the Fourier sum out each in its own loop; long
 # outputs are kept as the sha256 of their bytes.  One lattice index and one
-# character sum must leave every byte as it was.
+# character sum must leave every byte as it was.  The characters csv was
+# re-recorded when its # command: line stopped echoing exact_limit=12, a
+# flag removed earlier; no other byte moved.
 FOURIER_GOLDEN = {
     ("hsp", "--n", "8", "--gens", "(1 2),(3 4)", "--format", "csv"):
         "ed2d567dca49753d7339b9c7a7200717e0738db49e83c872a8c64aaa6028f83f",
@@ -956,7 +1002,7 @@ s,method,value,reduced_exact
 2,empirical,1.3137777777777768,
 """,
     ("characters", "--n", "9", "--format", "csv"):
-        "c7238ce5611de9574e9c8e46b90e29f77e5f910e025d94ebe8556b6c5ff40fed",
+        "4430995d2c808e49c5a0a6937b59cc84d218d6b69e9c2cdab47c6ac89bd8c9c1",
     ("characters", "--n", "9", "--format", "json"):
         "0e944e55274f509275e35276b4235b885fe994d42550103065b78dff7ffe2d60",
 }

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import euler_product_exact
-from repwalk.glasymptotics import _normalizer_terms, euler_product_enclosure
+from repwalk.glasymptotics import _normalizer_terms, default_rejection_u, euler_product_enclosure
 from repwalk.intervals import Interval
 
 
@@ -64,13 +64,15 @@ def test_euler_product_enclosure():
     assert wide_lo > Fraction(1, 4) and wide_hi < Fraction(1, 3)
 
 
+# five chosen points, then every u the sampler takes for n <= 20 at q = 2, 3
 @pytest.mark.parametrize("u,q", [
     (Fraction(1, 2), 2), (Fraction(63, 64), 2), (Fraction(5, 6), 3),
     (Fraction(2, 3), Fraction(7, 2)), (Fraction(19, 20) ** 3, 27),
-])
+] + [(u, q) for q in (2, 3) for u in sorted({default_rejection_u(n) for n in range(1, 21)})])
 def test_euler_product_rounded_contains_exact(u, q):
     terms = _normalizer_terms(u, Fraction(q), Fraction(1, 2**320))
     exact_lo, exact_hi = euler_product_exact(u, q, terms)
     rounded = euler_product_enclosure(u, q, 320)
     assert rounded.lo <= exact_lo and exact_hi <= rounded.hi
     assert rounded.width < Fraction(1, 2**300)
+

@@ -36,6 +36,7 @@ REMOVED = [
     (snwalk.class_walk_probability, "limit"),
     (snwalk.moment_fc_reduced, "limit"),
     (snwalk.kernel_downup, "mode"),
+    (snwalk.plancherel_sn, "mode"),
     (hsp.weak_sampling_distribution, "limit"),
     (hsp.hsp_bounds, "limit"),
     (hsp.induced_character_check, "limit"),

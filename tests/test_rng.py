@@ -2,13 +2,16 @@
 
 The stream's words are computed ahead in blocks; every word, every state
 read back through ``_state`` and every ``randrange`` draw must be those of
-the one-word-at-a-time generator in tests/oracles.py.
+the one-word-at-a-time generator in tests/oracles.py.  A LazyUniform's
+comparison with a scaled threshold must be the Fraction comparison.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from repwalk import rng
-from repwalk.rng import BLOCK, SplitMix64, mix64
+from repwalk.rng import BLOCK, SLACK_BITS, LazyUniform, SplitMix64, mix64
 
 from oracles import ScalarSplitMix64
 
@@ -54,3 +57,59 @@ def test_randrange_interleaved_with_words():
 def test_randrange_refuses_an_empty_range(bound):
     with pytest.raises(ValueError):
         SplitMix64(1).randrange(bound)
+
+
+def _compare_by_fractions(words, lo, hi, scale_bits):
+    """compare_scaled's answer and the bits it reads, in Fraction arithmetic:
+    after b bits U lies in [v/2^b, (v+1)/2^b), and t in [lo, hi]/2^scale_bits."""
+    v, b = 0, 0
+    for word in words:
+        v, b = (v << 64) | word, b + 64
+        if Fraction(v + 1, 1 << b) <= Fraction(lo, 1 << scale_bits):
+            return True, b
+        if Fraction(v, 1 << b) >= Fraction(hi, 1 << scale_bits):
+            return False, b
+        if b >= scale_bits + SLACK_BITS:
+            return None, b
+    raise AssertionError("ran out of words")
+
+
+@pytest.mark.parametrize("scale_bits", [40, 64, 100, 128, 192, 320])
+def test_compare_scaled_is_the_fraction_comparison(scale_bits):
+    # thresholds at offsets k * 2^j from p, the first scale_bits bits of U,
+    # decided with b below, at or above scale_bits, or never (lo <= p < hi)
+    words_read = -(-(scale_bits + SLACK_BITS) // 64)
+    shifts = sorted({0, scale_bits // 2, max(scale_bits - 64, 0)})
+    seen = set()
+    for seed in range(6):
+        stream = SplitMix64(seed)
+        words = [stream.next_u64() for _ in range(words_read)]
+        p = int("".join(f"{w:064b}" for w in words)[:scale_bits], 2)
+        for j in shifts:
+            for lo_off, hi_off in ((-2, -1), (-1, 0), (0, 0), (0, 1), (1, 1), (1, 3), (-3, 2)):
+                lo, hi = p + (lo_off << j), p + (hi_off << j)
+                rng = SplitMix64(seed)
+                u = LazyUniform(rng, rng.next_u64())
+                got = u.compare_scaled(lo, hi, scale_bits)
+                want, bits = _compare_by_fractions(words, lo, hi, scale_bits)
+                assert (got, u._bits) == (want, bits), (seed, j, lo_off, hi_off)
+                seen.add((want, (bits > scale_bits) - (bits < scale_bits)))
+    # U is read 64 bits at a time, so a decision past the scale comes with
+    # the first b >= scale_bits: at it for a multiple of 64, above it else
+    past = 0 if scale_bits % 64 == 0 else 1
+    assert {(True, past), (False, past)} <= seen
+    if scale_bits > 64:
+        assert {(True, -1), (False, -1)} <= seen
+
+
+@pytest.mark.parametrize("scale_bits", [40, 64, 320])
+def test_compare_scaled_gives_up_at_the_slack(scale_bits):
+    # t enclosed by [p, p + 1] / 2^scale_bits, with U inside: no number of
+    # bits decides, and the answer is None once SLACK_BITS past the scale
+    rng = SplitMix64(9)
+    words = [rng.next_u64() for _ in range(-(-(scale_bits + SLACK_BITS) // 64))]
+    p = int("".join(f"{w:064b}" for w in words)[:scale_bits], 2)
+    rng = SplitMix64(9)
+    u = LazyUniform(rng, rng.next_u64())
+    assert u.compare_scaled(p, p + 1, scale_bits) is None
+    assert scale_bits + SLACK_BITS <= u._bits < scale_bits + SLACK_BITS + 64

@@ -228,16 +228,6 @@ def test_tv_examples():
     assert tv_to_plancherel(d1) == Fraction(1, 6)
 
 
-def test_float_tv_matches_plancherel_dict():
-    # the float engine's pi gives the sum over plancherel_sn(n, "float") in
-    # the same order, so the same double
-    for n, r in ((6, 3), (19, 40)):
-        dist = walk_distribution(n, r, mode="float")
-        pi = plancherel_sn(n, "float").masses
-        assert tv_to_plancherel(dist) == sum(
-            abs(dist.masses.get(lam, 0) - p) for lam, p in pi.items()) / 2
-
-
 def test_tv_witness_matches_half_l1():
     for n in (3, 5, 6):
         for r in (0, 1, 2, 5):

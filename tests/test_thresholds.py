@@ -223,7 +223,7 @@ def test_component_table_ends_at_its_cap(n, q):
 def test_caches_are_bounded():
     caches = (glirreps.cuspidal_count, glirreps.order_gl, glasymptotics.suq_normalizer,
               glasymptotics._count_thresholds, glasymptotics._component_thresholds,
-              glasymptotics._high_degree_entries, glasymptotics.euler_product_enclosure)
+              glasymptotics._high_degree_entries)
     for fn in caches:
         maxsize = fn.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0, fn.__name__
