@@ -1,9 +1,13 @@
 """Conjugacy classes and irreducible characters of the symmetric group.
 
-Character values come from the Murnaghan-Nakayama rule, implemented on
-beta-sets (first-column hook lengths) with memoization; the largest cycle
-is stripped first.  Full tables are built on demand, orthogonality-checked,
-and cached per n.  Fixed-point statistics use exact derangement numbers.
+Character values come from the Murnaghan-Nakayama rule with memoization,
+the largest cycle stripped first.  A shape is its beta-set (first-column
+hook lengths lam_i + len - 1 - i) held as a bead bitmask, one set bit per
+beta value, with no bead at 0: a zero part is dropped by shifting the mask
+down.  A border strip of length k moves one bead from b to b - k, with
+sign the parity of the beads strictly between.  Full tables are built on
+demand, orthogonality-checked, and cached per n.  Fixed-point statistics
+use exact derangement numbers.
 """
 
 from __future__ import annotations
@@ -95,34 +99,32 @@ def fixed_point_profile(n: int) -> Mapping[int, int]:
     return MappingProxyType(out)
 
 
+def _beads(lam) -> int:
+    """The beta-set of a partition with positive parts, as a bead bitmask."""
+    top = len(lam) - 1
+    return sum(1 << (p + top - i) for i, p in enumerate(lam))
+
+
 @lru_cache(maxsize=MN_CACHE_SIZE)
-def _mn(shape: tuple, cycles: tuple) -> int:
-    # Murnaghan-Nakayama on the beta-set shape[i] + (len-1-i); removing a
-    # border strip of length k moves one beta value down by k, with sign
-    # (-1)^(number of beta values jumped over).
+def _mn(beads: int, cycles: tuple) -> int:
+    # cycles is weakly decreasing; each bead b >= k with b - k empty is one
+    # border strip of length k
     if not cycles:
-        return 1 if not shape else 0
+        return 0 if beads else 1
     k = cycles[0]
     rest = cycles[1:]
-    ell = len(shape)
-    beta = [shape[i] + (ell - 1 - i) for i in range(ell)]
-    beta_set = set(beta)
     total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new_shape = tuple(
-            v
-            for j, x in enumerate(new_beta)
-            if (v := x - (ell - 1 - j)) > 0
-        )
-        sign = -1 if height % 2 else 1
-        total += sign * _mn(new_shape, rest)
+    movable = (beads & ~(beads << k)) >> k
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        nb = low.bit_length() - 1
+        new = beads ^ (low | low << k)
+        while new & 1:
+            new >>= 1
+        jumped = beads >> (nb + 1) & ((1 << (k - 1)) - 1)
+        value = _mn(new, rest)
+        total += -value if jumped.bit_count() & 1 else value
     return total
 
 
@@ -132,7 +134,7 @@ def mn_character(lam: Partition, cycle_type) -> int:
     cycles = cycle_lengths(cycle_type)
     if lam.size != cycles.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size} vs |{cycles}| = {cycles.size}")
-    return _mn(tuple(lam), tuple(sorted(cycles, reverse=True)))
+    return _mn(_beads(lam), tuple(sorted(cycles, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,18 @@ class CharacterTable:
     def verify_orthogonality(self) -> None:
         n_fact = math.factorial(self.n)
         sizes = [c.class_size for c in self.classes]
-        m = len(self.partitions)
+        rows = self.values
+        m = len(rows)
         for a in range(m):
+            weighted = [x * y for x, y in zip(sizes, rows[a])]
             for b in range(a, m):
-                dot = sum(sizes[j] * self.values[a][j] * self.values[b][j] for j in range(m))
-                if dot != (n_fact if a == b else 0):
+                if sum(map(mul, weighted, rows[b])) != (n_fact if a == b else 0):
                     raise ArithmeticError(f"row orthogonality fails at {a},{b}")
+        cols = list(zip(*rows))
         for a in range(m):
             for b in range(a, m):
-                dot = sum(self.values[i][a] * self.values[i][b] for i in range(m))
                 want = n_fact // sizes[a] if a == b else 0
-                if dot != want:
+                if sum(map(mul, cols[a], cols[b])) != want:
                     raise ArithmeticError(f"column orthogonality fails at {a},{b}")
         lat = young_lattice(self.n)
         id_col = lat.index[(1,) * self.n]
@@ -188,8 +191,10 @@ def character_table(n: int) -> CharacterTable:
     if n not in _table_cache:
         parts = enumerate_partitions(n)
         classes = enumerate_classes(n)
+        # class labels are weakly decreasing already, as _mn takes them
         values = tuple(
-            tuple(mn_character(lam, c) for c in classes) for lam in parts
+            tuple(_mn(beads, c.cycle_lengths) for c in classes)
+            for beads in map(_beads, parts)
         )
         table = CharacterTable(n, parts, classes, values)
         table.verify_orthogonality()

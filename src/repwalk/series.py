@@ -83,16 +83,17 @@ def geometric_factor(order: int, ratio: Fraction) -> TruncSeries:
 
 
 def q_pochhammer(q, r: int) -> Fraction:
-    """(1/q)_r = (1 - 1/q)(1 - 1/q^2)...(1 - 1/q^r); empty product is 1."""
+    """(1/q)_r = (1 - 1/q)(1 - 1/q^2)...(1 - 1/q^r); empty product is 1.
+
+    For q = c/e each factor is (c^k - e^k)/c^k, so the product is one
+    integer product over c^(r(r+1)/2), reduced once."""
     if r < 0:
         raise ValueError("r must be non-negative")
     q = Fraction(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
-    out = Fraction(1)
-    for k in range(1, r + 1):
-        out *= 1 - q**-k
-    return out
+    c, e = q.numerator, q.denominator
+    return Fraction(math.prod(c**k - e**k for k in range(1, r + 1)), c ** (r * (r + 1) // 2))
 
 
 def _check_order(order: int, q) -> None:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
+from operator import mul
 
 import numpy as np
 
@@ -305,29 +306,46 @@ def sn_upper_bound(n: int, r: int) -> float:
     return math.sqrt(sn_upper_bound_squared(n, r))
 
 
+def _scaled_powers(table, lat, ci: int, s: int) -> tuple[list[int], int]:
+    """w_rho = L chi_rho(C)^s d_rho^(1-s) over the rows, C the ci-th class,
+    and the scale L = lcm_rho d_rho^(s-1) (1 for s = 0) that makes them
+    integers."""
+    if s == 0:
+        return list(lat.dims), 1
+    powers = [d ** (s - 1) for d in lat.dims]
+    scale = math.lcm(*powers)
+    return [row[ci] ** s * (scale // p) for row, p in zip(table.values, powers)], scale
+
+
+def _class_walk_counts(n: int, cycles, s: int):
+    """The classes T and integers m_T with p_{s,C}(T) = m_T / den, checked:
+    m_T = |T| sum_rho w_rho chi_rho(T) and den = n! L, for w and L of
+    _scaled_powers."""
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    table, lat = character_table(n), young_lattice(n)
+    weights, scale = _scaled_powers(table, lat, lat.index[_partition_of(n, cycles)], s)
+    counts = [t.class_size * sum(map(mul, weights, col))
+              for t, col in zip(table.classes, zip(*table.values))]
+    if min(counts) < 0:
+        raise ArithmeticError("negative class probability")
+    den = math.factorial(n) * scale
+    if sum(counts) != den:
+        raise ArithmeticError("class probabilities do not sum to 1")
+    return table.classes, counts, den
+
+
 def class_walk_probability(n: int, cycle_type, s: int) -> dict[Partition, Fraction]:
     """Class distribution of the s-step walk on S_n generated by class C.
 
     Fourier expression: p(T) = (|T|/n!) sum_rho d_rho^2 (chi(T)/d)(chi(C)/d)^s,
-    keyed by the cycle type of T.
+    keyed by the cycle type of T.  Each term is chi(T) chi(C)^s / d^(s-1),
+    so over the scale L = lcm_rho d_rho^(s-1) (L = 1 for s <= 1)
+    p(T) = |T| sum_rho chi(T) [L chi(C)^s d^(1-s)] / (n! L), one integer dot
+    product per class and one Fraction per value.
     """
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    table, lat = character_table(n), young_lattice(n)
-    ci = lat.index[_partition_of(n, cycle_lengths(cycle_type))]
-    n_fact = math.factorial(n)
-    # d^2 (chi(T)/d) (chi(C)/d)^s = chi(T) * [d (chi(C)/d)^s], the bracket per row
-    weights = [d * Fraction(row[ci], d) ** s for d, row in zip(lat.dims, table.values)]
-    out = {}
-    for tj, t in enumerate(table.classes):
-        total = sum(w * row[tj] for w, row in zip(weights, table.values))
-        p = Fraction(t.class_size, n_fact) * total
-        if p < 0:
-            raise ArithmeticError("negative class probability")
-        out[t.cycle_lengths] = p
-    if sum(out.values()) != 1:
-        raise ArithmeticError("class probabilities do not sum to 1")
-    return out
+    classes, counts, den = _class_walk_counts(n, cycle_lengths(cycle_type), s)
+    return {t.cycle_lengths: Fraction(m, den) for t, m in zip(classes, counts)}
 
 
 def transposition_moments_closed(n: int, r: int) -> tuple[Fraction, Fraction]:
@@ -357,17 +375,17 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
     _check_steps(r)
     cycles = cycle_lengths(cycle_type)
     if method == "transfer":
-        # the fixed points of a class are its cycles of length 1
-        probs = class_walk_probability(n, cycles, s)
-        return sum(p * Fraction(t.count(1), n) ** r for t, p in probs.items())
+        # sum_T p(T) (fp(T)/n)^r over the class walk's one denominator
+        classes, counts, den = _class_walk_counts(n, cycles, s)
+        return Fraction(sum(m * t.fixed_points**r for t, m in zip(classes, counts)), den * n**r)
     if method == "direct":
-        table, lat = character_table(n), young_lattice(n)
-        ci = lat.index[_partition_of(n, cycles)]
-        masses = walk_distribution(n, r).masses
-        total = Fraction(0)
-        for lam, d, row in zip(lat.parts, lat.dims, table.values):
-            total += masses.get(lam, 0) * Fraction(row[ci], d) ** s
-        return total
+        # E[(chi(C)/d)^s] under K^r(s0, rho) = d_rho a_r[rho] / (n^r d_s0)
+        # is sum_rho a_r[rho] chi_rho(C)^s d_rho^(1-s) / (n^r d_s0)
+        table = character_table(n)
+        lat, s0, walk = _path_counts(n, Partition((n,)))
+        weights, scale = _scaled_powers(table, lat, lat.index[_partition_of(n, cycles)], s)
+        a = next(islice(walk, r, None))
+        return Fraction(sum(map(mul, weights, a)), scale * n**r * lat.dims[s0])
     if method == "closed":
         if cycles != Partition([2] + [1] * (n - 2)):
             raise ValueError("closed forms exist for the transposition class only")
@@ -461,8 +479,8 @@ class _FloatEngine:
 
 @lru_cache(maxsize=4)
 def _float_engine(n: int) -> _FloatEngine:
-    if n < 1:
-        raise ValueError("the walk needs n >= 1")
+    if n < 2:
+        raise ValueError("the walk needs n >= 2")
     if n > FLOAT_LIMIT:
         raise CapacityError("float kernel", n, FLOAT_LIMIT)
     return _FloatEngine(n)

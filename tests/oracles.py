@@ -497,3 +497,65 @@ def threshold_locate_reference(builder, rng):
         else:
             return glasymptotics._REJECT
     raise SamplerError("threshold enclosures failed to separate a uniform draw")
+
+
+# ---------------------------------------------------------------------------
+# exact S_n character sums, the direct way: Murnaghan-Nakayama on a sorted
+# list of beta values, and the class walk as a sum of Fraction powers
+
+
+@lru_cache(maxsize=1 << 15)
+def mn_reference(shape: tuple, cycles: tuple) -> int:
+    """chi^shape at the class of cycle lengths `cycles` (weakly decreasing):
+    on the beta-set shape[i] + (len-1-i), removing a border strip of length
+    k moves one beta value down by k, with sign (-1)^(values jumped over)."""
+    if not cycles:
+        return 1 if not shape else 0
+    k = cycles[0]
+    rest = cycles[1:]
+    ell = len(shape)
+    beta = [shape[i] + (ell - 1 - i) for i in range(ell)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted((x for x in beta if x != b), reverse=True)
+        new_beta.append(nb)
+        new_beta.sort(reverse=True)
+        new_shape = tuple(
+            v
+            for j, x in enumerate(new_beta)
+            if (v := x - (ell - 1 - j)) > 0
+        )
+        sign = -1 if height % 2 else 1
+        total += sign * mn_reference(new_shape, rest)
+    return total
+
+
+def class_walk_probability_reference(n: int, cycles: Partition, s: int) -> dict[Partition, Fraction]:
+    """p(T) = (|T|/n!) sum_rho d_rho^2 (chi(T)/d)(chi(C)/d)^s, one Fraction
+    multiply-add per (rho, T), over the package's character table."""
+    from repwalk.characters import character_table
+
+    table = character_table(n)
+    ci = table.partitions.index(Partition(cycles))
+    n_fact = math.factorial(n)
+    dims = [dimension_sn(lam) for lam in table.partitions]
+    weights = [d * Fraction(row[ci], d) ** s for d, row in zip(dims, table.values)]
+    out = {}
+    for tj, t in enumerate(table.classes):
+        total = sum(w * row[tj] for w, row in zip(weights, table.values))
+        out[t.cycle_lengths] = Fraction(t.class_size, n_fact) * total
+    return out
+
+
+def q_pochhammer_reference(q, r: int) -> Fraction:
+    """(1/q)_r as the product of its r Fraction factors 1 - q^-k."""
+    q = Fraction(q)
+    out = Fraction(1)
+    for k in range(1, r + 1):
+        out *= 1 - q**-k
+    return out

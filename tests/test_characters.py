@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from repwalk.characters import (
+    DEFAULT_TABLE_LIMIT,
     character_table,
     class_size_of,
     derangements,
@@ -17,6 +19,7 @@ from oracles import (
     character_table_brute,
     class_sizes_brute,
     fixed_point_counts_brute,
+    mn_reference,
     plancherel_fc_moments,
 )
 
@@ -90,6 +93,48 @@ def test_table_capacity():
 
 def test_table_orthogonality_n6():
     character_table(6).verify_orthogonality()
+
+
+def test_table_entries_match_the_beta_list_rule():
+    # the bead-bitmask recursion against Murnaghan-Nakayama on sorted
+    # beta-value lists, every entry of every table the package builds
+    for n in range(1, DEFAULT_TABLE_LIMIT + 1):
+        table = character_table(n)
+        for lam, row in zip(table.partitions, table.values):
+            assert row == tuple(mn_reference(tuple(lam), tuple(c.cycle_lengths))
+                                for c in table.classes)
+
+
+def _mutated(table, i, j, value):
+    rows = [list(row) for row in table.values]
+    rows[i][j] = value
+    return dataclasses.replace(table, values=tuple(map(tuple, rows)))
+
+
+def test_orthogonality_catches_one_changed_entry():
+    table = character_table(6)
+    id_col = table.partitions.index(Partition([1] * 6))
+    # the trivial row's entry on the diagonal: its own norm fails first
+    with pytest.raises(ArithmeticError, match="row orthogonality fails at 0,0"):
+        _mutated(table, 0, 0, 2).verify_orthogonality()
+    # a sign flip off the diagonal keeps every norm, so only the dot
+    # product of two different rows can fail
+    i, j = 3, 5
+    assert table.values[i][j]
+    with pytest.raises(ArithmeticError, match=r"row orthogonality fails at (\d+),(?!\1\b)\d+"):
+        _mutated(table, i, j, -table.values[i][j]).verify_orthogonality()
+    with pytest.raises(ArithmeticError, match="orthogonality fails"):
+        _mutated(table, 4, id_col, table.values[4][id_col] + 1).verify_orthogonality()
+
+
+def test_orthogonality_checks_the_identity_column():
+    # a negated row keeps both orthogonality relations; only the identity
+    # column, which must hold the dimensions, tells it from a character
+    table = character_table(6)
+    rows = list(table.values)
+    rows[2] = tuple(-x for x in rows[2])
+    with pytest.raises(ArithmeticError, match="identity column is not the dimension"):
+        dataclasses.replace(table, values=tuple(rows)).verify_orthogonality()
 
 
 def test_derangements():

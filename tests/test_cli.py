@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from repwalk import cli, glasymptotics
+from repwalk import cli, glasymptotics, snwalk
 from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
@@ -673,6 +673,23 @@ def test_sn_cutoff_checks_n_before_r(capsys, monkeypatch, n, code, refusal):
     assert captured.out == ""
     assert refusal in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sn-walk", "--n", "1", "--r", "3", "--float"],
+    ["sn-walk", "--n", "1", "--r", "3", "--exact"],
+    ["sn-tv-curve", "--n", "1", "--rmax", "3", "--float"],
+], ids=["sn-walk-float", "sn-walk-exact", "sn-tv-curve-float"])
+def test_walk_at_n1_refused_in_both_modes(capsys, argv):
+    # the float walk printed a law at n = 1 where the exact one refused, and
+    # sn-tv-curve built the float engine before refusing; from an empty
+    # cache, no engine is built
+    snwalk._float_engine.cache_clear()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: the walk needs n >= 2" in captured.err
+    assert snwalk._float_engine.cache_info().currsize == 0
 
 
 def test_characters_command_line(capsys):

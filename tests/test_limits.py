@@ -186,11 +186,16 @@ def test_series_q_order_cap(monkeypatch):
 def test_caches_hold_their_working_sets():
     # a float sweep cycles through every size up to FLOAT_LIMIT; the row
     # tables hold at most STEP_TABLE_LIMIT partitions between two clears;
-    # the character tables up to DEFAULT_TABLE_LIMIT use 12648 MN values
+    # the character tables up to DEFAULT_TABLE_LIMIT, built from an empty
+    # cache, use exactly 12648 MN values
     for fn in (partitions.enumerate_partitions, characters.enumerate_classes):
         assert fn.cache_info().maxsize >= snwalk.FLOAT_LIMIT + 1
     assert partitions.dimension_sn.cache_info().maxsize == 2 * snwalk.STEP_TABLE_LIMIT
-    assert characters._mn.cache_info().maxsize >= 12648
+    characters._table_cache.clear()
+    characters._mn.cache_clear()
+    for n in range(1, characters.DEFAULT_TABLE_LIMIT + 1):
+        characters.character_table(n)
+    assert characters._mn.cache_info().currsize == 12648 <= characters._mn.cache_info().maxsize
 
 
 def test_every_cache_is_bounded():

@@ -13,6 +13,8 @@ from repwalk.series import (
     q_pochhammer,
 )
 
+from oracles import q_pochhammer_reference
+
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=12
 )
@@ -60,6 +62,17 @@ def test_q_pochhammer_values():
     assert q_pochhammer(Fraction(3, 2), 1) == Fraction(1, 3)
     with pytest.raises(ValueError):
         q_pochhammer(1, 2)
+
+
+def test_q_pochhammer_matches_the_factor_product():
+    # one numerator product over one power of c, for q = c/e, against the
+    # product of the r Fraction factors 1 - q^-k
+    for q in (2, 3, Fraction(5, 2), Fraction(9, 4), 7):
+        for r in range(31):
+            assert q_pochhammer(q, r) == q_pochhammer_reference(q, r)
+    for q, r in ((2, -1), (Fraction(5, 2), -3), (1, 3), (Fraction(1, 2), 2), (0, 0), (-2, 4)):
+        with pytest.raises(ValueError):
+            q_pochhammer(q, r)
 
 
 def test_euler_lhs_coefficients():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from repwalk.characters import fixed_point_profile
+from repwalk.characters import enumerate_classes, fixed_point_profile
 from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.snwalk import (
@@ -28,7 +28,7 @@ from repwalk.snwalk import (
     walk_distribution_spectral,
 )
 
-from oracles import tv_witness
+from oracles import class_walk_probability_reference, tv_witness
 
 
 def cutoff_steps(n):
@@ -279,6 +279,18 @@ def test_class_walk_probability_examples():
     }
 
 
+def test_class_walk_equals_fraction_sum():
+    # the integer sums over one scale L = lcm d^(s-1) against one Fraction
+    # multiply-add per (rho, T), every class of every n <= 10
+    for n in range(2, 11):
+        for c in enumerate_classes(n):
+            for s in range(4):
+                got = class_walk_probability(n, c, s)
+                want = class_walk_probability_reference(n, c.cycle_lengths, s)
+                assert got == want
+                assert list(got) == list(want)
+
+
 @pytest.mark.parametrize("call", [
     lambda: class_walk_probability(5, (3, 3), 1),
     lambda: tensor_multiplicity(5, (3, 3), (5,)),
@@ -295,9 +307,13 @@ def test_wrong_size_is_a_value_error(call):
 
 
 def test_moment_methods_agree_exactly():
-    for n in (4, 5, 6):
+    # transfer and direct are integer sums over one denominator, closed the
+    # Fraction closed form; past n = 8 at r = 0, 1, the cutoff and twice it
+    cases = [(n, range(6)) for n in (4, 5, 6)]
+    cases += [(n, (0, 1, cutoff_steps(n), 2 * cutoff_steps(n))) for n in range(9, 13)]
+    for n, steps in cases:
         c = transpositions(n)
-        for r in range(6):
+        for r in steps:
             for s in (1, 2):
                 a = moment_fc_reduced(n, c, s, r, "transfer")
                 b = moment_fc_reduced(n, c, s, r, "direct")
