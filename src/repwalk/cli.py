@@ -18,12 +18,14 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from . import __version__
 from .characters import character_table
 from .errors import CapacityError, SamplerError
 from .glasymptotics import (
     GLPlancherelSampler,
+    _check_sample_size,
     acceptance_probability,
     cycle_index_lhs,
     cycle_index_rhs,
@@ -47,17 +49,16 @@ from .rng import derive_seed
 from .series import _check_order, euler_lhs_rhs
 from .snwalk import (
     EXACT_KERNEL_LIMIT,
-    FLOAT_LIMIT,
     _check_sampler_size,
-    _check_size,
     _check_steps,
+    _check_walk,
+    _engine,
     _float_error_bound,
     _partition_of,
     moment_fc_reduced,
     rsk_samples,
     sn_tv_curve,
     sn_upper_bound,
-    tv_to_plancherel,
     walk_distribution,
     walk_samples,
 )
@@ -173,8 +174,8 @@ def _cmd_characters(args):
     return 0
 
 
-def _error_bound_line(dist) -> str:
-    return f"# accumulated float error bound: {dist.error_bound!r}"
+def _error_bound_line(n: int, r: int) -> str:
+    return f"# accumulated float error bound: {_float_error_bound(n, r)!r}"
 
 
 def _cmd_sn_walk(args):
@@ -183,10 +184,10 @@ def _cmd_sn_walk(args):
         _check_steps(args.r)  # a walk past the step cap keeps that message
         if start:  # its size before dimension_sn, which is slow on a long one
             _partition_of(args.n, start)
-        _check_size(args.n)
+        _check_walk(args.n, "exact")
         _check_digits(args.n, args.r, dimension_sn(start) if start else 1)
     dist = walk_distribution(args.n, args.r, start, args.mode)
-    extra = [_error_bound_line(dist)] if args.mode == "float" else []
+    extra = [_error_bound_line(args.n, args.r)] if args.mode == "float" else []
     rows = [[lam.to_string(), dist.masses.get(lam, 0)] for lam in enumerate_partitions(args.n)]
     _write_csv(args, "sn-walk", ["partition", "mass"], rows, extra)
     return 0
@@ -197,57 +198,43 @@ def _cmd_sn_tv_curve(args):
         _check_steps(args.rmax)
         _check_digits(args.n, args.rmax)
     rows = sn_tv_curve(args.n, args.rmax, args.mode)
-    extra = []
-    if args.mode == "float":
-        err = _float_error_bound(args.n, args.rmax)
-        extra.append(f"# accumulated float error bound at rmax: {err!r}")
+    err = _float_error_bound(args.n, args.rmax)
+    extra = [f"# accumulated float error bound at rmax: {err!r}"] if args.mode == "float" else []
     _write_csv(args, "sn-tv-curve", ["r", "tv", "l2_bound"], rows, extra)
     return 0
 
 
 def _cmd_sn_cutoff(args):
     n, c = args.n, args.c
+    mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     # n before r, whose log(n) and float n fail for n < 1 and n past 10**308
-    if n < 2:
-        raise ValueError("the walk needs n >= 2")
-    if n > FLOAT_LIMIT:
-        raise CapacityError("float kernel", n, FLOAT_LIMIT)
+    _check_walk(n, mode)
     r = math.ceil(0.5 * n * math.log(n) + c * n)
     _check_steps(r)  # before exp(-2c), which overflows where r < 0
-    target = math.exp(-2 * c) / 2
-    mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
-    dist = walk_distribution(n, r, mode=mode)
-    tv = float(tv_to_plancherel(dist))
-    extra = [_error_bound_line(dist)] if mode == "float" else []
-    rows = [[r, target, tv, sn_upper_bound(n, r)]]
+    eng = _engine(n, mode)
+    tv = float(eng.tv(next(islice(eng.laws(Partition((n,))), r, None))))
+    extra = [_error_bound_line(n, r)] if mode == "float" else []
+    rows = [[r, math.exp(-2 * c) / 2, tv, sn_upper_bound(n, r)]]
     _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows, extra)
     return 0
 
 
-def _cmd_sn_sample(args):
+def _cmd_sn_samples(args):
+    """sn-sample (walk_samples) and sn-rsk (rsk_samples)."""
+    sampler = walk_samples if args.command == "sn-sample" else rsk_samples
     _check_sampler_size(args.n)  # before _split, so --count 0 is refused too
     samples = _chunked(
-        lambda count, seed: walk_samples(args.n, args.r, count, seed),
+        lambda count, seed: sampler(args.n, args.r, count, seed),
         args.count, args.seed, args.threads,
     )
     rows = [[i, lam.to_string()] for i, lam in enumerate(samples)]
-    _write_csv(args, "sn-sample", ["index", "partition"], rows)
-    return 0
-
-
-def _cmd_sn_rsk(args):
-    _check_sampler_size(args.n)
-    samples = _chunked(
-        lambda count, seed: rsk_samples(args.n, args.r, count, seed),
-        args.count, args.seed, args.threads,
-    )
-    rows = [[i, lam.to_string()] for i, lam in enumerate(samples)]
-    _write_csv(args, "sn-rsk", ["index", "partition"], rows)
+    _write_csv(args, args.command, ["index", "partition"], rows)
     return 0
 
 
 def _cmd_sn_moments(args):
     _check_steps(args.r)
+    _check_walk(args.n)  # the character table's cap comes next
     _check_digits(args.n, args.r)
     table = character_table(args.n)  # its size cap before the n-part partition
     transposition = Partition([2] + [1] * (args.n - 2))
@@ -286,7 +273,7 @@ def _cmd_gl_irreps(args):
 
 
 def _cmd_gl_counts(args):
-    if args.n >= 1 and args.q >= 2:
+    if args.n >= 1:
         # |GL(n,q)| = q^(n^2) prod_{k<=n} (1 - q^-k) > q^(n^2) / 4, the largest number printed
         _refuse_digits(args.n**2 * math.log10(args.q) - 0.61, "printed digits",
                        lambda: order_gl(args.n, args.q))
@@ -317,6 +304,7 @@ def _cmd_gl_lower(args):
 
 
 def _cmd_gl_sample(args):
+    _check_sample_size(args.n, args.q)  # before _split, so --count 0 is refused too
     u = Fraction(args.u) if args.u else None
     samples = []
     attempts = 0
@@ -441,12 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_finite_float, required=True)
 
-    p = add("sn-sample", _cmd_sn_sample, help="simulate the walk")
+    p = add("sn-sample", _cmd_sn_samples, help="simulate the walk")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=_non_negative, required=True)
     _sampling_flags(p)
 
-    p = add("sn-rsk", _cmd_sn_rsk, help="RSK shapes after top-to-random shuffles")
+    p = add("sn-rsk", _cmd_sn_samples, help="RSK shapes after top-to-random shuffles")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=_non_negative, required=True)
     _sampling_flags(p)
@@ -460,30 +448,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gl-irreps", _cmd_gl_irreps, help="families, dimensions, Plancherel measure")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
 
     p = add("gl-counts", _cmd_gl_counts, help="fixed-space dimension counts in GL(n,q)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
 
     p = add("gl-bound", _cmd_gl_bound, help="L2 mixing bound for the GL walk")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
     p.add_argument("--r", type=int, required=True)
 
     p = add("gl-lower", _cmd_gl_lower, help="TV lower bound at r = n - c")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
     p.add_argument("--c", type=int, required=True)
 
     p = add("gl-sample", _cmd_gl_sample, help="exact GL(n,q) Plancherel samples")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
     p.add_argument("--u", default=None, help="rejection parameter in (0,1), e.g. 1/2")
     _sampling_flags(p)
 
     p = add("gl-cycle-index", _cmd_gl_cycle_index, help="cycle index and Euler identity")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_field_size, required=True)
     p.add_argument("--order", type=_non_negative, default=6)
     p.add_argument("--check", action="store_true")
 
@@ -509,6 +497,14 @@ def _thread_count(text: str) -> int:
     value = int(text)
     if not 1 <= value <= MAX_THREADS:
         raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_THREADS}, got {value}")
+    return value
+
+
+def _field_size(text: str) -> int:
+    """--q value of the GL commands: an integer q >= 2, checked while parsing."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
 
 

@@ -479,12 +479,18 @@ def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
     return ((True, iv),)
 
 
+def _check_sample_size(n: int, q: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > SAMPLE_N_LIMIT or q > SAMPLE_Q_LIMIT:
+        raise CapacityError("GL Plancherel sampler", (n, q), (SAMPLE_N_LIMIT, SAMPLE_Q_LIMIT))
+
+
 class GLPlancherelSampler:
     """Exact Plancherel sampler for Irr(GL(n,q)) by rejection on total degree."""
 
     def __init__(self, n: int, q: int, u=None, seed: int = 0):
-        if n < 1 or n > SAMPLE_N_LIMIT or q > SAMPLE_Q_LIMIT:
-            raise CapacityError("GL Plancherel sampler", (n, q), (SAMPLE_N_LIMIT, SAMPLE_Q_LIMIT))
+        _check_sample_size(n, q)
         self.n = n
         self.q = q
         self.u = Fraction(u) if u is not None else default_rejection_u(n)

@@ -6,14 +6,14 @@ representation.  Two independent kernel constructions are provided: the
 down-up corner-box chain and the character-theoretic tensor decomposition;
 they agree exactly.  The down-up kernel is the Doob transform of the
 symmetric common-corner matrix A = D D^T, where D is the containment matrix
-of the partitions of n over those of n-1.  Both walks step A with one
-function, _apply_counts, as two segment sums over the lattice's edges: up
-to the partitions of n-1, then back down.  The exact walk runs it on Python
-ints with one division at the end, the float walk on doubles scaled by 1/n
-a step.  The spectrum is indexed by conjugacy classes with eigenvalue
-fixed_points/n, which drives the L2 mixing bound, the moment transfer
-method, and the Chebyshev lower-bound estimate.  Monte Carlo samplers
-(exact-rational inverse CDF) and an RSK shuffle oracle round out the module.
+of the partitions of n over those of n-1.  Each walk runs on an engine from
+_engine, _ExactEngine (ints over one denominator) or _FloatEngine (doubles),
+with laws(start), the laws after 0, 1, 2, ... steps, and tv(law), the TV to
+Plancherel measure; both step A with _apply_counts, two segment sums through
+the partitions of n-1.  The spectrum is indexed by conjugacy classes with
+eigenvalue fixed_points/n, which drives the L2 mixing bound, the moment
+transfer method, and the Chebyshev lower-bound estimate.  Monte Carlo
+samplers (exact-rational inverse CDF) and an RSK shuffle oracle round it out.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def kernel_downup(n: int) -> SparseKernel:
     The double sum collapses: K(lam, rho) = #common corners * d_rho/(n d_lam).
     A row lists rho in the order the paths lam -> mu -> rho first reach it.
     """
-    _check_size(n)
+    _check_walk(n, "exact")
     lat = young_lattice(n)
     parts, dims, below, above = lat.parts, lat.dims, lat.below, lat.above
     down_off, up_off = lat.down_off, lat.up_off
@@ -149,37 +149,22 @@ def _check_steps(r: int) -> None:
 
 
 def _check_sampler_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > SAMPLER_N_LIMIT:
         raise CapacityError("sampler size", n, SAMPLER_N_LIMIT)
 
 
-def _check_size(n: int) -> None:
+def _check_walk(n: int, mode: str | None = None) -> None:
+    """Refuse a walk before any partition of n is formed: n < 2, then the size
+    cap of mode, then an unknown mode; with no mode, only n < 2."""
     if n < 2:
         raise ValueError("the walk needs n >= 2")
-    if n > EXACT_KERNEL_LIMIT:
-        raise CapacityError("exact kernel", n, EXACT_KERNEL_LIMIT)
-
-
-def _path_counts(n: int, start: Partition):
-    """The lattice, the id s of start, and a_0, a_1, ... with a_r[rho] = (A^r)[s, rho].
-
-    A = (c(lam, rho)) is the symmetric common-corner count matrix and K is
-    its Doob transform, K(lam, rho) = c(lam, rho) d_rho / (n d_lam), so
-    K^r(s, rho) = d_rho a_r[rho] / (n^r d_s): every step is an integer
-    mat-vec, and one division at the end gives the law.
-    """
-    _check_size(n)
-    lat = young_lattice(n)
-    s = lat.index[start]
-    return lat, s, _count_steps(lat, s)
-
-
-def _count_steps(lat, start: int):
-    a = np.zeros(len(lat.parts), dtype=object)
-    a[start] = 1
-    while True:
-        yield a
-        a = _apply_counts(lat, a)
+    limit = {"exact": EXACT_KERNEL_LIMIT, "float": FLOAT_LIMIT}.get(mode, n)
+    if n > limit:
+        raise CapacityError(f"{mode} kernel", n, limit)
+    if mode not in (None, "exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
@@ -250,19 +235,17 @@ def spectrum_sn(n: int) -> tuple[SpectrumEntry, ...]:
 def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
     """Distribution after r steps from start (default: the one-row partition)."""
     _check_steps(r)
-    start = _partition_of(n, (n,) if start is None else start)
+    if start is not None:
+        start = _partition_of(n, start)
+    eng = _engine(n, mode)  # its refusals before Partition((n,)) names n < 1
+    law = next(islice(eng.laws(start or Partition((n,))), r, None))
+    lat = eng.lat
     if mode == "float":
-        eng = _float_engine(n)
-        law = next(islice(eng.laws(start), r, None))
-        masses = dict(zip(eng.lat.parts, law.tolist()))
-        return WalkDistribution(n, "float", masses, error_bound=_float_error_bound(n, r))
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    lat, s, walk = _path_counts(n, start)
-    a = next(islice(walk, r, None))
-    den = n**r * lat.dims[s]
-    masses = {lat.parts[i]: Fraction(lat.dims[i] * x, den) for i, x in enumerate(a) if x}
-    return WalkDistribution(n, "exact", masses)
+        masses = dict(zip(lat.parts, law.tolist()))
+        return WalkDistribution(n, mode, masses, _float_error_bound(n, r))
+    a, den = law
+    masses = {p: Fraction(d * x, den) for p, d, x in zip(lat.parts, lat.dims, a) if x}
+    return WalkDistribution(n, mode, masses)
 
 
 def walk_distribution_spectral(n: int, r: int, start=None) -> WalkDistribution:
@@ -379,13 +362,13 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
         classes, counts, den = _class_walk_counts(n, cycles, s)
         return Fraction(sum(m * t.fixed_points**r for t, m in zip(classes, counts)), den * n**r)
     if method == "direct":
-        # E[(chi(C)/d)^s] under K^r(s0, rho) = d_rho a_r[rho] / (n^r d_s0)
-        # is sum_rho a_r[rho] chi_rho(C)^s d_rho^(1-s) / (n^r d_s0)
+        # E[(chi(C)/d)^s] under the law d_rho a_rho / den after r steps is
+        # sum_rho a_rho chi_rho(C)^s d_rho^(1-s) / den
         table = character_table(n)
-        lat, s0, walk = _path_counts(n, Partition((n,)))
-        weights, scale = _scaled_powers(table, lat, lat.index[_partition_of(n, cycles)], s)
-        a = next(islice(walk, r, None))
-        return Fraction(sum(map(mul, weights, a)), scale * n**r * lat.dims[s0])
+        eng = _engine(n, "exact")
+        weights, scale = _scaled_powers(table, eng.lat, eng.lat.index[_partition_of(n, cycles)], s)
+        a, den = next(islice(eng.laws(Partition((n,))), r, None))
+        return Fraction(sum(map(mul, weights, a)), scale * den)
     if method == "closed":
         if cycles != Partition([2] + [1] * (n - 2)):
             raise ValueError("closed forms exist for the transposition class only")
@@ -424,29 +407,45 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 
 
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
-    """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one kernel pass."""
+    """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk."""
     _check_steps(rmax)
-    rows = []
-    if mode == "float":
-        eng = _float_engine(n)
-        laws = zip(range(1, rmax + 1), islice(eng.laws(Partition((n,))), 1, None))
-        return [(r, eng.tv(law), sn_upper_bound(n, r)) for r, law in laws]
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    # 2 TV = sum_rho |d_rho a_rho n! - d_rho^2 n^r d_s| / (n^r d_s n!)
-    lat, s, walk = _path_counts(n, Partition((n,)))
-    n_fact = math.factorial(n)
-    scaled = [d * n_fact for d in lat.dims]
-    squares = [d * d for d in lat.dims]
-    for r, a in zip(range(1, rmax + 1), islice(walk, 1, None)):
-        den = n**r * lat.dims[s]
-        num = sum(abs(x * y - z * den) for x, y, z in zip(scaled, a, squares))
-        rows.append((r, Fraction(num, 2 * den * n_fact), sn_upper_bound(n, r)))
-    return rows
+    eng = _engine(n, mode)
+    laws = islice(eng.laws(Partition((n,))), 1, rmax + 1)
+    return [(r, eng.tv(law), sn_upper_bound(n, r)) for r, law in enumerate(laws, 1)]
 
 
 # ---------------------------------------------------------------------------
-# float engine
+# engines
+
+
+class _ExactEngine:
+    """The walk in Python ints on the lattice of n, for any n it holds: K is
+    the Doob transform of A, so the law after r steps is (a, den) with
+    a = A^r e_s and den = n^r d_s, and rho has mass d_rho a_rho / den."""
+
+    def __init__(self, n: int):
+        self.lat = lat = young_lattice(n)
+        self.n_fact = n_fact = math.factorial(n)
+        self.scaled = [d * n_fact for d in lat.dims]
+        self.squares = [d * d for d in lat.dims]
+
+    def laws(self, start: Partition):
+        """The laws (a, den) after 0, 1, 2, ... steps from start."""
+        lat = self.lat
+        s = lat.index[start]
+        a = np.zeros(len(lat.parts), dtype=object)
+        a[s] = 1
+        den = lat.dims[s]
+        while True:
+            yield a, den
+            a = _apply_counts(lat, a)
+            den *= lat.n
+
+    def tv(self, law) -> Fraction:
+        """2 TV = sum_rho |d_rho a_rho n! - d_rho^2 den| / (den n!), one Fraction."""
+        a, den = law
+        num = sum(abs(x * y - z * den) for x, y, z in zip(self.scaled, a, self.squares))
+        return Fraction(num, 2 * den * self.n_fact)
 
 
 class _FloatEngine:
@@ -479,11 +478,13 @@ class _FloatEngine:
 
 @lru_cache(maxsize=4)
 def _float_engine(n: int) -> _FloatEngine:
-    if n < 2:
-        raise ValueError("the walk needs n >= 2")
-    if n > FLOAT_LIMIT:
-        raise CapacityError("float kernel", n, FLOAT_LIMIT)
     return _FloatEngine(n)
+
+
+def _engine(n: int, mode: str):
+    """The engine of the walk on S_n in mode, built once _check_walk passes."""
+    _check_walk(n, mode)
+    return _ExactEngine(n) if mode == "exact" else _float_engine(n)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +575,8 @@ def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
     partition by plancherel_growth_step, from one seeded stream."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_sampler_size(n)
+    if n:  # n = 0 draws the empty partition, below the samplers' own range
+        _check_sampler_size(n)
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
@@ -614,8 +616,6 @@ def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     Distributed like walk_distribution(n, r) started at the one-row
     partition; the package tests this statistically rather than assuming it.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_sampler_size(n)
     _check_steps(r)
     rng = SplitMix64(seed)

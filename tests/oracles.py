@@ -559,3 +559,17 @@ def q_pochhammer_reference(q, r: int) -> Fraction:
     for k in range(1, r + 1):
         out *= 1 - q**-k
     return out
+
+
+def reference_walk(n: int, start: Partition, rmax: int) -> list[dict[Partition, Fraction]]:
+    """[masses after r steps for r = 0..rmax], stepped as Fraction dicts by
+    the package's kernel_downup, with no lattice count vector or engine."""
+    from repwalk.snwalk import kernel_downup
+
+    kernel = kernel_downup(n)
+    masses = {start: Fraction(1)}
+    out = [masses]
+    for _ in range(rmax):
+        masses = kernel.apply_dist(masses)
+        out.append(masses)
+    return out

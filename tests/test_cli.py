@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -13,13 +12,14 @@ from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
 from repwalk.glirreps import fixed_space_counts
-from repwalk.partitions import Partition, young_lattice
+from repwalk.partitions import Partition
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
     FLOAT_LIMIT,
-    _count_steps,
+    _ExactEngine,
     MAX_WALK_STEPS,
     SAMPLER_N_LIMIT,
+    plancherel_samples,
     rsk_samples,
     tv_to_plancherel,
     walk_distribution,
@@ -522,37 +522,84 @@ def test_threads_split_golden(capsys, argv):
     assert _main_stdout(capsys, list(argv)) == (0, THREADS_GOLDEN[argv])
 
 
-@pytest.mark.parametrize("argv", [
-    ["sn-cutoff", "--n", "10", "--c", "inf"],
-    ["sn-cutoff", "--n", "10", "--c", "-inf"],
-    ["sn-cutoff", "--n", "10", "--c", "nan"],
-    ["sn-rsk", "--n", "0", "--r", "2"],
-    ["sn-sample", "--n", "5", "--r", "-1"],
-    ["sn-rsk", "--n", "5", "--r", "-1"],
-    ["sn-sample", "--n", "5", "--r", "2", "--count", "-2"],
-    ["sn-rsk", "--n", "5", "--r", "2", "--count", "-2"],
-    ["gl-sample", "--n", "2", "--q", "2", "--count", "-2"],
-    ["sn-moments", "--n", "5", "--r", "2", "--samples", "-1"],
-    ["sn-cutoff", "--n", "10", "--c", "-400"],  # r < 0, and exp(800) overflows
-    ["sn-walk", "--n", "5", "--r", "3", "--mode", "float"],  # --exact and --float only
-    ["characters", "--n", "13", "--exact-limit", "13"],  # the table cap is fixed
-])
-def test_bad_argument_usage_error(capsys, argv):
+BAD_ARGUMENTS = [
+    (["sn-cutoff", "--n", "10", "--c", "inf"], "argument --c: must be finite, got inf"),
+    (["sn-cutoff", "--n", "10", "--c", "-inf"], "argument --c: expected one argument"),
+    (["sn-cutoff", "--n", "10", "--c", "nan"], "argument --c: must be finite, got nan"),
+    (["sn-rsk", "--n", "0", "--r", "2"], "n must be positive"),
+    (["sn-sample", "--n", "5", "--r", "-1"], "argument --r: must be non-negative, got -1"),
+    (["sn-rsk", "--n", "5", "--r", "-1"], "argument --r: must be non-negative, got -1"),
+    (["sn-sample", "--n", "5", "--r", "2", "--count", "-2"],
+     "the sample count must be non-negative, got -2"),
+    (["sn-rsk", "--n", "5", "--r", "2", "--count", "-2"],
+     "the sample count must be non-negative, got -2"),
+    (["gl-sample", "--n", "2", "--q", "2", "--count", "-2"],
+     "the sample count must be non-negative, got -2"),
+    (["sn-moments", "--n", "5", "--r", "2", "--samples", "-1"],
+     "the sample count must be non-negative, got -1"),
+    # r < 0, and exp(800) overflows
+    (["sn-cutoff", "--n", "10", "--c", "-400"], "r must be non-negative"),
+    # --exact and --float only
+    (["sn-walk", "--n", "5", "--r", "3", "--mode", "float"],
+     "unrecognized arguments: --mode float"),
+    # the table cap is fixed
+    (["characters", "--n", "13", "--exact-limit", "13"],
+     "unrecognized arguments: --exact-limit 13"),
+    # below the walk's range: these named the n-part partition (0,) or the
+    # transposition class of S_1, each checked after the size
+    (["sn-walk", "--n", "0", "--r", "1", "--float"], "the walk needs n >= 2"),
+    (["sn-tv-curve", "--n", "0", "--rmax", "1"], "the walk needs n >= 2"),
+    (["sn-tv-curve", "--n", "-4", "--rmax", "1", "--float"], "the walk needs n >= 2"),
+    (["sn-moments", "--n", "1", "--r", "1"], "the walk needs n >= 2"),
+    (["sn-moments", "--n", "0", "--r", "1"], "the walk needs n >= 2"),
+    # below the samplers' range, refused before the count is split
+    (["sn-sample", "--n", "0", "--r", "1"], "n must be positive"),
+    (["sn-sample", "--n", "-2", "--r", "1"], "n must be positive"),
+    (["sn-sample", "--n", "0", "--r", "1", "--count", "0"], "n must be positive"),
+    (["sn-rsk", "--n", "0", "--r", "1", "--count", "0"], "n must be positive"),
+    (["gl-sample", "--n", "0", "--q", "2", "--count", "0"], "n must be positive"),
+    (["gl-sample", "--n", "0", "--q", "2", "--count", "1"], "n must be positive"),
+    (["gl-sample", "--n", "-3", "--q", "2", "--count", "0"], "n must be positive"),
+    # q < 2 on every GL command, refused while parsing; these printed
+    # Fraction(1, 0) or named an internal check
+    (["gl-irreps", "--n", "2", "--q", "1"], "argument --q: must be at least 2, got 1"),
+    (["gl-counts", "--n", "2", "--q", "0"], "argument --q: must be at least 2, got 0"),
+    (["gl-bound", "--n", "2", "--q", "1", "--r", "2"], "argument --q: must be at least 2, got 1"),
+    (["gl-lower", "--n", "2", "--q", "-5", "--c", "1"], "argument --q: must be at least 2, got -5"),
+    (["gl-sample", "--n", "2", "--q", "1", "--count", "0"],
+     "argument --q: must be at least 2, got 1"),
+    (["gl-cycle-index", "--q", "1"], "argument --q: must be at least 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_ARGUMENTS,
+                         ids=[f"argv{i}" for i in range(len(BAD_ARGUMENTS))])
+def test_bad_argument_usage_error(capsys, argv, message):
     # exit 2 with a usage error line: no traceback, no empty table
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert any("usage error:" in line for line in captured.err.splitlines())
+    assert any(line.endswith(f"usage error: {message}") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err
 
 
 def test_sampler_argument_checks():
-    with pytest.raises(ValueError):
-        rsk_samples(0, 2, 1, 1)
     for sample in (walk_samples, rsk_samples):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="n must be positive"):
+                sample(n, 2, 0, 1)
         with pytest.raises(ValueError):
             sample(5, -1, 1, 1)
         assert sample(5, 0, 2, 1) == [Partition((5,))] * 2
+    assert plancherel_samples(0, 2, 1) == [Partition(())] * 2
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        plancherel_samples(-1, 0, 1)
+    # the GL sampler's own check, whatever is drawn afterwards
+    with pytest.raises(ValueError, match="n must be positive"):
+        GLPlancherelSampler(0, 2)
+    for n, q in ((21, 2), (2, 4)):
+        with pytest.raises(CapacityError, match="GL Plancherel sampler"):
+            GLPlancherelSampler(n, q)
     with pytest.raises(ValueError):
         cli._split(-2, 0, 1)
     assert cli._split(0, 0, 3) == []
@@ -617,6 +664,10 @@ def test_step_cap_boundary():
      "series order * log2(q): requested 597.95 exceeds limit 120"),
     (["gl-cycle-index", "--q", "1000", "--order", "13"],
      "series order * log2(q): requested 129.56 exceeds limit 120"),
+    (["gl-sample", "--n", "25", "--q", "2", "--count", "0"],
+     "GL Plancherel sampler: requested (25, 2) exceeds limit (20, 3)"),
+    (["gl-sample", "--n", "2", "--q", "5", "--count", "0"],
+     "GL Plancherel sampler: requested (2, 5) exceeds limit (20, 3)"),
 ])
 def test_size_caps_capacity_error(capsys, argv, refusal):
     # refused before any work, even when nothing would be drawn
@@ -950,12 +1001,21 @@ def test_float_cutoff_tv_matches_exact_tv(capsys, n):
     code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", "0.5"])
     assert code == 0
     r, _, tv, _ = out.splitlines()[-1].split(",")
-    r = int(r)
-    lat = young_lattice(n)
-    a = next(islice(_count_steps(lat, lat.index[Partition((n,))]), r, None))
-    n_fact, den = math.factorial(n), n**r
-    num = sum(abs(d * x * n_fact - d * d * den) for d, x in zip(lat.dims, a))
-    assert abs(Fraction(float(tv)) - Fraction(num, 2 * den * n_fact)) <= 2e-15
+    eng = _ExactEngine(n)  # the exact engine takes any n the lattice holds
+    exact = eng.tv(next(islice(eng.laws(Partition((n,))), int(r), None)))
+    assert abs(Fraction(float(tv)) - exact) <= 2e-15
+
+
+@pytest.mark.parametrize("n,c", [(2, "0"), (12, "-0.5"), (18, "0.5"), (19, "0.5"), (33, "-0.5")])
+def test_sn_cutoff_reads_the_engine_alone(capsys, monkeypatch, n, c):
+    # both sides of EXACT_KERNEL_LIMIT, sn-cutoff takes its law and TV from
+    # one engine: no WalkDistribution, no Fraction-dict TV
+    want = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
+    for name in ("repwalk.cli.walk_distribution", "repwalk.snwalk.walk_distribution",
+                 "repwalk.snwalk.tv_to_plancherel"):
+        monkeypatch.setattr(name, _must_not_run)
+    assert _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c]) == want
+    assert want[0] == 0
 
 
 def test_cutoff_tv_is_the_float_curve_row(capsys):

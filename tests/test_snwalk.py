@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -7,8 +8,9 @@ from repwalk.characters import enumerate_classes, fixed_point_profile
 from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.snwalk import (
+    _ExactEngine,
+    _float_engine,
     _float_error_bound,
-    _path_counts,
     class_walk_probability,
     kernel_downup,
     kernel_from_tensor,
@@ -28,22 +30,11 @@ from repwalk.snwalk import (
     walk_distribution_spectral,
 )
 
-from oracles import class_walk_probability_reference, tv_witness
+from oracles import class_walk_probability_reference, reference_walk, tv_witness
 
 
 def cutoff_steps(n):
     return math.ceil(0.5 * n * math.log(n))
-
-
-def reference_walk(n, start, rmax):
-    """[masses after r steps for r = 0..rmax] from the Fraction kernel."""
-    kernel = kernel_downup(n)
-    masses = {start: Fraction(1)}
-    out = [masses]
-    for _ in range(rmax):
-        masses = kernel.apply_dist(masses)
-        out.append(masses)
-    return out
 
 
 def transpositions(n):
@@ -382,6 +373,18 @@ def test_tv_curve_modes_agree():
 def test_exact_kernel_capacity():
     with pytest.raises(CapacityError):
         kernel_downup(19)
+    # every walk path checks n < 2, then its mode's cap, then the mode itself,
+    # before any partition of n is formed
+    for walk in (lambda n, mode: walk_distribution(n, 1, mode=mode),
+                 lambda n, mode: sn_tv_curve(n, 1, mode)):
+        with pytest.raises(ValueError, match="the walk needs n >= 2"):
+            walk(0, "bogus")
+        with pytest.raises(CapacityError, match="exact kernel: requested 19"):
+            walk(19, "exact")
+        with pytest.raises(CapacityError, match="float kernel: requested 41"):
+            walk(41, "float")
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            walk(10**6, "bogus")
 
 
 def test_integer_walk_equals_fraction_kernel_every_start():
@@ -401,6 +404,9 @@ def test_integer_walk_equals_fraction_kernel_near_cutoff():
 
 
 def test_exact_tv_curve_equals_tv_over_reference_walk():
+    # one curve for both modes: each row is its engine's tv of the law the
+    # engine walked to; exact rows equal the Fraction TV of the Fraction
+    # kernel's law, float rows the float engine's TV of its own law
     for n in (2, 5, 8, 11):
         rmax = 2 * cutoff_steps(n)
         ref = reference_walk(n, Partition((n,)), rmax)
@@ -408,6 +414,12 @@ def test_exact_tv_curve_equals_tv_over_reference_walk():
         assert [r for r, _, _ in curve] == list(range(1, rmax + 1))
         for r, tv, bound in curve:
             assert tv == tv_to_plancherel(WalkDistribution(n, "exact", ref[r]))
+            assert bound == sn_upper_bound(n, r)
+        eng = _float_engine(n)
+        curve = sn_tv_curve(n, rmax, "float")
+        assert [r for r, _, _ in curve] == list(range(1, rmax + 1))
+        for (r, tv, bound), law in zip(curve, islice(eng.laws(Partition((n,))), 1, None)):
+            assert tv == eng.tv(law)
             assert bound == sn_upper_bound(n, r)
 
 
@@ -417,13 +429,14 @@ def test_float_masses_within_error_bound_of_exact_law():
     for n in range(2, 19):
         starts = enumerate_partitions(n) if n <= 10 else [Partition((n,))]
         rmax = 3 * cutoff_steps(n)
+        eng = _ExactEngine(n)
+        lat = eng.lat
         for start in starts:
-            lat, s, walk = _path_counts(n, start)
-            for r, a in zip(range(rmax + 1), walk):
+            for r, (a, den) in zip(range(rmax + 1), eng.laws(start)):
+                assert den == n**r * lat.dims[lat.index[start]]
                 dist = walk_distribution(n, r, start, mode="float")
                 assert dist.error_bound == _float_error_bound(n, r)
                 bound = Fraction(dist.error_bound)
                 assert list(dist.masses) == list(lat.parts)
-                den = n**r * lat.dims[s]
                 for (lam, m), d, x in zip(dist.masses.items(), lat.dims, a):
                     assert abs(Fraction(m) - Fraction(d * x, den)) <= bound, (n, start, r, lam)
