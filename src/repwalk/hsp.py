@@ -137,7 +137,7 @@ class HspBounds(NamedTuple):
     exact_tv: Fraction
     bound_sharp: float
     bound_ks: float
-    sharp_squared: Fraction  # exact square of bound_sharp
+    sharp_squared: Fraction  # exact square of the sharp bound, at most bound_sharp**2
     law: WalkDistribution  # P_H, the law the TV is measured on
 
 
@@ -146,7 +146,10 @@ def hsp_bounds(H: SubgroupSpec) -> HspBounds:
     with P_H itself, so a caller printing both computes it once.
 
     bound_sharp = (1/2) sqrt(sum |C meet H|^2 / |C|) over non-identity
-    classes; bound_ks = (1/2) sum |C meet H| / sqrt(|C|).  Always
+    classes, rounded up to a double whose exact square is at least
+    sharp_squared; bound_ks = (1/2) sum |C meet H| / sqrt(|C|), raised to
+    bound_sharp where rounding leaves it below (Cauchy-Schwarz puts the
+    exact ks at or above the exact sharp).  Always, with no slack,
     exact_tv <= bound_sharp <= bound_ks.
     """
     law = weak_sampling_distribution(H)
@@ -161,7 +164,10 @@ def hsp_bounds(H: SubgroupSpec) -> HspBounds:
         inter = H.class_intersections.get(c.cycle_lengths, 0)
         sharp_sq += Fraction(inter * inter, c.class_size)
         ks += inter / math.sqrt(c.class_size)
-    return HspBounds(tv, math.sqrt(sharp_sq) / 2, ks / 2, sharp_sq / 4, law)
+    sharp = math.sqrt(sharp_sq) / 2
+    while Fraction(sharp) ** 2 < sharp_sq / 4:
+        sharp = math.nextafter(sharp, math.inf)
+    return HspBounds(tv, sharp, max(ks / 2, sharp), sharp_sq / 4, law)
 
 
 def induced_character_check(H: SubgroupSpec) -> bool:

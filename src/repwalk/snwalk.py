@@ -9,11 +9,14 @@ symmetric common-corner matrix A = D D^T, where D is the containment matrix
 of the partitions of n over those of n-1.  Each walk runs on an engine from
 _engine, _ExactEngine (ints over one denominator) or _FloatEngine (doubles),
 with laws(start), the laws after 0, 1, 2, ... steps, and tv(law), the TV to
-Plancherel measure; both step A with _apply_counts, two segment sums through
-the partitions of n-1.  The spectrum is indexed by conjugacy classes with
-eigenvalue fixed_points/n, which drives the L2 mixing bound, the moment
-transfer method, and the Chebyshev lower-bound estimate.  Monte Carlo
-samplers (exact-rational inverse CDF) and an RSK shuffle oracle round it out.
+Plancherel measure.  The exact engine steps A with _apply_counts, two segment
+sums through the partitions of n-1; the float engine steps it with two
+gathers from padded corner tables, adding in the same order, so its laws
+are bit-identical to the segment sums' for n <= 36.  The spectrum is
+indexed by conjugacy classes with eigenvalue fixed_points/n, which drives
+the L2 mixing bound, the moment transfer method, and the Chebyshev
+lower-bound estimate.  Monte Carlo samplers (exact-rational inverse CDF)
+and an RSK shuffle oracle round it out.
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
     """A w = D (D^T w) for the containment matrix D of lat, exact on Python
     ints: the first sum takes each partition of n-1 to the total of w over
     the lam above it, the second each lam to the total of those over the
-    partitions below it.  For n >= 1 no segment is empty."""
+    partitions below it.  For n >= 1 no segment is empty.  The exact engine
+    steps with it; _FloatEngine.step adds in its order on padded tables."""
     below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
                                       for a in (lat.below, lat.down_off, lat.above, lat.up_off))
     return np.add.reduceat(np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1])
@@ -448,15 +452,34 @@ class _ExactEngine:
         return Fraction(num, 2 * den * self.n_fact)
 
 
+def _corner_table(targets, off, pad: int) -> np.ndarray:
+    """The CSR segments targets[off[i]:off[i+1]] as the columns of a dense
+    intp table, each in segment order and padded with pad to the longest."""
+    targets, off = np.frombuffer(targets, dtype=np.int64), np.frombuffer(off, dtype=np.int64)
+    counts = np.diff(off)
+    table = np.full((counts.max(), len(counts)), pad, dtype=np.intp)
+    for j, row in enumerate(table):  # row j: the j-th entry of each segment that has one
+        has = np.flatnonzero(counts > j)
+        row[has] = targets[off[has] + j]
+    return table
+
+
 class _FloatEngine:
     """The walk in doubles on the lattice of n, with no kernel of its own:
-    w_r = A^r e_s / n^r steps as w <- A w / n, and K^r(s, .) = (dims / d_s) w_r."""
+    w_r = A^r e_s / n^r steps as w <- A w / n, and K^r(s, .) = (dims / d_s) w_r.
+
+    A is applied through two corner tables: up[:, m] lists the lam above the
+    m-th partition of n-1 and down[:, i] the partitions below lam_i, in the
+    lattice's CSR order, each padded with the index of one 0.0 appended to
+    the vector it gathers from."""
 
     def __init__(self, n: int):
         self.lat = lat = young_lattice(n)
         n_fact = math.factorial(n)
         self.dims = np.array(lat.dims, dtype=float)
         self.pi = np.array([d * d / n_fact for d in lat.dims])
+        self.up = _corner_table(lat.above, lat.up_off, len(lat.parts))
+        self.down = _corner_table(lat.below, lat.down_off, self.up.shape[1])
 
     def laws(self, start: Partition):
         """The laws after 0, 1, 2, ... steps from start."""
@@ -469,7 +492,17 @@ class _FloatEngine:
             w = self.step(w)
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        return _apply_counts(self.lat, w) / self.lat.n
+        """A w / n as one gather and one sum down the corner axis per half.
+
+        Each sum is the first entry plus the rest, the order in which
+        np.add.reduceat adds a segment, and a pad adds an exact 0.0, so this
+        is bit-identical to _apply_counts(lat, w) / n while no segment holds
+        more than 8 entries: for every n <= 36.  From n = 37 on, reduceat
+        adds a segment of 9 in numpy's pairwise blocks and the last digits
+        may differ."""
+        g = np.append(w, 0.0)[self.up]
+        g = np.append(g[0] + g[1:].sum(axis=0), 0.0)[self.down]
+        return (g[0] + g[1:].sum(axis=0)) / self.lat.n
 
     def tv(self, law: np.ndarray) -> float:
         """TV distance to pi of a law in id order, by numpy's pairwise sum."""

@@ -573,3 +573,25 @@ def reference_walk(n: int, start: Partition, rmax: int) -> list[dict[Partition, 
         masses = kernel.apply_dist(masses)
         out.append(masses)
     return out
+
+
+def float_reference_walk(n: int, start: Partition):
+    """The float laws after 0, 1, 2, ... steps from start, stepped as
+    w <- A w / n by the two np.add.reduceat segment sums over the lattice's
+    CSR edges, with no corner tables: the float step before the padded
+    gathers, whose addition order fixes the last digits of every law."""
+    import numpy as np
+
+    from repwalk.partitions import young_lattice
+
+    lat = young_lattice(n)
+    below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
+                                      for a in (lat.below, lat.down_off, lat.above, lat.up_off))
+    dims = np.array(lat.dims, dtype=float)
+    s = lat.index[start]
+    scale = dims / dims[s]
+    w = np.zeros(len(dims))
+    w[s] = 1.0
+    while True:
+        yield scale * w
+        w = np.add.reduceat(np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1]) / n

@@ -1036,20 +1036,24 @@ def test_cutoff_tv_is_the_float_curve_row(capsys):
 # outputs are kept as the sha256 of their bytes.  One lattice index and one
 # character sum must leave every byte as it was.  The characters csv was
 # re-recorded when its # command: line stopped echoing exact_limit=12, a
-# flag removed earlier; no other byte moved.
+# flag removed earlier; no other byte moved.  The hsp outputs at n = 8 with
+# (1 2 3),(4 5) and n = 12 with (1 2),(3 4) were re-recorded when sharp was
+# rounded up to a double whose square is at least sharp_squared: their
+# sharp moved up one ulp, 0.13693063937629152 -> 0.13693063937629155 and
+# 0.12377344351622976 -> 0.12377344351622978, and no other byte moved.
 FOURIER_GOLDEN = {
     ("hsp", "--n", "8", "--gens", "(1 2),(3 4)", "--format", "csv"):
         "ed2d567dca49753d7339b9c7a7200717e0738db49e83c872a8c64aaa6028f83f",
     ("hsp", "--n", "8", "--gens", "(1 2),(3 4)", "--format", "json"):
         "8803b5cdb0c5819814e29b6a45daaae3cfe3e2bc38a885f62273a8b5e4135024",
     ("hsp", "--n", "8", "--gens", "(1 2 3),(4 5)", "--format", "csv"):
-        "7931134bfe76f04082658aa0344dd2b217e26e039e4ce96a7924b644087d6680",
+        "fc4f8e875eb8be768ab1e72dea530ba2445de468a2cae442824fba887aca235e",
     ("hsp", "--n", "8", "--gens", "(1 2 3),(4 5)", "--format", "json"):
-        "f29bfae602cf54a5f772359302e521e3bf1cc594821b4ff5519613b9a3bbacb6",
+        "2a0a1e2779a8109aa769ffdae18e02a96d1794c26f5d372315098d4fe4976fa0",
     ("hsp", "--n", "12", "--gens", "(1 2),(3 4)", "--format", "csv"):
-        "af3fc54eaeb16d721b75d7f062d0fc4267e9dec58ae1b1a20a2dc626a366c92d",
+        "9a3adcd301dfc64ff0e7977b44a083cae18b91e90bad450bda272fc28a08087b",
     ("hsp", "--n", "12", "--gens", "(1 2),(3 4)", "--format", "json"):
-        "704e080202f707c563a64fe0565dbdd7126979ca6656f84e191fad8473f08da8",
+        "829bfdd80766324afb55429bb617747d1f34239ca3c66776dec8ef3dabb7d6e3",
     ("hsp", "--n", "12", "--gens", "(1 2 3),(4 5)", "--format", "csv"):
         "175ff62d94a7362eb1d75b3cdeaf1c1c4cd5680b43d1f84086bd6dda7bb0bf28",
     ("hsp", "--n", "12", "--gens", "(1 2 3),(4 5)", "--format", "json"):

@@ -15,7 +15,7 @@ from repwalk.hsp import (
     subgroup_closure,
     weak_sampling_distribution,
 )
-from repwalk.partitions import Partition
+from repwalk.partitions import Partition, enumerate_partitions
 from repwalk.snwalk import plancherel_sn
 
 
@@ -123,6 +123,31 @@ def test_catalogue_contract():
         dist = weak_sampling_distribution(h)
         assert sum(dist.masses.values()) == 1
         assert all(m >= 0 for m in dist.masses.values())
+
+
+
+def _cycle_generator(cycles: Partition) -> str:
+    """One permutation of cycle type cycles, its cycles on consecutive points."""
+    out, start = [], 1
+    for c in cycles:
+        if c > 1:
+            out.append("(" + " ".join(map(str, range(start, start + c))) + ")")
+        start += c
+    return "".join(out)
+
+
+def test_bound_order_holds_with_no_slack():
+    # the printed sharp is a double whose exact square is at least the exact
+    # sharp_squared, and the printed ks is never below it: exact_tv <= sharp
+    # <= ks as compared, over the catalogue and every cyclic subgroup
+    # generated by one class of S_n, n <= 12
+    groups = [(e["n"], e["generators"]) for e in load_catalogue()]
+    groups += [(n, _cycle_generator(lam)) for n in range(2, 13) for lam in enumerate_partitions(n)]
+    for n, gens in groups:
+        b = hsp_bounds(subgroup_closure(n, gens))
+        assert b.exact_tv <= Fraction(b.bound_sharp), (n, gens)
+        assert Fraction(b.bound_sharp) ** 2 >= b.sharp_squared, (n, gens)
+        assert b.bound_sharp <= b.bound_ks, (n, gens)
 
 
 def test_catalogue_induced_characters():

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from repwalk.characters import enumerate_classes, fixed_point_profile
 from repwalk.errors import CapacityError
-from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
+from repwalk.partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
 from repwalk.snwalk import (
+    _apply_counts,
     _ExactEngine,
+    _FloatEngine,
     _float_engine,
     _float_error_bound,
     class_walk_probability,
@@ -30,7 +34,12 @@ from repwalk.snwalk import (
     walk_distribution_spectral,
 )
 
-from oracles import class_walk_probability_reference, reference_walk, tv_witness
+from oracles import (
+    class_walk_probability_reference,
+    float_reference_walk,
+    reference_walk,
+    tv_witness,
+)
 
 
 def cutoff_steps(n):
@@ -440,3 +449,57 @@ def test_float_masses_within_error_bound_of_exact_law():
                 assert list(dist.masses) == list(lat.parts)
                 for (lam, m), d, x in zip(dist.masses.items(), lat.dims, a):
                     assert abs(Fraction(m) - Fraction(d * x, den)) <= bound, (n, start, r, lam)
+
+
+def _mixed_vector(rng, size, low, high):
+    """Entries 10**u, u uniform in [low, high), about three in ten set to 0."""
+    w = 10.0 ** rng.uniform(low, high, size)
+    w[rng.random(size) < 0.3] = 0.0
+    return w
+
+
+def test_float_step_matches_segment_sums():
+    # the padded gathers add in np.add.reduceat's order, so they agree to the
+    # bit while no segment holds more than 8 entries (n <= 36).  From n = 37
+    # a partition of n-1 has 9 above it and reduceat adds pairwise: on
+    # vectors spanning 1e-300..1e5 the entries stay within 2 ulp, and on
+    # entries of like size (up to 4 ulp seen) within 16 eps relative, the
+    # error bound of two sums of at most 9 non-negative terms
+    rng = np.random.default_rng(18)
+    for n in range(2, 41):
+        eng = _FloatEngine(n)
+        for low, high in ((-300, 5), (0, 1)):
+            for _ in range(4):
+                w = _mixed_vector(rng, len(eng.lat.parts), low, high)
+                got, ref = eng.step(w), _apply_counts(eng.lat, w) / n
+                if n <= 36:
+                    assert np.array_equal(got, ref), n
+                elif low == -300:
+                    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref)), n
+                else:
+                    assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * ref), n
+
+
+def test_float_laws_match_reference_walk():
+    # every law from the one-row partition, to twice the cutoff, equals the
+    # reduceat walk's to the bit
+    for n in (19, 27, 36):
+        start = Partition((n,))
+        laws = _FloatEngine(n).laws(start)
+        for r, law, ref in zip(range(2 * cutoff_steps(n) + 1), laws, float_reference_walk(n, start)):
+            assert np.array_equal(law, ref), (n, r)
+
+
+def test_float_engine_memory_is_bounded():
+    # a cold engine at n = 36 on a cached lattice keeps 2.4 MB: the corner
+    # tables (8 x 14883 and 8 x 17977 intp, 2.1 MB) and the dims and pi
+    # arrays.  Its peak, 3.0 MB, adds the Python floats of pi and one table
+    # row's temporaries; the bound leaves 0.5 MB of margin
+    young_lattice(36)
+    tracemalloc.start()
+    try:
+        _FloatEngine(36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 10**6
