@@ -196,6 +196,7 @@ def _cmd_sn_walk(args):
 def _cmd_sn_tv_curve(args):
     if args.mode == "exact":
         _check_steps(args.rmax)
+        _check_walk(args.n, "exact")  # a size past its cap keeps that message
         _check_digits(args.n, args.rmax)
     rows = sn_tv_curve(args.n, args.rmax, args.mode)
     err = _float_error_bound(args.n, args.rmax)
@@ -209,7 +210,8 @@ def _cmd_sn_cutoff(args):
     mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     # n before r, whose log(n) and float n fail for n < 1 and n past 10**308
     _check_walk(n, mode)
-    r = math.ceil(0.5 * n * math.log(n) + c * n)
+    r = 0.5 * n * math.log(n) + c * n
+    r = r if math.isinf(r) else math.ceil(r)  # +-inf: refused as too long or negative
     _check_steps(r)  # before exp(-2c), which overflows where r < 0
     eng = _engine(n, mode)
     tv = float(eng.tv(next(islice(eng.laws(Partition((n,))), r, None))))
@@ -235,8 +237,8 @@ def _cmd_sn_samples(args):
 def _cmd_sn_moments(args):
     _check_steps(args.r)
     _check_walk(args.n)  # the character table's cap comes next
-    _check_digits(args.n, args.r)
     table = character_table(args.n)  # its size cap before the n-part partition
+    _check_digits(args.n, args.r)
     transposition = Partition([2] + [1] * (args.n - 2))
     size = math.comb(args.n, 2)  # the class size of the transpositions
     rows = []

@@ -31,7 +31,9 @@ sampler's threshold tables are cached too: _count_thresholds on
 (TABLE_CACHE_SIZE = 512 each), and the high-degree entries on
 (n, q, u, prec) (HIGH_DEGREE_CACHE_SIZE = 64).  Tables are read lazily,
 component tables partition by partition in size order, only as far as
-draws land; no cache holds a sampler or a plan.
+draws land, and a threshold set keeps of each threshold read only its
+outcome and two 64-bit words; the rare draw those cannot decide reads the
+builder anew at each precision.  No cache holds a sampler or a plan.
 """
 
 from __future__ import annotations
@@ -290,78 +292,62 @@ class _ThresholdSet:
     """Cumulative interval thresholds; locates a uniform draw among them.
 
     builder(prec) returns an iterable of (outcome, Interval) with increasing
-    thresholds, read lazily: per precision level the set keeps the entries
-    read so far, flattened to integers at scale DEFAULT_PREC << level, and
-    reads more only when a draw lands past them.  A uniform beyond the last
-    threshold maps to _REJECT.
+    thresholds.  The set reads it lazily at DEFAULT_PREC, only as far as
+    draws land, and keeps per threshold its outcome and the running maxima
+    of floor(lo * 2^64) and ceil(hi * 2^64), nothing more.  A uniform beyond
+    the last threshold maps to _REJECT.
 
-    A draw costs one rng.next_u64() word v and one bisect: at level 0 the
-    set keeps running maxima of lo >> (DEFAULT_PREC - 64) and of
-    ceil(hi / 2^(DEFAULT_PREC - 64)), so v alone decides unless some earlier
-    threshold's [lo, hi] straddles it at 64 bits (about 2^-64 per
-    threshold).  Only then is the uniform extended from v, 64 bits at a
-    time, and compared with each threshold in turn; a comparison still
-    unresolved triggers a rebuild at DEFAULT_PREC << level, for up to
-    MAX_DOUBLINGS levels.  Both paths draw the same words and give the same
-    outcome as that scan alone.  Reading and flattening hold a lock, so
-    samplers in several threads may share a set; a builder that raises is
-    started again past the entries kept, on the next read.
+    A draw costs one rng.next_u64() word v and one bisect: v alone decides
+    unless some earlier threshold's 64-bit [lo, hi] straddles it (about
+    2^-64 per threshold).  Only then does the exact scan run: it extends the
+    uniform from v, 64 bits at a time, and compares it with each threshold
+    as the builder yields them anew at DEFAULT_PREC << level; a comparison
+    still unresolved moves to the next level, up to MAX_DOUBLINGS.  Both
+    paths draw the same words and give the same outcome as that scan alone.
+    Reading holds a lock, so samplers in several threads may share a set; a
+    builder that raises is started again past the entries kept, on the next
+    read.
     """
 
     def __init__(self, builder):
         self._builder = builder
         self._lock = threading.Lock()
-        self._flat: dict[int, list] = {}  # level -> (outcome, lo, hi) read so far
-        # level -> entry iterator, or None once the builder has ended; a
-        # level without one starts (again) past the entries read
-        self._entries: dict[int, object] = {}
-        # level 0 per threshold: its outcome and the running maxima of the top
-        # 64 bits; lo64 is appended last, so an index below len(self._lo64)
-        # is complete in all three for a reader without the lock
+        # the entry iterator: None before a start or restart, False once the
+        # builder has ended
+        self._entries = None
+        # per threshold: its outcome and the running maxima of its 64-bit
+        # ends; lo64 is appended last, so an index below len(self._lo64) is
+        # complete in all three for a reader without the lock
         self._outcomes: list = []
         self._hi64: list[int] = []
         self._lo64: list[int] = []
 
-    def _grow(self, level: int) -> bool:
-        """Read one more threshold at a level; False once its builder has ended."""
-        scale = DEFAULT_PREC << level
+    def _grow(self) -> bool:
+        """Read one more threshold; False once the builder has ended."""
         with self._lock:
-            flat = self._flat.setdefault(level, [])
-            if level not in self._entries:
-                self._entries[level] = islice(self._builder(scale), len(flat), None)
-            entries = self._entries[level]
-            if entries is None:
+            if self._entries is None:
+                self._entries = islice(self._builder(DEFAULT_PREC), len(self._lo64), None)
+            if self._entries is False:
                 return False
             try:
-                outcome, iv = next(entries)
-                lo, hi = floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale)
-                flat.append((outcome, lo, hi))
-                if level == 0:
-                    shift = scale - 64
-                    lo64, hi64 = lo >> shift, -(-hi >> shift)
-                    if self._lo64:
-                        lo64, hi64 = max(lo64, self._lo64[-1]), max(hi64, self._hi64[-1])
-                    self._hi64.append(hi64)
-                    self._outcomes.append(outcome)
-                    self._lo64.append(lo64)
+                outcome, iv = next(self._entries)
+                lo64, hi64 = floor_scaled(iv.lo, 64), ceil_scaled(iv.hi, 64)
+                if self._lo64:
+                    lo64, hi64 = max(lo64, self._lo64[-1]), max(hi64, self._hi64[-1])
+                self._hi64.append(hi64)
+                self._outcomes.append(outcome)
+                self._lo64.append(lo64)
             except StopIteration:
-                self._entries[level] = None
+                self._entries = False
                 return False
             except BaseException:
                 # a generator that raised is finished but has not ended: drop
                 # it, and any half-kept entry, so the next read starts again
-                del self._entries[level]
-                if level == 0:
-                    kept = len(self._lo64)
-                    del flat[kept:], self._hi64[kept:], self._outcomes[kept:]
+                self._entries = None
+                kept = len(self._lo64)
+                del self._hi64[kept:], self._outcomes[kept:]
                 raise
             return True
-
-    def _thresholds(self, level: int) -> tuple[list, int]:
-        """(flat, scale): every (outcome, lo, hi) at scale DEFAULT_PREC << level."""
-        while self._grow(level):
-            pass
-        return self._flat[level], DEFAULT_PREC << level
 
     def locate(self, rng: SplitMix64):
         """The outcome of the first threshold above a fresh uniform, or _REJECT."""
@@ -388,21 +374,20 @@ class _ThresholdSet:
             if j < end:
                 return j, False
             # once the builder has ended, no other thread can append either
-            if not self._grow(0) and len(lo64) == end:
+            if not self._grow() and len(lo64) == end:
                 return j, True
 
     def _scan(self, u: LazyUniform):
         for level in range(MAX_DOUBLINGS + 1):
-            thresholds, scale = self._thresholds(level)
-            ambiguous = False
-            for outcome, lo, hi in thresholds:
+            scale = DEFAULT_PREC << level
+            for outcome, iv in self._builder(scale):
+                lo, hi = floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale)
                 res = u.compare_scaled(lo, hi, scale)
-                if res is True:
-                    return outcome
                 if res is None:
-                    ambiguous = True
                     break
-            if not ambiguous:
+                if res:
+                    return outcome
+            else:
                 return _REJECT
         raise SamplerError("threshold enclosures failed to separate a uniform draw")
 

@@ -1,13 +1,14 @@
 """Exact rational interval arithmetic with dyadic outward rounding.
 
-Generic interval code only, no particular product: glasymptotics encloses
-its infinite products (the normalizer Z(u,q), the Euler product of the
-mixing weight) and the binomial tail probabilities of the GL Plancherel
-sampler with it, on certified rational endpoints (no floating point).
-Rounding endpoints outward to a fixed number of dyadic bits keeps
-numerators small through repeated squaring while preserving soundness.
-Long products run on integer endpoints at a fixed dyadic scale (floor
-below, ceiling above), with guard_bits(k) extra bits absorbing the
+Nonnegative enclosures only: every quantity glasymptotics encloses (the
+normalizer Z(u,q), the Euler product of the mixing weight, and the
+binomial tail probabilities of the GL Plancherel sampler) is at least 0,
+so an Interval is refused unless 0 <= lo <= hi, and products and
+quotients work endpoint by endpoint, on certified rational endpoints (no
+floating point).  Rounding endpoints outward to a fixed number of dyadic
+bits keeps numerators small through repeated squaring while preserving
+soundness.  Long products run on integer endpoints at a fixed dyadic scale
+(floor below, ceiling above), with guard_bits(k) extra bits absorbing the
 rounding of k products, and enclosure_from_scaled turns such endpoints
 into an Interval.
 """
@@ -30,12 +31,14 @@ def ceil_scaled(x: Fraction, scale: int) -> int:
 
 @dataclass(frozen=True)
 class Interval:
+    """[lo, hi] with 0 <= lo <= hi."""
+
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if not 0 <= self.lo <= self.hi:
+            raise ValueError(f"not a nonnegative interval: [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, x) -> "Interval":
@@ -62,48 +65,29 @@ class Interval:
         other = _as_interval(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __sub__(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
     def __mul__(self, other) -> "Interval":
         other = _as_interval(other)
-        if self.lo >= 0 and other.lo >= 0:
-            return Interval(self.lo * other.lo, self.hi * other.hi)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
+        return Interval(self.lo * other.lo, self.hi * other.hi)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
         other = _as_interval(other)
-        if other.lo <= 0 <= other.hi:
+        if other.lo == 0:
             raise ZeroDivisionError("dividing by an interval containing 0")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return Interval(min(quotients), max(quotients))
+        return Interval(self.lo / other.hi, self.hi / other.lo)
 
     def one_minus(self) -> "Interval":
+        """[1 - hi, 1 - lo], for hi <= 1."""
         return Interval(1 - self.hi, 1 - self.lo)
 
     def pow_int(self, k: int, prec: int) -> "Interval":
-        """Nonnegative-base integer power by repeated squaring.
+        """Integer power by repeated squaring.
 
         Endpoints are rounded outward to prec bits after each multiply,
         keeping bit sizes linear in prec rather than in k.
         """
-        if self.lo < 0:
-            raise ValueError("pow_int requires a nonnegative interval")
         if k < 0:
             raise ValueError("negative powers unsupported")
         out = Interval.point(1)

@@ -136,38 +136,35 @@ def euler_lhs_rhs(q, order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeri
 
     The partial product is expanded with more and more factors until every
     coefficient changes by less than STABILIZATION_THRESHOLD for
-    STABLE_INCREMENTS consecutive increments.  Two exact cross-checks run
-    along the way: each partial-product coefficient must equal the Gaussian
-    binomial closed form, and its deviation from the limit 1/(1/q)_n must be
-    exactly (1 - prod_{j=0}^{n-1} (1 - q^(-(N+j)))) / (1/q)_n, which shrinks
-    to 0.
+    STABLE_INCREMENTS consecutive increments.  Each partial product is
+    checked exactly against its closed form along the way: its coefficient
+    of u^n must be the limit 1/(1/q)_n times prod_{j=0}^{n-1} (1 - q^(-(N+j))),
+    a deviation that shrinks to 0.  That is the Gaussian binomial
+    [N+n-1, n] at 1/q, so one equality checks both forms.
     """
     _check_order(order, q)
     q = Fraction(q)
     lhs = euler_lhs(q, order)
     n_factors = order + 1
     prev = euler_partial_product(q, order, n_factors)
-    _check_partial_product_closed_form(q, prev, n_factors)
+    _check_partial_product_closed_form(q, lhs, prev, n_factors)
     stable = 0
     while stable < STABLE_INCREMENTS:
         n_factors += 1
         cur = prev * geometric_factor(order, q ** -(n_factors - 1))
-        _check_partial_product_closed_form(q, cur, n_factors)
+        _check_partial_product_closed_form(q, lhs, cur, n_factors)
         delta = max(abs(a - b) for a, b in zip(cur.coeffs, prev.coeffs))
         stable = stable + 1 if delta < STABILIZATION_THRESHOLD else 0
         prev = cur
     return lhs, prev
 
 
-def _check_partial_product_closed_form(q: Fraction, series: TruncSeries, n_factors: int):
-    for n, c in enumerate(series.coeffs):
-        want = gaussian_binomial(n_factors + n - 1, n, 1 / q)
-        if c != want:
-            raise ArithmeticError("partial product disagrees with its closed form")
-        # exact deviation from the limiting coefficient
-        limit = 1 / q_pochhammer(q, n)
-        correction = Fraction(1)
-        for j in range(n):
-            correction *= 1 - q ** -(n_factors + j)
+def _check_partial_product_closed_form(q: Fraction, lhs: TruncSeries, series: TruncSeries,
+                                       n_factors: int):
+    """Raise unless coefficient n of the n_factors-factor partial product is
+    lhs.coeffs[n] * prod_{j<n} (1 - q^(-(n_factors+j))) for every n."""
+    correction = Fraction(1)
+    for n, (c, limit) in enumerate(zip(series.coeffs, lhs.coeffs)):
         if c != limit * correction:
-            raise ArithmeticError("partial product deviation formula fails")
+            raise ArithmeticError("partial product disagrees with its closed form")
+        correction *= 1 - q ** -(n_factors + n)

@@ -569,6 +569,8 @@ BAD_ARGUMENTS = [
     (["gl-sample", "--n", "2", "--q", "1", "--count", "0"],
      "argument --q: must be at least 2, got 1"),
     (["gl-cycle-index", "--q", "1"], "argument --q: must be at least 2, got 1"),
+    # c * n overflows to -inf, which math.ceil could not take
+    (["sn-cutoff", "--n", "30", "--c=-1e308"], "r must be non-negative"),
 ]
 
 
@@ -668,6 +670,17 @@ def test_step_cap_boundary():
      "GL Plancherel sampler: requested (25, 2) exceeds limit (20, 3)"),
     (["gl-sample", "--n", "2", "--q", "5", "--count", "0"],
      "GL Plancherel sampler: requested (2, 5) exceeds limit (20, 3)"),
+    # c * n overflows to +inf, which math.ceil could not take
+    (["sn-cutoff", "--n", "30", "--c", "1e308"],
+     f"walk steps: requested inf exceeds limit {MAX_WALK_STEPS}"),
+    (["sn-cutoff", "--n", "2", "--c", "1e308"],
+     f"walk steps: requested inf exceeds limit {MAX_WALK_STEPS}"),
+    (["sn-cutoff", "--n", "40", "--c", "5e306"],
+     f"walk steps: requested inf exceeds limit {MAX_WALK_STEPS}"),
+    # the size cap before the output digits, as sn-walk --exact has it
+    (["sn-tv-curve", "--n", "19", "--rmax", "5000", "--exact"],
+     "exact kernel: requested 19 exceeds limit 18"),
+    (["sn-moments", "--n", "13", "--r", "5000"], "character table: requested 13 exceeds limit 12"),
 ])
 def test_size_caps_capacity_error(capsys, argv, refusal):
     # refused before any work, even when nothing would be drawn

@@ -10,7 +10,9 @@ from scipy.stats import chi2_contingency
 from repwalk.errors import CapacityError
 from oracles import suq_normalizer_pow_int, suq_weight_per_hook
 from repwalk.glasymptotics import (
+    DEFAULT_PREC,
     GLPlancherelSampler,
+    _high_degree_entries,
     acceptance_probability,
     cycle_index_lhs,
     cycle_index_rhs,
@@ -183,13 +185,10 @@ def test_default_rejection_u():
 
 def test_high_degree_enclosures_agree():
     for n, q, u in ((2, 2, Fraction(1, 2)), (3, 2, Fraction(2, 3)), (2, 3, Fraction(1, 2))):
-        sampler = GLPlancherelSampler(n, q, u, seed=0)
-        flat, scale = sampler.high_degree_empty._thresholds(0)
-        _, lo, hi = flat[0]
-        identity = (Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
+        ((_, identity),) = _high_degree_entries(n, q, u, DEFAULT_PREC)
         direct = high_degree_empty_direct(n, q, u)
-        assert identity[0] <= direct.hi and direct.lo <= identity[1]
-        assert identity[1] - identity[0] < Fraction(1, 2**200)
+        assert identity.lo <= direct.hi and direct.lo <= identity.hi
+        assert identity.width < Fraction(1, 2**200)
 
 
 def test_sampler_n1_unique_family():

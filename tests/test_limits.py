@@ -114,7 +114,8 @@ def test_enumeration_limit_read_at_run_time(monkeypatch):
 
 def test_threshold_doublings_read_at_run_time(monkeypatch):
     # a threshold known only to lie in [0, 1] leaves every comparison
-    # unresolved: the set rebuilds MAX_DOUBLINGS times, then gives up
+    # unresolved: the fast path reads it once, then the scan reads it at
+    # every level up to MAX_DOUBLINGS and gives up
     levels = []
 
     def builder(prec):
@@ -126,7 +127,7 @@ def test_threshold_doublings_read_at_run_time(monkeypatch):
     with pytest.raises(SamplerError):
         thresholds.locate(rng.SplitMix64(1))
     p = glasymptotics.DEFAULT_PREC
-    assert levels == [p, p << 1, p << 2]
+    assert levels == [p, p, p << 1, p << 2]
 
 
 def test_pass_through_accessors_are_gone():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repwalk.series import (
     TruncSeries,
+    _check_partial_product_closed_form,
     euler_lhs,
     euler_lhs_rhs,
     euler_partial_product,
@@ -88,6 +89,23 @@ def test_partial_product_equals_gaussian_binomial():
             p = euler_partial_product(q, 5, n_factors)
             for n, c in enumerate(p.coeffs):
                 assert c == gaussian_binomial(n_factors + n - 1, n, Fraction(1, q))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_closed_form_check_catches_a_perturbed_coefficient(q):
+    # the check passes on every partial product, and fails once any one
+    # coefficient of it is off by the smallest amount
+    q, order = Fraction(q), 5
+    lhs = euler_lhs(q, order)
+    for n_factors in (1, 6, 11):
+        p = euler_partial_product(q, order, n_factors)
+        _check_partial_product_closed_form(q, lhs, p, n_factors)
+        for n in range(order + 1):
+            coeffs = list(p.coeffs)
+            coeffs[n] += Fraction(1, 10**40)
+            with pytest.raises(ArithmeticError, match="closed form"):
+                _check_partial_product_closed_form(q, lhs, TruncSeries(order, tuple(coeffs)),
+                                                   n_factors)
 
 
 def test_euler_identity_stabilized():

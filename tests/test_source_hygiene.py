@@ -1,0 +1,82 @@
+"""Source hygiene, checked with the standard library's ast module.
+
+No module of the package imports a name it never uses (the package's
+__init__ re-exports, so it is exempt), and every private (_-prefixed)
+function, class or module-level name the package defines is read
+somewhere: in the package, the tests or the benchmark harness.  A helper
+left behind by a refactor fails here.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repwalk"
+
+
+def _trees(*dirs: Path) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(), str(path))
+            for d in dirs for path in sorted(d.rglob("*.py"))}
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a module reads: loaded names and attributes, names it
+    imports from elsewhere, and the parts of each string constant that is
+    one dotted word (a monkeypatch target, an attribute named for a tracer),
+    so a docstring that names a helper does not count."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and not any(c.isspace() for c in node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _trees(PACKAGE).items():
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of every _-prefixed function or class at any depth and of
+    every _-prefixed module-level assignment; dunder names are not private."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node.lineno
+
+
+def test_every_private_name_is_read():
+    reads = set()
+    for tree in _trees(PACKAGE, ROOT / "tests", ROOT / "perfbench").values():
+        reads |= _names_read(tree)
+    unread = [f"{path.name}:{line} {name}"
+              for path, tree in _trees(PACKAGE).items()
+              for name, line in _private_definitions(tree)
+              if name.startswith("_") and not name.endswith("__") and name not in reads]
+    assert not unread

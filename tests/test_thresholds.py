@@ -84,7 +84,8 @@ def test_locate_matches_scan_on_random_tables(seed):
 def _cold_and_warm(builder):
     """A set that has read nothing yet, and one that has read every threshold."""
     warm = _ThresholdSet(builder)
-    warm._thresholds(0)
+    while warm._grow():
+        pass
     return _ThresholdSet(builder), warm
 
 
@@ -215,8 +216,10 @@ def test_component_table_ends_at_its_cap(n, q):
     for _ in range(200):
         sampler.sample()
     for plan in sampler.plans:
-        read, _ = plan.component_thresholds._thresholds(0)
-        sizes = [lam.size for lam, _, _ in read]
+        read = plan.component_thresholds
+        while read._grow():
+            pass
+        sizes = [lam.size for lam in read._outcomes]
         assert sizes == [m for m in range(1, n // plan.d + 1) for _ in range(partition_count(m))]
 
 
