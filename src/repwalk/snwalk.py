@@ -10,9 +10,10 @@ of the partitions of n over those of n-1.  Each walk runs on an engine from
 _engine, _ExactEngine (ints over one denominator) or _FloatEngine (doubles),
 with laws(start), the laws after 0, 1, 2, ... steps, and tv(law), the TV to
 Plancherel measure.  The exact engine steps A with _apply_counts, two segment
-sums through the partitions of n-1; the float engine steps it with two
-gathers from padded corner tables, adding in the same order, so its laws
-are bit-identical to the segment sums' for n <= 36.  The spectrum is
+sums through the partitions of n-1; the float engine steps it through two
+jagged corner tables, rows sorted by corner count that store no pad, adding
+each segment in the segment sums' order, so its laws are bit-identical to
+theirs for n <= 36.  The spectrum is
 indexed by conjugacy classes with eigenvalue fixed_points/n, which drives
 the L2 mixing bound, the moment transfer method, and the Chebyshev
 lower-bound estimate.  Monte Carlo samplers (exact-rational inverse CDF)
@@ -175,7 +176,7 @@ def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
     ints: the first sum takes each partition of n-1 to the total of w over
     the lam above it, the second each lam to the total of those over the
     partitions below it.  For n >= 1 no segment is empty.  The exact engine
-    steps with it; _FloatEngine.step adds in its order on padded tables."""
+    steps with it; _FloatEngine.step adds in its order on jagged tables."""
     below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
                                       for a in (lat.below, lat.down_off, lat.above, lat.up_off))
     return np.add.reduceat(np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1])
@@ -291,6 +292,19 @@ def sn_upper_bound_squared(n: int, r: int) -> Fraction:
 def sn_upper_bound(n: int, r: int) -> float:
     """L2 upper bound on total variation after r steps."""
     return math.sqrt(sn_upper_bound_squared(n, r))
+
+
+def _upper_bounds(n: int):
+    """sn_upper_bound(n, r) for r = 1, 2, ...: each term count(i) i^(2r) and
+    the denominator 4 n^(2r) carried from r to r + 1 as ints.  Int true
+    division rounds correctly, as float(Fraction) does, so each double is
+    the closed form's."""
+    profile = [(count, i * i) for i, count in fixed_point_profile(n).items() if i <= n - 2]
+    terms, den = [count for count, _ in profile], 4
+    while True:
+        terms = [t * sq for t, (_, sq) in zip(terms, profile)]
+        den *= n * n
+        yield math.sqrt(sum(terms) / den)
 
 
 def _scaled_powers(table, lat, ci: int, s: int) -> tuple[list[int], int]:
@@ -411,11 +425,13 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 
 
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
-    """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk."""
+    """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk and one
+    running L2 sum."""
     _check_steps(rmax)
     eng = _engine(n, mode)
-    laws = islice(eng.laws(Partition((n,))), 1, rmax + 1)
-    return [(r, eng.tv(law), sn_upper_bound(n, r)) for r, law in enumerate(laws, 1)]
+    laws = islice(eng.laws(Partition((n,))), 1, None)
+    return [(r, eng.tv(law), bound)
+            for r, law, bound in zip(range(1, rmax + 1), laws, _upper_bounds(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -452,34 +468,52 @@ class _ExactEngine:
         return Fraction(num, 2 * den * self.n_fact)
 
 
-def _corner_table(targets, off, pad: int) -> np.ndarray:
-    """The CSR segments targets[off[i]:off[i+1]] as the columns of a dense
-    intp table, each in segment order and padded with pad to the longest."""
+def _jagged_rows(targets, off, relabel=None):
+    """The CSR segments targets[off[i]:off[i+1]] as jagged corner rows.
+
+    The segments are ordered by a stable sort on their lengths, longest
+    first, so the j-th entries of those that have one are a prefix of that
+    order: row j lists them, each through relabel if given.  Returns the
+    order and the rows, which store every entry once and no pad."""
     targets, off = np.frombuffer(targets, dtype=np.int64), np.frombuffer(off, dtype=np.int64)
     counts = np.diff(off)
-    table = np.full((counts.max(), len(counts)), pad, dtype=np.intp)
-    for j, row in enumerate(table):  # row j: the j-th entry of each segment that has one
-        has = np.flatnonzero(counts > j)
-        row[has] = targets[off[has] + j]
-    return table
+    order = np.argsort(-counts, kind="stable")
+    starts, counts = off[:-1][order], counts[order]
+    rows = []
+    for j in range(counts[0]):
+        row = targets[starts[:np.count_nonzero(counts > j)] + j]
+        rows.append(row if relabel is None else relabel[row])
+    return order, tuple(rows)
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The permutation that undoes order: _inverse(order)[order[k]] = k."""
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    return inv
 
 
 class _FloatEngine:
     """The walk in doubles on the lattice of n, with no kernel of its own:
     w_r = A^r e_s / n^r steps as w <- A w / n, and K^r(s, .) = (dims / d_s) w_r.
 
-    A is applied through two corner tables: up[:, m] lists the lam above the
-    m-th partition of n-1 and down[:, i] the partitions below lam_i, in the
-    lattice's CSR order, each padded with the index of one 0.0 appended to
-    the vector it gathers from."""
+    A is applied through two jagged corner tables.  The partitions of n-1
+    are sorted by how many lam lie above each, most first, and up[j] lists
+    the (j+1)-th lam above each that has one, by lattice id.  The partitions
+    of n are sorted likewise by how many lie below, and down[j] lists the
+    (j+1)-th partition below each, by its place in the first sort; ids
+    takes the second sort back to lattice ids.  Each row is as long as the
+    number of segments that reach it, so no pad is stored, gathered or
+    added."""
 
     def __init__(self, n: int):
         self.lat = lat = young_lattice(n)
         n_fact = math.factorial(n)
         self.dims = np.array(lat.dims, dtype=float)
         self.pi = np.array([d * d / n_fact for d in lat.dims])
-        self.up = _corner_table(lat.above, lat.up_off, len(lat.parts))
-        self.down = _corner_table(lat.below, lat.down_off, self.up.shape[1])
+        mu_order, self.up = _jagged_rows(lat.above, lat.up_off)
+        lam_order, self.down = _jagged_rows(lat.below, lat.down_off, _inverse(mu_order))
+        self.ids = _inverse(lam_order)
 
     def laws(self, start: Partition):
         """The laws after 0, 1, 2, ... steps from start."""
@@ -491,18 +525,32 @@ class _FloatEngine:
             yield scale * w
             w = self.step(w)
 
-    def step(self, w: np.ndarray) -> np.ndarray:
-        """A w / n as one gather and one sum down the corner axis per half.
+    @staticmethod
+    def _half_step(x: np.ndarray, rows) -> np.ndarray:
+        """Each segment's sum over the gathered x, as entry 0 + ((entry 1 +
+        entry 2) + ...), running down the rows on their shrinking prefixes."""
+        out = x[rows[0]]
+        if len(rows) > 1:
+            acc = x[rows[1]]
+            for row in rows[2:]:
+                acc[:len(row)] += x[row]
+            out[:len(acc)] += acc
+        return out
 
-        Each sum is the first entry plus the rest, the order in which
-        np.add.reduceat adds a segment, and a pad adds an exact 0.0, so this
-        is bit-identical to _apply_counts(lat, w) / n while no segment holds
-        more than 8 entries: for every n <= 36.  From n = 37 on, reduceat
-        adds a segment of 9 in numpy's pairwise blocks and the last digits
-        may differ."""
-        g = np.append(w, 0.0)[self.up]
-        g = np.append(g[0] + g[1:].sum(axis=0), 0.0)[self.down]
-        return (g[0] + g[1:].sum(axis=0)) / self.lat.n
+    def step(self, w: np.ndarray) -> np.ndarray:
+        """A w / n for w in lattice-id order, returned in that order.
+
+        Each half adds a segment as its first entry plus the sequential sum
+        of the rest, the order of a sum down the corner axis of tables
+        padded with 0.0, and a skipped pad only ever added +0.0: the laws are
+        bit-identical to such padded gathers for every n <= FLOAT_LIMIT.
+        Those in turn add as np.add.reduceat does while no segment holds
+        more than 8 entries, so the laws equal _apply_counts(lat, w) / n to
+        the bit for n <= 36; from n = 37 on, reduceat adds a segment of 9
+        in numpy's pairwise blocks and the last digits may differ."""
+        w = self._half_step(self._half_step(w, self.up), self.down)[self.ids]
+        w /= self.lat.n
+        return w
 
     def tv(self, law: np.ndarray) -> float:
         """TV distance to pi of a law in id order, by numpy's pairwise sum."""

@@ -575,18 +575,11 @@ def reference_walk(n: int, start: Partition, rmax: int) -> list[dict[Partition, 
     return out
 
 
-def float_reference_walk(n: int, start: Partition):
-    """The float laws after 0, 1, 2, ... steps from start, stepped as
-    w <- A w / n by the two np.add.reduceat segment sums over the lattice's
-    CSR edges, with no corner tables: the float step before the padded
-    gathers, whose addition order fixes the last digits of every law."""
+def _float_walk(lat, start: Partition, step):
+    """The float laws (d_rho / d_s) w after 0, 1, 2, ... steps w <- step(w)
+    from w = e_s, s the id of start."""
     import numpy as np
 
-    from repwalk.partitions import young_lattice
-
-    lat = young_lattice(n)
-    below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
-                                      for a in (lat.below, lat.down_off, lat.above, lat.up_off))
     dims = np.array(lat.dims, dtype=float)
     s = lat.index[start]
     scale = dims / dims[s]
@@ -594,4 +587,61 @@ def float_reference_walk(n: int, start: Partition):
     w[s] = 1.0
     while True:
         yield scale * w
-        w = np.add.reduceat(np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1]) / n
+        w = step(w)
+
+
+def float_reference_walk(n: int, start: Partition):
+    """The float laws after 0, 1, 2, ... steps from start, stepped as
+    w <- A w / n by the two np.add.reduceat segment sums over the lattice's
+    CSR edges, with no corner tables: the float step before the corner
+    tables, whose addition order fixes the last digits of every law."""
+    import numpy as np
+
+    from repwalk.partitions import young_lattice
+
+    lat = young_lattice(n)
+    below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
+                                      for a in (lat.below, lat.down_off, lat.above, lat.up_off))
+    return _float_walk(lat, start, lambda w: np.add.reduceat(
+        np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1]) / n)
+
+
+def padded_float_step(n: int):
+    """w -> A w / n through dense padded corner tables, the float step before
+    the jagged ones: up[:, m] lists the lam above the m-th partition of n-1
+    and down[:, i] the partitions below lam_i, in the lattice's CSR order,
+    each padded to the longest with the index of one 0.0 appended to the
+    vector it gathers from.  A half-step is one gather and one sum down the
+    corner axis, g[0] + g[1:].sum(axis=0), which numpy adds row by row."""
+    import numpy as np
+
+    from repwalk.partitions import young_lattice
+
+    lat = young_lattice(n)
+
+    def table(targets, off, pad):
+        targets, off = np.frombuffer(targets, dtype=np.int64), np.frombuffer(off, dtype=np.int64)
+        counts = np.diff(off)
+        out = np.full((counts.max(), len(counts)), pad, dtype=np.intp)
+        for j, row in enumerate(out):
+            has = np.flatnonzero(counts > j)
+            row[has] = targets[off[has] + j]
+        return out
+
+    up = table(lat.above, lat.up_off, len(lat.parts))
+    down = table(lat.below, lat.down_off, up.shape[1])
+
+    def step(w):
+        g = np.append(w, 0.0)[up]
+        g = np.append(g[0] + g[1:].sum(axis=0), 0.0)[down]
+        return (g[0] + g[1:].sum(axis=0)) / n
+
+    return step
+
+
+def padded_reference_walk(n: int, start: Partition):
+    """The float laws after 0, 1, 2, ... steps from start, stepped by
+    padded_float_step(n)."""
+    from repwalk.partitions import young_lattice
+
+    return _float_walk(young_lattice(n), start, padded_float_step(n))

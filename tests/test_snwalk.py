@@ -37,6 +37,8 @@ from repwalk.snwalk import (
 from oracles import (
     class_walk_probability_reference,
     float_reference_walk,
+    padded_float_step,
+    padded_reference_walk,
     reference_walk,
     tv_witness,
 )
@@ -259,6 +261,15 @@ def test_upper_bound_examples():
     assert values[-1] < 1e-9
 
 
+def test_tv_curve_bound_column_is_the_closed_form():
+    # every row's l2_bound is the double sn_upper_bound gives at its r,
+    # through 3x the cutoff
+    for n in range(2, 41):
+        rmax = 3 * cutoff_steps(n)
+        bounds = [bound for _, _, bound in sn_tv_curve(n, rmax, "float")]
+        assert bounds == [sn_upper_bound(n, r) for r in range(1, rmax + 1)], n
+
+
 def test_upper_bound_dominates_exact_tv():
     for n in (5, 8):
         rows = sn_tv_curve(n, 25, "exact")
@@ -459,8 +470,9 @@ def _mixed_vector(rng, size, low, high):
 
 
 def test_float_step_matches_segment_sums():
-    # the padded gathers add in np.add.reduceat's order, so they agree to the
-    # bit while no segment holds more than 8 entries (n <= 36).  From n = 37
+    # the jagged rows add each segment as its first entry plus the rest in
+    # turn, np.add.reduceat's order while no segment holds more than 8
+    # entries, so they agree to the bit for n <= 36.  From n = 37
     # a partition of n-1 has 9 above it and reduceat adds pairwise: on
     # vectors spanning 1e-300..1e5 the entries stay within 2 ulp, and on
     # entries of like size (up to 4 ulp seen) within 16 eps relative, the
@@ -480,6 +492,43 @@ def test_float_step_matches_segment_sums():
                     assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * ref), n
 
 
+def test_float_step_matches_padded_tables():
+    # skipping a pad skips an exact +0.0, so the jagged step is the padded
+    # step to the bit for every size the float engine takes
+    rng = np.random.default_rng(20)
+    for n in range(2, 41):
+        eng, padded = _FloatEngine(n), padded_float_step(n)
+        for low, high in ((-300, 5), (0, 1)):
+            for _ in range(4):
+                w = _mixed_vector(rng, len(eng.lat.parts), low, high)
+                assert np.array_equal(eng.step(w), padded(w)), n
+
+
+def test_float_laws_match_padded_tables():
+    # the laws from the first, a middle and the last partition id, to twice
+    # the cutoff, equal the padded walk's to the bit
+    for n in range(2, 41):
+        eng = _FloatEngine(n)
+        parts = eng.lat.parts
+        for start in (parts[0], parts[len(parts) // 2], parts[-1]):
+            walks = zip(range(2 * cutoff_steps(n) + 1), eng.laws(start),
+                        padded_reference_walk(n, start))
+            for r, law, ref in walks:
+                assert np.array_equal(law, ref), (n, start, r)
+
+
+def test_float_tables_store_each_edge_once():
+    # the rows hold exactly the lattice's edges, no pad, and shrink down
+    # each table, so row j is a prefix of row j - 1's columns
+    for n in range(2, 41):
+        eng = _FloatEngine(n)
+        for rows, edges in ((eng.up, eng.lat.above), (eng.down, eng.lat.below)):
+            lengths = [len(row) for row in rows]
+            assert sum(lengths) == len(edges), n
+            assert all(a >= b for a, b in zip(lengths, lengths[1:])), n
+        assert sorted(eng.ids.tolist()) == list(range(len(eng.lat.parts)))
+
+
 def test_float_laws_match_reference_walk():
     # every law from the one-row partition, to twice the cutoff, equals the
     # reduceat walk's to the bit
@@ -491,10 +540,11 @@ def test_float_laws_match_reference_walk():
 
 
 def test_float_engine_memory_is_bounded():
-    # a cold engine at n = 36 on a cached lattice keeps 2.4 MB: the corner
-    # tables (8 x 14883 and 8 x 17977 intp, 2.1 MB) and the dims and pi
-    # arrays.  Its peak, 3.0 MB, adds the Python floats of pi and one table
-    # row's temporaries; the bound leaves 0.5 MB of margin
+    # a cold engine at n = 36 on a cached lattice keeps 1.73 MB: the jagged
+    # corner rows (81156 intp entries a side, one per lattice edge, 1.30 MB),
+    # ids and the dims and pi arrays.  Its peak, 2.44 MB, adds the Python
+    # floats of pi and one row's temporaries; the bound leaves 0.56 MB of
+    # margin
     young_lattice(36)
     tracemalloc.start()
     try:
@@ -502,4 +552,4 @@ def test_float_engine_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 10**6
+    assert peak <= 3.0 * 10**6
