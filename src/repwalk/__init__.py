@@ -1,8 +1,9 @@
 """repwalk: random walks on irreducible representations of S_n and GL(n,q).
 
-Exact-arithmetic kernels, spectral diagonalization, total-variation cutoff
-bounds, Plancherel-measure samplers, GL(n,q) Plancherel asymptotics, and
-hidden-subgroup distinguishability bounds, with a reproducible CLI.
+Exact walk laws, on the Young lattice and through the character table,
+total-variation cutoff bounds, Plancherel-measure samplers, GL(n,q)
+Plancherel asymptotics, and hidden-subgroup distinguishability bounds,
+with a reproducible CLI.
 """
 
 __version__ = "0.1.0"
@@ -23,11 +24,9 @@ from .characters import (
 )
 from .snwalk import (
     SparseKernel,
-    SpectrumEntry,
     WalkDistribution,
     class_walk_probability,
     kernel_downup,
-    kernel_from_tensor,
     moment_fc,
     moment_fc_reduced,
     plancherel_samples,
@@ -37,7 +36,6 @@ from .snwalk import (
     sn_tv_curve,
     sn_upper_bound,
     sn_upper_bound_squared,
-    spectrum_sn,
     tv_to_plancherel,
     walk_distribution,
     walk_distribution_spectral,
@@ -56,20 +54,16 @@ from .glirreps import (
     order_gl,
     plancherel_gl,
     unipotent_marginal,
-    unipotent_mass_bound,
     unipotent_tail_bound,
 )
 from .series import TruncSeries, euler_lhs_rhs, q_pochhammer
 from .glasymptotics import (
     GLPlancherelSampler,
-    SUQMeasure,
     acceptance_probability,
     cycle_index_lhs,
     cycle_index_rhs,
     gl_plancherel_samples,
     limit_marginal,
-    suq_mass,
-    suq_measure,
     suq_normalizer,
     suq_weight,
 )

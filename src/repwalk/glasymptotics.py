@@ -14,12 +14,12 @@ extended uniforms against certified rational interval thresholds; no
 floating point is involved.  A representation-valued cycle index ties the
 enumerated Plancherel data to the infinite product, coefficientwise.
 
-The weight and the size tail of S come from glirreps (suq_weight,
-suq_size_tail_bound), where the unipotent-part bounds are the same two
-functions at u = 1.  Z(u,q) is enclosed here, truncated by one depth rule
-(_normalizer_terms); the mixing weight prod_m (1 - u/q^m) is
-(1 - u) Z(u,q)/Z(u/q,q), and every product prod_d Z(u^d, q^d)^(N_d) goes
-through _z_power_product.
+The weight of S comes from glirreps (suq_weight), where the unipotent-part
+bounds are it and the size tail of S (suq_size_tail_bound) at u = 1.
+Z(u,q) is enclosed here, truncated by one depth rule (_normalizer_terms),
+and limit_marginal multiplies it by the weight; the mixing weight
+prod_m (1 - u/q^m) is (1 - u) Z(u,q)/Z(u/q,q), and every product
+prod_d Z(u^d, q^d)^(N_d) goes through _z_power_product.
 
 Certified enclosures of Z(u,q) are memoized by suq_normalizer, a bounded
 lru cache on (u, q, prec) (512 entries, see cache_info()): one sampler's
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
@@ -52,7 +51,6 @@ from .glirreps import (
     GLIrrep,
     cuspidal_count,
     plancherel_gl,
-    suq_size_tail_bound,
     suq_weight,
 )
 from .intervals import (
@@ -144,38 +142,16 @@ def euler_product_enclosure(u, q, prec: int) -> Interval:
     return ((1 - u) * ratio).rounded(prec)
 
 
-def suq_mass(u, q, lam: Partition) -> Interval:
-    """Certified enclosure of S_{u,q}(lam)."""
-    return suq_normalizer(u, q, prec=DEFAULT_PREC) * suq_weight(u, q, lam)
-
-
-@dataclass(frozen=True)
-class SUQMeasure:
-    """S_{u,q} truncated to |lam| <= truncation_size, with a tail bound."""
-
-    u: Fraction
-    q: Fraction
-    truncation_size: int
-    masses: dict[Partition, Interval]
-    tail_bound: Fraction
-
-
-def suq_measure(u, q, truncation_size: int) -> SUQMeasure:
-    u, q = Fraction(u), Fraction(q)
-    z = suq_normalizer(u, q, prec=DEFAULT_PREC)
-    masses = {}
-    for m in range(truncation_size + 1):
-        for lam in enumerate_partitions(m):
-            masses[lam] = z * suq_weight(u, q, lam)
-    return SUQMeasure(u, q, truncation_size, masses, suq_size_tail_bound(u, q, truncation_size))
-
-
 def limit_marginal(q, c_degree: int, truncation_size: int) -> dict[Partition, Interval]:
-    """Masses of S_{1, q^d}: the large-n limit law of a degree-d component."""
+    """Masses of S_{1, q^d} on |lam| <= truncation_size, each the certified
+    enclosure Z(1, q^d) times the weight of lam: the large-n limit law of a
+    degree-d component."""
     if c_degree < 1:
         raise ValueError("degree must be >= 1")
     qd = Fraction(q) ** c_degree
-    return suq_measure(Fraction(1), qd, truncation_size).masses
+    z = suq_normalizer(1, qd, prec=DEFAULT_PREC)
+    return {lam: z * suq_weight(1, qd, lam)
+            for m in range(truncation_size + 1) for lam in enumerate_partitions(m)}
 
 
 # ---------------------------------------------------------------------------

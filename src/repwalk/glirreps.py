@@ -7,8 +7,10 @@ is polynomial in q, so q is any integer >= 2 (only prime powers are
 group-theoretically meaningful; the brute-force test oracles require a
 prime).  Dimensions, Plancherel measure, fixed-space element counts, the
 L2 mixing bound, and the unipotent-part bounds are all exact.  The
-unipotent-part bounds are the S_{u,q} weight and size tail at u = 1;
-glasymptotics builds the measure S_{u,q} on the same two functions.
+unipotent-part bounds are the S_{u,q} weight and size tail at u = 1:
+suq_weight(1, q, lam) bounds the marginal mass of lam, and
+unipotent_tail_bound is suq_size_tail_bound at u = 1.  glasymptotics
+builds the measure S_{u,q} on the same two functions.
 """
 
 from __future__ import annotations
@@ -279,12 +281,6 @@ def suq_size_tail_bound(u, q, size_cut: int) -> Fraction:
         remainder = 2 * (u / q) ** m / (1 - u / q)
         if remainder < TAIL_REL_TOL * total:
             return (1 - 1 / q) ** -6 * (total + remainder)
-
-
-def unipotent_mass_bound(q: int, lam: Partition) -> Fraction:
-    """Upper bound 1 / (q^(sum lam_i^2) prod_b (1 - q^(-h(b)))^2) on the
-    marginal: the S_{1,q} weight of lam."""
-    return suq_weight(1, q, lam)
 
 
 def unipotent_tail_bound(q: int, c: int) -> Fraction:

@@ -2,22 +2,22 @@
 
 The chain steps from lam to rho with probability d_rho * mult(rho in
 lam (x) eta) / (d_lam * n), where eta is the n-dimensional defining
-representation.  Two independent kernel constructions are provided: the
-down-up corner-box chain and the character-theoretic tensor decomposition;
-they agree exactly.  The down-up kernel is the Doob transform of the
-symmetric common-corner matrix A = D D^T, where D is the containment matrix
-of the partitions of n over those of n-1.  Each walk runs on an engine from
+representation.  It is the down-up corner-box chain: the Doob transform
+of the symmetric common-corner matrix A = D D^T, where D is the containment
+matrix of the partitions of n over those of n-1, since by Pieri's rule
+mult(rho in lam (x) eta) = A(lam, rho).  Each walk runs on an engine from
 _engine, _ExactEngine (ints over one denominator) or _FloatEngine (doubles),
 with laws(start), the laws after 0, 1, 2, ... steps, and tv(law), the TV to
 Plancherel measure.  The exact engine steps A with _apply_counts, two segment
 sums through the partitions of n-1; the float engine steps it through two
 jagged corner tables, rows sorted by corner count that store no pad, adding
 each segment in the segment sums' order, so its laws are bit-identical to
-theirs for n <= 36.  The spectrum is
-indexed by conjugacy classes with eigenvalue fixed_points/n, which drives
-the L2 mixing bound, the moment transfer method, and the Chebyshev
-lower-bound estimate.  Monte Carlo samplers (exact-rational inverse CDF)
-and an RSK shuffle oracle round it out.
+theirs for n <= 36.  With X the character table, A X = X diag(fp), so the
+spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n;
+the tests hold this and Pieri's rule as integer identities on A and X.
+The spectrum drives the L2 mixing bound, the moment transfer method, and
+the Chebyshev lower-bound estimate.  Monte Carlo samplers (exact-rational
+inverse CDF) and an RSK shuffle oracle round it out.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -97,23 +97,6 @@ class SparseKernel:
             for rho, k in self.rows[lam].items():
                 out[rho] = out.get(rho, 0) + m * k
         return out
-
-    def apply_function(self, f: dict) -> dict:
-        """(K f)(lam) = sum_rho K(lam, rho) f(rho)."""
-        return {
-            lam: sum(k * f[rho] for rho, k in row.items())
-            for lam, row in self.rows.items()
-        }
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """Eigenvalue fixed_points/n with eigenfunction f_C = |C|^(1/2) g_C, where
-    rational_part holds g_C = chi/d."""
-
-    cycle_type: CycleType
-    eigenvalue: Fraction
-    rational_part: dict[Partition, Fraction] = field(compare=False)
 
 
 def plancherel_sn(n: int) -> WalkDistribution:
@@ -189,52 +172,6 @@ def _partition_of(n: int, lam) -> Partition:
     if lam.size != n:
         raise ValueError(f"partition {lam} has size {lam.size}, expected {n}")
     return lam
-
-
-def _as_count(m: Fraction) -> int:
-    """A tensor multiplicity, refused unless a non-negative integer."""
-    if m.denominator != 1 or m < 0:
-        raise ArithmeticError("a tensor multiplicity is not a non-negative integer")
-    return m.numerator
-
-
-def _multiplicities(table, lat, li: int) -> list[int]:
-    """mult(rho in lam (x) eta) for every rho in id order, lam the li-th
-    partition: the Fourier law of |C| fp(C) chi^lam(C) is d_rho mult."""
-    w = [c.class_size * c.fixed_points * x for c, x in zip(table.classes, table.values[li])]
-    return [_as_count(p / d) for p, d in zip(table.fourier_law(w), lat.dims)]
-
-
-def tensor_multiplicity(n: int, lam: Partition, rho: Partition) -> int:
-    """Multiplicity of rho in lam (x) eta as a character inner product:
-    (1/n!) sum_C |C| fp(C) chi^lam(C) chi^rho(C), one entry of the
-    _multiplicities row without the rest."""
-    table, lat = character_table(n), young_lattice(n)
-    li, ri = lat.index[_partition_of(n, lam)], lat.index[_partition_of(n, rho)]
-    return _as_count(Fraction(sum(c.class_size * c.fixed_points * x * y for c, x, y
-                                  in zip(table.classes, table.values[li], table.values[ri])),
-                              math.factorial(n)))
-
-
-def kernel_from_tensor(n: int) -> SparseKernel:
-    """K(lam, rho) = d_rho * mult(rho in lam (x) eta) / (d_lam * n), from characters."""
-    table, lat = character_table(n), young_lattice(n)
-    return SparseKernel(n, {
-        lam: {rho: Fraction(m * d, n * lat.dims[i])
-              for rho, d, m in zip(lat.parts, lat.dims, _multiplicities(table, lat, i)) if m}
-        for i, lam in enumerate(lat.parts)})
-
-
-def spectrum_sn(n: int) -> tuple[SpectrumEntry, ...]:
-    """One spectral entry per conjugacy class, its eigenfunction kept as the
-    rational g_C(rho) = chi^rho(C)/d_rho, so no square roots enter."""
-    table = character_table(n)
-    dims = young_lattice(n).dims
-    return tuple(
-        SpectrumEntry(c, Fraction(c.fixed_points, n),
-                      {lam: Fraction(row[j], d)
-                       for lam, d, row in zip(table.partitions, dims, table.values)})
-        for j, c in enumerate(table.classes))
 
 
 def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:

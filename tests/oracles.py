@@ -3,7 +3,11 @@
 Nothing here calls the code paths it is meant to check: character values
 come from permutation modules, dimensions from explicit tableau counting,
 GL counts from literal matrix enumeration over prime fields, cuspidal
-counts from irreducible-polynomial enumeration.
+counts from irreducible-polynomial enumeration.  The reference walks and
+the two identity sides at the end (pieri_sides, spectrum_sides) are the
+exception: they set one package path against another, the Fraction kernel
+against the lattice engines, and the exact walk step against the
+Murnaghan-Nakayama table.
 """
 
 from __future__ import annotations
@@ -645,3 +649,50 @@ def padded_reference_walk(n: int, start: Partition):
     from repwalk.partitions import young_lattice
 
     return _float_walk(young_lattice(n), start, padded_float_step(n))
+
+
+def common_corner_matrix(n: int):
+    """A = D D^T on the lattice of n, an array of Python ints in lattice-id
+    order: the exact engine's step _apply_counts applied to the identity."""
+    import numpy as np
+
+    from repwalk.partitions import young_lattice
+    from repwalk.snwalk import _apply_counts
+
+    lat = young_lattice(n)
+    return _apply_counts(lat, np.eye(len(lat.parts), dtype=np.int64)).astype(object)
+
+
+def _character_matrix(n: int):
+    """The character table X of S_n as an array of Python ints, rows lam and
+    columns C in lattice-id order, and the classes of its columns."""
+    import numpy as np
+
+    from repwalk.characters import character_table
+
+    table = character_table(n)
+    return np.array(table.values, dtype=object), table.classes
+
+
+def pieri_sides(n: int):
+    """(n! A, X diag(|C| fp(C)) X^T), the walk's own step against the
+    Murnaghan-Nakayama table.  The second is n! mult(rho in lam (x) eta) at
+    (lam, rho), so the two are equal exactly when every tensor multiplicity
+    with the defining representation eta is a common-corner count, Pieri's
+    rule, and the down-up kernel A(lam, rho) d_rho / (n d_lam) is the
+    tensor-product kernel."""
+    import numpy as np
+
+    x, classes = _character_matrix(n)
+    w = np.array([c.class_size * c.fixed_points for c in classes], dtype=object)
+    return math.factorial(n) * common_corner_matrix(n), (x * w) @ x.T
+
+
+def spectrum_sides(n: int):
+    """(A X, X diag(fp(C))).  They are equal exactly when, for every class
+    C, g_C(rho) = chi^rho(C)/d_rho solves K g_C = (fp(C)/n) g_C, K the
+    Doob transform of A: the walk's eigenvalues are fixed_points/n."""
+    import numpy as np
+
+    x, classes = _character_matrix(n)
+    return common_corner_matrix(n) @ x, x * np.array([c.fixed_points for c in classes], dtype=object)

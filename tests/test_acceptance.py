@@ -24,27 +24,26 @@ from repwalk.glirreps import (
     gl_upper_bound_squared,
     order_gl,
     plancherel_gl,
+    suq_weight,
     unipotent_marginal,
-    unipotent_mass_bound,
     unipotent_tail_bound,
 )
 from repwalk.hsp import hsp_bounds, induced_character_check, load_catalogue, subgroup_closure
-from repwalk.partitions import Partition, enumerate_partitions
+from repwalk.partitions import Partition, enumerate_partitions, young_lattice
 from repwalk.series import euler_lhs_rhs
 from repwalk.snwalk import (
     kernel_downup,
-    kernel_from_tensor,
     moment_fc_reduced,
     plancherel_sn,
     rsk_samples,
     sn_tv_curve,
     sn_upper_bound,
     sn_upper_bound_squared,
-    spectrum_sn,
     walk_distribution,
+    walk_distribution_spectral,
 )
 
-from oracles import fixed_space_counts_brute
+from oracles import common_corner_matrix, fixed_space_counts_brute, pieri_sides, spectrum_sides
 
 
 def _report(num: int, desc: str, check) -> None:
@@ -58,35 +57,37 @@ def _report(num: int, desc: str, check) -> None:
 
 def test_criterion_01_kernel_equivalence():
     def check():
+        for n in range(2, 13):
+            lhs, rhs = pieri_sides(n)
+            assert (lhs == rhs).all(), n
         for n in range(2, 9):
-            assert kernel_downup(n).rows == kernel_from_tensor(n).rows
+            lat, a = young_lattice(n), common_corner_matrix(n)
+            assert kernel_downup(n).rows == {
+                lam: {rho: Fraction(a[i, j] * d, n * lat.dims[i])
+                      for j, (rho, d) in enumerate(zip(lat.parts, lat.dims)) if a[i, j]}
+                for i, lam in enumerate(lat.parts)}
 
-    _report(1, "down-up kernel equals tensor-decomposition kernel, n=2..8, exact", check)
+    _report(1, "Pieri: n! A = X diag(|C| fp) X^T, n=2..12, and the down-up kernel "
+               "is diag(1/(n d)) A diag(d), n=2..8, exact", check)
 
 
 def test_criterion_02_spectral_reconstruction():
     def check():
         for n in range(2, 9):
             kernel = kernel_downup(n)
-            spec = spectrum_sn(n)
-            pi = plancherel_sn(n).masses
             parts = enumerate_partitions(n)
             for start in parts:
                 masses = {start: Fraction(1)}
                 for r in range(1, 11):
                     masses = kernel.apply_dist(masses)
-                    for rho in parts:
-                        total = Fraction(0)
-                        for e in spec:
-                            total += (
-                                e.eigenvalue**r
-                                * e.cycle_type.class_size
-                                * e.rational_part[start]
-                                * e.rational_part[rho]
-                            )
-                        assert masses.get(rho, Fraction(0)) == total * pi[rho]
+                    spectral = walk_distribution_spectral(n, r, start).masses
+                    assert all(masses.get(rho, 0) == spectral[rho] for rho in parts)
+        for n in range(2, 13):
+            lhs, rhs = spectrum_sides(n)
+            assert (lhs == rhs).all(), n
 
-    _report(2, "kernel powers equal the eigenbasis sum, n=2..8, r=1..10, exact", check)
+    _report(2, "kernel powers equal the eigenbasis sum, n=2..8, r=1..10, every "
+               "start, and A X = X diag(fp), n=2..12, exact", check)
 
 
 def test_criterion_03_cutoff_upper_bound():
@@ -202,13 +203,13 @@ def test_criterion_10_unipotent_bounds():
             marg = unipotent_marginal(n, q)
             for lam, mass in marg.items():
                 if lam:
-                    assert mass <= unipotent_mass_bound(q, lam)
+                    assert mass <= suq_weight(1, q, lam)
             for c in range(1, n + 1):
                 tail_exact = sum(m for l, m in marg.items() if l.size >= c)
                 assert tail_exact <= unipotent_tail_bound(q, c)
 
     _report(10, "exact unipotent marginals sit under the per-partition bound "
-                "and the tail-sum bound", check)
+                "suq_weight(1, q, lam) and the tail-sum bound", check)
 
 
 def test_criterion_11_cycle_index():

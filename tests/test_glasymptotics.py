@@ -20,13 +20,10 @@ from repwalk.glasymptotics import (
     gl_plancherel_samples,
     high_degree_empty_direct,
     limit_marginal,
-    suq_mass,
-    suq_measure,
     suq_normalizer,
-    suq_size_tail_bound,
     suq_weight,
 )
-from repwalk.glirreps import plancherel_gl, unipotent_marginal
+from repwalk.glirreps import plancherel_gl, suq_size_tail_bound, unipotent_marginal
 from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.series import euler_lhs, q_pochhammer
 
@@ -102,7 +99,7 @@ def test_normalizer_enclosure():
 
 def test_suq_mass_empty_is_normalizer():
     z = suq_normalizer(1, 2)
-    m = suq_mass(1, 2, EMPTY)
+    m = limit_marginal(2, 1, 0)[EMPTY]
     assert m.lo == z.lo and m.hi == z.hi
 
 
@@ -112,19 +109,19 @@ def test_suq_mass_requires_domain():
 
 
 def test_suq_measure_normalization():
-    meas = suq_measure(1, 2, truncation_size=12)
-    lo_sum = sum(iv.lo for iv in meas.masses.values())
-    hi_sum = sum(iv.hi for iv in meas.masses.values())
+    masses = limit_marginal(2, 1, 12).values()
+    lo_sum = sum(iv.lo for iv in masses)
+    hi_sum = sum(iv.hi for iv in masses)
     assert lo_sum <= 1
-    assert hi_sum + meas.tail_bound >= 1
+    assert hi_sum + suq_size_tail_bound(1, 2, 12) >= 1
     assert hi_sum <= 1 + Fraction(1, 2**200)
 
 
 def test_suq_tail_bound_dominates_truncated_mass():
     u, q = Fraction(1, 2), 2
-    meas = suq_measure(u, q, truncation_size=8)
-    direct_tail_lo = 1 - sum(iv.hi for iv in meas.masses.values())
-    assert meas.tail_bound >= direct_tail_lo
+    z = suq_normalizer(u, q)
+    hi_sum = sum((z * suq_weight(u, q, lam)).hi for m in range(9) for lam in enumerate_partitions(m))
+    assert suq_size_tail_bound(u, q, 8) >= 1 - hi_sum
     assert suq_size_tail_bound(u, q, 30) < Fraction(1, 10**7)
 
 

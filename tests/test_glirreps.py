@@ -19,12 +19,12 @@ from repwalk.glirreps import (
     mobius,
     order_gl,
     plancherel_gl,
+    suq_size_tail_bound,
+    suq_weight,
     unipotent_marginal,
-    unipotent_mass_bound,
     unipotent_tail_bound,
 )
-from repwalk.glasymptotics import suq_size_tail_bound, suq_weight
-from repwalk.partitions import EMPTY, Partition, enumerate_partitions
+from repwalk.partitions import EMPTY, Partition
 
 from oracles import fixed_space_counts_brute, irreducible_monic_count_brute
 
@@ -176,13 +176,13 @@ def test_unipotent_marginal_bounded():
         marg = unipotent_marginal(n, q)
         for lam, mass in marg.items():
             if lam:
-                assert mass <= unipotent_mass_bound(q, lam)
+                assert mass <= suq_weight(1, q, lam)
 
 
 def test_one_row_bound_evaluates():
     for n in (2, 3, 4):
         lam = Partition((n,))
-        bound = unipotent_mass_bound(2, lam)
+        bound = suq_weight(1, 2, lam)
         exact = unipotent_marginal(n, 2).get(lam, Fraction(0))
         assert exact <= bound
 
@@ -239,8 +239,6 @@ def test_divisor_totients():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_unipotent_bounds_are_the_suq_weight_and_tail_at_u_one(q):
+    # the per-partition bound is suq_weight(1, q, lam) itself
     for c in range(1, 13):
         assert unipotent_tail_bound(q, c) == suq_size_tail_bound(1, q, c - 1)
-    for m in range(9):
-        for lam in enumerate_partitions(m):
-            assert unipotent_mass_bound(q, lam) == suq_weight(1, q, lam)

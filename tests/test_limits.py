@@ -25,13 +25,10 @@ from repwalk.glirreps import (
 )
 from repwalk.hsp import hsp_bounds, induced_character_check, subgroup_closure
 from repwalk.partitions import Partition
-from repwalk.snwalk import class_walk_probability, spectrum_sn
+from repwalk.snwalk import class_walk_probability, walk_distribution_spectral
 
 REMOVED = [
     (characters.character_table, "limit"),
-    (snwalk.tensor_multiplicity, "limit"),
-    (snwalk.kernel_from_tensor, "limit"),
-    (snwalk.spectrum_sn, "limit"),
     (snwalk.walk_distribution_spectral, "limit"),
     (snwalk.class_walk_probability, "limit"),
     (snwalk.moment_fc_reduced, "limit"),
@@ -42,9 +39,6 @@ REMOVED = [
     (hsp.induced_character_check, "limit"),
     (hsp.subgroup_closure, "cap"),
     (glasymptotics.suq_normalizer, "terms"),
-    (glasymptotics.suq_mass, "normalizer_terms"),
-    (glasymptotics.suq_mass, "prec"),
-    (glasymptotics.suq_measure, "prec"),
     (glasymptotics.limit_marginal, "prec"),
     (glasymptotics.acceptance_probability, "prec"),
     (glasymptotics._DegreePlan, "prec"),
@@ -74,7 +68,7 @@ def test_constant_is_not_an_argument(fn, name):
 def test_character_table_limits():
     over = characters.DEFAULT_TABLE_LIMIT + 1
     with pytest.raises(CapacityError):
-        spectrum_sn(over)
+        walk_distribution_spectral(over, 1)
     with pytest.raises(CapacityError):
         class_walk_probability(over, Partition([2] + [1] * (over - 2)), 1)
     with pytest.raises(CapacityError):
@@ -136,6 +130,16 @@ def test_pass_through_accessors_are_gone():
     assert not hasattr(snwalk.SparseKernel, "entries")
     for name in ("partition_stats", "PartitionStats", "corner_moves", "CornerMoves"):
         assert not hasattr(partitions, name) and not hasattr(repwalk, name)
+    # the Fraction tensor kernel and spectrum, and the S_{u,q} measure
+    # objects, are retired: the tests hold Pieri's rule and the spectrum as
+    # integer identities, and limit_marginal forms its own masses
+    assert not hasattr(snwalk.SparseKernel, "apply_function")
+    for module, names in ((snwalk, ("SpectrumEntry", "kernel_from_tensor", "spectrum_sn",
+                                    "tensor_multiplicity", "_multiplicities", "_as_count")),
+                          (glasymptotics, ("SUQMeasure", "suq_mass", "suq_measure")),
+                          (glirreps, ("unipotent_mass_bound",))):
+        for name in names:
+            assert not hasattr(module, name) and not hasattr(repwalk, name), name
 
 
 def test_sampler_size_cap(monkeypatch):

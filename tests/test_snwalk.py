@@ -2,11 +2,12 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 import numpy as np
 import pytest
 
-from repwalk.characters import enumerate_classes, fixed_point_profile
+from repwalk.characters import character_table, enumerate_classes, fixed_point_profile
 from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
 from repwalk.snwalk import (
@@ -17,7 +18,6 @@ from repwalk.snwalk import (
     _float_error_bound,
     class_walk_probability,
     kernel_downup,
-    kernel_from_tensor,
     moment_fc,
     moment_fc_reduced,
     plancherel_sn,
@@ -25,8 +25,6 @@ from repwalk.snwalk import (
     sn_tv_curve,
     sn_upper_bound,
     sn_upper_bound_squared,
-    spectrum_sn,
-    tensor_multiplicity,
     transposition_moments_closed,
     tv_to_plancherel,
     WalkDistribution,
@@ -35,11 +33,17 @@ from repwalk.snwalk import (
 )
 
 from oracles import (
+    _rank_mod_p,
+    character_table_brute,
+    class_sizes_brute,
     class_walk_probability_reference,
+    common_corner_matrix,
     float_reference_walk,
     padded_float_step,
     padded_reference_walk,
+    pieri_sides,
     reference_walk,
+    spectrum_sides,
     tv_witness,
 )
 
@@ -94,30 +98,39 @@ def test_kernel_support_is_corner_moves():
 
 
 def test_kernel_equivalence_small():
+    # Pieri's rule: the tensor multiplicities from the character table are
+    # the common-corner counts of the walk's own step
     for n in range(2, 7):
-        assert kernel_downup(n).rows == kernel_from_tensor(n).rows
+        lhs, rhs = pieri_sides(n)
+        assert (lhs == rhs).all()
 
 
 def test_tensor_multiplicities_are_counts():
+    # mult(rho in lam (x) eta) from the permutation-module character table,
+    # with no Murnaghan-Nakayama value, is the common-corner count A(lam, rho)
     for n in (3, 4, 5, 6):
-        for lam in enumerate_partitions(n):
-            for rho in enumerate_partitions(n):
-                m = tensor_multiplicity(n, lam, rho)
-                assert m >= 0
+        brute, sizes = character_table_brute(n), class_sizes_brute(n)
+        parts = enumerate_partitions(n)  # rows of A, and the columns of brute
+        w = [sizes[c] * c.count(1) for c in parts]
+        a = common_corner_matrix(n)
+        for i, lam in enumerate(parts):
+            for j, rho in enumerate(parts):
+                inner = sum(map(mul, w, map(mul, brute[lam], brute[rho])))
+                assert Fraction(inner, math.factorial(n)) == a[i, j]
 
 
 def test_tensor_multiplicity_is_its_kernel_row_entry():
-    # one class sum per pair against the whole multiplicity row that
-    # kernel_from_tensor reads, for every pair at n <= 8
-    from repwalk.characters import character_table
-    from repwalk.partitions import young_lattice
-    from repwalk.snwalk import _multiplicities
-
-    for n in range(1, 9):
+    # every pair at n <= 8: n d_lam K(lam, rho) / d_rho is the character
+    # inner product (1/n!) sum_C |C| fp(C) chi^lam(C) chi^rho(C)
+    for n in range(2, 9):
         table, lat = character_table(n), young_lattice(n)
+        rows = kernel_downup(n).rows
         for li, lam in enumerate(lat.parts):
-            row = _multiplicities(table, lat, li)
-            assert [tensor_multiplicity(n, lam, rho) for rho in lat.parts] == row
+            for ri, rho in enumerate(lat.parts):
+                inner = sum(c.class_size * c.fixed_points * x * y for c, x, y
+                            in zip(table.classes, table.values[li], table.values[ri]))
+                k = rows[lam].get(rho, 0)
+                assert Fraction(inner, math.factorial(n)) == k * n * lat.dims[li] / lat.dims[ri]
 
 
 def test_reversibility_and_stationarity():
@@ -132,45 +145,29 @@ def test_reversibility_and_stationarity():
 
 
 def test_spectrum_eigenvalues():
-    spec = spectrum_sn(3)
-    assert sorted(e.eigenvalue for e in spec) == [0, Fraction(1, 3), 1]
-    # eigenvalue 1 exactly once, from the identity class
-    ones = [e for e in spec if e.eigenvalue == 1]
-    assert len(ones) == 1 and ones[0].cycle_type.fixed_points == 3
-    # identity eigenfunction is constant 1
-    assert all(v == 1 for v in ones[0].rational_part.values())
+    table = character_table(3)
+    assert sorted(Fraction(c.fixed_points, 3) for c in table.classes) == [0, Fraction(1, 3), 1]
+    # eigenvalue 1 exactly once, from the identity class, whose
+    # eigenfunction g(rho) = chi^rho(C)/d_rho is constant 1
+    ones = [j for j, c in enumerate(table.classes) if c.fixed_points == 3]
+    assert len(ones) == 1
+    assert all(row[ones[0]] == d for row, d in zip(table.values, young_lattice(3).dims))
 
 
 def test_no_eigenvalue_at_n_minus_1_over_n():
+    # read off A with no character: A - (n-1) I is nonsingular, its rank
+    # modulo a prime full
     for n in (4, 6, 8):
-        spec = spectrum_sn(n)
-        assert Fraction(n - 1, n) not in {e.eigenvalue for e in spec}
+        a = common_corner_matrix(n)
+        m = (a - (n - 1) * np.eye(len(a), dtype=np.int64)).tolist()
+        assert _rank_mod_p(m, 2**61 - 1) == len(a)
 
 
 def test_eigenfunction_equation_exact():
-    for n in (3, 4, 6):
-        k = kernel_downup(n)
-        for entry in spectrum_sn(n):
-            kf = k.apply_function(entry.rational_part)
-            for lam, v in kf.items():
-                assert v == entry.eigenvalue * entry.rational_part[lam]
-
-
-def test_eigenfunction_orthonormality_exact():
-    for n in (3, 5):
-        pi = plancherel_sn(n).masses
-        spec = spectrum_sn(n)
-        for a in spec:
-            for b in spec:
-                dot = sum(
-                    a.rational_part[lam] * b.rational_part[lam] * pi[lam]
-                    for lam in pi
-                )
-                # |C| g_C pairings: <f_a, f_b> = sqrt(|Ca||Cb|) dot
-                if a is b:
-                    assert dot * a.cycle_type.class_size == 1
-                else:
-                    assert dot == 0
+    # K g_C = (fp(C)/n) g_C for every class C, g_C = chi(C)/d, as A X = X diag(fp)
+    for n in range(2, 9):
+        lhs, rhs = spectrum_sides(n)
+        assert (lhs == rhs).all()
 
 
 def test_walk_distribution_examples():
@@ -209,7 +206,7 @@ def test_walk_matches_tensor_power_multiplicities():
     # K^r(one-row, rho) = d_rho m_rho(eta^r) / n^r with the multiplicity
     # computed independently as a character inner product
     for n in (4, 6):
-        table = __import__("repwalk.characters", fromlist=["character_table"]).character_table(n)
+        table = character_table(n)
         n_fact = math.factorial(n)
         for r in range(6):
             dist = walk_distribution(n, r)
@@ -304,11 +301,10 @@ def test_class_walk_equals_fraction_sum():
 
 @pytest.mark.parametrize("call", [
     lambda: class_walk_probability(5, (3, 3), 1),
-    lambda: tensor_multiplicity(5, (3, 3), (5,)),
-    lambda: tensor_multiplicity(5, (5,), (3, 3)),
+    lambda: walk_distribution_spectral(5, 1, (3, 3)),
     lambda: moment_fc_reduced(5, (3, 3), 1, 2, "transfer"),
     lambda: moment_fc_reduced(5, (3, 3), 1, 2, "direct"),
-], ids=["class_walk_probability", "tensor_multiplicity-lam", "tensor_multiplicity-rho",
+], ids=["class_walk_probability", "walk_distribution_spectral",
         "moment_fc_reduced-transfer", "moment_fc_reduced-direct"])
 def test_wrong_size_is_a_value_error(call):
     # a class or partition of 6 at n = 5 is looked up by lattice id; the
