@@ -16,8 +16,9 @@ theirs for n <= 36.  With X the character table, A X = X diag(fp), so the
 spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n;
 the tests hold this and Pieri's rule as integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
-the Chebyshev lower-bound estimate.  Monte Carlo samplers (exact-rational
-inverse CDF) and an RSK shuffle oracle round it out.
+the Chebyshev lower-bound estimate.  Exact inverse-CDF samplers round it
+out: the walk's law as a coupon count plus Plancherel growth (walk_samples),
+Plancherel measure by growth, and RSK shapes of top-to-random shuffles.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .characters import (
     fixed_point_profile,
 )
 from .errors import CapacityError
-from .partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
+from .partitions import EMPTY, Partition, dimension_sn, enumerate_partitions, young_lattice
 from .rng import SplitMix64
 
 EXACT_KERNEL_LIMIT = 18
@@ -49,10 +50,10 @@ FLOAT_LIMIT = 40
 # to below double precision long before it (the cutoff at n = FLOAT_LIMIT
 # is 74 steps), and it is about twice the cutoff at n = 10**4 (92104 steps)
 MAX_WALK_STEPS = 10**5
-# the largest n the samplers take.  A step's cost grows with n, through
-# big-integer dimensions and randrange(d_lam): from the one-row partition,
-# about 1 ms at n = 300, 17 ms at n = 3000, and 0.33 s over the first 200
-# steps at this limit
+# the largest n the samplers take.  A growth step's cost grows with n,
+# through big-integer dimensions and randrange((m+1) d_mu): one cold
+# walk_samples draw at r = ceil(n log(n) / 2) took 0.35 s at n = 300, 7.0 s
+# at n = 1000 and 215 s at n = 3000
 SAMPLER_N_LIMIT = 10**4
 
 # per-entry relative accuracy budget; float distributions report the
@@ -510,13 +511,13 @@ def _engine(n: int, mode: str):
 
 
 # Row tables of the samplers.  _DOWN[lam] lists the partitions below lam,
-# _UP[mu] those above mu, in the reverse-lex order the corner methods return,
-# each with the running sums of their dimensions.  A row is built and its
-# total checked once; every partition the tables hold is one interned
-# object, and a row that could take them past STEP_TABLE_LIMIT distinct
-# partitions clears them first.  Lookups need no lock; the lock keeps the
-# clear and the interning of one row together, so the bound holds when
-# several threads walk.
+# read by walk_step only, and _UP[mu] those above mu, in the reverse-lex
+# order the corner methods return, each with the running sums of their
+# dimensions.  A row is built and its total checked once; every partition
+# the tables hold is one interned object, and a row that could take them
+# past STEP_TABLE_LIMIT distinct partitions clears them first.  Lookups need
+# no lock; the lock keeps the clear and the interning of one row together,
+# so the bound holds when several threads walk.
 STEP_TABLE_LIMIT = 1 << 13
 _TABLE_LOCK = threading.Lock()
 _DOWN: dict[Partition, tuple[tuple[Partition, ...], tuple[int, ...]]] = {}
@@ -574,17 +575,31 @@ def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
     return above[bisect_right(cum, rng.randrange(cum[-1]))]
 
 
+def _grow(rng: SplitMix64, lam: Partition, steps: int) -> Partition:
+    """lam after steps calls of plancherel_growth_step."""
+    for _ in range(steps):
+        lam = plancherel_growth_step(rng, lam)
+    return lam
+
+
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
-    """count independent r-step walks from one seeded stream."""
+    """count draws of the law after r steps from (n), from one seeded stream.
+
+    eta^(x)r permutes the r-tuples of [n], so the law is sum_k P(K_r = k) Q_k,
+    K_r the distinct points among r uniform draws and Q_k Plancherel growth
+    run k steps from (n - k).  A draw makes r calls randrange(n) for K_r, a
+    point new when one is >= k, then grows K_r boxes, with no down step."""
     _check_sampler_size(n)
     _check_steps(r)
     rng = SplitMix64(seed)
+    randrange = rng.randrange
     out = []
     for _ in range(count):
-        lam = Partition((n,))
+        k = 0
         for _ in range(r):
-            lam = walk_step(rng, lam)
-        out.append(lam)
+            if randrange(n) >= k:
+                k += 1
+        out.append(_grow(rng, Partition((n - k,)) if k < n else EMPTY, k))
     return out
 
 
@@ -596,13 +611,7 @@ def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
     if n:  # n = 0 draws the empty partition, below the samplers' own range
         _check_sampler_size(n)
     rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        lam = Partition(())
-        for _ in range(n):
-            lam = plancherel_growth_step(rng, lam)
-        out.append(lam)
-    return out
+    return [_grow(rng, EMPTY, n) for _ in range(count)]
 
 
 def rsk_shape(word) -> Partition:

@@ -3,11 +3,12 @@
 Nothing here calls the code paths it is meant to check: character values
 come from permutation modules, dimensions from explicit tableau counting,
 GL counts from literal matrix enumeration over prime fields, cuspidal
-counts from irreducible-polynomial enumeration.  The reference walks and
-the two identity sides at the end (pieri_sides, spectrum_sides) are the
-exception: they set one package path against another, the Fraction kernel
-against the lattice engines, and the exact walk step against the
-Murnaghan-Nakayama table.
+counts from irreducible-polynomial enumeration.  The reference walks,
+walk_step_chain and the two identity sides at the end (pieri_sides,
+spectrum_sides) are the exception: they set one package path against
+another, the Fraction kernel against the lattice engines, the down-up
+step walk_step against the coupon-count sampler, and the exact walk step
+against the Murnaghan-Nakayama table.
 """
 
 from __future__ import annotations
@@ -403,6 +404,55 @@ def walk_step_reference(rng, lam: Partition) -> Partition:
         raise ArithmeticError(f"up-step weights of {mu} do not sum to n d_mu")
     return rho
 
+
+
+def _stirling2_row(r: int) -> list[int]:
+    """[S(r, k) for k = 0..r], Stirling numbers of the second kind, by
+    S(r, k) = k S(r-1, k) + S(r-1, k-1)."""
+    row = [1]
+    for _ in range(r):
+        row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
+
+
+def walk_step_chain(n: int, r: int, count: int, seed: int) -> list[Partition]:
+    """count r-step runs from (n) of the down-up chain, snwalk.walk_step, from
+    one seeded stream: the walk whose law walk_samples draws without it."""
+    from repwalk.rng import SplitMix64
+    from repwalk.snwalk import walk_step
+
+    rng, out = SplitMix64(seed), []
+    for _ in range(count):
+        lam = Partition((n,))
+        for _ in range(r):
+            lam = walk_step(rng, lam)
+        out.append(lam)
+    return out
+
+
+def coupon_mixture_law(n: int, r: int) -> dict[Partition, Fraction]:
+    """sum_k P(K_r = k) Q_k as exact Fractions, with no walk step.
+
+    K_r is the number of distinct points among r uniform draws from [n]:
+    P(K_r = k) = S(r, k) n! / ((n-k)! n^r).  Q_k is Plancherel growth run k
+    steps from the one-row partition (n - k), or from the empty partition
+    when k = n, each step adding rho to mu with chance d_rho / ((m+1) d_mu)."""
+    law: dict[Partition, Fraction] = {}
+    for k, s in enumerate(_stirling2_row(r)):
+        if not s or k > n:
+            continue
+        q = {Partition((n - k,)) if k < n else Partition(()): Fraction(1)}
+        for _ in range(k):
+            grown: dict[Partition, Fraction] = {}
+            for mu, p in q.items():
+                den = (mu.size + 1) * dimension_sn(mu)
+                for rho in mu.addable_corners():
+                    grown[rho] = grown.get(rho, 0) + p * Fraction(dimension_sn(rho), den)
+            q = grown
+        weight = Fraction(s * math.perm(n, k), n**r)
+        for rho, p in q.items():
+            law[rho] = law.get(rho, 0) + weight * p
+    return law
 
 # ---------------------------------------------------------------------------
 # the Young lattice as it was built on plain tuples: a recursive enumeration,

@@ -401,19 +401,23 @@ def test_gl_sample_golden(capsys, argv):
 
 
 # sampler stdout recorded when --threads ran its seed streams on a thread
-# pool; running them in turn must print the same bytes
+# pool; running them in turn must print the same bytes.  The sn-sample and
+# sn-moments --samples entries were re-recorded, with the streams run in
+# turn, when walk_samples began to draw as a coupon count plus Plancherel
+# growth, which reads the words differently; the sn-rsk entries are the
+# pool's bytes
 THREADS_GOLDEN = {
     ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '1'): """\
 # repwalk 0.1.0
 # command: sn-sample count=7 n=9 r=12 seed=5 threads=1
 index,partition
-0,4+2+2+1
-1,4+2+2+1
-2,4+3+1+1
-3,5+3+1
+0,3+3+1+1+1
+1,5+3+1
+2,3+3+2+1
+3,4+3+2
 4,5+3+1
-5,5+3+1
-6,6+2+1
+5,5+2+1+1
+6,4+2+2+1
 """,
     ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '1'): """\
 # repwalk 0.1.0
@@ -437,20 +441,20 @@ s,method,value,reduced_exact
 2,transfer,1.069839357854677,6167411/121060821
 2,direct,1.069839357854677,6167411/121060821
 2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.17457431218879388,
-2,empirical,0.6571428571428573,
+1,empirical,0.04364357804719847,
+2,empirical,0.4761904761904761,
 """,
     ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '2'): """\
 # repwalk 0.1.0
 # command: sn-sample count=7 n=9 r=12 seed=5 threads=2
 index,partition
-0,4+2+2+1
-1,4+2+2+1
-2,4+3+1+1
-3,5+3+1
-4,5+2+2
-5,5+3+1
-6,5+2+1+1
+0,3+3+1+1+1
+1,5+3+1
+2,3+3+2+1
+3,4+3+2
+4,5+3+1
+5,5+4
+6,4+3+2
 """,
     ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '2'): """\
 # repwalk 0.1.0
@@ -474,19 +478,19 @@ s,method,value,reduced_exact
 2,transfer,1.069839357854677,6167411/121060821
 2,direct,1.069839357854677,6167411/121060821
 2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.24003967925959158,
-2,empirical,1.223809523809524,
+1,empirical,0.916515138991168,
+2,empirical,1.838095238095238,
 """,
     ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '3'): """\
 # repwalk 0.1.0
 # command: sn-sample count=7 n=9 r=12 seed=5 threads=3
 index,partition
-0,4+2+2+1
-1,4+2+2+1
-2,4+3+1+1
-3,5+2+2
-4,5+3+1
-5,5+2+1+1
+0,3+3+1+1+1
+1,5+3+1
+2,3+3+2+1
+3,5+3+1
+4,5+4
+5,4+2+1+1+1
 6,4+3+1+1
 """,
     ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '3'): """\
@@ -511,8 +515,8 @@ s,method,value,reduced_exact
 2,transfer,1.069839357854677,6167411/121060821
 2,direct,1.069839357854677,6167411/121060821
 2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.4146139914483854,
-2,empirical,1.2619047619047619,
+1,empirical,0.6110100926607787,
+2,empirical,1.542857142857143,
 """,
 }
 
@@ -1054,6 +1058,9 @@ def test_cutoff_tv_is_the_float_curve_row(capsys):
 # rounded up to a double whose square is at least sharp_squared: their
 # sharp moved up one ulp, 0.13693063937629152 -> 0.13693063937629155 and
 # 0.12377344351622976 -> 0.12377344351622978, and no other byte moved.
+# The sn-moments --samples 200 output was re-recorded when walk_samples
+# began to draw as a coupon count plus Plancherel growth: its two empirical
+# rows moved, and the exact rows did not.
 FOURIER_GOLDEN = {
     ("hsp", "--n", "8", "--gens", "(1 2),(3 4)", "--format", "csv"):
         "ed2d567dca49753d7339b9c7a7200717e0738db49e83c872a8c64aaa6028f83f",
@@ -1092,8 +1099,8 @@ s,method,value,reduced_exact
 2,transfer,1.282410500624,80150656289/2812500000000
 2,direct,1.282410500624,80150656289/2812500000000
 2,closed,1.282410500624,80150656289/2812500000000
-1,empirical,0.41292721984496117,
-2,empirical,1.3137777777777768,
+1,empirical,0.44050539156745827,
+2,empirical,1.1376666666666657,
 """,
     ("characters", "--n", "9", "--format", "csv"):
         "4430995d2c808e49c5a0a6937b59cc84d218d6b69e9c2cdab47c6ac89bd8c9c1",

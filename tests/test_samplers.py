@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from scipy.stats import chi2_contingency, chisquare
 
-from repwalk.partitions import Partition, enumerate_partitions
+from oracles import coupon_mixture_law, plancherel_growth_step_reference, walk_step_chain
+from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.rng import SplitMix64, derive_seed
 from repwalk.snwalk import (
     plancherel_samples,
@@ -15,6 +17,10 @@ from repwalk.snwalk import (
     walk_distribution,
     walk_samples,
 )
+
+
+def cutoff_steps(n):
+    return math.ceil(0.5 * n * math.log(n))
 
 
 def test_splitmix_reproducible():
@@ -47,9 +53,12 @@ def test_sample_walk_r0_and_determinism():
 
 # one draw per (n, r, seed) or (n, seed), recorded from the single-sample
 # functions each sampler once had beside its count-taking form; both read
-# the same SplitMix64 stream, so count=1 must reproduce them
-WALK_SINGLE = {(7, 0, 99): "7", (6, 4, 123): "3+1+1+1", (10, 15, 1): "5+3+1+1",
-               (12, 20, 2024): "4+3+2+2+1", (20, 30, 7): "8+3+3+2+2+1+1"}
+# the same SplitMix64 stream, so count=1 must reproduce them.  WALK_SINGLE
+# was re-recorded from walk_samples when it began to draw as a coupon count
+# plus Plancherel growth, r + K_r calls of randrange where the down-up
+# chain made 2r; only (7, 0, 99), which reads no word, kept its value
+WALK_SINGLE = {(7, 0, 99): "7", (6, 4, 123): "3+2+1", (10, 15, 1): "3+3+2+2",
+               (12, 20, 2024): "5+3+3+1", (20, 30, 7): "5+4+4+3+2+2"}
 RSK_SINGLE = {(6, 0, 1): "6", (6, 3, 11): "5+1", (9, 12, 5): "3+3+2+1",
               (15, 25, 42): "7+4+2+1+1", (25, 40, 3): "9+6+3+3+2+1+1"}
 PLANCHEREL_SINGLE = {(1, 0): "1", (5, 31): "2+1+1+1", (8, 2): "3+2+2+1",
@@ -105,6 +114,75 @@ def test_walk_sampler_tv_to_exact():
         for lam in enumerate_partitions(n)
     ) / 2
     assert tv <= 0.01
+
+
+def test_coupon_mixture_is_the_walk_law():
+    # P_r = sum_k P(K_r = k) Q_k, the law walk_samples draws from
+    for n in range(2, 11):
+        for r in range(3 * n):
+            assert coupon_mixture_law(n, r) == walk_distribution(n, r).masses, (n, r)
+    for n in (14, 18):
+        r = cutoff_steps(n)
+        assert coupon_mixture_law(n, r) == walk_distribution(n, r).masses, (n, r)
+
+
+def test_walk_samples_read_the_coupon_count_then_grow():
+    # r calls randrange(n) for K_r, a point new when one is >= k, then K_r
+    # up steps of the reference growth step from (n - K_r), or from the
+    # empty partition when K_r = n, as at n = 1 and at most seeds of (6, 30)
+    for n, r in ((1, 3), (5, 4), (6, 30), (9, 12)):
+        for seed in range(40):
+            rng, k = SplitMix64(seed), 0
+            for _ in range(r):
+                k += rng.randrange(n) >= k
+            lam = Partition((n - k,)) if k < n else EMPTY
+            for _ in range(k):
+                lam = plancherel_growth_step_reference(rng, lam)
+            assert walk_samples(n, r, 1, seed) == [lam], (n, r, seed)
+
+
+def _merged_bins(law, total):
+    """The outcomes of law sorted by mass and merged, smallest first, until
+    each bin expects at least 5 of total draws; a short last bin joins the
+    one before.  Returns (outcomes, mass) per bin."""
+    bins, outcomes, mass = [], [], 0
+    for x, p in sorted(law.items(), key=lambda kv: kv[1]):
+        outcomes.append(x)
+        mass += p
+        if mass * total >= 5:
+            bins.append((outcomes, mass))
+            outcomes, mass = [], 0
+    if outcomes:
+        last, m = bins.pop()
+        bins.append((last + outcomes, m + mass))
+    return bins
+
+
+@pytest.mark.parametrize("n, r, seed", [(10, 12, 1012), (14, cutoff_steps(14), 1419),
+                                        (18, cutoff_steps(18), 1827)])
+def test_walk_samples_chi_square(n, r, seed):
+    # the rule of criterion 6: p >= 0.001 against the exact law, 1e5 draws
+    count = 100000
+    freq = Counter(walk_samples(n, r, count, seed))
+    law = walk_distribution(n, r).masses
+    assert set(freq) <= set(law)
+    bins = _merged_bins(law, count)
+    assert len(bins) > 10
+    observed = [sum(freq[x] for x in xs) for xs, _ in bins]
+    expected = [float(m) * count for _, m in bins]
+    assert chisquare(observed, expected).pvalue >= 0.001
+
+
+def test_walk_samples_match_a_walk_step_chain():
+    # two-sample homogeneity against the down-up chain, on the bins of the
+    # exact law, 1e5 draws each
+    n, r, count = 10, 12, 100000
+    chain = walk_step_chain(n, r, count, 2024)
+    bins = _merged_bins(walk_distribution(n, r).masses, count)
+    table = [[sum(freq[x] for x in xs) for xs, _ in bins]
+             for freq in (Counter(walk_samples(n, r, count, 2025)), Counter(chain))]
+    assert sum(table[0]) == sum(table[1]) == count
+    assert chi2_contingency(table)[1] >= 0.001
 
 
 def test_rsk_shape_known_words():

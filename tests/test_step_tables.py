@@ -1,10 +1,11 @@
 """The S_n samplers step on memoized corner rows.
 
-walk_step and plancherel_growth_step draw from the _DOWN and _UP row tables
-of snwalk.  These tests hold them to the reference steps in tests/oracles.py
-(corners rebuilt and weights looked up on every call): the same partition
-and the same generator state after every step, under any table limit, and
-the same ArithmeticError on a wrong weight.
+walk_step draws from the _DOWN and _UP row tables of snwalk, and
+plancherel_growth_step, which walk_samples and plancherel_samples grow by,
+from _UP alone.  These tests hold them to the reference steps in
+tests/oracles.py (corners rebuilt and weights looked up on every call):
+the same partition and the same generator state after every step, under
+any table limit, and the same ArithmeticError on a wrong weight.
 """
 
 import sys
@@ -12,7 +13,7 @@ import threading
 
 import pytest
 
-from oracles import plancherel_growth_step_reference, walk_step_reference
+from oracles import plancherel_growth_step_reference, walk_step_chain, walk_step_reference
 from repwalk import snwalk
 from repwalk.partitions import EMPTY, Partition, dimension_sn
 from repwalk.rng import SplitMix64
@@ -62,9 +63,11 @@ def test_growth_step_matches_reference(n):
 
 
 def test_tables_intern_each_value_once():
+    # walk_samples builds _UP rows only; the walk_step chain adds _DOWN rows
     walk_samples(9, 12, 20, 5)
+    walk_step_chain(9, 12, 20, 5)
     held = _table_partitions()
-    assert held
+    assert snwalk._DOWN and snwalk._UP
     assert len({id(p) for p in held}) == len(set(held)) == len(snwalk._INTERN)
 
 
@@ -73,17 +76,17 @@ def test_table_limit_keeps_draws(monkeypatch):
     snwalk._clear_step_tables()
     monkeypatch.setattr(snwalk, "STEP_TABLE_LIMIT", 8)
     sizes = []
-    step = snwalk.walk_step
+    step = snwalk.plancherel_growth_step
 
-    def checked_step(rng, lam):
-        out = step(rng, lam)
+    def checked_step(rng, mu):
+        out = step(rng, mu)
         held = _table_partitions()
         # one object per value, and no more values than the limit
         assert len({id(p) for p in held}) == len(set(held))
         sizes.append(len(set(held)))
         return out
 
-    monkeypatch.setattr(snwalk, "walk_step", checked_step)
+    monkeypatch.setattr(snwalk, "plancherel_growth_step", checked_step)
     for seed, want in expected.items():
         assert walk_samples(12, 20, 50, seed) == want
     assert max(sizes) <= 8
