@@ -50,8 +50,8 @@ from .glirreps import (
     CuspidalLabel,
     GLIrrep,
     cuspidal_count,
-    plancherel_gl,
     suq_weight,
+    unipotent_marginal,
 )
 from .intervals import (
     Interval,
@@ -164,39 +164,34 @@ def _poly_trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs) if coeffs else (Fraction(0),)
 
 
-def cycle_index_lhs(n_max: int, q: int, marker: str = "none") -> list[tuple[Fraction, ...]]:
+def cycle_index_lhs(n_max: int, q: int) -> list[tuple[Fraction, ...]]:
     """Coefficients of u^m, m <= n_max, of 1 + sum_m Z-hat_m u^m/(1/q)_m.
 
-    Z-hat_m averages, under Plancherel measure of GL(m,q), the product of
-    component markers; marker 'none' sets every marker to 1, marker
-    'unipotent' tracks t^(size of the unipotent part).  Each coefficient is
-    returned as a dense polynomial in t (a plain tuple of rationals).
+    Z-hat_m averages t^(size of the unipotent part) under Plancherel measure
+    of GL(m,q): it is the unipotent marginal grouped by size.  Each
+    coefficient is returned as a dense polynomial in t (a plain tuple of
+    rationals); at t = 1 it is the coefficient with every marker 1.
     """
-    if marker not in ("none", "unipotent"):
-        raise ValueError("marker must be 'none' or 'unipotent'")
     out = [(Fraction(1),)]
     for m in range(1, n_max + 1):
         poly = [Fraction(0)] * (m + 1)
-        for phi, mass in plancherel_gl(m, q).items():
-            t_pow = phi.unipotent_part.size if marker == "unipotent" else 0
-            poly[t_pow] += mass
+        for lam, mass in unipotent_marginal(m, q).items():
+            poly[lam.size] += mass
         scale = 1 / q_pochhammer(q, m)
         out.append(_poly_trim([c * scale for c in poly]))
     return out
 
 
-def cycle_index_rhs(q: int, order: int, marker: str = "none") -> list[tuple[Fraction, ...]]:
+def cycle_index_rhs(q: int, order: int) -> list[tuple[Fraction, ...]]:
     """Same coefficients from the product over cuspidal labels.
 
-    Each degree-d label contributes 1 + sum_lam marker(lam) u^(d|lam|)
-    w(lam), with w the S-weight at (u^d, q^d); the cuspidal_count(d,q)
-    interchangeable copies give one series power.  When marker='unipotent'
-    exactly one label (the unit character) is tracked, so the coefficient
-    of u^i t^k is marked[k] * rest[i-k], marked[k] being its size-k weight
-    and rest the product over the untracked labels.
+    Each degree-d label contributes 1 + sum_lam u^(d|lam|) w(lam), with w
+    the S-weight at (u^d, q^d); the cuspidal_count(d,q) interchangeable
+    copies give one series power.  Exactly one label (the unit character)
+    is tracked by t, so the coefficient of u^i t^k is marked[k] * rest[i-k],
+    marked[k] being its size-k weight and rest the product over the
+    untracked labels.
     """
-    if marker not in ("none", "unipotent"):
-        raise ValueError("marker must be 'none' or 'unipotent'")
     _check_order(order, q)
     rest = TruncSeries.one(order)
     marked = [Fraction(1)]  # replaced at d = 1, which order 0 never reaches
@@ -208,14 +203,12 @@ def cycle_index_rhs(q: int, order: int, marker: str = "none") -> list[tuple[Frac
             for size in range(1, order // d + 1)
         ]
         copies = cuspidal_count(d, q)
-        if d == 1 and marker == "unipotent":
+        if d == 1:
             marked = by_size
             copies -= 1
         plain = [Fraction(0)] * (order + 1)
         plain[::d] = by_size
         rest = rest * TruncSeries(order, tuple(plain)) ** copies
-    if marker == "none":
-        return [(c,) for c in rest.coeffs]
     return [_poly_trim([marked[k] * rest.coeffs[i - k] for k in range(i + 1)])
             for i in range(order + 1)]
 

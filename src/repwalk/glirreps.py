@@ -28,21 +28,31 @@ DEFAULT_ENUM_Q = 4
 TAIL_REL_TOL = Fraction(1, 10**15)
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = 1
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime p dividing n >= 1, with p^e the power of p in n,
+    in increasing p, by trial division."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        result = -result
-    return result
+        out.append((n, 1))
+    return out
+
+
+def mobius(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be positive")
+    factors = _factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return (-1) ** len(factors)
 
 
 @lru_cache(maxsize=256)
@@ -168,19 +178,21 @@ def order_gl(n: int, q: int) -> int:
 
 
 def dimension_gl(phi: GLIrrep) -> int:
-    """(q^n - 1)...(q - 1) * prod over labels of q^(d n(lam)) / prod (q^(d h) - 1)."""
+    """(q^n - 1)...(q - 1) * prod over labels of q^(d n(lam)) / prod (q^(d h) - 1).
+
+    One integer quotient: the leading product is |GL(n,q)| / q^C(n,2), and
+    the power of q collects d n(lam) over the labels.
+    """
     n, q = phi.n, phi.q
-    value = Fraction(1)
-    for k in range(1, n + 1):
-        value *= q**k - 1
+    num = order_gl(n, q) // q ** math.comb(n, 2)
+    num *= q ** sum(label.degree * lam.n_stat() for label, lam in phi.assignment)
+    den = 1
     for label, lam in phi.assignment:
-        d = label.degree
-        value *= Fraction(q ** (d * lam.n_stat()))
         for h in lam.hooks():
-            value /= q ** (d * h) - 1
-    if value.denominator != 1 or value <= 0:
+            den *= q ** (label.degree * h) - 1
+    if num % den:
         raise ArithmeticError(f"dimension of {phi.descriptor()} is not a positive integer")
-    return value.numerator
+    return num // den
 
 
 def plancherel_gl(n: int, q: int) -> dict[GLIrrep, Fraction]:
@@ -292,20 +304,11 @@ def unipotent_tail_bound(q: int, c: int) -> Fraction:
 
 
 def _divisor_totients(m: int) -> list[tuple[int, int]]:
-    """(d, phi(d)) for every divisor d of m >= 1, by trial division."""
+    """(d, phi(d)) for every divisor d of m >= 1, from its factorization."""
     out = [(1, 1)]
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            powers = [(1, 1)]
-            while m % p == 0:
-                m //= p
-                e = powers[-1][0] * p
-                powers.append((e, e - e // p))
-            out = [(d * e, f * g) for d, f in out for e, g in powers]
-        p += 1
-    if m > 1:
-        out += [(d * m, f * (m - 1)) for d, f in out]
+    for p, e in _factorize(m):
+        powers = [(1, 1)] + [(p**k, p**k - p ** (k - 1)) for k in range(1, e + 1)]
+        out = [(d * pk, f * g) for d, f in out for pk, g in powers]
     return out
 
 

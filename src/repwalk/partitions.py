@@ -45,26 +45,17 @@ class Partition(tuple):
         return sum(self)
 
     def transpose(self) -> "Partition":
-        if not self:
-            return self
-        cols = [0] * self[0]
-        for p in self:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        # the column lengths of a valid partition are one
+        return tuple.__new__(Partition, _columns(self))
 
     def n_stat(self) -> int:
         """sum_i (i-1)*parts[i], rows indexed from 1."""
         return sum(i * p for i, p in enumerate(self))
 
     def hooks(self) -> tuple[int, ...]:
-        """Multiset of hook lengths parts[i] + transpose[j] - i - j - 1 (0-based)."""
-        t = self.transpose()
-        out = []
-        for i, p in enumerate(self):
-            for j in range(p):
-                out.append(p + t[j] - i - j - 1)
-        return tuple(sorted(out, reverse=True))
+        """Multiset of hook lengths parts[i] + transpose[j] - i - j - 1 (0-based),
+        largest first."""
+        return tuple(sorted(_hook_lengths(self), reverse=True))
 
     # A box added or removed at a corner of a valid partition leaves a valid
     # one, so the corner methods build their results without the checks.
@@ -195,7 +186,9 @@ KEY_BASE = 0x9E3779B97F4A7C15
 _MAX_PART = 127
 
 
-# four entries, as _float_engine keeps: a cached engine steps its lattice in place
+# four entries, as _float_engine keeps: a cached float engine steps its own
+# jagged tables but holds its lattice for the index and n, so a lattice kept
+# here for one of them costs no memory of its own
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
     """The cached Young lattice of size n, built in numpy row blocks."""
@@ -279,17 +272,19 @@ def _hook_runs(blk: np.ndarray, per: int) -> np.ndarray:
     return padded.reshape(rows, runs, per).prod(axis=2)
 
 
-def _hook_product(lam: tuple[int, ...]) -> int:
-    """Product of the hook lengths of a plain weakly decreasing tuple."""
-    cols = [0] * (lam[0] if lam else 0)
-    for p in lam:
-        for j in range(p):
-            cols[j] += 1
-    prod = 1
-    for i, p in enumerate(lam):
-        for j in range(p):
-            prod *= p - j + cols[j] - i - 1
-    return prod
+def _columns(lam: tuple[int, ...]) -> list[int]:
+    """The column lengths of a plain weakly decreasing tuple: column j has
+    length i for lam[i] <= j < lam[i-1], with lam[len(lam)] = 0."""
+    cols: list[int] = []
+    for i in range(len(lam), 0, -1):
+        cols += [i] * (lam[i - 1] - len(cols))
+    return cols
+
+
+def _hook_lengths(lam: tuple[int, ...]) -> list[int]:
+    """The hook lengths of a plain weakly decreasing tuple, row by row."""
+    cols = _columns(lam)
+    return [cols[j] - j + p - i - 1 for i, p in enumerate(lam) for j in range(p)]
 
 
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
@@ -297,7 +292,7 @@ def dimension_sn(lam: Partition) -> int:
     """Hook-length formula: |lam|! / prod of hooks, always an exact integer."""
     lam = Partition(lam)
     num = math.factorial(lam.size)
-    den = _hook_product(lam)
+    den = math.prod(_hook_lengths(lam))
     if num % den:
         raise ArithmeticError(f"hook product does not divide {lam.size}! for {lam}")
     return num // den

@@ -289,6 +289,21 @@ def irreducible_monic_count_brute(d: int, p: int, exclude_x: bool = True) -> int
     return count
 
 
+def dimension_gl_fraction(phi) -> Fraction:
+    """(q^n - 1)...(q - 1) * prod over labels of q^(d n(lam)) / prod (q^(d h) - 1),
+    one Fraction factor at a time."""
+    n, q = phi.n, phi.q
+    value = Fraction(1)
+    for k in range(1, n + 1):
+        value *= q**k - 1
+    for label, lam in phi.assignment:
+        d = label.degree
+        value *= Fraction(q ** (d * lam.n_stat()))
+        for h in lam.hooks():
+            value /= q ** (d * h) - 1
+    return value
+
+
 # ---------------------------------------------------------------------------
 # certified GL enclosures, computed the direct way
 
@@ -473,7 +488,7 @@ def young_lattice_reference(n: int):
     build produced it: (n, parts, index, dims, off, dst, cnt)."""
     from array import array
 
-    from repwalk.partitions import _hook_product
+    from repwalk.partitions import _hook_lengths
 
     parts = tuple(Partition(p) for p in _gen_partitions(n, n))
     index = {lam: i for i, lam in enumerate(parts)}
@@ -498,7 +513,7 @@ def young_lattice_reference(n: int):
         cnt.extend(counts.values())
         off.append(len(dst))
     n_fact = math.factorial(n)
-    dims = tuple(n_fact // _hook_product(lam) for lam in parts)
+    dims = tuple(n_fact // math.prod(_hook_lengths(lam)) for lam in parts)
     return n, parts, index, dims, off, dst, cnt
 
 

@@ -2,10 +2,11 @@ import gc
 import math
 import weakref
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from repwalk.errors import CapacityError
 from oracles import suq_normalizer_pow_int, suq_weight_per_hook
@@ -25,6 +26,7 @@ from repwalk.glasymptotics import (
 )
 from repwalk.glirreps import plancherel_gl, suq_size_tail_bound, unipotent_marginal
 from repwalk.partitions import EMPTY, Partition, enumerate_partitions
+from repwalk.rng import SplitMix64
 from repwalk.series import euler_lhs, q_pochhammer
 
 
@@ -134,43 +136,41 @@ def test_limit_marginal_ratio():
 
 
 def test_cycle_index_identity():
+    # the marked series, and so their values at t = 1 too
     for q, depth in ((2, 4), (3, 3)):
-        for marker in ("none", "unipotent"):
-            lhs = cycle_index_lhs(depth, q, marker)
-            rhs = cycle_index_rhs(q, depth, marker)
-            assert lhs == rhs
+        lhs = cycle_index_lhs(depth, q)
+        rhs = cycle_index_rhs(q, depth)
+        assert lhs == rhs
+        assert [sum(poly) for poly in lhs] == [sum(poly) for poly in rhs]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_cycle_index_rhs_closed_form(q):
-    # with every marker 1 the product is sum_m u^m/(1/q)_m (Euler); with the
-    # unipotent marker, setting t = 1 must give the same coefficients
+    # at t = 1 every marker is 1 and the product is sum_m u^m/(1/q)_m (Euler)
     for m_max in range(9):
-        plain = cycle_index_rhs(q, m_max, "none")
-        marked = cycle_index_rhs(q, m_max, "unipotent")
-        assert len(plain) == len(marked) == m_max + 1
+        marked = cycle_index_rhs(q, m_max)
+        assert len(marked) == m_max + 1
         for m in range(m_max + 1):
-            assert plain[m] == (1 / q_pochhammer(q, m),)
             assert sum(marked[m]) == 1 / q_pochhammer(q, m)
 
 
 def test_cycle_index_reduces_to_euler_series():
     for q in (2, 3):
-        lhs = cycle_index_lhs(3, q, "none")
+        lhs = cycle_index_lhs(3, q)
         euler = euler_lhs(q, 3)
         for k, poly in enumerate(lhs):
-            assert poly == (euler.coeffs[k],) or (poly[0] == euler.coeffs[k] and len(poly) == 1)
+            assert sum(poly) == euler.coeffs[k]
 
 
 def test_cycle_index_marker_examples():
     # coefficient of u^1 with the unipotent marker is 2t at q=2
-    lhs = cycle_index_lhs(1, 2, "unipotent")
+    lhs = cycle_index_lhs(1, 2)
     assert lhs[1] == (Fraction(0), Fraction(2))
     # t^0 part of the u^2 coefficient: cuspidal mass scaled by 1/(1/q)_2
-    lhs2 = cycle_index_lhs(2, 2, "unipotent")
+    lhs2 = cycle_index_lhs(2, 2)
     assert lhs2[2][0] == Fraction(1, 6) / q_pochhammer(2, 2)
     assert lhs2[2][0] == Fraction(4, 9)
-    rhs2 = cycle_index_rhs(2, 2, "unipotent")
+    rhs2 = cycle_index_rhs(2, 2)
     assert rhs2[2][0] == Fraction(4, 9)
 
 
@@ -186,6 +186,47 @@ def test_high_degree_enclosures_agree():
         direct = high_degree_empty_direct(n, q, u)
         assert identity.lo <= direct.hi and direct.lo <= identity.hi
         assert identity.width < Fraction(1, 2**200)
+
+
+def test_draw_indices_small_pool_uniform_over_subsets():
+    # pool <= 2048: a partial Fisher-Yates shuffle, sorted; every count-subset
+    # equally likely, by criterion 6's rule
+    sampler = GLPlancherelSampler(2, 2, seed=23)
+    for count, pool in ((1, 5), (2, 6), (3, 7), (2, 2048)):
+        draws = Counter(tuple(sampler._draw_indices(count, pool)) for _ in range(20000))
+        if pool > 7:  # too many subsets to bin: in range, distinct and sorted
+            assert all(0 <= a < b < pool for a, b in draws)
+            continue
+        subsets = list(combinations(range(pool), count))
+        assert set(draws) <= set(subsets)
+        assert chisquare([draws[s] for s in subsets]).pvalue >= 0.001
+
+
+def test_draw_indices_large_pool_uniform_marginals():
+    # pool > 2048: distinct uniform draws until count are held, sorted
+    sampler = GLPlancherelSampler(2, 2, seed=23)
+    for count, pool in ((4, 2049), (20, 3000)):
+        bins = Counter()
+        ends = set()
+        for _ in range(5000):
+            idx = sampler._draw_indices(count, pool)
+            assert len(idx) == count and idx == sorted(set(idx))
+            assert 0 <= idx[0] and idx[-1] < pool
+            bins.update(i * 50 // pool for i in idx)
+            ends.update((idx[0], idx[-1]))
+        # both ends of the range are reached (each missed with odds below 1e-4)
+        assert {0, pool - 1} <= ends
+        # bin b holds the indices i with i * 50 // pool == b
+        widths = [sum(1 for i in range(pool) if i * 50 // pool == b) for b in range(50)]
+        expected = [w * count * 5000 / pool for w in widths]
+        assert chisquare([bins[b] for b in range(50)], expected).pvalue >= 0.001
+
+
+def test_draw_indices_full_pool_reads_no_word():
+    for pool in (5, 2048, 3000):
+        sampler = GLPlancherelSampler(2, 2, seed=23)
+        assert sampler._draw_indices(pool, pool) == list(range(pool))
+        assert sampler.rng.next_u64() == SplitMix64(23).next_u64()
 
 
 def test_sampler_n1_unique_family():

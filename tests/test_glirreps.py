@@ -26,7 +26,7 @@ from repwalk.glirreps import (
 )
 from repwalk.partitions import EMPTY, Partition
 
-from oracles import fixed_space_counts_brute, irreducible_monic_count_brute
+from oracles import dimension_gl_fraction, fixed_space_counts_brute, irreducible_monic_count_brute
 
 
 def test_mobius():
@@ -106,6 +106,34 @@ def test_dimension_examples():
     assert dimension_gl(fams["1.0:2"]) == 1
     assert dimension_gl(fams["1.0:1+1"]) == 2
     assert dimension_gl(fams["2.0:1"]) == 1
+
+
+def test_dimension_is_the_fraction_form():
+    for n in range(1, glirreps.DEFAULT_ENUM_N + 1):
+        for q in range(2, glirreps.DEFAULT_ENUM_Q + 1):
+            for phi in enumerate_gl_irreps(n, q):
+                assert dimension_gl(phi) == dimension_gl_fraction(phi)
+
+
+def test_dimension_indivisible_quotient_raises(monkeypatch):
+    # with |GL(2,2)| = 6 raised to 8, 1.0:1+1 is (8 / 2) * 2 over its hook
+    # product (2^2 - 1)(2 - 1) = 3, which does not divide it
+    phi = GLIrrep.from_descriptor(2, 2, "1.0:1+1")
+    monkeypatch.setattr(glirreps, "order_gl", lambda n, q: order_gl(n, q) + 2)
+    with pytest.raises(ArithmeticError, match="not a positive integer"):
+        dimension_gl(phi)
+
+
+def test_mobius_and_divisors_read_one_factorization():
+    for m in range(1, 2001):
+        factors = glirreps._factorize(m)
+        primes = [p for p, _ in factors]
+        assert math.prod(p**e for p, e in factors) == m
+        assert primes == sorted(set(primes))
+        assert all(all(p % k for k in range(2, math.isqrt(p) + 1)) for p in primes)
+        # Moebius inversion: sum over d | m of mu(d) is 1 at m = 1, else 0
+        divisors = [d for d, _ in glirreps._divisor_totients(m)]
+        assert sum(mobius(d) for d in divisors) == (m == 1)
 
 
 def test_dimension_square_sums():

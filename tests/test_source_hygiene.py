@@ -2,9 +2,10 @@
 
 No module of the package imports a name it never uses (the package's
 __init__ re-exports, so it is exempt), and every private (_-prefixed)
-function, class or module-level name the package defines is read
-somewhere: in the package, the tests or the benchmark harness.  A helper
-left behind by a refactor fails here.
+function, class or module-level name and every public UPPER_CASE module
+constant the package defines is read somewhere: in the package, the tests
+or the benchmark harness.  A helper or a knob left behind by a refactor
+fails here.
 """
 
 import ast
@@ -57,12 +58,8 @@ def test_no_unused_imports():
     assert not unused
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, line) of every _-prefixed function or class at any depth and of
-    every _-prefixed module-level assignment; dunder names are not private."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+def _module_names(tree: ast.Module):
+    """(name, line) of every module-level assignment."""
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else \
             [node.target] if isinstance(node, ast.AnnAssign) else []
@@ -71,12 +68,38 @@ def _private_definitions(tree: ast.Module):
                 yield target.id, node.lineno
 
 
-def test_every_private_name_is_read():
+def _definitions(tree: ast.Module):
+    """(name, line) of every function or class at any depth and of every
+    module-level assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+    yield from _module_names(tree)
+
+
+def _reads() -> set[str]:
     reads = set()
     for tree in _trees(PACKAGE, ROOT / "tests", ROOT / "perfbench").values():
         reads |= _names_read(tree)
+    return reads
+
+
+def test_every_private_name_is_read():
+    # dunder names are not private
+    reads = _reads()
     unread = [f"{path.name}:{line} {name}"
               for path, tree in _trees(PACKAGE).items()
-              for name, line in _private_definitions(tree)
+              for name, line in _definitions(tree)
               if name.startswith("_") and not name.endswith("__") and name not in reads]
+    assert not unread
+
+
+def test_every_public_constant_is_read():
+    reads = _reads()
+    constants = [(path.name, line, name)
+                 for path, tree in _trees(PACKAGE).items()
+                 for name, line in _module_names(tree)
+                 if name.isupper() and not name.startswith("_")]
+    assert constants
+    unread = [f"{path}:{line} {name}" for path, line, name in constants if name not in reads]
     assert not unread
