@@ -46,7 +46,7 @@ from .glirreps import (
 from .hsp import hsp_bounds, subgroup_closure
 from .partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
 from .rng import derive_seed
-from .series import DEFAULT_ORDER, _check_order, euler_lhs_rhs
+from .series import DEFAULT_ORDER, _check_order, euler_lhs_rhs, q_pochhammer
 from .snwalk import (
     EXACT_KERNEL_LIMIT,
     _check_sampler_size,
@@ -332,10 +332,12 @@ def _cmd_gl_cycle_index(args):
         depth = min(args.order, 4 if args.q == 2 else 3)
         lhs = cycle_index_lhs(depth, args.q)
         rhs = cycle_index_rhs(args.q, depth)
-        # 'none' sets every marker to 1: each polynomial in t at t = 1
-        for marker, side in (("none", sum), ("unipotent", tuple)):
-            for k in range(depth + 1):
-                ok = side(lhs[k]) == side(rhs[k])
+        # 'none' sets every marker to 1: each side's polynomial in t at t = 1
+        # must then be 1/(1/q)_k, the coefficient of u^k in sum_k u^k/(1/q)_k
+        ks = range(depth + 1)
+        none = [sum(lhs[k]) == sum(rhs[k]) == 1 / q_pochhammer(args.q, k) for k in ks]
+        for marker, oks in (("none", none), ("unipotent", [lhs[k] == rhs[k] for k in ks])):
+            for k, ok in zip(ks, oks):
                 failures += not ok
                 lines.append((marker, k, "OK" if ok else "MISMATCH"))
         lhs_series, rhs_series = euler_lhs_rhs(args.q, args.order)

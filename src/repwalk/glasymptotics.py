@@ -32,8 +32,11 @@ sampler's threshold tables are cached too: _count_thresholds on
 (n, q, u, prec) (HIGH_DEGREE_CACHE_SIZE = 64).  Tables are read lazily,
 component tables partition by partition in size order, only as far as
 draws land, and a threshold set keeps of each threshold read only its
-outcome and two 64-bit words; the rare draw those cannot decide reads the
-builder anew at each precision.  No cache holds a sampler or a plan.
+outcome and two 64-bit words, one table that a first word indexes by one
+bisect; the rare draw that cannot decide reads the builder anew at each
+precision.  The count tables' binomial tails and every interval power run
+on integer endpoints at scale 2^prec, as suq_normalizer's products do.  No
+cache holds a sampler or a plan.
 """
 
 from __future__ import annotations
@@ -262,20 +265,25 @@ class _ThresholdSet:
 
     builder(prec) returns an iterable of (outcome, Interval) with increasing
     thresholds.  The set reads it lazily at DEFAULT_PREC, only as far as
-    draws land, and keeps per threshold its outcome and the running maxima
-    of floor(lo * 2^64) and ceil(hi * 2^64), nothing more.  A uniform beyond
-    the last threshold maps to _REJECT.
+    draws land, and keeps one 64-bit table: _ends holds, threshold by
+    threshold, the running maxima of floor(lo * 2^64) and ceil(hi * 2^64),
+    and _slots[k] says what a word v with bisect_right(_ends, v) == k
+    decides.  An even k is the gap below threshold k // 2, where U < t holds
+    for it and for no earlier one: the slot holds its outcome.  An odd k is
+    a word inside a threshold's 64-bit [lo, hi] (about 2^-64 per
+    threshold), and k == len(_ends) a word past every threshold read: these
+    slots hold None, except that the last becomes _REJECT once the builder
+    has ended.
 
-    A draw costs one rng.next_u64() word v and one bisect: v alone decides
-    unless some earlier threshold's 64-bit [lo, hi] straddles it (about
-    2^-64 per threshold).  Only then does the exact scan run: it extends the
-    uniform from v, 64 bits at a time, and compares it with each threshold
-    as the builder yields them anew at DEFAULT_PREC << level; a comparison
-    still unresolved moves to the next level, up to MAX_DOUBLINGS.  Both
-    paths draw the same words and give the same outcome as that scan alone.
-    Reading holds a lock, so samplers in several threads may share a set; a
-    builder that raises is started again past the entries kept, on the next
-    read.
+    A draw costs one rng.next_u64() word v, one bisect and one slot.  Only
+    a None slot calls _settle, which reads on past v or runs the exact
+    scan: it extends the uniform from v, 64 bits at a time, and compares it
+    with each threshold as the builder yields them anew at DEFAULT_PREC <<
+    level; a comparison still unresolved moves to the next level, up to
+    MAX_DOUBLINGS.  Both paths draw the same words and give the same outcome
+    as that scan alone.  Reading holds a lock, so samplers in several threads
+    may share a set; a builder that raises is started again past the
+    entries kept, on the next read.
     """
 
     def __init__(self, builder):
@@ -284,67 +292,63 @@ class _ThresholdSet:
         # the entry iterator: None before a start or restart, False once the
         # builder has ended
         self._entries = None
-        # per threshold: its outcome and the running maxima of its 64-bit
-        # ends; lo64 is appended last, so an index below len(self._lo64) is
-        # complete in all three for a reader without the lock
-        self._outcomes: list = []
-        self._hi64: list[int] = []
-        self._lo64: list[int] = []
+        # _slots grows before _ends, and a slot gets its outcome last, so a
+        # reader without the lock finds a slot for every bisect of _ends,
+        # holding the right outcome or None
+        self._ends: list[int] = []
+        self._slots: list = [None]
 
     def _grow(self) -> bool:
         """Read one more threshold; False once the builder has ended."""
         with self._lock:
+            ends, slots = self._ends, self._slots
             if self._entries is None:
-                self._entries = islice(self._builder(DEFAULT_PREC), len(self._lo64), None)
+                self._entries = islice(self._builder(DEFAULT_PREC), len(ends) // 2, None)
             if self._entries is False:
                 return False
             try:
                 outcome, iv = next(self._entries)
-                lo64, hi64 = floor_scaled(iv.lo, 64), ceil_scaled(iv.hi, 64)
-                if self._lo64:
-                    lo64, hi64 = max(lo64, self._lo64[-1]), max(hi64, self._hi64[-1])
-                self._hi64.append(hi64)
-                self._outcomes.append(outcome)
-                self._lo64.append(lo64)
+                top = ends[-1] if ends else 0
+                lo64 = max(floor_scaled(iv.lo, 64), top)
+                hi64 = max(ceil_scaled(iv.hi, 64), lo64)
+                slots += (None, None)
+                ends += (lo64, hi64)
+                slots[-3] = outcome
             except StopIteration:
                 self._entries = False
+                slots[-1] = _REJECT
                 return False
             except BaseException:
                 # a generator that raised is finished but has not ended: drop
                 # it, and any half-kept entry, so the next read starts again
                 self._entries = None
-                kept = len(self._lo64)
-                del self._hi64[kept:], self._outcomes[kept:]
+                del slots[len(ends) + 1:]
                 raise
             return True
 
     def locate(self, rng: SplitMix64):
         """The outcome of the first threshold above a fresh uniform, or _REJECT."""
         v = rng.next_u64()
-        lo64 = self._lo64
-        end = len(lo64)  # once: another thread may append meanwhile
-        # thresholds before j have lo64 <= v: none of them can hold U < t
-        j = bisect_right(lo64, v, 0, end)
-        past = j == end
-        if past:
-            j, past = self._read_past(v)
-        if j and v < self._hi64[j - 1]:
-            return self._scan(LazyUniform(rng, v))
-        return _REJECT if past else self._outcomes[j]
+        outcome = self._slots[bisect_right(self._ends, v)]
+        return self._settle(rng, v) if outcome is None else outcome
 
-    def _read_past(self, v: int) -> tuple[int, bool]:
-        """For a word v past the thresholds read so far: read on until one
-        lies above v.  Returns its index, or the count of thresholds and True
-        when v is past all of them."""
-        lo64 = self._lo64
+    def _settle(self, rng: SplitMix64, v: int):
+        """The outcome for a first word v whose slot holds None: read on
+        until a threshold lies above v, then take its gap's outcome, or scan
+        when v lies inside a threshold's 64-bit ends."""
+        ends = self._ends
         while True:
-            end = len(lo64)
-            j = bisect_right(lo64, v, 0, end)
-            if j < end:
-                return j, False
+            end = len(ends)  # once: another thread may append meanwhile
+            k = bisect_right(ends, v, 0, end)
+            if k < end:
+                break
             # once the builder has ended, no other thread can append either
-            if not self._grow() and len(lo64) == end:
-                return j, True
+            if not self._grow() and len(ends) == end:
+                return _REJECT
+        outcome = self._slots[k]
+        # an odd k straddles; an even one is None only while another thread
+        # is between extending _ends and filling the slot
+        return self._scan(LazyUniform(rng, v)) if outcome is None else outcome
 
     def _scan(self, u: LazyUniform):
         for level in range(MAX_DOUBLINGS + 1):
@@ -363,15 +367,22 @@ class _ThresholdSet:
 
 def _count_entries(ud: Fraction, qd: Fraction, n_labels: int, max_count: int, prec: int) -> list:
     """P(at most j of the n_labels degree-d labels are occupied), j <= max_count:
-    each label is empty with probability Z(u^d, q^d), independently."""
+    each label is empty with probability Z(u^d, q^d), independently.
+
+    The binomial tail runs on integer endpoints at scale 2^prec: term j adds
+    floor(C(n_labels, j) occ^j z^(n_labels-j) * 2^prec) below and its
+    ceiling above, what rounding (cum + pmf) outward to prec bits adds."""
     z = suq_normalizer(ud, qd, prec=prec)
     occ = z.one_minus()
+    one = 1 << prec
     out = []
-    cum = Interval.point(0)
+    c_lo = c_hi = 0
     for j in range(max_count + 1):
-        pmf = math.comb(n_labels, j) * occ.pow_int(j, prec) * z.pow_int(n_labels - j, prec)
-        cum = (cum + pmf).rounded(prec)
-        out.append((j, cum))
+        comb = math.comb(n_labels, j)
+        a, b = occ.pow_int(j, prec), z.pow_int(n_labels - j, prec)
+        c_lo += comb * floor_scaled(a.lo, prec) * floor_scaled(b.lo, prec) >> prec
+        c_hi += -(-comb * ceil_scaled(a.hi, prec) * ceil_scaled(b.hi, prec) >> prec)
+        out.append((j, Interval(Fraction(c_lo, one), Fraction(c_hi, one))))
     return out
 
 
@@ -477,7 +488,12 @@ class GLPlancherelSampler:
         counts = []
         floor_total = 0
         for plan in self.plans:
-            outcome = plan.count_thresholds.locate(rng)
+            # locate, with its call left out: one word, one bisect, one slot
+            table = plan.count_thresholds
+            v = rng.next_u64()
+            outcome = table._slots[bisect_right(table._ends, v)]
+            if outcome is None:
+                outcome = table._settle(rng, v)
             if outcome is _REJECT:
                 return None
             counts.append(outcome)

@@ -7,10 +7,17 @@ so an Interval is refused unless 0 <= lo <= hi, and products and
 quotients work endpoint by endpoint, on certified rational endpoints (no
 floating point).  Rounding endpoints outward to a fixed number of dyadic
 bits keeps numerators small through repeated squaring while preserving
-soundness.  Long products run on integer endpoints at a fixed dyadic scale
-(floor below, ceiling above), with guard_bits(k) extra bits absorbing the
-rounding of k products, and enclosure_from_scaled turns such endpoints
-into an Interval.
+soundness.
+
+Powers and long products run on integer endpoints at a fixed dyadic scale,
+floor below and ceiling above, with no Fraction product formed.
+pow_int(k, prec) rounds the base outward to prec bits once, then keeps
+every product of its squarings at scale 2^prec; on a base already dyadic
+at prec, as every caller passes, each step is exactly the outward prec-bit
+rounding of the Fraction product, so the power is the one that Fraction
+loop gives, bit for bit.  Long products at a wider scale take
+guard_bits(k) extra bits to absorb the rounding of k products, and
+enclosure_from_scaled turns such endpoints into an Interval.
 """
 
 from __future__ import annotations
@@ -83,21 +90,28 @@ class Interval:
         return Interval(1 - self.hi, 1 - self.lo)
 
     def pow_int(self, k: int, prec: int) -> "Interval":
-        """Integer power by repeated squaring.
+        """Integer power by repeated squaring, on integer endpoints at scale
+        2^prec.
 
-        Endpoints are rounded outward to prec bits after each multiply,
-        keeping bit sizes linear in prec rather than in k.
+        The base is rounded outward to prec bits once; each product then
+        keeps floor(lo * lo' / 2^prec) below and the ceiling of
+        hi * hi' / 2^prec above, exactly what rounding the Fraction product
+        outward to prec bits gives, so bit sizes stay linear in prec rather
+        than in k.
         """
         if k < 0:
             raise ValueError("negative powers unsupported")
-        out = Interval.point(1)
-        base = self
+        lo, hi = floor_scaled(self.lo, prec), ceil_scaled(self.hi, prec)
+        out_lo = out_hi = one = 1 << prec
         while k:
             if k & 1:
-                out = (out * base).rounded(prec)
-            base = (base * base).rounded(prec)
+                out_lo = out_lo * lo >> prec
+                out_hi = -(-out_hi * hi >> prec)
             k >>= 1
-        return out
+            if k:
+                lo = lo * lo >> prec
+                hi = -(-hi * hi >> prec)
+        return Interval(Fraction(out_lo, one), Fraction(out_hi, one))
 
 
 def _as_interval(x) -> Interval:

@@ -4,11 +4,13 @@ Nothing here calls the code paths it is meant to check: character values
 come from permutation modules, dimensions from explicit tableau counting,
 GL counts from literal matrix enumeration over prime fields, cuspidal
 counts from irreducible-polynomial enumeration.  The reference walks,
-walk_step_chain and the two identity sides at the end (pieri_sides,
-spectrum_sides) are the exception: they set one package path against
-another, the Fraction kernel against the lattice engines, the down-up
-step walk_step against the coupon-count sampler, and the exact walk step
-against the Murnaghan-Nakayama table.
+walk_step_chain, the GL table and sampler references and the two identity
+sides at the end (pieri_sides, spectrum_sides) are the exception: they set
+one package path against another, the Fraction kernel against the lattice
+engines, the down-up step walk_step against the coupon-count sampler, the
+Fraction interval products and one locate per degree against the integer
+endpoints and the inlined count phase, and the exact walk step against the
+Murnaghan-Nakayama table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+from repwalk.glasymptotics import _REJECT, GLPlancherelSampler, suq_normalizer
+from repwalk.glirreps import CuspidalLabel, GLIrrep
+from repwalk.intervals import Interval
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.rng import _GOLDEN, mix64
 
@@ -321,8 +326,6 @@ def suq_normalizer_pow_int(u, q, prec: int):
     """Z(u,q) = prod_{t>=1} (1 - u/q^t)^t enclosed factor by factor: each
     factor raised by its own rounded interval power, the tail closed by the
     Weierstrass bound."""
-    from repwalk.intervals import Interval
-
     u, q = Fraction(u), Fraction(q)
     z = 1 / q
     target = Fraction(1, 1 << max(prec - 16, 16))
@@ -566,6 +569,78 @@ def threshold_locate_reference(builder, rng):
         else:
             return glasymptotics._REJECT
     raise SamplerError("threshold enclosures failed to separate a uniform draw")
+
+
+# ---------------------------------------------------------------------------
+# GL threshold tables and the count phase as they were before integer
+# endpoints: Fraction products rounded outward after each multiply, and one
+# locate call per degree
+
+
+def pow_int_fraction(iv: Interval, k: int, prec: int) -> Interval:
+    """iv^k by repeated squaring, each Fraction product rounded outward to
+    prec bits."""
+    out = Interval.point(1)
+    base = iv
+    while k:
+        if k & 1:
+            out = (out * base).rounded(prec)
+        base = (base * base).rounded(prec)
+        k >>= 1
+    return out
+
+
+def count_entries_fraction(ud, qd, n_labels: int, max_count: int, prec: int) -> list:
+    """P(at most j of n_labels labels occupied), j <= max_count, as Fraction
+    intervals: each binomial term formed exactly, the running sum rounded
+    outward to prec bits."""
+    z = suq_normalizer(ud, qd, prec=prec)
+    occ = z.one_minus()
+    out = []
+    cum = Interval.point(0)
+    for j in range(max_count + 1):
+        pmf = math.comb(n_labels, j) * pow_int_fraction(occ, j, prec) \
+            * pow_int_fraction(z, n_labels - j, prec)
+        cum = (cum + pmf).rounded(prec)
+        out.append((j, cum))
+    return out
+
+
+class LocateSampler(GLPlancherelSampler):
+    """The GL Plancherel sampler with every degree's count drawn through its
+    threshold set's locate, one call per degree."""
+
+    def _attempt(self):
+        self.attempts += 1
+        rng = self.rng
+        counts = []
+        floor_total = 0
+        for plan in self.plans:
+            outcome = plan.count_thresholds.locate(rng)
+            if outcome is _REJECT:
+                return None
+            counts.append(outcome)
+            floor_total += plan.d * outcome
+        if floor_total > self.n:
+            return None
+        if self.high_degree_empty.locate(rng) is _REJECT:
+            return None
+        assignment = []
+        total = 0
+        for plan, k in zip(self.plans, counts):
+            if not k:
+                continue
+            for idx in self._draw_indices(k, plan.n_labels):
+                lam = plan.component_thresholds.locate(rng)
+                if lam is _REJECT:
+                    return None
+                total += plan.d * lam.size
+                if total > self.n:
+                    return None
+                assignment.append((CuspidalLabel(plan.d, idx), lam))
+        if total != self.n:
+            return None
+        return GLIrrep(self.n, self.q, tuple(assignment))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,29 @@ def test_gl_cycle_index_check(tmp_path):
     assert "euler" in text
 
 
+    assert "euler" in text
+
+
+def test_gl_cycle_index_none_rows_check_the_euler_coefficient(tmp_path, monkeypatch):
+    # both sides wrong in the same way: the unipotent rows compare them with
+    # each other and pass, the none rows compare each with 1/(1/q)_k and fail
+    def doubled(polys):
+        return [tuple(2 * c for c in poly) if k == 2 else poly for k, poly in enumerate(polys)]
+
+    lhs, rhs = cli.cycle_index_lhs, cli.cycle_index_rhs
+    monkeypatch.setattr(cli, "cycle_index_lhs", lambda depth, q: doubled(lhs(depth, q)))
+    monkeypatch.setattr(cli, "cycle_index_rhs", lambda q, depth: doubled(rhs(q, depth)))
+    code, text = run(tmp_path, "gl-cycle-index", "--q", "3", "--order", "4", "--check")
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0] == "check,order,status"
+    rows = {(check, order): status for check, order, status in (l.split(",") for l in lines[1:])}
+    assert code == 1
+    assert rows[("none", "2")] == "MISMATCH"
+    assert [rows[("none", str(k))] for k in (0, 1, 3)] == ["OK"] * 3
+    assert all(rows[("unipotent", str(k))] == "OK" for k in range(4))
+    assert rows[("euler", "4")] == "OK"
+
+
 def test_hsp_json(tmp_path):
     code, text = run(tmp_path, "hsp", "--n", "3", "--gens", "(1 2)")
     assert code == 0

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import euler_product_exact
+from oracles import euler_product_exact, pow_int_fraction
 from repwalk.glasymptotics import _normalizer_terms, default_rejection_u, euler_product_enclosure
 from repwalk.intervals import Interval
 
@@ -53,6 +54,37 @@ def test_pow_int_encloses_true_power():
         p = base.pow_int(k, prec=128)
         assert p.contains(Fraction(1, 3) ** k)
         assert p.width < Fraction(1, 2**100)
+
+
+def _dyadic_interval(rnd: random.Random, prec: int) -> Interval:
+    """[a, b] / 2^prec: anywhere in [0, 1], just below 1 (as the normalizers
+    Z(u^d, q^d) of high degree are), a point, or reaching past 1."""
+    one = 1 << prec
+    kind = rnd.randrange(4)
+    if kind == 0:
+        a, b = sorted(rnd.randrange(one + 1) for _ in range(2))
+    elif kind == 1:
+        a = one - rnd.randrange(1, 1 << rnd.randrange(1, prec))
+        b = min(one, a + rnd.randrange(3))
+    elif kind == 2:
+        a = b = rnd.randrange(one + 1)
+    else:
+        a, b = sorted(rnd.randrange(4 * one) for _ in range(2))
+    return Interval(Fraction(a, one), Fraction(b, one))
+
+
+@pytest.mark.parametrize("prec", [64, 320, 640])
+def test_pow_int_matches_fraction_loop(prec):
+    # on intervals dyadic at prec, as both callers pass, the squarings on
+    # integer endpoints give exactly the outward-rounded Fraction products
+    rnd = random.Random(prec)
+    for _ in range(25):
+        iv = _dyadic_interval(rnd, prec)
+        ks = [0, 1, 2, 3, rnd.randrange(4, 70)]
+        if iv.hi <= 1:
+            ks += [rnd.randrange(70, 10**6), rnd.randrange(10**6, 10**9), 10**9]
+        for k in ks:
+            assert iv.pow_int(k, prec) == pow_int_fraction(iv, k, prec), (iv, k)
 
 
 def test_euler_product_enclosure():

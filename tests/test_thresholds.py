@@ -15,17 +15,20 @@ from functools import partial
 
 import pytest
 
-from oracles import threshold_locate_reference
+from oracles import LocateSampler, count_entries_fraction, pow_int_fraction, threshold_locate_reference
 from repwalk import glasymptotics, glirreps
 from repwalk.errors import SamplerError
 from repwalk.partitions import partition_count
 from repwalk.glasymptotics import (
+    DEFAULT_PREC,
     GLPlancherelSampler,
     Interval,
     _component_entries,
     _count_entries,
+    _high_degree_entries,
     _REJECT,
     _ThresholdSet,
+    default_rejection_u,
 )
 from repwalk.rng import _GOLDEN, SplitMix64
 
@@ -161,10 +164,10 @@ def test_builder_that_raises_is_started_again():
     thresholds = _ThresholdSet(flaky)
     with pytest.raises(KeyboardInterrupt):
         thresholds.locate(SplitMix64(seed))
-    assert thresholds._lo64 and len(thresholds._lo64) == 4
+    assert len(thresholds._ends) == 2 * 4
     for s in (seed, *range(20)):
         _draw_both(builder, s, 30, thresholds)
-    assert len(thresholds._lo64) == len(entries) and len(calls) == 2
+    assert len(thresholds._ends) == 2 * len(entries) and len(calls) == 2
     # the builder of a list table raises before it yields anything
     failures = []
 
@@ -195,12 +198,76 @@ def test_component_entries_match_rounded_products():
     assert list(_component_entries(ud, qd, 6, prec)) == expected
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [3, 8, 13, 20])
+def test_count_entries_match_fraction_products(n, q, monkeypatch):
+    # the binomial tail and the powers on integer endpoints give every entry
+    # the Fraction form gives, at every degree; so do the high-degree
+    # entries, whose low-degree product raises each normalizer by pow_int
+    u = default_rejection_u(n)
+    for d in range(1, n + 1):
+        ud, qd = u**d, Fraction(q) ** d
+        n_labels = glirreps.cuspidal_count(d, q)
+        max_count = min(n_labels, n // d)
+        for prec in (DEFAULT_PREC, DEFAULT_PREC << 1):
+            assert _count_entries(ud, qd, n_labels, max_count, prec) == \
+                count_entries_fraction(ud, qd, n_labels, max_count, prec), (d, prec)
+    high = _high_degree_entries.__wrapped__(n, q, u, DEFAULT_PREC)
+    monkeypatch.setattr(Interval, "pow_int", pow_int_fraction)
+    assert high == _high_degree_entries.__wrapped__(n, q, u, DEFAULT_PREC)
+
+
+@pytest.mark.parametrize("n,q,u,count", [
+    (2, 2, None, 200), (5, 3, None, 100), (12, 2, None, 60), (20, 3, None, 30),
+    (2, 2, Fraction(1, 2), 200), (5, 3, Fraction(1, 2), 40),
+])
+def test_count_phase_reads_the_stream_locate_reads(n, q, u, count):
+    # the count phase decides each degree from the table in the loop; a
+    # sampler calling locate per degree must draw the same families from
+    # the same words, in as many attempts
+    for seed in (0, 1, 9):
+        fast, slow = GLPlancherelSampler(n, q, u, seed), LocateSampler(n, q, u, seed)
+        for _ in range(count):
+            assert fast.sample().descriptor() == slow.sample().descriptor()
+        assert fast.attempts == slow.attempts
+        assert fast.rng._state == slow.rng._state
+
+
+def test_count_phase_straddles_read_the_stream_locate_reads(monkeypatch):
+    # count enclosures widened by 2^-(prec - 312), 1/256 at DEFAULT_PREC, so
+    # that first words often land inside one and the loop hands them to
+    # _settle and the scan; the draws must still be locate's
+    count_entries = glasymptotics._count_entries
+
+    def widened(*args):
+        *head, prec = args
+        w = Fraction(1, 1 << (prec - 312))
+        return [(j, Interval(max(Fraction(0), iv.lo - w), iv.hi + w))
+                for j, iv in count_entries(*head, prec)]
+
+    scans = []
+    scan = _ThresholdSet._scan
+    monkeypatch.setattr(glasymptotics, "_count_entries", widened)
+    monkeypatch.setattr(_ThresholdSet, "_scan", lambda self, u: scans.append(1) or scan(self, u))
+    glasymptotics._count_thresholds.cache_clear()
+    try:
+        for n, q, seed in ((8, 2, 3), (6, 3, 4)):
+            fast, slow = GLPlancherelSampler(n, q, seed=seed), LocateSampler(n, q, seed=seed)
+            for _ in range(40):
+                assert fast.sample().descriptor() == slow.sample().descriptor()
+            assert fast.attempts == slow.attempts
+            assert fast.rng._state == slow.rng._state
+    finally:
+        glasymptotics._count_thresholds.cache_clear()
+    assert len(scans) > 100
+
+
 def test_component_table_grows_only_where_draws_land():
     sampler = GLPlancherelSampler(20, 3, seed=4)
     for _ in range(3):
         sampler.sample()
     first = sampler.plans[0].component_thresholds
-    assert 0 < len(first._lo64) < sum(partition_count(m) for m in range(1, 21))
+    assert 0 < len(first._ends) // 2 < sum(partition_count(m) for m in range(1, 21))
     # a second sampler with the same (n, q, u) reads the same tables
     again = GLPlancherelSampler(20, 3, seed=5)
     assert [p.component_thresholds for p in again.plans] == \
@@ -219,7 +286,7 @@ def test_component_table_ends_at_its_cap(n, q):
         read = plan.component_thresholds
         while read._grow():
             pass
-        sizes = [lam.size for lam in read._outcomes]
+        sizes = [lam.size for lam in read._slots[:-1:2]]
         assert sizes == [m for m in range(1, n // plan.d + 1) for _ in range(partition_count(m))]
 
 
