@@ -140,7 +140,7 @@ def mn_character(lam: Partition, cycle_type) -> int:
 @dataclass(frozen=True)
 class CharacterTable:
     """The characters of S_n, rows and columns both in enumerate_partitions
-    order, so young_lattice(n).index numbers the irreducibles and the classes."""
+    order, so partition_id numbers the irreducibles and the classes."""
 
     n: int
     partitions: tuple[Partition, ...]
@@ -168,9 +168,9 @@ class CharacterTable:
             for b in range(a, m):
                 if sum(map(mul, weighted, rows[b])) != (n_fact if a == b else 0):
                     raise ArithmeticError(f"row orthogonality fails at {a},{b}")
-        lat = young_lattice(self.n)
-        id_col = lat.index[(1,) * self.n]
-        for lam, row, d in zip(self.partitions, self.values, lat.dims):
+        dims = young_lattice(self.n).dims
+        id_col = len(dims) - 1  # (1^n), last in reverse-lex order
+        for lam, row, d in zip(self.partitions, self.values, dims):
             if row[id_col] != d:
                 raise ArithmeticError(f"identity column is not the dimension at {lam}")
 

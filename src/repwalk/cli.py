@@ -44,7 +44,7 @@ from .glirreps import (
     unipotent_tail_bound,
 )
 from .hsp import hsp_bounds, subgroup_closure
-from .partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
+from .partitions import Partition, dimension_sn, enumerate_partitions, partition_id, young_lattice
 from .rng import derive_seed
 from .series import DEFAULT_ORDER, _check_order, euler_lhs_rhs, q_pochhammer
 from .snwalk import (
@@ -248,16 +248,16 @@ def _cmd_sn_moments(args):
             # the value moment_fc returns, without computing red twice
             rows.append([s, method, float(red) * size ** (s / 2), red])
     if args.samples:
-        values, lat = table.values, young_lattice(args.n)
-        ci = lat.index[transposition]
-        draws = [lat.index[lam] for lam in _chunked(
+        values, dims = table.values, young_lattice(args.n).dims
+        ci = partition_id(transposition)
+        draws = [partition_id(lam) for lam in _chunked(
             lambda count, seed: walk_samples(args.n, args.r, count, seed),
             args.samples, args.seed, args.threads,
         )]
         for s in (1, 2):
             total = 0.0
             for i in draws:
-                total += (math.sqrt(size) * values[i][ci] / lat.dims[i]) ** s
+                total += (math.sqrt(size) * values[i][ci] / dims[i]) ** s
             rows.append([s, "empirical", total / len(draws), ""])
     _write_csv(args, "sn-moments", ["s", "method", "value", "reduced_exact"], rows)
     return 0

@@ -228,12 +228,17 @@ def default_rejection_u(n: int) -> Fraction:
 
 def _z_power_product(degrees: range, q: int, u: Fraction, prec: int) -> Interval:
     """prod_{d in degrees} Z(u^d, q^d)^(N_d), N_d = cuspidal_count(d, q),
-    rounded outward to prec bits after every factor."""
-    out = Interval.point(1)
+    rounded outward to prec bits after every factor.  The powers are dyadic
+    at prec, so the running product stays on integer endpoints at scale
+    2^prec, floor below and ceiling above: each step is the outward prec-bit
+    rounding of the Fraction product."""
+    lo = hi = one = 1 << prec
     for d in degrees:
         z_d = suq_normalizer(u**d, Fraction(q) ** d, prec=prec)
-        out = (out * z_d.pow_int(cuspidal_count(d, q), prec)).rounded(prec)
-    return out
+        p = z_d.pow_int(cuspidal_count(d, q), prec)
+        lo = lo * floor_scaled(p.lo, prec) >> prec
+        hi = -(-hi * ceil_scaled(p.hi, prec) >> prec)
+    return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
 def high_degree_empty_direct(n: int, q: int, u) -> Interval:
@@ -472,11 +477,16 @@ class GLPlancherelSampler:
         if count == pool:
             return list(range(count))
         if pool <= 2048:
-            arr = list(range(pool))
+            # a partial Fisher-Yates shuffle of range(pool) that stores only
+            # the positions it moved: position j holds moved.get(j, j), and
+            # position i is not read again once drawn
+            moved: dict[int, int] = {}
+            out = []
             for i in range(count):
                 j = i + self.rng.randrange(pool - i)
-                arr[i], arr[j] = arr[j], arr[i]
-            return sorted(arr[:count])
+                out.append(moved.get(j, j))
+                moved[j] = moved.get(i, i)
+            return sorted(out)
         chosen: set[int] = set()
         while len(chosen) < count:
             chosen.add(self.rng.randrange(pool))

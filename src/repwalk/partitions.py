@@ -5,15 +5,17 @@ irreducible representations of S_n, conjugacy classes of S_n, and the
 components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
 The Young lattice of size n numbers the partitions of n and records which
-partitions of n-1 lie below each of them, as flat integer arrays.
+partitions of n-1 lie below each of them, as flat integer arrays; it is
+built from counts and numpy, with no partition tuple formed, and
+partition_id gives a partition's number in it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -144,32 +146,31 @@ class YoungLattice(NamedTuple):
     """Partitions of n as integer ids, their dimensions and containment edges.
 
     Ids follow enumerate_partitions(n), as characters.enumerate_classes does,
-    so they number the conjugacy classes of S_n too.  The edges are the nonzero
-    entries of D, the p(n) x p(n-1) containment matrix (D[lam, mu] = 1 when
-    mu is lam less one corner box), kept as int64 CSR arrays in both directions:
-    below[down_off[i]:down_off[i+1]] lists the ids of the partitions of n-1
-    under lam = parts[i], bottom corner first, and
-    above[up_off[m]:up_off[m+1]] the ids of the lam over the m-th partition
-    of n-1, in id order (top row first).  The down-up chain's common-corner
-    matrix is A = D D^T, so a step is two segment sums through the
-    partitions of n-1.  These are numbered in the order of their keys (see
-    below) and named by these arrays alone.  Every field is read-only, as
-    the cache hands the same lattice to every caller.
+    so they number the conjugacy classes of S_n too; partition_id(lam) is
+    the id of lam, and the lattice holds no partitions of its own.  The
+    edges are the nonzero entries of D, the p(n) x p(n-1) containment
+    matrix (D[lam, mu] = 1 when mu is lam less one corner box), kept as
+    int64 CSR arrays in both directions: below[down_off[i]:down_off[i+1]]
+    lists the ids of the partitions of n-1 under the partition with id i,
+    bottom corner first, and above[up_off[m]:up_off[m+1]] the ids of the lam
+    over the m-th partition of n-1, in id order (top row first).  The
+    down-up chain's common-corner matrix is A = D D^T, so a step is two
+    segment sums through the partitions of n-1.  These are numbered in the
+    order of their keys (see below) and named by these arrays alone.  Every
+    field is read-only, as the cache hands the same lattice to every caller.
 
     young_lattice builds it with numpy from the partitions as a zero-padded
-    int8 matrix.  Each edge lam -> mu = lam - e_a, for a removable row a,
-    gets the linear key of mu, sum_i mu_i KEY_BASE^(i+1) mod 2^64: the key
-    of lam less one weight.  Sorting the edges by key lists the lam above
-    each mu, and a build that finds fewer distinct keys than partitions of
-    n-1 raises ArithmeticError.  Dimensions are n! // the product of the
-    hook lengths, which come from the conjugate counts of the cells,
-    multiplied in int64 runs short enough not to overflow, LATTICE_BLOCK
-    rows at a time.
+    int8 matrix, generated by _partition_matrix.  Each edge
+    lam -> mu = lam - e_a, for a removable row a, gets the linear key of mu,
+    sum_i mu_i KEY_BASE^(i+1) mod 2^64: the key of lam less one weight.
+    Sorting the edges by key lists the lam above each mu, and a build that
+    finds fewer distinct keys than partitions of n-1 raises ArithmeticError.
+    Dimensions are n! // the product of the hook lengths, which come from
+    the conjugate counts of the cells, multiplied in int64 runs short enough
+    not to overflow, LATTICE_BLOCK rows at a time.
     """
 
     n: int
-    parts: tuple[Partition, ...]
-    index: Mapping[tuple, int]
     dims: tuple[int, ...]
     below: memoryview
     down_off: memoryview
@@ -186,24 +187,106 @@ KEY_BASE = 0x9E3779B97F4A7C15
 _MAX_PART = 127
 
 
+def _check_lattice_size(n: int) -> None:
+    if n > _MAX_PART:
+        raise CapacityError("Young lattice size", n, _MAX_PART)
+
+
+@lru_cache(maxsize=_MAX_PART + 1)
+def _bounded_counts(j: int) -> tuple[int, ...]:
+    """N(j, k) for k = 0..j, the number of partitions of j with no part
+    above k: N(j, 0) is 1 for j = 0 and 0 otherwise, and
+    N(j, k) = N(j, k-1) + N(j-k, min(k, j-k)), those with a part k counted
+    by removing one."""
+    row = [int(j == 0)]
+    for k in range(1, j + 1):
+        row.append(row[-1] + _bounded_counts(j - k)[min(k, j - k)])
+    return tuple(row)
+
+
+def partition_id(lam) -> int:
+    """The id of the partition lam in young_lattice(|lam|), its place in
+    enumerate_partitions order, ranked by counting (Nijenhuis and Wilf,
+    Combinatorial Algorithms, 1978): p(n) - 1 less the partitions after
+    lam, which agree with it on some first parts and have a smaller next
+    part, N(m, lam_i - 1) of them for the m boxes from part i on."""
+    n = sum(lam)
+    _check_lattice_size(n)
+    after, m = 0, n
+    for p in lam:
+        after += _bounded_counts(m)[p - 1]
+        m -= p
+    return _bounded_counts(n)[n] - 1 - after
+
+
+def _stacked_levels(tops: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Partitions of 0, 1, ..., len(tops) - 1 in reverse-lexicographic order,
+    level j those of j with no part above tops[j], stacked as the rows of one
+    zero-padded int8 matrix with a zero column past the longest; level j
+    ends at row ends[j].
+
+    Level 0 is the one zero row, the empty partition.  Level j lists, for
+    first parts f from tops[j] down to 1, f over the last N(j-f, f) rows of
+    level j-f, the partitions of j-f with no part above f, shifted one
+    column right; so tops[j - f] must be at least min(f, j - f)."""
+    sizes = [_bounded_counts(j)[top] for j, top in enumerate(tops)]
+    ends = list(accumulate(sizes))
+    firsts, heights, copies = [0], [1], []
+    for j in range(1, len(tops)):
+        row = ends[j - 1]
+        for f in range(tops[j], 0, -1):
+            k = _bounded_counts(j - f)[min(f, j - f)]
+            firsts.append(f)
+            heights.append(k)
+            if f < j:  # over the empty partition the row stays zero
+                copies.append((row, ends[j - f] - k, k))
+            row += k
+    mat = np.zeros((ends[-1], len(tops)), np.int8)
+    mat[:, 0] = np.repeat(np.array(firsts, np.int8), heights)
+    for dst, src, k in copies:
+        mat[dst:dst + k, 1:] = mat[src:src + k, :-1]
+    return mat, ends
+
+
+# sizes whose partitions are sliced from one cached stack of every level up
+# to it (2714 rows of 21 int8 columns, 57 kB): below it a build costs more
+# in numpy calls than in rows, and these are the sizes exact walks use
+SMALL_SIZE = 20
+
+
+@lru_cache(maxsize=1)
+def _small_levels() -> tuple[np.ndarray, tuple[int, ...]]:
+    mat, ends = _stacked_levels(list(range(SMALL_SIZE + 1)))
+    mat.flags.writeable = False  # shared by every later call
+    return mat, tuple(ends)
+
+
+def _partition_matrix(n: int) -> np.ndarray:
+    """The partitions of n in reverse-lexicographic order as the rows of a
+    zero-padded int8 matrix with one zero column past the longest, (1^n).
+
+    Up to SMALL_SIZE they are level n of the cached complete levels.  Past
+    it, level n takes every first part and a level j < n is read only for
+    first parts up to n - j, so it keeps those up to min(j, n - j)."""
+    if n <= SMALL_SIZE:
+        mat, ends = _small_levels()
+        return mat[ends[n] - _bounded_counts(n)[n]:ends[n], :n + 1].copy()
+    mat, ends = _stacked_levels([min(j, n - j) for j in range(n)] + [n])
+    # a copy, so the lower levels are freed before the lattice is built on it
+    return mat[ends[n - 1]:].copy()
+
+
 # four entries, as _float_engine keeps: a cached float engine steps its own
-# jagged tables but holds its lattice for the index and n, so a lattice kept
-# here for one of them costs no memory of its own
+# jagged tables but holds its lattice for n and the dimensions, so a
+# lattice kept here for one of them costs no memory of its own
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
     """The cached Young lattice of size n, built in numpy row blocks."""
-    if n > _MAX_PART:
-        raise CapacityError("Young lattice size", n, _MAX_PART)
-    parts = enumerate_partitions(n)
-    width = n + 1  # a zero column past the longest partition, (1^n)
-    mat = np.frombuffer(b"".join([bytes(lam).ljust(width, b"\0") for lam in parts]),
-                        np.int8).reshape(len(parts), width)
+    _check_lattice_size(n)
+    mat = _partition_matrix(n)
     edges = _containment(mat)
     dims = _dimensions(mat)
-    # the index last, so no build's temporaries are held beside it
-    index = dict(zip(parts, range(len(parts))))
-    return YoungLattice(n, parts, MappingProxyType(index), dims,
-                        *(memoryview(a).toreadonly() for a in edges))
+    return YoungLattice(n, dims, *(memoryview(a).toreadonly() for a in edges))
 
 
 def _containment(mat: np.ndarray):
@@ -216,7 +299,8 @@ def _containment(mat: np.ndarray):
     down_off = np.concatenate([[0], np.cumsum(removable.sum(axis=1))])
     lam, col = np.nonzero(removable[:, ::-1])  # id order, bottom corner first
     del removable
-    weights = np.array([pow(KEY_BASE, i + 1, 1 << 64) for i in range(n + 1)], np.uint64)
+    # KEY_BASE^(i+1) mod 2^64, as uint64 products wrap
+    weights = np.cumprod(np.full(n + 1, KEY_BASE, np.uint64))
     keys = np.concatenate([mat[i:i + LATTICE_BLOCK].astype(np.uint64) @ weights
                            for i in range(0, len(mat), LATTICE_BLOCK)])
     key = keys[lam] - weights[n - 1 - col]
@@ -229,7 +313,7 @@ def _containment(mat: np.ndarray):
     del key
     # every partition of n-1 lies below some lam, so fewer keys than
     # partitions of n-1 means two of them share a key
-    if np.count_nonzero(new_mu) != partition_count(n - 1):
+    if np.count_nonzero(new_mu) != (_bounded_counts(n - 1)[-1] if n else 0):
         raise ArithmeticError(f"two partitions of {n - 1} share a lattice key")
     below = np.empty(len(new_mu), np.int64)
     below[by_mu] = np.cumsum(new_mu) - 1

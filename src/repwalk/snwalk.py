@@ -41,7 +41,15 @@ from .characters import (
     fixed_point_profile,
 )
 from .errors import CapacityError
-from .partitions import EMPTY, Partition, dimension_sn, enumerate_partitions, young_lattice
+from .partitions import (
+    EMPTY,
+    Partition,
+    dimension_sn,
+    enumerate_partitions,
+    partition_count,
+    partition_id,
+    young_lattice,
+)
 from .rng import SplitMix64
 
 EXACT_KERNEL_LIMIT = 18
@@ -63,7 +71,7 @@ FLOAT_ENTRY_RELERR = 1e-14
 
 def _float_error_bound(n: int, r: int) -> float:
     """The accumulated float error bound after r steps on the partitions of n."""
-    return r * len(enumerate_partitions(n)) * FLOAT_ENTRY_RELERR
+    return r * partition_count(n) * FLOAT_ENTRY_RELERR
 
 
 @dataclass
@@ -103,9 +111,9 @@ class SparseKernel:
 def plancherel_sn(n: int) -> WalkDistribution:
     """Exact Plancherel measure: mass d_lam^2 / n! on each partition of n."""
     n_fact = math.factorial(n)
-    lat = young_lattice(n)
     return WalkDistribution(n, "exact", {
-        lam: Fraction(d * d, n_fact) for lam, d in zip(lat.parts, lat.dims)})
+        lam: Fraction(d * d, n_fact)
+        for lam, d in zip(enumerate_partitions(n), young_lattice(n).dims)})
 
 
 def kernel_downup(n: int) -> SparseKernel:
@@ -115,8 +123,8 @@ def kernel_downup(n: int) -> SparseKernel:
     A row lists rho in the order the paths lam -> mu -> rho first reach it.
     """
     _check_walk(n, "exact")
-    lat = young_lattice(n)
-    parts, dims, below, above = lat.parts, lat.dims, lat.below, lat.above
+    lat, parts = young_lattice(n), enumerate_partitions(n)
+    dims, below, above = lat.dims, lat.below, lat.above
     down_off, up_off = lat.down_off, lat.up_off
     rows = {}
     for i, lam in enumerate(parts):
@@ -167,8 +175,8 @@ def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
 
 
 def _partition_of(n: int, lam) -> Partition:
-    """lam as a partition of n, to look up in young_lattice(n).index; a
-    ValueError names any other size."""
+    """lam as a partition of n, whose partition_id numbers it in
+    young_lattice(n); a ValueError names any other size."""
     lam = Partition(lam)
     if lam.size != n:
         raise ValueError(f"partition {lam} has size {lam.size}, expected {n}")
@@ -182,12 +190,12 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
         start = _partition_of(n, start)
     eng = _engine(n, mode)  # its refusals before Partition((n,)) names n < 1
     law = next(islice(eng.laws(start or Partition((n,))), r, None))
-    lat = eng.lat
+    parts = enumerate_partitions(n)
     if mode == "float":
-        masses = dict(zip(lat.parts, law.tolist()))
+        masses = dict(zip(parts, law.tolist()))
         return WalkDistribution(n, mode, masses, _float_error_bound(n, r))
     a, den = law
-    masses = {p: Fraction(d * x, den) for p, d, x in zip(lat.parts, lat.dims, a) if x}
+    masses = {p: Fraction(d * x, den) for p, d, x in zip(parts, eng.lat.dims, a) if x}
     return WalkDistribution(n, mode, masses)
 
 
@@ -199,7 +207,7 @@ def walk_distribution_spectral(n: int, r: int, start=None) -> WalkDistribution:
     """
     _check_steps(r)
     table, lat = character_table(n), young_lattice(n)
-    s = lat.index[_partition_of(n, (n,) if start is None else start)]
+    s = partition_id(_partition_of(n, (n,) if start is None else start))
     w = [c.fixed_points**r * c.class_size * x for c, x in zip(table.classes, table.values[s])]
     den = n**r * lat.dims[s]
     return WalkDistribution(n, "exact", {
@@ -212,8 +220,8 @@ def tv_to_plancherel(dist: WalkDistribution):
     A float distribution is read in lattice-id order into the cached float
     engine's tv, the sum sn_tv_curve prints, so both give the same double."""
     if dist.mode == "float":
-        eng = _float_engine(dist.n)
-        return eng.tv(np.array([dist.masses.get(lam, 0.0) for lam in eng.lat.parts]))
+        law = [dist.masses.get(lam, 0.0) for lam in enumerate_partitions(dist.n)]
+        return _float_engine(dist.n).tv(np.array(law))
     pi = plancherel_sn(dist.n).masses
     return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi.items()) / 2
 
@@ -263,7 +271,7 @@ def _class_walk_counts(n: int, cycles, s: int):
     if s < 0:
         raise ValueError("s must be non-negative")
     table, lat = character_table(n), young_lattice(n)
-    weights, scale = _scaled_powers(table, lat, lat.index[_partition_of(n, cycles)], s)
+    weights, scale = _scaled_powers(table, lat, partition_id(_partition_of(n, cycles)), s)
     counts = [t.class_size * sum(map(mul, weights, col))
               for t, col in zip(table.classes, zip(*table.values))]
     if min(counts) < 0:
@@ -322,7 +330,7 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
         # sum_rho a_rho chi_rho(C)^s d_rho^(1-s) / den
         table = character_table(n)
         eng = _engine(n, "exact")
-        weights, scale = _scaled_powers(table, eng.lat, eng.lat.index[_partition_of(n, cycles)], s)
+        weights, scale = _scaled_powers(table, eng.lat, partition_id(_partition_of(n, cycles)), s)
         a, den = next(islice(eng.laws(Partition((n,))), r, None))
         return Fraction(sum(map(mul, weights, a)), scale * den)
     if method == "closed":
@@ -390,8 +398,8 @@ class _ExactEngine:
     def laws(self, start: Partition):
         """The laws (a, den) after 0, 1, 2, ... steps from start."""
         lat = self.lat
-        s = lat.index[start]
-        a = np.zeros(len(lat.parts), dtype=object)
+        s = partition_id(start)
+        a = np.zeros(len(lat.dims), dtype=object)
         a[s] = 1
         den = lat.dims[s]
         while True:
@@ -455,7 +463,7 @@ class _FloatEngine:
 
     def laws(self, start: Partition):
         """The laws after 0, 1, 2, ... steps from start."""
-        s = self.lat.index[start]
+        s = partition_id(start)
         scale = self.dims / self.dims[s]
         w = np.zeros(len(scale))
         w[s] = 1.0

@@ -21,9 +21,9 @@ from functools import lru_cache
 from itertools import permutations
 
 from repwalk.glasymptotics import _REJECT, GLPlancherelSampler, suq_normalizer
-from repwalk.glirreps import CuspidalLabel, GLIrrep
+from repwalk.glirreps import CuspidalLabel, GLIrrep, cuspidal_count
 from repwalk.intervals import Interval
-from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
+from repwalk.partitions import Partition, dimension_sn, enumerate_partitions, partition_id
 from repwalk.rng import _GOLDEN, mix64
 
 
@@ -487,8 +487,9 @@ def _gen_partitions(n: int, max_part: int):
 
 
 def young_lattice_reference(n: int):
-    """The fields of partitions.YoungLattice for n, each as the tuple-dict
-    build produced it: (n, parts, index, dims, off, dst, cnt)."""
+    """The lattice of n as the tuple-dict build produced it:
+    (n, parts, index, dims, off, dst, cnt), the partitions in reverse-lex
+    order, their ids, dimensions and common-corner rows."""
     from array import array
 
     from repwalk.partitions import _hook_lengths
@@ -604,6 +605,28 @@ def count_entries_fraction(ud, qd, n_labels: int, max_count: int, prec: int) -> 
         cum = (cum + pmf).rounded(prec)
         out.append((j, cum))
     return out
+
+
+def z_power_product_fraction(degrees, q: int, u, prec: int) -> Interval:
+    """prod_{d in degrees} Z(u^d, q^d)^(N_d) as a running Fraction interval
+    product, rounded outward to prec bits after every factor."""
+    out = Interval.point(1)
+    for d in degrees:
+        z_d = suq_normalizer(u**d, Fraction(q) ** d, prec=prec)
+        out = (out * z_d.pow_int(cuspidal_count(d, q), prec)).rounded(prec)
+    return out
+
+
+def draw_indices_list(rng, count: int, pool: int) -> list[int]:
+    """A uniform sorted count-subset of range(pool), pool <= 2048, by a
+    partial Fisher-Yates shuffle of the whole list range(pool)."""
+    if count == pool:
+        return list(range(count))
+    arr = list(range(pool))
+    for i in range(count):
+        j = i + rng.randrange(pool - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return sorted(arr[:count])
 
 
 class LocateSampler(GLPlancherelSampler):
@@ -725,7 +748,7 @@ def _float_walk(lat, start: Partition, step):
     import numpy as np
 
     dims = np.array(lat.dims, dtype=float)
-    s = lat.index[start]
+    s = partition_id(start)
     scale = dims / dims[s]
     w = np.zeros(len(dims))
     w[s] = 1.0
@@ -772,7 +795,7 @@ def padded_float_step(n: int):
             row[has] = targets[off[has] + j]
         return out
 
-    up = table(lat.above, lat.up_off, len(lat.parts))
+    up = table(lat.above, lat.up_off, len(lat.dims))
     down = table(lat.below, lat.down_off, up.shape[1])
 
     def step(w):
@@ -800,7 +823,7 @@ def common_corner_matrix(n: int):
     from repwalk.snwalk import _apply_counts
 
     lat = young_lattice(n)
-    return _apply_counts(lat, np.eye(len(lat.parts), dtype=np.int64)).astype(object)
+    return _apply_counts(lat, np.eye(len(lat.dims), dtype=np.int64)).astype(object)
 
 
 def _character_matrix(n: int):

@@ -61,11 +61,11 @@ def test_criterion_01_kernel_equivalence():
             lhs, rhs = pieri_sides(n)
             assert (lhs == rhs).all(), n
         for n in range(2, 9):
-            lat, a = young_lattice(n), common_corner_matrix(n)
+            dims, a, parts = young_lattice(n).dims, common_corner_matrix(n), enumerate_partitions(n)
             assert kernel_downup(n).rows == {
-                lam: {rho: Fraction(a[i, j] * d, n * lat.dims[i])
-                      for j, (rho, d) in enumerate(zip(lat.parts, lat.dims)) if a[i, j]}
-                for i, lam in enumerate(lat.parts)}
+                lam: {rho: Fraction(a[i, j] * d, n * dims[i])
+                      for j, (rho, d) in enumerate(zip(parts, dims)) if a[i, j]}
+                for i, lam in enumerate(parts)}
 
     _report(1, "Pieri: n! A = X diag(|C| fp) X^T, n=2..12, and the down-up kernel "
                "is diag(1/(n d)) A diag(d), n=2..8, exact", check)

@@ -12,7 +12,7 @@ from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
 from repwalk.glirreps import fixed_space_counts
-from repwalk.partitions import Partition
+from repwalk.partitions import Partition, enumerate_partitions
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
     FLOAT_LIMIT,
@@ -1056,6 +1056,17 @@ def test_sn_cutoff_reads_the_engine_alone(capsys, monkeypatch, n, c):
         monkeypatch.setattr(name, _must_not_run)
     assert _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c]) == want
     assert want[0] == 0
+
+
+def test_float_commands_form_no_partition_tuples(capsys):
+    # the float walk reads lattice ids alone: its lattice comes from the
+    # counted partition matrix, its start id from partition_id and its
+    # error bound from partition_count, so no size is enumerated
+    enumerate_partitions.cache_clear()
+    for argv in (["sn-cutoff", "--n", "30", "--c", "0.5"],
+                 ["sn-tv-curve", "--n", "24", "--rmax", "40", "--float"]):
+        assert _main_stdout(capsys, argv)[0] == 0
+    assert enumerate_partitions.cache_info().currsize == 0
 
 
 def test_cutoff_tv_is_the_float_curve_row(capsys):

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -9,7 +10,7 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare
 
 from repwalk.errors import CapacityError
-from oracles import suq_normalizer_pow_int, suq_weight_per_hook
+from oracles import draw_indices_list, suq_normalizer_pow_int, suq_weight_per_hook
 from repwalk.glasymptotics import (
     DEFAULT_PREC,
     GLPlancherelSampler,
@@ -227,6 +228,25 @@ def test_draw_indices_full_pool_reads_no_word():
         sampler = GLPlancherelSampler(2, 2, seed=23)
         assert sampler._draw_indices(pool, pool) == list(range(pool))
         assert sampler.rng.next_u64() == SplitMix64(23).next_u64()
+
+
+def test_draw_indices_small_pool_matches_full_list_shuffle():
+    # the shuffle that stores only moved positions makes the full-list
+    # shuffle's randrange calls and returns its subset, at every pool up to
+    # 2048: count 1 and a drawn count up to 64, and one drawn up to the pool
+    # at pools up to 128 and at every 128th, each seed's two streams read in
+    # step
+    sampler = GLPlancherelSampler(2, 2, seed=0)
+    for seed in (0, 1, 2):
+        pick = random.Random(seed)
+        sampler.rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for pool in range(1, 2049):
+            counts = [1, pick.randint(1, min(pool, 64))]
+            if pool <= 128 or pool % 128 == 0:
+                counts.append(pick.randint(1, pool))
+            for count in counts:
+                assert sampler._draw_indices(count, pool) == draw_indices_list(ref, count, pool)
+                assert sampler.rng._state == ref._state, (seed, pool, count)
 
 
 def test_sampler_n1_unique_family():

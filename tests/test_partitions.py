@@ -11,10 +11,13 @@ from repwalk.partitions import (
     dimension_sn,
     enumerate_partitions,
     partition_count,
+    partition_id,
     young_lattice,
+    _partition_matrix,
 )
 
 import repwalk.partitions as partitions_module
+from repwalk.errors import CapacityError
 from repwalk.snwalk import FLOAT_LIMIT
 
 from oracles import count_standard_tableaux, log_dimension_sn, young_lattice_reference
@@ -171,15 +174,14 @@ def test_young_lattice_matches_partition_corners():
     assert lat.dims == (1,) and list(lat.down_off) == [0, 0] and list(lat.up_off) == [0]
     assert len(lat.below) == len(lat.above) == 0
     for n in range(1, 19):
-        lat = young_lattice(n)
-        assert lat.parts == enumerate_partitions(n)
-        assert all(lat.index[lam] == i for i, lam in enumerate(lat.parts))
-        assert lat.dims == tuple(dimension_sn(lam) for lam in lat.parts)
-        assert len(lat.down_off) == len(lat.parts) + 1 and lat.down_off[-1] == len(lat.below)
+        lat, parts = young_lattice(n), enumerate_partitions(n)
+        assert [partition_id(lam) for lam in parts] == list(range(len(parts)))
+        assert lat.dims == tuple(dimension_sn(lam) for lam in parts)
+        assert len(lat.down_off) == len(parts) + 1 and lat.down_off[-1] == len(lat.below)
         assert len(lat.up_off) == partition_count(n - 1) + 1
         assert lat.up_off[-1] == len(lat.above) == len(lat.below)
         name = {}
-        for i, lam in enumerate(lat.parts):
+        for i, lam in enumerate(parts):
             ids = lat.below[lat.down_off[i]:lat.down_off[i + 1]]
             corners = lam.removable_corners()
             assert len(ids) == len(corners)
@@ -190,7 +192,7 @@ def test_young_lattice_matches_partition_corners():
         assert set(name.values()) == set(enumerate_partitions(n - 1))
         for m, mu in name.items():
             above = lat.above[lat.up_off[m]:lat.up_off[m + 1]]
-            assert [lat.parts[j] for j in above] == mu.addable_corners()
+            assert [parts[j] for j in above] == mu.addable_corners()
 
 
 def test_corners_against_containment():
@@ -211,7 +213,7 @@ def common_corner_rows(lat):
     """A = D D^T as CSR rows off, dst, cnt expanded from the edges of lat,
     each row in down-up first-seen order."""
     off, dst, cnt = [0], [], []
-    for i in range(len(lat.parts)):
+    for i in range(len(lat.dims)):
         counts = {}
         for m in lat.below[lat.down_off[i]:lat.down_off[i + 1]]:
             for j in lat.above[lat.up_off[m]:lat.up_off[m + 1]]:
@@ -228,7 +230,8 @@ def test_young_lattice_matches_reference_build(n):
     # common-corner rows, entry for entry, expanded from the edges
     lat = young_lattice(n)
     n_ref, parts, index, dims, off, dst, cnt = young_lattice_reference(n)
-    assert (lat.n, lat.parts, lat.index, lat.dims) == (n_ref, parts, index, dims)
+    assert (lat.n, enumerate_partitions(n), lat.dims) == (n_ref, parts, dims)
+    assert all(partition_id(lam) == i for lam, i in index.items())
     assert common_corner_rows(lat) == (list(off), list(dst), list(cnt))
     assert all(type(d) is int for d in lat.dims)
 
@@ -238,13 +241,15 @@ def test_young_lattice_builds_every_float_size():
     # A d = n d, since the down-up kernel's rows sum to 1
     for n in range(FLOAT_LIMIT + 1):
         lat = young_lattice(n)
-        assert len(lat.parts) == partition_count(n)
+        assert len(lat.dims) == partition_count(n)
         assert sum(d * d for d in lat.dims) == math.factorial(n)
-        assert len(lat.down_off) == len(lat.parts) + 1 and lat.down_off[-1] == len(lat.below)
+        assert len(lat.down_off) == len(lat.dims) + 1 and lat.down_off[-1] == len(lat.below)
         assert lat.up_off[-1] == len(lat.above)
         if n:
             assert len(lat.up_off) == partition_count(n - 1) + 1
-            below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64) for a in lat[4:])
+            below, down_off, above, up_off = (
+                np.frombuffer(a, dtype=np.int64)
+                for a in (lat.below, lat.down_off, lat.above, lat.up_off))
             up = np.add.reduceat(np.array(lat.dims, dtype=object)[above], up_off[:-1])
             assert np.add.reduceat(up[below], down_off[:-1]).tolist() == [n * d for d in lat.dims]
 
@@ -261,9 +266,10 @@ def test_young_lattice_key_collision_raises(monkeypatch):
 
 
 def test_young_lattice_memory_is_bounded():
-    # a cold build at n = 36, enumeration included, peaks at 8.2 MB: the
-    # partitions, the edge arrays and the dimensions, with the temporaries
-    # of one row block
+    # a cold build at n = 36 keeps 2.3 MB (the edge arrays and the
+    # dimensions) and peaks at 5.47 MB: with them the partition matrix and
+    # the temporaries of one row block.  No partition tuple is formed, so
+    # the enumeration cache stays empty; the bound leaves about 0.5 MB
     young_lattice.cache_clear()
     enumerate_partitions.cache_clear()
     tracemalloc.start()
@@ -272,4 +278,22 @@ def test_young_lattice_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9.5 * 10**6
+    assert peak <= 6.0 * 10**6
+    assert enumerate_partitions.cache_info().currsize == 0
+
+
+def test_partition_matrix_rows_are_the_enumeration():
+    # the counted generator and ZS1 list the partitions of n in one order,
+    # the order lattice ids and character-table rows share
+    for n in range(41):
+        rows = _partition_matrix(n)
+        assert rows.dtype == np.int8 and rows.shape == (partition_count(n), n + 1)
+        assert rows.tolist() == [[*lam] + [0] * (n + 1 - len(lam)) for lam in enumerate_partitions(n)]
+
+
+def test_partition_id_is_the_enumeration_position():
+    for n in range(21):
+        assert [partition_id(lam) for lam in enumerate_partitions(n)] == list(range(partition_count(n)))
+    assert partition_id(Partition((1,) * 40)) == partition_count(40) - 1
+    with pytest.raises(CapacityError):
+        partition_id(Partition((128,)))

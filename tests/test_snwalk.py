@@ -9,7 +9,13 @@ import pytest
 
 from repwalk.characters import character_table, enumerate_classes, fixed_point_profile
 from repwalk.errors import CapacityError
-from repwalk.partitions import Partition, dimension_sn, enumerate_partitions, young_lattice
+from repwalk.partitions import (
+    Partition,
+    dimension_sn,
+    enumerate_partitions,
+    partition_id,
+    young_lattice,
+)
 from repwalk.snwalk import (
     _apply_counts,
     _ExactEngine,
@@ -123,10 +129,10 @@ def test_tensor_multiplicity_is_its_kernel_row_entry():
     # every pair at n <= 8: n d_lam K(lam, rho) / d_rho is the character
     # inner product (1/n!) sum_C |C| fp(C) chi^lam(C) chi^rho(C)
     for n in range(2, 9):
-        table, lat = character_table(n), young_lattice(n)
+        table, lat, parts = character_table(n), young_lattice(n), enumerate_partitions(n)
         rows = kernel_downup(n).rows
-        for li, lam in enumerate(lat.parts):
-            for ri, rho in enumerate(lat.parts):
+        for li, lam in enumerate(parts):
+            for ri, rho in enumerate(parts):
                 inner = sum(c.class_size * c.fixed_points * x * y for c, x, y
                             in zip(table.classes, table.values[li], table.values[ri]))
                 k = rows[lam].get(rho, 0)
@@ -449,11 +455,11 @@ def test_float_masses_within_error_bound_of_exact_law():
         lat = eng.lat
         for start in starts:
             for r, (a, den) in zip(range(rmax + 1), eng.laws(start)):
-                assert den == n**r * lat.dims[lat.index[start]]
+                assert den == n**r * lat.dims[partition_id(start)]
                 dist = walk_distribution(n, r, start, mode="float")
                 assert dist.error_bound == _float_error_bound(n, r)
                 bound = Fraction(dist.error_bound)
-                assert list(dist.masses) == list(lat.parts)
+                assert list(dist.masses) == list(enumerate_partitions(n))
                 for (lam, m), d, x in zip(dist.masses.items(), lat.dims, a):
                     assert abs(Fraction(m) - Fraction(d * x, den)) <= bound, (n, start, r, lam)
 
@@ -478,7 +484,7 @@ def test_float_step_matches_segment_sums():
         eng = _FloatEngine(n)
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
-                w = _mixed_vector(rng, len(eng.lat.parts), low, high)
+                w = _mixed_vector(rng, len(eng.lat.dims), low, high)
                 got, ref = eng.step(w), _apply_counts(eng.lat, w) / n
                 if n <= 36:
                     assert np.array_equal(got, ref), n
@@ -496,7 +502,7 @@ def test_float_step_matches_padded_tables():
         eng, padded = _FloatEngine(n), padded_float_step(n)
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
-                w = _mixed_vector(rng, len(eng.lat.parts), low, high)
+                w = _mixed_vector(rng, len(eng.lat.dims), low, high)
                 assert np.array_equal(eng.step(w), padded(w)), n
 
 
@@ -505,7 +511,7 @@ def test_float_laws_match_padded_tables():
     # the cutoff, equal the padded walk's to the bit
     for n in range(2, 41):
         eng = _FloatEngine(n)
-        parts = eng.lat.parts
+        parts = enumerate_partitions(n)
         for start in (parts[0], parts[len(parts) // 2], parts[-1]):
             walks = zip(range(2 * cutoff_steps(n) + 1), eng.laws(start),
                         padded_reference_walk(n, start))
@@ -522,7 +528,7 @@ def test_float_tables_store_each_edge_once():
             lengths = [len(row) for row in rows]
             assert sum(lengths) == len(edges), n
             assert all(a >= b for a, b in zip(lengths, lengths[1:])), n
-        assert sorted(eng.ids.tolist()) == list(range(len(eng.lat.parts)))
+        assert sorted(eng.ids.tolist()) == list(range(len(eng.lat.dims)))
 
 
 def test_float_laws_match_reference_walk():

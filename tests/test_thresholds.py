@@ -15,12 +15,19 @@ from functools import partial
 
 import pytest
 
-from oracles import LocateSampler, count_entries_fraction, pow_int_fraction, threshold_locate_reference
+from oracles import (
+    LocateSampler,
+    count_entries_fraction,
+    pow_int_fraction,
+    threshold_locate_reference,
+    z_power_product_fraction,
+)
 from repwalk import glasymptotics, glirreps
 from repwalk.errors import SamplerError
 from repwalk.partitions import partition_count
 from repwalk.glasymptotics import (
     DEFAULT_PREC,
+    EXPLICIT_DEGREES,
     GLPlancherelSampler,
     Interval,
     _component_entries,
@@ -28,6 +35,7 @@ from repwalk.glasymptotics import (
     _high_degree_entries,
     _REJECT,
     _ThresholdSet,
+    _z_power_product,
     default_rejection_u,
 )
 from repwalk.rng import _GOLDEN, SplitMix64
@@ -215,6 +223,17 @@ def test_count_entries_match_fraction_products(n, q, monkeypatch):
     high = _high_degree_entries.__wrapped__(n, q, u, DEFAULT_PREC)
     monkeypatch.setattr(Interval, "pow_int", pow_int_fraction)
     assert high == _high_degree_entries.__wrapped__(n, q, u, DEFAULT_PREC)
+
+
+@pytest.mark.parametrize("n,q", [(20, 3), (12, 2), (5, 2)])
+def test_z_power_product_matches_fraction_loop(n, q):
+    # the running product on integer endpoints rounds each factor as the
+    # Fraction product rounded outward does, over the degrees the
+    # high-degree entries divide out and those the direct bound multiplies
+    u = default_rejection_u(n)
+    for degrees in (range(1, n + 1), range(n + 1, n + 1 + EXPLICIT_DEGREES)):
+        assert _z_power_product(degrees, q, u, DEFAULT_PREC) == \
+            z_power_product_fraction(degrees, q, u, DEFAULT_PREC), degrees
 
 
 @pytest.mark.parametrize("n,q,u,count", [
