@@ -25,8 +25,9 @@ from .errors import CapacityError
 # characters.enumerate_classes): more than the FLOAT_LIMIT + 1 = 41 sizes a
 # float sweep up to snwalk.FLOAT_LIMIT cycles through
 SIZE_CACHE_SIZE = 64
-# dimensions kept: 2 * snwalk.STEP_TABLE_LIMIT, so the partitions the
-# samplers' row tables hold between two clears never evict each other
+# dimensions kept.  snwalk.walk_step reads those of the partitions of n and
+# n - 1, and sn-walk --start one; 1 << 14 holds both levels whole for every
+# n <= 32 (p(32) + p(31) = 15191), and the samplers read none
 DIMENSION_CACHE_SIZE = 1 << 14
 
 

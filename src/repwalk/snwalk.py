@@ -16,15 +16,18 @@ theirs for n <= 36.  With X the character table, A X = X diag(fp), so the
 spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n;
 the tests hold this and Pieri's rule as integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
-the Chebyshev lower-bound estimate.  Exact inverse-CDF samplers round it
-out: the walk's law as a coupon count plus Plancherel growth (walk_samples),
-Plancherel measure by growth, and RSK shapes of top-to-random shuffles.
+the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
+round it out, each an RSK shape of a seeded permutation: the walk's law as a
+coupon count K_r and a uniform permutation whose first n - K_r entries
+increase (walk_samples), Plancherel measure as the case K = n
+(plancherel_samples), and top-to-random shuffles (rsk_samples).  walk_step,
+the down-up chain drawn on dimension sums, is the step the tests hold the
+samplers to.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +45,6 @@ from .characters import (
 )
 from .errors import CapacityError
 from .partitions import (
-    EMPTY,
     Partition,
     dimension_sn,
     enumerate_partitions,
@@ -58,10 +60,10 @@ FLOAT_LIMIT = 40
 # to below double precision long before it (the cutoff at n = FLOAT_LIMIT
 # is 74 steps), and it is about twice the cutoff at n = 10**4 (92104 steps)
 MAX_WALK_STEPS = 10**5
-# the largest n the samplers take.  A growth step's cost grows with n,
-# through big-integer dimensions and randrange((m+1) d_mu): one cold
-# walk_samples draw at r = ceil(n log(n) / 2) took 0.35 s at n = 300, 7.0 s
-# at n = 1000 and 215 s at n = 3000
+# the largest n the samplers take.  A walk_samples draw at the cutoff
+# r = ceil(n log(n) / 2) reads about r + n words and row-inserts n values:
+# on a 2-core Xeon with Python 3.11 it took about 5 ms at n = 1000, 20-28 ms
+# at n = 3000 and 110-165 ms at n = 10**4
 SAMPLER_N_LIMIT = 10**4
 
 # per-entry relative accuracy budget; float distributions report the
@@ -518,108 +520,84 @@ def _engine(n: int, mode: str):
 # samplers
 
 
-# Row tables of the samplers.  _DOWN[lam] lists the partitions below lam,
-# read by walk_step only, and _UP[mu] those above mu, in the reverse-lex
-# order the corner methods return, each with the running sums of their
-# dimensions.  A row is built and its total checked once; every partition
-# the tables hold is one interned object, and a row that could take them
-# past STEP_TABLE_LIMIT distinct partitions clears them first.  Lookups need
-# no lock; the lock keeps the clear and the interning of one row together,
-# so the bound holds when several threads walk.
-STEP_TABLE_LIMIT = 1 << 13
-_TABLE_LOCK = threading.Lock()
-_DOWN: dict[Partition, tuple[tuple[Partition, ...], tuple[int, ...]]] = {}
-_UP: dict[Partition, tuple[tuple[Partition, ...], tuple[int, ...]]] = {}
-_INTERN: dict[Partition, Partition] = {}
-
-
-def _clear_step_tables() -> None:
-    _DOWN.clear()
-    _UP.clear()
-    _INTERN.clear()
-
-
-def _store_row(table: dict, key: Partition, corners: list[Partition], total: int, name: str):
-    cum = tuple(accumulate(map(dimension_sn, corners)))
+def _corner_draw(rng: SplitMix64, key: Partition, corners: list[Partition], total: int,
+                 step: str, name: str) -> Partition:
+    """The first of the corners of key whose running dimension sum exceeds
+    randrange(total), once the dimensions are checked to sum to total."""
+    cum = list(accumulate(map(dimension_sn, corners)))
     if not cum or cum[-1] != total:
-        step = "down" if table is _DOWN else "up"
         raise ArithmeticError(f"{step}-step weights of {key} do not sum to {name}")
-    with _TABLE_LOCK:
-        # the row adds at most its corners and its key
-        if len(_INTERN) + len(corners) + 1 > STEP_TABLE_LIMIT:
-            _clear_step_tables()
-        intern = _INTERN.setdefault
-        row = tuple([intern(p, p) for p in corners]), cum
-        table[intern(key, key)] = row
-    return row
-
-
-def _down_row(lam: Partition):
-    return _store_row(_DOWN, lam, lam.removable_corners(), dimension_sn(lam), "d_lam")
-
-
-def _up_row(mu: Partition):
-    return _store_row(_UP, mu, mu.addable_corners(), (mu.size + 1) * dimension_sn(mu),
-                      "(|mu|+1) d_mu")
-
-
-# A half-step draws by inverse CDF on a row: the first partition whose running
-# dimension sum exceeds randrange(total), the draw and the tie-break of the
-# per-step corner code, so the same words are drawn.
-
-
-def plancherel_growth_step(rng: SplitMix64, mu: Partition) -> Partition:
-    """One up step: add a corner box with probability d_rho / ((m+1) d_mu)."""
-    above, cum = _UP.get(mu) or _up_row(mu)
-    return above[bisect_right(cum, rng.randrange(cum[-1]))]
+    return corners[bisect_right(cum, rng.randrange(total))]
 
 
 def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
     """One down-up move: remove a box with probability d_mu / d_lam, then
-    add one with probability d_rho / (n d_mu)."""
-    below, cum = _DOWN.get(lam) or _down_row(lam)
-    mu = below[bisect_right(cum, rng.randrange(cum[-1]))]
-    above, cum = _UP.get(mu) or _up_row(mu)
-    return above[bisect_right(cum, rng.randrange(cum[-1]))]
+    add one with probability d_rho / (n d_mu), each by inverse CDF on the
+    corners in reverse-lex order.  No sampler steps; the tests hold the
+    samplers to this chain."""
+    mu = _corner_draw(rng, lam, lam.removable_corners(), dimension_sn(lam), "down", "d_lam")
+    return _corner_draw(rng, mu, mu.addable_corners(), lam.size * dimension_sn(mu),
+                        "up", "(|mu|+1) d_mu")
 
 
-def _grow(rng: SplitMix64, lam: Partition, steps: int) -> Partition:
-    """lam after steps calls of plancherel_growth_step."""
-    for _ in range(steps):
-        lam = plancherel_growth_step(rng, lam)
-    return lam
+# The samplers read words through randrange's one-word rejection written
+# out, v = word() >> shift retried while v >= bound: the words
+# rng.randrange(bound) reads, for every bound below 2^64.
+
+
+def _prefix_sorted_shape(word, n: int, k: int) -> Partition:
+    """The RSK shape of a uniform permutation of [n] whose first n - k
+    entries increase, from the stream whose next_u64 is word.  A partial
+    Fisher-Yates shuffle swaps position i with randrange(i + 1) for
+    i = n - 1 down to n - k, and the first n - k entries are then sorted.
+    The shape's law is Q_k, Plancherel growth run k steps from (n - k):
+    RSK puts 1..n-k in the first row of the recording tableau exactly when
+    the first n - k letters increase."""
+    deck = list(range(n))
+    for i in range(n - 1, n - k - 1, -1):
+        shift = 64 - (i + 1).bit_length()
+        v = word() >> shift
+        while v > i:
+            v = word() >> shift
+        deck[i], deck[v] = deck[v], deck[i]
+    m = n - k
+    return rsk_shape(sorted(deck[:m]) + deck[m:])
 
 
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """count draws of the law after r steps from (n), from one seeded stream.
 
     eta^(x)r permutes the r-tuples of [n], so the law is sum_k P(K_r = k) Q_k,
-    K_r the distinct points among r uniform draws and Q_k Plancherel growth
-    run k steps from (n - k).  A draw makes r calls randrange(n) for K_r, a
-    point new when one is >= k, then grows K_r boxes, with no down step."""
+    K_r the distinct points among r uniform draws and Q_k the law of
+    _prefix_sorted_shape(., n, k).  A draw makes r draws randrange(n) for
+    K_r, a point new when one is >= k, then shuffles K_r positions."""
     _check_sampler_size(n)
     _check_steps(r)
-    rng = SplitMix64(seed)
-    randrange = rng.randrange
+    word = SplitMix64(seed).next_u64
+    shift = 64 - n.bit_length()
     out = []
     for _ in range(count):
         k = 0
         for _ in range(r):
-            if randrange(n) >= k:
+            v = word() >> shift
+            while v >= n:
+                v = word() >> shift
+            if v >= k:
                 k += 1
-        out.append(_grow(rng, Partition((n - k,)) if k < n else EMPTY, k))
+        out.append(_prefix_sorted_shape(word, n, k))
     return out
 
 
 def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
-    """count Plancherel-distributed partitions of n, each grown from the empty
-    partition by plancherel_growth_step, from one seeded stream."""
+    """count Plancherel-distributed partitions of n, the RSK shapes of
+    uniform permutations (walk_samples' draw with K = n), from one seeded
+    stream."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n:  # n = 0 draws the empty partition, below the samplers' own range
         _check_sampler_size(n)
-    rng = SplitMix64(seed)
-    return [_grow(rng, EMPTY, n) for _ in range(count)]
+    word = SplitMix64(seed).next_u64
+    return [_prefix_sorted_shape(word, n, n) for _ in range(count)]
 
 
 def rsk_shape(word) -> Partition:
@@ -635,29 +613,29 @@ def rsk_shape(word) -> Partition:
             row[pos], x = x, row[pos]
         if x is not None:
             rows.append([x])
-    return Partition(len(row) for row in rows)
-
-
-def top_to_random_step(rng: SplitMix64, deck: list[int]) -> None:
-    """Move the top card to a uniform position (n choices, in place)."""
-    card = deck.pop(0)
-    deck.insert(rng.randrange(len(deck) + 1), card)
+    # row lengths of a tableau never increase
+    return tuple.__new__(Partition, [len(row) for row in rows])
 
 
 def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """RSK shapes after r top-to-random shuffles of the identity deck, count
-    independent decks from one seeded stream.
+    independent decks from one seeded stream: each shuffle moves the top
+    card to position randrange(n).
 
     Distributed like walk_distribution(n, r) started at the one-row
     partition; the package tests this statistically rather than assuming it.
     """
     _check_sampler_size(n)
     _check_steps(r)
-    rng = SplitMix64(seed)
+    word = SplitMix64(seed).next_u64
+    shift = 64 - n.bit_length()
     out = []
     for _ in range(count):
         deck = list(range(1, n + 1))
         for _ in range(r):
-            top_to_random_step(rng, deck)
+            v = word() >> shift
+            while v >= n:
+                v = word() >> shift
+            deck.insert(v, deck.pop(0))
         out.append(rsk_shape(deck))
     return out

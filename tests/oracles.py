@@ -4,21 +4,22 @@ Nothing here calls the code paths it is meant to check: character values
 come from permutation modules, dimensions from explicit tableau counting,
 GL counts from literal matrix enumeration over prime fields, cuspidal
 counts from irreducible-polynomial enumeration.  The reference walks,
-walk_step_chain, the GL table and sampler references and the two identity
+walk_step_chain, the sampler and GL table references and the two identity
 sides at the end (pieri_sides, spectrum_sides) are the exception: they set
 one package path against another, the Fraction kernel against the lattice
-engines, the down-up step walk_step against the coupon-count sampler, the
-Fraction interval products and one locate per degree against the integer
-endpoints and the inlined count phase, and the exact walk step against the
-Murnaghan-Nakayama table.
+engines, the down-up chain against the coupon-count sampler, the samplers'
+inlined word draws against plain randrange, the Fraction interval products
+and one locate per degree against the integer endpoints and the inlined
+count phase, and the exact walk step against the Murnaghan-Nakayama table.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from repwalk.glasymptotics import _REJECT, GLPlancherelSampler, suq_normalizer
 from repwalk.glirreps import CuspidalLabel, GLIrrep, cuspidal_count
@@ -381,8 +382,9 @@ class ScalarSplitMix64:
 
 
 # ---------------------------------------------------------------------------
-# S_n sampler steps as they were before the row tables: corners rebuilt and
-# weights looked up on every call, drawn by choose_weighted
+# the S_n down-up step with corners rebuilt and weights looked up on every
+# call, drawn by choose_weighted, and the S_n samplers drawn through plain
+# randrange
 
 
 def choose_weighted(rng, weights) -> int:
@@ -403,14 +405,6 @@ def _choose_by_dimension_reference(rng, candidates):
     return candidates[i], sum(weights)
 
 
-def plancherel_growth_step_reference(rng, mu: Partition) -> Partition:
-    """One up step: add a corner box with probability d_rho / ((m+1) d_mu)."""
-    rho, total = _choose_by_dimension_reference(rng, mu.addable_corners())
-    if total != (mu.size + 1) * dimension_sn(mu):
-        raise ArithmeticError(f"up-step weights of {mu} do not sum to (m+1) d_mu")
-    return rho
-
-
 def walk_step_reference(rng, lam: Partition) -> Partition:
     """One down-up move with exact rational thresholds."""
     n = lam.size
@@ -423,6 +417,27 @@ def walk_step_reference(rng, lam: Partition) -> Partition:
     return rho
 
 
+def prefix_sorted_samples_reference(n: int, r: int, count: int, seed: int,
+                                    full: bool = False) -> list[Partition]:
+    """walk_samples(n, r, count, seed), or plancherel_samples(n, count, seed)
+    when full, on rng.randrange: r draws randrange(n) for K_r (none when
+    full, where K = n), then randrange(i + 1) swaps for i = n - 1 down to
+    n - K, then the RSK shape of the deck with its first n - K sorted."""
+    from repwalk.rng import SplitMix64
+    from repwalk.snwalk import rsk_shape
+
+    rng, out = SplitMix64(seed), []
+    for _ in range(count):
+        k = n if full else 0
+        for _ in range(0 if full else r):
+            k += rng.randrange(n) >= k
+        deck = list(range(n))
+        for i in range(n - 1, n - k - 1, -1):
+            j = rng.randrange(i + 1)
+            deck[i], deck[j] = deck[j], deck[i]
+        out.append(rsk_shape(sorted(deck[:n - k]) + deck[n - k:]))
+    return out
+
 
 def _stirling2_row(r: int) -> list[int]:
     """[S(r, k) for k = 0..r], Stirling numbers of the second kind, by
@@ -434,41 +449,60 @@ def _stirling2_row(r: int) -> list[int]:
 
 
 def walk_step_chain(n: int, r: int, count: int, seed: int) -> list[Partition]:
-    """count r-step runs from (n) of the down-up chain, snwalk.walk_step, from
-    one seeded stream: the walk whose law walk_samples draws without it."""
+    """count r-step runs from (n) of the down-up chain, from one seeded
+    stream: the walk whose law walk_samples draws without it.  Each step
+    draws as snwalk.walk_step does, the same words, bisect and tie-break,
+    on corner rows memoized here, since walk_step rebuilds its rows on
+    every call."""
     from repwalk.rng import SplitMix64
-    from repwalk.snwalk import walk_step
 
     rng, out = SplitMix64(seed), []
+    down: dict = {}
+    up: dict = {}
+
+    def draw(rows, key, corners):
+        row = rows.get(key)
+        if row is None:
+            parts = corners(key)
+            row = rows[key] = parts, list(accumulate(map(dimension_sn, parts)))
+        parts, cum = row
+        return parts[bisect_right(cum, rng.randrange(cum[-1]))]
+
     for _ in range(count):
         lam = Partition((n,))
         for _ in range(r):
-            lam = walk_step(rng, lam)
+            mu = draw(down, lam, Partition.removable_corners)
+            lam = draw(up, mu, Partition.addable_corners)
         out.append(lam)
     return out
+
+
+def growth_law(n: int, k: int) -> dict[Partition, Fraction]:
+    """Q_k as exact Fractions: Plancherel growth run k steps from the
+    one-row partition (n - k), or from the empty partition when k = n,
+    each step adding rho to mu with chance d_rho / ((m+1) d_mu)."""
+    q = {Partition((n - k,)) if k < n else Partition(()): Fraction(1)}
+    for _ in range(k):
+        grown: dict[Partition, Fraction] = {}
+        for mu, p in q.items():
+            den = (mu.size + 1) * dimension_sn(mu)
+            for rho in mu.addable_corners():
+                grown[rho] = grown.get(rho, 0) + p * Fraction(dimension_sn(rho), den)
+        q = grown
+    return q
 
 
 def coupon_mixture_law(n: int, r: int) -> dict[Partition, Fraction]:
     """sum_k P(K_r = k) Q_k as exact Fractions, with no walk step.
 
     K_r is the number of distinct points among r uniform draws from [n]:
-    P(K_r = k) = S(r, k) n! / ((n-k)! n^r).  Q_k is Plancherel growth run k
-    steps from the one-row partition (n - k), or from the empty partition
-    when k = n, each step adding rho to mu with chance d_rho / ((m+1) d_mu)."""
+    P(K_r = k) = S(r, k) n! / ((n-k)! n^r), and Q_k is growth_law(n, k)."""
     law: dict[Partition, Fraction] = {}
     for k, s in enumerate(_stirling2_row(r)):
         if not s or k > n:
             continue
-        q = {Partition((n - k,)) if k < n else Partition(()): Fraction(1)}
-        for _ in range(k):
-            grown: dict[Partition, Fraction] = {}
-            for mu, p in q.items():
-                den = (mu.size + 1) * dimension_sn(mu)
-                for rho in mu.addable_corners():
-                    grown[rho] = grown.get(rho, 0) + p * Fraction(dimension_sn(rho), den)
-            q = grown
         weight = Fraction(s * math.perm(n, k), n**r)
-        for rho, p in q.items():
+        for rho, p in growth_law(n, k).items():
             law[rho] = law.get(rho, 0) + weight * p
     return law
 

@@ -427,20 +427,22 @@ def test_gl_sample_golden(capsys, argv):
 # pool; running them in turn must print the same bytes.  The sn-sample and
 # sn-moments --samples entries were re-recorded, with the streams run in
 # turn, when walk_samples began to draw as a coupon count plus Plancherel
-# growth, which reads the words differently; the sn-rsk entries are the
-# pool's bytes
+# growth, and again when it began to draw as the RSK shape of a shuffle
+# whose first n - K entries are sorted: each reads the words differently.
+# Only the partitions and the empirical rows moved; the sn-rsk entries are
+# the pool's bytes
 THREADS_GOLDEN = {
     ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '1'): """\
 # repwalk 0.1.0
 # command: sn-sample count=7 n=9 r=12 seed=5 threads=1
 index,partition
-0,3+3+1+1+1
-1,5+3+1
-2,3+3+2+1
-3,4+3+2
-4,5+3+1
-5,5+2+1+1
-6,4+2+2+1
+0,4+3+1+1
+1,4+2+2+1
+2,4+3+1+1
+3,4+2+1+1+1
+4,6+3
+5,3+2+1+1+1+1
+6,5+2+2
 """,
     ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '1'): """\
 # repwalk 0.1.0
@@ -464,19 +466,19 @@ s,method,value,reduced_exact
 2,transfer,1.069839357854677,6167411/121060821
 2,direct,1.069839357854677,6167411/121060821
 2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.04364357804719847,
-2,empirical,0.4761904761904761,
+1,empirical,0.458257569495584,
+2,empirical,0.5571428571428572,
 """,
     ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '2'): """\
 # repwalk 0.1.0
 # command: sn-sample count=7 n=9 r=12 seed=5 threads=2
 index,partition
-0,3+3+1+1+1
-1,5+3+1
-2,3+3+2+1
-3,4+3+2
-4,5+3+1
-5,5+4
+0,4+3+1+1
+1,4+2+2+1
+2,4+3+1+1
+3,4+2+1+1+1
+4,4+4+1
+5,4+2+1+1+1
 6,4+3+2
 """,
     ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '2'): """\
@@ -501,20 +503,20 @@ s,method,value,reduced_exact
 2,transfer,1.069839357854677,6167411/121060821
 2,direct,1.069839357854677,6167411/121060821
 2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.916515138991168,
-2,empirical,1.838095238095238,
+1,empirical,0.2182178902359923,
+2,empirical,1.0476190476190474,
 """,
     ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '3'): """\
 # repwalk 0.1.0
 # command: sn-sample count=7 n=9 r=12 seed=5 threads=3
 index,partition
-0,3+3+1+1+1
-1,5+3+1
-2,3+3+2+1
-3,5+3+1
-4,5+4
-5,4+2+1+1+1
-6,4+3+1+1
+0,4+3+1+1
+1,4+2+2+1
+2,4+3+1+1
+3,4+4+1
+4,4+2+1+1+1
+5,5+2+1+1
+6,3+2+2+1+1
 """,
     ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '3'): """\
 # repwalk 0.1.0
@@ -538,8 +540,8 @@ s,method,value,reduced_exact
 2,transfer,1.069839357854677,6167411/121060821
 2,direct,1.069839357854677,6167411/121060821
 2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.6110100926607787,
-2,empirical,1.542857142857143,
+1,empirical,0.08728715609439693,
+2,empirical,0.8952380952380953,
 """,
 }
 
@@ -1093,8 +1095,9 @@ def test_cutoff_tv_is_the_float_curve_row(capsys):
 # sharp moved up one ulp, 0.13693063937629152 -> 0.13693063937629155 and
 # 0.12377344351622976 -> 0.12377344351622978, and no other byte moved.
 # The sn-moments --samples 200 output was re-recorded when walk_samples
-# began to draw as a coupon count plus Plancherel growth: its two empirical
-# rows moved, and the exact rows did not.
+# began to draw as a coupon count plus Plancherel growth, and again when it
+# began to draw as the RSK shape of a prefix-sorted shuffle: each time its
+# two empirical rows moved, and the exact rows did not.
 FOURIER_GOLDEN = {
     ("hsp", "--n", "8", "--gens", "(1 2),(3 4)", "--format", "csv"):
         "ed2d567dca49753d7339b9c7a7200717e0738db49e83c872a8c64aaa6028f83f",
@@ -1133,8 +1136,8 @@ s,method,value,reduced_exact
 2,transfer,1.282410500624,80150656289/2812500000000
 2,direct,1.282410500624,80150656289/2812500000000
 2,closed,1.282410500624,80150656289/2812500000000
-1,empirical,0.44050539156745827,
-2,empirical,1.1376666666666657,
+1,empirical,0.4084550838899619,
+2,empirical,1.335777777777777,
 """,
     ("characters", "--n", "9", "--format", "csv"):
         "4430995d2c808e49c5a0a6937b59cc84d218d6b69e9c2cdab47c6ac89bd8c9c1",

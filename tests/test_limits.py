@@ -189,13 +189,17 @@ def test_series_q_order_cap(monkeypatch):
 
 
 def test_caches_hold_their_working_sets():
-    # a float sweep cycles through every size up to FLOAT_LIMIT; the row
-    # tables hold at most STEP_TABLE_LIMIT partitions between two clears;
-    # the character tables up to DEFAULT_TABLE_LIMIT, built from an empty
-    # cache, use exactly 12648 MN values
+    # a float sweep cycles through every size up to FLOAT_LIMIT; walk_step
+    # reads the dimensions of the partitions of n and n - 1, which the cache
+    # holds whole up to n = 32 and no further; the character tables up to
+    # DEFAULT_TABLE_LIMIT, built from an empty cache, use exactly 12648 MN
+    # values
     for fn in (partitions.enumerate_partitions, characters.enumerate_classes):
         assert fn.cache_info().maxsize >= snwalk.FLOAT_LIMIT + 1
-    assert partitions.dimension_sn.cache_info().maxsize == 2 * snwalk.STEP_TABLE_LIMIT
+    levels = [partitions.partition_count(n) + partitions.partition_count(n - 1) for n in (32, 33)]
+    dimension_cache = partitions.dimension_sn.cache_info().maxsize
+    assert dimension_cache == partitions.DIMENSION_CACHE_SIZE
+    assert levels[0] <= dimension_cache < levels[1]
     characters._table_cache.clear()
     characters._mn.cache_clear()
     for n in range(1, characters.DEFAULT_TABLE_LIMIT + 1):

@@ -1,13 +1,20 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from oracles import coupon_mixture_law, plancherel_growth_step_reference, walk_step_chain
-from repwalk.partitions import EMPTY, Partition, enumerate_partitions
+from oracles import (
+    coupon_mixture_law,
+    growth_law,
+    prefix_sorted_samples_reference,
+    walk_step_chain,
+    walk_step_reference,
+)
+from repwalk import partitions, snwalk
+from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.rng import SplitMix64, derive_seed
 from repwalk.snwalk import (
     plancherel_samples,
@@ -16,6 +23,7 @@ from repwalk.snwalk import (
     rsk_shape,
     walk_distribution,
     walk_samples,
+    walk_step,
 )
 
 
@@ -54,15 +62,17 @@ def test_sample_walk_r0_and_determinism():
 # one draw per (n, r, seed) or (n, seed), recorded from the single-sample
 # functions each sampler once had beside its count-taking form; both read
 # the same SplitMix64 stream, so count=1 must reproduce them.  WALK_SINGLE
-# was re-recorded from walk_samples when it began to draw as a coupon count
-# plus Plancherel growth, r + K_r calls of randrange where the down-up
-# chain made 2r; only (7, 0, 99), which reads no word, kept its value
-WALK_SINGLE = {(7, 0, 99): "7", (6, 4, 123): "3+2+1", (10, 15, 1): "3+3+2+2",
-               (12, 20, 2024): "5+3+3+1", (20, 30, 7): "5+4+4+3+2+2"}
+# and PLANCHEREL_SINGLE were re-recorded when walk_samples and
+# plancherel_samples began to draw as the RSK shape of a shuffle whose
+# first n - K entries are sorted, which reads the words differently; the
+# keys that read no word or kept their value are (7, 0, 99), (6, 4, 123)
+# and (1, 0).  RSK_SINGLE holds the top-to-random sampler's first values
+WALK_SINGLE = {(7, 0, 99): "7", (6, 4, 123): "3+2+1", (10, 15, 1): "4+3+2+1",
+               (12, 20, 2024): "5+4+3", (20, 30, 7): "8+5+3+2+1+1"}
 RSK_SINGLE = {(6, 0, 1): "6", (6, 3, 11): "5+1", (9, 12, 5): "3+3+2+1",
               (15, 25, 42): "7+4+2+1+1", (25, 40, 3): "9+6+3+3+2+1+1"}
-PLANCHEREL_SINGLE = {(1, 0): "1", (5, 31): "2+1+1+1", (8, 2): "3+2+2+1",
-                     (15, 9): "5+4+3+2+1", (30, 123): "9+6+4+4+2+2+2+1"}
+PLANCHEREL_SINGLE = {(1, 0): "1", (5, 31): "4+1", (8, 2): "4+2+1+1",
+                     (15, 9): "6+4+3+1+1", (30, 123): "9+8+5+5+2+1"}
 
 
 @pytest.mark.parametrize("key", sorted(WALK_SINGLE))
@@ -126,19 +136,112 @@ def test_coupon_mixture_is_the_walk_law():
         assert coupon_mixture_law(n, r) == walk_distribution(n, r).masses, (n, r)
 
 
-def test_walk_samples_read_the_coupon_count_then_grow():
-    # r calls randrange(n) for K_r, a point new when one is >= k, then K_r
-    # up steps of the reference growth step from (n - K_r), or from the
-    # empty partition when K_r = n, as at n = 1 and at most seeds of (6, 30)
-    for n, r in ((1, 3), (5, 4), (6, 30), (9, 12)):
+def test_prefix_sorted_shapes_have_the_growth_law():
+    # RSK puts 1..n-k in the first row of the recording tableau exactly when
+    # the first n - k letters increase, so the shapes of the n!/(n-k)! such
+    # permutations, a sorted rest before each ordered k-tuple, have the
+    # growth law Q_k: every (n, k) with n <= 8, 44 pairs
+    pairs = 0
+    for n in range(1, 9):
+        for k in range(n + 1):
+            shapes = Counter()
+            for tail in permutations(range(n), k):
+                rest = sorted(set(range(n)).difference(tail))
+                shapes[rsk_shape(rest + list(tail))] += 1
+            law = {lam: Fraction(c, math.perm(n, k)) for lam, c in shapes.items()}
+            assert law == growth_law(n, k), (n, k)
+            pairs += 1
+    assert pairs == 44
+
+
+def test_walk_samples_read_the_coupon_count_then_shuffle():
+    # r draws randrange(n) for K_r, a point new when one is >= k, then
+    # randrange(i + 1) swaps for i = n - 1 down to n - K_r and the RSK shape:
+    # the words plain randrange reads, three draws on one stream, at bounds
+    # on both sides of a power of two; K_r = n at n = 1 and at most seeds
+    # of (6, 30)
+    for n, r in ((1, 3), (5, 4), (6, 30), (9, 12), (64, 40), (65, 40), (200, 530)):
         for seed in range(40):
-            rng, k = SplitMix64(seed), 0
+            want = prefix_sorted_samples_reference(n, r, 3, seed)
+            assert walk_samples(n, r, 3, seed) == want, (n, r, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_plancherel_samples_read_the_shuffle_words(n):
+    for seed in range(50):
+        want = prefix_sorted_samples_reference(n, 0, 3, seed, full=True)
+        assert plancherel_samples(n, 3, seed) == want, seed
+
+
+def test_rsk_samples_read_one_randrange_per_shuffle():
+    # each shuffle moves the top card to position randrange(n)
+    for n, r in ((1, 3), (6, 3), (64, 70), (65, 70)):
+        for seed in range(20):
+            rng, want = SplitMix64(seed), []
+            for _ in range(3):
+                deck = list(range(1, n + 1))
+                for _ in range(r):
+                    card = deck.pop(0)
+                    deck.insert(rng.randrange(n), card)
+                want.append(rsk_shape(deck))
+            assert rsk_samples(n, r, 3, seed) == want, (n, r, seed)
+
+
+def test_samplers_read_no_dimension(monkeypatch):
+    want = (walk_samples(8, 10, 5, 3), plancherel_samples(8, 5, 3), rsk_samples(8, 10, 5, 3))
+
+    def no_lookup(lam):
+        raise AssertionError(f"dimension of {lam} looked up")
+
+    for module in (partitions, snwalk):
+        monkeypatch.setattr(module, "dimension_sn", no_lookup)
+    assert (walk_samples(8, 10, 5, 3), plancherel_samples(8, 5, 3),
+            rsk_samples(8, 10, 5, 3)) == want
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_walk_step_matches_reference(n):
+    # the same partition and the same generator state after every step
+    for seed in range(50):
+        new, ref = SplitMix64(seed), SplitMix64(seed)
+        lam = Partition((n,))
+        for _ in range(n + 2):
+            got = walk_step(new, lam)
+            assert got == walk_step_reference(ref, lam)
+            assert new._state == ref._state
+            lam = got
+
+
+def test_walk_step_chain_draws_as_walk_step():
+    # the chain's memoized rows give walk_step's draws, word for word
+    for n, r, seed in ((1, 3, 1), (6, 8, 2), (10, 12, 2024)):
+        rng, want = SplitMix64(seed), []
+        for _ in range(20):
+            lam = Partition((n,))
             for _ in range(r):
-                k += rng.randrange(n) >= k
-            lam = Partition((n - k,)) if k < n else EMPTY
-            for _ in range(k):
-                lam = plancherel_growth_step_reference(rng, lam)
-            assert walk_samples(n, r, 1, seed) == [lam], (n, r, seed)
+                lam = walk_step(rng, lam)
+            want.append(lam)
+        assert walk_step_chain(n, r, 20, seed) == want, (n, r, seed)
+
+
+def _off_by_one(monkeypatch, bad: Partition):
+    def dimension(lam):
+        return dimension_sn(lam) + (lam == bad)
+
+    monkeypatch.setattr(snwalk, "dimension_sn", dimension)
+
+
+def test_corrupt_down_weight_raises(monkeypatch):
+    _off_by_one(monkeypatch, Partition((2, 2)))
+    with pytest.raises(ArithmeticError, match="down-step weights of 3\\+2"):
+        walk_step(SplitMix64(1), Partition((3, 2)))
+
+
+def test_corrupt_up_weight_raises(monkeypatch):
+    # (2, 2) has one box to remove, so the up step starts from (2, 1)
+    _off_by_one(monkeypatch, Partition((3, 1)))
+    with pytest.raises(ArithmeticError, match="up-step weights of 2\\+1"):
+        walk_step(SplitMix64(1), Partition((2, 2)))
 
 
 def _merged_bins(law, total):

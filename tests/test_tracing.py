@@ -39,7 +39,7 @@ def test_tracer_installs_and_uninstalls():
     try:
         wrapped = [cli.main] + [getattr(snwalk, a) for a in names]
         assert all(w is not f for w, f in zip(wrapped, originals))
-        # the corner methods the sampler rows are built from are wrapped,
+        # the corner methods walk_step draws from are wrapped,
         # and the dimension cache is read through its cache_info()
         assert all(vars(Partition)[a] is not f for a, f in zip(corners, corner_originals))
         assert tracer.cache_fns["dimension"] is dimension
