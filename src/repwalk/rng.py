@@ -9,9 +9,13 @@ from bit-rejection, and lazily extended uniforms in [0,1) support
 comparisons against dyadic interval thresholds.
 
 Word k of the stream seeded s is mix64(s + k * gamma) mod 2^64, so the
-words need no sequential state and are made ahead in numpy ``uint64``
+words need no sequential state and are computed ahead in numpy ``uint64``
 blocks of ``BLOCK`` words, whose arithmetic wraps mod 2^64 like the scalar
-``mix64``.  The words and their order are those of the scalar recurrence.
+``mix64``.  Making a word a Python int costs more than computing it, so a
+block is handed out in chunks: a new stream's first is ``_FIRST_CHUNK``
+words, so a short draw makes few, and each later chunk is twice the last,
+up to a whole block.  The words and their order are those of the scalar
+recurrence.
 One ``SplitMix64`` is not to be shared between threads: each thread draws
 from its own stream.
 """
@@ -25,7 +29,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 SLACK_BITS = 128  # bits of U past a threshold's scale before it counts as unresolved
-BLOCK = 4096  # words one refill makes
+_FIRST_CHUNK = 64  # words a stream's first refill makes
+BLOCK = 4096  # words computed at once, and the most one refill makes
 
 # k * gamma mod 2^64 for k = 1..BLOCK: the state steps within a block
 _STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
@@ -47,16 +52,19 @@ def derive_seed(seed: int, worker: int) -> int:
 class SplitMix64:
     """The SplitMix64 sequence generator (Steele, Lea, Flood 2014).
 
-    ``_words`` holds the words of the current block not yet handed out, last
+    ``_words`` holds the words of the current chunk not yet handed out, last
     word first, so ``next_u64`` is one ``list.pop``; ``_end`` is the state
-    after the block's last word.
+    after the chunk's last word.  ``_block`` holds the computed words after
+    the chunk, in order, and ``_size`` the words the next refill makes.
     """
 
-    __slots__ = ("_words", "_end")
+    __slots__ = ("_words", "_block", "_end", "_size")
 
     def __init__(self, seed: int):
         self._words: list[int] = []
+        self._block = _STEPS[:0]
         self._end = seed & _MASK
+        self._size = _FIRST_CHUNK
 
     @property
     def _state(self) -> int:
@@ -64,14 +72,19 @@ class SplitMix64:
         return (self._end - len(self._words) * _GOLDEN) & _MASK
 
     def _refill(self) -> None:
-        z = _STEPS + np.uint64(self._end)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_M1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_M2)
-        z ^= z >> np.uint64(31)
-        self._words = z[::-1].tolist()
-        self._end = (self._end + BLOCK * _GOLDEN) & _MASK
+        if not len(self._block):
+            z = _STEPS + np.uint64(self._end)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_M1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_M2)
+            z ^= z >> np.uint64(31)
+            self._block = z
+        size = self._size
+        chunk, self._block = self._block[:size], self._block[size:]
+        self._words = chunk[::-1].tolist()
+        self._end = (self._end + len(chunk) * _GOLDEN) & _MASK
+        self._size = min(2 * size, BLOCK)
 
     def next_u64(self) -> int:
         try:

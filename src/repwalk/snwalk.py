@@ -12,9 +12,12 @@ Plancherel measure.  The exact engine steps A with _apply_counts, two segment
 sums through the partitions of n-1; the float engine steps it through two
 jagged corner tables, rows sorted by corner count that store no pad, adding
 each segment in the segment sums' order, so its laws are bit-identical to
-theirs for n <= 36.  With X the character table, A X = X diag(fp), so the
-spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n;
-the tests hold this and Pieri's rule as integer identities on A and X.
+theirs for n <= 36.  The float TVs of sn_tv_curve and sn-cutoff are read
+from one memoized walk from (n), _float_tvs, kept for the last size only;
+the exact paths keep no memo.  With X the character table,
+A X = X diag(fp), so the spectrum is indexed by conjugacy classes with
+eigenvalue fixed_points/n; the tests hold this and Pieri's rule as integer
+identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
@@ -374,12 +377,15 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk and one
-    running L2 sum."""
+    running L2 sum.  Float TVs are read from the memoized walk of
+    _float_tvs."""
     _check_steps(rmax)
-    eng = _engine(n, mode)
-    laws = islice(eng.laws(Partition((n,))), 1, None)
-    return [(r, eng.tv(law), bound)
-            for r, law, bound in zip(range(1, rmax + 1), laws, _upper_bounds(n))]
+    if mode == "float":
+        tvs = islice(_float_tvs(n, rmax), 1, None)
+    else:
+        eng = _engine(n, mode)
+        tvs = map(eng.tv, islice(eng.laws(Partition((n,))), 1, None))
+    return list(zip(range(1, rmax + 1), tvs, _upper_bounds(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +520,52 @@ def _engine(n: int, mode: str):
     """The engine of the walk on S_n in mode, built once _check_walk passes."""
     _check_walk(n, mode)
     return _ExactEngine(n) if mode == "exact" else _float_engine(n)
+
+
+class _FloatWalk:
+    """The float walk from (n) as far as it has been asked for: walk is None
+    or (w_R, tvs), w_R = A^R e_s / n^R and tvs the TVs to pi after
+    r = 0..R steps.  It holds no engine, and walk is replaced whole, never
+    changed in place, so a reader on any thread sees one consistent pair."""
+
+    __slots__ = ("walk",)
+
+    def __init__(self):
+        self.walk = None
+
+
+@lru_cache(maxsize=1)
+def _float_walk(n: int) -> _FloatWalk:
+    return _FloatWalk()
+
+
+def _float_tvs(n: int, r: int) -> tuple[float, ...]:
+    """The TVs of the float walk from (n) after 0..R steps, for some R >= r.
+
+    Only the last size asked for is kept: its record is fetched before the
+    engine, so another size's walk is dropped before this one's engine
+    builds.  The walk steps on from its memo to r, and each TV is
+    eng.tv(scale * w) with scale formed as laws forms it, so every TV is,
+    to the bit, eng.tv of the law eng.laws((n,)) yields at that step."""
+    _check_steps(r)
+    _check_walk(n, "float")
+    memo = _float_walk(n)
+    eng = _float_engine(n)
+    s = partition_id(Partition((n,)))
+    scale = eng.dims / eng.dims[s]
+    if memo.walk is None:
+        w = np.zeros(len(scale))
+        w[s] = 1.0
+        memo.walk = (w, (eng.tv(scale * w),))
+    w, tvs = memo.walk
+    if len(tvs) <= r:
+        more = []
+        for _ in range(len(tvs), r + 1):
+            w = eng.step(w)
+            more.append(eng.tv(scale * w))
+        tvs += tuple(more)
+        memo.walk = (w, tvs)
+    return tvs
 
 
 # ---------------------------------------------------------------------------

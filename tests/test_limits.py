@@ -218,4 +218,5 @@ def test_every_cache_is_bounded():
                 assert isinstance(maxsize, int) and maxsize > 0, f"{info.name}.{name}"
                 seen.add(value)
     assert {partitions.enumerate_partitions, partitions.dimension_sn,
-            characters.enumerate_classes, characters._mn} <= seen
+            characters.enumerate_classes, characters._mn, snwalk._float_engine,
+            snwalk._float_walk} <= seen

@@ -32,6 +32,37 @@ def test_block_stream_is_the_scalar_stream(seed):
         assert stream._state == state
 
 
+def test_a_short_draw_makes_only_the_first_chunk():
+    # a new stream hands out its first block in a small chunk, so a few
+    # words make a few Python ints
+    stream = SplitMix64(5)
+    for _ in range(10):
+        stream.next_u64()
+    made = 10 + len(stream._words)
+    assert made == rng._FIRST_CHUNK <= 64
+    assert stream._end == (5 + made * rng._GOLDEN) & MASK
+    assert made + len(stream._block) == BLOCK
+
+
+@pytest.mark.parametrize("seed", [3, MASK])
+def test_chunks_double_up_to_block_with_the_scalar_words(seed):
+    # 3 * BLOCK words cross every chunk size from the first up to the rest
+    # of the first block, then two whole blocks
+    stream, state, sizes = SplitMix64(seed), seed & MASK, []
+    for _ in range(3 * BLOCK):
+        empty = not stream._words
+        word = stream.next_u64()
+        if empty:
+            sizes.append(len(stream._words) + 1)
+        state = (state + rng._GOLDEN) & MASK
+        assert word == mix64(state)
+        assert stream._state == state
+    first = rng._FIRST_CHUNK
+    doubling = [first << i for i in range((BLOCK // first).bit_length() - 1)]
+    assert doubling[-1] == BLOCK // 2
+    assert sizes == doubling + [BLOCK - sum(doubling), BLOCK, BLOCK]
+
+
 @pytest.mark.parametrize("bound", [1, 2, 1 << 63, MASK, 1 << 64, (1 << 64) + 1, 10**40])
 @pytest.mark.parametrize("seed", [0, 5, MASK])
 def test_randrange_is_the_scalar_randrange(bound, seed):
