@@ -54,7 +54,6 @@ from .snwalk import (
     _check_walk,
     _engine,
     _float_error_bound,
-    _float_tvs,
     _partition_of,
     moment_fc_reduced,
     rsk_samples,
@@ -214,10 +213,10 @@ def _cmd_sn_cutoff(args):
     r = 0.5 * n * math.log(n) + c * n
     r = r if math.isinf(r) else math.ceil(r)  # +-inf: refused as too long or negative
     _check_steps(r)  # before exp(-2c), which overflows where r < 0
+    eng = _engine(n, mode)
     if mode == "float":
-        tv = _float_tvs(n, r)[r]
+        tv = eng.tvs(r)[r]
     else:
-        eng = _engine(n, mode)
         tv = float(eng.tv(next(islice(eng.laws(Partition((n,))), r, None))))
     extra = [_error_bound_line(n, r)] if mode == "float" else []
     rows = [[r, math.exp(-2 * c) / 2, tv, sn_upper_bound(n, r)]]

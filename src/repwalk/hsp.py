@@ -29,13 +29,17 @@ INDUCED_CHECK_LIMIT = 8  # the check enumerates all n! permutations
 
 
 def parse_permutation(text: str, n: int) -> tuple[int, ...]:
-    """Cycle notation to an image tuple on {0..n-1}: '(1 2)(3 4)' etc."""
+    """Cycle notation to an image tuple on {0..n-1}: '(1 2)(3 4)' etc.
+
+    The cycles of one permutation are disjoint: a point in two of them is
+    refused, naming the point."""
     images = list(range(n))
     text = text.strip()
     if text in ("", "()"):
         return tuple(images)
     if not text.startswith("(") or not text.endswith(")"):
         raise ValueError(f"bad cycle notation: {text!r}")
+    seen: set[int] = set()
     for cycle in text[1:-1].split(")("):
         points = [int(tok) - 1 for tok in cycle.replace(",", " ").split()]
         if len(points) != len(set(points)):
@@ -43,6 +47,9 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
         for p in points:
             if not 0 <= p < n:
                 raise ValueError(f"point {p + 1} outside 1..{n}")
+            if p in seen:
+                raise ValueError(f"point {p + 1} is in two cycles of {text!r}")
+            seen.add(p)
         for a, b in zip(points, points[1:] + points[:1]):
             images[a] = b
     return tuple(images)

@@ -34,6 +34,9 @@ BLOCK = 4096  # words computed at once, and the most one refill makes
 
 # k * gamma mod 2^64 for k = 1..BLOCK: the state steps within a block
 _STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+# mix64's shifts and multipliers as numpy scalars, formed once, not per block
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_UM1, _UM2 = np.uint64(_M1), np.uint64(_M2)
 
 
 def mix64(z: int) -> int:
@@ -74,11 +77,11 @@ class SplitMix64:
     def _refill(self) -> None:
         if not len(self._block):
             z = _STEPS + np.uint64(self._end)
-            z ^= z >> np.uint64(30)
-            z *= np.uint64(_M1)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(_M2)
-            z ^= z >> np.uint64(31)
+            z ^= z >> _U30
+            z *= _UM1
+            z ^= z >> _U27
+            z *= _UM2
+            z ^= z >> _U31
             self._block = z
         size = self._size
         chunk, self._block = self._block[:size], self._block[size:]

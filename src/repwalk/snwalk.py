@@ -13,11 +13,11 @@ sums through the partitions of n-1; the float engine steps it through two
 jagged corner tables, rows sorted by corner count that store no pad, adding
 each segment in the segment sums' order, so its laws are bit-identical to
 theirs for n <= 36.  The float TVs of sn_tv_curve and sn-cutoff are read
-from one memoized walk from (n), _float_tvs, kept for the last size only;
-the exact paths keep no memo.  With X the character table,
-A X = X diag(fp), so the spectrum is indexed by conjugacy classes with
-eigenvalue fixed_points/n; the tests hold this and Pieri's rule as integer
-identities on A and X.
+from the walk from (n) that each cached float engine memoizes in tvs, kept
+as long as its engine; the exact paths keep no memo.  With X the character
+table, A X = X diag(fp), so the spectrum is indexed by conjugacy classes
+with eigenvalue fixed_points/n; the tests hold this and Pieri's rule as
+integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
@@ -363,8 +363,9 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
     variance 1, so pi(f_C <= alpha) >= 1 - 1/alpha^2, while under the walk
     P(f_C <= alpha) <= Var(f_C)/(E - alpha)^2 when E > alpha.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_walk(n)
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     size = math.comb(n, 2)
     mean_red, second = transposition_moments_closed(n, r)
     var = second - size * mean_red**2
@@ -377,13 +378,13 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk and one
-    running L2 sum.  Float TVs are read from the memoized walk of
-    _float_tvs."""
+    running L2 sum.  Float TVs are read from the walk the cached float
+    engine memoizes (_FloatEngine.tvs)."""
     _check_steps(rmax)
+    eng = _engine(n, mode)
     if mode == "float":
-        tvs = islice(_float_tvs(n, rmax), 1, None)
+        tvs = islice(eng.tvs(rmax), 1, None)
     else:
-        eng = _engine(n, mode)
         tvs = map(eng.tv, islice(eng.laws(Partition((n,))), 1, None))
     return list(zip(range(1, rmax + 1), tvs, _upper_bounds(n)))
 
@@ -468,6 +469,7 @@ class _FloatEngine:
         mu_order, self.up = _jagged_rows(lat.above, lat.up_off)
         lam_order, self.down = _jagged_rows(lat.below, lat.down_off, _inverse(mu_order))
         self.ids = _inverse(lam_order)
+        self._walk = None  # the walk from (n) that tvs memoizes
 
     def laws(self, start: Partition):
         """The laws after 0, 1, 2, ... steps from start."""
@@ -510,6 +512,28 @@ class _FloatEngine:
         """TV distance to pi of a law in id order, by numpy's pairwise sum."""
         return float(np.abs(law - self.pi).sum() / 2)
 
+    def tvs(self, r: int) -> tuple[float, ...]:
+        """The TVs to pi after 0..R steps from (n), for some R >= r.
+
+        The walk is memoized as (w_R, tvs), w_R = A^R e_s / n^R, and steps on
+        from R to r through step.  (n) has id 0 and d = 1, so each TV is
+        tv(dims * w), to the bit tv of the law laws((n,)) yields at that
+        step.  The pair is replaced whole, never changed in place, so a
+        reader on any thread sees one consistent pair."""
+        if self._walk is None:
+            w = np.zeros(len(self.dims))
+            w[0] = 1.0
+            self._walk = (w, (self.tv(self.dims * w),))
+        w, tvs = self._walk
+        if len(tvs) <= r:
+            more = []
+            for _ in range(len(tvs), r + 1):
+                w = self.step(w)
+                more.append(self.tv(self.dims * w))
+            tvs += tuple(more)
+            self._walk = (w, tvs)
+        return tvs
+
 
 @lru_cache(maxsize=4)
 def _float_engine(n: int) -> _FloatEngine:
@@ -520,52 +544,6 @@ def _engine(n: int, mode: str):
     """The engine of the walk on S_n in mode, built once _check_walk passes."""
     _check_walk(n, mode)
     return _ExactEngine(n) if mode == "exact" else _float_engine(n)
-
-
-class _FloatWalk:
-    """The float walk from (n) as far as it has been asked for: walk is None
-    or (w_R, tvs), w_R = A^R e_s / n^R and tvs the TVs to pi after
-    r = 0..R steps.  It holds no engine, and walk is replaced whole, never
-    changed in place, so a reader on any thread sees one consistent pair."""
-
-    __slots__ = ("walk",)
-
-    def __init__(self):
-        self.walk = None
-
-
-@lru_cache(maxsize=1)
-def _float_walk(n: int) -> _FloatWalk:
-    return _FloatWalk()
-
-
-def _float_tvs(n: int, r: int) -> tuple[float, ...]:
-    """The TVs of the float walk from (n) after 0..R steps, for some R >= r.
-
-    Only the last size asked for is kept: its record is fetched before the
-    engine, so another size's walk is dropped before this one's engine
-    builds.  The walk steps on from its memo to r, and each TV is
-    eng.tv(scale * w) with scale formed as laws forms it, so every TV is,
-    to the bit, eng.tv of the law eng.laws((n,)) yields at that step."""
-    _check_steps(r)
-    _check_walk(n, "float")
-    memo = _float_walk(n)
-    eng = _float_engine(n)
-    s = partition_id(Partition((n,)))
-    scale = eng.dims / eng.dims[s]
-    if memo.walk is None:
-        w = np.zeros(len(scale))
-        w[s] = 1.0
-        memo.walk = (w, (eng.tv(scale * w),))
-    w, tvs = memo.walk
-    if len(tvs) <= r:
-        more = []
-        for _ in range(len(tvs), r + 1):
-            w = eng.step(w)
-            more.append(eng.tv(scale * w))
-        tvs += tuple(more)
-        memo.walk = (w, tvs)
-    return tvs
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,9 @@ BAD_ARGUMENTS = [
     (["gl-cycle-index", "--q", "1"], "argument --q: must be at least 2, got 1"),
     # c * n overflows to -inf, which math.ceil could not take
     (["sn-cutoff", "--n", "30", "--c=-1e308"], "r must be non-negative"),
+    # a point in two cycles of one generator, which was refused only later
+    # as "not a permutation of 0..4: (1, 2, 1, 3, 4)"
+    (["hsp", "--n", "5", "--gens", "(1 2)(2 3)"], "point 2 is in two cycles of '(1 2)(2 3)'"),
 ]
 
 

@@ -1,9 +1,9 @@
-"""The float walk from (n) is memoized for the last size asked for.
+"""The float walk from (n) is memoized on the cached float engine of n.
 
 sn_tv_curve(n, rmax, "float") and the float sn-cutoff read their TVs from
-it: they step only past what it holds, it is dropped before another size's
-engine builds, and whatever it holds they print the bits a walk run afresh
-prints.
+_FloatEngine.tvs: they step only past what it holds, it lives and dies
+with its engine, and whatever it holds they print the bits a walk run
+afresh prints.
 """
 
 import math
@@ -20,7 +20,6 @@ SIZES = (19, 24, 30, 36)
 
 
 def _clear():
-    snwalk._float_walk.cache_clear()
     snwalk._float_engine.cache_clear()
 
 
@@ -39,8 +38,8 @@ def _cutoff(capsys, n, c):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The sizes of the _FloatEngine.step calls made from an empty memo and
-    engine cache on, counted through a wrapper as the benchmark tracer
+    """The sizes of the _FloatEngine.step calls made from an empty engine
+    cache on, counted through a wrapper as the benchmark tracer
     counts them."""
     calls = []
     step = snwalk._FloatEngine.step
@@ -65,12 +64,35 @@ def test_float_commands_step_only_past_the_memo(capsys, steps):
     assert main(["sn-tv-curve", "--n", "24", "--rmax", str(r2), "--float"]) == 0
     assert main(["sn-tv-curve", "--n", "24", "--rmax", str(r1), "--float"]) == 0
     assert len(steps) == r2
-    # another size drops the walk at 24, which then steps again from 0
-    _cutoff(capsys, 25, 0)
-    assert len(steps) == r2 + _cutoff_r(25, 0)
+
+
+def test_a_cached_engine_keeps_its_walk(capsys, steps):
+    # three other sizes fill the four-engine cache without evicting 24,
+    # whose walk is then read without a step; four more evict its engine,
+    # and with it the walk, which then steps again from (n)
+    r = _cutoff_r(24, -0.5)
+    _cutoff(capsys, 24, -0.5)
+    for m in (25, 26, 27):
+        _cutoff(capsys, m, 0)
     del steps[:]
     _cutoff(capsys, 24, -0.5)
-    assert steps == [24] * r1
+    assert steps == []
+    for m in (28, 29, 30, 31):
+        _cutoff(capsys, m, 0)
+    del steps[:]
+    _cutoff(capsys, 24, -0.5)
+    assert steps == [24] * r
+
+
+def test_cache_clear_frees_the_walk(steps):
+    # the benchmark worker clears the engine cache before its cold builds,
+    # and that frees the memoized walk too
+    snwalk.sn_tv_curve(24, 10, "float")
+    engine = snwalk._float_engine(24)
+    refs = weakref.ref(engine), weakref.ref(engine._walk[0])
+    del engine
+    snwalk._float_engine.cache_clear()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_exact_cutoff_computes_one_tv(capsys, monkeypatch, steps):
@@ -84,27 +106,7 @@ def test_exact_cutoff_computes_one_tv(capsys, monkeypatch, steps):
     monkeypatch.setattr(snwalk._ExactEngine, "tv", counted)
     _cutoff(capsys, 18, 0.5)
     assert len(calls) == 1 and steps == []
-    assert snwalk._float_walk.cache_info().currsize == 0
-
-
-def test_memo_holds_no_engine_and_goes_before_the_next_build(monkeypatch, steps):
-    # the memo outlives its engine, and the next size's engine is built
-    # only once the last size's walk is freed, so the two never coexist
-    snwalk.sn_tv_curve(24, 10, "float")
-    engine = weakref.ref(snwalk._float_engine(24))
-    walk = weakref.ref(snwalk._float_walk(24).walk[0])
-    snwalk._float_engine.cache_clear()
-    assert engine() is None and walk() is not None
-    built = []
-    init = snwalk._FloatEngine.__init__
-
-    def checked(self, n):
-        built.append((n, walk()))
-        init(self, n)
-
-    monkeypatch.setattr(snwalk._FloatEngine, "__init__", checked)
-    snwalk.sn_tv_curve(25, 3, "float")
-    assert built == [(25, None)]
+    assert snwalk._float_engine.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -137,8 +139,8 @@ def test_memo_state_changes_no_bit(capsys, n):
                   ["hi", "lo", "short", "long"]):
         _clear()
         assert [calls[k]() for k in order] == [expect[k] for k in order], order
-    # other sizes' walks evict n's engine and walk, and float laws at
-    # other sizes evict only its engine: the memo steps on with a new one
+    # other sizes' walks and float laws alike evict n's engine and its
+    # walk, which the next engine of n walks again from (n)
     for between in (lambda m: _curve(m, 5), lambda m: snwalk.walk_distribution(m, 2, mode="float")):
         _clear()
         assert calls["short"]() == expect["short"]

@@ -27,6 +27,9 @@ def test_parse_permutation():
         parse_permutation("(1 5)", 3)
     with pytest.raises(ValueError):
         parse_permutation("(1 1)", 3)
+    # the cycles of one generator are disjoint; this returned (1, 2, 1)
+    with pytest.raises(ValueError, match="point 2 is in two cycles"):
+        parse_permutation("(1 2)(2 3)", 3)
 
 
 def test_parse_generators_commas_split():

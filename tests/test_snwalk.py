@@ -373,6 +373,20 @@ def test_lower_bound_estimate():
                 assert est <= exact + 1e-9
 
 
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_lower_bound_estimate_refuses_n_below_2(n):
+    # n = 0 raised ZeroDivisionError and n = 1 a math.comb message
+    with pytest.raises(ValueError, match="the walk needs n >= 2"):
+        sn_lower_bound_estimate(n, 3, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_lower_bound_estimate_refuses_alpha_not_positive_and_finite(alpha):
+    # alpha = nan returned 0.0
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        sn_lower_bound_estimate(8, 2, alpha)
+
+
 def test_float_mode_matches_exact():
     for n, r in ((6, 3), (9, 5)):
         fe = walk_distribution(n, r, mode="float")
