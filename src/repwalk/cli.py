@@ -179,13 +179,13 @@ def _error_bound_line(n: int, r: int) -> str:
 
 
 def _cmd_sn_walk(args):
-    start = Partition.from_string(args.start) if args.start else None
+    start = Partition.from_string(args.start) if args.start is not None else None
     if args.mode == "exact":
         _check_steps(args.r)  # a walk past the step cap keeps that message
-        if start:  # its size before dimension_sn, which is slow on a long one
+        if start is not None:  # its size before dimension_sn, which is slow on a long one
             _partition_of(args.n, start)
         _check_walk(args.n, "exact")
-        _check_digits(args.n, args.r, dimension_sn(start) if start else 1)
+        _check_digits(args.n, args.r, 1 if start is None else dimension_sn(start))
     dist = walk_distribution(args.n, args.r, start, args.mode)
     extra = [_error_bound_line(args.n, args.r)] if args.mode == "float" else []
     rows = [[lam.to_string(), dist.masses.get(lam, 0)] for lam in enumerate_partitions(args.n)]
@@ -484,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hsp", _cmd_hsp, help="hidden-subgroup distinguishability bounds")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gens", default="", help="comma-separated cycles, e.g. '(1 2),(3 4)'")
+    p.add_argument("--gens", default="",
+                   help="comma-separated generators in cycle notation, e.g. '(1 2),(3 4)'")
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
     return parser

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -56,11 +57,16 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
 
 
 def parse_generators(text: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Comma-separated generators, each a product of cycles."""
+    """Comma-separated generators, each a product of cycles.  Only commas
+    outside parentheses separate generators, so '(1,2)' is one
+    transposition; an empty generator, as in '(1 2),', is refused."""
     text = text.strip()
     if not text:
         return ()
-    return tuple(parse_permutation(tok, n) for tok in text.split(","))
+    gens = re.split(r",(?![^()]*\))", text)
+    if not all(tok.strip() for tok in gens):
+        raise ValueError(f"empty generator in {text!r}")
+    return tuple(parse_permutation(tok, n) for tok in gens)
 
 
 def cycle_type_of(perm: tuple[int, ...]) -> Partition:

@@ -4,10 +4,11 @@ A partition is a weakly decreasing tuple of positive integers; it indexes
 irreducible representations of S_n, conjugacy classes of S_n, and the
 components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
-The Young lattice of size n numbers the partitions of n and records which
-partitions of n-1 lie below each of them, as flat integer arrays; it is
-built from counts and numpy, with no partition tuple formed, and
-partition_id gives a partition's number in it.
+The partitions of n are generated once, by counting, as the rows of a
+zero-padded int8 matrix (so n stops at 127) in reverse-lexicographic order.
+enumerate_partitions makes them tuples; the Young lattice numbers them, in
+read-only int64 arrays built with numpy and no tuple, and records which
+partitions of n-1 lie below each.  partition_id gives a partition's number.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,46 +104,6 @@ class Partition(tuple):
 EMPTY = Partition(())
 
 
-def _reverse_lex(n: int) -> Iterator[Partition]:
-    """The partitions of n >= 1 in reverse-lexicographic order, built without
-    Partition's checks (each is valid by construction): ZS1 of Zoghbi and
-    Stojmenovic (1998).  x[:m] is the current partition, x[h] its last part
-    above 1, and every entry of x after h is 1."""
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0
-    new = tuple.__new__
-    yield new(Partition, x[:1])
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            m += 1
-            h -= 1
-        else:
-            # lower x[h] to r and spread the freed box and the trailing ones
-            # over parts of size r, then one smaller remainder
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            m = h + 1 + (t > 0)
-            if t > 1:
-                h += 1
-                x[h] = t
-        yield new(Partition, x[:m])
-
-
-@lru_cache(maxsize=SIZE_CACHE_SIZE)
-def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order, (n) first."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return tuple(_reverse_lex(n)) if n else (EMPTY,)
-
-
 class YoungLattice(NamedTuple):
     """Partitions of n as integer ids, their dimensions and containment edges.
 
@@ -151,14 +112,17 @@ class YoungLattice(NamedTuple):
     the id of lam, and the lattice holds no partitions of its own.  The
     edges are the nonzero entries of D, the p(n) x p(n-1) containment
     matrix (D[lam, mu] = 1 when mu is lam less one corner box), kept as
-    int64 CSR arrays in both directions: below[down_off[i]:down_off[i+1]]
-    lists the ids of the partitions of n-1 under the partition with id i,
-    bottom corner first, and above[up_off[m]:up_off[m+1]] the ids of the lam
-    over the m-th partition of n-1, in id order (top row first).  The
+    read-only int64 numpy CSR arrays in both directions:
+    below[down_off[i]:down_off[i+1]] lists the ids of the partitions of n-1
+    under the partition with id i, bottom corner first, and
+    above[up_off[m]:up_off[m+1]] the ids of the lam over the m-th partition
+    of n-1, in id order (top row first).  The
     down-up chain's common-corner matrix is A = D D^T, so a step is two
     segment sums through the partitions of n-1.  These are numbered in the
     order of their keys (see below) and named by these arrays alone.  Every
-    field is read-only, as the cache hands the same lattice to every caller.
+    field is read-only (a write into an array raises ValueError), as the
+    cache hands the same lattice to every caller.  Sizes past 127 raise
+    CapacityError.
 
     young_lattice builds it with numpy from the partitions as a zero-padded
     int8 matrix, generated by _partition_matrix.  Each edge
@@ -173,10 +137,10 @@ class YoungLattice(NamedTuple):
 
     n: int
     dims: tuple[int, ...]
-    below: memoryview
-    down_off: memoryview
-    above: memoryview
-    up_off: memoryview
+    below: np.ndarray
+    down_off: np.ndarray
+    above: np.ndarray
+    up_off: np.ndarray
 
 
 # rows of the lattice built per numpy pass: a pass's temporaries hold a few
@@ -277,6 +241,27 @@ def _partition_matrix(n: int) -> np.ndarray:
     return mat[ends[n - 1]:].copy()
 
 
+@lru_cache(maxsize=SIZE_CACHE_SIZE)
+def enumerate_partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in reverse-lexicographic order, (n) first: the
+    rows of _partition_matrix(n) as Partition tuples, built without the
+    checks, since each row is a partition.  The rows with k parts are cut
+    to their first k columns in one numpy call, so no pad is listed.  Sizes
+    past 127 raise CapacityError before any work."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    _check_lattice_size(n)
+    mat = _partition_matrix(n)
+    lengths = np.count_nonzero(mat, axis=1)
+    parts = [None] * len(mat)
+    new = tuple.__new__
+    for k in range(n + 1):
+        ids = np.flatnonzero(lengths == k)
+        for i, row in zip(ids.tolist(), mat[ids, :k].tolist()):
+            parts[i] = new(Partition, row)
+    return tuple(parts)
+
+
 # four entries, as _float_engine keeps: a cached float engine steps its own
 # jagged tables but holds its lattice for n and the dimensions, so a
 # lattice kept here for one of them costs no memory of its own
@@ -286,8 +271,9 @@ def young_lattice(n: int) -> YoungLattice:
     _check_lattice_size(n)
     mat = _partition_matrix(n)
     edges = _containment(mat)
-    dims = _dimensions(mat)
-    return YoungLattice(n, dims, *(memoryview(a).toreadonly() for a in edges))
+    for a in edges:
+        a.flags.writeable = False
+    return YoungLattice(n, _dimensions(mat), *edges)
 
 
 def _containment(mat: np.ndarray):

@@ -129,8 +129,10 @@ def kernel_downup(n: int) -> SparseKernel:
     """
     _check_walk(n, "exact")
     lat, parts = young_lattice(n), enumerate_partitions(n)
-    dims, below, above = lat.dims, lat.below, lat.above
-    down_off, up_off = lat.down_off, lat.up_off
+    dims = lat.dims
+    # as Python ints, which the loops read faster than numpy scalars
+    below, down_off, above, up_off = (
+        a.tolist() for a in (lat.below, lat.down_off, lat.above, lat.up_off))
     rows = {}
     for i, lam in enumerate(parts):
         counts: dict[int, int] = {}
@@ -174,9 +176,8 @@ def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
     the lam above it, the second each lam to the total of those over the
     partitions below it.  For n >= 1 no segment is empty.  The exact engine
     steps with it; _FloatEngine.step adds in its order on jagged tables."""
-    below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
-                                      for a in (lat.below, lat.down_off, lat.above, lat.up_off))
-    return np.add.reduceat(np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1])
+    return np.add.reduceat(np.add.reduceat(w[lat.above], lat.up_off[:-1])[lat.below],
+                           lat.down_off[:-1])
 
 
 def _partition_of(n: int, lam) -> Partition:
@@ -430,7 +431,6 @@ def _jagged_rows(targets, off, relabel=None):
     first, so the j-th entries of those that have one are a prefix of that
     order: row j lists them, each through relabel if given.  Returns the
     order and the rows, which store every entry once and no pad."""
-    targets, off = np.frombuffer(targets, dtype=np.int64), np.frombuffer(off, dtype=np.int64)
     counts = np.diff(off)
     order = np.argsort(-counts, kind="stable")
     starts, counts = off[:-1][order], counts[order]

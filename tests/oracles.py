@@ -801,10 +801,8 @@ def float_reference_walk(n: int, start: Partition):
     from repwalk.partitions import young_lattice
 
     lat = young_lattice(n)
-    below, down_off, above, up_off = (np.frombuffer(a, dtype=np.int64)
-                                      for a in (lat.below, lat.down_off, lat.above, lat.up_off))
     return _float_walk(lat, start, lambda w: np.add.reduceat(
-        np.add.reduceat(w[above], up_off[:-1])[below], down_off[:-1]) / n)
+        np.add.reduceat(w[lat.above], lat.up_off[:-1])[lat.below], lat.down_off[:-1]) / n)
 
 
 def padded_float_step(n: int):
@@ -821,7 +819,6 @@ def padded_float_step(n: int):
     lat = young_lattice(n)
 
     def table(targets, off, pad):
-        targets, off = np.frombuffer(targets, dtype=np.int64), np.frombuffer(off, dtype=np.int64)
         counts = np.diff(off)
         out = np.full((counts.max(), len(counts)), pad, dtype=np.intp)
         for j, row in enumerate(out):

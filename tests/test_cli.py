@@ -212,6 +212,18 @@ def test_hsp_json(tmp_path):
     }
 
 
+@pytest.mark.parametrize("gens,same", [
+    ("(1,2)", "(1 2)"),
+    ("(1,2),(3,4)", "(1 2),(3 4)"),
+    ("(1,2,3),(4 5)", "(1 2 3),(4 5)"),
+])
+def test_hsp_commas_inside_a_cycle(capsys, gens, same):
+    # only commas outside parentheses separate generators; "(1,2)" exited 2
+    # with "bad cycle notation: '(1'"
+    assert _main_stdout(capsys, ["hsp", "--n", "5", "--gens", gens]) == \
+        _main_stdout(capsys, ["hsp", "--n", "5", "--gens", same])
+
+
 @pytest.mark.parametrize("n,c", [(13, "-0.5"), (15, "0.5"), (18, "0.5"), (18, "3")])
 def test_sn_cutoff_exact_up_to_kernel_limit(capsys, n, c):
     # sn-cutoff runs the exact walk for n <= EXACT_KERNEL_LIMIT and prints
@@ -603,6 +615,12 @@ BAD_ARGUMENTS = [
     # a point in two cycles of one generator, which was refused only later
     # as "not a permutation of 0..4: (1, 2, 1, 3, 4)"
     (["hsp", "--n", "5", "--gens", "(1 2)(2 3)"], "point 2 is in two cycles of '(1 2)(2 3)'"),
+    # a trailing comma added the identity as a generator
+    (["hsp", "--n", "3", "--gens", "(1 2),"], "empty generator in '(1 2),'"),
+    # an empty start walked from (n), where "-" and the library refuse it
+    (["sn-walk", "--n", "5", "--r", "2", "--start", ""], "partition - has size 0, expected 5"),
+    (["sn-walk", "--n", "5", "--r", "2", "--start", "", "--float"],
+     "partition - has size 0, expected 5"),
 ]
 
 

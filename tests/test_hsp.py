@@ -36,6 +36,12 @@ def test_parse_generators_commas_split():
     gens = parse_generators("(1 2),(3 4)", 4)
     assert gens == ((1, 0, 2, 3), (0, 1, 3, 2))
     assert parse_generators("", 4) == ()
+    # commas inside a cycle separate its points, not generators
+    assert parse_generators("(1,2),(3,4)", 4) == gens
+    assert parse_generators("(1,2)(3,4)", 4) == ((1, 0, 3, 2),)
+    for text in ("(1 2),", ",(1 2)", "(1 2),,(3 4)", ","):
+        with pytest.raises(ValueError, match="empty generator"):
+            parse_generators(text, 4)
 
 
 def test_cycle_type():

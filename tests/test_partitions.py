@@ -20,7 +20,7 @@ import repwalk.partitions as partitions_module
 from repwalk.errors import CapacityError
 from repwalk.snwalk import FLOAT_LIMIT
 
-from oracles import count_standard_tableaux, log_dimension_sn, young_lattice_reference
+from oracles import _gen_partitions, count_standard_tableaux, log_dimension_sn, young_lattice_reference
 
 
 @st.composite
@@ -247,11 +247,8 @@ def test_young_lattice_builds_every_float_size():
         assert lat.up_off[-1] == len(lat.above)
         if n:
             assert len(lat.up_off) == partition_count(n - 1) + 1
-            below, down_off, above, up_off = (
-                np.frombuffer(a, dtype=np.int64)
-                for a in (lat.below, lat.down_off, lat.above, lat.up_off))
-            up = np.add.reduceat(np.array(lat.dims, dtype=object)[above], up_off[:-1])
-            assert np.add.reduceat(up[below], down_off[:-1]).tolist() == [n * d for d in lat.dims]
+            up = np.add.reduceat(np.array(lat.dims, dtype=object)[lat.above], lat.up_off[:-1])
+            assert np.add.reduceat(up[lat.below], lat.down_off[:-1]).tolist() == [n * d for d in lat.dims]
 
 
 def test_young_lattice_key_collision_raises(monkeypatch):
@@ -283,12 +280,45 @@ def test_young_lattice_memory_is_bounded():
 
 
 def test_partition_matrix_rows_are_the_enumeration():
-    # the counted generator and ZS1 list the partitions of n in one order,
-    # the order lattice ids and character-table rows share
+    # the counted rows and the Partition tuples made from them list the
+    # partitions of n in the recursive reference's reverse-lex order, the
+    # order lattice ids and character-table rows share
     for n in range(41):
+        ref = list(_gen_partitions(n, n))
         rows = _partition_matrix(n)
-        assert rows.dtype == np.int8 and rows.shape == (partition_count(n), n + 1)
-        assert rows.tolist() == [[*lam] + [0] * (n + 1 - len(lam)) for lam in enumerate_partitions(n)]
+        assert rows.dtype == np.int8 and rows.shape == (len(ref), n + 1)
+        assert rows.tolist() == [[*lam] + [0] * (n + 1 - len(lam)) for lam in ref]
+        parts = enumerate_partitions(n)
+        assert parts == tuple(map(Partition, ref))
+        assert all(type(lam) is Partition for lam in parts)
+
+
+def test_enumeration_refuses_sizes_past_the_lattice_cap():
+    # refused by the size check before any row is generated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            enumerate_partitions(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    with pytest.raises(ValueError):
+        enumerate_partitions(-1)
+
+
+@pytest.mark.parametrize("field", ["below", "down_off", "above", "up_off"])
+def test_young_lattice_arrays_are_read_only(field):
+    # the cache hands the same arrays to every caller
+    for n in (0, 1, 7, 25):
+        a = getattr(young_lattice(n), field)
+        before = a.tolist()
+        assert a.dtype == np.int64 and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
+        assert getattr(young_lattice(n), field).tolist() == before
 
 
 def test_partition_id_is_the_enumeration_position():

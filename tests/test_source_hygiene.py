@@ -5,10 +5,12 @@ __init__ re-exports, so it is exempt), and every private (_-prefixed)
 function, class or module-level name and every public UPPER_CASE module
 constant the package defines is read somewhere: in the package, the tests
 or the benchmark harness.  A helper or a knob left behind by a refactor
-fails here.
+fails here; a function's reads of its own name inside its own body (a
+recursive call) do not count.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,17 +22,17 @@ def _trees(*dirs: Path) -> dict[Path, ast.Module]:
             for d in dirs for path in sorted(d.rglob("*.py"))}
 
 
-def _names_read(tree: ast.AST) -> set[str]:
-    """Every name a module reads: loaded names and attributes, names it
-    imports from elsewhere, and the parts of each string constant that is
-    one dotted word (a monkeypatch target, an attribute named for a tracer),
-    so a docstring that names a helper does not count."""
-    out = set()
+def _names_read(tree: ast.AST) -> Counter:
+    """How often a module reads each name: loaded names and attributes,
+    names it imports from elsewhere, and the parts of each string constant
+    that is one dotted word (a monkeypatch target, an attribute named for a
+    tracer), so a docstring that names a helper does not count."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
@@ -77,21 +79,44 @@ def _definitions(tree: ast.Module):
     yield from _module_names(tree)
 
 
-def _reads() -> set[str]:
-    reads = set()
+def _reads() -> Counter:
+    reads = Counter()
     for tree in _trees(PACKAGE, ROOT / "tests", ROOT / "perfbench").values():
-        reads |= _names_read(tree)
+        reads += _names_read(tree)
     return reads
 
 
+def _unread_private(trees: dict[Path, ast.Module], reads: Counter) -> list[str]:
+    """The private names the trees define that nothing reads but their own
+    bodies: the reads of a function's name inside any function of that
+    name are taken off its count.  Dunder names are not private."""
+    own = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own[node.name] += _names_read(node)[node.name]
+    return [f"{path.name}:{line} {name}"
+            for path, tree in trees.items()
+            for name, line in _definitions(tree)
+            if name.startswith("_") and not name.endswith("__") and reads[name] <= own[name]]
+
+
 def test_every_private_name_is_read():
-    # dunder names are not private
-    reads = _reads()
-    unread = [f"{path.name}:{line} {name}"
-              for path, tree in _trees(PACKAGE).items()
-              for name, line in _definitions(tree)
-              if name.startswith("_") and not name.endswith("__") and name not in reads]
-    assert not unread
+    assert not _unread_private(_trees(PACKAGE), _reads())
+
+
+def test_a_recursive_helper_with_no_caller_is_unread():
+    # _walk calls only itself; _count calls itself and has a caller, as
+    # partitions._bounded_counts and characters._mn do
+    tree = ast.parse(
+        "def _walk(n):\n"
+        "    return _walk(n - 1) if n else 0\n"
+        "def _count(n):\n"
+        "    return _count(n - 1) + 1 if n else 0\n"
+        "def total(n):\n"
+        "    return _count(n)\n")
+    trees = {Path("m.py"): tree}
+    assert _unread_private(trees, _names_read(tree)) == ["m.py:1 _walk"]
 
 
 def test_every_public_constant_is_read():
