@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -59,11 +58,25 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
 def parse_generators(text: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Comma-separated generators, each a product of cycles.  Only commas
     outside parentheses separate generators, so '(1,2)' is one
-    transposition; an empty generator, as in '(1 2),', is refused."""
+    transposition; an empty generator, as in '(1 2),', and unbalanced
+    parentheses, as in '(1,2', are refused, naming the whole text."""
     text = text.strip()
     if not text:
         return ()
-    gens = re.split(r",(?![^()]*\))", text)
+    gens, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == "," and not depth:
+            gens.append(text[start:i])
+            start = i + 1
+    if depth:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    gens.append(text[start:])
     if not all(tok.strip() for tok in gens):
         raise ValueError(f"empty generator in {text!r}")
     return tuple(parse_permutation(tok, n) for tok in gens)

@@ -4,18 +4,19 @@ A partition is a weakly decreasing tuple of positive integers; it indexes
 irreducible representations of S_n, conjugacy classes of S_n, and the
 components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
-The partitions of n are generated once, by counting, as the rows of a
-zero-padded int8 matrix (so n stops at 127) in reverse-lexicographic order.
-enumerate_partitions makes them tuples; the Young lattice numbers them, in
-read-only int64 arrays built with numpy and no tuple, and records which
-partitions of n-1 lie below each.  partition_id gives a partition's number.
+The partitions of n are generated once, by counting, in reverse-
+lexicographic order, each from a partition of a smaller size with one
+first row added, and carry down that recursion their conjugates, hook
+products and down edges.  enumerate_partitions makes tuples of their rows
+as a zero-padded int8 matrix (so n stops at 127); the Young lattice numbers
+them, in read-only int64 arrays built with numpy and no tuple, and records
+which partitions of n-1 lie below each, by the numbers partition_id gives.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -115,24 +116,18 @@ class YoungLattice(NamedTuple):
     read-only int64 numpy CSR arrays in both directions:
     below[down_off[i]:down_off[i+1]] lists the ids of the partitions of n-1
     under the partition with id i, bottom corner first, and
-    above[up_off[m]:up_off[m+1]] the ids of the lam over the m-th partition
-    of n-1, in id order (top row first).  The
-    down-up chain's common-corner matrix is A = D D^T, so a step is two
-    segment sums through the partitions of n-1.  These are numbered in the
-    order of their keys (see below) and named by these arrays alone.  Every
-    field is read-only (a write into an array raises ValueError), as the
-    cache hands the same lattice to every caller.  Sizes past 127 raise
-    CapacityError.
+    above[up_off[m]:up_off[m+1]] the ids of the lam over the partition of
+    n-1 with id m, in id order (top row first).  The partitions of n-1 are
+    numbered as in young_lattice(n-1), by partition_id.  The down-up
+    chain's common-corner matrix is A = D D^T, so a step is two segment
+    sums through the partitions of n-1.  Every field is read-only (a write
+    into an array raises ValueError), as the cache hands the same lattice to
+    every caller.  Sizes past 127 raise CapacityError.
 
-    young_lattice builds it with numpy from the partitions as a zero-padded
-    int8 matrix, generated by _partition_matrix.  Each edge
-    lam -> mu = lam - e_a, for a removable row a, gets the linear key of mu,
-    sum_i mu_i KEY_BASE^(i+1) mod 2^64: the key of lam less one weight.
-    Sorting the edges by key lists the lam above each mu, and a build that
-    finds fewer distinct keys than partitions of n-1 raises ArithmeticError.
-    Dimensions are n! // the product of the hook lengths, which come from
-    the conjugate counts of the cells, multiplied in int64 runs short enough
-    not to overflow, LATTICE_BLOCK rows at a time.
+    young_lattice builds it from level n of the counted partition recursion
+    (_grow), which carries each partition's hook product and down edges
+    with it: dims are n! // the hook products, and above is below sorted
+    stably, with up_off its counts.
     """
 
     n: int
@@ -143,11 +138,6 @@ class YoungLattice(NamedTuple):
     up_off: np.ndarray
 
 
-# rows of the lattice built per numpy pass: a pass's temporaries hold a few
-# entries per cell of LATTICE_BLOCK rows, whatever p(n)
-LATTICE_BLOCK = 1024
-# odd multiplier of the linear partition keys
-KEY_BASE = 0x9E3779B97F4A7C15
 # parts are stored as int8
 _MAX_PART = 127
 
@@ -174,7 +164,10 @@ def partition_id(lam) -> int:
     enumerate_partitions order, ranked by counting (Nijenhuis and Wilf,
     Combinatorial Algorithms, 1978): p(n) - 1 less the partitions after
     lam, which agree with it on some first parts and have a smaller next
-    part, N(m, lam_i - 1) of them for the m boxes from part i on."""
+    part, N(m, lam_i - 1) of them for the m boxes from part i on.  Anything
+    but a Partition is checked as Partition checks it."""
+    if type(lam) is not Partition:
+        lam = Partition(lam)
     n = sum(lam)
     _check_lattice_size(n)
     after, m = 0, n
@@ -184,61 +177,154 @@ def partition_id(lam) -> int:
     return _bounded_counts(n)[n] - 1 - after
 
 
-def _stacked_levels(tops: list[int]) -> tuple[np.ndarray, list[int]]:
-    """Partitions of 0, 1, ..., len(tops) - 1 in reverse-lexicographic order,
-    level j those of j with no part above tops[j], stacked as the rows of one
-    zero-padded int8 matrix with a zero column past the longest; level j
-    ends at row ends[j].
+class _Level(NamedTuple):
+    """Level j of the partition recursion: the partitions of j with no part
+    above some top, in reverse-lexicographic order, which are the last
+    `rows` partitions of j.  A field the build did not ask for is None.
 
-    Level 0 is the one zero row, the empty partition.  Level j lists, for
-    first parts f from tops[j] down to 1, f over the last N(j-f, f) rows of
-    level j-f, the partitions of j-f with no part above f, shifted one
-    column right; so tops[j - f] must be at least min(f, j - f)."""
-    sizes = [_bounded_counts(j)[top] for j, top in enumerate(tops)]
-    ends = list(accumulate(sizes))
-    firsts, heights, copies = [0], [1], []
-    for j in range(1, len(tops)):
-        row = ends[j - 1]
-        for f in range(tops[j], 0, -1):
-            k = _bounded_counts(j - f)[min(f, j - f)]
-            firsts.append(f)
-            heights.append(k)
-            if f < j:  # over the empty partition the row stays zero
-                copies.append((row, ends[j - f] - k, k))
-            row += k
-    mat = np.zeros((ends[-1], len(tops)), np.int8)
-    mat[:, 0] = np.repeat(np.array(firsts, np.int8), heights)
-    for dst, src, k in copies:
-        mat[dst:dst + k, 1:] = mat[src:src + k, :-1]
-    return mat, ends
+    parts holds them as zero-padded int8 rows of j + 1 columns; conj their
+    conjugates, top by rows in int8, so conj[c, i] is the length of column
+    c of row i and a column's lengths are contiguous; hooks their hook
+    products, int64 up to SMALL_SIZE and Python ints past it;
+    below[down_off[i]:down_off[i+1]] the ids of the partitions of j-1 under
+    row i, numbered among all of them, bottom corner first."""
+
+    rows: int
+    parts: np.ndarray | None
+    conj: np.ndarray | None
+    hooks: np.ndarray | None
+    below: np.ndarray | None
+    down_off: np.ndarray | None
 
 
-# sizes whose partitions are sliced from one cached stack of every level up
-# to it (2714 rows of 21 int8 columns, 57 kB): below it a build costs more
-# in numpy calls than in rows, and these are the sizes exact walks use
+def _grow(j: int, top: int, stack: list[_Level], parts=False, lattice=False,
+          last=False) -> _Level:
+    """Level j with no part above top, from the levels stack[j-f] below it.
+
+    For first parts f from top down to 1 it lists f over nu, for nu the last
+    N(j-f, f) rows of level j-f, the partitions of j-f with no part above f
+    (so stack[j-f] must hold those).  Each row carries down:
+      - its conjugate, nu' plus one in the first f columns;
+      - its hook product, H(nu) prod_{c<f} (f - c + nu'_c), the first row's
+        hooks (Frame, Robinson and Thrall, 1954);
+      - its down edges: nu's own, as ids of (f, mu) in level j-1, which are
+        nu's ids less the p(j-f-1) - N(j-f-1, f) partitions of j-f-1 that
+        have a part above f, plus the p(j-1) - N(j-1, f) partitions of j-1
+        with a first part above f; then the first-row edge (f-1, nu), which
+        only the last N(j-f, f-1) rows have, and whose ids run on from
+        p(j-1) - N(j-1, f-1).
+    A last level (the one asked for) keeps no conjugates and int64 edges."""
+    counts = _bounded_counts
+    rows = counts(j)[top]
+    plan, edges = [], 0
+    for f in range(top, 0, -1):
+        src = stack[j - f]
+        k = counts(j - f)[min(f, j - f)]
+        m = counts(j - f)[min(f - 1, j - f)]
+        s0 = src.rows - k
+        plan.append((f, src, s0, k, m))
+        if lattice:
+            edges += int(src.down_off[-1] - src.down_off[s0]) + m
+    out_parts = np.zeros((rows, j + 1), np.int8) if parts else None
+    conj = hooks = below = down_off = None
+    if lattice:
+        prev = counts(j - 1)
+        index = np.int64 if last or max(edges, prev[-1]) >> 31 else np.int32
+        below = np.empty(edges, index)
+        own = np.empty(edges - sum(m for *_, m in plan), index)  # nu's edges, shifted
+        down_off = np.zeros(rows + 1, index)
+        hooks = np.ones(rows, np.int64 if j <= SMALL_SIZE else object)  # H(()) = 1
+        if not last:
+            conj = np.zeros((top, rows), np.int8)
+        per = 1  # each hook factor is at most j: per of them fit in int64
+        while per < j and j ** (per + 1) < 1 << 63:
+            per += 1
+        down = np.arange(j, 0, -1)[:, None]  # f - c is down[j - f + c]
+    r = e = 0
+    firsts = []  # per block: its first row with a first-row edge, that edge's id, m
+    for f, src, s0, k, m in plan:
+        if parts:
+            out_parts[r:r + k, 0] = f
+            out_parts[r:r + k, 1:j - f + 2] = src.parts[s0:]
+        if lattice:
+            w = min(f, j - f)  # nu'_c = 0 from column w on
+            nu = src.conj[:w, s0:]
+            if conj is not None:
+                conj[:f, r:r + k] = 1
+                conj[:w, r:r + k] += nu
+            fac = nu + down[j - f:j - f + w]
+            # the f first-row hooks sum to S, so by AM-GM their product is
+            # at most (S / f)^f: below 2^63 it is one int64 run
+            if (f * (f + 1) // 2 + j - f) ** f < f ** f << 63:
+                runs = [fac.prod(axis=0) * math.factorial(f - w)]
+            else:
+                runs = [fac[c:c + per].prod(axis=0) for c in range(0, w, per)]
+                runs += [math.factorial(f - w)] if f > w else []
+            h = hooks[r:r + k]
+            np.multiply(src.hooks[s0:], runs[0], out=h, dtype=hooks.dtype)
+            for run in runs[1:]:
+                h *= run
+            a = int(src.down_off[s0])
+            np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1], dtype=index)
+            shift = 0
+            if f < j:
+                low = counts(j - f - 1)
+                shift = prev[-1] - prev[f] - low[-1] + low[min(f, j - f - 1)]
+            e_next = e + int(src.down_off[-1]) - a
+            np.add(src.below[a:], shift, out=own[e:e_next], dtype=index)
+            e = e_next
+            firsts.append((r + k - m, prev[-1] - prev[f - 1], m))
+        r += k
+    if lattice:
+        # the first-row edges go after each row's own, shifting the rows after
+        start, first_id, m = np.array(firsts, np.int64).reshape(-1, 3).T
+        rank = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        owners = rank + np.repeat(start, m)
+        lift = np.zeros(rows + 1, index)
+        lift[owners + 1] = 1
+        down_off += np.cumsum(lift, out=lift)
+        at = down_off[owners + 1] - 1
+        keep = np.ones(edges, bool)
+        keep[at] = False
+        below[keep] = own
+        below[at] = rank + np.repeat(first_id, m)
+    return _Level(rows, out_parts, conj, hooks, below, down_off)
+
+
+# sizes whose levels are built whole, with every field, and cached, each
+# from the cached levels below it when first asked for: below it a build
+# costs more in numpy calls than in rows, and these are the sizes exact
+# walks and the GL sampler use
 SMALL_SIZE = 20
 
 
-@lru_cache(maxsize=1)
-def _small_levels() -> tuple[np.ndarray, tuple[int, ...]]:
-    mat, ends = _stacked_levels(list(range(SMALL_SIZE + 1)))
-    mat.flags.writeable = False  # shared by every later call
-    return mat, tuple(ends)
+@lru_cache(maxsize=SMALL_SIZE + 1)
+def _small_level(j: int) -> _Level:
+    level = _grow(j, j, [_small_level(i) for i in range(j)], parts=True, lattice=True)
+    for a in level[1:]:
+        a.flags.writeable = False  # shared by every later call
+    return level
+
+
+def _level(n: int, lattice: bool) -> _Level:
+    """The partitions of n, complete, with their parts, or with their hook
+    products and down edges if lattice.  Up to SMALL_SIZE this is the cached
+    level.  Past it, level n takes every first part and a level j < n is
+    read only for first parts up to n - j, so it keeps those up to
+    min(j, n - j)."""
+    if n <= SMALL_SIZE:
+        return _small_level(n)
+    stack = [_small_level(j) for j in range(SMALL_SIZE + 1)]
+    for j in range(SMALL_SIZE + 1, n + 1):
+        stack.append(_grow(j, min(j, n - j) if j < n else n, stack,
+                           parts=not lattice, lattice=lattice, last=j == n))
+    return stack[n]
 
 
 def _partition_matrix(n: int) -> np.ndarray:
     """The partitions of n in reverse-lexicographic order as the rows of a
-    zero-padded int8 matrix with one zero column past the longest, (1^n).
-
-    Up to SMALL_SIZE they are level n of the cached complete levels.  Past
-    it, level n takes every first part and a level j < n is read only for
-    first parts up to n - j, so it keeps those up to min(j, n - j)."""
-    if n <= SMALL_SIZE:
-        mat, ends = _small_levels()
-        return mat[ends[n] - _bounded_counts(n)[n]:ends[n], :n + 1].copy()
-    mat, ends = _stacked_levels([min(j, n - j) for j in range(n)] + [n])
-    # a copy, so the lower levels are freed before the lattice is built on it
-    return mat[ends[n - 1]:].copy()
+    zero-padded int8 matrix with one zero column past the longest, (1^n)."""
+    return _level(n, lattice=False).parts
 
 
 @lru_cache(maxsize=SIZE_CACHE_SIZE)
@@ -267,80 +353,26 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 # lattice kept here for one of them costs no memory of its own
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
-    """The cached Young lattice of size n, built in numpy row blocks."""
+    """The cached Young lattice of size n, read off level n of the counted
+    recursion, as YoungLattice says."""
     _check_lattice_size(n)
-    mat = _partition_matrix(n)
-    edges = _containment(mat)
+    level = _level(n, lattice=True)
+    dims = tuple((math.factorial(n) // level.hooks).tolist())
+    rows = level.rows
+    below = level.below.astype(np.int64, copy=False)
+    down_off = level.down_off.astype(np.int64, copy=False)
+    del level  # the hook products
+    # stable, so the lam above one mu stay in id order; ids below p(39)
+    # fit int16, which numpy sorts by radix
+    lower = _bounded_counts(n - 1)[-1]  # p(-1) = 0
+    order = np.argsort(below.astype(np.int16) if lower < 1 << 15 else below, kind="stable")
+    above = np.repeat(np.arange(rows), np.diff(down_off))[order]
+    up_off = np.zeros(lower + 1, np.int64)
+    np.cumsum(np.bincount(below, minlength=lower), out=up_off[1:])
+    edges = below, down_off, above, up_off
     for a in edges:
         a.flags.writeable = False
-    return YoungLattice(n, _dimensions(mat), *edges)
-
-
-def _containment(mat: np.ndarray):
-    """The edge arrays below, down_off, above, up_off of the lattice whose
-    partitions are the rows of mat, zero-padded past the longest, built as
-    YoungLattice says."""
-    n = mat.shape[1] - 1
-    # each temporary is deleted once used: the peak stays near the output's size
-    removable = mat[:, :-1] > mat[:, 1:]
-    down_off = np.concatenate([[0], np.cumsum(removable.sum(axis=1))])
-    lam, col = np.nonzero(removable[:, ::-1])  # id order, bottom corner first
-    del removable
-    # KEY_BASE^(i+1) mod 2^64, as uint64 products wrap
-    weights = np.cumprod(np.full(n + 1, KEY_BASE, np.uint64))
-    keys = np.concatenate([mat[i:i + LATTICE_BLOCK].astype(np.uint64) @ weights
-                           for i in range(0, len(mat), LATTICE_BLOCK)])
-    key = keys[lam] - weights[n - 1 - col]
-    del keys, col
-    # stable, so the lam above one mu stay in id order
-    by_mu = np.argsort(key, kind="stable")
-    key = key[by_mu]
-    new_mu = np.ones(len(key), bool)
-    new_mu[1:] = key[1:] != key[:-1]
-    del key
-    # every partition of n-1 lies below some lam, so fewer keys than
-    # partitions of n-1 means two of them share a key
-    if np.count_nonzero(new_mu) != (_bounded_counts(n - 1)[-1] if n else 0):
-        raise ArithmeticError(f"two partitions of {n - 1} share a lattice key")
-    below = np.empty(len(new_mu), np.int64)
-    below[by_mu] = np.cumsum(new_mu) - 1
-    up_off = np.append(np.flatnonzero(new_mu), len(new_mu))
-    return below, down_off, lam[by_mu], up_off
-
-
-def _dimensions(mat: np.ndarray) -> tuple[int, ...]:
-    """n! // the hook product of each row of mat, the hooks multiplied in
-    int64 runs short enough not to overflow, the runs in Python ints."""
-    n = mat.shape[1] - 1
-    per = 1  # each hook is at most n
-    while per < n and n ** (per + 1) < 1 << 63:
-        per += 1
-    n_fact = math.factorial(n)
-    dims: list[int] = []
-    for r0 in range(0, len(mat), LATTICE_BLOCK):
-        runs = _hook_runs(mat[r0:r0 + LATTICE_BLOCK], per).astype(object)
-        dims.extend((n_fact // runs.prod(axis=1)).tolist())
-    return tuple(dims)
-
-
-def _hook_runs(blk: np.ndarray, per: int) -> np.ndarray:
-    """Products of the hook lengths of each row of blk, per at a time.
-
-    The cells of a partition are listed row by row; the cell (i, j) has
-    hook lam_i - j + lam'_j - i - 1, with the conjugate lam'_j counted over
-    the cells of column j.
-    """
-    rows, width = blk.shape
-    n = width - 1
-    flat = blk.ravel().astype(np.int64)
-    i = np.repeat(np.tile(np.arange(width), rows), flat)
-    j = np.arange(rows * n) - np.repeat(np.cumsum(flat) - flat, flat)
-    cell = np.repeat(np.arange(rows), n) * width + j
-    conj = np.bincount(cell, minlength=rows * width)
-    runs = -(-n // per)
-    padded = np.ones((rows, runs * per), np.int64)
-    padded[:, :n] = (np.repeat(flat, flat) - j + conj[cell] - i - 1).reshape(rows, n)
-    return padded.reshape(rows, runs, per).prod(axis=2)
+    return YoungLattice(n, dims, *edges)
 
 
 def _columns(lam: tuple[int, ...]) -> list[int]:

@@ -617,6 +617,10 @@ BAD_ARGUMENTS = [
     (["hsp", "--n", "5", "--gens", "(1 2)(2 3)"], "point 2 is in two cycles of '(1 2)(2 3)'"),
     # a trailing comma added the identity as a generator
     (["hsp", "--n", "3", "--gens", "(1 2),"], "empty generator in '(1 2),'"),
+    # an unclosed parenthesis split at the comma and named half a cycle,
+    # "bad cycle notation: '(1'"
+    (["hsp", "--n", "3", "--gens", "(1,2"], "unbalanced parentheses in '(1,2'"),
+    (["hsp", "--n", "3", "--gens", "(1 2)),(2 3)"], "unbalanced parentheses in '(1 2)),(2 3)'"),
     # an empty start walked from (n), where "-" and the library refuse it
     (["sn-walk", "--n", "5", "--r", "2", "--start", ""], "partition - has size 0, expected 5"),
     (["sn-walk", "--n", "5", "--r", "2", "--start", "", "--float"],

@@ -217,5 +217,5 @@ def test_every_cache_is_bounded():
                 maxsize = value.cache_info().maxsize
                 assert isinstance(maxsize, int) and maxsize > 0, f"{info.name}.{name}"
                 seen.add(value)
-    assert {partitions.enumerate_partitions, partitions.dimension_sn,
+    assert {partitions.enumerate_partitions, partitions.dimension_sn, partitions._small_level,
             characters.enumerate_classes, characters._mn, snwalk._float_engine} <= seen

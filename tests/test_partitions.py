@@ -237,7 +237,6 @@ def test_young_lattice_matches_reference_build(n):
 
 
 def test_young_lattice_builds_every_float_size():
-    # each build checks that its keys tell the partitions of n - 1 apart;
     # A d = n d, since the down-up kernel's rows sum to 1
     for n in range(FLOAT_LIMIT + 1):
         lat = young_lattice(n)
@@ -251,22 +250,43 @@ def test_young_lattice_builds_every_float_size():
             assert np.add.reduceat(up[lat.below], lat.down_off[:-1]).tolist() == [n * d for d in lat.dims]
 
 
-def test_young_lattice_key_collision_raises(monkeypatch):
-    # with every key weight 1 all partitions of n - 1 share one key
-    monkeypatch.setattr(partitions_module, "KEY_BASE", 1)
+@pytest.mark.parametrize("n", [*range(31), 36, 40])
+def test_lattice_edges_name_the_removable_corners(n):
+    # below lists each lam's corners, bottom corner first, by their ids in
+    # young_lattice(n - 1): every lam up to n = 30, every 7th at 36 and 40
+    lat, parts = young_lattice(n), enumerate_partitions(n)
+    for i in range(0, len(parts), 1 if n <= 30 else 7):
+        ids = lat.below[lat.down_off[i]:lat.down_off[i + 1]].tolist()
+        assert ids == [partition_id(mu) for mu in parts[i].removable_corners()], (n, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 20, 21, 36])
+def test_lattice_above_lists_each_mu_in_id_order(n):
+    # the lam over each mu are the lam whose edges name mu, in id order
+    lat = young_lattice(n)
+    over = [[] for _ in range(partition_count(n - 1))]
+    for i in range(len(lat.dims)):
+        for m in lat.below[lat.down_off[i]:lat.down_off[i + 1]].tolist():
+            over[m].append(i)
+    assert [lat.above[lat.up_off[m]:lat.up_off[m + 1]].tolist() for m in range(len(over))] == over
+
+
+def test_small_levels_are_built_on_demand():
+    # a lattice of 6 from cleared caches builds the levels 0..6 and no more
     young_lattice.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="share a lattice key"):
-            young_lattice(6)
-    finally:
-        young_lattice.cache_clear()
+    partitions_module._small_level.cache_clear()
+    young_lattice(6)
+    assert partitions_module._small_level.cache_info().currsize == 7
+    young_lattice.cache_clear()
 
 
 def test_young_lattice_memory_is_bounded():
     # a cold build at n = 36 keeps 2.3 MB (the edge arrays and the
-    # dimensions) and peaks at 5.47 MB: with them the partition matrix and
-    # the temporaries of one row block.  No partition tuple is formed, so
-    # the enumeration cache stays empty; the bound leaves about 0.5 MB
+    # dimensions) and peaks at 4.1 MB, 4.3 MB if the cached levels up to
+    # SMALL_SIZE are built too: with them the hook products and edges of
+    # the levels below n and the first-row edge temporaries of level n.  No
+    # partition tuple is formed, so the enumeration cache stays empty; the
+    # bound leaves about 1.7 MB
     young_lattice.cache_clear()
     enumerate_partitions.cache_clear()
     tracemalloc.start()
@@ -327,3 +347,17 @@ def test_partition_id_is_the_enumeration_position():
     assert partition_id(Partition((1,) * 40)) == partition_count(40) - 1
     with pytest.raises(CapacityError):
         partition_id(Partition((128,)))
+
+
+@pytest.mark.parametrize("lam,message", [
+    ((2, 0), "positive integers"),
+    ((1, 2), "weakly decreasing"),
+    ((2, -1), "positive integers"),
+    ((1.0,), "positive integers"),
+])
+def test_partition_id_refuses_non_partitions(lam, message):
+    # as Partition refuses them: (2, 0) would rank -1, the last id as a
+    # numpy index, and (1, 2) the id of (2, 1)
+    with pytest.raises(ValueError, match=message):
+        partition_id(lam)
+    assert partition_id([2, 1]) == partition_id(Partition((2, 1))) == 1
