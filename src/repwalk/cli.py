@@ -4,9 +4,11 @@ Every run with an identical configuration produces byte-identical output:
 rationals serialize as p/q strings, floats as shortest round-trip decimals,
 samplers are pinned by --seed (and --threads, through per-stream derived
 seeds).  Wall-clock timing goes to stderr so artifacts stay deterministic.
-Exit codes: 0 ok, 2 usage error, 3 capacity error, 4 sampler failure (the
-GL sampler reached its attempt cap, or its threshold enclosures failed to
-separate a uniform draw).
+Exit codes: 0 ok, 1 a self-check failed (gl-cycle-index --check found a
+mismatch, or an internal exact check raised ArithmeticError), 2 usage
+error, 3 capacity error, 4 sampler failure (the GL sampler reached its
+attempt cap, or its threshold enclosures failed to separate a uniform
+draw).
 """
 
 from __future__ import annotations
@@ -559,6 +561,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # ZeroDivisionError stays a usage error
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     except SamplerError as exc:
         print(f"sampler error: {exc}", file=sys.stderr)
         return 4

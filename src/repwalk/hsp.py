@@ -41,7 +41,10 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
         raise ValueError(f"bad cycle notation: {text!r}")
     seen: set[int] = set()
     for cycle in text[1:-1].split(")("):
-        points = [int(tok) - 1 for tok in cycle.replace(",", " ").split()]
+        try:
+            points = [int(tok) - 1 for tok in cycle.replace(",", " ").split()]
+        except ValueError:
+            raise ValueError(f"bad cycle notation: {text!r}") from None
         if len(points) != len(set(points)):
             raise ValueError(f"repeated point in cycle {cycle!r}")
         for p in points:

@@ -4,13 +4,13 @@ A partition is a weakly decreasing tuple of positive integers; it indexes
 irreducible representations of S_n, conjugacy classes of S_n, and the
 components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
-The partitions of n are generated once, by counting, in reverse-
-lexicographic order, each from a partition of a smaller size with one
-first row added, and carry down that recursion their conjugates, hook
-products and down edges.  enumerate_partitions makes tuples of their rows
-as a zero-padded int8 matrix (so n stops at 127); the Young lattice numbers
-them, in read-only int64 arrays built with numpy and no tuple, and records
-which partitions of n-1 lie below each, by the numbers partition_id gives.
+The partitions of n are generated by counting, in reverse-lexicographic
+order, each from a partition of a smaller size with one first row added.
+enumerate_partitions runs that recursion on plain tuples; the Young
+lattice runs it on its own fields alone, the conjugates (int8, so n stops
+at 127), hook products and down edges, in numpy, and numbers the
+partitions in read-only int64 arrays with no tuple, recording which
+partitions of n-1 lie below each, by the numbers partition_id gives.
 """
 
 from __future__ import annotations
@@ -93,7 +93,11 @@ class Partition(tuple):
         s = s.strip()
         if s == "-" or s == "":
             return cls(())
-        return cls(int(tok) for tok in s.split("+"))
+        try:
+            parts = [int(tok) for tok in s.split("+")]
+        except ValueError:
+            raise ValueError(f"bad partition {s!r}") from None
+        return cls(parts)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -138,7 +142,7 @@ class YoungLattice(NamedTuple):
     up_off: np.ndarray
 
 
-# parts are stored as int8
+# the lattice stores conjugates, column lengths up to n, as int8
 _MAX_PART = 127
 
 
@@ -178,27 +182,25 @@ def partition_id(lam) -> int:
 
 
 class _Level(NamedTuple):
-    """Level j of the partition recursion: the partitions of j with no part
-    above some top, in reverse-lexicographic order, which are the last
-    `rows` partitions of j.  A field the build did not ask for is None.
+    """Level j of the lattice's partition recursion: the partitions of j
+    with no part above some top, in reverse-lexicographic order, which are
+    the last `rows` partitions of j, held by their lattice fields alone.
 
-    parts holds them as zero-padded int8 rows of j + 1 columns; conj their
-    conjugates, top by rows in int8, so conj[c, i] is the length of column
-    c of row i and a column's lengths are contiguous; hooks their hook
-    products, int64 up to SMALL_SIZE and Python ints past it;
-    below[down_off[i]:down_off[i+1]] the ids of the partitions of j-1 under
-    row i, numbered among all of them, bottom corner first."""
+    conj holds their conjugates, top by rows in int8, so conj[c, i] is the
+    length of column c of row i and a column's lengths are contiguous (None
+    on a last level); hooks their hook products, int64 up to SMALL_SIZE and
+    Python ints past it; below[down_off[i]:down_off[i+1]] the ids of the
+    partitions of j-1 under row i, numbered among all of them, bottom
+    corner first."""
 
     rows: int
-    parts: np.ndarray | None
     conj: np.ndarray | None
-    hooks: np.ndarray | None
-    below: np.ndarray | None
-    down_off: np.ndarray | None
+    hooks: np.ndarray
+    below: np.ndarray
+    down_off: np.ndarray
 
 
-def _grow(j: int, top: int, stack: list[_Level], parts=False, lattice=False,
-          last=False) -> _Level:
+def _grow(j: int, top: int, stack: list[_Level], last=False) -> _Level:
     """Level j with no part above top, from the levels stack[j-f] below it.
 
     For first parts f from top down to 1 it lists f over nu, for nu the last
@@ -223,129 +225,112 @@ def _grow(j: int, top: int, stack: list[_Level], parts=False, lattice=False,
         m = counts(j - f)[min(f - 1, j - f)]
         s0 = src.rows - k
         plan.append((f, src, s0, k, m))
-        if lattice:
-            edges += int(src.down_off[-1] - src.down_off[s0]) + m
-    out_parts = np.zeros((rows, j + 1), np.int8) if parts else None
-    conj = hooks = below = down_off = None
-    if lattice:
-        prev = counts(j - 1)
-        index = np.int64 if last or max(edges, prev[-1]) >> 31 else np.int32
-        below = np.empty(edges, index)
-        own = np.empty(edges - sum(m for *_, m in plan), index)  # nu's edges, shifted
-        down_off = np.zeros(rows + 1, index)
-        hooks = np.ones(rows, np.int64 if j <= SMALL_SIZE else object)  # H(()) = 1
-        if not last:
-            conj = np.zeros((top, rows), np.int8)
-        per = 1  # each hook factor is at most j: per of them fit in int64
-        while per < j and j ** (per + 1) < 1 << 63:
-            per += 1
-        down = np.arange(j, 0, -1)[:, None]  # f - c is down[j - f + c]
+        edges += int(src.down_off[-1] - src.down_off[s0]) + m
+    prev = counts(j - 1)
+    index = np.int64 if last or max(edges, prev[-1]) >> 31 else np.int32
+    below = np.empty(edges, index)
+    own = np.empty(edges - sum(m for *_, m in plan), index)  # nu's edges, shifted
+    down_off = np.zeros(rows + 1, index)
+    hooks = np.ones(rows, np.int64 if j <= SMALL_SIZE else object)  # H(()) = 1
+    conj = None if last else np.zeros((top, rows), np.int8)
+    per = 1  # each hook factor is at most j: per of them fit in int64
+    while per < j and j ** (per + 1) < 1 << 63:
+        per += 1
+    down = np.arange(j, 0, -1)[:, None]  # f - c is down[j - f + c]
     r = e = 0
     firsts = []  # per block: its first row with a first-row edge, that edge's id, m
     for f, src, s0, k, m in plan:
-        if parts:
-            out_parts[r:r + k, 0] = f
-            out_parts[r:r + k, 1:j - f + 2] = src.parts[s0:]
-        if lattice:
-            w = min(f, j - f)  # nu'_c = 0 from column w on
-            nu = src.conj[:w, s0:]
-            if conj is not None:
-                conj[:f, r:r + k] = 1
-                conj[:w, r:r + k] += nu
-            fac = nu + down[j - f:j - f + w]
-            # the f first-row hooks sum to S, so by AM-GM their product is
-            # at most (S / f)^f: below 2^63 it is one int64 run
-            if (f * (f + 1) // 2 + j - f) ** f < f ** f << 63:
-                runs = [fac.prod(axis=0) * math.factorial(f - w)]
-            else:
-                runs = [fac[c:c + per].prod(axis=0) for c in range(0, w, per)]
-                runs += [math.factorial(f - w)] if f > w else []
-            h = hooks[r:r + k]
-            np.multiply(src.hooks[s0:], runs[0], out=h, dtype=hooks.dtype)
-            for run in runs[1:]:
-                h *= run
-            a = int(src.down_off[s0])
-            np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1], dtype=index)
-            shift = 0
-            if f < j:
-                low = counts(j - f - 1)
-                shift = prev[-1] - prev[f] - low[-1] + low[min(f, j - f - 1)]
-            e_next = e + int(src.down_off[-1]) - a
-            np.add(src.below[a:], shift, out=own[e:e_next], dtype=index)
-            e = e_next
-            firsts.append((r + k - m, prev[-1] - prev[f - 1], m))
+        w = min(f, j - f)  # nu'_c = 0 from column w on
+        nu = src.conj[:w, s0:]
+        if conj is not None:
+            conj[:f, r:r + k] = 1
+            conj[:w, r:r + k] += nu
+        fac = nu + down[j - f:j - f + w]
+        # the f first-row hooks sum to S, so by AM-GM their product is
+        # at most (S / f)^f: below 2^63 it is one int64 run
+        if (f * (f + 1) // 2 + j - f) ** f < f ** f << 63:
+            runs = [fac.prod(axis=0) * math.factorial(f - w)]
+        else:
+            runs = [fac[c:c + per].prod(axis=0) for c in range(0, w, per)]
+            runs += [math.factorial(f - w)] if f > w else []
+        h = hooks[r:r + k]
+        np.multiply(src.hooks[s0:], runs[0], out=h, dtype=hooks.dtype)
+        for run in runs[1:]:
+            h *= run
+        a = int(src.down_off[s0])
+        np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1], dtype=index)
+        shift = 0
+        if f < j:
+            low = counts(j - f - 1)
+            shift = prev[-1] - prev[f] - low[-1] + low[min(f, j - f - 1)]
+        e_next = e + int(src.down_off[-1]) - a
+        np.add(src.below[a:], shift, out=own[e:e_next], dtype=index)
+        e = e_next
+        firsts.append((r + k - m, prev[-1] - prev[f - 1], m))
         r += k
-    if lattice:
-        # the first-row edges go after each row's own, shifting the rows after
-        start, first_id, m = np.array(firsts, np.int64).reshape(-1, 3).T
-        rank = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-        owners = rank + np.repeat(start, m)
-        lift = np.zeros(rows + 1, index)
-        lift[owners + 1] = 1
-        down_off += np.cumsum(lift, out=lift)
-        at = down_off[owners + 1] - 1
-        keep = np.ones(edges, bool)
-        keep[at] = False
-        below[keep] = own
-        below[at] = rank + np.repeat(first_id, m)
-    return _Level(rows, out_parts, conj, hooks, below, down_off)
+    # the first-row edges go after each row's own, shifting the rows after
+    start, first_id, m = np.array(firsts, np.int64).reshape(-1, 3).T
+    rank = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    owners = rank + np.repeat(start, m)
+    lift = np.zeros(rows + 1, index)
+    lift[owners + 1] = 1
+    down_off += np.cumsum(lift, out=lift)
+    at = down_off[owners + 1] - 1
+    keep = np.ones(edges, bool)
+    keep[at] = False
+    below[keep] = own
+    below[at] = rank + np.repeat(first_id, m)
+    return _Level(rows, conj, hooks, below, down_off)
 
 
-# sizes whose levels are built whole, with every field, and cached, each
-# from the cached levels below it when first asked for: below it a build
-# costs more in numpy calls than in rows, and these are the sizes exact
-# walks and the GL sampler use
+# sizes whose lattice levels are built whole and cached, each when a
+# lattice first asks for it: below it a build costs more in numpy calls
+# than in rows, and these are the sizes exact walks use
 SMALL_SIZE = 20
 
 
 @lru_cache(maxsize=SMALL_SIZE + 1)
 def _small_level(j: int) -> _Level:
-    level = _grow(j, j, [_small_level(i) for i in range(j)], parts=True, lattice=True)
+    level = _grow(j, j, [_small_level(i) for i in range(j)])
     for a in level[1:]:
         a.flags.writeable = False  # shared by every later call
     return level
 
 
-def _level(n: int, lattice: bool) -> _Level:
-    """The partitions of n, complete, with their parts, or with their hook
-    products and down edges if lattice.  Up to SMALL_SIZE this is the cached
-    level.  Past it, level n takes every first part and a level j < n is
-    read only for first parts up to n - j, so it keeps those up to
-    min(j, n - j)."""
+def _level(n: int) -> _Level:
+    """The partitions of n, complete, with their hook products and down
+    edges.  Up to SMALL_SIZE this is the cached level.  Past it, level n
+    takes every first part and a level j < n is read only for first parts
+    up to n - j, so it keeps those up to min(j, n - j)."""
     if n <= SMALL_SIZE:
         return _small_level(n)
     stack = [_small_level(j) for j in range(SMALL_SIZE + 1)]
     for j in range(SMALL_SIZE + 1, n + 1):
-        stack.append(_grow(j, min(j, n - j) if j < n else n, stack,
-                           parts=not lattice, lattice=lattice, last=j == n))
+        stack.append(_grow(j, min(j, n - j) if j < n else n, stack, last=j == n))
     return stack[n]
-
-
-def _partition_matrix(n: int) -> np.ndarray:
-    """The partitions of n in reverse-lexicographic order as the rows of a
-    zero-padded int8 matrix with one zero column past the longest, (1^n)."""
-    return _level(n, lattice=False).parts
 
 
 @lru_cache(maxsize=SIZE_CACHE_SIZE)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order, (n) first: the
-    rows of _partition_matrix(n) as Partition tuples, built without the
-    checks, since each row is a partition.  The rows with k parts are cut
-    to their first k columns in one numpy call, so no pad is listed.  Sizes
-    past 127 raise CapacityError before any work."""
+    """All partitions of n in reverse-lexicographic order, (n) first, by the
+    lattice's counted recursion on plain tuples: level j lists f over the
+    last N(j-f, min(f, j-f)) tuples of level j-f, f from its top down, the
+    top being n at level n and min(j, n - j) below it.  Level n's become
+    Partitions without the checks.  Sizes past 127 raise CapacityError
+    before any work."""
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_lattice_size(n)
-    mat = _partition_matrix(n)
-    lengths = np.count_nonzero(mat, axis=1)
-    parts = [None] * len(mat)
+    levels = [[()]]
+    for j in range(1, n + 1):
+        level = []
+        for f in range(min(j, n - j) if j < n else n, 0, -1):
+            src = levels[j - f]
+            tail = src[len(src) - _bounded_counts(j - f)[min(f, j - f)]:]
+            level += [(f, *nu) for nu in tail]
+        levels.append(level)
     new = tuple.__new__
-    for k in range(n + 1):
-        ids = np.flatnonzero(lengths == k)
-        for i, row in zip(ids.tolist(), mat[ids, :k].tolist()):
-            parts[i] = new(Partition, row)
-    return tuple(parts)
+    return tuple([new(Partition, lam) for lam in levels[n]])
 
 
 # four entries, as _float_engine keeps: a cached float engine steps its own
@@ -356,7 +341,7 @@ def young_lattice(n: int) -> YoungLattice:
     """The cached Young lattice of size n, read off level n of the counted
     recursion, as YoungLattice says."""
     _check_lattice_size(n)
-    level = _level(n, lattice=True)
+    level = _level(n)
     dims = tuple((math.factorial(n) // level.hooks).tolist())
     rows = level.rows
     below = level.below.astype(np.int64, copy=False)

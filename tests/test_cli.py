@@ -274,6 +274,28 @@ def test_sampler_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "no acceptance" in capsys.readouterr().err
 
 
+def test_self_check_failure_exit_code(monkeypatch, capsys):
+    # an internal exact check that fails raises ArithmeticError, which the
+    # CLI maps to exit code 1 with a "check failed:" line, not a traceback
+    def broken(n, q):
+        raise ArithmeticError("Plancherel masses do not sum to 1")
+
+    monkeypatch.setattr(cli, "plancherel_gl", broken)
+    assert main(["gl-irreps", "--n", "2", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "check failed: Plancherel masses do not sum to 1" in captured.err.splitlines()
+    assert "Traceback" not in captured.err
+
+
+def test_zero_division_stays_a_usage_error(capsys):
+    # ZeroDivisionError is an ArithmeticError, but a zero denominator in an
+    # argument is the caller's: exit 2, not 1
+    assert main(["gl-sample", "--n", "2", "--q", "2", "--u", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("usage error:") for line in err.splitlines())
+    assert "check failed" not in err
+
+
 def _main_stdout(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
@@ -625,6 +647,10 @@ BAD_ARGUMENTS = [
     (["sn-walk", "--n", "5", "--r", "2", "--start", ""], "partition - has size 0, expected 5"),
     (["sn-walk", "--n", "5", "--r", "2", "--start", "", "--float"],
      "partition - has size 0, expected 5"),
+    # these named only the token int() refused, "invalid literal for int()
+    # with base 10: ''" and "... '(1'"
+    (["sn-walk", "--n", "5", "--r", "1", "--start", "5+"], "bad partition '5+'"),
+    (["hsp", "--n", "4", "--gens", "((1 2))"], "bad cycle notation: '((1 2))'"),
 ]
 
 

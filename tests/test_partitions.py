@@ -13,7 +13,6 @@ from repwalk.partitions import (
     partition_count,
     partition_id,
     young_lattice,
-    _partition_matrix,
 )
 
 import repwalk.partitions as partitions_module
@@ -299,18 +298,24 @@ def test_young_lattice_memory_is_bounded():
     assert enumerate_partitions.cache_info().currsize == 0
 
 
-def test_partition_matrix_rows_are_the_enumeration():
-    # the counted rows and the Partition tuples made from them list the
-    # partitions of n in the recursive reference's reverse-lex order, the
-    # order lattice ids and character-table rows share
+def test_enumeration_is_the_reference_order():
+    # the counted tuples list the partitions of n in the recursive
+    # reference's reverse-lex order, the order lattice ids and
+    # character-table rows share
     for n in range(41):
-        ref = list(_gen_partitions(n, n))
-        rows = _partition_matrix(n)
-        assert rows.dtype == np.int8 and rows.shape == (len(ref), n + 1)
-        assert rows.tolist() == [[*lam] + [0] * (n + 1 - len(lam)) for lam in ref]
         parts = enumerate_partitions(n)
-        assert parts == tuple(map(Partition, ref))
+        assert parts == tuple(map(Partition, _gen_partitions(n, n)))
         assert all(type(lam) is Partition for lam in parts)
+
+
+def test_enumeration_builds_no_lattice_level():
+    # enumerating grows its own tuples: no lattice level is built or cached
+    young_lattice.cache_clear()
+    partitions_module._small_level.cache_clear()
+    enumerate_partitions.cache_clear()
+    for m in range(21):
+        enumerate_partitions(m)
+    assert partitions_module._small_level.cache_info().currsize == 0
 
 
 def test_enumeration_refuses_sizes_past_the_lattice_cap():

@@ -1,6 +1,7 @@
 """The README's library quick tour runs as written, so a name retired or
 renamed in the package cannot linger in it."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -34,3 +35,34 @@ def test_backticked_module_names_resolve():
         if obj is absent:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def _returned_codes(node):
+    # the integer literals an expression can evaluate to, both arms of a
+    # conditional expression included
+    if isinstance(node, ast.IfExp):
+        return _returned_codes(node.body) | _returned_codes(node.orelse)
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return {node.value}
+    return set()
+
+
+def _exit_code_sentence(text):
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", " ".join(text.split())).group(1)
+    return {int(code) for code in re.findall(r"(?:^ |, )(\d+) ", sentence)}
+
+
+def test_exit_codes_are_documented():
+    # every exit code cli.main or a command can return is listed in the
+    # README's "Exit codes:" sentence and in the cli module docstring
+    cli = importlib.import_module("repwalk.cli")
+    tree = ast.parse(Path(cli.__file__).read_text())
+    codes = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and (fn.name == "main" or fn.name.startswith("_cmd_")):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Return) and node.value is not None:
+                    codes |= _returned_codes(node.value)
+    assert {0, 1, 2, 3, 4} <= codes  # the walk still reads every command
+    assert codes <= _exit_code_sentence(README.read_text())
+    assert codes <= _exit_code_sentence(cli.__doc__)
