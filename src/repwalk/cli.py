@@ -312,14 +312,15 @@ def _cmd_gl_lower(args):
 
 def _cmd_gl_sample(args):
     _check_sample_size(args.n, args.q)  # before _split, so --count 0 is refused too
-    u = Fraction(args.u) if args.u else None
+    # an empty --u is refused by Fraction, not taken for the default
+    u = Fraction(args.u) if args.u is not None else default_rejection_u(args.n)
     samples = []
     attempts = 0
     for size, seed in _split(args.count, args.seed, args.threads):
         sampler = GLPlancherelSampler(args.n, args.q, u, seed)
         samples.extend(sampler.sample() for _ in range(size))
         attempts += sampler.attempts
-    rate = acceptance_probability(args.n, args.q, u if u is not None else default_rejection_u(args.n))
+    rate = acceptance_probability(args.n, args.q, u)
     extra = [
         f"# attempts: {attempts}",
         f"# predicted acceptance rate: {rate.midpoint()!r}",

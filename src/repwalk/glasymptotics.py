@@ -24,19 +24,18 @@ prod_d Z(u^d, q^d)^(N_d) goes through _z_power_product.
 Certified enclosures of Z(u,q) are memoized by suq_normalizer, a bounded
 lru cache on (u, q, prec) (512 entries, see cache_info()): one sampler's
 count, component and high-degree thresholds share one Z(u^d, q^d) per
-degree and precision, later samplers with the same (n, q, u) reuse it,
-and euler_product_enclosure reads Z(u,q) and Z(u/q,q) from it.  The
-sampler's threshold tables are cached too: _count_thresholds on
-(u^d, q^d, N_d, max_count) and _component_thresholds on (u^d, q^d, n // d)
-(TABLE_CACHE_SIZE = 512 each), and the high-degree entries on
-(n, q, u, prec) (HIGH_DEGREE_CACHE_SIZE = 64).  Tables are read lazily,
-component tables partition by partition in size order, only as far as
-draws land, and a threshold set keeps of each threshold read only its
-outcome and two 64-bit words, one table that a first word indexes by one
-bisect; the rare draw that cannot decide reads the builder anew at each
-precision.  The count tables' binomial tails and every interval power run
-on integer endpoints at scale 2^prec, as suq_normalizer's products do.  No
-cache holds a sampler or a plan.
+degree and precision, and euler_product_enclosure reads Z(u,q) and
+Z(u/q,q) from it.  Every table a sampler reads comes from one plan per
+(n, q, u), cached by _plan (PLAN_CACHE_SIZE = 40): per degree d <= n, the
+count and component threshold sets, and the high-degree threshold set.
+Samplers with the same (n, q, u) share it; the plan holds no sampler, so
+a finished sampler is freed at once.  Tables are read lazily, component
+tables partition by partition in size order, only as far as draws land,
+and a threshold set keeps of each threshold read only its outcome and two
+64-bit words, one table that a first word indexes by one bisect; the rare
+draw that cannot decide reads the builder anew at each precision.  The
+count tables' binomial tails and every interval power run on integer
+endpoints at scale 2^prec, as suq_normalizer's products do.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import CapacityError, SamplerError
 from .glirreps import (
@@ -71,12 +71,10 @@ SAMPLE_N_LIMIT = 20
 SAMPLE_Q_LIMIT = 3
 DEFAULT_PREC = 320
 DEFAULT_ATTEMPT_CAP = 10_000_000
-EXPLICIT_DEGREES = 24  # degrees high_degree_empty_direct takes as exact powers
 MAX_DOUBLINGS = 6  # precision doublings a threshold set tries before giving up
-# count and component tables kept: every degree of every (n, q) the sampler
-# takes at its default u is 2 * (1 + ... + SAMPLE_N_LIMIT) = 420 of each
-TABLE_CACHE_SIZE = 512
-HIGH_DEGREE_CACHE_SIZE = 64  # high-degree thresholds, one per (n, q, u, prec)
+# sampler plans kept, one per (n, q, u): the default u depends on n alone, so
+# every (n <= SAMPLE_N_LIMIT, q in 2..SAMPLE_Q_LIMIT) at it is 20 * 2 = 40
+PLAN_CACHE_SIZE = 40
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +239,6 @@ def _z_power_product(degrees: range, q: int, u: Fraction, prec: int) -> Interval
     return Interval(Fraction(lo, one), Fraction(hi, one))
 
 
-def high_degree_empty_direct(n: int, q: int, u) -> Interval:
-    """Enclosure of prod_{d>n} Z(u^d, q^d)^(N_d) built degree by degree.
-
-    EXPLICIT_DEGREES degrees enter as explicit interval powers; the rest are
-    bounded below through 1 - Z_d <= sum_t t (u^d/q^(dt)) and the geometric
-    envelope N_d * (that sum) <= (q/(q-1))^2 u^d.
-    """
-    u = Fraction(u)
-    d = n + 1 + EXPLICIT_DEGREES
-    explicit = _z_power_product(range(n + 1, d), q, u, DEFAULT_PREC)
-    tail_deficit = Fraction(q, q - 1) ** 2 * u**d / (1 - u)
-    lo = max(Fraction(0), explicit.lo * (1 - tail_deficit))
-    return Interval(lo, explicit.hi)
-
-
 def acceptance_probability(n: int, q: int, u) -> Interval:
     """P(total degree = n) = prod_{m>=0}(1 - u/q^m) u^n/(1/q)_n, enclosed."""
     u = Fraction(u)
@@ -410,43 +393,41 @@ def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
             yield lam, Interval(Fraction(lo, one), Fraction(hi, one))
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _count_thresholds(ud: Fraction, qd: Fraction, n_labels: int, max_count: int) -> _ThresholdSet:
-    return _ThresholdSet(partial(_count_entries, ud, qd, n_labels, max_count))
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _component_thresholds(ud: Fraction, qd: Fraction, sizes_cap: int) -> _ThresholdSet:
-    return _ThresholdSet(partial(_component_entries, ud, qd, sizes_cap))
-
-
-class _DegreePlan:
-    """Per-degree sampling machinery: occupation counts and component law.
-
-    Both threshold sets come from the shared caches; components have size
-    at most n // d, as a larger one alone exceeds the total degree n.
-    """
-
-    def __init__(self, n: int, q: int, u: Fraction, d: int):
-        self.d = d
-        self.n_labels = n_labels = cuspidal_count(d, q)
-        ud, qd = u**d, Fraction(q) ** d
-        self.count_thresholds = _count_thresholds(ud, qd, n_labels, min(n_labels, n // d))
-        self.component_thresholds = _component_thresholds(ud, qd, n // d)
-
-
-@lru_cache(maxsize=HIGH_DEGREE_CACHE_SIZE)
 def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
     """Single threshold: probability that every label of degree > n is empty.
 
     Computed as prod_{m>=0}(1 - u/q^m) / prod_{d<=n} Z_d^(N_d): the full
     all-empty probability divided by the explicit low-degree factors.
-    (high_degree_empty_direct bounds the same quantity degree by degree;
-    the tests check the two enclosures overlap.)
     """
     iv = euler_product_enclosure(u, q, prec) / _z_power_product(range(1, n + 1), q, u, prec)
     iv = Interval(max(Fraction(0), iv.lo), min(Fraction(1), iv.hi))
     return ((True, iv),)
+
+
+class _DegreePlan(NamedTuple):
+    """Degree d's tables: how many of its n_labels labels are occupied, and
+    an occupied label's partition, of size at most n // d, as a larger one
+    alone exceeds the total degree n."""
+
+    d: int
+    n_labels: int
+    count_thresholds: _ThresholdSet
+    component_thresholds: _ThresholdSet
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(n: int, q: int, u: Fraction) -> tuple[tuple[_DegreePlan, ...], _ThresholdSet]:
+    """Every table a sampler for (n, q, u) reads: one plan per degree d <= n,
+    and the high-degree threshold."""
+    plans = []
+    for d in range(1, n + 1):
+        n_labels = cuspidal_count(d, q)
+        ud, qd = u**d, Fraction(q) ** d
+        plans.append(_DegreePlan(
+            d, n_labels,
+            _ThresholdSet(partial(_count_entries, ud, qd, n_labels, min(n_labels, n // d))),
+            _ThresholdSet(partial(_component_entries, ud, qd, n // d))))
+    return tuple(plans), _ThresholdSet(partial(_high_degree_entries, n, q, u))
 
 
 def _check_sample_size(n: int, q: int) -> None:
@@ -468,29 +449,22 @@ class GLPlancherelSampler:
             raise ValueError("need 0 < u < 1")
         self.rng = SplitMix64(seed)
         self.attempts = 0
-        self.plans = [_DegreePlan(n, q, self.u, d) for d in range(1, n + 1)]
-        # the entries are cached; the set is the sampler's own, freed with it
-        self.high_degree_empty = _ThresholdSet(partial(_high_degree_entries, n, q, self.u))
+        self.plans, self.high_degree_empty = _plan(n, q, self.u)
 
     def _draw_indices(self, count: int, pool: int) -> list[int]:
         """Uniform sorted count-subset of range(pool)."""
-        if count == pool:
+        if count == pool:  # reads no word: the one degree-1 label at q = 2
             return list(range(count))
-        if pool <= 2048:
-            # a partial Fisher-Yates shuffle of range(pool) that stores only
-            # the positions it moved: position j holds moved.get(j, j), and
-            # position i is not read again once drawn
-            moved: dict[int, int] = {}
-            out = []
-            for i in range(count):
-                j = i + self.rng.randrange(pool - i)
-                out.append(moved.get(j, j))
-                moved[j] = moved.get(i, i)
-            return sorted(out)
-        chosen: set[int] = set()
-        while len(chosen) < count:
-            chosen.add(self.rng.randrange(pool))
-        return sorted(chosen)
+        # a partial Fisher-Yates shuffle of range(pool) that stores only the
+        # positions it moved: position j holds moved.get(j, j), and position
+        # i is not read again once drawn
+        moved: dict[int, int] = {}
+        out = []
+        for i in range(count):
+            j = i + self.rng.randrange(pool - i)
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return sorted(out)
 
     def _attempt(self) -> GLIrrep | None:
         self.attempts += 1

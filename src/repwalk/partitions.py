@@ -16,7 +16,7 @@ partitions of n-1 lie below each, by the numbers partition_id gives.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -315,22 +315,23 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first, by the
     lattice's counted recursion on plain tuples: level j lists f over the
     last N(j-f, min(f, j-f)) tuples of level j-f, f from its top down, the
-    top being n at level n and min(j, n - j) below it.  Level n's become
-    Partitions without the checks.  Sizes past 127 raise CapacityError
-    before any work."""
+    top being n at level n and min(j, n - j) below it.  Level n's entries
+    are built as Partitions, without the checks and with no tuple copy of
+    the level.  Sizes past 127 raise CapacityError before any work."""
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_lattice_size(n)
-    levels = [[()]]
+    levels = [[EMPTY]]  # level 0 is level n at n = 0
     for j in range(1, n + 1):
+        # tuple() hands a tuple back as it is; level n is built as Partitions
+        make = tuple if j < n else partial(tuple.__new__, Partition)
         level = []
         for f in range(min(j, n - j) if j < n else n, 0, -1):
             src = levels[j - f]
             tail = src[len(src) - _bounded_counts(j - f)[min(f, j - f)]:]
-            level += [(f, *nu) for nu in tail]
+            level += [make((f, *nu)) for nu in tail]
         levels.append(level)
-    new = tuple.__new__
-    return tuple([new(Partition, lam) for lam in levels[n]])
+    return tuple(levels[n])
 
 
 # four entries, as _float_engine keeps: a cached float engine steps its own

@@ -122,15 +122,6 @@ def euler_partial_product(q, order: int, n_factors: int) -> TruncSeries:
     return out
 
 
-def gaussian_binomial(a: int, b: int, x: Fraction) -> Fraction:
-    """[a choose b] at x: prod_{k=1}^{b} (1 - x^(a-b+k)) / (1 - x^k)."""
-    x = Fraction(x)
-    out = Fraction(1)
-    for k in range(1, b + 1):
-        out *= (1 - x ** (a - b + k)) / (1 - x**k)
-    return out
-
-
 def euler_lhs_rhs(q, order: int = DEFAULT_ORDER) -> tuple[TruncSeries, TruncSeries]:
     """The two sides of the Euler identity, the right side stabilized.
 

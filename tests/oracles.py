@@ -21,7 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
 
-from repwalk.glasymptotics import _REJECT, GLPlancherelSampler, suq_normalizer
+from repwalk.glasymptotics import (
+    _REJECT,
+    DEFAULT_PREC,
+    GLPlancherelSampler,
+    _z_power_product,
+    suq_normalizer,
+)
 from repwalk.glirreps import CuspidalLabel, GLIrrep, cuspidal_count
 from repwalk.intervals import Interval
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions, partition_id
@@ -351,6 +357,25 @@ def euler_product_exact(u, q, terms: int) -> tuple[Fraction, Fraction]:
     return head * max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1)), head
 
 
+EXPLICIT_DEGREES = 24  # degrees high_degree_empty_direct takes as exact powers
+
+
+def high_degree_empty_direct(n: int, q: int, u) -> Interval:
+    """Enclosure of prod_{d>n} Z(u^d, q^d)^(N_d) built degree by degree, the
+    high-degree threshold's quantity, which the sampler gets by division.
+
+    EXPLICIT_DEGREES degrees enter as explicit interval powers; the rest are
+    bounded below through 1 - Z_d <= sum_t t (u^d/q^(dt)) and the geometric
+    envelope N_d * (that sum) <= (q/(q-1))^2 u^d.
+    """
+    u = Fraction(u)
+    d = n + 1 + EXPLICIT_DEGREES
+    explicit = _z_power_product(range(n + 1, d), q, u, DEFAULT_PREC)
+    tail_deficit = Fraction(q, q - 1) ** 2 * u**d / (1 - u)
+    lo = max(Fraction(0), explicit.lo * (1 - tail_deficit))
+    return Interval(lo, explicit.hi)
+
+
 # ---------------------------------------------------------------------------
 # SplitMix64 as the scalar recurrence it was before the numpy word blocks
 
@@ -652,8 +677,8 @@ def z_power_product_fraction(degrees, q: int, u, prec: int) -> Interval:
 
 
 def draw_indices_list(rng, count: int, pool: int) -> list[int]:
-    """A uniform sorted count-subset of range(pool), pool <= 2048, by a
-    partial Fisher-Yates shuffle of the whole list range(pool)."""
+    """A uniform sorted count-subset of range(pool) by a partial
+    Fisher-Yates shuffle of the whole list range(pool)."""
     if count == pool:
         return list(range(count))
     arr = list(range(pool))
@@ -759,6 +784,15 @@ def q_pochhammer_reference(q, r: int) -> Fraction:
     out = Fraction(1)
     for k in range(1, r + 1):
         out *= 1 - q**-k
+    return out
+
+
+def gaussian_binomial(a: int, b: int, x: Fraction) -> Fraction:
+    """[a choose b] at x: prod_{k=1}^{b} (1 - x^(a-b+k)) / (1 - x^k)."""
+    x = Fraction(x)
+    out = Fraction(1)
+    for k in range(1, b + 1):
+        out *= (1 - x ** (a - b + k)) / (1 - x**k)
     return out
 
 

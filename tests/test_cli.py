@@ -651,6 +651,9 @@ BAD_ARGUMENTS = [
     # with base 10: ''" and "... '(1'"
     (["sn-walk", "--n", "5", "--r", "1", "--start", "5+"], "bad partition '5+'"),
     (["hsp", "--n", "4", "--gens", "((1 2))"], "bad cycle notation: '((1 2))'"),
+    # an empty u printed "u=" on the command line and sampled at the default u
+    (["gl-sample", "--n", "3", "--q", "2", "--count", "1", "--u", ""],
+     "Invalid literal for Fraction: ''"),
 ]
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import types
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -10,17 +11,23 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare
 
 from repwalk.errors import CapacityError
-from oracles import draw_indices_list, suq_normalizer_pow_int, suq_weight_per_hook
+from oracles import (
+    draw_indices_list,
+    high_degree_empty_direct,
+    suq_normalizer_pow_int,
+    suq_weight_per_hook,
+)
 from repwalk.glasymptotics import (
     DEFAULT_PREC,
+    SAMPLE_N_LIMIT,
     GLPlancherelSampler,
     _high_degree_entries,
+    _plan,
     acceptance_probability,
     cycle_index_lhs,
     cycle_index_rhs,
     default_rejection_u,
     gl_plancherel_samples,
-    high_degree_empty_direct,
     limit_marginal,
     suq_normalizer,
     suq_weight,
@@ -74,17 +81,51 @@ def test_sampler_setup_shares_cached_enclosures():
     assert suq_normalizer.cache_info().maxsize
 
 
+def test_plan_cache_holds_every_default_sampler():
+    # every (n, q) the sampler takes, at its default u, fits the plan cache:
+    # a second pass over them builds no plan
+    sizes = [(n, q) for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)]
+    _plan.cache_clear()
+    for n, q in sizes:
+        GLPlancherelSampler(n, q)
+    misses = _plan.cache_info().misses
+    for n, q in sizes:
+        GLPlancherelSampler(n, q)
+    info = _plan.cache_info()
+    assert info.misses == misses
+    assert info.currsize == 40 <= info.maxsize
+
+
+def _reachable(root) -> list:
+    """Every object reachable from root by gc referents, not going into the
+    functions, classes, modules and code objects the package shares."""
+    shared = (type, types.FunctionType, types.BuiltinFunctionType, types.ModuleType,
+              types.CodeType)
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, shared):
+            seen[id(obj)] = obj
+            todo += gc.get_referents(obj)
+    return list(seen.values())
+
+
 def test_sampler_freed_by_reference_counting():
-    # no reference cycle through the threshold builders: a finished sampler and
-    # its thresholds go at once, not at some later cyclic collection
+    # the cached plan, grown by a draw, holds no reference to the sampler or
+    # its word stream, and nothing forms a cycle through the threshold
+    # builders: a finished sampler goes at once, not at some later cyclic
+    # collection, while its plan stays cached for the next one
     sampler = GLPlancherelSampler(4, 2, seed=1)
     sampler.sample()
-    refs = [weakref.ref(sampler), weakref.ref(sampler.plans[0]),
-            weakref.ref(sampler.high_degree_empty)]
+    plans, high = _plan(4, 2, sampler.u)
+    assert plans is sampler.plans and high is sampler.high_degree_empty
+    reached = _reachable((plans, high))
+    assert not any(obj is sampler or obj is sampler.rng for obj in reached)
+    ref = weakref.ref(sampler)
     gc.disable()
     try:
         del sampler
-        assert [r() for r in refs] == [None, None, None]
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -190,8 +231,8 @@ def test_high_degree_enclosures_agree():
 
 
 def test_draw_indices_small_pool_uniform_over_subsets():
-    # pool <= 2048: a partial Fisher-Yates shuffle, sorted; every count-subset
-    # equally likely, by criterion 6's rule
+    # a partial Fisher-Yates shuffle, sorted; every count-subset equally
+    # likely, by criterion 6's rule
     sampler = GLPlancherelSampler(2, 2, seed=23)
     for count, pool in ((1, 5), (2, 6), (3, 7), (2, 2048)):
         draws = Counter(tuple(sampler._draw_indices(count, pool)) for _ in range(20000))
@@ -204,7 +245,8 @@ def test_draw_indices_small_pool_uniform_over_subsets():
 
 
 def test_draw_indices_large_pool_uniform_marginals():
-    # pool > 2048: distinct uniform draws until count are held, sorted
+    # pools past 2048, the degree-9 and degree-10 label counts at q = 3: the
+    # same shuffle, with distinct sorted indices spread uniformly
     sampler = GLPlancherelSampler(2, 2, seed=23)
     for count, pool in ((4, 2049), (20, 3000)):
         bins = Counter()
@@ -233,14 +275,15 @@ def test_draw_indices_full_pool_reads_no_word():
 def test_draw_indices_small_pool_matches_full_list_shuffle():
     # the shuffle that stores only moved positions makes the full-list
     # shuffle's randrange calls and returns its subset, at every pool up to
-    # 2048: count 1 and a drawn count up to 64, and one drawn up to the pool
-    # at pools up to 128 and at every 128th, each seed's two streams read in
-    # step
+    # 2048 and at larger ones (the (20, 3) sampler's 2184 and 5880 labels of
+    # degrees 9 and 10 among them): count 1 and a drawn count up to 64, and
+    # one drawn up to the pool at pools up to 128 and at every 128th, each
+    # seed's two streams read in step
     sampler = GLPlancherelSampler(2, 2, seed=0)
     for seed in (0, 1, 2):
         pick = random.Random(seed)
         sampler.rng, ref = SplitMix64(seed), SplitMix64(seed)
-        for pool in range(1, 2049):
+        for pool in (*range(1, 2049), 2049, 2184, 5880, 1 << 16):
             counts = [1, pick.randint(1, min(pool, 64))]
             if pool <= 128 or pool % 128 == 0:
                 counts.append(pick.randint(1, pool))

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import repwalk
 from repwalk import characters, glasymptotics, glirreps, hsp, partitions, rng, series, snwalk
 from repwalk.errors import CapacityError, SamplerError
@@ -43,8 +44,8 @@ REMOVED = [
     (glasymptotics.acceptance_probability, "prec"),
     (glasymptotics._DegreePlan, "prec"),
     (glasymptotics.euler_product_enclosure, "terms"),
-    (glasymptotics.high_degree_empty_direct, "explicit_degrees"),
-    (glasymptotics.high_degree_empty_direct, "prec"),
+    (oracles.high_degree_empty_direct, "explicit_degrees"),
+    (oracles.high_degree_empty_direct, "prec"),
     (glasymptotics._ThresholdSet, "terminal"),
     (glasymptotics._ThresholdSet, "prec"),
     (glasymptotics._ThresholdSet, "max_doublings"),
@@ -218,4 +219,5 @@ def test_every_cache_is_bounded():
                 assert isinstance(maxsize, int) and maxsize > 0, f"{info.name}.{name}"
                 seen.add(value)
     assert {partitions.enumerate_partitions, partitions.dimension_sn, partitions._small_level,
-            characters.enumerate_classes, characters._mn, snwalk._float_engine} <= seen
+            characters.enumerate_classes, characters._mn, snwalk._float_engine,
+            glasymptotics._plan} <= seen

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -316,6 +317,24 @@ def test_enumeration_builds_no_lattice_level():
     for m in range(21):
         enumerate_partitions(m)
     assert partitions_module._small_level.cache_info().currsize == 0
+
+
+def test_enumeration_builds_level_n_once():
+    # a cold enumerate_partitions(30) peaks at 1.53 MB: the tuples of the
+    # levels below n (0.71 MB), every one of which level n reads, and level
+    # n's 5604 Partitions (0.80 MB).  Level n built as tuples and then
+    # copied into Partitions peaked at 2.22 MB.  gc.collect() empties the
+    # tuple free lists first, so every tuple made is a traced allocation,
+    # whatever ran before
+    enumerate_partitions.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        enumerate_partitions(30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 10**6
 
 
 def test_enumeration_refuses_sizes_past_the_lattice_cap():

@@ -9,12 +9,11 @@ from repwalk.series import (
     euler_lhs,
     euler_lhs_rhs,
     euler_partial_product,
-    gaussian_binomial,
     geometric_factor,
     q_pochhammer,
 )
 
-from oracles import q_pochhammer_reference
+from oracles import gaussian_binomial, q_pochhammer_reference
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=12

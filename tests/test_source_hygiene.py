@@ -4,9 +4,12 @@ No module of the package imports a name it never uses (the package's
 __init__ re-exports, so it is exempt), and every private (_-prefixed)
 function, class or module-level name and every public UPPER_CASE module
 constant the package defines is read somewhere: in the package, the tests
-or the benchmark harness.  A helper or a knob left behind by a refactor
-fails here; a function's reads of its own name inside its own body (a
-recursive call) do not count.
+or the benchmark harness.  Every public module-level function or class
+is read by the package, exported by its __init__ or read by the benchmark
+harness; one only the tests read is a test helper for tests/oracles.py.
+A helper or a knob left behind by a refactor fails here; a function's
+reads of its own name inside its own body (a recursive call) do not
+count.
 """
 
 import ast
@@ -117,6 +120,40 @@ def test_a_recursive_helper_with_no_caller_is_unread():
         "    return _count(n)\n")
     trees = {Path("m.py"): tree}
     assert _unread_private(trees, _names_read(tree)) == ["m.py:1 _walk"]
+
+
+def _unread_public(trees: dict[Path, ast.Module], reads: Counter) -> list[str]:
+    """The public module-level functions and classes the trees define that
+    nothing in reads names outside their own bodies."""
+    return [f"{path.name}:{node.lineno} {node.name}"
+            for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and reads[node.name] <= _names_read(node)[node.name]]
+
+
+def test_every_public_name_is_used():
+    # read by the package, imported by its __init__ (an export) or read by
+    # the benchmark harness: a public function or class only the tests read
+    # is a test helper, and belongs in tests/oracles.py
+    reads = sum(map(_names_read, _trees(PACKAGE, ROOT / "perfbench").values()), Counter())
+    assert not _unread_public(_trees(PACKAGE), reads)
+
+
+def test_a_public_name_read_only_by_itself_is_unread():
+    # walk reads only itself; total is read by the module too
+    tree = ast.parse(
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else 0\n"
+        "def total(n):\n"
+        "    return total(n - 1) + 1 if n else 0\n"
+        "class Box:\n"
+        "    def grow(self):\n"
+        "        return Box()\n"
+        "BOXES = [Box(), total(2)]\n")
+    trees = {Path("m.py"): tree}
+    assert _unread_public(trees, _names_read(tree)) == ["m.py:1 walk"]
 
 
 def test_every_public_constant_is_read():

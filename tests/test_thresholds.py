@@ -16,6 +16,7 @@ from functools import partial
 import pytest
 
 from oracles import (
+    EXPLICIT_DEGREES,
     LocateSampler,
     count_entries_fraction,
     pow_int_fraction,
@@ -27,7 +28,6 @@ from repwalk.errors import SamplerError
 from repwalk.partitions import partition_count
 from repwalk.glasymptotics import (
     DEFAULT_PREC,
-    EXPLICIT_DEGREES,
     GLPlancherelSampler,
     Interval,
     _component_entries,
@@ -220,9 +220,9 @@ def test_count_entries_match_fraction_products(n, q, monkeypatch):
         for prec in (DEFAULT_PREC, DEFAULT_PREC << 1):
             assert _count_entries(ud, qd, n_labels, max_count, prec) == \
                 count_entries_fraction(ud, qd, n_labels, max_count, prec), (d, prec)
-    high = _high_degree_entries.__wrapped__(n, q, u, DEFAULT_PREC)
+    high = _high_degree_entries(n, q, u, DEFAULT_PREC)
     monkeypatch.setattr(Interval, "pow_int", pow_int_fraction)
-    assert high == _high_degree_entries.__wrapped__(n, q, u, DEFAULT_PREC)
+    assert high == _high_degree_entries(n, q, u, DEFAULT_PREC)
 
 
 @pytest.mark.parametrize("n,q", [(20, 3), (12, 2), (5, 2)])
@@ -268,7 +268,7 @@ def test_count_phase_straddles_read_the_stream_locate_reads(monkeypatch):
     scan = _ThresholdSet._scan
     monkeypatch.setattr(glasymptotics, "_count_entries", widened)
     monkeypatch.setattr(_ThresholdSet, "_scan", lambda self, u: scans.append(1) or scan(self, u))
-    glasymptotics._count_thresholds.cache_clear()
+    glasymptotics._plan.cache_clear()
     try:
         for n, q, seed in ((8, 2, 3), (6, 3, 4)):
             fast, slow = GLPlancherelSampler(n, q, seed=seed), LocateSampler(n, q, seed=seed)
@@ -277,7 +277,7 @@ def test_count_phase_straddles_read_the_stream_locate_reads(monkeypatch):
             assert fast.attempts == slow.attempts
             assert fast.rng._state == slow.rng._state
     finally:
-        glasymptotics._count_thresholds.cache_clear()
+        glasymptotics._plan.cache_clear()
     assert len(scans) > 100
 
 
@@ -289,9 +289,8 @@ def test_component_table_grows_only_where_draws_land():
     assert 0 < len(first._ends) // 2 < sum(partition_count(m) for m in range(1, 21))
     # a second sampler with the same (n, q, u) reads the same tables
     again = GLPlancherelSampler(20, 3, seed=5)
-    assert [p.component_thresholds for p in again.plans] == \
-        [p.component_thresholds for p in sampler.plans]
-    assert [p.count_thresholds for p in again.plans] == [p.count_thresholds for p in sampler.plans]
+    assert again.plans is sampler.plans
+    assert again.high_degree_empty is sampler.high_degree_empty
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 3), (6, 2)])
@@ -311,8 +310,7 @@ def test_component_table_ends_at_its_cap(n, q):
 
 def test_caches_are_bounded():
     caches = (glirreps.cuspidal_count, glirreps.order_gl, glasymptotics.suq_normalizer,
-              glasymptotics._count_thresholds, glasymptotics._component_thresholds,
-              glasymptotics._high_degree_entries)
+              glasymptotics._plan)
     for fn in caches:
         maxsize = fn.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0, fn.__name__
@@ -333,8 +331,7 @@ def test_threads_sharing_tables_draw_what_one_thread_draws():
     def work(i):
         results[i] = run(*jobs[i])
 
-    for fn in (glasymptotics._count_thresholds, glasymptotics._component_thresholds):
-        fn.cache_clear()
+    glasymptotics._plan.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
