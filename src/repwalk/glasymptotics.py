@@ -33,9 +33,14 @@ a finished sampler is freed at once.  Tables are read lazily, component
 tables partition by partition in size order, only as far as draws land,
 and a threshold set keeps of each threshold read only its outcome and two
 64-bit words, one table that a first word indexes by one bisect; the rare
-draw that cannot decide reads the builder anew at each precision.  The
-count tables' binomial tails and every interval power run on integer
-endpoints at scale 2^prec, as suq_normalizer's products do.
+draw that cannot decide reads the builder anew at each precision.  Every
+builder yields its thresholds as integer ends at scale 2^prec: the count
+tables' binomial tails, the component laws and the high-degree threshold,
+like every interval power and suq_normalizer's products, run on integers.
+An attempt reads the count, high-degree and component tables in its own
+loops, one word, one bisect and one slot per draw, draws a single label
+index by one randrange, and builds the CuspidalLabels only once it is
+accepted.
 """
 
 from __future__ import annotations
@@ -81,21 +86,24 @@ PLAN_CACHE_SIZE = 40
 # the measure S_{u,q}
 
 
-def _weierstrass_tail(u: Fraction, q: Fraction, t: int) -> Fraction:
-    """sum_{s>t} s u/q^s = u z^(t+1) ((t+1) - t z) / (1 - z)^2 with z = 1/q:
-    by the Weierstrass product inequality, prod_{s>t} (1 - u/q^s)^s is at
-    least 1 minus this."""
-    z = 1 / q
-    return u * z ** (t + 1) * ((t + 1) - t * z) / (1 - z) ** 2
+def _weierstrass_tail(u: Fraction, q: Fraction, t: int) -> tuple[int, int]:
+    """sum_{s>t} s u/q^s as a numerator and denominator: with u = a/b and
+    q = c/e it is a e^(t+1) ((t+1) c - t e) / (b c^t (c - e)^2).  By the
+    Weierstrass product inequality, prod_{s>t} (1 - u/q^s)^s is at least 1
+    minus this."""
+    a, b, c, e = u.numerator, u.denominator, q.numerator, q.denominator
+    return a * e ** (t + 1) * ((t + 1) * c - t * e), b * c**t * (c - e) ** 2
 
 
 def _normalizer_terms(u: Fraction, q: Fraction, target: Fraction) -> int:
     """The depth rule: the smallest truncation depth 8 * 2^k whose
     Weierstrass remainder is below target."""
     t = 8
-    while _weierstrass_tail(u, q, t) >= target:
+    while True:
+        num, den = _weierstrass_tail(u, q, t)
+        if num * target.denominator < den * target.numerator:
+            return t
         t *= 2
-    return t
 
 
 @lru_cache(maxsize=512)
@@ -105,9 +113,14 @@ def suq_normalizer(u, q, prec: int = DEFAULT_PREC) -> Interval:
     The head prod_{t<=terms} f_t^t, f_t = 1 - u/q^t, is the product of the
     suffix products S_m = prod_{m<=t<=terms} f_t, both kept as integer
     endpoints at a fixed dyadic scale and rounded outward after each of the
-    2*terms products.  The omitted factors each lie in (1 - u/q^t, 1); the
-    Weierstrass product inequality turns their sum into a rational lower
-    bound on the tail; terms is the smallest depth whose tail stays below
+    2*terms products.  With u = a/b, q = c/e, X = a e^t and D = b c^t, so
+    that f_t = (D - X)/D, a suffix product s steps down by the identities
+    floor(s (D - X)/D) = s - ceil(s X/D) and ceil(s (D - X)/D) =
+    s - floor(s X/D): a product with the small X and a quotient of a few
+    words, in place of the full product and quotient.  The omitted factors
+    each lie in (1 - u/q^t, 1); the Weierstrass product inequality turns
+    their sum into a lower bound on the tail, kept as an integer numerator
+    and denominator; terms is the smallest depth whose tail stays below
     2^-(prec-16).  Memoized on (u, q, prec) in a bounded cache; every caller
     passes prec by keyword, so one enclosure has one cache key.
     """
@@ -117,19 +130,18 @@ def suq_normalizer(u, q, prec: int = DEFAULT_PREC) -> Interval:
     terms = _normalizer_terms(u, q, Fraction(1, 1 << max(prec - 16, 16)))
     scale = prec + guard_bits(2 * terms)
     s_lo = s_hi = head_lo = head_hi = 1 << scale
-    # f_t = (b c^t - a e^t) / (b c^t) for u = a/b, q = c/e; t runs downwards
-    c_t, e_t = q.numerator**terms, q.denominator**terms
+    # f_t = (d_t - x_t) / d_t, x_t = a e^t, d_t = b c^t; t runs downwards
+    c, e = q.numerator, q.denominator
+    x_t, d_t = u.numerator * e**terms, u.denominator * c**terms
     for _ in range(terms):
-        num = u.denominator * c_t - u.numerator * e_t
-        den = u.denominator * c_t
-        s_lo = s_lo * num // den
-        s_hi = -(-s_hi * num // den)
+        s_lo -= -(-s_lo * x_t // d_t)
+        s_hi -= s_hi * x_t // d_t
         head_lo = head_lo * s_lo >> scale
         head_hi = -(-head_hi * s_hi >> scale)
-        c_t //= q.numerator
-        e_t //= q.denominator
-    tail_lo = max(Fraction(0), 1 - _weierstrass_tail(u, q, terms))
-    return enclosure_from_scaled(head_lo, head_hi, scale, prec, tail_lo)
+        x_t //= e
+        d_t //= c
+    num, den = _weierstrass_tail(u, q, terms)
+    return enclosure_from_scaled(head_lo, head_hi, scale, prec, max(den - num, 0), den)
 
 
 def euler_product_enclosure(u, q, prec: int) -> Interval:
@@ -251,11 +263,13 @@ _REJECT = object()
 class _ThresholdSet:
     """Cumulative interval thresholds; locates a uniform draw among them.
 
-    builder(prec) returns an iterable of (outcome, Interval) with increasing
-    thresholds.  The set reads it lazily at DEFAULT_PREC, only as far as
-    draws land, and keeps one 64-bit table: _ends holds, threshold by
-    threshold, the running maxima of floor(lo * 2^64) and ceil(hi * 2^64),
-    and _slots[k] says what a word v with bisect_right(_ends, v) == k
+    builder(prec) returns an iterable of (outcome, lo, hi) with increasing
+    thresholds, each enclosed by the integers [lo, hi] at scale 2^prec.  The
+    set reads it lazily at DEFAULT_PREC, only as far as draws land, and keeps
+    one 64-bit table: _ends holds, threshold by threshold, the running maxima
+    of lo and hi shifted down to scale 2^64, floor below and ceiling above,
+    which are floor(t_lo * 2^64) and ceil(t_hi * 2^64) of the enclosure
+    [t_lo, t_hi] itself, and _slots[k] says what a word v with bisect_right(_ends, v) == k
     decides.  An even k is the gap below threshold k // 2, where U < t holds
     for it and for no earlier one: the slot holds its outcome.  An odd k is
     a word inside a threshold's 64-bit [lo, hi] (about 2^-64 per
@@ -295,10 +309,10 @@ class _ThresholdSet:
             if self._entries is False:
                 return False
             try:
-                outcome, iv = next(self._entries)
-                top = ends[-1] if ends else 0
-                lo64 = max(floor_scaled(iv.lo, 64), top)
-                hi64 = max(ceil_scaled(iv.hi, 64), lo64)
+                outcome, lo, hi = next(self._entries)
+                shift = DEFAULT_PREC - 64
+                lo64 = max(lo >> shift, ends[-1] if ends else 0)
+                hi64 = max(-(-hi >> shift), lo64)
                 slots += (None, None)
                 ends += (lo64, hi64)
                 slots[-3] = outcome
@@ -341,8 +355,7 @@ class _ThresholdSet:
     def _scan(self, u: LazyUniform):
         for level in range(MAX_DOUBLINGS + 1):
             scale = DEFAULT_PREC << level
-            for outcome, iv in self._builder(scale):
-                lo, hi = floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale)
+            for outcome, lo, hi in self._builder(scale):
                 res = u.compare_scaled(lo, hi, scale)
                 if res is None:
                     break
@@ -353,55 +366,52 @@ class _ThresholdSet:
         raise SamplerError("threshold enclosures failed to separate a uniform draw")
 
 
-def _count_entries(ud: Fraction, qd: Fraction, n_labels: int, max_count: int, prec: int) -> list:
+def _count_entries(ud: Fraction, qd: Fraction, n_labels: int, max_count: int, prec: int):
     """P(at most j of the n_labels degree-d labels are occupied), j <= max_count:
     each label is empty with probability Z(u^d, q^d), independently.
 
     The binomial tail runs on integer endpoints at scale 2^prec: term j adds
     floor(C(n_labels, j) occ^j z^(n_labels-j) * 2^prec) below and its
-    ceiling above, what rounding (cum + pmf) outward to prec bits adds."""
+    ceiling above, what rounding (cum + pmf) outward to prec bits adds.
+    Entries are (j, lo, hi), the running sum's endpoints at that scale."""
     z = suq_normalizer(ud, qd, prec=prec)
     occ = z.one_minus()
-    one = 1 << prec
-    out = []
     c_lo = c_hi = 0
     for j in range(max_count + 1):
         comb = math.comb(n_labels, j)
         a, b = occ.pow_int(j, prec), z.pow_int(n_labels - j, prec)
         c_lo += comb * floor_scaled(a.lo, prec) * floor_scaled(b.lo, prec) >> prec
         c_hi += -(-comb * ceil_scaled(a.hi, prec) * ceil_scaled(b.hi, prec) >> prec)
-        out.append((j, Interval(Fraction(c_lo, one), Fraction(c_hi, one))))
-    return out
+        yield j, c_lo, c_hi
 
 
 def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
     """The law of an occupied label's partition, S(u^d, q^d) given lam nonempty:
     Z/(1-Z) times the cumulative weight, over the partitions of 1 .. sizes_cap
     in enumerate_partitions order; suq_weight runs only for the entries a
-    reader reaches."""
+    reader reaches.  Entries are (lam, lo, hi), the endpoints of
+    (ratio * cum).rounded(prec) at scale 2^prec."""
     z = suq_normalizer(ud, qd, prec=prec)
     ratio = z / z.one_minus()
-    one = 1 << prec
+    lo_num, lo_den = ratio.lo.numerator, ratio.lo.denominator
+    hi_num, hi_den = ratio.hi.numerator, ratio.hi.denominator
     cum = Fraction(0)
     for m in range(1, sizes_cap + 1):
         for lam in enumerate_partitions(m):
             cum += suq_weight(ud, qd, lam)
-            # (ratio * cum).rounded(prec), in integers
             num, den = cum.numerator << prec, cum.denominator
-            lo = ratio.lo.numerator * num // (ratio.lo.denominator * den)
-            hi = -(-ratio.hi.numerator * num // (ratio.hi.denominator * den))
-            yield lam, Interval(Fraction(lo, one), Fraction(hi, one))
+            yield lam, lo_num * num // (lo_den * den), -(-hi_num * num // (hi_den * den))
 
 
 def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
     """Single threshold: probability that every label of degree > n is empty.
 
     Computed as prod_{m>=0}(1 - u/q^m) / prod_{d<=n} Z_d^(N_d): the full
-    all-empty probability divided by the explicit low-degree factors.
+    all-empty probability divided by the explicit low-degree factors, its
+    upper end capped at 1.  The entry is (True, lo, hi) at scale 2^prec.
     """
     iv = euler_product_enclosure(u, q, prec) / _z_power_product(range(1, n + 1), q, u, prec)
-    iv = Interval(max(Fraction(0), iv.lo), min(Fraction(1), iv.hi))
-    return ((True, iv),)
+    return ((True, floor_scaled(iv.lo, prec), min(ceil_scaled(iv.hi, prec), 1 << prec)),)
 
 
 class _DegreePlan(NamedTuple):
@@ -467,42 +477,53 @@ class GLPlancherelSampler:
         return sorted(out)
 
     def _attempt(self) -> GLIrrep | None:
+        # each table read is locate with its call left out: one word, one
+        # bisect, one slot, and _settle only for a slot holding None
         self.attempts += 1
-        rng = self.rng
-        counts = []
+        n, rng = self.n, self.rng
+        next_u64 = rng.next_u64
+        occupied = []
         floor_total = 0
-        for plan in self.plans:
-            # locate, with its call left out: one word, one bisect, one slot
-            table = plan.count_thresholds
-            v = rng.next_u64()
-            outcome = table._slots[bisect_right(table._ends, v)]
-            if outcome is None:
-                outcome = table._settle(rng, v)
-            if outcome is _REJECT:
+        for d, n_labels, counts, components in self.plans:
+            v = next_u64()
+            k = counts._slots[bisect_right(counts._ends, v)]
+            if k is None:
+                k = counts._settle(rng, v)
+            if k is _REJECT:
                 return None
-            counts.append(outcome)
-            floor_total += plan.d * outcome
-        if floor_total > self.n:
+            if k:
+                occupied.append((d, n_labels, k, components))
+                floor_total += d * k
+        if floor_total > n:
             return None
-        if self.high_degree_empty.locate(rng) is _REJECT:
+        high = self.high_degree_empty
+        v = next_u64()
+        outcome = high._slots[bisect_right(high._ends, v)]
+        if outcome is None:
+            outcome = high._settle(rng, v)
+        if outcome is _REJECT:
             return None
-        assignment = []
+        drawn = []
         total = 0
-        for plan, k in zip(self.plans, counts):
-            if not k:
-                continue
-            indices = self._draw_indices(k, plan.n_labels)
+        for d, n_labels, k, components in occupied:
+            if k > 1:
+                indices = self._draw_indices(k, n_labels)
+            else:  # _draw_indices(1, n_labels), which reads no word from a pool of one
+                indices = (rng.randrange(n_labels) if n_labels > 1 else 0,)
             for idx in indices:
-                lam = plan.component_thresholds.locate(rng)
+                v = next_u64()
+                lam = components._slots[bisect_right(components._ends, v)]
+                if lam is None:
+                    lam = components._settle(rng, v)
                 if lam is _REJECT:
                     return None
-                total += plan.d * lam.size
-                if total > self.n:
+                total += d * lam.size
+                if total > n:
                     return None
-                assignment.append((CuspidalLabel(plan.d, idx), lam))
-        if total != self.n:
+                drawn.append((d, idx, lam))
+        if total != n:
             return None
-        return GLIrrep(self.n, self.q, tuple(assignment))
+        return GLIrrep(n, self.q, tuple((CuspidalLabel(d, idx), lam) for d, idx, lam in drawn))
 
     def sample(self) -> GLIrrep:
         start, cap = self.attempts, DEFAULT_ATTEMPT_CAP

@@ -127,11 +127,12 @@ def guard_bits(products: int) -> int:
 
 
 def enclosure_from_scaled(lo: int, hi: int, scale: int, prec: int,
-                          lo_factor: Fraction) -> Interval:
-    """[lo * lo_factor, hi] / 2^scale, rounded outward to prec <= scale bits;
-    lo_factor >= 0 is an exact lower bound on a factor the head omits."""
+                          factor_num: int, factor_den: int) -> Interval:
+    """[lo * factor_num / factor_den, hi] / 2^scale, rounded outward to
+    prec <= scale bits; factor_num / factor_den >= 0 is an exact lower bound
+    on a factor the head omits."""
     shift = scale - prec
-    lo = lo * lo_factor.numerator // (lo_factor.denominator << shift)
+    lo = lo * factor_num // (factor_den << shift)
     hi = -(-hi >> shift)
     return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
 

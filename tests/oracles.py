@@ -8,9 +8,10 @@ walk_step_chain, the sampler and GL table references and the two identity
 sides at the end (pieri_sides, spectrum_sides) are the exception: they set
 one package path against another, the Fraction kernel against the lattice
 engines, the down-up chain against the coupon-count sampler, the samplers'
-inlined word draws against plain randrange, the Fraction interval products
-and one locate per degree against the integer endpoints and the inlined
-count phase, and the exact walk step against the Murnaghan-Nakayama table.
+inlined word draws against plain randrange, the Fraction interval products,
+the Interval threshold entries and the full-product normalizer loop against
+the integer endpoints, one locate per table against the inlined attempt, and
+the exact walk step against the Murnaghan-Nakayama table.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from repwalk.glasymptotics import (
     DEFAULT_PREC,
     GLPlancherelSampler,
     _z_power_product,
+    euler_product_enclosure,
     suq_normalizer,
+    suq_weight,
 )
 from repwalk.glirreps import CuspidalLabel, GLIrrep, cuspidal_count
-from repwalk.intervals import Interval
+from repwalk.intervals import Interval, ceil_scaled, floor_scaled, guard_bits
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions, partition_id
 from repwalk.rng import _GOLDEN, mix64
 
@@ -347,6 +350,42 @@ def suq_normalizer_pow_int(u, q, prec: int):
     return Interval(max(lo, Fraction(0)), head.hi).rounded(prec)
 
 
+def weierstrass_tail_fraction(u: Fraction, q: Fraction, t: int) -> Fraction:
+    """sum_{s>t} s u/q^s = u z^(t+1) ((t+1) - t z) / (1 - z)^2 with z = 1/q."""
+    z = 1 / q
+    return u * z ** (t + 1) * ((t + 1) - t * z) / (1 - z) ** 2
+
+
+def suq_normalizer_reference(u, q, prec: int) -> Interval:
+    """Z(u,q) as suq_normalizer encloses it, by the full products: the depth
+    rule on the Fraction tail, then each suffix product times
+    f_t = (b c^t - a e^t) / (b c^t) for u = a/b, q = c/e, floored below
+    and ceiled above, the head times each suffix product at the same scale,
+    and the low end times the Fraction 1 - tail before the outward rounding
+    to prec bits."""
+    u, q = Fraction(u), Fraction(q)
+    target = Fraction(1, 1 << max(prec - 16, 16))
+    terms = 8
+    while weierstrass_tail_fraction(u, q, terms) >= target:
+        terms *= 2
+    scale = prec + guard_bits(2 * terms)
+    s_lo = s_hi = head_lo = head_hi = 1 << scale
+    c_t, e_t = q.numerator**terms, q.denominator**terms
+    for _ in range(terms):
+        num = u.denominator * c_t - u.numerator * e_t
+        den = u.denominator * c_t
+        s_lo = s_lo * num // den
+        s_hi = -(-s_hi * num // den)
+        head_lo = head_lo * s_lo >> scale
+        head_hi = -(-head_hi * s_hi >> scale)
+        c_t //= q.numerator
+        e_t //= q.denominator
+    tail_lo = max(Fraction(0), 1 - weierstrass_tail_fraction(u, q, terms))
+    shift = scale - prec
+    lo = head_lo * tail_lo.numerator // (tail_lo.denominator << shift)
+    return Interval(Fraction(lo, 1 << prec), Fraction(-(-head_hi >> shift), 1 << prec))
+
+
 def euler_product_exact(u, q, terms: int) -> tuple[Fraction, Fraction]:
     """[head * (1 - u q^(1-terms)/(q-1)), head] with head the exact product
     of (1 - u/q^m) over m < terms."""
@@ -585,19 +624,27 @@ def young_lattice_reference(n: int):
 # comparing a lazily revealed uniform with each threshold in turn
 
 
+def scaled_entries(entries, prec: int) -> list:
+    """(outcome, Interval) entries as a threshold builder yields them:
+    (outcome, floor(lo * 2^prec), ceil(hi * 2^prec))."""
+    return [(outcome, floor_scaled(iv.lo, prec), ceil_scaled(iv.hi, prec))
+            for outcome, iv in entries]
+
+
 def threshold_locate_reference(builder, rng):
     """Outcome of one uniform among the thresholds of builder, or
     glasymptotics._REJECT past them.
 
     The uniform U is revealed 64 bits at a time from its first comparison
-    on.  Each threshold is flattened to [lo, hi] at scale DEFAULT_PREC <<
-    level; U < t is decided once U's known bits lie wholly below lo or at or
-    above hi, and left unresolved SLACK_BITS past the scale, which rebuilds
-    every threshold at the next level, up to MAX_DOUBLINGS.
+    on.  builder(scale) yields each threshold as (outcome, lo, hi), the
+    integers [lo, hi] enclosing it at scale 2^scale, for scale =
+    DEFAULT_PREC << level; U < t is decided once U's known bits lie wholly
+    below lo or at or above hi, and left unresolved SLACK_BITS past the
+    scale, which rebuilds every threshold at the next level, up to
+    MAX_DOUBLINGS.
     """
     from repwalk import glasymptotics
     from repwalk.errors import SamplerError
-    from repwalk.intervals import ceil_scaled, floor_scaled
     from repwalk.rng import SLACK_BITS
 
     value = bits = 0
@@ -620,8 +667,8 @@ def threshold_locate_reference(builder, rng):
 
     for level in range(glasymptotics.MAX_DOUBLINGS + 1):
         scale = glasymptotics.DEFAULT_PREC << level
-        for outcome, iv in builder(scale):
-            res = below(floor_scaled(iv.lo, scale), ceil_scaled(iv.hi, scale), scale)
+        for outcome, lo, hi in builder(scale):
+            res = below(lo, hi, scale)
             if res is None:
                 break
             if res:
@@ -632,9 +679,9 @@ def threshold_locate_reference(builder, rng):
 
 
 # ---------------------------------------------------------------------------
-# GL threshold tables and the count phase as they were before integer
-# endpoints: Fraction products rounded outward after each multiply, and one
-# locate call per degree
+# GL threshold tables and the attempt as they were before integer endpoints:
+# Fraction products rounded outward after each multiply, Interval entries,
+# and one locate call per table read
 
 
 def pow_int_fraction(iv: Interval, k: int, prec: int) -> Interval:
@@ -676,6 +723,37 @@ def z_power_product_fraction(degrees, q: int, u, prec: int) -> Interval:
     return out
 
 
+def component_entries_interval(ud, qd, sizes_cap: int, prec: int):
+    """The component law's thresholds as Intervals: Z/(1-Z) times the
+    cumulative weight, rounded outward to prec bits, over the partitions of
+    1 .. sizes_cap in enumerate_partitions order."""
+    z = suq_normalizer(ud, qd, prec=prec)
+    ratio = z / z.one_minus()
+    cum = Fraction(0)
+    for m in range(1, sizes_cap + 1):
+        for lam in enumerate_partitions(m):
+            cum += suq_weight(ud, qd, lam)
+            yield lam, (ratio * cum).rounded(prec)
+
+
+def high_degree_entries_interval(n: int, q: int, u, prec: int) -> tuple:
+    """The high-degree threshold as an Interval: the Euler product over the
+    degree <= n normalizer powers, capped at 1."""
+    iv = euler_product_enclosure(u, q, prec) / _z_power_product(range(1, n + 1), q, u, prec)
+    return ((True, Interval(iv.lo, min(Fraction(1), iv.hi))),)
+
+
+def threshold_ends_reference(entries) -> list[int]:
+    """A threshold set's 64-bit ends over (outcome, Interval) entries, as
+    they were formed from the Intervals: the running maxima of
+    floor(lo * 2^64) and ceil(hi * 2^64)."""
+    ends = []
+    for _, iv in entries:
+        lo64 = max(floor_scaled(iv.lo, 64), ends[-1] if ends else 0)
+        ends += (lo64, max(ceil_scaled(iv.hi, 64), lo64))
+    return ends
+
+
 def draw_indices_list(rng, count: int, pool: int) -> list[int]:
     """A uniform sorted count-subset of range(pool) by a partial
     Fisher-Yates shuffle of the whole list range(pool)."""
@@ -689,8 +767,9 @@ def draw_indices_list(rng, count: int, pool: int) -> list[int]:
 
 
 class LocateSampler(GLPlancherelSampler):
-    """The GL Plancherel sampler with every degree's count drawn through its
-    threshold set's locate, one call per degree."""
+    """The GL Plancherel sampler with every table read through its threshold
+    set's locate, one call per draw, every label index drawn by
+    _draw_indices, and the labels built as they are drawn."""
 
     def _attempt(self):
         self.attempts += 1

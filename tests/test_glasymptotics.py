@@ -15,6 +15,7 @@ from oracles import (
     draw_indices_list,
     high_degree_empty_direct,
     suq_normalizer_pow_int,
+    suq_normalizer_reference,
     suq_weight_per_hook,
 )
 from repwalk.glasymptotics import (
@@ -33,6 +34,7 @@ from repwalk.glasymptotics import (
     suq_weight,
 )
 from repwalk.glirreps import plancherel_gl, suq_size_tail_bound, unipotent_marginal
+from repwalk.intervals import Interval
 from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.rng import SplitMix64
 from repwalk.series import euler_lhs, q_pochhammer
@@ -56,6 +58,25 @@ def test_normalizer_suffix_products_match_pow_int(u, q):
         assert z.lo <= ref.hi and ref.lo <= z.hi
     assert ref.width < Fraction(1, 2**380)  # nearly a point: z must hold Z itself
     assert z.width < Fraction(1, 2**300)
+
+
+# the normalizers the default samplers read at n = 20: Z(u^d, q^d) for every
+# degree, and Z(u/q, q) for the Euler product of the high-degree threshold
+_U20 = default_rejection_u(20)
+_SAMPLER_NORMALIZERS = [(_U20**d, Fraction(q) ** d) for q in (2, 3) for d in range(1, 21)] \
+    + [(_U20 / q, q) for q in (2, 3)]
+
+
+@pytest.mark.parametrize("u,q", [
+    (1, 2), (Fraction(1, 2), 2), (Fraction(63, 64), 2), (Fraction(5, 6), 3),
+    (Fraction(19, 20) ** 3, 27), (1, 9), (Fraction(5, 6), Fraction(7, 2)),
+] + _SAMPLER_NORMALIZERS)
+def test_normalizer_matches_full_product_loop(u, q):
+    # the suffix products stepped by s - ceil(s X/D) and s - floor(s X/D),
+    # and the integer Weierstrass tail, give the enclosure of the full
+    # products and the Fraction tail, at every precision a scan rebuilds at
+    for prec in (DEFAULT_PREC, DEFAULT_PREC << 1, DEFAULT_PREC << 2):
+        assert suq_normalizer(u, q, prec=prec) == suq_normalizer_reference(u, q, prec), prec
 
 
 @pytest.mark.parametrize("u,q", [
@@ -224,7 +245,8 @@ def test_default_rejection_u():
 
 def test_high_degree_enclosures_agree():
     for n, q, u in ((2, 2, Fraction(1, 2)), (3, 2, Fraction(2, 3)), (2, 3, Fraction(1, 2))):
-        ((_, identity),) = _high_degree_entries(n, q, u, DEFAULT_PREC)
+        ((_, lo, hi),) = _high_degree_entries(n, q, u, DEFAULT_PREC)
+        identity = Interval(Fraction(lo, 1 << DEFAULT_PREC), Fraction(hi, 1 << DEFAULT_PREC))
         direct = high_degree_empty_direct(n, q, u)
         assert identity.lo <= direct.hi and direct.lo <= identity.hi
         assert identity.width < Fraction(1, 2**200)

@@ -115,7 +115,7 @@ def test_threshold_doublings_read_at_run_time(monkeypatch):
 
     def builder(prec):
         levels.append(prec)
-        return [(0, glasymptotics.Interval(Fraction(0), Fraction(1)))]
+        return [(0, 0, 1 << prec)]  # [0, 1] at scale 2^prec
 
     monkeypatch.setattr(glasymptotics, "MAX_DOUBLINGS", 2)
     thresholds = glasymptotics._ThresholdSet(builder)

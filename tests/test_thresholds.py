@@ -18,8 +18,12 @@ import pytest
 from oracles import (
     EXPLICIT_DEGREES,
     LocateSampler,
+    component_entries_interval,
     count_entries_fraction,
+    high_degree_entries_interval,
     pow_int_fraction,
+    scaled_entries,
+    threshold_ends_reference,
     threshold_locate_reference,
     z_power_product_fraction,
 )
@@ -89,7 +93,7 @@ def test_locate_matches_scan_on_random_tables(seed):
         if ordered:
             entries.sort(key=lambda e: e[1].lo)
         for end in {1, rnd.randrange(1, len(entries) + 1), len(entries)}:
-            _draw_both(lambda prec, e=entries[:end]: iter(e), seed, 50)
+            _draw_both(partial(scaled_entries, entries[:end]), seed, 50)
 
 
 def _cold_and_warm(builder):
@@ -105,7 +109,7 @@ def test_point_threshold_on_a_64_bit_dyadic():
     for seed in range(5):
         v = _first_word(seed)
         for t, expected in ((v, _REJECT), (v + 1, 0), (v - 1, _REJECT)):
-            builder = lambda prec, t=t: [(0, Interval.point(Fraction(t, 1 << 64)))]
+            builder = partial(scaled_entries, [(0, Interval.point(Fraction(t, 1 << 64)))])
             for thresholds in _cold_and_warm(builder):
                 rng = SplitMix64(seed)
                 assert thresholds.locate(rng) is expected
@@ -125,7 +129,7 @@ def test_word_equal_to_a_threshold_lo64():
             entries.append((len(entries), Interval(near, near + Fraction(1, 1 << 310))))
             if around > 1:
                 entries.append((len(entries), Interval.point(Fraction(v + 1, 1 << 64))))
-            builder = lambda prec, e=entries: iter(e)
+            builder = partial(scaled_entries, entries)
             slow = SplitMix64(seed)
             expected = threshold_locate_reference(builder, slow)
             assert expected == (_REJECT if around < 2 else 2)
@@ -137,7 +141,7 @@ def test_word_equal_to_a_threshold_lo64():
 
 
 def test_unresolvable_threshold_raises_after_the_same_words():
-    builder = lambda prec: [(0, Interval(Fraction(0), Fraction(1)))]
+    builder = lambda prec: [(0, 0, 1 << prec)]
     _draw_both(builder, 3, 1)
     with pytest.raises(SamplerError):
         _ThresholdSet(builder).locate(SplitMix64(3))
@@ -162,12 +166,12 @@ def test_builder_that_raises_is_started_again():
 
     def flaky(prec):
         calls.append(prec)
-        for k, entry in enumerate(entries):
+        for k, entry in enumerate(scaled_entries(entries, prec)):
             if k == 4 and len(calls) == 1:
                 raise KeyboardInterrupt
             yield entry
 
-    builder = lambda prec: iter(entries)
+    builder = partial(scaled_entries, entries)
     seed = next(s for s in range(100) if _first_word(s) > (5 << 64) // 9)
     thresholds = _ThresholdSet(flaky)
     with pytest.raises(KeyboardInterrupt):
@@ -183,12 +187,22 @@ def test_builder_that_raises_is_started_again():
         if not failures:
             failures.append(prec)
             raise MemoryError
-        return entries
+        return scaled_entries(entries, prec)
 
     thresholds = _ThresholdSet(failing_list)
     with pytest.raises(MemoryError):
         thresholds.locate(SplitMix64(seed))
     _draw_both(builder, seed, 30, thresholds)
+
+
+def _as_fractions(entries, prec: int) -> list:
+    """Integer entries (outcome, lo, hi) at scale 2^prec as exact Fractions."""
+    one = 1 << prec
+    return [(outcome, Fraction(lo, one), Fraction(hi, one)) for outcome, lo, hi in entries]
+
+
+def _as_endpoints(entries) -> list:
+    return [(outcome, iv.lo, iv.hi) for outcome, iv in entries]
 
 
 def test_component_entries_match_rounded_products():
@@ -203,7 +217,7 @@ def test_component_entries_match_rounded_products():
         for lam in glasymptotics.enumerate_partitions(m):
             cum += glasymptotics.suq_weight(ud, qd, lam)
             expected.append((lam, (ratio * cum).rounded(prec)))
-    assert list(_component_entries(ud, qd, 6, prec)) == expected
+    assert _as_fractions(_component_entries(ud, qd, 6, prec), prec) == _as_endpoints(expected)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -218,11 +232,37 @@ def test_count_entries_match_fraction_products(n, q, monkeypatch):
         n_labels = glirreps.cuspidal_count(d, q)
         max_count = min(n_labels, n // d)
         for prec in (DEFAULT_PREC, DEFAULT_PREC << 1):
-            assert _count_entries(ud, qd, n_labels, max_count, prec) == \
-                count_entries_fraction(ud, qd, n_labels, max_count, prec), (d, prec)
+            assert _as_fractions(_count_entries(ud, qd, n_labels, max_count, prec), prec) == \
+                _as_endpoints(count_entries_fraction(ud, qd, n_labels, max_count, prec)), (d, prec)
     high = _high_degree_entries(n, q, u, DEFAULT_PREC)
+    assert high == tuple(scaled_entries(high_degree_entries_interval(n, q, u, DEFAULT_PREC),
+                                        DEFAULT_PREC))
     monkeypatch.setattr(Interval, "pow_int", pow_int_fraction)
     assert high == _high_degree_entries(n, q, u, DEFAULT_PREC)
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (8, 3), (20, 3)])
+def test_integer_ends_match_interval_entries(n, q):
+    # every table of a plan, grown to its end from the integer entries, holds
+    # the 64-bit ends the Interval entries give: the running maxima of their
+    # endpoints floored and ceiled at 64 bits
+    u = default_rejection_u(n)
+    plans, high = glasymptotics._plan(n, q, u)
+    for plan in plans:
+        ud, qd = u**plan.d, Fraction(q) ** plan.d
+        max_count = min(plan.n_labels, n // plan.d)
+        for table, entries in (
+            (plan.count_thresholds,
+             count_entries_fraction(ud, qd, plan.n_labels, max_count, DEFAULT_PREC)),
+            (plan.component_thresholds,
+             component_entries_interval(ud, qd, n // plan.d, DEFAULT_PREC)),
+        ):
+            while table._grow():
+                pass
+            assert table._ends == threshold_ends_reference(entries), plan.d
+    while high._grow():
+        pass
+    assert high._ends == threshold_ends_reference(high_degree_entries_interval(n, q, u, DEFAULT_PREC))
 
 
 @pytest.mark.parametrize("n,q", [(20, 3), (12, 2), (5, 2)])
@@ -239,10 +279,12 @@ def test_z_power_product_matches_fraction_loop(n, q):
 @pytest.mark.parametrize("n,q,u,count", [
     (2, 2, None, 200), (5, 3, None, 100), (12, 2, None, 60), (20, 3, None, 30),
     (2, 2, Fraction(1, 2), 200), (5, 3, Fraction(1, 2), 40),
+    (16, 2, None, 60), (20, 3, Fraction(9, 10), 20),
 ])
 def test_count_phase_reads_the_stream_locate_reads(n, q, u, count):
-    # the count phase decides each degree from the table in the loop; a
-    # sampler calling locate per degree must draw the same families from
+    # every phase of an attempt decides from the tables in its own loop and
+    # draws a single index by one randrange; a sampler calling locate per
+    # table and _draw_indices per degree must draw the same families from
     # the same words, in as many attempts
     for seed in (0, 1, 9):
         fast, slow = GLPlancherelSampler(n, q, u, seed), LocateSampler(n, q, u, seed)
@@ -260,9 +302,8 @@ def test_count_phase_straddles_read_the_stream_locate_reads(monkeypatch):
 
     def widened(*args):
         *head, prec = args
-        w = Fraction(1, 1 << (prec - 312))
-        return [(j, Interval(max(Fraction(0), iv.lo - w), iv.hi + w))
-                for j, iv in count_entries(*head, prec)]
+        w = 1 << 312  # 2^-(prec - 312) at scale 2^prec
+        return [(j, max(0, lo - w), hi + w) for j, lo, hi in count_entries(*head, prec)]
 
     scans = []
     scan = _ThresholdSet._scan
