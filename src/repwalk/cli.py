@@ -20,7 +20,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from . import __version__
 from .characters import character_table
@@ -219,7 +218,7 @@ def _cmd_sn_cutoff(args):
     if mode == "float":
         tv = eng.tvs(r)[r]
     else:
-        tv = float(eng.tv(next(islice(eng.laws(Partition((n,))), r, None))))
+        tv = float(eng.tv(eng.law(r)))
     extra = [_error_bound_line(n, r)] if mode == "float" else []
     rows = [[r, math.exp(-2 * c) / 2, tv, sn_upper_bound(n, r)]]
     _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows, extra)

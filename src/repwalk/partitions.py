@@ -86,7 +86,7 @@ class Partition(tuple):
         return out
 
     def to_string(self) -> str:
-        return "+".join(str(p) for p in self) if self else "-"
+        return "+".join(map(str, self)) if self else "-"
 
     @classmethod
     def from_string(cls, s: str) -> "Partition":
@@ -334,9 +334,9 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(levels[n])
 
 
-# four entries, as _float_engine keeps: a cached float engine steps its own
-# jagged tables but holds its lattice for n and the dimensions, so a
-# lattice kept here for one of them costs no memory of its own
+# four entries, as _float_engine keeps: a cached engine, float or exact,
+# holds its lattice for n, so a lattice kept here for one of them costs no
+# memory of its own, and the exact engines hold theirs past eviction
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
     """The cached Young lattice of size n, read off level n of the counted

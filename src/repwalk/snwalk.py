@@ -9,12 +9,13 @@ mult(rho in lam (x) eta) = A(lam, rho).  Each walk runs on an engine from
 _engine, _ExactEngine (ints over one denominator) or _FloatEngine (doubles),
 with laws(start), the laws after 0, 1, 2, ... steps, and tv(law), the TV to
 Plancherel measure.  The exact engine steps A with _apply_counts, two segment
-sums through the partitions of n-1; the float engine steps it through two
-jagged corner tables, rows sorted by corner count that store no pad, adding
-each segment in the segment sums' order, so its laws are bit-identical to
-theirs for n <= 36.  The float TVs of sn_tv_curve and sn-cutoff are read
-from the walk from (n) that each cached float engine memoizes in tvs, kept
-as long as its engine; the exact paths keep no memo.  With X the character
+sums through the partitions of n-1, and from (n) jumps to any r in law by
+normal ordering; the float engine steps A through two jagged corner tables,
+rows sorted by corner count that store no pad, adding each segment in the
+segment sums' order, so its laws are bit-identical to theirs for n <= 36.
+Both engines are cached per size (_exact_engine, _float_engine), and the
+TVs of sn_tv_curve and the float sn-cutoff are read from the walk from (n)
+that each memoizes in tvs, kept as long as its engine.  With X the character
 table, A X = X diag(fp), so the spectrum is indexed by conjugacy classes
 with eigenvalue fixed_points/n; the tests hold this and Pieri's rule as
 integer identities on A and X.
@@ -34,7 +35,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 from operator import mul
 
@@ -49,6 +50,7 @@ from .characters import (
 from .errors import CapacityError
 from .partitions import (
     Partition,
+    _small_level,
     dimension_sn,
     enumerate_partitions,
     partition_count,
@@ -195,7 +197,11 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
     if start is not None:
         start = _partition_of(n, start)
     eng = _engine(n, mode)  # its refusals before Partition((n,)) names n < 1
-    law = next(islice(eng.laws(start or Partition((n,))), r, None))
+    start = start or Partition((n,))
+    if mode == "exact" and start == (n,):
+        law = eng.law(r)
+    else:
+        law = next(islice(eng.laws(start), r, None))
     parts = enumerate_partitions(n)
     if mode == "float":
         masses = dict(zip(parts, law.tolist()))
@@ -337,7 +343,7 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
         table = character_table(n)
         eng = _engine(n, "exact")
         weights, scale = _scaled_powers(table, eng.lat, partition_id(_partition_of(n, cycles)), s)
-        a, den = next(islice(eng.laws(Partition((n,))), r, None))
+        a, den = eng.law(r)
         return Fraction(sum(map(mul, weights, a)), scale * den)
     if method == "closed":
         if cycles != Partition([2] + [1] * (n - 2)):
@@ -379,15 +385,11 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk and one
-    running L2 sum.  Float TVs are read from the walk the cached float
-    engine memoizes (_FloatEngine.tvs)."""
+    running L2 sum: the TVs are read from the walk from (n) that the cached
+    engine of mode memoizes (its tvs)."""
     _check_steps(rmax)
-    eng = _engine(n, mode)
-    if mode == "float":
-        tvs = islice(eng.tvs(rmax), 1, None)
-    else:
-        tvs = map(eng.tv, islice(eng.laws(Partition((n,))), 1, None))
-    return list(zip(range(1, rmax + 1), tvs, _upper_bounds(n)))
+    tvs = _engine(n, mode).tvs(rmax)
+    return list(zip(range(1, rmax + 1), islice(tvs, 1, None), _upper_bounds(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +399,23 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
 class _ExactEngine:
     """The walk in Python ints on the lattice of n, for any n it holds: K is
     the Doob transform of A, so the law after r steps is (a, den) with
-    a = A^r e_s and den = n^r d_s, and rho has mass d_rho a_rho / den."""
+    a = A^r e_s and den = n^r d_s, and rho has mass d_rho a_rho / den.
+
+    From s = (n) it also keeps the walk tvs memoizes and jumps to any r in
+    law, by normal ordering.  A = U D, one box down and one up, and Young's
+    lattice is 1-differential (D U - U D = I; Stanley, JAMS 1988), so
+    A^r = sum_k S(r, k) U^k D^k with S the Stirling numbers of the second
+    kind.  D^k e_(n) = e_(n-k), so a_r = sum_k S(r, k) V_k with
+    V_k(rho) = f^(rho/(n-k)), the standard tableaux of the skew shape."""
 
     def __init__(self, n: int):
         self.lat = lat = young_lattice(n)
         self.n_fact = n_fact = math.factorial(n)
-        self.scaled = [d * n_fact for d in lat.dims]
-        self.squares = [d * d for d in lat.dims]
+        self.scaled = np.array([d * n_fact for d in lat.dims], dtype=object)
+        self.squares = np.array([d * d for d in lat.dims], dtype=object)
+        a = np.zeros(len(lat.dims), dtype=object)
+        a[0] = 1  # (n) has id 0 and d = 1
+        self._walk = ((a, 1), ())  # the walk from (n) that tvs memoizes
 
     def laws(self, start: Partition):
         """The laws (a, den) after 0, 1, 2, ... steps from start."""
@@ -417,11 +429,48 @@ class _ExactEngine:
             a = _apply_counts(lat, a)
             den *= lat.n
 
+    @cached_property
+    def skew(self) -> np.ndarray:
+        """The p(n) x (n+1) object matrix V, V[rho, k] = f^(rho/(n-k)).
+
+        Column k of level j is U^k e_(j-k), so level j is e_(j) beside the
+        sums over the partitions below each of level j-1, one pass up the
+        levels _small_level caches (every n <= SMALL_SIZE)."""
+        v = np.ones((1, 1), dtype=object)  # level 0: e_() alone
+        for j in range(1, self.lat.n + 1):
+            level = _small_level(j)
+            first = np.zeros((level.rows, 1), dtype=object)
+            first[0] = 1
+            v = np.hstack((first, np.add.reduceat(v[level.below], level.down_off[:-1], axis=0)))
+        return v
+
+    def law(self, r: int):
+        """The law (a, n^r) after r steps from (n), as V S(r, 0..n): the
+        row S(r, k) = k S(r-1, k) + S(r-1, k-1) from S(0, k) = [k = 0]."""
+        n = self.lat.n
+        row = [1] + [0] * n
+        for _ in range(r):
+            row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
+        return self.skew.dot(np.array(row, dtype=object)), n**r
+
     def tv(self, law) -> Fraction:
-        """2 TV = sum_rho |d_rho a_rho n! - d_rho^2 den| / (den n!), one Fraction."""
+        """TV = sum of the positive u_rho / (den n!), u = d_rho a_rho n! - d_rho^2
+        den, one Fraction.  sum_rho d_rho a_rho = den and sum_rho d_rho^2 = n!,
+        so the u sum to 0, which is checked."""
         a, den = law
-        num = sum(abs(x * y - z * den) for x, y, z in zip(self.scaled, a, self.squares))
-        return Fraction(num, 2 * den * self.n_fact)
+        u = self.scaled * a - self.squares * den
+        if u.sum():
+            raise ArithmeticError(f"the law on the partitions of {self.lat.n} does not sum to 1")
+        return Fraction(u[u > 0].sum(), den * self.n_fact)
+
+    def tvs(self, r: int) -> tuple[Fraction, ...]:
+        """The TVs to Plancherel measure after 0..R steps from (n), for some
+        R >= r, memoized as _FloatEngine.tvs is, the law (a_R, n^R) stepping
+        on through _apply_counts."""
+        n = self.lat.n
+        self._walk = walk = _walk_to(
+            self._walk, r, lambda law: (_apply_counts(self.lat, law[0]), law[1] * n), self.tv)
+        return walk[1]
 
 
 def _jagged_rows(targets, off, relabel=None):
@@ -469,7 +518,9 @@ class _FloatEngine:
         mu_order, self.up = _jagged_rows(lat.above, lat.up_off)
         lam_order, self.down = _jagged_rows(lat.below, lat.down_off, _inverse(mu_order))
         self.ids = _inverse(lam_order)
-        self._walk = None  # the walk from (n) that tvs memoizes
+        w = np.zeros(len(self.dims))
+        w[0] = 1.0  # (n) has id 0 and d = 1
+        self._walk = (w, ())  # the walk from (n) that tvs memoizes
 
     def laws(self, start: Partition):
         """The laws after 0, 1, 2, ... steps from start."""
@@ -516,23 +567,37 @@ class _FloatEngine:
         """The TVs to pi after 0..R steps from (n), for some R >= r.
 
         The walk is memoized as (w_R, tvs), w_R = A^R e_s / n^R, and steps on
-        from R to r through step.  (n) has id 0 and d = 1, so each TV is
-        tv(dims * w), to the bit tv of the law laws((n,)) yields at that
-        step.  The pair is replaced whole, never changed in place, so a
-        reader on any thread sees one consistent pair."""
-        if self._walk is None:
-            w = np.zeros(len(self.dims))
-            w[0] = 1.0
-            self._walk = (w, (self.tv(self.dims * w),))
-        w, tvs = self._walk
-        if len(tvs) <= r:
-            more = []
-            for _ in range(len(tvs), r + 1):
-                w = self.step(w)
-                more.append(self.tv(self.dims * w))
-            tvs += tuple(more)
-            self._walk = (w, tvs)
-        return tvs
+        from R to r through step (_walk_to).  (n) has id 0 and d = 1, so
+        each TV is tv(dims * w), to the bit tv of the law laws((n,)) yields
+        at that step."""
+        self._walk = walk = _walk_to(self._walk, r, self.step, lambda w: self.tv(self.dims * w))
+        return walk[1]
+
+
+def _walk_to(walk, r: int, step, tv):
+    """The memo walk = (state_R, tvs), tvs the TVs after 0..R steps (none
+    yet for a walk not started), or, when R < r, a new pair stepped on from
+    R to r.  The pair is replaced whole, never changed in place, so a
+    reader on any thread sees one consistent pair.  A memo grows to the
+    longest walk asked of its engine: the CLI caps exact output at
+    sys.get_int_max_str_digits() digits, so an exact one at n = 18 holds
+    at most about 3425 TVs under Python's default of 4300."""
+    state, tvs = walk
+    if len(tvs) > r:
+        return walk
+    more = [] if tvs else [tv(state)]  # a walk not started: its TV at step 0
+    while len(tvs) + len(more) <= r:
+        state = step(state)
+        more.append(tv(state))
+    return state, tvs + tuple(more)
+
+
+# every exact size, each holding its lattice, V and walk: at n = 18 about
+# 7.5 MB once its memo is walked to the CLI's digit cap, 1 MB for all sizes
+# walked to three times their cutoffs
+@lru_cache(maxsize=EXACT_KERNEL_LIMIT)
+def _exact_engine(n: int) -> _ExactEngine:
+    return _ExactEngine(n)
 
 
 @lru_cache(maxsize=4)
@@ -541,9 +606,9 @@ def _float_engine(n: int) -> _FloatEngine:
 
 
 def _engine(n: int, mode: str):
-    """The engine of the walk on S_n in mode, built once _check_walk passes."""
+    """The cached engine of the walk on S_n in mode, once _check_walk passes."""
     _check_walk(n, mode)
-    return _ExactEngine(n) if mode == "exact" else _float_engine(n)
+    return _exact_engine(n) if mode == "exact" else _float_engine(n)
 
 
 # ---------------------------------------------------------------------------

@@ -220,4 +220,4 @@ def test_every_cache_is_bounded():
                 seen.add(value)
     assert {partitions.enumerate_partitions, partitions.dimension_sn, partitions._small_level,
             characters.enumerate_classes, characters._mn, snwalk._float_engine,
-            glasymptotics._plan} <= seen
+            snwalk._exact_engine, glasymptotics._plan} <= seen
