@@ -56,11 +56,11 @@ from .snwalk import (
     _engine,
     _float_error_bound,
     _partition_of,
+    _walk_law,
     moment_fc_reduced,
     rsk_samples,
     sn_tv_curve,
     sn_upper_bound,
-    walk_distribution,
     walk_samples,
 )
 
@@ -71,9 +71,17 @@ def _fmt(x) -> str:
     try:
         return str(x)
     except ValueError as exc:  # an int longer than sys.get_int_max_str_digits()
-        bits = max(abs(Fraction(x).numerator), Fraction(x).denominator).bit_length()
+        x = Fraction(x)
+        bits = max(abs(x.numerator), x.denominator).bit_length()
         raise CapacityError("printed digits", int(bits * math.log10(2)) + 1,
                             sys.get_int_max_str_digits()) from exc
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den for den > 0, reduced by one gcd and printed as
+    str(Fraction(num, den)) prints it: "num/den", or "num" when den divides."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _refuse_digits(log_lo: float, label: str, exact=None) -> None:
@@ -110,7 +118,7 @@ def _write_csv(args, command: str, header: list[str], rows, extra_meta=()):
     lines = _meta_lines(command, args) + list(extra_meta)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -187,10 +195,18 @@ def _cmd_sn_walk(args):
             _partition_of(args.n, start)
         _check_walk(args.n, "exact")
         _check_digits(args.n, args.r, 1 if start is None else dimension_sn(start))
-    dist = walk_distribution(args.n, args.r, start, args.mode)
-    extra = [_error_bound_line(args.n, args.r)] if args.mode == "float" else []
-    rows = [[lam.to_string(), dist.masses.get(lam, 0)] for lam in enumerate_partitions(args.n)]
-    _write_csv(args, "sn-walk", ["partition", "mass"], rows, extra)
+    eng, law = _walk_law(args.n, args.r, start, args.mode)
+    if args.mode == "float":
+        labels = (lam.to_string() for lam in enumerate_partitions(args.n))
+        masses = map(repr, law.tolist())
+        extra = [_error_bound_line(args.n, args.r)]
+    else:
+        # mass d_rho a_rho / den, whose digits _check_digits bounded by den's
+        a, den = law
+        labels = eng.labels
+        masses = (_ratio(d * x, den) for d, x in zip(eng.lat.dims, a))
+        extra = []
+    _write_csv(args, "sn-walk", ["partition", "mass"], zip(labels, masses), extra)
     return 0
 
 
@@ -377,11 +393,11 @@ def _cmd_hsp(args):
         "ks": bounds.bound_ks,
         "sharp_squared": str(bounds.sharp_squared),
         "per_class": per_class,
-        "sampling_distribution": {
-            lam.to_string(): str(mass) for lam, mass in bounds.law.masses.items()
-        },
     }
     if args.format == "json":
+        payload["sampling_distribution"] = {
+            lam.to_string(): str(mass) for lam, mass in bounds.law.masses.items()
+        }
         _write_json(args, "hsp", payload)
     else:
         rows = [[p["class"], p["size"], p["intersection"]] for p in per_class]

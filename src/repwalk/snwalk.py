@@ -191,17 +191,27 @@ def _partition_of(n: int, lam) -> Partition:
     return lam
 
 
-def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
-    """Distribution after r steps from start (default: the one-row partition)."""
+def _walk_law(n: int, r: int, start, mode: str):
+    """The cached engine of mode and its law after r steps from start
+    (default: the one-row partition): law(r) from (n) in exact mode,
+    laws(start) otherwise.  An exact law is (a, den), rho's mass
+    d_rho a_rho / den; a float law is the masses in lattice-id order."""
     _check_steps(r)
     if start is not None:
         start = _partition_of(n, start)
     eng = _engine(n, mode)  # its refusals before Partition((n,)) names n < 1
     start = start or Partition((n,))
     if mode == "exact" and start == (n,):
-        law = eng.law(r)
-    else:
-        law = next(islice(eng.laws(start), r, None))
+        return eng, eng.law(r)
+    return eng, next(islice(eng.laws(start), r, None))
+
+
+def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
+    """Distribution after r steps from start (default: the one-row partition).
+
+    The Fraction view of the engine's law (_walk_law): in exact mode rho's
+    mass is Fraction(d_rho a_rho, den), and an unreached rho has none."""
+    eng, law = _walk_law(n, r, start, mode)
     parts = enumerate_partitions(n)
     if mode == "float":
         masses = dict(zip(parts, law.tolist()))
@@ -400,6 +410,8 @@ class _ExactEngine:
     """The walk in Python ints on the lattice of n, for any n it holds: K is
     the Doob transform of A, so the law after r steps is (a, den) with
     a = A^r e_s and den = n^r d_s, and rho has mass d_rho a_rho / den.
+    sn-walk --exact prints each mass from (a, den) as a reduced integer
+    ratio, and walk_distribution makes it a Fraction.
 
     From s = (n) it also keeps the walk tvs memoizes and jumps to any r in
     law, by normal ordering.  A = U D, one box down and one up, and Young's
@@ -443,6 +455,12 @@ class _ExactEngine:
             first[0] = 1
             v = np.hstack((first, np.add.reduceat(v[level.below], level.down_off[:-1], axis=0)))
         return v
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each partition of n as to_string prints it, in lattice-id order:
+        built once per engine and kept as long as it."""
+        return tuple(lam.to_string() for lam in enumerate_partitions(self.lat.n))
 
     def law(self, r: int):
         """The law (a, n^r) after r steps from (n), as V S(r, 0..n): the

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -12,6 +14,7 @@ from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
 from repwalk.glirreps import fixed_space_counts
+from repwalk.hsp import hsp_bounds
 from repwalk.partitions import Partition, enumerate_partitions
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
@@ -210,6 +213,27 @@ def test_hsp_json(tmp_path):
     assert {p["class"]: p["intersection"] for p in doc["per_class"]} == {
         "3": 0, "2+1": 1, "1+1+1": 1,
     }
+
+
+def test_hsp_csv_reads_no_sampling_distribution(capsys, monkeypatch):
+    # the per-partition mass strings are the JSON document's alone
+    reads = []
+
+    class Watched(dict):
+        def items(self):
+            reads.append(1)
+            return super().items()
+
+    def watched_bounds(H):
+        bounds = hsp_bounds(H)
+        return bounds._replace(law=dataclasses.replace(bounds.law, masses=Watched(bounds.law.masses)))
+
+    monkeypatch.setattr(cli, "hsp_bounds", watched_bounds)
+    argv = ["hsp", "--n", "5", "--gens", "(1 2 3)"]
+    assert main([*argv, "--format", "csv"]) == 0
+    assert reads == [] and "# tv: " in capsys.readouterr().out
+    assert main([*argv, "--format", "json"]) == 0
+    assert reads == [1] and json.loads(capsys.readouterr().out)["sampling_distribution"]
 
 
 @pytest.mark.parametrize("gens,same", [
@@ -1003,6 +1027,45 @@ def test_lookup_golden(capsys, argv):
         assert out.splitlines()[-1].split(",")[2] == method
 
 
+# sn-walk stdout recorded while it printed each mass through a Fraction of
+# walk_distribution, kept as the sha256 of its bytes
+SN_WALK_GOLDEN = {
+    ("sn-walk", "--n", "18", "--r", "22", "--exact"):
+        "43a62d2b9bf18e9b96af09b70b0911b30fb8422951a0a8b4460d4a3459fcd86e",
+    ("sn-walk", "--n", "12", "--r", "9", "--start", "5+4+2+1"):
+        "4bb7925531301b3e98eb5e9888c369daf2a159a87c8413627e0ea6aa591e2e43",
+    ("sn-walk", "--n", "19", "--r", "28", "--float", "--start", "7+5+4+2+1"):
+        "25844c05e611aae010f215e89a1998df2ed42b57dbf1f20c7265af6077d9b962",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SN_WALK_GOLDEN))
+def test_sn_walk_golden(capsys, argv):
+    code, out = _main_stdout(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SN_WALK_GOLDEN[argv]
+
+
+@pytest.mark.parametrize("n", range(2, EXACT_KERNEL_LIMIT + 1))
+def test_sn_walk_rows_are_the_fraction_masses(capsys, n):
+    # each printed mass is the str of walk_distribution's Fraction, and "0"
+    # where it has none, before, at and well past the cutoff, from (n),
+    # from 1^n and from the partition in the middle of the id order
+    parts = enumerate_partitions(n)
+    rc = math.ceil(0.5 * n * math.log(n))
+    for start in dict.fromkeys((None, parts[-1], parts[len(parts) // 2])):
+        for r in sorted({0, 1, rc, 3 * rc}):
+            argv = ["sn-walk", "--n", str(n), "--r", str(r), "--exact"]
+            argv += [] if start is None else ["--start", start.to_string()]
+            code, out = _main_stdout(capsys, argv)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[2] == "partition,mass"
+            masses = walk_distribution(n, r, start).masses
+            want = [[lam.to_string(), str(masses.get(lam, 0))] for lam in parts]
+            assert [line.split(",") for line in lines[3:]] == want
+
+
 # stdout recorded while young_lattice was a tuple-dict build and the L2
 # bound a sum of Fraction powers; the two TV curves are kept as the sha256
 # of their bytes.  The order of the float sums fixes the last digits of a
@@ -1105,9 +1168,10 @@ def test_float_cutoff_tv_matches_exact_tv(capsys, n):
 @pytest.mark.parametrize("n,c", [(2, "0"), (12, "-0.5"), (18, "0.5"), (19, "0.5"), (33, "-0.5")])
 def test_sn_cutoff_reads_the_engine_alone(capsys, monkeypatch, n, c):
     # both sides of EXACT_KERNEL_LIMIT, sn-cutoff takes its law and TV from
-    # one engine: no WalkDistribution, no Fraction-dict TV
+    # one engine: no WalkDistribution, no Fraction-dict TV, and not the
+    # law helper sn-walk reads
     want = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
-    for name in ("repwalk.cli.walk_distribution", "repwalk.snwalk.walk_distribution",
+    for name in ("repwalk.cli._walk_law", "repwalk.snwalk.walk_distribution",
                  "repwalk.snwalk.tv_to_plancherel"):
         monkeypatch.setattr(name, _must_not_run)
     assert _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c]) == want
