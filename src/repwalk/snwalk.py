@@ -7,18 +7,19 @@ of the symmetric common-corner matrix A = D D^T, where D is the containment
 matrix of the partitions of n over those of n-1, since by Pieri's rule
 mult(rho in lam (x) eta) = A(lam, rho).  Each walk runs on an engine from
 _engine, _ExactEngine (ints over one denominator) or _FloatEngine (doubles),
-with laws(start), the laws after 0, 1, 2, ... steps, and tv(law), the TV to
-Plancherel measure.  The exact engine steps A with _apply_counts, two segment
-sums through the partitions of n-1, and from (n) jumps to any r in law by
-normal ordering; the float engine steps A through two jagged corner tables,
-rows sorted by corner count that store no pad, adding each segment in the
-segment sums' order, so its laws are bit-identical to theirs for n <= 36.
-Both engines are cached per size (_exact_engine, _float_engine), and the
-TVs of sn_tv_curve and the float sn-cutoff are read from the walk from (n)
-that each memoizes in tvs, kept as long as its engine.  With X the character
-table, A X = X diag(fp), so the spectrum is indexed by conjugacy classes
-with eigenvalue fixed_points/n; the tests hold this and Pieri's rule as
-integer identities on A and X.
+with law(r, start), the law after r steps, and tv(law), the TV to
+Plancherel measure.  The exact engine forms a law in one pass up the
+lattice levels, by normal ordering, and steps A with _apply_counts, two
+segment sums through the partitions of n-1; the float engine steps A
+through two jagged corner tables, rows sorted by corner count that store
+no pad, adding each segment in the segment sums' order, so its laws are
+bit-identical to theirs for n <= 36.  Both engines are cached per size
+(_exact_engine, _float_engine), and the TVs of sn_tv_curve and the float
+sn-cutoff are read from the walk from (n) that each memoizes in tvs, kept
+as long as its engine.  With X the character table, A X = X diag(fp), so
+the spectrum is indexed by conjugacy classes with eigenvalue
+fixed_points/n; the tests hold this and Pieri's rule as integer
+identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
@@ -192,18 +193,14 @@ def _partition_of(n: int, lam) -> Partition:
 
 
 def _walk_law(n: int, r: int, start, mode: str):
-    """The cached engine of mode and its law after r steps from start
-    (default: the one-row partition): law(r) from (n) in exact mode,
-    laws(start) otherwise.  An exact law is (a, den), rho's mass
+    """The cached engine of mode and its law(r, start), from the one-row
+    partition by default.  An exact law is (a, den), rho's mass
     d_rho a_rho / den; a float law is the masses in lattice-id order."""
     _check_steps(r)
     if start is not None:
         start = _partition_of(n, start)
-    eng = _engine(n, mode)  # its refusals before Partition((n,)) names n < 1
-    start = start or Partition((n,))
-    if mode == "exact" and start == (n,):
-        return eng, eng.law(r)
-    return eng, next(islice(eng.laws(start), r, None))
+    eng = _engine(n, mode)
+    return eng, eng.law(r, start)
 
 
 def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
@@ -413,12 +410,11 @@ class _ExactEngine:
     sn-walk --exact prints each mass from (a, den) as a reduced integer
     ratio, and walk_distribution makes it a Fraction.
 
-    From s = (n) it also keeps the walk tvs memoizes and jumps to any r in
-    law, by normal ordering.  A = U D, one box down and one up, and Young's
-    lattice is 1-differential (D U - U D = I; Stanley, JAMS 1988), so
-    A^r = sum_k S(r, k) U^k D^k with S the Stirling numbers of the second
-    kind.  D^k e_(n) = e_(n-k), so a_r = sum_k S(r, k) V_k with
-    V_k(rho) = f^(rho/(n-k)), the standard tableaux of the skew shape."""
+    law forms a in one pass up the levels, with no r steps.  A = U D, one
+    box down and one up, and Young's lattice is 1-differential
+    (D U - U D = I; Stanley, JAMS 1988), so A^r = sum_k S(r, k) U^k D^k
+    with S the Stirling numbers of the second kind.  tvs steps the walk
+    from (n) instead, since a whole curve is cheaper by stepping."""
 
     def __init__(self, n: int):
         self.lat = lat = young_lattice(n)
@@ -429,47 +425,29 @@ class _ExactEngine:
         a[0] = 1  # (n) has id 0 and d = 1
         self._walk = ((a, 1), ())  # the walk from (n) that tvs memoizes
 
-    def laws(self, start: Partition):
-        """The laws (a, den) after 0, 1, 2, ... steps from start."""
-        lat = self.lat
-        s = partition_id(start)
-        a = np.zeros(len(lat.dims), dtype=object)
-        a[s] = 1
-        den = lat.dims[s]
-        while True:
-            yield a, den
-            a = _apply_counts(lat, a)
-            den *= lat.n
-
-    @cached_property
-    def skew(self) -> np.ndarray:
-        """The p(n) x (n+1) object matrix V, V[rho, k] = f^(rho/(n-k)).
-
-        Column k of level j is U^k e_(j-k), so level j is e_(j) beside the
-        sums over the partitions below each of level j-1, one pass up the
-        levels _small_level caches (every n <= SMALL_SIZE)."""
-        v = np.ones((1, 1), dtype=object)  # level 0: e_() alone
-        for j in range(1, self.lat.n + 1):
-            level = _small_level(j)
-            first = np.zeros((level.rows, 1), dtype=object)
-            first[0] = 1
-            v = np.hstack((first, np.add.reduceat(v[level.below], level.down_off[:-1], axis=0)))
-        return v
-
     @cached_property
     def labels(self) -> tuple[str, ...]:
         """Each partition of n as to_string prints it, in lattice-id order:
         built once per engine and kept as long as it."""
         return tuple(lam.to_string() for lam in enumerate_partitions(self.lat.n))
 
-    def law(self, r: int):
-        """The law (a, n^r) after r steps from (n), as V S(r, 0..n): the
-        row S(r, k) = k S(r-1, k) + S(r-1, k-1) from S(0, k) = [k = 0]."""
+    def law(self, r: int, start: Partition | None = None):
+        """The law (a, n^r d_s) after r steps from start (default (n)), by
+        Horner's rule up the levels 0..n _small_level caches (n <= SMALL_SIZE):
+        y_0 = S(r, n) D^n e_s, y_j = U y_(j-1) + S(r, n-j) D^(n-j) e_s, a = y_n,
+        each U one segment sum, with S(r, k) = k S(r-1, k) + S(r-1, k-1)."""
         n = self.lat.n
+        s = 0 if start is None else partition_id(start)
         row = [1] + [0] * n
         for _ in range(r):
             row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
-        return self.skew.dot(np.array(row, dtype=object)), n**r
+        levels = [_small_level(j) for j in range(n + 1)]
+        y = np.zeros(1, dtype=object)
+        for j, (level, (at, counts)) in enumerate(zip(levels, _skew_counts(levels, s))):
+            if j:
+                y = np.add.reduceat(y[level.below], level.down_off[:-1])
+            y[at] += row[n - j] * counts
+        return y, n**r * self.lat.dims[s]
 
     def tv(self, law) -> Fraction:
         """TV = sum of the positive u_rho / (den n!), u = d_rho a_rho n! - d_rho^2
@@ -489,6 +467,23 @@ class _ExactEngine:
         self._walk = walk = _walk_to(
             self._walk, r, lambda law: (_apply_counts(self.lat, law[0]), law[1] * n), self.tv)
         return walk[1]
+
+
+def _skew_counts(levels, s: int) -> list:
+    """(at, counts) with D^(n-j) e_s[at] = counts for each level j = 0..n, s
+    an id of level n: entry mu is f^(s/mu), the skew standard tableaux.
+    From s = 0, (n), each is the 1 at id 0; from any other start one down
+    pass forms each whole, in int64 since f^(s/mu) <= d_s."""
+    if s == 0:
+        return [(0, 1)] * len(levels)
+    x = np.zeros(levels[-1].rows, dtype=np.int64)
+    x[s] = 1
+    out = [x]
+    for level, lower in zip(levels[:0:-1], levels[-2::-1]):
+        x = np.zeros(lower.rows, dtype=np.int64)
+        np.add.at(x, level.below, np.repeat(out[-1], np.diff(level.down_off)))
+        out.append(x)
+    return [(slice(None), x.astype(object)) for x in reversed(out)]
 
 
 def _jagged_rows(targets, off, relabel=None):
@@ -540,15 +535,16 @@ class _FloatEngine:
         w[0] = 1.0  # (n) has id 0 and d = 1
         self._walk = (w, ())  # the walk from (n) that tvs memoizes
 
-    def laws(self, start: Partition):
-        """The laws after 0, 1, 2, ... steps from start."""
-        s = partition_id(start)
+    def law(self, r: int, start: Partition | None = None) -> np.ndarray:
+        """The law after r steps from start (default (n)), w = e_s stepped r
+        times and scaled by dims / d_s."""
+        s = 0 if start is None else partition_id(start)
         scale = self.dims / self.dims[s]
         w = np.zeros(len(scale))
         w[s] = 1.0
-        while True:
-            yield scale * w
+        for _ in range(r):
             w = self.step(w)
+        return scale * w
 
     @staticmethod
     def _half_step(x: np.ndarray, rows) -> np.ndarray:
@@ -586,8 +582,7 @@ class _FloatEngine:
 
         The walk is memoized as (w_R, tvs), w_R = A^R e_s / n^R, and steps on
         from R to r through step (_walk_to).  (n) has id 0 and d = 1, so
-        each TV is tv(dims * w), to the bit tv of the law laws((n,)) yields
-        at that step."""
+        each TV is tv(dims * w), to the bit tv(law(R)) at that step R."""
         self._walk = walk = _walk_to(self._walk, r, self.step, lambda w: self.tv(self.dims * w))
         return walk[1]
 
@@ -597,9 +592,9 @@ def _walk_to(walk, r: int, step, tv):
     yet for a walk not started), or, when R < r, a new pair stepped on from
     R to r.  The pair is replaced whole, never changed in place, so a
     reader on any thread sees one consistent pair.  A memo grows to the
-    longest walk asked of its engine: the CLI caps exact output at
-    sys.get_int_max_str_digits() digits, so an exact one at n = 18 holds
-    at most about 3425 TVs under Python's default of 4300."""
+    longest walk asked of its engine, uncapped: the CLI caps exact output
+    at sys.get_int_max_str_digits() digits (an exact one at n = 18 holds at
+    most about 3425 TVs under the default 4300) and a walk at MAX_WALK_STEPS."""
     state, tvs = walk
     if len(tvs) > r:
         return walk
@@ -610,9 +605,9 @@ def _walk_to(walk, r: int, step, tv):
     return state, tvs + tuple(more)
 
 
-# every exact size, each holding its lattice, V and walk: at n = 18 about
-# 7.5 MB once its memo is walked to the CLI's digit cap, 1 MB for all sizes
-# walked to three times their cutoffs
+# every exact size, each holding its lattice and its memo walk: at n = 18
+# about 7.6 MB once its memo is walked to the CLI's digit cap, 0.5 MB for
+# all sizes walked to three times their cutoffs (tracemalloc)
 @lru_cache(maxsize=EXACT_KERNEL_LIMIT)
 def _exact_engine(n: int) -> _ExactEngine:
     return _ExactEngine(n)

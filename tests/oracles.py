@@ -7,8 +7,9 @@ counts from irreducible-polynomial enumeration.  The reference walks,
 walk_step_chain, the sampler and GL table references and the two identity
 sides at the end (pieri_sides, spectrum_sides) are the exception: they set
 one package path against another, the Fraction kernel against the lattice
-engines, the down-up chain against the coupon-count sampler, the samplers'
-inlined word draws against plain randrange, the Fraction interval products,
+engines, the stepped exact walk against the one-pass law, the down-up
+chain against the coupon-count sampler, the samplers' inlined word draws
+against plain randrange, the Fraction interval products,
 the Interval threshold entries and the full-product normalizer loop against
 the integer endpoints, one locate per table against the inlined attempt, and
 the exact walk step against the Murnaghan-Nakayama table.
@@ -887,6 +888,27 @@ def reference_walk(n: int, start: Partition, rmax: int) -> list[dict[Partition, 
         masses = kernel.apply_dist(masses)
         out.append(masses)
     return out
+
+
+def exact_reference_walk(n: int, start: Partition):
+    """The exact laws (a, den) after 0, 1, 2, ... steps from start, a = A^r e_s
+    and den = n^r d_s, stepped by the package's _apply_counts on
+    young_lattice(n): the stepped walk the exact engine's one-pass law
+    replaced."""
+    import numpy as np
+
+    from repwalk.partitions import young_lattice
+    from repwalk.snwalk import _apply_counts
+
+    lat = young_lattice(n)
+    s = partition_id(start)
+    a = np.zeros(len(lat.dims), dtype=object)
+    a[s] = 1
+    den = lat.dims[s]
+    while True:
+        yield a, den
+        a = _apply_counts(lat, a)
+        den *= n
 
 
 def _float_walk(lat, start: Partition, step):

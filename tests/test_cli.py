@@ -5,7 +5,6 @@ import math
 import sys
 import time
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -1046,6 +1045,57 @@ def test_sn_walk_golden(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SN_WALK_GOLDEN[argv]
 
 
+# sn-walk --exact stdout from the middle and the last partition, at r
+# ceil(f ceil(n log(n) / 2)) for f = 0.75, 1.85 and 3, recorded while
+# walks from a start other than (n) stepped r times, kept as the sha256 of
+# its bytes: the row test below reads the same engine law on both sides
+SN_WALK_START_GOLDEN = {
+    ("sn-walk", "--n", "6", "--r", "5", "--exact", "--start", "3+2+1"):
+        "4ffa827c765d987e68909983e74278e1f724101e8d824e9800cb768f152da56d",
+    ("sn-walk", "--n", "6", "--r", "12", "--exact", "--start", "3+2+1"):
+        "67913e6910d262ca7d6995cf4a809206c2142bddb594529149f4824631cbcaac",
+    ("sn-walk", "--n", "6", "--r", "18", "--exact", "--start", "3+2+1"):
+        "14eafcd23614191c52ead78d9bdeebf12769b464380ac32c0301e7377d8ab10b",
+    ("sn-walk", "--n", "6", "--r", "5", "--exact", "--start", "1+1+1+1+1+1"):
+        "646c862d47fe65a6898ec0c5d96d5e71ba9350849b5cf74e746ceb3464853743",
+    ("sn-walk", "--n", "6", "--r", "12", "--exact", "--start", "1+1+1+1+1+1"):
+        "24fe9d8bba0ac7c07ac17b8baf0f4f19f93d1f198c12f10419dc4e873007fe17",
+    ("sn-walk", "--n", "6", "--r", "18", "--exact", "--start", "1+1+1+1+1+1"):
+        "093832cb972937307f4573a556c09d30d637327c107e23155134338c15e702d8",
+    ("sn-walk", "--n", "12", "--r", "12", "--exact", "--start", "5+3+1+1+1+1"):
+        "2d0da87294fbd7f2c1f424f41f02b2971ec5cc495afe6654fac89bdc5349954a",
+    ("sn-walk", "--n", "12", "--r", "28", "--exact", "--start", "5+3+1+1+1+1"):
+        "c4d3e2e2d05fcbb8e9c1e0c119e035c60a928c179ebd6aa5bfd1a0fa7a8d57d5",
+    ("sn-walk", "--n", "12", "--r", "45", "--exact", "--start", "5+3+1+1+1+1"):
+        "952cb96fb45cc48e2eb56d08cbd7d64fec44314bb01283a086e6a74fb1d0fec8",
+    ("sn-walk", "--n", "12", "--r", "12", "--exact", "--start", "1+1+1+1+1+1+1+1+1+1+1+1"):
+        "263a7230c4455cf4742341ccf1f8a642c99830e8910f39e1c8ac4babe4f69803",
+    ("sn-walk", "--n", "12", "--r", "28", "--exact", "--start", "1+1+1+1+1+1+1+1+1+1+1+1"):
+        "74693cd82adf1fea856fd0b3511977e5fd036ec9bd5b835975cbcafec28424a1",
+    ("sn-walk", "--n", "12", "--r", "45", "--exact", "--start", "1+1+1+1+1+1+1+1+1+1+1+1"):
+        "90a74ac06e336c85406bc95c3cc3ec5ae1ba4aa1fb725c23f9ccc7a1ac10b585",
+    ("sn-walk", "--n", "18", "--r", "21", "--exact", "--start", "6+6+3+1+1+1"):
+        "ce972b013b94b5729a0afc13889203427e9fbc662922ffc376bbb365fa0d33ad",
+    ("sn-walk", "--n", "18", "--r", "50", "--exact", "--start", "6+6+3+1+1+1"):
+        "3da555a2177e6ec1b412c9f28c936d73000598cb3daf533e7ea44df5916f79e9",
+    ("sn-walk", "--n", "18", "--r", "81", "--exact", "--start", "6+6+3+1+1+1"):
+        "3c9ea4db6636b1dc1a876211a660e0a6dfaaa27c7ef78c144e1f26edd646f80d",
+    ("sn-walk", "--n", "18", "--r", "21", "--exact", "--start", "1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1"):
+        "1b976c7258b7e6c331481bd170ad68b8d1d2a55d22ffb392f6816d0342ff1e1b",
+    ("sn-walk", "--n", "18", "--r", "50", "--exact", "--start", "1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1"):
+        "ec72997cf2ef53e196b0f3bde97133c80ee9f56644b50e496a2eda784593cd8a",
+    ("sn-walk", "--n", "18", "--r", "81", "--exact", "--start", "1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1+1"):
+        "9103874227ff9ec607fa1c73793e0f02c44928ea7e4aa29a8bbc6c38d17b8e5c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SN_WALK_START_GOLDEN))
+def test_sn_walk_start_golden(capsys, argv):
+    code, out = _main_stdout(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SN_WALK_START_GOLDEN[argv]
+
+
 @pytest.mark.parametrize("n", range(2, EXACT_KERNEL_LIMIT + 1))
 def test_sn_walk_rows_are_the_fraction_masses(capsys, n):
     # each printed mass is the str of walk_distribution's Fraction, and "0"
@@ -1160,8 +1210,8 @@ def test_float_cutoff_tv_matches_exact_tv(capsys, n):
     code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", "0.5"])
     assert code == 0
     r, _, tv, _ = out.splitlines()[-1].split(",")
-    eng = _ExactEngine(n)  # the exact engine takes any n the lattice holds
-    exact = eng.tv(next(islice(eng.laws(Partition((n,))), int(r), None)))
+    # the exact engine's stepped walk takes any n the lattice holds
+    exact = _ExactEngine(n).tvs(int(r))[int(r)]
     assert abs(Fraction(float(tv)) - exact) <= 2e-15
 
 

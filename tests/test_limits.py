@@ -162,6 +162,13 @@ def test_sampler_size_cap(monkeypatch):
         snwalk.walk_samples(5, 2, 1, 1)
 
 
+def test_exact_walks_stay_within_the_cached_levels():
+    # the exact law is one pass over the complete levels 0..n that
+    # _small_level caches whole up to SMALL_SIZE; an exact limit past it
+    # needs complete levels kept for larger sizes (ROADMAP item 22) first
+    assert snwalk.EXACT_KERNEL_LIMIT <= partitions.SMALL_SIZE
+
+
 def test_series_order_cap(monkeypatch):
     assert series.ORDER_LIMIT == 30
     monkeypatch.setattr(series, "ORDER_LIMIT", 3)

@@ -18,7 +18,6 @@ from repwalk.partitions import (
 )
 from repwalk.snwalk import (
     _apply_counts,
-    _ExactEngine,
     _FloatEngine,
     _float_engine,
     _float_error_bound,
@@ -39,11 +38,13 @@ from repwalk.snwalk import (
 )
 
 from oracles import (
+    _float_walk,
     _rank_mod_p,
     character_table_brute,
     class_sizes_brute,
     class_walk_probability_reference,
     common_corner_matrix,
+    exact_reference_walk,
     float_reference_walk,
     padded_float_step,
     padded_reference_walk,
@@ -454,7 +455,8 @@ def test_exact_tv_curve_equals_tv_over_reference_walk():
         eng = _float_engine(n)
         curve = sn_tv_curve(n, rmax, "float")
         assert [r for r, _, _ in curve] == list(range(1, rmax + 1))
-        for (r, tv, bound), law in zip(curve, islice(eng.laws(Partition((n,))), 1, None)):
+        laws = _float_walk(eng.lat, Partition((n,)), eng.step)
+        for (r, tv, bound), law in zip(curve, islice(laws, 1, None)):
             assert tv == eng.tv(law)
             assert bound == sn_upper_bound(n, r)
 
@@ -465,10 +467,9 @@ def test_float_masses_within_error_bound_of_exact_law():
     for n in range(2, 19):
         starts = enumerate_partitions(n) if n <= 10 else [Partition((n,))]
         rmax = 3 * cutoff_steps(n)
-        eng = _ExactEngine(n)
-        lat = eng.lat
+        lat = young_lattice(n)
         for start in starts:
-            for r, (a, den) in zip(range(rmax + 1), eng.laws(start)):
+            for r, (a, den) in zip(range(rmax + 1), exact_reference_walk(n, start)):
                 assert den == n**r * lat.dims[partition_id(start)]
                 dist = walk_distribution(n, r, start, mode="float")
                 assert dist.error_bound == _float_error_bound(n, r)
@@ -527,7 +528,7 @@ def test_float_laws_match_padded_tables():
         eng = _FloatEngine(n)
         parts = enumerate_partitions(n)
         for start in (parts[0], parts[len(parts) // 2], parts[-1]):
-            walks = zip(range(2 * cutoff_steps(n) + 1), eng.laws(start),
+            walks = zip(range(2 * cutoff_steps(n) + 1), _float_walk(eng.lat, start, eng.step),
                         padded_reference_walk(n, start))
             for r, law, ref in walks:
                 assert np.array_equal(law, ref), (n, start, r)
@@ -546,13 +547,16 @@ def test_float_tables_store_each_edge_once():
 
 
 def test_float_laws_match_reference_walk():
-    # every law from the one-row partition, to twice the cutoff, equals the
-    # reduceat walk's to the bit
+    # every law from the one-row and from the last partition, to twice the
+    # cutoff, equals the reduceat walk's to the bit, and so does law(r) at
+    # the last r
     for n in (19, 27, 36):
-        start = Partition((n,))
-        laws = _FloatEngine(n).laws(start)
-        for r, law, ref in zip(range(2 * cutoff_steps(n) + 1), laws, float_reference_walk(n, start)):
-            assert np.array_equal(law, ref), (n, r)
+        eng, rmax = _FloatEngine(n), 2 * cutoff_steps(n)
+        for start in (Partition((n,)), enumerate_partitions(n)[-1]):
+            laws = _float_walk(eng.lat, start, eng.step)
+            for r, law, ref in zip(range(rmax + 1), laws, float_reference_walk(n, start)):
+                assert np.array_equal(law, ref), (n, r)
+            assert np.array_equal(eng.law(rmax, start), ref), n
 
 
 def test_float_engine_memory_is_bounded():
