@@ -1,13 +1,13 @@
 """Conjugacy classes and irreducible characters of the symmetric group.
 
-Character values come from the Murnaghan-Nakayama rule with memoization,
-the largest cycle stripped first.  A shape is its beta-set (first-column
-hook lengths lam_i + len - 1 - i) held as a bead bitmask, one set bit per
-beta value, with no bead at 0: a zero part is dropped by shifting the mask
-down.  A border strip of length k moves one bead from b to b - k, with
-sign the parity of the beads strictly between.  Full tables are built on
-demand, orthogonality-checked, and cached per n.  Fixed-point statistics
-use exact derangement numbers.
+A shape is its beta-set (first-column hook lengths lam_i + len - 1 - i)
+held as a bead bitmask, one set bit per beta value, with no bead at 0: a
+zero part is dropped by shifting the mask down.  A border strip of length
+k moves one bead from b to b - k, with sign the parity of the beads
+strictly between.  Full tables are signed rim-hook matrix products over
+the smaller tables (Murnaghan-Nakayama on the first cycle), built on
+demand, orthogonality-checked and cached per n; _mn gives single values.
+Fixed-point statistics use exact derangement numbers.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .errors import CapacityError
-from .partitions import SIZE_CACHE_SIZE, Partition, enumerate_partitions, young_lattice
+from .partitions import (SIZE_CACHE_SIZE, Partition, _bounded_counts, enumerate_partitions,
+                         young_lattice)
 
 DEFAULT_TABLE_LIMIT = 12
-# Murnaghan-Nakayama values kept: the tables for n <= DEFAULT_TABLE_LIMIT
-# use 12648 of them, all told
+# Murnaghan-Nakayama values kept for single lookups by mn_character; the
+# tables are matrix products and read none of them
 MN_CACHE_SIZE = 1 << 15
 
 
@@ -105,27 +108,27 @@ def _beads(lam) -> int:
     return sum(1 << (p + top - i) for i, p in enumerate(lam))
 
 
-@lru_cache(maxsize=MN_CACHE_SIZE)
-def _mn(beads: int, cycles: tuple) -> int:
-    # cycles is weakly decreasing; each bead b >= k with b - k empty is one
-    # border strip of length k
-    if not cycles:
-        return 0 if beads else 1
-    k = cycles[0]
-    rest = cycles[1:]
-    total = 0
+def _strips(beads: int, k: int):
+    """(bitmask left, (-1)^height) for each border strip of length k: each
+    bead b >= k with b - k empty moves there."""
     movable = (beads & ~(beads << k)) >> k
     while movable:
         low = movable & -movable
         movable ^= low
-        nb = low.bit_length() - 1
         new = beads ^ (low | low << k)
         while new & 1:
             new >>= 1
-        jumped = beads >> (nb + 1) & ((1 << (k - 1)) - 1)
-        value = _mn(new, rest)
-        total += -value if jumped.bit_count() & 1 else value
-    return total
+        jumped = beads >> low.bit_length() & ((1 << (k - 1)) - 1)
+        yield new, -1 if jumped.bit_count() & 1 else 1
+
+
+@lru_cache(maxsize=MN_CACHE_SIZE)
+def _mn(beads: int, cycles: tuple) -> int:
+    # cycles is weakly decreasing
+    if not cycles:
+        return 0 if beads else 1
+    rest = cycles[1:]
+    return sum(sign * _mn(new, rest) for new, sign in _strips(beads, cycles[0]))
 
 
 def mn_character(lam: Partition, cycle_type) -> int:
@@ -160,14 +163,16 @@ class CharacterTable:
         relation V^T V = n! diag(|C|)^-1 follows: V is square, so the row
         relation makes n!^-1 diag(|C|) V^T the inverse of V."""
         n_fact = math.factorial(self.n)
-        sizes = [c.class_size for c in self.classes]
+        # |Gram entry| <= n! max|chi|^2, so a table under this bound cannot wrap
         rows = self.values
-        m = len(rows)
-        for a in range(m):
-            weighted = [x * y for x, y in zip(sizes, rows[a])]
-            for b in range(a, m):
-                if sum(map(mul, weighted, rows[b])) != (n_fact if a == b else 0):
-                    raise ArithmeticError(f"row orthogonality fails at {a},{b}")
+        if n_fact * max(max(map(max, rows)), -min(map(min, rows))) ** 2 >> 63:
+            raise ArithmeticError(f"character values too large to check in int64 at n = {self.n}")
+        v = np.array(rows, np.int64)
+        sizes = np.array([c.class_size for c in self.classes], np.int64)
+        gram = (v * sizes) @ v.T
+        bad = np.argwhere(np.triu(gram != n_fact * np.eye(len(v), dtype=np.int64)))
+        if len(bad):
+            raise ArithmeticError(f"row orthogonality fails at {bad[0][0]},{bad[0][1]}")
         dims = young_lattice(self.n).dims
         id_col = len(dims) - 1  # (1^n), last in reverse-lex order
         for lam, row, d in zip(self.partitions, self.values, dims):
@@ -185,15 +190,33 @@ def character_table(n: int) -> CharacterTable:
     if n > DEFAULT_TABLE_LIMIT:
         raise CapacityError("character table", n, DEFAULT_TABLE_LIMIT)
     if n not in _table_cache:
-        parts = enumerate_partitions(n)
-        classes = enumerate_classes(n)
-        # class labels are weakly decreasing already, as _mn takes them
-        values = tuple(
-            tuple(_mn(beads, c.cycle_lengths) for c in classes)
-            for beads in map(_beads, parts)
-        )
-        table = CharacterTable(n, parts, classes, values)
-        table.verify_orthogonality()
-        _table_cache[n] = table
+        _build_tables(n)
     return _table_cache[n]
 
+
+def _build_tables(n: int) -> None:
+    """Build, check and cache each missing table up to n.  The classes of m
+    with first part k are contiguous and, k stripped, are in order the last
+    N(m-k, min(k, m-k)) classes of m-k, so their columns are R X_{m-k} on
+    those, R(lam, nu) = (-1)^height for each k-strip lam/nu."""
+    mats, ids = [np.ones((1, 1), np.int64)], [{0: 0}]  # S_0
+    for m in range(1, n + 1):
+        parts = enumerate_partitions(m)
+        beads = list(map(_beads, parts))
+        ids.append({b: i for i, b in enumerate(beads)})
+        if m in _table_cache:
+            mats.append(np.array(_table_cache[m].values, np.int64))
+            continue
+        blocks = []
+        for k in range(m, 0, -1):
+            below = ids[m - k]
+            strip = np.zeros((len(parts), len(below)), np.int64)
+            for i, b in enumerate(beads):
+                for new, sign in _strips(b, k):
+                    strip[i, below[new]] = sign
+            tail = _bounded_counts(m - k)[min(k, m - k)]
+            blocks.append(strip @ mats[m - k][:, len(below) - tail:])
+        mats.append(np.hstack(blocks))
+        table = CharacterTable(m, parts, enumerate_classes(m), tuple(map(tuple, mats[m].tolist())))
+        table.verify_orthogonality()
+        _table_cache[m] = table

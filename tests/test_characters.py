@@ -13,7 +13,7 @@ from repwalk.characters import (
     mn_character,
 )
 from repwalk.errors import CapacityError
-from repwalk.partitions import Partition, dimension_sn
+from repwalk.partitions import Partition, _bounded_counts, dimension_sn, enumerate_partitions
 
 from oracles import (
     character_table_brute,
@@ -135,6 +135,46 @@ def test_orthogonality_checks_the_identity_column():
     rows[2] = tuple(-x for x in rows[2])
     with pytest.raises(ArithmeticError, match="identity column is not the dimension"):
         dataclasses.replace(table, values=tuple(rows)).verify_orthogonality()
+
+
+def test_orthogonality_refuses_a_table_int64_could_wrap():
+    # 6! M^2 >= 2^63 for M = 10^12, whose Gram sums int64 would wrap, so the
+    # table is refused before the product; M = 10^8 is still under the bound
+    # and the product itself finds the changed entry
+    table = character_table(6)
+    assert math.factorial(6) * 10**24 >= 1 << 63 > math.factorial(6) * 10**16
+    with pytest.raises(ArithmeticError, match="too large to check in int64"):
+        _mutated(table, 3, 5, 10**12).verify_orthogonality()
+    with pytest.raises(ArithmeticError, match="row orthogonality fails"):
+        _mutated(table, 3, 5, 10**8).verify_orthogonality()
+
+
+def test_true_tables_fit_the_int64_check_at_the_table_limit():
+    # |chi| <= d, so n! max(d)^2 < 2^63 means no true table is refused; a
+    # raised DEFAULT_TABLE_LIMIT past that fails here, not by overflow
+    n = DEFAULT_TABLE_LIMIT
+    dims = [dimension_sn(lam) for lam in enumerate_partitions(n)]
+    assert math.factorial(n) * max(dims) ** 2 < 1 << 63
+    table = character_table(n)
+    assert all(abs(x) <= d for row, d in zip(table.values, dims) for x in row)
+
+
+def test_first_part_blocks_are_suffixes_of_the_smaller_classes():
+    # the layout the table build relies on: classes with first part k are
+    # contiguous, and with k stripped they are, in order, the last
+    # N(n-k, min(k, n-k)) partitions of n-k
+    for n in range(1, 21):
+        cycles = [c.cycle_lengths for c in enumerate_classes(n)]
+        start = 0
+        for k in range(n, 0, -1):
+            width = _bounded_counts(n - k)[min(k, n - k)]
+            block = cycles[start:start + width]
+            start += width
+            assert all(lam[0] == k for lam in block)
+            smaller = enumerate_partitions(n - k)
+            assert [tuple(lam[1:]) for lam in block] == \
+                [tuple(nu) for nu in smaller[len(smaller) - width:]]
+        assert start == len(cycles)
 
 
 def test_derangements():

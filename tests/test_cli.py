@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from repwalk import cli, glasymptotics, snwalk
+from repwalk import characters, cli, glasymptotics, snwalk
 from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
@@ -1043,6 +1043,74 @@ def test_sn_walk_golden(capsys, argv):
     code, out = _main_stdout(capsys, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SN_WALK_GOLDEN[argv]
+
+
+# stdout recorded while each character table was built entry by entry from
+# the memoized Murnaghan-Nakayama recursion and checked row pair by row
+# pair, kept as the sha256 of its bytes; each run starts from an empty
+# table cache, so every table it reads is built from nothing
+TABLE_GOLDEN = {
+    ("characters", "--n", "1", "--format", "csv"):
+        "e7f448850db65e07124684fee41c6b2684fb597ce0d96518c9e3f912abae2760",
+    ("characters", "--n", "1", "--format", "json"):
+        "2828cb866857253de4ccd3dc6edc3f429c458070e8169f9fb3b225aa342270fd",
+    ("characters", "--n", "2", "--format", "csv"):
+        "8b8e7fe187d0838a9fd8667eb7fd5bc9b6608b8494d6ed00f1a225456883db38",
+    ("characters", "--n", "2", "--format", "json"):
+        "661ac24a20b51e02fdb9a4eaeeb3f916379df5f535d6666be45576b02415dbfa",
+    ("characters", "--n", "3", "--format", "csv"):
+        "a2d192e68e96f7231ac29a47fc228c35ad5a57d9f931bfbfffa551ea278bbf00",
+    ("characters", "--n", "3", "--format", "json"):
+        "92a5b40bb4cc0139d79d1e221f72d90d398e945e34dac69b0c9776d32d734da2",
+    ("characters", "--n", "4", "--format", "csv"):
+        "a82155e9f975d264a1abba7009cefeacff71de2f2923e995f5d14827f1a4ad98",
+    ("characters", "--n", "4", "--format", "json"):
+        "9a7ae82ddce195f0591c728acfe3d8e6ec8be64fa4e981fb02153614df639a0b",
+    ("characters", "--n", "5", "--format", "csv"):
+        "0909d3d299b81a8b97ed52be0c4827e06a3a56ab2f96faa650dae52eb2cdf69d",
+    ("characters", "--n", "5", "--format", "json"):
+        "6ab27ee4fbc64922c1b1037adde5daa8323d64eb5e1838df588151202a2a5f27",
+    ("characters", "--n", "6", "--format", "csv"):
+        "ae20da73f2134fee0234f17d7f351dc2f3cffee757b2e365befa0e8d6b895a8f",
+    ("characters", "--n", "6", "--format", "json"):
+        "e785afc7802416833be44adf6589f42fa19d573afeac4d172857834a35edc3a7",
+    ("characters", "--n", "7", "--format", "csv"):
+        "a11f814a0330d5ae7630f55b354c83e5035ef0864a1646481379e815a42deda2",
+    ("characters", "--n", "7", "--format", "json"):
+        "44887eb9762ab069d291162c0f4ed8ebc512f8ce3cddc7ead6e1d4c43f952b29",
+    ("characters", "--n", "8", "--format", "csv"):
+        "7778f8ea2fa98082efad0127ea8067168bea711e084ba04857e6bcee9081e368",
+    ("characters", "--n", "8", "--format", "json"):
+        "738f9393fc4201e4f6483a0ef181f5b8d181f2522ebbe0e22170195d8eddd7cd",
+    ("characters", "--n", "9", "--format", "csv"):
+        "4430995d2c808e49c5a0a6937b59cc84d218d6b69e9c2cdab47c6ac89bd8c9c1",
+    ("characters", "--n", "9", "--format", "json"):
+        "0e944e55274f509275e35276b4235b885fe994d42550103065b78dff7ffe2d60",
+    ("characters", "--n", "10", "--format", "csv"):
+        "a5763b2d3ef7e01dd61dc8667506dc4dc9e8b6af0b7fb0c20c47dae3d80c1133",
+    ("characters", "--n", "10", "--format", "json"):
+        "10ebc09aa3898d9af420896268f333ff8765c3ac9fb0634e3eb303934641337d",
+    ("characters", "--n", "11", "--format", "csv"):
+        "6ce610423d7c265359344ffc8f4b22ae0a669b42f40e25473c28f9ad6c1819f5",
+    ("characters", "--n", "11", "--format", "json"):
+        "ec25e03cb0d06cf904c56570ef9fbbaddab1ee885319b4dad576ff13d5618313",
+    ("characters", "--n", "12", "--format", "csv"):
+        "10bf537e40e40c348a4ec039bfeccee222d576bbb4cbc2c3f89fa2e9a8317469",
+    ("characters", "--n", "12", "--format", "json"):
+        "83683d3f70d6f9aeadbd35e01e2dbdf8ae82991593a6e1a462473f0bb1047548",
+    ("sn-moments", "--n", "12", "--r", "15"):
+        "f6505e10c59843701ef47477b5644e1b7d3dbe8b974808b7926c9350870fe8e8",
+    ("hsp", "--n", "12", "--gens", "(1 2 3 4),(5 6)(7 8 9)"):
+        "534f6b3259b0a980058f9cbcb9263df0087b9ec80981adc3857f6997eb9e32d3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_GOLDEN))
+def test_table_golden(capsys, monkeypatch, argv):
+    monkeypatch.setattr(characters, "_table_cache", {})
+    code, out = _main_stdout(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_GOLDEN[argv]
 
 
 # sn-walk --exact stdout from the middle and the last partition, at r

@@ -200,8 +200,8 @@ def test_caches_hold_their_working_sets():
     # a float sweep cycles through every size up to FLOAT_LIMIT; walk_step
     # reads the dimensions of the partitions of n and n - 1, which the cache
     # holds whole up to n = 32 and no further; the character tables up to
-    # DEFAULT_TABLE_LIMIT, built from an empty cache, use exactly 12648 MN
-    # values
+    # DEFAULT_TABLE_LIMIT are rim-hook matrix products and read no MN value,
+    # so only single mn_character lookups fill that bounded cache
     for fn in (partitions.enumerate_partitions, characters.enumerate_classes):
         assert fn.cache_info().maxsize >= snwalk.FLOAT_LIMIT + 1
     levels = [partitions.partition_count(n) + partitions.partition_count(n - 1) for n in (32, 33)]
@@ -212,7 +212,8 @@ def test_caches_hold_their_working_sets():
     characters._mn.cache_clear()
     for n in range(1, characters.DEFAULT_TABLE_LIMIT + 1):
         characters.character_table(n)
-    assert characters._mn.cache_info().currsize == 12648 <= characters._mn.cache_info().maxsize
+    assert characters._mn.cache_info().currsize == 0
+    assert characters._mn.cache_info().maxsize == characters.MN_CACHE_SIZE
 
 
 def test_every_cache_is_bounded():
