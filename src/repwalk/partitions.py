@@ -186,12 +186,13 @@ class _Level(NamedTuple):
     with no part above some top, in reverse-lexicographic order, which are
     the last `rows` partitions of j, held by their lattice fields alone.
 
-    conj holds their conjugates, top by rows in int8, so conj[c, i] is the
-    length of column c of row i and a column's lengths are contiguous (None
-    on a last level); hooks their hook products, int64 up to SMALL_SIZE and
-    Python ints past it; below[down_off[i]:down_off[i+1]] the ids of the
-    partitions of j-1 under row i, numbered among all of them, bottom
-    corner first."""
+    conj holds the first columns of their conjugates, as many as a later
+    level reads, by rows in int8, so conj[c, i] is the length of column c
+    of row i and a column's lengths are contiguous (None on a last level);
+    hooks their hook products, int64 while j! < 2^63, a hook product being
+    at most j! (up to j = 20, as 20! < 2^63 <= 21!), and Python ints past
+    it; below[down_off[i]:down_off[i+1]] the ids of the partitions of j-1
+    under row i, numbered among all of them, bottom corner first."""
 
     rows: int
     conj: np.ndarray | None
@@ -200,7 +201,7 @@ class _Level(NamedTuple):
     down_off: np.ndarray
 
 
-def _grow(j: int, top: int, stack: list[_Level], last=False) -> _Level:
+def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
     """Level j with no part above top, from the levels stack[j-f] below it.
 
     For first parts f from top down to 1 it lists f over nu, for nu the last
@@ -215,7 +216,9 @@ def _grow(j: int, top: int, stack: list[_Level], last=False) -> _Level:
         with a first part above f; then the first-row edge (f-1, nu), which
         only the last N(j-f, f-1) rows have, and whose ids run on from
         p(j-1) - N(j-1, f-1).
-    A last level (the one asked for) keeps no conjugates and int64 edges."""
+    It keeps the first cols columns of the conjugates: a level j + f reads
+    min(f, j) of them.  A last level (the one asked for, cols None) keeps
+    none and int64 edges."""
     counts = _bounded_counts
     rows = counts(j)[top]
     plan, edges = [], 0
@@ -227,12 +230,12 @@ def _grow(j: int, top: int, stack: list[_Level], last=False) -> _Level:
         plan.append((f, src, s0, k, m))
         edges += int(src.down_off[-1] - src.down_off[s0]) + m
     prev = counts(j - 1)
-    index = np.int64 if last or max(edges, prev[-1]) >> 31 else np.int32
+    index = np.int64 if cols is None or max(edges, prev[-1]) >> 31 else np.int32
     below = np.empty(edges, index)
     own = np.empty(edges - sum(m for *_, m in plan), index)  # nu's edges, shifted
     down_off = np.zeros(rows + 1, index)
-    hooks = np.ones(rows, np.int64 if j <= SMALL_SIZE else object)  # H(()) = 1
-    conj = None if last else np.zeros((top, rows), np.int8)
+    hooks = np.ones(rows, np.int64 if math.factorial(j) < 1 << 63 else object)  # H(()) = 1
+    conj = None if cols is None else np.zeros((cols, rows), np.int8)
     per = 1  # each hook factor is at most j: per of them fit in int64
     while per < j and j ** (per + 1) < 1 << 63:
         per += 1
@@ -244,7 +247,7 @@ def _grow(j: int, top: int, stack: list[_Level], last=False) -> _Level:
         nu = src.conj[:w, s0:]
         if conj is not None:
             conj[:f, r:r + k] = 1
-            conj[:w, r:r + k] += nu
+            conj[:w, r:r + k] += nu[:cols]
         fac = nu + down[j - f:j - f + w]
         # the f first-row hooks sum to S, so by AM-GM their product is
         # at most (S / f)^f: below 2^63 it is one int64 run
@@ -283,15 +286,25 @@ def _grow(j: int, top: int, stack: list[_Level], last=False) -> _Level:
     return _Level(rows, conj, hooks, below, down_off)
 
 
-# sizes whose lattice levels are built whole and cached, each when a
-# lattice first asks for it: below it a build costs more in numpy calls
-# than in rows, and these are the sizes exact walks use
+# the largest level kept complete, each built when first asked for: every
+# size a walk law reads in one pass over the levels 0..n (snwalk's
+# EXACT_KERNEL_LIMIT and FLOAT_LIMIT).  The levels 0..36 hold 7.3 MB and
+# the levels 0..40 15.6 MB (tracemalloc), most of it the hook products,
+# Python ints past j = 20
+LEVEL_LIMIT = 40
+# sizes whose lattices read the complete cached level: below it a build
+# costs more in numpy calls than in rows, and past it a lattice builds the
+# levels its own size reads alone.  At most LEVEL_LIMIT / 2, so these
+# levels keep every conjugate column a larger lattice reads
 SMALL_SIZE = 20
 
 
-@lru_cache(maxsize=SMALL_SIZE + 1)
-def _small_level(j: int) -> _Level:
-    level = _grow(j, j, [_small_level(i) for i in range(j)])
+@lru_cache(maxsize=LEVEL_LIMIT + 1)
+def _complete_level(j: int) -> _Level:
+    """The partitions of j, complete, with their hook products, down edges
+    and the conjugate columns a complete level up to LEVEL_LIMIT reads,
+    built from the complete levels below it."""
+    level = _grow(j, j, [_complete_level(i) for i in range(j)], min(j, LEVEL_LIMIT - j))
     for a in level[1:]:
         a.flags.writeable = False  # shared by every later call
     return level
@@ -299,14 +312,15 @@ def _small_level(j: int) -> _Level:
 
 def _level(n: int) -> _Level:
     """The partitions of n, complete, with their hook products and down
-    edges.  Up to SMALL_SIZE this is the cached level.  Past it, level n
-    takes every first part and a level j < n is read only for first parts
-    up to n - j, so it keeps those up to min(j, n - j)."""
+    edges.  Up to SMALL_SIZE this is the cached complete level.  Past it,
+    level n takes every first part and a level j < n is read only for first
+    parts up to n - j, so it keeps those up to min(j, n - j)."""
     if n <= SMALL_SIZE:
-        return _small_level(n)
-    stack = [_small_level(j) for j in range(SMALL_SIZE + 1)]
+        return _complete_level(n)
+    stack = [_complete_level(j) for j in range(SMALL_SIZE + 1)]
     for j in range(SMALL_SIZE + 1, n + 1):
-        stack.append(_grow(j, min(j, n - j) if j < n else n, stack, last=j == n))
+        top = min(j, n - j) if j < n else n
+        stack.append(_grow(j, top, stack, top if j < n else None))
     return stack[n]
 
 
@@ -336,7 +350,9 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 # four entries, as _float_engine keeps: a cached engine, float or exact,
 # holds its lattice for n, so a lattice kept here for one of them costs no
-# memory of its own, and the exact engines hold theirs past eviction
+# memory of its own, and the exact engines hold theirs past eviction.  A
+# law at one r reads the complete levels instead, so only the TV curves'
+# stepping engines and the exact engines ask for a lattice
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
     """The cached Young lattice of size n, read off level n of the counted

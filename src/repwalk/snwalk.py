@@ -5,18 +5,20 @@ lam (x) eta) / (d_lam * n), where eta is the n-dimensional defining
 representation.  It is the down-up corner-box chain: the Doob transform
 of the symmetric common-corner matrix A = D D^T, where D is the containment
 matrix of the partitions of n over those of n-1, since by Pieri's rule
-mult(rho in lam (x) eta) = A(lam, rho).  Each walk runs on an engine from
-_engine, _ExactEngine (ints over one denominator) or _FloatEngine (doubles),
-with law(r, start), the law after r steps, and tv(law), the TV to
-Plancherel measure.  The exact engine forms a law in one pass up the
-lattice levels, by normal ordering, and steps A with _apply_counts, two
-segment sums through the partitions of n-1; the float engine steps A
+mult(rho in lam (x) eta) = A(lam, rho).  A walk at one r reads the laws
+of _engine, _ExactEngine (ints over one denominator) or _FloatLaws
+(doubles), with law(r, start), the law after r steps, and tv(law), the TV
+to Plancherel measure.  Both form a law in one Horner pass up the complete
+lattice levels, by normal ordering (_horner), with no step, and the float
+laws read no lattice.  A whole TV curve steps instead (tvs): the exact
+engine steps A with _apply_counts, two segment sums through the
+partitions of n-1, and _FloatEngine, the float laws on the lattice of n,
 through two jagged corner tables, rows sorted by corner count that store
-no pad, adding each segment in the segment sums' order, so its laws are
-bit-identical to theirs for n <= 36.  Both engines are cached per size
-(_exact_engine, _float_engine), and the TVs of sn_tv_curve and the float
-sn-cutoff are read from the walk from (n) that each memoizes in tvs, kept
-as long as its engine.  With X the character table, A X = X diag(fp), so
+no pad, adding each segment in the segment sums' order, so its stepped
+laws are bit-identical to theirs for n <= 36.  Each is cached per size
+(_exact_engine, _float_laws, _float_engine), and the TVs of sn_tv_curve
+are read from the walk from (n) that each stepping engine memoizes in tvs,
+kept as long as its engine.  With X the character table, A X = X diag(fp), so
 the spectrum is indexed by conjugacy classes with eigenvalue
 fixed_points/n; the tests hold this and Pieri's rule as integer
 identities on A and X.
@@ -51,7 +53,7 @@ from .characters import (
 from .errors import CapacityError
 from .partitions import (
     Partition,
-    _small_level,
+    _complete_level,
     dimension_sn,
     enumerate_partitions,
     partition_count,
@@ -193,8 +195,8 @@ def _partition_of(n: int, lam) -> Partition:
 
 
 def _walk_law(n: int, r: int, start, mode: str):
-    """The cached engine of mode and its law(r, start), from the one-row
-    partition by default.  An exact law is (a, den), rho's mass
+    """The cached laws of mode (_engine) and their law(r, start), from the
+    one-row partition by default.  An exact law is (a, den), rho's mass
     d_rho a_rho / den; a float law is the masses in lattice-id order."""
     _check_steps(r)
     if start is not None:
@@ -237,10 +239,10 @@ def tv_to_plancherel(dist: WalkDistribution):
     """Half L1 distance to the Plancherel measure (matches dist's mode).
 
     A float distribution is read in lattice-id order into the cached float
-    engine's tv, the sum sn_tv_curve prints, so both give the same double."""
+    laws' tv, the sum sn_tv_curve and sn-cutoff print."""
     if dist.mode == "float":
         law = [dist.masses.get(lam, 0.0) for lam in enumerate_partitions(dist.n)]
-        return _float_engine(dist.n).tv(np.array(law))
+        return _float_laws(dist.n).tv(np.array(law))
     pi = plancherel_sn(dist.n).masses
     return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi.items()) / 2
 
@@ -393,9 +395,10 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk and one
     running L2 sum: the TVs are read from the walk from (n) that the cached
-    engine of mode memoizes (its tvs)."""
+    engine of mode memoizes (its tvs), the one walk that steps."""
     _check_steps(rmax)
-    tvs = _engine(n, mode).tvs(rmax)
+    _check_walk(n, mode)
+    tvs = (_exact_engine(n) if mode == "exact" else _float_engine(n)).tvs(rmax)
     return list(zip(range(1, rmax + 1), islice(tvs, 1, None), _upper_bounds(n)))
 
 
@@ -410,11 +413,9 @@ class _ExactEngine:
     sn-walk --exact prints each mass from (a, den) as a reduced integer
     ratio, and walk_distribution makes it a Fraction.
 
-    law forms a in one pass up the levels, with no r steps.  A = U D, one
-    box down and one up, and Young's lattice is 1-differential
-    (D U - U D = I; Stanley, JAMS 1988), so A^r = sum_k S(r, k) U^k D^k
-    with S the Stirling numbers of the second kind.  tvs steps the walk
-    from (n) instead, since a whole curve is cheaper by stepping."""
+    law forms a in one Horner pass up the levels (_horner), with no r
+    steps.  tvs steps the walk from (n) instead, since a whole curve is
+    cheaper by stepping."""
 
     def __init__(self, n: int):
         self.lat = lat = young_lattice(n)
@@ -432,22 +433,11 @@ class _ExactEngine:
         return tuple(lam.to_string() for lam in enumerate_partitions(self.lat.n))
 
     def law(self, r: int, start: Partition | None = None):
-        """The law (a, n^r d_s) after r steps from start (default (n)), by
-        Horner's rule up the levels 0..n _small_level caches (n <= SMALL_SIZE):
-        y_0 = S(r, n) D^n e_s, y_j = U y_(j-1) + S(r, n-j) D^(n-j) e_s, a = y_n,
-        each U one segment sum, with S(r, k) = k S(r-1, k) + S(r-1, k-1)."""
+        """The law (a, n^r d_s) after r steps from start (default (n)), a the
+        Horner pass (_horner) with coefficients S(r, k), in Python ints."""
         n = self.lat.n
         s = 0 if start is None else partition_id(start)
-        row = [1] + [0] * n
-        for _ in range(r):
-            row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
-        levels = [_small_level(j) for j in range(n + 1)]
-        y = np.zeros(1, dtype=object)
-        for j, (level, (at, counts)) in enumerate(zip(levels, _skew_counts(levels, s))):
-            if j:
-                y = np.add.reduceat(y[level.below], level.down_off[:-1])
-            y[at] += row[n - j] * counts
-        return y, n**r * self.lat.dims[s]
+        return _horner(n, _stirling_row(r, n), s, object), n**r * self.lat.dims[s]
 
     def tv(self, law) -> Fraction:
         """TV = sum of the positive u_rho / (den n!), u = d_rho a_rho n! - d_rho^2
@@ -469,21 +459,52 @@ class _ExactEngine:
         return walk[1]
 
 
-def _skew_counts(levels, s: int) -> list:
+def _stirling_row(r: int, n: int) -> list[int]:
+    """S(r, k) for k = 0..n, the Stirling numbers of the second kind, from
+    k! S(r, k) = (Delta^k x^r)(0), the k-th forward difference of the powers
+    at 0: n + 1 powers and n(n + 1)/2 subtractions, for any r."""
+    row, diffs = [], [i**r for i in range(n + 1)]
+    for k in range(n + 1):
+        row.append(diffs[0] // math.factorial(k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return row
+
+
+def _horner(n: int, coeffs, s: int, dtype) -> np.ndarray:
+    """sum_k coeffs[k] U^k D^k e_s, s an id of level n, by Horner's rule up
+    the complete levels 0..n (_complete_level): y_0 = coeffs[n] D^n e_s,
+    y_j = U y_(j-1) + coeffs[n-j] D^(n-j) e_s, each U one segment sum, and
+    y_n is returned.  With coeffs S(r, k) it is A^r e_s: A = U D, one box
+    down and one up, and Young's lattice is 1-differential (D U - U D = I;
+    Stanley, JAMS 1988), so A^r = sum_k S(r, k) U^k D^k.  Every sum runs in
+    dtype, object (Python ints) or float (doubles), and every term is
+    nonnegative."""
+    levels = [_complete_level(j) for j in range(n + 1)]
+    y = np.zeros(1, dtype)
+    for j, (level, (at, counts)) in enumerate(zip(levels, _skew_counts(levels, s, dtype))):
+        if j:
+            y = np.add.reduceat(y[level.below], level.down_off[:-1])
+        y[at] += coeffs[n - j] * counts
+    return y
+
+
+def _skew_counts(levels, s: int, dtype) -> list:
     """(at, counts) with D^(n-j) e_s[at] = counts for each level j = 0..n, s
     an id of level n: entry mu is f^(s/mu), the skew standard tableaux.
     From s = 0, (n), each is the 1 at id 0; from any other start one down
-    pass forms each whole, in int64 since f^(s/mu) <= d_s."""
+    pass forms each whole in dtype, the law's own arithmetic: f^(s/mu) is
+    at most d_s, which first reaches 2^63 at n = 36, so no fixed-width
+    integer holds it."""
     if s == 0:
         return [(0, 1)] * len(levels)
-    x = np.zeros(levels[-1].rows, dtype=np.int64)
+    x = np.zeros(levels[-1].rows, dtype)
     x[s] = 1
     out = [x]
     for level, lower in zip(levels[:0:-1], levels[-2::-1]):
-        x = np.zeros(lower.rows, dtype=np.int64)
+        x = np.zeros(lower.rows, dtype)
         np.add.at(x, level.below, np.repeat(out[-1], np.diff(level.down_off)))
         out.append(x)
-    return [(slice(None), x.astype(object)) for x in reversed(out)]
+    return [(slice(None), x) for x in reversed(out)]
 
 
 def _jagged_rows(targets, off, relabel=None):
@@ -510,9 +531,37 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return inv
 
 
-class _FloatEngine:
-    """The walk in doubles on the lattice of n, with no kernel of its own:
-    w_r = A^r e_s / n^r steps as w <- A w / n, and K^r(s, .) = (dims / d_s) w_r.
+class _FloatLaws:
+    """The walk in doubles on the partitions of n at one r: dims and pi as
+    doubles, each rounded once from its integer, law(r, start) and tv(law).
+    K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which law forms
+    in one Horner pass (_horner) with coefficients S(r, k) / n^r, each
+    rounded once; every term is nonnegative, so each mass carries a
+    relative error of a few ulp per sum on its paths up and down the levels
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+
+    def __init__(self, n: int, dims):
+        self.n = n
+        n_fact = math.factorial(n)
+        self.dims = np.array(dims, dtype=float)
+        self.pi = np.array([d * d / n_fact for d in dims])
+
+    def law(self, r: int, start: Partition | None = None) -> np.ndarray:
+        """The law after r steps from start (default (n)), in lattice-id order."""
+        n = self.n
+        s = 0 if start is None else partition_id(start)
+        den = n**r
+        w = _horner(n, [x / den for x in _stirling_row(r, n)], s, float)
+        return self.dims / self.dims[s] * w
+
+    def tv(self, law: np.ndarray) -> float:
+        """TV distance to pi of a law in id order, by numpy's pairwise sum."""
+        return float(np.abs(law - self.pi).sum() / 2)
+
+
+class _FloatEngine(_FloatLaws):
+    """_FloatLaws on the lattice of n that also steps, for whole TV curves:
+    w_r steps as w <- A w / n, with no kernel of its own.
 
     A is applied through two jagged corner tables.  The partitions of n-1
     are sorted by how many lam lie above each, most first, and up[j] lists
@@ -525,26 +574,13 @@ class _FloatEngine:
 
     def __init__(self, n: int):
         self.lat = lat = young_lattice(n)
-        n_fact = math.factorial(n)
-        self.dims = np.array(lat.dims, dtype=float)
-        self.pi = np.array([d * d / n_fact for d in lat.dims])
+        super().__init__(n, lat.dims)
         mu_order, self.up = _jagged_rows(lat.above, lat.up_off)
         lam_order, self.down = _jagged_rows(lat.below, lat.down_off, _inverse(mu_order))
         self.ids = _inverse(lam_order)
         w = np.zeros(len(self.dims))
         w[0] = 1.0  # (n) has id 0 and d = 1
         self._walk = (w, ())  # the walk from (n) that tvs memoizes
-
-    def law(self, r: int, start: Partition | None = None) -> np.ndarray:
-        """The law after r steps from start (default (n)), w = e_s stepped r
-        times and scaled by dims / d_s."""
-        s = 0 if start is None else partition_id(start)
-        scale = self.dims / self.dims[s]
-        w = np.zeros(len(scale))
-        w[s] = 1.0
-        for _ in range(r):
-            w = self.step(w)
-        return scale * w
 
     @staticmethod
     def _half_step(x: np.ndarray, rows) -> np.ndarray:
@@ -573,16 +609,14 @@ class _FloatEngine:
         w /= self.lat.n
         return w
 
-    def tv(self, law: np.ndarray) -> float:
-        """TV distance to pi of a law in id order, by numpy's pairwise sum."""
-        return float(np.abs(law - self.pi).sum() / 2)
-
     def tvs(self, r: int) -> tuple[float, ...]:
         """The TVs to pi after 0..R steps from (n), for some R >= r.
 
         The walk is memoized as (w_R, tvs), w_R = A^R e_s / n^R, and steps on
         from R to r through step (_walk_to).  (n) has id 0 and d = 1, so
-        each TV is tv(dims * w), to the bit tv(law(R)) at that step R."""
+        each TV is tv(dims * w) of the stepped law, whose sums run in another
+        order than law's: the two agree to a few ulp per mass, not to the
+        bit."""
         self._walk = walk = _walk_to(self._walk, r, self.step, lambda w: self.tv(self.dims * w))
         return walk[1]
 
@@ -590,7 +624,8 @@ class _FloatEngine:
 def _walk_to(walk, r: int, step, tv):
     """The memo walk = (state_R, tvs), tvs the TVs after 0..R steps (none
     yet for a walk not started), or, when R < r, a new pair stepped on from
-    R to r.  The pair is replaced whole, never changed in place, so a
+    R to r.  Only tvs, and so only sn_tv_curve, reads it: a law at one r
+    steps no walk.  The pair is replaced whole, never changed in place, so a
     reader on any thread sees one consistent pair.  A memo grows to the
     longest walk asked of its engine, uncapped: the CLI caps exact output
     at sys.get_int_max_str_digits() digits (an exact one at n = 18 holds at
@@ -613,15 +648,25 @@ def _exact_engine(n: int) -> _ExactEngine:
     return _ExactEngine(n)
 
 
+# every float size, 2..FLOAT_LIMIT, each holding two doubles per partition
+# (1.3 MB for the sizes 19..36); the laws read no lattice and no engine
+@lru_cache(maxsize=FLOAT_LIMIT - 1)
+def _float_laws(n: int) -> _FloatLaws:
+    return _FloatLaws(n, (math.factorial(n) // _complete_level(n).hooks).tolist())
+
+
+# four stepping engines, for TV curves; each holds its lattice, its jagged
+# tables and its memo walk
 @lru_cache(maxsize=4)
 def _float_engine(n: int) -> _FloatEngine:
     return _FloatEngine(n)
 
 
 def _engine(n: int, mode: str):
-    """The cached engine of the walk on S_n in mode, once _check_walk passes."""
+    """The cached laws of the walk on S_n in mode, once _check_walk passes:
+    the exact engine, or the float laws, which build no stepping engine."""
     _check_walk(n, mode)
-    return _exact_engine(n) if mode == "exact" else _float_engine(n)
+    return _exact_engine(n) if mode == "exact" else _float_laws(n)
 
 
 # ---------------------------------------------------------------------------

@@ -940,6 +940,55 @@ def float_reference_walk(n: int, start: Partition):
         np.add.reduceat(w[lat.above], lat.up_off[:-1])[lat.below], lat.down_off[:-1]) / n)
 
 
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53: a double formed from exact
+    nonnegative values by k roundings of sums and products lies within
+    relative gamma_k of its exact value (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3)."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def float_law_relerr(n: int, r: int) -> float:
+    """An a priori bound on |h - s| / s for each mass of the one-r float law
+    h (the Horner pass) and the stepped float law s, r steps on the
+    partitions of n, from the sum lengths alone.  Every term is
+    nonnegative, and m terms summed in any order cost m - 1 roundings, so a
+    mass carries at most gamma_K, K the roundings on its longest chain:
+      - stepped: per step one sum of at most `up` terms, one of at most
+        `down` terms and one division by n;
+      - Horner: per level j the down pass sums at most u_j terms and the up
+        pass at most d_j, and one term is added; each coefficient is rounded
+        once and multiplied by its count once;
+      - either then scales by dims / d_s: two dims rounded from their
+        integers, one quotient and one product.
+    h = x(1 + a) and s = x(1 + b) give |h - s| <= (gamma_Kh + gamma_Ks) x,
+    and x <= s / (1 - gamma_Ks)."""
+    import numpy as np
+
+    from repwalk.partitions import _complete_level, young_lattice
+
+    lat = young_lattice(n)
+    k_s = r * (int(np.diff(lat.up_off).max()) + int(np.diff(lat.down_off).max()) - 1) + 4
+    k_h = 2 + 4
+    for j in range(1, n + 1):
+        level = _complete_level(j)
+        k_h += int(np.bincount(level.below).max()) + int(np.diff(level.down_off).max()) - 1
+    return (gamma(k_h) + gamma(k_s)) / (1 - gamma(k_s))
+
+
+def float_tv_gap(n: int, r: int) -> float:
+    """An a priori bound on the gap between the float TVs of the two laws
+    of float_law_relerr: half the sum of |h - s| is at most that relerr, as
+    the masses s sum to 1 up to far less than 1, and each TV sums p(n)
+    rounded differences |law - pi| of total at most 2 by numpy's pairwise
+    sum, blocks of at most 128 terms on 8 sequential accumulators (15 + 3
+    roundings a term) halved above that, so each lies within
+    gamma_(ceil(log2 p(n)) + 19) of its exact sum, which is at most 1."""
+    p = len(enumerate_partitions(n))
+    return float_law_relerr(n, r) + 2 * gamma(math.ceil(math.log2(p)) + 19)
+
+
 def padded_float_step(n: int):
     """w -> A w / n through dense padded corner tables, the float step before
     the jagged ones: up[:, m] lists the lam above the m-th partition of n-1

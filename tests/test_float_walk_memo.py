@@ -1,9 +1,11 @@
 """The float walk from (n) is memoized on the cached float engine of n.
 
-sn_tv_curve(n, rmax, "float") and the float sn-cutoff read their TVs from
-_FloatEngine.tvs: they step only past what it holds, it lives and dies
-with its engine, and whatever it holds they print the bits a walk run
-afresh prints.
+sn_tv_curve(n, rmax, "float") reads its TVs from _FloatEngine.tvs: it
+steps only past what that holds, the memo lives and dies with its engine,
+and whatever it holds the curve and the float sn-cutoff print the bits a
+walk run afresh prints.  The float sn-cutoff, sn-walk --float and
+walk_distribution(mode="float") read one Horner law at their r instead,
+with no step, no stepping engine and no lattice.
 """
 
 import math
@@ -36,6 +38,11 @@ def _cutoff(capsys, n, c):
     return capsys.readouterr().out
 
 
+def _tv_curve(capsys, n, rmax):
+    assert main(["sn-tv-curve", "--n", str(n), "--rmax", str(rmax), "--float"]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.fixture
 def steps(monkeypatch):
     """The sizes of the _FloatEngine.step calls made from an empty engine
@@ -57,12 +64,12 @@ def steps(monkeypatch):
 def test_float_commands_step_only_past_the_memo(capsys, steps):
     r1, r2 = _cutoff_r(24, -0.5), _cutoff_r(24, 0.5)
     assert 0 < r1 < r2
-    _cutoff(capsys, 24, -0.5)
+    _tv_curve(capsys, 24, r1)
     assert len(steps) == r1
-    _cutoff(capsys, 24, 0.5)
+    _tv_curve(capsys, 24, r2)
     assert len(steps) == r2
-    assert main(["sn-tv-curve", "--n", "24", "--rmax", str(r2), "--float"]) == 0
-    assert main(["sn-tv-curve", "--n", "24", "--rmax", str(r1), "--float"]) == 0
+    _tv_curve(capsys, 24, r2)
+    _tv_curve(capsys, 24, r1)
     assert len(steps) == r2
 
 
@@ -71,17 +78,35 @@ def test_a_cached_engine_keeps_its_walk(capsys, steps):
     # whose walk is then read without a step; four more evict its engine,
     # and with it the walk, which then steps again from (n)
     r = _cutoff_r(24, -0.5)
-    _cutoff(capsys, 24, -0.5)
+    _tv_curve(capsys, 24, r)
     for m in (25, 26, 27):
-        _cutoff(capsys, m, 0)
+        _tv_curve(capsys, m, 2)
     del steps[:]
-    _cutoff(capsys, 24, -0.5)
+    _tv_curve(capsys, 24, r)
     assert steps == []
     for m in (28, 29, 30, 31):
-        _cutoff(capsys, m, 0)
+        _tv_curve(capsys, m, 2)
     del steps[:]
-    _cutoff(capsys, 24, -0.5)
+    _tv_curve(capsys, 24, r)
     assert steps == [24] * r
+
+
+def test_one_r_float_laws_step_no_walk(capsys, steps):
+    # the float sn-cutoff, sn-walk --float and walk_distribution read one
+    # Horner law each: no step, and the stepping engine and lattice caches
+    # stay empty
+    snwalk.young_lattice.cache_clear()
+    for n in (19, 30, 40):
+        _cutoff(capsys, n, -0.5)
+        _cutoff(capsys, n, 0.5)
+    start = "+".join(["5"] * 6)
+    for argv in (["sn-walk", "--n", "30", "--r", "40", "--float"],
+                 ["sn-walk", "--n", "30", "--r", "40", "--float", "--start", start]):
+        assert main(argv) == 0
+    snwalk.tv_to_plancherel(snwalk.walk_distribution(24, 30, mode="float"))
+    assert steps == []
+    assert snwalk._float_engine.cache_info().currsize == 0
+    assert snwalk.young_lattice.cache_info().currsize == 0
 
 
 def test_cache_clear_frees_the_walk(steps):
@@ -139,8 +164,9 @@ def test_memo_state_changes_no_bit(capsys, n):
                   ["hi", "lo", "short", "long"]):
         _clear()
         assert [calls[k]() for k in order] == [expect[k] for k in order], order
-    # other sizes' walks and float laws alike evict n's engine and its
-    # walk, which the next engine of n walks again from (n)
+    # other sizes' walks evict n's engine and its walk, which the next
+    # engine of n walks again from (n); other sizes' float laws build no
+    # engine and leave n's in place
     for between in (lambda m: _curve(m, 5), lambda m: snwalk.walk_distribution(m, 2, mode="float")):
         _clear()
         assert calls["short"]() == expect["short"]

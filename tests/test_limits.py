@@ -163,10 +163,14 @@ def test_sampler_size_cap(monkeypatch):
 
 
 def test_exact_walks_stay_within_the_cached_levels():
-    # the exact law is one pass over the complete levels 0..n that
-    # _small_level caches whole up to SMALL_SIZE; an exact limit past it
-    # needs complete levels kept for larger sizes (ROADMAP item 22) first
-    assert snwalk.EXACT_KERNEL_LIMIT <= partitions.SMALL_SIZE
+    # an exact or float law is one pass over the complete levels 0..n that
+    # _complete_level caches up to LEVEL_LIMIT; a walk limit past it would
+    # make every law past it rebuild and evict the levels it reads
+    assert max(snwalk.EXACT_KERNEL_LIMIT, snwalk.FLOAT_LIMIT) <= partitions.LEVEL_LIMIT
+    # the levels every larger lattice reads keep all their conjugate columns
+    assert 2 * partitions.SMALL_SIZE <= partitions.LEVEL_LIMIT
+    assert partitions._complete_level.cache_info().maxsize == partitions.LEVEL_LIMIT + 1
+    assert snwalk._float_laws.cache_info().maxsize >= snwalk.FLOAT_LIMIT - 1
 
 
 def test_series_order_cap(monkeypatch):
@@ -226,6 +230,6 @@ def test_every_cache_is_bounded():
                 maxsize = value.cache_info().maxsize
                 assert isinstance(maxsize, int) and maxsize > 0, f"{info.name}.{name}"
                 seen.add(value)
-    assert {partitions.enumerate_partitions, partitions.dimension_sn, partitions._small_level,
+    assert {partitions.enumerate_partitions, partitions.dimension_sn, partitions._complete_level,
             characters.enumerate_classes, characters._mn, snwalk._float_engine,
-            snwalk._exact_engine, glasymptotics._plan} <= seen
+            snwalk._float_laws, snwalk._exact_engine, glasymptotics._plan} <= seen

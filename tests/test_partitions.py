@@ -272,12 +272,28 @@ def test_lattice_above_lists_each_mu_in_id_order(n):
 
 
 def test_small_levels_are_built_on_demand():
-    # a lattice of 6 from cleared caches builds the levels 0..6 and no more
+    # a lattice of 6 from cleared caches builds the levels 0..6 and no more;
+    # one past SMALL_SIZE reads the cached levels up to it and keeps the
+    # levels above it, which hold only what its own size reads, for itself
     young_lattice.cache_clear()
-    partitions_module._small_level.cache_clear()
+    partitions_module._complete_level.cache_clear()
     young_lattice(6)
-    assert partitions_module._small_level.cache_info().currsize == 7
+    assert partitions_module._complete_level.cache_info().currsize == 7
+    young_lattice(30)
+    cached = partitions_module._complete_level.cache_info().currsize
+    assert cached == partitions_module.SMALL_SIZE + 1
     young_lattice.cache_clear()
+
+
+def test_complete_levels_match_the_lattice():
+    # every complete cached level, each grown from the conjugate columns
+    # the complete levels below it keep, has the lattice's edges and its
+    # hook products give the lattice's dimensions
+    for n in range(partitions_module.LEVEL_LIMIT + 1):
+        level, lat = partitions_module._complete_level(n), young_lattice(n)
+        assert level.rows == len(lat.dims)
+        assert np.array_equal(level.below, lat.below) and np.array_equal(level.down_off, lat.down_off)
+        assert (math.factorial(n) // level.hooks).tolist() == list(lat.dims), n
 
 
 def test_young_lattice_memory_is_bounded():
@@ -312,11 +328,11 @@ def test_enumeration_is_the_reference_order():
 def test_enumeration_builds_no_lattice_level():
     # enumerating grows its own tuples: no lattice level is built or cached
     young_lattice.cache_clear()
-    partitions_module._small_level.cache_clear()
+    partitions_module._complete_level.cache_clear()
     enumerate_partitions.cache_clear()
     for m in range(21):
         enumerate_partitions(m)
-    assert partitions_module._small_level.cache_info().currsize == 0
+    assert partitions_module._complete_level.cache_info().currsize == 0
 
 
 def test_enumeration_builds_level_n_once():

@@ -11,6 +11,7 @@ from repwalk.characters import character_table, enumerate_classes, fixed_point_p
 from repwalk.errors import CapacityError
 from repwalk.partitions import (
     Partition,
+    _complete_level,
     dimension_sn,
     enumerate_partitions,
     partition_id,
@@ -21,6 +22,8 @@ from repwalk.snwalk import (
     _FloatEngine,
     _float_engine,
     _float_error_bound,
+    _float_laws,
+    _skew_counts,
     class_walk_probability,
     kernel_downup,
     moment_fc,
@@ -45,7 +48,9 @@ from oracles import (
     class_walk_probability_reference,
     common_corner_matrix,
     exact_reference_walk,
+    float_law_relerr,
     float_reference_walk,
+    gamma,
     padded_float_step,
     padded_reference_walk,
     pieri_sides,
@@ -548,15 +553,49 @@ def test_float_tables_store_each_edge_once():
 
 def test_float_laws_match_reference_walk():
     # every law from the one-row and from the last partition, to twice the
-    # cutoff, equals the reduceat walk's to the bit, and so does law(r) at
-    # the last r
+    # cutoff, equals the reduceat walk's to the bit
     for n in (19, 27, 36):
         eng, rmax = _FloatEngine(n), 2 * cutoff_steps(n)
         for start in (Partition((n,)), enumerate_partitions(n)[-1]):
             laws = _float_walk(eng.lat, start, eng.step)
             for r, law, ref in zip(range(rmax + 1), laws, float_reference_walk(n, start)):
                 assert np.array_equal(law, ref), (n, r)
-            assert np.array_equal(eng.law(rmax, start), ref), n
+
+
+@pytest.mark.parametrize("n", range(19, 41))
+def test_one_r_float_law_matches_the_stepped_law(n):
+    # the one-r law, one Horner pass, from the ids 0, 1, p(n)//2 and
+    # p(n)-1 at r = cutoff -+ n/2 and twice the cutoff, lies within the a
+    # priori bound of float_law_relerr of the law stepped on the jagged
+    # tables (3.6e-14 to 3.1e-13 relative here; the largest gap measured
+    # is 1.4e-15).  At n = 36 and 40 the middle and last ids hold the down pass
+    # past int64 (test_down_pass_counts_past_int64)
+    eng, laws, parts = _FloatEngine(n), _float_laws(n), enumerate_partitions(n)
+    cutoff = 0.5 * n * math.log(n)
+    rs = {math.ceil(cutoff - n / 2), math.ceil(cutoff + n / 2), 2 * cutoff_steps(n)}
+    relerr = {r: float_law_relerr(n, r) for r in rs}
+    for s in (0, 1, len(parts) // 2, len(parts) - 1):
+        walk = _float_walk(eng.lat, parts[s], eng.step)
+        for r, stepped in zip(range(max(rs) + 1), walk):
+            if r in rs:
+                got = laws.law(r, parts[s])
+                assert np.all(np.abs(got - stepped) <= relerr[r] * stepped), (n, s, r)
+
+
+@pytest.mark.parametrize("n", [36, 40])
+def test_down_pass_counts_past_int64(n):
+    # D^n e_s at level 0 is f^s = d_s, which for the largest d_s passes
+    # 2^63 from n = 36 on, and at n = 40 for the middle id too: the down
+    # pass runs in the law's own arithmetic, exact in Python ints and within
+    # gamma of its sum lengths in doubles, where an int64 pass wrapped
+    levels = [_complete_level(j) for j in range(n + 1)]
+    dims = young_lattice(n).dims
+    k = sum(int(np.bincount(level.below).max()) - 1 for level in levels[1:])
+    for s in (len(dims) // 2, dims.index(max(dims))):
+        assert _skew_counts(levels, s, object)[0][1][0] == dims[s]
+        got = _skew_counts(levels, s, float)[0][1][0]
+        assert abs(Fraction(got) - dims[s]) <= gamma(k) * dims[s]
+    assert max(dims) >= 2**63
 
 
 def test_float_engine_memory_is_bounded():

@@ -51,17 +51,22 @@ def test_tracer_installs_and_uninstalls():
     assert partitions.dimension_sn is dimension and snwalk.dimension_sn is dimension
 
 
-def test_float_step_metric_counts_every_step():
+def test_float_step_metric_counts_every_step(capsys):
     # snwalk.float_step_ms is the wrapped _FloatEngine.step averaged over its
-    # calls; a float walk that stepped past the wrapper would read 0
+    # calls; a float walk that stepped past the wrapper would read 0.  Only
+    # sn-tv-curve --float steps (the one-r laws take no step), so it drives
+    # a fresh engine, whose memo holds no step yet
+    snwalk._float_engine.cache_clear()
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
         before = tracer.aggs["snwalk.float_step"].totals()[0]
-        snwalk.walk_distribution(19, 3, mode="float")
+        assert cli.main(["sn-tv-curve", "--n", "19", "--rmax", "3", "--float"]) == 0
         assert tracer.aggs["snwalk.float_step"].totals()[0] - before == 3
     finally:
         tracer.uninstall()
+        snwalk._float_engine.cache_clear()
+    assert "r,tv,l2_bound" in capsys.readouterr().out
 
 
 def test_names_the_benchmark_reads_resolve():
