@@ -118,7 +118,7 @@ def _write_csv(args, command: str, header: list[str], rows, extra_meta=()):
     lines = _meta_lines(command, args) + list(extra_meta)
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+        lines.append(",".join([x if type(x) is str else _fmt(x) for x in row]))
     _emit(args, "\n".join(lines) + "\n")
 
 

@@ -8,9 +8,9 @@ The partitions of n are generated by counting, in reverse-lexicographic
 order, each from a partition of a smaller size with one first row added.
 enumerate_partitions runs that recursion on plain tuples; the Young
 lattice runs it on its own fields alone, the conjugates (int8, so n stops
-at 127), hook products and down edges, in numpy, and numbers the
-partitions in read-only int64 arrays with no tuple, recording which
-partitions of n-1 lie below each, by the numbers partition_id gives.
+at 127), hook products and down edges (int64, numpy's index type, on every
+level), in numpy, numbering the partitions in read-only arrays with no
+tuple, recording which partitions of n-1 lie below each, by partition_id.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class _Level(NamedTuple):
     of row i and a column's lengths are contiguous (None on a last level);
     hooks their hook products, int64 while j! < 2^63, a hook product being
     at most j! (up to j = 20, as 20! < 2^63 <= 21!), and Python ints past
-    it; below[down_off[i]:down_off[i+1]] the ids of the partitions of j-1
-    under row i, numbered among all of them, bottom corner first."""
+    it; below[down_off[i]:down_off[i+1]] (int64) the ids of the partitions
+    of j-1 under row i, numbered among all of them, bottom corner first."""
 
     rows: int
     conj: np.ndarray | None
@@ -217,8 +217,8 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
         only the last N(j-f, f-1) rows have, and whose ids run on from
         p(j-1) - N(j-1, f-1).
     It keeps the first cols columns of the conjugates: a level j + f reads
-    min(f, j) of them.  A last level (the one asked for, cols None) keeps
-    none and int64 edges."""
+    min(f, j) of them; a last level (the one asked for, cols None) keeps
+    none.  The edges are int64, the index type numpy gathers with."""
     counts = _bounded_counts
     rows = counts(j)[top]
     plan, edges = [], 0
@@ -230,10 +230,9 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
         plan.append((f, src, s0, k, m))
         edges += int(src.down_off[-1] - src.down_off[s0]) + m
     prev = counts(j - 1)
-    index = np.int64 if cols is None or max(edges, prev[-1]) >> 31 else np.int32
-    below = np.empty(edges, index)
-    own = np.empty(edges - sum(m for *_, m in plan), index)  # nu's edges, shifted
-    down_off = np.zeros(rows + 1, index)
+    below = np.empty(edges, np.int64)
+    own = np.empty(edges - sum(m for *_, m in plan), np.int64)  # nu's edges, shifted
+    down_off = np.zeros(rows + 1, np.int64)
     hooks = np.ones(rows, np.int64 if math.factorial(j) < 1 << 63 else object)  # H(()) = 1
     conj = None if cols is None else np.zeros((cols, rows), np.int8)
     per = 1  # each hook factor is at most j: per of them fit in int64
@@ -261,13 +260,13 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
         for run in runs[1:]:
             h *= run
         a = int(src.down_off[s0])
-        np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1], dtype=index)
+        np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1])
         shift = 0
         if f < j:
             low = counts(j - f - 1)
             shift = prev[-1] - prev[f] - low[-1] + low[min(f, j - f - 1)]
         e_next = e + int(src.down_off[-1]) - a
-        np.add(src.below[a:], shift, out=own[e:e_next], dtype=index)
+        np.add(src.below[a:], shift, out=own[e:e_next])
         e = e_next
         firsts.append((r + k - m, prev[-1] - prev[f - 1], m))
         r += k
@@ -275,7 +274,7 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
     start, first_id, m = np.array(firsts, np.int64).reshape(-1, 3).T
     rank = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
     owners = rank + np.repeat(start, m)
-    lift = np.zeros(rows + 1, index)
+    lift = np.zeros(rows + 1, np.int64)
     lift[owners + 1] = 1
     down_off += np.cumsum(lift, out=lift)
     at = down_off[owners + 1] - 1
@@ -288,9 +287,9 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
 
 # the largest level kept complete, each built when first asked for: every
 # size a walk law reads in one pass over the levels 0..n (snwalk's
-# EXACT_KERNEL_LIMIT and FLOAT_LIMIT).  The levels 0..36 hold 7.3 MB and
-# the levels 0..40 15.6 MB (tracemalloc), most of it the hook products,
-# Python ints past j = 20
+# EXACT_KERNEL_LIMIT and FLOAT_LIMIT).  The levels 0..36 hold 9.4 MB and
+# the levels 0..40 20.4 MB (tracemalloc), most of it the hook products,
+# Python ints past j = 20, and the int64 edges
 LEVEL_LIMIT = 40
 # sizes whose lattices read the complete cached level: below it a build
 # costs more in numpy calls than in rows, and past it a lattice builds the
@@ -348,33 +347,33 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(levels[n])
 
 
-# four entries, as _float_engine keeps: a cached engine, float or exact,
-# holds its lattice for n, so a lattice kept here for one of them costs no
-# memory of its own, and the exact engines hold theirs past eviction.  A
-# law at one r reads the complete levels instead, so only the TV curves'
-# stepping engines and the exact engines ask for a lattice
+# four entries: a cached exact engine holds its lattice for n, so one kept
+# here costs no memory of its own.  The float laws and stepping engines read
+# the complete levels instead, so only the exact paths ask for a lattice
 @lru_cache(maxsize=4)
 def young_lattice(n: int) -> YoungLattice:
     """The cached Young lattice of size n, read off level n of the counted
-    recursion, as YoungLattice says."""
+    recursion (up to SMALL_SIZE, its cached edge arrays), as YoungLattice says."""
     _check_lattice_size(n)
     level = _level(n)
     dims = tuple((math.factorial(n) // level.hooks).tolist())
-    rows = level.rows
-    below = level.below.astype(np.int64, copy=False)
-    down_off = level.down_off.astype(np.int64, copy=False)
+    edges = level.below, level.down_off
     del level  # the hook products
-    # stable, so the lam above one mu stay in id order; ids below p(39)
-    # fit int16, which numpy sorts by radix
-    lower = _bounded_counts(n - 1)[-1]  # p(-1) = 0
-    order = np.argsort(below.astype(np.int16) if lower < 1 << 15 else below, kind="stable")
-    above = np.repeat(np.arange(rows), np.diff(down_off))[order]
-    up_off = np.zeros(lower + 1, np.int64)
-    np.cumsum(np.bincount(below, minlength=lower), out=up_off[1:])
-    edges = below, down_off, above, up_off
+    edges += _up_edges(*edges)
     for a in edges:
         a.flags.writeable = False
     return YoungLattice(n, dims, *edges)
+
+
+def _up_edges(below: np.ndarray, down_off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(above, up_off), a level's down edges turned around as YoungLattice
+    lists them; every partition of n-1 has a lam above, so bincount counts all."""
+    counts = np.bincount(below)
+    # stable, so the lam above one mu stay in id order; ids below p(39)
+    # fit int16, which numpy sorts by radix
+    order = np.argsort(below.astype(np.int16) if len(counts) < 1 << 15 else below, kind="stable")
+    above = np.repeat(np.arange(len(down_off) - 1), np.diff(down_off))[order]
+    return above, np.concatenate([[0], np.cumsum(counts)])
 
 
 def _columns(lam: tuple[int, ...]) -> list[int]:

@@ -12,16 +12,16 @@ to Plancherel measure.  Both form a law in one Horner pass up the complete
 lattice levels, by normal ordering (_horner), with no step, and the float
 laws read no lattice.  A whole TV curve steps instead (tvs): the exact
 engine steps A with _apply_counts, two segment sums through the
-partitions of n-1, and _FloatEngine, the float laws on the lattice of n,
-through two jagged corner tables, rows sorted by corner count that store
-no pad, adding each segment in the segment sums' order, so its stepped
-laws are bit-identical to theirs for n <= 36.  Each is cached per size
-(_exact_engine, _float_laws, _float_engine), and the TVs of sn_tv_curve
-are read from the walk from (n) that each stepping engine memoizes in tvs,
-kept as long as its engine.  With X the character table, A X = X diag(fp), so
-the spectrum is indexed by conjugacy classes with eigenvalue
-fixed_points/n; the tests hold this and Pieri's rule as integer
-identities on A and X.
+partitions of n-1, and _FloatEngine, the float laws of n with two jagged
+corner tables built from level n's edges (no lattice either), rows sorted
+by corner count that store no pad, adding each segment in the segment
+sums' order, so its stepped laws are bit-identical to theirs for n <= 36.
+Each is cached per size (_exact_engine, _float_laws, _float_engine), and
+the TVs of sn_tv_curve are read from the walk from (n) that each stepping
+engine memoizes in tvs, kept as long as its engine.  With X the character
+table, A X = X diag(fp), so the spectrum is indexed by conjugacy classes
+with eigenvalue fixed_points/n; the tests hold this and Pieri's rule as
+integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
@@ -54,6 +54,7 @@ from .errors import CapacityError
 from .partitions import (
     Partition,
     _complete_level,
+    _up_edges,
     dimension_sn,
     enumerate_partitions,
     partition_count,
@@ -532,19 +533,18 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 
 
 class _FloatLaws:
-    """The walk in doubles on the partitions of n at one r: dims and pi as
-    doubles, each rounded once from its integer, law(r, start) and tv(law).
+    """The walk in doubles at one r: dims d = n!/H and pi d^2/n! over level
+    n's hook products H, each rounded once, law(r, start) and tv(law).
     K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which law forms
     in one Horner pass (_horner) with coefficients S(r, k) / n^r, each
     rounded once; every term is nonnegative, so each mass carries a
     relative error of a few ulp per sum on its paths up and down the levels
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
 
-    def __init__(self, n: int, dims):
-        self.n = n
+    def __init__(self, n: int):
         n_fact = math.factorial(n)
-        self.dims = np.array(dims, dtype=float)
-        self.pi = np.array([d * d / n_fact for d in dims])
+        dims = n_fact // _complete_level(n).hooks.astype(object)  # Python ints
+        self.n, self.dims, self.pi = n, dims.astype(float), (dims * dims / n_fact).astype(float)
 
     def law(self, r: int, start: Partition | None = None) -> np.ndarray:
         """The law after r steps from start (default (n)), in lattice-id order."""
@@ -560,8 +560,8 @@ class _FloatLaws:
 
 
 class _FloatEngine(_FloatLaws):
-    """_FloatLaws on the lattice of n that also steps, for whole TV curves:
-    w_r steps as w <- A w / n, with no kernel of its own.
+    """_FloatLaws of n that also steps, for whole TV curves, on the cached
+    laws' own dims and pi: w_r steps as w <- A w / n, with no kernel or lattice.
 
     A is applied through two jagged corner tables.  The partitions of n-1
     are sorted by how many lam lie above each, most first, and up[j] lists
@@ -573,10 +573,11 @@ class _FloatEngine(_FloatLaws):
     added."""
 
     def __init__(self, n: int):
-        self.lat = lat = young_lattice(n)
-        super().__init__(n, lat.dims)
-        mu_order, self.up = _jagged_rows(lat.above, lat.up_off)
-        lam_order, self.down = _jagged_rows(lat.below, lat.down_off, _inverse(mu_order))
+        laws = _float_laws(n)  # the cached laws' arrays, not a second set
+        self.n, self.dims, self.pi = n, laws.dims, laws.pi
+        level = _complete_level(n)
+        mu_order, self.up = _jagged_rows(*_up_edges(level.below, level.down_off))
+        lam_order, self.down = _jagged_rows(level.below, level.down_off, _inverse(mu_order))
         self.ids = _inverse(lam_order)
         w = np.zeros(len(self.dims))
         w[0] = 1.0  # (n) has id 0 and d = 1
@@ -606,7 +607,7 @@ class _FloatEngine(_FloatLaws):
         the bit for n <= 36; from n = 37 on, reduceat adds a segment of 9
         in numpy's pairwise blocks and the last digits may differ."""
         w = self._half_step(self._half_step(w, self.up), self.down)[self.ids]
-        w /= self.lat.n
+        w /= self.n
         return w
 
     def tvs(self, r: int) -> tuple[float, ...]:
@@ -649,14 +650,14 @@ def _exact_engine(n: int) -> _ExactEngine:
 
 
 # every float size, 2..FLOAT_LIMIT, each holding two doubles per partition
-# (1.3 MB for the sizes 19..36); the laws read no lattice and no engine
+# (1.3 MB for the sizes 19..36), shared by its stepping engine
 @lru_cache(maxsize=FLOAT_LIMIT - 1)
 def _float_laws(n: int) -> _FloatLaws:
-    return _FloatLaws(n, (math.factorial(n) // _complete_level(n).hooks).tolist())
+    return _FloatLaws(n)
 
 
-# four stepping engines, for TV curves; each holds its lattice, its jagged
-# tables and its memo walk
+# four stepping engines, for TV curves; each holds its jagged tables and
+# its memo walk, and shares its float laws' dims and pi
 @lru_cache(maxsize=4)
 def _float_engine(n: int) -> _FloatEngine:
     return _FloatEngine(n)

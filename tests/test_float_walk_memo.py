@@ -52,7 +52,7 @@ def steps(monkeypatch):
     step = snwalk._FloatEngine.step
 
     def counted(self, w):
-        calls.append(self.lat.n)
+        calls.append(self.n)
         return step(self, w)
 
     monkeypatch.setattr(snwalk._FloatEngine, "step", counted)
@@ -107,6 +107,20 @@ def test_one_r_float_laws_step_no_walk(capsys, steps):
     assert steps == []
     assert snwalk._float_engine.cache_info().currsize == 0
     assert snwalk.young_lattice.cache_info().currsize == 0
+
+
+def test_float_commands_build_no_lattice(capsys):
+    # from cleared caches, the float sn-cutoff reads the float laws and
+    # sn-tv-curve --float a stepping engine built on the same cached level
+    # and laws: neither asks for a lattice
+    _clear()
+    snwalk._float_laws.cache_clear()
+    snwalk._complete_level.cache_clear()
+    snwalk.young_lattice.cache_clear()
+    _cutoff(capsys, 24, 0.5)
+    _tv_curve(capsys, 24, _cutoff_r(24, 0.5))
+    assert snwalk.young_lattice.cache_info().currsize == 0
+    _clear()
 
 
 def test_cache_clear_frees_the_walk(steps):

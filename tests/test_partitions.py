@@ -296,6 +296,22 @@ def test_complete_levels_match_the_lattice():
         assert (math.factorial(n) // level.hooks).tolist() == list(lat.dims), n
 
 
+def test_levels_keep_read_only_int64_edges():
+    # every complete level keeps its edges read-only in int64, the index
+    # type numpy gathers with, and a lattice up to SMALL_SIZE holds the
+    # same arrays, with no copy (level 0's edges are empty, which
+    # np.shares_memory reports as sharing nothing)
+    young_lattice.cache_clear()
+    for n in range(partitions_module.LEVEL_LIMIT + 1):
+        level = partitions_module._complete_level(n)
+        for a in (level.below, level.down_off):
+            assert a.dtype == np.int64 and not a.flags.writeable, n
+        if n <= partitions_module.SMALL_SIZE:
+            lat = young_lattice(n)
+            assert lat.below is level.below and lat.down_off is level.down_off, n
+    young_lattice.cache_clear()
+
+
 def test_young_lattice_memory_is_bounded():
     # a cold build at n = 36 keeps 2.3 MB (the edge arrays and the
     # dimensions) and peaks at 4.1 MB, 4.3 MB if the cached levels up to

@@ -18,6 +18,7 @@ from repwalk.partitions import (
     young_lattice,
 )
 from repwalk.snwalk import (
+    FLOAT_LIMIT,
     _apply_counts,
     _FloatEngine,
     _float_engine,
@@ -460,7 +461,7 @@ def test_exact_tv_curve_equals_tv_over_reference_walk():
         eng = _float_engine(n)
         curve = sn_tv_curve(n, rmax, "float")
         assert [r for r, _, _ in curve] == list(range(1, rmax + 1))
-        laws = _float_walk(eng.lat, Partition((n,)), eng.step)
+        laws = _float_walk(young_lattice(n), Partition((n,)), eng.step)
         for (r, tv, bound), law in zip(curve, islice(laws, 1, None)):
             assert tv == eng.tv(law)
             assert bound == sn_upper_bound(n, r)
@@ -501,11 +502,11 @@ def test_float_step_matches_segment_sums():
     # error bound of two sums of at most 9 non-negative terms
     rng = np.random.default_rng(18)
     for n in range(2, 41):
-        eng = _FloatEngine(n)
+        eng, lat = _FloatEngine(n), young_lattice(n)
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
-                w = _mixed_vector(rng, len(eng.lat.dims), low, high)
-                got, ref = eng.step(w), _apply_counts(eng.lat, w) / n
+                w = _mixed_vector(rng, len(lat.dims), low, high)
+                got, ref = eng.step(w), _apply_counts(lat, w) / n
                 if n <= 36:
                     assert np.array_equal(got, ref), n
                 elif low == -300:
@@ -522,7 +523,7 @@ def test_float_step_matches_padded_tables():
         eng, padded = _FloatEngine(n), padded_float_step(n)
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
-                w = _mixed_vector(rng, len(eng.lat.dims), low, high)
+                w = _mixed_vector(rng, len(young_lattice(n).dims), low, high)
                 assert np.array_equal(eng.step(w), padded(w)), n
 
 
@@ -530,10 +531,10 @@ def test_float_laws_match_padded_tables():
     # the laws from the first, a middle and the last partition id, to twice
     # the cutoff, equal the padded walk's to the bit
     for n in range(2, 41):
-        eng = _FloatEngine(n)
+        eng, lat = _FloatEngine(n), young_lattice(n)
         parts = enumerate_partitions(n)
         for start in (parts[0], parts[len(parts) // 2], parts[-1]):
-            walks = zip(range(2 * cutoff_steps(n) + 1), _float_walk(eng.lat, start, eng.step),
+            walks = zip(range(2 * cutoff_steps(n) + 1), _float_walk(lat, start, eng.step),
                         padded_reference_walk(n, start))
             for r, law, ref in walks:
                 assert np.array_equal(law, ref), (n, start, r)
@@ -543,12 +544,12 @@ def test_float_tables_store_each_edge_once():
     # the rows hold exactly the lattice's edges, no pad, and shrink down
     # each table, so row j is a prefix of row j - 1's columns
     for n in range(2, 41):
-        eng = _FloatEngine(n)
-        for rows, edges in ((eng.up, eng.lat.above), (eng.down, eng.lat.below)):
+        eng, lat = _FloatEngine(n), young_lattice(n)
+        for rows, edges in ((eng.up, lat.above), (eng.down, lat.below)):
             lengths = [len(row) for row in rows]
             assert sum(lengths) == len(edges), n
             assert all(a >= b for a, b in zip(lengths, lengths[1:])), n
-        assert sorted(eng.ids.tolist()) == list(range(len(eng.lat.dims)))
+        assert sorted(eng.ids.tolist()) == list(range(len(lat.dims)))
 
 
 def test_float_laws_match_reference_walk():
@@ -557,7 +558,7 @@ def test_float_laws_match_reference_walk():
     for n in (19, 27, 36):
         eng, rmax = _FloatEngine(n), 2 * cutoff_steps(n)
         for start in (Partition((n,)), enumerate_partitions(n)[-1]):
-            laws = _float_walk(eng.lat, start, eng.step)
+            laws = _float_walk(young_lattice(n), start, eng.step)
             for r, law, ref in zip(range(rmax + 1), laws, float_reference_walk(n, start)):
                 assert np.array_equal(law, ref), (n, r)
 
@@ -575,7 +576,7 @@ def test_one_r_float_law_matches_the_stepped_law(n):
     rs = {math.ceil(cutoff - n / 2), math.ceil(cutoff + n / 2), 2 * cutoff_steps(n)}
     relerr = {r: float_law_relerr(n, r) for r in rs}
     for s in (0, 1, len(parts) // 2, len(parts) - 1):
-        walk = _float_walk(eng.lat, parts[s], eng.step)
+        walk = _float_walk(young_lattice(n), parts[s], eng.step)
         for r, stepped in zip(range(max(rs) + 1), walk):
             if r in rs:
                 got = laws.law(r, parts[s])
@@ -598,13 +599,25 @@ def test_down_pass_counts_past_int64(n):
     assert max(dims) >= 2**63
 
 
+def test_float_engine_reads_the_float_laws():
+    # a stepping engine holds its size's float laws' own dims and pi, and
+    # pi is d * d / n! over the lattice's dimensions, each rounded once
+    for n in range(2, FLOAT_LIMIT + 1):
+        laws, dims, n_fact = _float_laws(n), young_lattice(n).dims, math.factorial(n)
+        eng = _float_engine(n)
+        assert eng.pi is laws.pi and eng.dims is laws.dims, n
+        assert laws.pi.tolist() == [d * d / n_fact for d in dims], n
+        assert laws.dims.tolist() == [float(d) for d in dims], n
+
+
 def test_float_engine_memory_is_bounded():
-    # a cold engine at n = 36 on a cached lattice keeps 1.73 MB: the jagged
-    # corner rows (81156 intp entries a side, one per lattice edge, 1.30 MB),
-    # ids and the dims and pi arrays.  Its peak, 2.44 MB, adds the Python
-    # floats of pi and one row's temporaries; the bound leaves 0.56 MB of
-    # margin
-    young_lattice(36)
+    # a cold engine at n = 36 on cached levels and float laws keeps 1.59 MB:
+    # the jagged corner rows (81156 intp entries a side, one per lattice
+    # edge, 1.30 MB), ids and its memo walk; dims and pi are the laws'.
+    # Its peak, 2.19 MB, adds the up edges turned around from the level's
+    # down edges, freed before the down rows are built; the bound leaves
+    # 0.81 MB of margin
+    _float_laws(36)
     tracemalloc.start()
     try:
         _FloatEngine(36)
