@@ -35,10 +35,13 @@ and a threshold set keeps of each threshold read only its outcome and two
 64-bit words, one table that a first word indexes by one bisect; the rare
 draw that cannot decide reads the builder anew at each precision.  Every
 builder yields its thresholds as integer ends at scale 2^prec: the count
-tables' binomial tails, the component laws and the high-degree threshold,
-like every interval power and suq_normalizer's products, run on integers.
-An attempt reads the count, high-degree and component tables in its own
-loops, one word, one bisect and one slot per draw, draws a single label
+tables' binomial tails, the component laws (one integer numerator of the
+cumulative weight over a common denominator) and the high-degree
+threshold, like every interval power and suq_normalizer's products, run on
+integers.  An attempt reads the count, high-degree and component tables in
+its own loops, one word, one bisect and one slot per draw, except that a
+count word below its degree's cut, the count table's first 64-bit end
+(most count words), is count 0 after one compare; it draws a single label
 index by one randrange, and builds the CuspidalLabels only once it is
 accepted.
 """
@@ -68,7 +71,7 @@ from .intervals import (
     floor_scaled,
     guard_bits,
 )
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _hook_lengths, enumerate_partitions
 from .rng import LazyUniform, SplitMix64
 from .series import TruncSeries, _check_order, q_pochhammer
 
@@ -388,19 +391,37 @@ def _count_entries(ud: Fraction, qd: Fraction, n_labels: int, max_count: int, pr
 def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
     """The law of an occupied label's partition, S(u^d, q^d) given lam nonempty:
     Z/(1-Z) times the cumulative weight, over the partitions of 1 .. sizes_cap
-    in enumerate_partitions order; suq_weight runs only for the entries a
-    reader reaches.  Entries are (lam, lo, hi), the endpoints of
-    (ratio * cum).rounded(prec) at scale 2^prec."""
+    in enumerate_partitions order, weighed only for the entries a reader
+    reaches.  Entries are (lam, lo, hi), the endpoints of
+    (ratio * cum).rounded(prec) at scale 2^prec.
+
+    The cumulative weight is one integer numerator over den = b^cap P^2,
+    with u^d = a/b, q^d = c/e, cap = sizes_cap and
+    P = prod_{i<=cap} (c^i - e^i): suq_weight's quotient for lam of size m,
+    brought to den, adds
+        a^m b^(cap-m) e^(sum lam_i^2) c^(2 sum h - sum lam_i^2) G^2,
+    G = P / prod_h (c^h - e^h) over the hook lengths h.  G is exact, as
+    [m]_q! / prod_h [h]_q is a polynomial in q with integer coefficients; a
+    remainder raises ArithmeticError."""
     z = suq_normalizer(ud, qd, prec=prec)
     ratio = z / z.one_minus()
-    lo_num, lo_den = ratio.lo.numerator, ratio.lo.denominator
-    hi_num, hi_den = ratio.hi.numerator, ratio.hi.denominator
-    cum = Fraction(0)
+    a, b, c, e = ud.numerator, ud.denominator, qd.numerator, qd.denominator
+    gaps = [c**h - e**h for h in range(sizes_cap + 1)]  # gaps[h] = c^h - e^h
+    whole = math.prod(gaps[1:])
+    den = b**sizes_cap * whole * whole
+    lo_num, lo_den = ratio.lo.numerator << prec, ratio.lo.denominator * den
+    hi_num, hi_den = ratio.hi.numerator << prec, ratio.hi.denominator * den
+    cum = 0
     for m in range(1, sizes_cap + 1):
+        size_factor = a**m * b ** (sizes_cap - m)
         for lam in enumerate_partitions(m):
-            cum += suq_weight(ud, qd, lam)
-            num, den = cum.numerator << prec, cum.denominator
-            yield lam, lo_num * num // (lo_den * den), -(-hi_num * num // (hi_den * den))
+            hooks = _hook_lengths(lam)
+            squares = sum(p * p for p in lam)
+            part, rest = divmod(whole, math.prod([gaps[h] for h in hooks]))
+            if rest:
+                raise ArithmeticError(f"gap product of {lam} does not divide P at q^d = {qd}")
+            cum += size_factor * e**squares * c ** (2 * sum(hooks) - squares) * part * part
+            yield lam, lo_num * cum // lo_den, -(-hi_num * cum // hi_den)
 
 
 def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
@@ -417,10 +438,14 @@ def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
 class _DegreePlan(NamedTuple):
     """Degree d's tables: how many of its n_labels labels are occupied, and
     an occupied label's partition, of size at most n // d, as a larger one
-    alone exceeds the total degree n."""
+    alone exceeds the total degree n.  empty_below is the count table's first
+    64-bit end, read when the plan is made: a count word below it lies under
+    the first threshold, P(no label occupied), and decides count 0 with no
+    bisect."""
 
     d: int
     n_labels: int
+    empty_below: int
     count_thresholds: _ThresholdSet
     component_thresholds: _ThresholdSet
 
@@ -428,14 +453,16 @@ class _DegreePlan(NamedTuple):
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(n: int, q: int, u: Fraction) -> tuple[tuple[_DegreePlan, ...], _ThresholdSet]:
     """Every table a sampler for (n, q, u) reads: one plan per degree d <= n,
-    and the high-degree threshold."""
+    each with its count table's first threshold read, and the high-degree
+    threshold."""
     plans = []
     for d in range(1, n + 1):
         n_labels = cuspidal_count(d, q)
         ud, qd = u**d, Fraction(q) ** d
+        counts = _ThresholdSet(partial(_count_entries, ud, qd, n_labels, min(n_labels, n // d)))
+        counts._grow()  # the count 0 entry, which every count table yields
         plans.append(_DegreePlan(
-            d, n_labels,
-            _ThresholdSet(partial(_count_entries, ud, qd, n_labels, min(n_labels, n // d))),
+            d, n_labels, counts._ends[0], counts,
             _ThresholdSet(partial(_component_entries, ud, qd, n // d))))
     return tuple(plans), _ThresholdSet(partial(_high_degree_entries, n, q, u))
 
@@ -478,14 +505,17 @@ class GLPlancherelSampler:
 
     def _attempt(self) -> GLIrrep | None:
         # each table read is locate with its call left out: one word, one
-        # bisect, one slot, and _settle only for a slot holding None
+        # bisect, one slot, and _settle only for a slot holding None; a count
+        # word below empty_below is slot 0, count 0, taken with one compare
         self.attempts += 1
         n, rng = self.n, self.rng
         next_u64 = rng.next_u64
         occupied = []
         floor_total = 0
-        for d, n_labels, counts, components in self.plans:
+        for d, n_labels, empty_below, counts, components in self.plans:
             v = next_u64()
+            if v < empty_below:
+                continue
             k = counts._slots[bisect_right(counts._ends, v)]
             if k is None:
                 k = counts._settle(rng, v)

@@ -9,7 +9,7 @@ sides at the end (pieri_sides, spectrum_sides) are the exception: they set
 one package path against another, the Fraction kernel against the lattice
 engines, the stepped exact walk against the one-pass law, the down-up
 chain against the coupon-count sampler, the samplers' inlined word draws
-against plain randrange, the Fraction interval products,
+against plain randrange, the Fraction interval products and running sums,
 the Interval threshold entries and the full-product normalizer loop against
 the integer endpoints, one locate per table against the inlined attempt, and
 the exact walk step against the Murnaghan-Nakayama table.
@@ -735,6 +735,23 @@ def component_entries_interval(ud, qd, sizes_cap: int, prec: int):
         for lam in enumerate_partitions(m):
             cum += suq_weight(ud, qd, lam)
             yield lam, (ratio * cum).rounded(prec)
+
+
+def component_entries_fraction(ud, qd, sizes_cap: int, prec: int):
+    """The component law's thresholds as integer ends at scale 2^prec, from a
+    Fraction running sum of suq_weight, reduced at every partition: Z/(1-Z)
+    times the cumulative weight, floor below and ceiling above, over the
+    partitions of 1 .. sizes_cap in enumerate_partitions order."""
+    z = suq_normalizer(ud, qd, prec=prec)
+    ratio = z / z.one_minus()
+    lo_num, lo_den = ratio.lo.numerator, ratio.lo.denominator
+    hi_num, hi_den = ratio.hi.numerator, ratio.hi.denominator
+    cum = Fraction(0)
+    for m in range(1, sizes_cap + 1):
+        for lam in enumerate_partitions(m):
+            cum += suq_weight(ud, qd, lam)
+            num, den = cum.numerator << prec, cum.denominator
+            yield lam, lo_num * num // (lo_den * den), -(-hi_num * num // (hi_den * den))
 
 
 def high_degree_entries_interval(n: int, q: int, u, prec: int) -> tuple:

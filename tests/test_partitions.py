@@ -314,11 +314,11 @@ def test_levels_keep_read_only_int64_edges():
 
 def test_young_lattice_memory_is_bounded():
     # a cold build at n = 36 keeps 2.3 MB (the edge arrays and the
-    # dimensions) and peaks at 4.1 MB, 4.3 MB if the cached levels up to
-    # SMALL_SIZE are built too: with them the hook products and edges of
-    # the levels below n and the first-row edge temporaries of level n.  No
-    # partition tuple is formed, so the enumeration cache stays empty; the
-    # bound leaves about 1.7 MB
+    # dimensions) and peaks at 4.4 MB, 4.6 MB if the cached levels up to
+    # SMALL_SIZE are built too (2.5 MB kept): with them the hook products
+    # and int64 edges of the levels below n and the first-row edge
+    # temporaries of level n.  No partition tuple is formed, so the
+    # enumeration cache stays empty; the bound leaves about 1.4 MB
     young_lattice.cache_clear()
     enumerate_partitions.cache_clear()
     tracemalloc.start()

@@ -18,6 +18,7 @@ import pytest
 from oracles import (
     EXPLICIT_DEGREES,
     LocateSampler,
+    component_entries_fraction,
     component_entries_interval,
     count_entries_fraction,
     high_degree_entries_interval,
@@ -220,6 +221,38 @@ def test_component_entries_match_rounded_products():
     assert _as_fractions(_component_entries(ud, qd, 6, prec), prec) == _as_endpoints(expected)
 
 
+@pytest.mark.parametrize("u", [None, Fraction(1, 2)])
+@pytest.mark.parametrize("n,q", [(20, 3), (16, 2), (5, 3)])
+def test_component_entries_match_fraction_running_sum(n, q, u):
+    # the integer numerator over b^cap P^2 gives every entry the Fraction
+    # running sum of suq_weight gives, drained to the cap at every degree
+    u = u if u is not None else default_rejection_u(n)
+    for d in range(1, n + 1):
+        ud, qd = u**d, Fraction(q) ** d
+        assert list(_component_entries(ud, qd, n // d, DEFAULT_PREC)) == \
+            list(component_entries_fraction(ud, qd, n // d, DEFAULT_PREC)), d
+
+
+@pytest.mark.parametrize("u", [Fraction(1, 2), Fraction(9, 10), Fraction(2)])
+def test_component_entries_at_a_rational_q(u):
+    # q^d = (5/2)^d: e > 1, so e^(sum lam_i^2) and the gaps c^h - e^h are
+    # not those of an integer q
+    for d in range(1, 4):
+        ud, qd = u**d, Fraction(5, 2) ** d
+        for prec in (DEFAULT_PREC, DEFAULT_PREC << 1):
+            assert list(_component_entries(ud, qd, 12 // d, prec)) == \
+                list(component_entries_fraction(ud, qd, 12 // d, prec)), (d, prec)
+
+
+def test_component_gap_product_that_does_not_divide_raises(monkeypatch):
+    # with every hook counted twice the gap product of (1), (3 - 1)^2, does
+    # not divide P = 3 - 1: the builder refuses the entry, not rounds it
+    hook_lengths = glasymptotics._hook_lengths
+    monkeypatch.setattr(glasymptotics, "_hook_lengths", lambda lam: hook_lengths(lam) * 2)
+    with pytest.raises(ArithmeticError):
+        next(_component_entries(Fraction(1, 2), Fraction(3), 1, DEFAULT_PREC))
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n", [3, 8, 13, 20])
 def test_count_entries_match_fraction_products(n, q, monkeypatch):
@@ -292,6 +325,76 @@ def test_count_phase_reads_the_stream_locate_reads(n, q, u, count):
             assert fast.sample().descriptor() == slow.sample().descriptor()
         assert fast.attempts == slow.attempts
         assert fast.rng._state == slow.rng._state
+
+
+def _outcome(phi):
+    return None if phi is None else phi.descriptor()
+
+
+@pytest.mark.parametrize("n,q,u", [(16, 2, Fraction(1, 2)), (20, 3, Fraction(1, 2))])
+def test_attempts_at_low_acceptance_read_the_stream_locate_reads(n, q, u):
+    # at u = 1/2 most count words fall below their degree's cut, but an
+    # attempt is accepted only about 1.5e-5 (16,2) and 6.5e-7 (20,3) of the
+    # time, so the two samplers are compared attempt by attempt, not sample
+    # by sample
+    for seed in (0, 1, 9):
+        fast, slow = GLPlancherelSampler(n, q, u, seed), LocateSampler(n, q, u, seed)
+        for _ in range(10000):
+            assert _outcome(fast._attempt()) == _outcome(slow._attempt())
+            assert fast.rng._state == slow.rng._state
+
+
+def test_every_plan_keeps_its_count_cut():
+    # the cut is the count table's first 64-bit end, read when the plan is
+    # made, and the gap below it decides count 0: every default plan, and
+    # a few at other u
+    keys = [(n, q, default_rejection_u(n)) for n in range(1, 21) for q in (2, 3)]
+    keys += [(16, 2, Fraction(1, 2)), (20, 3, Fraction(1, 2)), (5, 3, Fraction(9, 10))]
+    for n, q, u in keys:
+        plans, _ = glasymptotics._plan(n, q, u)
+        for plan in plans:
+            counts = plan.count_thresholds
+            assert plan.empty_below == counts._ends[0], (n, q, u, plan.d)
+            assert counts._slots[0] == 0 and counts._slots[0] is not False, (n, q, u, plan.d)
+
+
+def _scripted(seed: int, words: dict) -> SplitMix64:
+    """SplitMix64(seed) with its words at the positions in words replaced:
+    the state still counts every word handed out."""
+    rng = SplitMix64(seed)
+    rng._refill()
+    for i, word in words.items():
+        rng._words[-1 - i] = word
+    return rng
+
+
+@pytest.mark.parametrize("n,q,u", [(20, 3, None), (16, 2, None), (8, 3, Fraction(1, 2))])
+def test_count_word_at_the_cut_reads_the_stream_locate_reads(n, q, u, monkeypatch):
+    # a count word equal to the cut is not below it: it is bisected, lands
+    # in the first threshold's straddle and goes to the scan; the cut - 1 is
+    # count 0.  Either way the attempt draws what locate draws.  The count
+    # words are the first n words, one per degree.
+    u = u if u is not None else default_rejection_u(n)
+    plans, _ = glasymptotics._plan(n, q, u)
+    cuts = [plan.empty_below for plan in plans]
+    scans = []
+    scan = _ThresholdSet._scan
+    monkeypatch.setattr(_ThresholdSet, "_scan", lambda self, u: scans.append(1) or scan(self, u))
+    for at, below in ((0, 1), (1, 0), (n - 1, 0), (0, n - 1)):
+        for seed in range(4):
+            words = {at: cuts[at], below: cuts[below] - 1}
+            fast = GLPlancherelSampler(n, q, u, seed)
+            slow = LocateSampler(n, q, u, seed)
+            fast.rng, slow.rng = _scripted(seed, words), _scripted(seed, words)
+            scans.clear()
+            phi = fast._attempt()
+            assert scans  # the word at the cut went to the scan
+            assert _outcome(phi) == _outcome(slow._attempt())
+            assert fast.rng._state == slow.rng._state
+            for _ in range(3):
+                assert fast.sample().descriptor() == slow.sample().descriptor()
+            assert fast.attempts == slow.attempts
+            assert fast.rng._state == slow.rng._state
 
 
 def test_count_phase_straddles_read_the_stream_locate_reads(monkeypatch):
