@@ -23,8 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError
-from .partitions import (SIZE_CACHE_SIZE, Partition, _bounded_counts, enumerate_partitions,
-                         young_lattice)
+from .partitions import SIZE_CACHE_SIZE, Partition, _bounded_counts, _dims, enumerate_partitions
 
 DEFAULT_TABLE_LIMIT = 12
 # Murnaghan-Nakayama values kept for single lookups by mn_character; the
@@ -152,11 +151,11 @@ class CharacterTable:
 
     def fourier_law(self, w) -> list[Fraction]:
         """(d_rho/n!) sum_C w[C] chi^rho(C) for each row rho, w a class function
-        listed by class id: the hidden-subgroup law and the spectral walk law
-        are this sum for two choices of w."""
+        listed by class id, d_rho the row's identity column (the last): the
+        hidden-subgroup law and the spectral walk law are this sum for two
+        choices of w."""
         n_fact = math.factorial(self.n)
-        return [Fraction(d * sum(map(mul, w, row)), n_fact)
-                for d, row in zip(young_lattice(self.n).dims, self.values)]
+        return [Fraction(row[-1] * sum(map(mul, w, row)), n_fact) for row in self.values]
 
     def verify_orthogonality(self) -> None:
         """Check V diag(|C|) V^T = n! I and the identity column.  The column
@@ -173,10 +172,9 @@ class CharacterTable:
         bad = np.argwhere(np.triu(gram != n_fact * np.eye(len(v), dtype=np.int64)))
         if len(bad):
             raise ArithmeticError(f"row orthogonality fails at {bad[0][0]},{bad[0][1]}")
-        dims = young_lattice(self.n).dims
-        id_col = len(dims) - 1  # (1^n), last in reverse-lex order
-        for lam, row, d in zip(self.partitions, self.values, dims):
-            if row[id_col] != d:
+        # the identity class (1^n) is last in reverse-lex order
+        for lam, row, d in zip(self.partitions, self.values, _dims(self.n)):
+            if row[-1] != d:
                 raise ArithmeticError(f"identity column is not the dimension at {lam}")
 
 

@@ -45,7 +45,7 @@ from .glirreps import (
     unipotent_tail_bound,
 )
 from .hsp import hsp_bounds, subgroup_closure
-from .partitions import Partition, dimension_sn, enumerate_partitions, partition_id, young_lattice
+from .partitions import Partition, dimension_sn, enumerate_partitions, partition_id
 from .rng import derive_seed
 from .series import DEFAULT_ORDER, _check_order, euler_lhs_rhs, q_pochhammer
 from .snwalk import (
@@ -204,7 +204,7 @@ def _cmd_sn_walk(args):
         # mass d_rho a_rho / den, whose digits _check_digits bounded by den's
         a, den = law
         labels = eng.labels
-        masses = (_ratio(d * x, den) for d, x in zip(eng.lat.dims, a))
+        masses = (_ratio(d * x, den) for d, x in zip(eng.dims, a))
         extra = []
     _write_csv(args, "sn-walk", ["partition", "mass"], zip(labels, masses), extra)
     return 0
@@ -265,7 +265,7 @@ def _cmd_sn_moments(args):
             # the value moment_fc returns, without computing red twice
             rows.append([s, method, float(red) * size ** (s / 2), red])
     if args.samples:
-        values, dims = table.values, young_lattice(args.n).dims
+        values = table.values
         ci = partition_id(transposition)
         draws = [partition_id(lam) for lam in _chunked(
             lambda count, seed: walk_samples(args.n, args.r, count, seed),
@@ -274,7 +274,7 @@ def _cmd_sn_moments(args):
         for s in (1, 2):
             total = 0.0
             for i in draws:
-                total += (math.sqrt(size) * values[i][ci] / dims[i]) ** s
+                total += (math.sqrt(size) * values[i][ci] / values[i][-1]) ** s
             rows.append([s, "empirical", total / len(draws), ""])
     _write_csv(args, "sn-moments", ["s", "method", "value", "reduced_exact"], rows)
     return 0

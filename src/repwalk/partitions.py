@@ -6,11 +6,13 @@ components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
 The partitions of n are generated by counting, in reverse-lexicographic
 order, each from a partition of a smaller size with one first row added.
-enumerate_partitions runs that recursion on plain tuples; the Young
-lattice runs it on its own fields alone, the conjugates (int8, so n stops
-at 127), hook products and down edges (int64, numpy's index type, on every
-level), in numpy, numbering the partitions in read-only arrays with no
-tuple, recording which partitions of n-1 lie below each, by partition_id.
+enumerate_partitions runs that recursion on plain tuples; the cached
+levels of Young's lattice (_complete_level) run it on their own fields
+alone, the conjugates (int8, so n stops at 127), hook products and down
+edges (int64, numpy's index type), in numpy, numbering the partitions in
+read-only arrays with no tuple, recording which partitions of n-1 lie
+below each, by partition_id.  _dims reads a level's dimensions off its
+hook products, and _up_edges turns its down edges around.
 """
 
 from __future__ import annotations
@@ -109,39 +111,6 @@ class Partition(tuple):
 EMPTY = Partition(())
 
 
-class YoungLattice(NamedTuple):
-    """Partitions of n as integer ids, their dimensions and containment edges.
-
-    Ids follow enumerate_partitions(n), as characters.enumerate_classes does,
-    so they number the conjugacy classes of S_n too; partition_id(lam) is
-    the id of lam, and the lattice holds no partitions of its own.  The
-    edges are the nonzero entries of D, the p(n) x p(n-1) containment
-    matrix (D[lam, mu] = 1 when mu is lam less one corner box), kept as
-    read-only int64 numpy CSR arrays in both directions:
-    below[down_off[i]:down_off[i+1]] lists the ids of the partitions of n-1
-    under the partition with id i, bottom corner first, and
-    above[up_off[m]:up_off[m+1]] the ids of the lam over the partition of
-    n-1 with id m, in id order (top row first).  The partitions of n-1 are
-    numbered as in young_lattice(n-1), by partition_id.  The down-up
-    chain's common-corner matrix is A = D D^T, so a step is two segment
-    sums through the partitions of n-1.  Every field is read-only (a write
-    into an array raises ValueError), as the cache hands the same lattice to
-    every caller.  Sizes past 127 raise CapacityError.
-
-    young_lattice builds it from level n of the counted partition recursion
-    (_grow), which carries each partition's hook product and down edges
-    with it: dims are n! // the hook products, and above is below sorted
-    stably, with up_off its counts.
-    """
-
-    n: int
-    dims: tuple[int, ...]
-    below: np.ndarray
-    down_off: np.ndarray
-    above: np.ndarray
-    up_off: np.ndarray
-
-
 # the lattice stores conjugates, column lengths up to n, as int8
 _MAX_PART = 127
 
@@ -164,12 +133,13 @@ def _bounded_counts(j: int) -> tuple[int, ...]:
 
 
 def partition_id(lam) -> int:
-    """The id of the partition lam in young_lattice(|lam|), its place in
-    enumerate_partitions order, ranked by counting (Nijenhuis and Wilf,
-    Combinatorial Algorithms, 1978): p(n) - 1 less the partitions after
-    lam, which agree with it on some first parts and have a smaller next
-    part, N(m, lam_i - 1) of them for the m boxes from part i on.  Anything
-    but a Partition is checked as Partition checks it."""
+    """The id of the partition lam among the partitions of |lam|: its row in
+    _complete_level(|lam|) and its place in enumerate_partitions order,
+    ranked by counting (Nijenhuis and Wilf, Combinatorial Algorithms,
+    1978): p(n) - 1 less the partitions after lam, which agree with it on
+    some first parts and have a smaller next part, N(m, lam_i - 1) of them
+    for the m boxes from part i on.  Anything but a Partition is checked as
+    Partition checks it."""
     if type(lam) is not Partition:
         lam = Partition(lam)
     n = sum(lam)
@@ -182,31 +152,31 @@ def partition_id(lam) -> int:
 
 
 class _Level(NamedTuple):
-    """Level j of the lattice's partition recursion: the partitions of j
-    with no part above some top, in reverse-lexicographic order, which are
-    the last `rows` partitions of j, held by their lattice fields alone.
+    """Level j of the lattice's partition recursion: the rows = p(j)
+    partitions of j in reverse-lexicographic order, held by their lattice
+    fields alone.
 
     conj holds the first columns of their conjugates, as many as a later
     level reads, by rows in int8, so conj[c, i] is the length of column c
-    of row i and a column's lengths are contiguous (None on a last level);
-    hooks their hook products, int64 while j! < 2^63, a hook product being
-    at most j! (up to j = 20, as 20! < 2^63 <= 21!), and Python ints past
-    it; below[down_off[i]:down_off[i+1]] (int64) the ids of the partitions
-    of j-1 under row i, numbered among all of them, bottom corner first."""
+    of row i and a column's lengths are contiguous; hooks their hook
+    products, int64 while j! < 2^63, a hook product being at most j! (up to
+    j = 20, as 20! < 2^63 <= 21!), and Python ints past it;
+    below[down_off[i]:down_off[i+1]] (int64) the ids of the partitions of
+    j-1 under row i, bottom corner first."""
 
     rows: int
-    conj: np.ndarray | None
+    conj: np.ndarray
     hooks: np.ndarray
     below: np.ndarray
     down_off: np.ndarray
 
 
-def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
-    """Level j with no part above top, from the levels stack[j-f] below it.
+def _grow(j: int, stack: list[_Level], cols: int) -> _Level:
+    """Level j from the levels stack[j-f] below it.
 
-    For first parts f from top down to 1 it lists f over nu, for nu the last
-    N(j-f, f) rows of level j-f, the partitions of j-f with no part above f
-    (so stack[j-f] must hold those).  Each row carries down:
+    For first parts f from j down to 1 it lists f over nu, for nu the last
+    N(j-f, f) rows of level j-f, the partitions of j-f with no part above f.
+    Each row carries down:
       - its conjugate, nu' plus one in the first f columns;
       - its hook product, H(nu) prod_{c<f} (f - c + nu'_c), the first row's
         hooks (Frame, Robinson and Thrall, 1954);
@@ -217,12 +187,12 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
         only the last N(j-f, f-1) rows have, and whose ids run on from
         p(j-1) - N(j-1, f-1).
     It keeps the first cols columns of the conjugates: a level j + f reads
-    min(f, j) of them; a last level (the one asked for, cols None) keeps
-    none.  The edges are int64, the index type numpy gathers with."""
+    min(f, j) of them.  The edges are int64, the index type numpy gathers
+    with."""
     counts = _bounded_counts
-    rows = counts(j)[top]
+    rows = counts(j)[j]
     plan, edges = [], 0
-    for f in range(top, 0, -1):
+    for f in range(j, 0, -1):
         src = stack[j - f]
         k = counts(j - f)[min(f, j - f)]
         m = counts(j - f)[min(f - 1, j - f)]
@@ -234,7 +204,7 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
     own = np.empty(edges - sum(m for *_, m in plan), np.int64)  # nu's edges, shifted
     down_off = np.zeros(rows + 1, np.int64)
     hooks = np.ones(rows, np.int64 if math.factorial(j) < 1 << 63 else object)  # H(()) = 1
-    conj = None if cols is None else np.zeros((cols, rows), np.int8)
+    conj = np.zeros((cols, rows), np.int8)
     per = 1  # each hook factor is at most j: per of them fit in int64
     while per < j and j ** (per + 1) < 1 << 63:
         per += 1
@@ -244,9 +214,8 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
     for f, src, s0, k, m in plan:
         w = min(f, j - f)  # nu'_c = 0 from column w on
         nu = src.conj[:w, s0:]
-        if conj is not None:
-            conj[:f, r:r + k] = 1
-            conj[:w, r:r + k] += nu[:cols]
+        conj[:f, r:r + k] = 1
+        conj[:w, r:r + k] += nu[:cols]
         fac = nu + down[j - f:j - f + w]
         # the f first-row hooks sum to S, so by AM-GM their product is
         # at most (S / f)^f: below 2^63 it is one int64 run
@@ -287,40 +256,34 @@ def _grow(j: int, top: int, stack: list[_Level], cols: int | None) -> _Level:
 
 # the largest level kept complete, each built when first asked for: every
 # size a walk law reads in one pass over the levels 0..n (snwalk's
-# EXACT_KERNEL_LIMIT and FLOAT_LIMIT).  The levels 0..36 hold 9.4 MB and
-# the levels 0..40 20.4 MB (tracemalloc), most of it the hook products,
-# Python ints past j = 20, and the int64 edges
+# EXACT_KERNEL_LIMIT and FLOAT_LIMIT), and so the largest n whose
+# dimensions _dims, plancherel_sn and the character tables' check read.
+# The levels 0..36 hold 9.4 MB and the levels 0..40 20.4 MB (tracemalloc),
+# most of it the hook products, Python ints past j = 20, and the int64 edges
 LEVEL_LIMIT = 40
-# sizes whose lattices read the complete cached level: below it a build
-# costs more in numpy calls than in rows, and past it a lattice builds the
-# levels its own size reads alone.  At most LEVEL_LIMIT / 2, so these
-# levels keep every conjugate column a larger lattice reads
-SMALL_SIZE = 20
 
 
 @lru_cache(maxsize=LEVEL_LIMIT + 1)
 def _complete_level(j: int) -> _Level:
     """The partitions of j, complete, with their hook products, down edges
     and the conjugate columns a complete level up to LEVEL_LIMIT reads,
-    built from the complete levels below it."""
-    level = _grow(j, j, [_complete_level(i) for i in range(j)], min(j, LEVEL_LIMIT - j))
+    built from the complete levels below it.  A size below 0 or past
+    LEVEL_LIMIT is refused before any level is built."""
+    if j < 0:
+        raise ValueError("n must be non-negative")
+    if j > LEVEL_LIMIT:
+        raise CapacityError("Young lattice level", j, LEVEL_LIMIT)
+    level = _grow(j, [_complete_level(i) for i in range(j)], min(j, LEVEL_LIMIT - j))
     for a in level[1:]:
         a.flags.writeable = False  # shared by every later call
     return level
 
 
-def _level(n: int) -> _Level:
-    """The partitions of n, complete, with their hook products and down
-    edges.  Up to SMALL_SIZE this is the cached complete level.  Past it,
-    level n takes every first part and a level j < n is read only for first
-    parts up to n - j, so it keeps those up to min(j, n - j)."""
-    if n <= SMALL_SIZE:
-        return _complete_level(n)
-    stack = [_complete_level(j) for j in range(SMALL_SIZE + 1)]
-    for j in range(SMALL_SIZE + 1, n + 1):
-        top = min(j, n - j) if j < n else n
-        stack.append(_grow(j, top, stack, top if j < n else None))
-    return stack[n]
+def _dims(n: int) -> tuple[int, ...]:
+    """The dimensions d = n! // H of the partitions of n in id order, from
+    level n's hook products H, as Python ints; each call divides afresh."""
+    hooks = _complete_level(n).hooks
+    return tuple((math.factorial(n) // hooks).tolist())
 
 
 @lru_cache(maxsize=SIZE_CACHE_SIZE)
@@ -347,33 +310,20 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(levels[n])
 
 
-# four entries: a cached exact engine holds its lattice for n, so one kept
-# here costs no memory of its own.  The float laws and stepping engines read
-# the complete levels instead, so only the exact paths ask for a lattice
-@lru_cache(maxsize=4)
-def young_lattice(n: int) -> YoungLattice:
-    """The cached Young lattice of size n, read off level n of the counted
-    recursion (up to SMALL_SIZE, its cached edge arrays), as YoungLattice says."""
-    _check_lattice_size(n)
-    level = _level(n)
-    dims = tuple((math.factorial(n) // level.hooks).tolist())
-    edges = level.below, level.down_off
-    del level  # the hook products
-    edges += _up_edges(*edges)
-    for a in edges:
-        a.flags.writeable = False
-    return YoungLattice(n, dims, *edges)
-
-
 def _up_edges(below: np.ndarray, down_off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(above, up_off), a level's down edges turned around as YoungLattice
-    lists them; every partition of n-1 has a lam above, so bincount counts all."""
+    """(above, up_off), a level's down edges turned around, read-only as
+    they are: above[up_off[m]:up_off[m+1]] lists the ids of the lam over the
+    partition of n-1 with id m, in id order (top row first).  Every
+    partition of n-1 has a lam above, so bincount counts all."""
     counts = np.bincount(below)
     # stable, so the lam above one mu stay in id order; ids below p(39)
     # fit int16, which numpy sorts by radix
     order = np.argsort(below.astype(np.int16) if len(counts) < 1 << 15 else below, kind="stable")
-    above = np.repeat(np.arange(len(down_off) - 1), np.diff(down_off))[order]
-    return above, np.concatenate([[0], np.cumsum(counts)])
+    edges = (np.repeat(np.arange(len(down_off) - 1), np.diff(down_off))[order],
+             np.concatenate([[0], np.cumsum(counts)]))
+    for a in edges:
+        a.flags.writeable = False
+    return edges
 
 
 def _columns(lam: tuple[int, ...]) -> list[int]:

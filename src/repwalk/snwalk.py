@@ -8,14 +8,17 @@ matrix of the partitions of n over those of n-1, since by Pieri's rule
 mult(rho in lam (x) eta) = A(lam, rho).  A walk at one r reads the laws
 of _engine, _ExactEngine (ints over one denominator) or _FloatLaws
 (doubles), with law(r, start), the law after r steps, and tv(law), the TV
-to Plancherel measure.  Both form a law in one Horner pass up the complete
-lattice levels, by normal ordering (_horner), with no step, and the float
-laws read no lattice.  A whole TV curve steps instead (tvs): the exact
-engine steps A with _apply_counts, two segment sums through the
-partitions of n-1, and _FloatEngine, the float laws of n with two jagged
-corner tables built from level n's edges (no lattice either), rows sorted
-by corner count that store no pad, adding each segment in the segment
-sums' order, so its stepped laws are bit-identical to theirs for n <= 36.
+to Plancherel measure.  Every reader takes the lattice from the complete
+levels that partitions._complete_level caches: their down edges, the up
+edges _up_edges turns from them and the dimensions _dims reads off their
+hook products.  Both form a law in one Horner pass up those levels, by
+normal ordering (_horner), with no step.  A whole TV curve steps instead
+(tvs): the exact engine steps A with _apply_counts, two segment sums
+through the partitions of n-1 on level n's edges, and _FloatEngine, the
+float laws of n with two jagged corner tables built from the same edges,
+rows sorted by corner count that store no pad, adding each segment in the
+segment sums' order, so its stepped laws are bit-identical to theirs for
+n <= 36.
 Each is cached per size (_exact_engine, _float_laws, _float_engine), and
 the TVs of sn_tv_curve are read from the walk from (n) that each stepping
 engine memoizes in tvs, kept as long as its engine.  With X the character
@@ -54,12 +57,12 @@ from .errors import CapacityError
 from .partitions import (
     Partition,
     _complete_level,
+    _dims,
     _up_edges,
     dimension_sn,
     enumerate_partitions,
     partition_count,
     partition_id,
-    young_lattice,
 )
 from .rng import SplitMix64
 
@@ -120,11 +123,11 @@ class SparseKernel:
 
 
 def plancherel_sn(n: int) -> WalkDistribution:
-    """Exact Plancherel measure: mass d_lam^2 / n! on each partition of n."""
-    n_fact = math.factorial(n)
+    """Exact Plancherel measure: mass d_lam^2 / n! on each partition of n,
+    for 0 <= n <= LEVEL_LIMIT (any other n is refused before any work)."""
+    dims, n_fact = _dims(n), math.factorial(n)
     return WalkDistribution(n, "exact", {
-        lam: Fraction(d * d, n_fact)
-        for lam, d in zip(enumerate_partitions(n), young_lattice(n).dims)})
+        lam: Fraction(d * d, n_fact) for lam, d in zip(enumerate_partitions(n), dims)})
 
 
 def kernel_downup(n: int) -> SparseKernel:
@@ -134,11 +137,11 @@ def kernel_downup(n: int) -> SparseKernel:
     A row lists rho in the order the paths lam -> mu -> rho first reach it.
     """
     _check_walk(n, "exact")
-    lat, parts = young_lattice(n), enumerate_partitions(n)
-    dims = lat.dims
+    eng, parts = _exact_engine(n), enumerate_partitions(n)
+    dims = eng.dims
     # as Python ints, which the loops read faster than numpy scalars
     below, down_off, above, up_off = (
-        a.tolist() for a in (lat.below, lat.down_off, lat.above, lat.up_off))
+        a.tolist() for a in (eng.below, eng.down_off, eng.above, eng.up_off))
     rows = {}
     for i, lam in enumerate(parts):
         counts: dict[int, int] = {}
@@ -176,19 +179,21 @@ def _check_walk(n: int, mode: str | None = None) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _apply_counts(lat, w: np.ndarray) -> np.ndarray:
-    """A w = D (D^T w) for the containment matrix D of lat, exact on Python
-    ints: the first sum takes each partition of n-1 to the total of w over
-    the lam above it, the second each lam to the total of those over the
-    partitions below it.  For n >= 1 no segment is empty.  The exact engine
-    steps with it; _FloatEngine.step adds in its order on jagged tables."""
-    return np.add.reduceat(np.add.reduceat(w[lat.above], lat.up_off[:-1])[lat.below],
-                           lat.down_off[:-1])
+def _apply_counts(eng, w: np.ndarray) -> np.ndarray:
+    """A w = D (D^T w) for the containment matrix D of the edges eng holds,
+    below/down_off and above/up_off as _ExactEngine keeps them, exact on
+    Python ints: the first sum takes each partition of n-1 to the total of
+    w over the lam above it, the second each lam to the total of those over
+    the partitions below it.  For n >= 1 no segment is empty.  The exact
+    engine steps with it; _FloatEngine.step adds in its order on jagged
+    tables."""
+    return np.add.reduceat(np.add.reduceat(w[eng.above], eng.up_off[:-1])[eng.below],
+                           eng.down_off[:-1])
 
 
 def _partition_of(n: int, lam) -> Partition:
-    """lam as a partition of n, whose partition_id numbers it in
-    young_lattice(n); a ValueError names any other size."""
+    """lam as a partition of n, whose partition_id numbers it among the
+    partitions of n; a ValueError names any other size."""
     lam = Partition(lam)
     if lam.size != n:
         raise ValueError(f"partition {lam} has size {lam.size}, expected {n}")
@@ -217,7 +222,7 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
         masses = dict(zip(parts, law.tolist()))
         return WalkDistribution(n, mode, masses, _float_error_bound(n, r))
     a, den = law
-    masses = {p: Fraction(d * x, den) for p, d, x in zip(parts, eng.lat.dims, a) if x}
+    masses = {p: Fraction(d * x, den) for p, d, x in zip(parts, eng.dims, a) if x}
     return WalkDistribution(n, mode, masses)
 
 
@@ -228,10 +233,10 @@ def walk_distribution_spectral(n: int, r: int, start=None) -> WalkDistribution:
     combine, so it is the Fourier law of fp(C)^r |C| chi^s(C) over n^r d_s.
     """
     _check_steps(r)
-    table, lat = character_table(n), young_lattice(n)
+    table = character_table(n)
     s = partition_id(_partition_of(n, (n,) if start is None else start))
     w = [c.fixed_points**r * c.class_size * x for c, x in zip(table.classes, table.values[s])]
-    den = n**r * lat.dims[s]
+    den = n**r * table.values[s][-1]  # d_s, the identity column
     return WalkDistribution(n, "exact", {
         lam: p / den for lam, p in zip(table.partitions, table.fourier_law(w))})
 
@@ -275,13 +280,14 @@ def _upper_bounds(n: int):
         yield math.sqrt(sum(terms) / den)
 
 
-def _scaled_powers(table, lat, ci: int, s: int) -> tuple[list[int], int]:
+def _scaled_powers(table, ci: int, s: int) -> tuple[list[int], int]:
     """w_rho = L chi_rho(C)^s d_rho^(1-s) over the rows, C the ci-th class,
     and the scale L = lcm_rho d_rho^(s-1) (1 for s = 0) that makes them
-    integers."""
+    integers; each d_rho is its row's identity column."""
+    dims = [row[-1] for row in table.values]
     if s == 0:
-        return list(lat.dims), 1
-    powers = [d ** (s - 1) for d in lat.dims]
+        return dims, 1
+    powers = [d ** (s - 1) for d in dims]
     scale = math.lcm(*powers)
     return [row[ci] ** s * (scale // p) for row, p in zip(table.values, powers)], scale
 
@@ -292,8 +298,8 @@ def _class_walk_counts(n: int, cycles, s: int):
     _scaled_powers."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    table, lat = character_table(n), young_lattice(n)
-    weights, scale = _scaled_powers(table, lat, partition_id(_partition_of(n, cycles)), s)
+    table = character_table(n)
+    weights, scale = _scaled_powers(table, partition_id(_partition_of(n, cycles)), s)
     counts = [t.class_size * sum(map(mul, weights, col))
               for t, col in zip(table.classes, zip(*table.values))]
     if min(counts) < 0:
@@ -352,7 +358,7 @@ def moment_fc_reduced(n: int, cycle_type, s: int, r: int, method: str = "transfe
         # sum_rho a_rho chi_rho(C)^s d_rho^(1-s) / den
         table = character_table(n)
         eng = _engine(n, "exact")
-        weights, scale = _scaled_powers(table, eng.lat, partition_id(_partition_of(n, cycles)), s)
+        weights, scale = _scaled_powers(table, partition_id(_partition_of(n, cycles)), s)
         a, den = eng.law(r)
         return Fraction(sum(map(mul, weights, a)), scale * den)
     if method == "closed":
@@ -408,22 +414,26 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
 
 
 class _ExactEngine:
-    """The walk in Python ints on the lattice of n, for any n it holds: K is
-    the Doob transform of A, so the law after r steps is (a, den) with
-    a = A^r e_s and den = n^r d_s, and rho has mass d_rho a_rho / den.
-    sn-walk --exact prints each mass from (a, den) as a reduced integer
-    ratio, and walk_distribution makes it a Fraction.
+    """The walk in Python ints on the partitions of n, for any n it holds:
+    their dims (_dims) and level n's down and up edges (_up_edges), which
+    _apply_counts steps on.  K is the Doob transform of A, so the law after
+    r steps is (a, den) with a = A^r e_s and den = n^r d_s, and rho has mass
+    d_rho a_rho / den.  sn-walk --exact prints each mass from (a, den) as a
+    reduced integer ratio, and walk_distribution makes it a Fraction.
 
     law forms a in one Horner pass up the levels (_horner), with no r
     steps.  tvs steps the walk from (n) instead, since a whole curve is
     cheaper by stepping."""
 
     def __init__(self, n: int):
-        self.lat = lat = young_lattice(n)
+        level = _complete_level(n)
+        self.n, self.dims = n, _dims(n)
+        self.below, self.down_off = level.below, level.down_off
+        self.above, self.up_off = _up_edges(level.below, level.down_off)
         self.n_fact = n_fact = math.factorial(n)
-        self.scaled = np.array([d * n_fact for d in lat.dims], dtype=object)
-        self.squares = np.array([d * d for d in lat.dims], dtype=object)
-        a = np.zeros(len(lat.dims), dtype=object)
+        self.scaled = np.array([d * n_fact for d in self.dims], dtype=object)
+        self.squares = np.array([d * d for d in self.dims], dtype=object)
+        a = np.zeros(len(self.dims), dtype=object)
         a[0] = 1  # (n) has id 0 and d = 1
         self._walk = ((a, 1), ())  # the walk from (n) that tvs memoizes
 
@@ -431,14 +441,14 @@ class _ExactEngine:
     def labels(self) -> tuple[str, ...]:
         """Each partition of n as to_string prints it, in lattice-id order:
         built once per engine and kept as long as it."""
-        return tuple(lam.to_string() for lam in enumerate_partitions(self.lat.n))
+        return tuple(lam.to_string() for lam in enumerate_partitions(self.n))
 
     def law(self, r: int, start: Partition | None = None):
         """The law (a, n^r d_s) after r steps from start (default (n)), a the
         Horner pass (_horner) with coefficients S(r, k), in Python ints."""
-        n = self.lat.n
+        n = self.n
         s = 0 if start is None else partition_id(start)
-        return _horner(n, _stirling_row(r, n), s, object), n**r * self.lat.dims[s]
+        return _horner(n, _stirling_row(r, n), s, object), n**r * self.dims[s]
 
     def tv(self, law) -> Fraction:
         """TV = sum of the positive u_rho / (den n!), u = d_rho a_rho n! - d_rho^2
@@ -447,16 +457,16 @@ class _ExactEngine:
         a, den = law
         u = self.scaled * a - self.squares * den
         if u.sum():
-            raise ArithmeticError(f"the law on the partitions of {self.lat.n} does not sum to 1")
+            raise ArithmeticError(f"the law on the partitions of {self.n} does not sum to 1")
         return Fraction(u[u > 0].sum(), den * self.n_fact)
 
     def tvs(self, r: int) -> tuple[Fraction, ...]:
         """The TVs to Plancherel measure after 0..R steps from (n), for some
         R >= r, memoized as _FloatEngine.tvs is, the law (a_R, n^R) stepping
         on through _apply_counts."""
-        n = self.lat.n
+        n = self.n
         self._walk = walk = _walk_to(
-            self._walk, r, lambda law: (_apply_counts(self.lat, law[0]), law[1] * n), self.tv)
+            self._walk, r, lambda law: (_apply_counts(self, law[0]), law[1] * n), self.tv)
         return walk[1]
 
 
@@ -542,8 +552,7 @@ class _FloatLaws:
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
 
     def __init__(self, n: int):
-        n_fact = math.factorial(n)
-        dims = n_fact // _complete_level(n).hooks.astype(object)  # Python ints
+        n_fact, dims = math.factorial(n), np.array(_dims(n), dtype=object)
         self.n, self.dims, self.pi = n, dims.astype(float), (dims * dims / n_fact).astype(float)
 
     def law(self, r: int, start: Partition | None = None) -> np.ndarray:
@@ -561,7 +570,7 @@ class _FloatLaws:
 
 class _FloatEngine(_FloatLaws):
     """_FloatLaws of n that also steps, for whole TV curves, on the cached
-    laws' own dims and pi: w_r steps as w <- A w / n, with no kernel or lattice.
+    laws' own dims and pi: w_r steps as w <- A w / n, with no kernel.
 
     A is applied through two jagged corner tables.  The partitions of n-1
     are sorted by how many lam lie above each, most first, and up[j] lists
@@ -603,9 +612,10 @@ class _FloatEngine(_FloatLaws):
         padded with 0.0, and a skipped pad only ever added +0.0: the laws are
         bit-identical to such padded gathers for every n <= FLOAT_LIMIT.
         Those in turn add as np.add.reduceat does while no segment holds
-        more than 8 entries, so the laws equal _apply_counts(lat, w) / n to
-        the bit for n <= 36; from n = 37 on, reduceat adds a segment of 9
-        in numpy's pairwise blocks and the last digits may differ."""
+        more than 8 entries, so the laws equal _apply_counts's sums over
+        level n's edges, over n, to the bit for n <= 36; from n = 37 on,
+        reduceat adds a segment of 9 in numpy's pairwise blocks and the last
+        digits may differ."""
         w = self._half_step(self._half_step(w, self.up), self.down)[self.ids]
         w /= self.n
         return w
@@ -641,7 +651,7 @@ def _walk_to(walk, r: int, step, tv):
     return state, tvs + tuple(more)
 
 
-# every exact size, each holding its lattice and its memo walk: at n = 18
+# every exact size, each holding its dims, edges and memo walk: at n = 18
 # about 7.6 MB once its memo is walked to the CLI's digit cap, 0.5 MB for
 # all sizes walked to three times their cutoffs (tracemalloc)
 @lru_cache(maxsize=EXACT_KERNEL_LIMIT)

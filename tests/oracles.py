@@ -907,17 +907,31 @@ def reference_walk(n: int, start: Partition, rmax: int) -> list[dict[Partition, 
     return out
 
 
+def lattice(n: int):
+    """Level n of the package's lattice, as the tests read it: n, the dims
+    of _dims(n), the down edges below/down_off of _complete_level(n) and
+    the up edges above/up_off that _up_edges turns from them, the fields
+    _apply_counts reads."""
+    from types import SimpleNamespace
+
+    from repwalk.partitions import _complete_level, _dims, _up_edges
+
+    level = _complete_level(n)
+    above, up_off = _up_edges(level.below, level.down_off)
+    return SimpleNamespace(n=n, dims=_dims(n), below=level.below, down_off=level.down_off,
+                           above=above, up_off=up_off)
+
+
 def exact_reference_walk(n: int, start: Partition):
     """The exact laws (a, den) after 0, 1, 2, ... steps from start, a = A^r e_s
     and den = n^r d_s, stepped by the package's _apply_counts on
-    young_lattice(n): the stepped walk the exact engine's one-pass law
+    lattice(n): the stepped walk the exact engine's one-pass law
     replaced."""
     import numpy as np
 
-    from repwalk.partitions import young_lattice
     from repwalk.snwalk import _apply_counts
 
-    lat = young_lattice(n)
+    lat = lattice(n)
     s = partition_id(start)
     a = np.zeros(len(lat.dims), dtype=object)
     a[s] = 1
@@ -950,9 +964,7 @@ def float_reference_walk(n: int, start: Partition):
     tables, whose addition order fixes the last digits of every law."""
     import numpy as np
 
-    from repwalk.partitions import young_lattice
-
-    lat = young_lattice(n)
+    lat = lattice(n)
     return _float_walk(lat, start, lambda w: np.add.reduceat(
         np.add.reduceat(w[lat.above], lat.up_off[:-1])[lat.below], lat.down_off[:-1]) / n)
 
@@ -983,9 +995,9 @@ def float_law_relerr(n: int, r: int) -> float:
     and x <= s / (1 - gamma_Ks)."""
     import numpy as np
 
-    from repwalk.partitions import _complete_level, young_lattice
+    from repwalk.partitions import _complete_level
 
-    lat = young_lattice(n)
+    lat = lattice(n)
     k_s = r * (int(np.diff(lat.up_off).max()) + int(np.diff(lat.down_off).max()) - 1) + 4
     k_h = 2 + 4
     for j in range(1, n + 1):
@@ -1015,9 +1027,7 @@ def padded_float_step(n: int):
     corner axis, g[0] + g[1:].sum(axis=0), which numpy adds row by row."""
     import numpy as np
 
-    from repwalk.partitions import young_lattice
-
-    lat = young_lattice(n)
+    lat = lattice(n)
 
     def table(targets, off, pad):
         counts = np.diff(off)
@@ -1041,9 +1051,7 @@ def padded_float_step(n: int):
 def padded_reference_walk(n: int, start: Partition):
     """The float laws after 0, 1, 2, ... steps from start, stepped by
     padded_float_step(n)."""
-    from repwalk.partitions import young_lattice
-
-    return _float_walk(young_lattice(n), start, padded_float_step(n))
+    return _float_walk(lattice(n), start, padded_float_step(n))
 
 
 def common_corner_matrix(n: int):
@@ -1051,10 +1059,9 @@ def common_corner_matrix(n: int):
     order: the exact engine's step _apply_counts applied to the identity."""
     import numpy as np
 
-    from repwalk.partitions import young_lattice
     from repwalk.snwalk import _apply_counts
 
-    lat = young_lattice(n)
+    lat = lattice(n)
     return _apply_counts(lat, np.eye(len(lat.dims), dtype=np.int64)).astype(object)
 
 

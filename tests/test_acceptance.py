@@ -29,7 +29,7 @@ from repwalk.glirreps import (
     unipotent_tail_bound,
 )
 from repwalk.hsp import hsp_bounds, induced_character_check, load_catalogue, subgroup_closure
-from repwalk.partitions import Partition, enumerate_partitions, young_lattice
+from repwalk.partitions import Partition, _dims, enumerate_partitions
 from repwalk.series import euler_lhs_rhs, q_pochhammer
 from repwalk.snwalk import (
     kernel_downup,
@@ -61,7 +61,7 @@ def test_criterion_01_kernel_equivalence():
             lhs, rhs = pieri_sides(n)
             assert (lhs == rhs).all(), n
         for n in range(2, 9):
-            dims, a, parts = young_lattice(n).dims, common_corner_matrix(n), enumerate_partitions(n)
+            dims, a, parts = _dims(n), common_corner_matrix(n), enumerate_partitions(n)
             assert kernel_downup(n).rows == {
                 lam: {rho: Fraction(a[i, j] * d, n * dims[i])
                       for j, (rho, d) in enumerate(zip(parts, dims)) if a[i, j]}

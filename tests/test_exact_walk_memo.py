@@ -198,7 +198,7 @@ def test_exact_caches_hold_a_bounded_footprint():
     # what the cache holds then, measured from a cleared cache (0.52 MB,
     # 0.98 MB while each engine kept its skew-tableau matrix)
     snwalk._exact_engine.cache_clear()
-    snwalk.young_lattice(snwalk.EXACT_KERNEL_LIMIT)  # the cached levels, outside the bound
+    snwalk._complete_level(snwalk.EXACT_KERNEL_LIMIT)  # the cached levels, outside the bound
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

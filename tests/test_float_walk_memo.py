@@ -91,11 +91,26 @@ def test_a_cached_engine_keeps_its_walk(capsys, steps):
     assert steps == [24] * r
 
 
-def test_one_r_float_laws_step_no_walk(capsys, steps):
+def _turned(monkeypatch):
+    """The sizes p(n) of the levels whose down edges _up_edges turns
+    around from here on: the up edges a stepping or exact engine holds."""
+    calls = []
+    up_edges = snwalk._up_edges
+
+    def counted(below, down_off):
+        calls.append(len(down_off) - 1)
+        return up_edges(below, down_off)
+
+    monkeypatch.setattr(snwalk, "_up_edges", counted)
+    return calls
+
+
+def test_one_r_float_laws_step_no_walk(capsys, steps, monkeypatch):
     # the float sn-cutoff, sn-walk --float and walk_distribution read one
-    # Horner law each: no step, and the stepping engine and lattice caches
-    # stay empty
-    snwalk.young_lattice.cache_clear()
+    # Horner law each: no step, the stepping and exact engine caches stay
+    # empty, and no up edges are turned
+    snwalk._exact_engine.cache_clear()
+    turned = _turned(monkeypatch)
     for n in (19, 30, 40):
         _cutoff(capsys, n, -0.5)
         _cutoff(capsys, n, 0.5)
@@ -106,20 +121,24 @@ def test_one_r_float_laws_step_no_walk(capsys, steps):
     snwalk.tv_to_plancherel(snwalk.walk_distribution(24, 30, mode="float"))
     assert steps == []
     assert snwalk._float_engine.cache_info().currsize == 0
-    assert snwalk.young_lattice.cache_info().currsize == 0
+    assert snwalk._exact_engine.cache_info().currsize == 0 and turned == []
 
 
-def test_float_commands_build_no_lattice(capsys):
+def test_float_commands_build_no_lattice(capsys, monkeypatch):
     # from cleared caches, the float sn-cutoff reads the float laws and
     # sn-tv-curve --float a stepping engine built on the same cached level
-    # and laws: neither asks for a lattice
+    # and laws: neither builds an exact engine, and only the stepping
+    # engine turns level n's edges around, once
     _clear()
     snwalk._float_laws.cache_clear()
     snwalk._complete_level.cache_clear()
-    snwalk.young_lattice.cache_clear()
+    snwalk._exact_engine.cache_clear()
+    turned = _turned(monkeypatch)
     _cutoff(capsys, 24, 0.5)
+    assert turned == []
     _tv_curve(capsys, 24, _cutoff_r(24, 0.5))
-    assert snwalk.young_lattice.cache_info().currsize == 0
+    assert turned == [snwalk.partition_count(24)]
+    assert snwalk._exact_engine.cache_info().currsize == 0
     _clear()
 
 

@@ -167,10 +167,19 @@ def test_exact_walks_stay_within_the_cached_levels():
     # _complete_level caches up to LEVEL_LIMIT; a walk limit past it would
     # make every law past it rebuild and evict the levels it reads
     assert max(snwalk.EXACT_KERNEL_LIMIT, snwalk.FLOAT_LIMIT) <= partitions.LEVEL_LIMIT
-    # the levels every larger lattice reads keep all their conjugate columns
-    assert 2 * partitions.SMALL_SIZE <= partitions.LEVEL_LIMIT
     assert partitions._complete_level.cache_info().maxsize == partitions.LEVEL_LIMIT + 1
     assert snwalk._float_laws.cache_info().maxsize >= snwalk.FLOAT_LIMIT - 1
+
+
+def test_plancherel_measure_stays_within_the_cached_levels():
+    # plancherel_sn reads level n's hook products: a size past LEVEL_LIMIT
+    # is refused, and n < 0 named, before any level is built
+    partitions._complete_level.cache_clear()
+    with pytest.raises(CapacityError):
+        snwalk.plancherel_sn(partitions.LEVEL_LIMIT + 1)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        snwalk.plancherel_sn(-1)
+    assert partitions._complete_level.cache_info().currsize == 0
 
 
 def test_series_order_cap(monkeypatch):

@@ -9,18 +9,20 @@ from hypothesis import given, settings, strategies as st
 from repwalk.partitions import (
     EMPTY,
     Partition,
+    _complete_level,
+    _dims,
     dimension_sn,
     enumerate_partitions,
     partition_count,
     partition_id,
-    young_lattice,
 )
 
 import repwalk.partitions as partitions_module
 from repwalk.errors import CapacityError
-from repwalk.snwalk import FLOAT_LIMIT
+from repwalk.snwalk import EXACT_KERNEL_LIMIT, FLOAT_LIMIT, _ExactEngine
 
-from oracles import _gen_partitions, count_standard_tableaux, log_dimension_sn, young_lattice_reference
+from oracles import (_gen_partitions, count_standard_tableaux, lattice, log_dimension_sn,
+                     young_lattice_reference)
 
 
 @st.composite
@@ -170,11 +172,11 @@ def test_young_lattice_matches_partition_corners():
     # ids and dimensions, and the edges against the Partition methods: each
     # id in below names one partition of n - 1, one to one, and each edge
     # list is the corner list in the same order
-    lat = young_lattice(0)
+    lat = lattice(0)
     assert lat.dims == (1,) and list(lat.down_off) == [0, 0] and list(lat.up_off) == [0]
     assert len(lat.below) == len(lat.above) == 0
     for n in range(1, 19):
-        lat, parts = young_lattice(n), enumerate_partitions(n)
+        lat, parts = lattice(n), enumerate_partitions(n)
         assert [partition_id(lam) for lam in parts] == list(range(len(parts)))
         assert lat.dims == tuple(dimension_sn(lam) for lam in parts)
         assert len(lat.down_off) == len(parts) + 1 and lat.down_off[-1] == len(lat.below)
@@ -227,9 +229,12 @@ def common_corner_rows(lat):
 @pytest.mark.parametrize("n", [*range(31), 36, 40])
 def test_young_lattice_matches_reference_build(n):
     # ids and dimensions equal to the tuple-dict build's, and its
-    # common-corner rows, entry for entry, expanded from the edges
-    lat = young_lattice(n)
+    # common-corner rows, entry for entry, expanded from the edges of the
+    # complete level, which is grown from the conjugate columns the
+    # complete levels below it keep
+    lat = lattice(n)
     n_ref, parts, index, dims, off, dst, cnt = young_lattice_reference(n)
+    assert _complete_level(n).rows == len(dims)
     assert (lat.n, enumerate_partitions(n), lat.dims) == (n_ref, parts, dims)
     assert all(partition_id(lam) == i for lam, i in index.items())
     assert common_corner_rows(lat) == (list(off), list(dst), list(cnt))
@@ -239,7 +244,7 @@ def test_young_lattice_matches_reference_build(n):
 def test_young_lattice_builds_every_float_size():
     # A d = n d, since the down-up kernel's rows sum to 1
     for n in range(FLOAT_LIMIT + 1):
-        lat = young_lattice(n)
+        lat = lattice(n)
         assert len(lat.dims) == partition_count(n)
         assert sum(d * d for d in lat.dims) == math.factorial(n)
         assert len(lat.down_off) == len(lat.dims) + 1 and lat.down_off[-1] == len(lat.below)
@@ -253,8 +258,8 @@ def test_young_lattice_builds_every_float_size():
 @pytest.mark.parametrize("n", [*range(31), 36, 40])
 def test_lattice_edges_name_the_removable_corners(n):
     # below lists each lam's corners, bottom corner first, by their ids in
-    # young_lattice(n - 1): every lam up to n = 30, every 7th at 36 and 40
-    lat, parts = young_lattice(n), enumerate_partitions(n)
+    # level n - 1: every lam up to n = 30, every 7th at 36 and 40
+    lat, parts = lattice(n), enumerate_partitions(n)
     for i in range(0, len(parts), 1 if n <= 30 else 7):
         ids = lat.below[lat.down_off[i]:lat.down_off[i + 1]].tolist()
         assert ids == [partition_id(mu) for mu in parts[i].removable_corners()], (n, i)
@@ -263,7 +268,7 @@ def test_lattice_edges_name_the_removable_corners(n):
 @pytest.mark.parametrize("n", [1, 2, 9, 20, 21, 36])
 def test_lattice_above_lists_each_mu_in_id_order(n):
     # the lam over each mu are the lam whose edges name mu, in id order
-    lat = young_lattice(n)
+    lat = lattice(n)
     over = [[] for _ in range(partition_count(n - 1))]
     for i in range(len(lat.dims)):
         for m in lat.below[lat.down_off[i]:lat.down_off[i + 1]].tolist():
@@ -272,62 +277,47 @@ def test_lattice_above_lists_each_mu_in_id_order(n):
 
 
 def test_small_levels_are_built_on_demand():
-    # a lattice of 6 from cleared caches builds the levels 0..6 and no more;
-    # one past SMALL_SIZE reads the cached levels up to it and keeps the
-    # levels above it, which hold only what its own size reads, for itself
-    young_lattice.cache_clear()
-    partitions_module._complete_level.cache_clear()
-    young_lattice(6)
-    assert partitions_module._complete_level.cache_info().currsize == 7
-    young_lattice(30)
-    cached = partitions_module._complete_level.cache_info().currsize
-    assert cached == partitions_module.SMALL_SIZE + 1
-    young_lattice.cache_clear()
-
-
-def test_complete_levels_match_the_lattice():
-    # every complete cached level, each grown from the conjugate columns
-    # the complete levels below it keep, has the lattice's edges and its
-    # hook products give the lattice's dimensions
-    for n in range(partitions_module.LEVEL_LIMIT + 1):
-        level, lat = partitions_module._complete_level(n), young_lattice(n)
-        assert level.rows == len(lat.dims)
-        assert np.array_equal(level.below, lat.below) and np.array_equal(level.down_off, lat.down_off)
-        assert (math.factorial(n) // level.hooks).tolist() == list(lat.dims), n
+    # the dimensions of 6 from cleared caches build the levels 0..6 and no
+    # more
+    _complete_level.cache_clear()
+    _dims(6)
+    assert _complete_level.cache_info().currsize == 7
 
 
 def test_levels_keep_read_only_int64_edges():
     # every complete level keeps its edges read-only in int64, the index
-    # type numpy gathers with, and a lattice up to SMALL_SIZE holds the
-    # same arrays, with no copy (level 0's edges are empty, which
-    # np.shares_memory reports as sharing nothing)
-    young_lattice.cache_clear()
+    # type numpy gathers with, and an exact engine holds the same arrays,
+    # with no copy (level 0's edges are empty, which np.shares_memory
+    # reports as sharing nothing)
     for n in range(partitions_module.LEVEL_LIMIT + 1):
-        level = partitions_module._complete_level(n)
+        level = _complete_level(n)
         for a in (level.below, level.down_off):
             assert a.dtype == np.int64 and not a.flags.writeable, n
-        if n <= partitions_module.SMALL_SIZE:
-            lat = young_lattice(n)
-            assert lat.below is level.below and lat.down_off is level.down_off, n
-    young_lattice.cache_clear()
+        if 2 <= n <= EXACT_KERNEL_LIMIT:
+            eng = _ExactEngine(n)
+            assert eng.below is level.below and eng.down_off is level.down_off, n
 
 
-def test_young_lattice_memory_is_bounded():
-    # a cold build at n = 36 keeps 2.3 MB (the edge arrays and the
-    # dimensions) and peaks at 4.4 MB, 4.6 MB if the cached levels up to
-    # SMALL_SIZE are built too (2.5 MB kept): with them the hook products
-    # and int64 edges of the levels below n and the first-row edge
-    # temporaries of level n.  No partition tuple is formed, so the
-    # enumeration cache stays empty; the bound leaves about 1.4 MB
-    young_lattice.cache_clear()
-    enumerate_partitions.cache_clear()
+def test_complete_levels_memory_is_bounded():
+    # a cold build of the levels 0..36 holds 9.4 MB (the LEVEL_LIMIT
+    # comment's figure), most of it the hook products, Python ints past
+    # j = 20, and the int64 edges; the bound leaves about 1.6 MB
+    _complete_level.cache_clear()
     tracemalloc.start()
     try:
-        young_lattice(36)
-        peak = tracemalloc.get_traced_memory()[1]
+        _complete_level(36)
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.0 * 10**6
+    assert held <= 11.0 * 10**6
+
+
+def test_dims_form_no_partition():
+    # the dimensions are read off the hook products: from cleared caches no
+    # partition tuple is formed, so the enumeration cache stays empty
+    _complete_level.cache_clear()
+    enumerate_partitions.cache_clear()
+    assert len(_dims(36)) == partition_count(36)
     assert enumerate_partitions.cache_info().currsize == 0
 
 
@@ -343,7 +333,6 @@ def test_enumeration_is_the_reference_order():
 
 def test_enumeration_builds_no_lattice_level():
     # enumerating grows its own tuples: no lattice level is built or cached
-    young_lattice.cache_clear()
     partitions_module._complete_level.cache_clear()
     enumerate_partitions.cache_clear()
     for m in range(21):
@@ -385,16 +374,17 @@ def test_enumeration_refuses_sizes_past_the_lattice_cap():
 
 @pytest.mark.parametrize("field", ["below", "down_off", "above", "up_off"])
 def test_young_lattice_arrays_are_read_only(field):
-    # the cache hands the same arrays to every caller
+    # the cache hands the same down edges to every caller, and the up edges
+    # turned from them are read-only as they are
     for n in (0, 1, 7, 25):
-        a = getattr(young_lattice(n), field)
+        a = getattr(lattice(n), field)
         before = a.tolist()
         assert a.dtype == np.int64 and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[:1] = 7
         with pytest.raises(ValueError, match="read-only"):
             a += 1
-        assert getattr(young_lattice(n), field).tolist() == before
+        assert getattr(lattice(n), field).tolist() == before
 
 
 def test_partition_id_is_the_enumeration_position():

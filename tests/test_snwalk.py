@@ -12,10 +12,10 @@ from repwalk.errors import CapacityError
 from repwalk.partitions import (
     Partition,
     _complete_level,
+    _dims,
     dimension_sn,
     enumerate_partitions,
     partition_id,
-    young_lattice,
 )
 from repwalk.snwalk import (
     FLOAT_LIMIT,
@@ -52,6 +52,7 @@ from oracles import (
     float_law_relerr,
     float_reference_walk,
     gamma,
+    lattice,
     padded_float_step,
     padded_reference_walk,
     pieri_sides,
@@ -136,7 +137,7 @@ def test_tensor_multiplicity_is_its_kernel_row_entry():
     # every pair at n <= 8: n d_lam K(lam, rho) / d_rho is the character
     # inner product (1/n!) sum_C |C| fp(C) chi^lam(C) chi^rho(C)
     for n in range(2, 9):
-        table, lat, parts = character_table(n), young_lattice(n), enumerate_partitions(n)
+        table, lat, parts = character_table(n), lattice(n), enumerate_partitions(n)
         rows = kernel_downup(n).rows
         for li, lam in enumerate(parts):
             for ri, rho in enumerate(parts):
@@ -164,7 +165,7 @@ def test_spectrum_eigenvalues():
     # eigenfunction g(rho) = chi^rho(C)/d_rho is constant 1
     ones = [j for j, c in enumerate(table.classes) if c.fixed_points == 3]
     assert len(ones) == 1
-    assert all(row[ones[0]] == d for row, d in zip(table.values, young_lattice(3).dims))
+    assert all(row[ones[0]] == d for row, d in zip(table.values, _dims(3)))
 
 
 def test_no_eigenvalue_at_n_minus_1_over_n():
@@ -461,7 +462,7 @@ def test_exact_tv_curve_equals_tv_over_reference_walk():
         eng = _float_engine(n)
         curve = sn_tv_curve(n, rmax, "float")
         assert [r for r, _, _ in curve] == list(range(1, rmax + 1))
-        laws = _float_walk(young_lattice(n), Partition((n,)), eng.step)
+        laws = _float_walk(lattice(n), Partition((n,)), eng.step)
         for (r, tv, bound), law in zip(curve, islice(laws, 1, None)):
             assert tv == eng.tv(law)
             assert bound == sn_upper_bound(n, r)
@@ -473,7 +474,7 @@ def test_float_masses_within_error_bound_of_exact_law():
     for n in range(2, 19):
         starts = enumerate_partitions(n) if n <= 10 else [Partition((n,))]
         rmax = 3 * cutoff_steps(n)
-        lat = young_lattice(n)
+        lat = lattice(n)
         for start in starts:
             for r, (a, den) in zip(range(rmax + 1), exact_reference_walk(n, start)):
                 assert den == n**r * lat.dims[partition_id(start)]
@@ -502,7 +503,7 @@ def test_float_step_matches_segment_sums():
     # error bound of two sums of at most 9 non-negative terms
     rng = np.random.default_rng(18)
     for n in range(2, 41):
-        eng, lat = _FloatEngine(n), young_lattice(n)
+        eng, lat = _FloatEngine(n), lattice(n)
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
                 w = _mixed_vector(rng, len(lat.dims), low, high)
@@ -523,7 +524,7 @@ def test_float_step_matches_padded_tables():
         eng, padded = _FloatEngine(n), padded_float_step(n)
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
-                w = _mixed_vector(rng, len(young_lattice(n).dims), low, high)
+                w = _mixed_vector(rng, len(_dims(n)), low, high)
                 assert np.array_equal(eng.step(w), padded(w)), n
 
 
@@ -531,7 +532,7 @@ def test_float_laws_match_padded_tables():
     # the laws from the first, a middle and the last partition id, to twice
     # the cutoff, equal the padded walk's to the bit
     for n in range(2, 41):
-        eng, lat = _FloatEngine(n), young_lattice(n)
+        eng, lat = _FloatEngine(n), lattice(n)
         parts = enumerate_partitions(n)
         for start in (parts[0], parts[len(parts) // 2], parts[-1]):
             walks = zip(range(2 * cutoff_steps(n) + 1), _float_walk(lat, start, eng.step),
@@ -544,7 +545,7 @@ def test_float_tables_store_each_edge_once():
     # the rows hold exactly the lattice's edges, no pad, and shrink down
     # each table, so row j is a prefix of row j - 1's columns
     for n in range(2, 41):
-        eng, lat = _FloatEngine(n), young_lattice(n)
+        eng, lat = _FloatEngine(n), lattice(n)
         for rows, edges in ((eng.up, lat.above), (eng.down, lat.below)):
             lengths = [len(row) for row in rows]
             assert sum(lengths) == len(edges), n
@@ -558,7 +559,7 @@ def test_float_laws_match_reference_walk():
     for n in (19, 27, 36):
         eng, rmax = _FloatEngine(n), 2 * cutoff_steps(n)
         for start in (Partition((n,)), enumerate_partitions(n)[-1]):
-            laws = _float_walk(young_lattice(n), start, eng.step)
+            laws = _float_walk(lattice(n), start, eng.step)
             for r, law, ref in zip(range(rmax + 1), laws, float_reference_walk(n, start)):
                 assert np.array_equal(law, ref), (n, r)
 
@@ -576,7 +577,7 @@ def test_one_r_float_law_matches_the_stepped_law(n):
     rs = {math.ceil(cutoff - n / 2), math.ceil(cutoff + n / 2), 2 * cutoff_steps(n)}
     relerr = {r: float_law_relerr(n, r) for r in rs}
     for s in (0, 1, len(parts) // 2, len(parts) - 1):
-        walk = _float_walk(young_lattice(n), parts[s], eng.step)
+        walk = _float_walk(lattice(n), parts[s], eng.step)
         for r, stepped in zip(range(max(rs) + 1), walk):
             if r in rs:
                 got = laws.law(r, parts[s])
@@ -590,7 +591,7 @@ def test_down_pass_counts_past_int64(n):
     # pass runs in the law's own arithmetic, exact in Python ints and within
     # gamma of its sum lengths in doubles, where an int64 pass wrapped
     levels = [_complete_level(j) for j in range(n + 1)]
-    dims = young_lattice(n).dims
+    dims = _dims(n)
     k = sum(int(np.bincount(level.below).max()) - 1 for level in levels[1:])
     for s in (len(dims) // 2, dims.index(max(dims))):
         assert _skew_counts(levels, s, object)[0][1][0] == dims[s]
@@ -603,7 +604,7 @@ def test_float_engine_reads_the_float_laws():
     # a stepping engine holds its size's float laws' own dims and pi, and
     # pi is d * d / n! over the lattice's dimensions, each rounded once
     for n in range(2, FLOAT_LIMIT + 1):
-        laws, dims, n_fact = _float_laws(n), young_lattice(n).dims, math.factorial(n)
+        laws, dims, n_fact = _float_laws(n), _dims(n), math.factorial(n)
         eng = _float_engine(n)
         assert eng.pi is laws.pi and eng.dims is laws.dims, n
         assert laws.pi.tolist() == [d * d / n_fact for d in dims], n
