@@ -1,18 +1,18 @@
 """Integer partitions, hooks, corners, and symmetric-group dimensions.
 
 A partition is a weakly decreasing tuple of positive integers; it indexes
-irreducible representations of S_n, conjugacy classes of S_n, and the
+irreducible representations of S_n, cycle types in S_n, and the
 components of GL(n,q) irreducible families.  The canonical text encoding
 joins parts with "+" ("3+2+1"); the empty partition encodes as "-".
 The partitions of n are generated by counting, in reverse-lexicographic
 order, each from a partition of a smaller size with one first row added.
 enumerate_partitions runs that recursion on plain tuples; the cached
-levels of Young's lattice (_complete_level) run it on their own fields
-alone, the conjugates (int8, so n stops at 127), hook products and down
-edges (int64, numpy's index type), in numpy, numbering the partitions in
+levels of Young's lattice (_complete_level) run it on their down edges
+alone (int64, numpy's index type), in numpy, numbering the partitions in
 read-only arrays with no tuple, recording which partitions of n-1 lie
-below each, by partition_id.  _dims reads a level's dimensions off its
-hook products, and _up_edges turns its down edges around.
+below each, by partition_id, and summing the dimensions up those edges by
+the branching rule.  _dims reads a level's dimensions, and _up_edges turns
+its down edges around.  Sizes past 127 (_MAX_PART) are refused.
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ class Partition(tuple):
 EMPTY = Partition(())
 
 
-# the lattice stores conjugates, column lengths up to n, as int8
+# the largest size ranked or enumerated: _bounded_counts recurses once per
+# size below n and its cache holds every size up to this one, and no
+# enumeration is feasible that far, as p(127) is about 3.9e9
 _MAX_PART = 127
 
 
@@ -152,43 +154,31 @@ def partition_id(lam) -> int:
 
 
 class _Level(NamedTuple):
-    """Level j of the lattice's partition recursion: the rows = p(j)
-    partitions of j in reverse-lexicographic order, held by their lattice
-    fields alone.
+    """Level j of the lattice's partition recursion: the p(j) partitions of
+    j in reverse-lexicographic order, held by their lattice fields alone.
 
-    conj holds the first columns of their conjugates, as many as a later
-    level reads, by rows in int8, so conj[c, i] is the length of column c
-    of row i and a column's lengths are contiguous; hooks their hook
-    products, int64 while j! < 2^63, a hook product being at most j! (up to
-    j = 20, as 20! < 2^63 <= 21!), and Python ints past it;
-    below[down_off[i]:down_off[i+1]] (int64) the ids of the partitions of
-    j-1 under row i, bottom corner first."""
+    dims holds their dimensions; below[down_off[i]:down_off[i+1]] (int64)
+    the ids of the partitions of j-1 under row i, bottom corner first."""
 
-    rows: int
-    conj: np.ndarray
-    hooks: np.ndarray
+    dims: np.ndarray
     below: np.ndarray
     down_off: np.ndarray
 
 
-def _grow(j: int, stack: list[_Level], cols: int) -> _Level:
+def _grow(j: int, stack: list[_Level]) -> _Level:
     """Level j from the levels stack[j-f] below it.
 
     For first parts f from j down to 1 it lists f over nu, for nu the last
     N(j-f, f) rows of level j-f, the partitions of j-f with no part above f.
-    Each row carries down:
-      - its conjugate, nu' plus one in the first f columns;
-      - its hook product, H(nu) prod_{c<f} (f - c + nu'_c), the first row's
-        hooks (Frame, Robinson and Thrall, 1954);
-      - its down edges: nu's own, as ids of (f, mu) in level j-1, which are
-        nu's ids less the p(j-f-1) - N(j-f-1, f) partitions of j-f-1 that
-        have a part above f, plus the p(j-1) - N(j-1, f) partitions of j-1
-        with a first part above f; then the first-row edge (f-1, nu), which
-        only the last N(j-f, f-1) rows have, and whose ids run on from
-        p(j-1) - N(j-1, f-1).
-    It keeps the first cols columns of the conjugates: a level j + f reads
-    min(f, j) of them.  The edges are int64, the index type numpy gathers
-    with."""
+    A row's down edges are nu's own, as ids of (f, mu) in level j-1, which
+    are nu's ids less the p(j-f-1) - N(j-f-1, f) partitions of j-f-1 that
+    have a part above f, plus the p(j-1) - N(j-1, f) partitions of j-1
+    with a first part above f; then the first-row edge (f-1, nu), which
+    only the last N(j-f, f-1) rows have, and whose ids run on from
+    p(j-1) - N(j-1, f-1).  The edges are int64, the index type numpy
+    gathers with.  The dimensions are level j-1's summed over them, by the
+    branching rule d(lam) = sum of d(mu) over the mu under lam (Stanley,
+    Differential posets, JAMS 1, 1988)."""
     counts = _bounded_counts
     rows = counts(j)[j]
     plan, edges = [], 0
@@ -196,38 +186,16 @@ def _grow(j: int, stack: list[_Level], cols: int) -> _Level:
         src = stack[j - f]
         k = counts(j - f)[min(f, j - f)]
         m = counts(j - f)[min(f - 1, j - f)]
-        s0 = src.rows - k
+        s0 = len(src.dims) - k
         plan.append((f, src, s0, k, m))
         edges += int(src.down_off[-1] - src.down_off[s0]) + m
     prev = counts(j - 1)
     below = np.empty(edges, np.int64)
     own = np.empty(edges - sum(m for *_, m in plan), np.int64)  # nu's edges, shifted
     down_off = np.zeros(rows + 1, np.int64)
-    hooks = np.ones(rows, np.int64 if math.factorial(j) < 1 << 63 else object)  # H(()) = 1
-    conj = np.zeros((cols, rows), np.int8)
-    per = 1  # each hook factor is at most j: per of them fit in int64
-    while per < j and j ** (per + 1) < 1 << 63:
-        per += 1
-    down = np.arange(j, 0, -1)[:, None]  # f - c is down[j - f + c]
     r = e = 0
     firsts = []  # per block: its first row with a first-row edge, that edge's id, m
     for f, src, s0, k, m in plan:
-        w = min(f, j - f)  # nu'_c = 0 from column w on
-        nu = src.conj[:w, s0:]
-        conj[:f, r:r + k] = 1
-        conj[:w, r:r + k] += nu[:cols]
-        fac = nu + down[j - f:j - f + w]
-        # the f first-row hooks sum to S, so by AM-GM their product is
-        # at most (S / f)^f: below 2^63 it is one int64 run
-        if (f * (f + 1) // 2 + j - f) ** f < f ** f << 63:
-            runs = [fac.prod(axis=0) * math.factorial(f - w)]
-        else:
-            runs = [fac[c:c + per].prod(axis=0) for c in range(0, w, per)]
-            runs += [math.factorial(f - w)] if f > w else []
-        h = hooks[r:r + k]
-        np.multiply(src.hooks[s0:], runs[0], out=h, dtype=hooks.dtype)
-        for run in runs[1:]:
-            h *= run
         a = int(src.down_off[s0])
         np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1])
         shift = 0
@@ -251,39 +219,43 @@ def _grow(j: int, stack: list[_Level], cols: int) -> _Level:
     keep[at] = False
     below[keep] = own
     below[at] = rank + np.repeat(first_id, m)
-    return _Level(rows, conj, hooks, below, down_off)
+    if not j:
+        return _Level(np.ones(1, np.int64), below, down_off)  # d(()) = 1
+    # the d^2 sum to j!, so while j! < 2^126 every d, and every partial sum
+    # of a segment, is below 2^63: int64 up to j = 33, Python ints past it
+    dtype = np.int64 if math.factorial(j) < 1 << 126 else object
+    dims = np.add.reduceat(stack[-1].dims[below].astype(dtype, copy=False), down_off[:-1])
+    return _Level(dims, below, down_off)
 
 
 # the largest level kept complete, each built when first asked for: every
 # size a walk law reads in one pass over the levels 0..n (snwalk's
 # EXACT_KERNEL_LIMIT and FLOAT_LIMIT), and so the largest n whose
 # dimensions _dims, plancherel_sn and the character tables' check read.
-# The levels 0..36 hold 9.4 MB and the levels 0..40 20.4 MB (tracemalloc),
-# most of it the hook products, Python ints past j = 20, and the int64 edges
+# The levels 0..36 hold 6.6 MB and the levels 0..40 17.3 MB (tracemalloc),
+# most of it the int64 edges, and the dimensions, Python ints past j = 33
 LEVEL_LIMIT = 40
 
 
 @lru_cache(maxsize=LEVEL_LIMIT + 1)
 def _complete_level(j: int) -> _Level:
-    """The partitions of j, complete, with their hook products, down edges
-    and the conjugate columns a complete level up to LEVEL_LIMIT reads,
+    """The partitions of j, complete, with their dimensions and down edges,
     built from the complete levels below it.  A size below 0 or past
     LEVEL_LIMIT is refused before any level is built."""
     if j < 0:
         raise ValueError("n must be non-negative")
     if j > LEVEL_LIMIT:
         raise CapacityError("Young lattice level", j, LEVEL_LIMIT)
-    level = _grow(j, [_complete_level(i) for i in range(j)], min(j, LEVEL_LIMIT - j))
-    for a in level[1:]:
+    level = _grow(j, [_complete_level(i) for i in range(j)])
+    for a in level:
         a.flags.writeable = False  # shared by every later call
     return level
 
 
 def _dims(n: int) -> tuple[int, ...]:
-    """The dimensions d = n! // H of the partitions of n in id order, from
-    level n's hook products H, as Python ints; each call divides afresh."""
-    hooks = _complete_level(n).hooks
-    return tuple((math.factorial(n) // hooks).tolist())
+    """The dimensions of the partitions of n in id order, level n's, as
+    Python ints."""
+    return tuple(_complete_level(n).dims.tolist())
 
 
 @lru_cache(maxsize=SIZE_CACHE_SIZE)

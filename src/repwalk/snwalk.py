@@ -10,9 +10,9 @@ of _engine, _ExactEngine (ints over one denominator) or _FloatLaws
 (doubles), with law(r, start), the law after r steps, and tv(law), the TV
 to Plancherel measure.  Every reader takes the lattice from the complete
 levels that partitions._complete_level caches: their down edges, the up
-edges _up_edges turns from them and the dimensions _dims reads off their
-hook products.  Both form a law in one Horner pass up those levels, by
-normal ordering (_horner), with no step.  A whole TV curve steps instead
+edges _up_edges turns from them and the dimensions _dims reads from them.
+Both form a law in one Horner pass up those levels, by normal ordering
+(_horner), with no step.  A whole TV curve steps instead
 (tvs): the exact engine steps A with _apply_counts, two segment sums
 through the partitions of n-1 on level n's edges, and _FloatEngine, the
 float laws of n with two jagged corner tables built from the same edges,
@@ -508,11 +508,11 @@ def _skew_counts(levels, s: int, dtype) -> list:
     integer holds it."""
     if s == 0:
         return [(0, 1)] * len(levels)
-    x = np.zeros(levels[-1].rows, dtype)
+    x = np.zeros(len(levels[-1].dims), dtype)
     x[s] = 1
     out = [x]
     for level, lower in zip(levels[:0:-1], levels[-2::-1]):
-        x = np.zeros(lower.rows, dtype)
+        x = np.zeros(len(lower.dims), dtype)
         np.add.at(x, level.below, np.repeat(out[-1], np.diff(level.down_off)))
         out.append(x)
     return [(slice(None), x) for x in reversed(out)]
@@ -543,8 +543,8 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 
 
 class _FloatLaws:
-    """The walk in doubles at one r: dims d = n!/H and pi d^2/n! over level
-    n's hook products H, each rounded once, law(r, start) and tv(law).
+    """The walk in doubles at one r: dims d and pi d^2/n! from level n's
+    dimensions (_dims), each rounded once, law(r, start) and tv(law).
     K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which law forms
     in one Horner pass (_horner) with coefficients S(r, k) / n^r, each
     rounded once; every term is nonnegative, so each mass carries a

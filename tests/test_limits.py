@@ -172,7 +172,7 @@ def test_exact_walks_stay_within_the_cached_levels():
 
 
 def test_plancherel_measure_stays_within_the_cached_levels():
-    # plancherel_sn reads level n's hook products: a size past LEVEL_LIMIT
+    # plancherel_sn reads level n's dimensions: a size past LEVEL_LIMIT
     # is refused, and n < 0 named, before any level is built
     partitions._complete_level.cache_clear()
     with pytest.raises(CapacityError):

@@ -226,15 +226,16 @@ def common_corner_rows(lat):
     return off, dst, cnt
 
 
-@pytest.mark.parametrize("n", [*range(31), 36, 40])
+@pytest.mark.parametrize("n", [*range(31), 33, 34, 36, 40])
 def test_young_lattice_matches_reference_build(n):
     # ids and dimensions equal to the tuple-dict build's, and its
     # common-corner rows, entry for entry, expanded from the edges of the
-    # complete level, which is grown from the conjugate columns the
-    # complete levels below it keep
+    # complete level, whose dimensions are summed up the edges of the
+    # complete levels below it; 33 and 34 are the last int64 level and the
+    # first of Python ints
     lat = lattice(n)
     n_ref, parts, index, dims, off, dst, cnt = young_lattice_reference(n)
-    assert _complete_level(n).rows == len(dims)
+    assert len(_complete_level(n).dims) == len(dims)
     assert (lat.n, enumerate_partitions(n), lat.dims) == (n_ref, parts, dims)
     assert all(partition_id(lam) == i for lam, i in index.items())
     assert common_corner_rows(lat) == (list(off), list(dst), list(cnt))
@@ -288,20 +289,23 @@ def test_levels_keep_read_only_int64_edges():
     # every complete level keeps its edges read-only in int64, the index
     # type numpy gathers with, and an exact engine holds the same arrays,
     # with no copy (level 0's edges are empty, which np.shares_memory
-    # reports as sharing nothing)
+    # reports as sharing nothing); its dimensions are read-only too, and
+    # int64 exactly while n! < 2^126, so that each d^2 <= n! is
     for n in range(partitions_module.LEVEL_LIMIT + 1):
         level = _complete_level(n)
         for a in (level.below, level.down_off):
             assert a.dtype == np.int64 and not a.flags.writeable, n
+        assert not level.dims.flags.writeable, n
+        assert (level.dims.dtype == np.int64) == (math.factorial(n) < 2**126), n
         if 2 <= n <= EXACT_KERNEL_LIMIT:
             eng = _ExactEngine(n)
             assert eng.below is level.below and eng.down_off is level.down_off, n
 
 
 def test_complete_levels_memory_is_bounded():
-    # a cold build of the levels 0..36 holds 9.4 MB (the LEVEL_LIMIT
-    # comment's figure), most of it the hook products, Python ints past
-    # j = 20, and the int64 edges; the bound leaves about 1.6 MB
+    # a cold build of the levels 0..36 holds 6.6 MB (the LEVEL_LIMIT
+    # comment's figure), most of it the int64 edges, and the dimensions,
+    # Python ints past j = 33; the bound leaves about 1.4 MB
     _complete_level.cache_clear()
     tracemalloc.start()
     try:
@@ -309,11 +313,11 @@ def test_complete_levels_memory_is_bounded():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 11.0 * 10**6
+    assert held <= 8.0 * 10**6
 
 
 def test_dims_form_no_partition():
-    # the dimensions are read off the hook products: from cleared caches no
+    # the dimensions are summed up the levels' edges: from cleared caches no
     # partition tuple is formed, so the enumeration cache stays empty
     _complete_level.cache_clear()
     enumerate_partitions.cache_clear()
