@@ -392,7 +392,8 @@ def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
     """The law of an occupied label's partition, S(u^d, q^d) given lam nonempty:
     Z/(1-Z) times the cumulative weight, over the partitions of 1 .. sizes_cap
     in enumerate_partitions order, weighed only for the entries a reader
-    reaches.  Entries are (lam, lo, hi), the endpoints of
+    reaches.  Entries are ((lam, m), lo, hi), m = |lam| kept beside lam so a
+    draw adds its size with no sum, and lo, hi the endpoints of
     (ratio * cum).rounded(prec) at scale 2^prec.
 
     The cumulative weight is one integer numerator over den = b^cap P^2,
@@ -421,7 +422,7 @@ def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
             if rest:
                 raise ArithmeticError(f"gap product of {lam} does not divide P at q^d = {qd}")
             cum += size_factor * e**squares * c ** (2 * sum(hooks) - squares) * part * part
-            yield lam, lo_num * cum // lo_den, -(-hi_num * cum // hi_den)
+            yield (lam, m), lo_num * cum // lo_den, -(-hi_num * cum // hi_den)
 
 
 def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
@@ -437,11 +438,11 @@ def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
 
 class _DegreePlan(NamedTuple):
     """Degree d's tables: how many of its n_labels labels are occupied, and
-    an occupied label's partition, of size at most n // d, as a larger one
-    alone exceeds the total degree n.  empty_below is the count table's first
-    64-bit end, read when the plan is made: a count word below it lies under
-    the first threshold, P(no label occupied), and decides count 0 with no
-    bisect."""
+    an occupied label's partition with its size, at most n // d, as a
+    larger one alone exceeds the total degree n.  empty_below is the count
+    table's first 64-bit end, read when the plan is made: a count word below
+    it lies under the first threshold, P(no label occupied), and decides
+    count 0 with no bisect."""
 
     d: int
     n_labels: int
@@ -542,12 +543,13 @@ class GLPlancherelSampler:
                 indices = (rng.randrange(n_labels) if n_labels > 1 else 0,)
             for idx in indices:
                 v = next_u64()
-                lam = components._slots[bisect_right(components._ends, v)]
-                if lam is None:
-                    lam = components._settle(rng, v)
-                if lam is _REJECT:
+                outcome = components._slots[bisect_right(components._ends, v)]
+                if outcome is None:
+                    outcome = components._settle(rng, v)
+                if outcome is _REJECT:
                     return None
-                total += d * lam.size
+                lam, size = outcome
+                total += d * size
                 if total > n:
                     return None
                 drawn.append((d, idx, lam))

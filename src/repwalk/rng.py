@@ -14,8 +14,14 @@ blocks of ``BLOCK`` words, whose arithmetic wraps mod 2^64 like the scalar
 ``mix64``.  Making a word a Python int costs more than computing it, so a
 block is handed out in chunks: a new stream's first is ``_FIRST_CHUNK``
 words, so a short draw makes few, and each later chunk is twice the last,
-up to a whole block.  The words and their order are those of the scalar
-recurrence.
+up to a whole block; ``next_u64`` hands them out one per call.  ``words``
+hands out the next m words as one list instead, the current chunk's first
+and then words taken from the blocks at most a block at a time, optionally
+shifted right in numpy so that they become small Python ints; ``next_u64``
+goes on after the m-th.  The S_n samplers read their words from such lists
+by index, and redo a draw that runs past the end of its list from its own
+first word once the list is extended.  The words and their order are
+those of the scalar recurrence.
 One ``SplitMix64`` is not to be shared between threads: each thread draws
 from its own stream.
 """
@@ -74,7 +80,9 @@ class SplitMix64:
         """The state after the last word handed out (the seed before any)."""
         return (self._end - len(self._words) * _GOLDEN) & _MASK
 
-    def _refill(self) -> None:
+    def _take(self, size: int) -> np.ndarray:
+        """The next at most size computed words, a block computed first when
+        none is left; _end moves past them."""
         if not len(self._block):
             z = _STEPS + np.uint64(self._end)
             z ^= z >> _U30
@@ -83,11 +91,29 @@ class SplitMix64:
             z *= _UM2
             z ^= z >> _U31
             self._block = z
-        size = self._size
         chunk, self._block = self._block[:size], self._block[size:]
-        self._words = chunk[::-1].tolist()
         self._end = (self._end + len(chunk) * _GOLDEN) & _MASK
+        return chunk
+
+    def _refill(self) -> None:
+        size = self._size
+        self._words = self._take(size)[::-1].tolist()
         self._size = min(2 * size, BLOCK)
+
+    def words(self, m: int, shift: int = 0) -> list[int]:
+        """The next m words, in order, each shifted right by shift < 64, as
+        one list: what m calls next_u64() >> shift would return, after which
+        next_u64 goes on.  The current chunk's words come first, then words
+        made a block at a time and shifted before they become Python ints,
+        which are small ones for a large shift."""
+        pending = self._words
+        cut = max(len(pending) - m, 0)
+        out = [w >> shift for w in reversed(pending[cut:])]
+        del pending[cut:]
+        ushift = np.uint64(shift)
+        while len(out) < m:
+            out += (self._take(m - len(out)) >> ushift).tolist()
+        return out
 
     def next_u64(self) -> int:
         try:

@@ -30,7 +30,8 @@ the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
 coupon count K_r and a uniform permutation whose first n - K_r entries
 increase (walk_samples), Plancherel measure as the case K = n
-(plancherel_samples), and top-to-random shuffles (rsk_samples).  walk_step,
+(plancherel_samples), and top-to-random shuffles (rsk_samples), each
+reading its words by index from lists its stream hands out.  walk_step,
 the down-up chain drawn on dimension sums, is the step the tests hold the
 samplers to.
 """
@@ -64,7 +65,7 @@ from .partitions import (
     partition_count,
     partition_id,
 )
-from .rng import SplitMix64
+from .rng import BLOCK, SplitMix64
 
 EXACT_KERNEL_LIMIT = 18
 FLOAT_LIMIT = 40
@@ -704,52 +705,101 @@ def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
                         "up", "(|mu|+1) d_mu")
 
 
-# The samplers read words through randrange's one-word rejection written
-# out, v = word() >> shift retried while v >= bound: the words
-# rng.randrange(bound) reads, for every bound below 2^64.
+# The samplers read their words by index from lists that the stream's words
+# method makes, each entry the top b = n.bit_length() bits of a word, and
+# write randrange's one-word rejection out: randrange(m) for m <= n keeps
+# the top m.bit_length() bits of a word, retried while they are >= m, and
+# those bits are the entry shifted right by b - m.bit_length(), a shift
+# computed once per bound per call.  So every draw reads the words, and
+# gives the value, that rng.randrange would.  A draw that runs past the end
+# of its list raises IndexError and is redone from its own first word once
+# the list is extended: a draw is a function of the words from its start.
 
 
-def _prefix_sorted_shape(word, n: int, k: int) -> Partition:
-    """The RSK shape of a uniform permutation of [n] whose first n - k
-    entries increase, from the stream whose next_u64 is word.  A partial
-    Fisher-Yates shuffle swaps position i with randrange(i + 1) for
-    i = n - 1 down to n - k, and the first n - k entries are then sorted.
-    The shape's law is Q_k, Plancherel growth run k steps from (n - k):
-    RSK puts 1..n-k in the first row of the recording tableau exactly when
-    the first n - k letters increase."""
+def _rsk_draws(n: int, seed: int, count: int, base: int, draw) -> list[Partition]:
+    """The RSK shapes of count decks from the stream seeded seed, each
+    draw(tops, j) reading on from tops[j], a list of the words' top
+    n.bit_length() bits, and returning its deck and the index past its last
+    word.  base is at least the words a draw reads on average, as a redo
+    costs more than a word made and not read.  When a draw overruns, the
+    unread words are followed by as many as the draws left read at base
+    words each, at most a block, but at least base and at least as many as
+    are unread, so a draw that overruns again finds a list twice as long."""
+    shift = 64 - n.bit_length()
+    rng, tops, j, out = SplitMix64(seed), [], 0, []
+    while len(out) < count:
+        try:
+            deck, j_next = draw(tops, j)
+        except IndexError:
+            rest = tops[j:]
+            more = max(len(rest), base, min((count - len(out)) * base, BLOCK))
+            tops, j = rest + rng.words(more, shift), 0
+            continue
+        j = j_next
+        out.append(rsk_shape(deck))
+    return out
+
+
+def _shuffle_shifts(n: int) -> list[int]:
+    """shifts[i] takes a word's top n.bit_length() bits to the top
+    (i + 1).bit_length() bits that randrange(i + 1) reads, for i < n."""
+    b = n.bit_length()
+    return [b - i.bit_length() for i in range(1, n + 1)]
+
+
+def _prefix_sorted_deck(tops: list[int], j: int, n: int, k: int,
+                        shifts: list[int]) -> tuple[list[int], int]:
+    """A uniform permutation of [n] whose first n - k entries increase, read
+    from tops[j:] with _shuffle_shifts(n), and the index past its last word.
+    A partial Fisher-Yates shuffle swaps position i with randrange(i + 1)
+    for i = n - 1 down to n - k, and the first n - k entries are then
+    sorted.  The RSK shape's law is Q_k, Plancherel growth run k steps from
+    (n - k): RSK puts 1..n-k in the first row of the recording tableau
+    exactly when the first n - k letters increase."""
     deck = list(range(n))
     for i in range(n - 1, n - k - 1, -1):
-        shift = 64 - (i + 1).bit_length()
-        v = word() >> shift
+        shift = shifts[i]
+        v = tops[j] >> shift
+        j += 1
         while v > i:
-            v = word() >> shift
+            v = tops[j] >> shift
+            j += 1
         deck[i], deck[v] = deck[v], deck[i]
     m = n - k
-    return rsk_shape(sorted(deck[:m]) + deck[m:])
+    return sorted(deck[:m]) + deck[m:], j
 
 
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     """count draws of the law after r steps from (n), from one seeded stream.
 
     eta^(x)r permutes the r-tuples of [n], so the law is sum_k P(K_r = k) Q_k,
-    K_r the distinct points among r uniform draws and Q_k the law of
-    _prefix_sorted_shape(., n, k).  A draw makes r draws randrange(n) for
-    K_r, a point new when one is >= k, then shuffles K_r positions."""
+    K_r the distinct points among r uniform draws and Q_k the law of the RSK
+    shape of _prefix_sorted_deck(., ., n, k).  A draw makes r draws
+    randrange(n) for K_r, a point new when one is >= k, then shuffles K_r
+    positions.  The r draws read the next r words, then as many more as
+    those rejected, and so on."""
     _check_sampler_size(n)
     _check_steps(r)
-    word = SplitMix64(seed).next_u64
-    shift = 64 - n.bit_length()
-    out = []
-    for _ in range(count):
-        k = 0
-        for _ in range(r):
-            v = word() >> shift
-            while v >= n:
-                v = word() >> shift
-            if v >= k:
-                k += 1
-        out.append(_prefix_sorted_shape(word, n, k))
-    return out
+    shifts = _shuffle_shifts(n)
+
+    def draw(tops, j):
+        k, need = 0, r
+        while need:
+            chunk = tops[j:j + need]
+            j += need
+            need = 0
+            for v in chunk:
+                if v >= n:
+                    need += 1
+                elif v >= k:
+                    k += 1
+        if j > len(tops):  # a chunk was cut short at the list's end
+            raise IndexError("draw ran past its words")
+        return _prefix_sorted_deck(tops, j, n, k, shifts)
+
+    # r draws read 2^b / n words each on average, b = n.bit_length(), and a
+    # shuffle at most 2 per position
+    return _rsk_draws(n, seed, count, (r << n.bit_length()) // n + 2 * n, draw)
 
 
 def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
@@ -760,8 +810,9 @@ def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
         raise ValueError("n must be non-negative")
     if n:  # n = 0 draws the empty partition, below the samplers' own range
         _check_sampler_size(n)
-    word = SplitMix64(seed).next_u64
-    return [_prefix_sorted_shape(word, n, n) for _ in range(count)]
+    shifts = _shuffle_shifts(n)
+    return _rsk_draws(n, seed, count, 2 * n,
+                      lambda tops, j: _prefix_sorted_deck(tops, j, n, n, shifts))
 
 
 def rsk_shape(word) -> Partition:
@@ -772,10 +823,9 @@ def rsk_shape(word) -> Partition:
             pos = bisect_left(row, x)
             if pos == len(row):
                 row.append(x)
-                x = None
                 break
             row[pos], x = x, row[pos]
-        if x is not None:
+        else:
             rows.append([x])
     # row lengths of a tableau never increase
     return tuple.__new__(Partition, [len(row) for row in rows])
@@ -786,20 +836,28 @@ def rsk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
     independent decks from one seeded stream: each shuffle moves the top
     card to position randrange(n).
 
+    randrange(n) keeps a word whose top n.bit_length() bits lie below n, and
+    a deck reads r kept values, so the moves are the stream's kept values in
+    order, r to a deck: a filter keeps them from lists of top bits, each
+    about as long as the moves left need, so no deck is redone.
+
     Distributed like walk_distribution(n, r) started at the one-row
     partition; the package tests this statistically rather than assuming it.
     """
     _check_sampler_size(n)
     _check_steps(r)
-    word = SplitMix64(seed).next_u64
-    shift = 64 - n.bit_length()
-    out = []
-    for _ in range(count):
+    b = n.bit_length()
+    rng, moves, j, out = SplitMix64(seed), [], 0, []
+    for left in range(count, 0, -1):
+        while len(moves) - j < r:
+            # a kept value takes 2^b / n words on average
+            short = left * r - (len(moves) - j)
+            tops = rng.words(min(-(-(short << b) // n), BLOCK), 64 - b)
+            moves = moves[j:] + [v for v in tops if v < n]
+            j = 0
         deck = list(range(1, n + 1))
-        for _ in range(r):
-            v = word() >> shift
-            while v >= n:
-                v = word() >> shift
+        for v in moves[j:j + r]:
             deck.insert(v, deck.pop(0))
+        j += r
         out.append(rsk_shape(deck))
     return out

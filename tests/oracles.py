@@ -741,7 +741,8 @@ def component_entries_fraction(ud, qd, sizes_cap: int, prec: int):
     """The component law's thresholds as integer ends at scale 2^prec, from a
     Fraction running sum of suq_weight, reduced at every partition: Z/(1-Z)
     times the cumulative weight, floor below and ceiling above, over the
-    partitions of 1 .. sizes_cap in enumerate_partitions order."""
+    partitions of 1 .. sizes_cap in enumerate_partitions order, each outcome
+    the partition with its size."""
     z = suq_normalizer(ud, qd, prec=prec)
     ratio = z / z.one_minus()
     lo_num, lo_den = ratio.lo.numerator, ratio.lo.denominator
@@ -751,7 +752,7 @@ def component_entries_fraction(ud, qd, sizes_cap: int, prec: int):
         for lam in enumerate_partitions(m):
             cum += suq_weight(ud, qd, lam)
             num, den = cum.numerator << prec, cum.denominator
-            yield lam, lo_num * num // (lo_den * den), -(-hi_num * num // (hi_den * den))
+            yield (lam, m), lo_num * num // (lo_den * den), -(-hi_num * num // (hi_den * den))
 
 
 def high_degree_entries_interval(n: int, q: int, u, prec: int) -> tuple:
@@ -810,9 +811,11 @@ class LocateSampler(GLPlancherelSampler):
             if not k:
                 continue
             for idx in self._draw_indices(k, plan.n_labels):
-                lam = plan.component_thresholds.locate(rng)
-                if lam is _REJECT:
+                outcome = plan.component_thresholds.locate(rng)
+                if outcome is _REJECT:
                     return None
+                lam, size = outcome
+                assert size == lam.size
                 total += plan.d * lam.size
                 if total > self.n:
                     return None

@@ -1,6 +1,7 @@
 """SplitMix64 made in numpy word blocks against the scalar recurrence.
 
-The stream's words are computed ahead in blocks; every word, every state
+The stream's words are computed ahead in blocks; every word, whether
+``next_u64`` hands it out or it comes in a list from ``words``, every state
 read back through ``_state`` and every ``randrange`` draw must be those of
 the one-word-at-a-time generator in tests/oracles.py.  A LazyUniform's
 comparison with a scaled threshold must be the Fraction comparison.
@@ -30,6 +31,19 @@ def test_block_stream_is_the_scalar_stream(seed):
         state = (state + rng._GOLDEN) & MASK
         assert word == mix64(state)
         assert stream._state == state
+    # lists from the words method, shifted or not, interleaved with
+    # next_u64 and randrange: they start mid-chunk and cross chunk and block
+    # edges, hold the scalar words, and leave the stream where as many
+    # next_u64 calls would
+    stream, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+    sizes = [0, 1, 63, 64, 65, 200, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+    for i in range(2 * 3 * len(sizes)):
+        m, shift = sizes[i % len(sizes)], (0, 7, 63)[i % 3]
+        assert stream.words(m, shift) == [scalar.next_u64() >> shift for _ in range(m)]
+        assert stream._state == scalar._state
+        assert stream.next_u64() == scalar.next_u64()
+        assert stream.randrange(10**25) == scalar.randrange(10**25)
+        assert stream._state == scalar._state
 
 
 def test_a_short_draw_makes_only_the_first_chunk():

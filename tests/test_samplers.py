@@ -14,7 +14,7 @@ from oracles import (
 )
 from repwalk import partitions, snwalk
 from repwalk.partitions import Partition, enumerate_partitions
-from repwalk.rng import SplitMix64, derive_seed
+from repwalk.rng import BLOCK, SplitMix64, derive_seed
 from repwalk.snwalk import (
     plancherel_samples,
     plancherel_sn,
@@ -163,27 +163,55 @@ def test_walk_samples_read_the_coupon_count_then_shuffle():
         for seed in range(40):
             want = prefix_sorted_samples_reference(n, r, 3, seed)
             assert walk_samples(n, r, 3, seed) == want, (n, r, seed)
+    # counts whose words fill several blocks, so draws run past the end of
+    # their lists and are redone; at n = 2000 one draw at the cutoff reads
+    # over twice a block, and its list grows until it holds the draw
+    for n, r, count in ((1, 40, 400), (10, 12, 800), (64, 140, 90), (65, 140, 90),
+                        (2000, cutoff_steps(2000), 2)):
+        assert count * (r + n) > 4 * BLOCK
+        for seed in range(3):
+            want = prefix_sorted_samples_reference(n, r, count, seed)
+            assert walk_samples(n, r, count, seed) == want, (n, r, count, seed)
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", [*range(1, 15), 15, 64, 65, 300])
 def test_plancherel_samples_read_the_shuffle_words(n):
-    for seed in range(50):
-        want = prefix_sorted_samples_reference(n, 0, 3, seed, full=True)
-        assert plancherel_samples(n, 3, seed) == want, seed
+    # three draws at every seed, and past n = 14 counts whose words fill
+    # several blocks
+    count, seeds = (3, 50) if n < 15 else (-(-5 * BLOCK // n), 3)
+    for seed in range(seeds):
+        want = prefix_sorted_samples_reference(n, 0, count, seed, full=True)
+        assert plancherel_samples(n, count, seed) == want, seed
 
 
 def test_rsk_samples_read_one_randrange_per_shuffle():
-    # each shuffle moves the top card to position randrange(n)
-    for n, r in ((1, 3), (6, 3), (64, 70), (65, 70)):
-        for seed in range(20):
+    # each shuffle moves the top card to position randrange(n); three decks
+    # at every seed, then counts whose words fill several blocks
+    for n, r, count, seeds in ((1, 3, 3, 20), (6, 3, 3, 20), (64, 70, 3, 20), (65, 70, 3, 20),
+                               (1, 40, 600, 3), (33, 40, 500, 3), (64, 150, 150, 3),
+                               (65, 150, 150, 3), (2000, 9000, 2, 2)):
+        for seed in range(seeds):
             rng, want = SplitMix64(seed), []
-            for _ in range(3):
+            for _ in range(count):
                 deck = list(range(1, n + 1))
                 for _ in range(r):
                     card = deck.pop(0)
                     deck.insert(rng.randrange(n), card)
                 want.append(rsk_shape(deck))
-            assert rsk_samples(n, r, 3, seed) == want, (n, r, seed)
+            assert rsk_samples(n, r, count, seed) == want, (n, r, count, seed)
+
+
+def test_samplers_make_no_next_u64_call(monkeypatch):
+    # the samplers read their words from lists the stream's words method
+    # makes, not one next_u64 call per word
+    want = (walk_samples(12, 20, 30, 4), plancherel_samples(12, 30, 4), rsk_samples(12, 20, 30, 4))
+
+    def no_call(self):
+        raise AssertionError("a sampler called next_u64")
+
+    monkeypatch.setattr(SplitMix64, "next_u64", no_call)
+    assert (walk_samples(12, 20, 30, 4), plancherel_samples(12, 30, 4),
+            rsk_samples(12, 20, 30, 4)) == want
 
 
 def test_samplers_read_no_dimension(monkeypatch):

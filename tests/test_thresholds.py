@@ -217,7 +217,7 @@ def test_component_entries_match_rounded_products():
     for m in range(1, 7):
         for lam in glasymptotics.enumerate_partitions(m):
             cum += glasymptotics.suq_weight(ud, qd, lam)
-            expected.append((lam, (ratio * cum).rounded(prec)))
+            expected.append(((lam, m), (ratio * cum).rounded(prec)))
     assert _as_fractions(_component_entries(ud, qd, 6, prec), prec) == _as_endpoints(expected)
 
 
@@ -448,7 +448,8 @@ def test_component_table_ends_at_its_cap(n, q):
         read = plan.component_thresholds
         while read._grow():
             pass
-        sizes = [lam.size for lam in read._slots[:-1:2]]
+        sizes = [size for lam, size in read._slots[:-1:2]]
+        assert sizes == [lam.size for lam, _ in read._slots[:-1:2]]
         assert sizes == [m for m in range(1, n // plan.d + 1) for _ in range(partition_count(m))]
 
 
