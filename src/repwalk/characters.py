@@ -68,7 +68,6 @@ def class_size_of(lam: Partition) -> int:
     return math.factorial(lam.size) // den
 
 
-@lru_cache(maxsize=SIZE_CACHE_SIZE)
 def enumerate_classes(n: int) -> tuple[CycleType, ...]:
     """One class per partition of n, in enumerate_partitions order."""
     if n < 1:

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import CapacityError
 
 # sizes kept by the per-size caches (enumerate_partitions here,
-# characters.enumerate_classes): more than the FLOAT_LIMIT + 1 = 41 sizes a
-# float sweep up to snwalk.FLOAT_LIMIT cycles through
+# characters.fixed_point_profile): more than the FLOAT_LIMIT + 1 = 41 sizes
+# a float sweep up to snwalk.FLOAT_LIMIT cycles through
 SIZE_CACHE_SIZE = 64
 # dimensions kept.  snwalk.walk_step reads those of the partitions of n and
 # n - 1, and sn-walk --start one; 1 << 14 holds both levels whole for every

@@ -6,7 +6,7 @@ representation.  It is the down-up corner-box chain: the Doob transform
 of the symmetric common-corner matrix A = D D^T, where D is the containment
 matrix of the partitions of n over those of n-1, since by Pieri's rule
 mult(rho in lam (x) eta) = A(lam, rho).  A walk at one r reads the laws
-of _engine, _ExactEngine (ints over one denominator) or _FloatLaws
+of _engine, _ExactEngine (ints over one denominator) or _FloatEngine
 (doubles), with law(r, start), the law after r steps, and tv(law), the TV
 to Plancherel measure.  Every reader takes the lattice from the complete
 levels that partitions._complete_level caches: their down edges, the up
@@ -14,17 +14,16 @@ edges _up_edges turns from them and the dimensions _dims reads from them.
 Both form a law in one Horner pass up those levels, by normal ordering
 (_horner), with no step.  A whole TV curve steps instead
 (tvs): the exact engine steps A with _apply_counts, two segment sums
-through the partitions of n-1 on level n's edges, and _FloatEngine, the
-float laws of n with two jagged corner tables built from the same edges,
-rows sorted by corner count that store no pad, adding each segment in the
-segment sums' order, so its stepped laws are bit-identical to theirs for
-n <= 36.
-Each is cached per size (_exact_engine, _float_laws, _float_engine), and
-the TVs of sn_tv_curve are read from the walk from (n) that each stepping
-engine memoizes in tvs, kept as long as its engine.  With X the character
-table, A X = X diag(fp), so the spectrum is indexed by conjugacy classes
-with eigenvalue fixed_points/n; the tests hold this and Pieri's rule as
-integer identities on A and X.
+through the partitions of n-1 on level n's edges, and the float engine on
+two jagged corner tables built from the same edges, rows sorted by corner
+count that store no pad, adding each segment in the segment sums' order,
+so its stepped laws are bit-identical to theirs for n <= 36.
+Each is cached per size (_exact_engine, _float_engine).  The exact engine
+memoizes its walk from (n) in tvs, kept as long as it; the float engine
+builds its tables and walk for each curve and keeps neither.  With X the
+character table, A X = X diag(fp), so the spectrum is indexed by conjugacy
+classes with eigenvalue fixed_points/n; the tests hold this and Pieri's
+rule as integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
@@ -246,10 +245,10 @@ def tv_to_plancherel(dist: WalkDistribution):
     """Half L1 distance to the Plancherel measure (matches dist's mode).
 
     A float distribution is read in lattice-id order into the cached float
-    laws' tv, the sum sn_tv_curve and sn-cutoff print."""
+    engine's tv, the sum sn_tv_curve and sn-cutoff print."""
     if dist.mode == "float":
         law = [dist.masses.get(lam, 0.0) for lam in enumerate_partitions(dist.n)]
-        return _float_laws(dist.n).tv(np.array(law))
+        return _float_engine(dist.n).tv(np.array(law))
     pi = plancherel_sn(dist.n).masses
     return sum(abs(dist.masses.get(lam, 0) - p) for lam, p in pi.items()) / 2
 
@@ -403,10 +402,9 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk and one
     running L2 sum: the TVs are read from the walk from (n) that the cached
-    engine of mode memoizes (its tvs), the one walk that steps."""
+    engine of mode steps (its tvs), the one walk that steps."""
     _check_steps(rmax)
-    _check_walk(n, mode)
-    tvs = (_exact_engine(n) if mode == "exact" else _float_engine(n)).tvs(rmax)
+    tvs = _engine(n, mode).tvs(rmax)
     return list(zip(range(1, rmax + 1), islice(tvs, 1, None), _upper_bounds(n)))
 
 
@@ -463,8 +461,8 @@ class _ExactEngine:
 
     def tvs(self, r: int) -> tuple[Fraction, ...]:
         """The TVs to Plancherel measure after 0..R steps from (n), for some
-        R >= r, memoized as _FloatEngine.tvs is, the law (a_R, n^R) stepping
-        on through _apply_counts."""
+        R >= r, memoized on the engine, the law (a_R, n^R) stepping on
+        through _apply_counts."""
         n = self.n
         self._walk = walk = _walk_to(
             self._walk, r, lambda law: (_apply_counts(self, law[0]), law[1] * n), self.tv)
@@ -543,14 +541,15 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return inv
 
 
-class _FloatLaws:
-    """The walk in doubles at one r: dims d and pi d^2/n! from level n's
-    dimensions (_dims), each rounded once, law(r, start) and tv(law).
-    K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which law forms
-    in one Horner pass (_horner) with coefficients S(r, k) / n^r, each
-    rounded once; every term is nonnegative, so each mass carries a
+class _FloatEngine:
+    """The walk in doubles on the partitions of n: dims d and pi d^2/n! from
+    level n's dimensions (_dims), each rounded once, law(r, start) and
+    tv(law).  K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which
+    law forms in one Horner pass (_horner) with coefficients S(r, k) / n^r,
+    each rounded once; every term is nonnegative, so each mass carries a
     relative error of a few ulp per sum on its paths up and down the levels
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  A
+    whole TV curve steps instead (tvs), w <- A w / n with no kernel."""
 
     def __init__(self, n: int):
         n_fact, dims = math.factorial(n), np.array(_dims(n), dtype=object)
@@ -568,30 +567,20 @@ class _FloatLaws:
         """TV distance to pi of a law in id order, by numpy's pairwise sum."""
         return float(np.abs(law - self.pi).sum() / 2)
 
-
-class _FloatEngine(_FloatLaws):
-    """_FloatLaws of n that also steps, for whole TV curves, on the cached
-    laws' own dims and pi: w_r steps as w <- A w / n, with no kernel.
-
-    A is applied through two jagged corner tables.  The partitions of n-1
-    are sorted by how many lam lie above each, most first, and up[j] lists
-    the (j+1)-th lam above each that has one, by lattice id.  The partitions
-    of n are sorted likewise by how many lie below, and down[j] lists the
-    (j+1)-th partition below each, by its place in the first sort; ids
-    takes the second sort back to lattice ids.  Each row is as long as the
-    number of segments that reach it, so no pad is stored, gathered or
-    added."""
-
-    def __init__(self, n: int):
-        laws = _float_laws(n)  # the cached laws' arrays, not a second set
-        self.n, self.dims, self.pi = n, laws.dims, laws.pi
-        level = _complete_level(n)
-        mu_order, self.up = _jagged_rows(*_up_edges(level.below, level.down_off))
-        lam_order, self.down = _jagged_rows(level.below, level.down_off, _inverse(mu_order))
-        self.ids = _inverse(lam_order)
-        w = np.zeros(len(self.dims))
-        w[0] = 1.0  # (n) has id 0 and d = 1
-        self._walk = (w, ())  # the walk from (n) that tvs memoizes
+    def _step_tables(self):
+        """(up, down, ids), the two jagged corner tables step applies A
+        through, from level n's edges (_complete_level).  The partitions of
+        n-1 are sorted by how many lam lie above each, most first, and up[j]
+        lists the (j+1)-th lam above each that has one, by lattice id.  The
+        partitions of n are sorted likewise by how many lie below, and
+        down[j] lists the (j+1)-th partition below each, by its place in the
+        first sort; ids takes the second sort back to lattice ids.  Each row
+        is as long as the number of segments that reach it, so no pad is
+        stored, gathered or added."""
+        level = _complete_level(self.n)
+        mu_order, up = _jagged_rows(*_up_edges(level.below, level.down_off))
+        lam_order, down = _jagged_rows(level.below, level.down_off, _inverse(mu_order))
+        return up, down, _inverse(lam_order)
 
     @staticmethod
     def _half_step(x: np.ndarray, rows) -> np.ndarray:
@@ -605,8 +594,9 @@ class _FloatEngine(_FloatLaws):
             out[:len(acc)] += acc
         return out
 
-    def step(self, w: np.ndarray) -> np.ndarray:
-        """A w / n for w in lattice-id order, returned in that order.
+    def step(self, w: np.ndarray, tables) -> np.ndarray:
+        """A w / n for w in lattice-id order, returned in that order, on the
+        tables of _step_tables.
 
         Each half adds a segment as its first entry plus the sequential sum
         of the rest, the order of a sum down the corner axis of tables
@@ -617,28 +607,30 @@ class _FloatEngine(_FloatLaws):
         level n's edges, over n, to the bit for n <= 36; from n = 37 on,
         reduceat adds a segment of 9 in numpy's pairwise blocks and the last
         digits may differ."""
-        w = self._half_step(self._half_step(w, self.up), self.down)[self.ids]
+        up, down, ids = tables
+        w = self._half_step(self._half_step(w, up), down)[ids]
         w /= self.n
         return w
 
     def tvs(self, r: int) -> tuple[float, ...]:
-        """The TVs to pi after 0..R steps from (n), for some R >= r.
-
-        The walk is memoized as (w_R, tvs), w_R = A^R e_s / n^R, and steps on
-        from R to r through step (_walk_to).  (n) has id 0 and d = 1, so
-        each TV is tv(dims * w) of the stepped law, whose sums run in another
-        order than law's: the two agree to a few ulp per mass, not to the
-        bit."""
-        self._walk = walk = _walk_to(self._walk, r, self.step, lambda w: self.tv(self.dims * w))
-        return walk[1]
+        """The TVs to pi after 0..r steps from (n), w_r = A^r e_s / n^r
+        stepping (_walk_to) on tables built for this call; neither they nor
+        the walk are kept.  Each TV is tv(dims * w) of the stepped law, whose
+        sums run in another order than law's: the two agree to a few ulp per
+        mass, not to the bit."""
+        tables, w = self._step_tables(), np.zeros(len(self.dims))
+        w[0] = 1.0  # (n) has id 0 and d = 1
+        return _walk_to((w, ()), r, lambda w: self.step(w, tables),
+                        lambda w: self.tv(self.dims * w))[1]
 
 
 def _walk_to(walk, r: int, step, tv):
-    """The memo walk = (state_R, tvs), tvs the TVs after 0..R steps (none
-    yet for a walk not started), or, when R < r, a new pair stepped on from
-    R to r.  Only tvs, and so only sn_tv_curve, reads it: a law at one r
-    steps no walk.  The pair is replaced whole, never changed in place, so a
-    reader on any thread sees one consistent pair.  A memo grows to the
+    """The walk = (state_R, tvs), tvs the TVs after 0..R steps (none yet
+    for a walk not started), or, when R < r, a new pair stepped on from R
+    to r.  Only tvs, and so only sn_tv_curve, reads it: a law at one r
+    steps no walk.  The float engine walks a new pair per call; the exact
+    engine memoizes its pair, replaced whole, never changed in place, so a
+    reader on any thread sees one consistent pair.  That memo grows to the
     longest walk asked of its engine, uncapped: the CLI caps exact output
     at sys.get_int_max_str_digits() digits (an exact one at n = 18 holds at
     most about 3425 TVs under the default 4300) and a walk at MAX_WALK_STEPS."""
@@ -661,24 +653,17 @@ def _exact_engine(n: int) -> _ExactEngine:
 
 
 # every float size, 2..FLOAT_LIMIT, each holding two doubles per partition
-# (1.3 MB for the sizes 19..36), shared by its stepping engine
+# (1.3 MB for the sizes 19..36)
 @lru_cache(maxsize=FLOAT_LIMIT - 1)
-def _float_laws(n: int) -> _FloatLaws:
-    return _FloatLaws(n)
-
-
-# four stepping engines, for TV curves; each holds its jagged tables and
-# its memo walk, and shares its float laws' dims and pi
-@lru_cache(maxsize=4)
 def _float_engine(n: int) -> _FloatEngine:
     return _FloatEngine(n)
 
 
 def _engine(n: int, mode: str):
-    """The cached laws of the walk on S_n in mode, once _check_walk passes:
-    the exact engine, or the float laws, which build no stepping engine."""
+    """The cached engine of the walk on S_n in mode, once _check_walk
+    passes: the exact one memoizes the walk of its tvs, the float one none."""
     _check_walk(n, mode)
-    return _exact_engine(n) if mode == "exact" else _float_laws(n)
+    return _exact_engine(n) if mode == "exact" else _float_engine(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The float walk from (n) is memoized on the cached float engine of n.
+"""The float walk from (n) is stepped afresh for each curve on the cached
+float engine of n, which keeps no walk.
 
-sn_tv_curve(n, rmax, "float") reads its TVs from _FloatEngine.tvs: it
-steps only past what that holds, the memo lives and dies with its engine,
-and whatever it holds the curve and the float sn-cutoff print the bits a
+sn_tv_curve(n, rmax, "float") reads its TVs from _FloatEngine.tvs: each
+curve steps exactly its rmax, the engine holds only n, dims and pi, and
+whatever came before, the curve and the float sn-cutoff print the bits a
 walk run afresh prints.  The float sn-cutoff, sn-walk --float and
 walk_distribution(mode="float") read one Horner law at their r instead,
-with no step, no stepping engine and no lattice.
+with no step, no step tables and no lattice.
 """
 
 import math
@@ -51,9 +52,9 @@ def steps(monkeypatch):
     calls = []
     step = snwalk._FloatEngine.step
 
-    def counted(self, w):
+    def counted(self, w, tables):
         calls.append(self.n)
-        return step(self, w)
+        return step(self, w, tables)
 
     monkeypatch.setattr(snwalk._FloatEngine, "step", counted)
     _clear()
@@ -61,34 +62,28 @@ def steps(monkeypatch):
     _clear()
 
 
-def test_float_commands_step_only_past_the_memo(capsys, steps):
+def test_each_float_curve_steps_its_rmax(capsys, steps):
+    # no walk is kept, so a curve steps its whole rmax whatever came before
     r1, r2 = _cutoff_r(24, -0.5), _cutoff_r(24, 0.5)
     assert 0 < r1 < r2
-    _tv_curve(capsys, 24, r1)
-    assert len(steps) == r1
-    _tv_curve(capsys, 24, r2)
-    assert len(steps) == r2
-    _tv_curve(capsys, 24, r2)
-    _tv_curve(capsys, 24, r1)
-    assert len(steps) == r2
+    for rmax in (r1, r2, r2, r1):
+        del steps[:]
+        _tv_curve(capsys, 24, rmax)
+        assert steps == [24] * rmax
 
 
-def test_a_cached_engine_keeps_its_walk(capsys, steps):
-    # three other sizes fill the four-engine cache without evicting 24,
-    # whose walk is then read without a step; four more evict its engine,
-    # and with it the walk, which then steps again from (n)
-    r = _cutoff_r(24, -0.5)
-    _tv_curve(capsys, 24, r)
-    for m in (25, 26, 27):
-        _tv_curve(capsys, m, 2)
-    del steps[:]
-    _tv_curve(capsys, 24, r)
-    assert steps == []
-    for m in (28, 29, 30, 31):
-        _tv_curve(capsys, m, 2)
-    del steps[:]
-    _tv_curve(capsys, 24, r)
-    assert steps == [24] * r
+def test_other_sizes_do_not_evict_an_engine(capsys, steps):
+    # every float size has its cached engine: curves and laws at all the
+    # other sizes leave n's in place, to be read again with no build
+    engine = snwalk._float_engine(24)
+    for m in range(2, snwalk.FLOAT_LIMIT + 1):
+        if m != 24:
+            _tv_curve(capsys, m, 2)
+            snwalk.walk_distribution(m, 2, mode="float")
+    misses = snwalk._float_engine.cache_info().misses
+    _tv_curve(capsys, 24, 3)
+    assert snwalk._float_engine(24) is engine
+    assert snwalk._float_engine.cache_info().misses == misses
 
 
 def _turned(monkeypatch):
@@ -107,10 +102,14 @@ def _turned(monkeypatch):
 
 def test_one_r_float_laws_step_no_walk(capsys, steps, monkeypatch):
     # the float sn-cutoff, sn-walk --float and walk_distribution read one
-    # Horner law each: no step, the stepping and exact engine caches stay
-    # empty, and no up edges are turned
+    # Horner law each: no step, no step tables, the exact engine cache
+    # stays empty, and no up edges are turned
     snwalk._exact_engine.cache_clear()
     turned = _turned(monkeypatch)
+    tables = []
+    step_tables = snwalk._FloatEngine._step_tables
+    monkeypatch.setattr(snwalk._FloatEngine, "_step_tables",
+                        lambda self: tables.append(self.n) or step_tables(self))
     for n in (19, 30, 40):
         _cutoff(capsys, n, -0.5)
         _cutoff(capsys, n, 0.5)
@@ -119,18 +118,16 @@ def test_one_r_float_laws_step_no_walk(capsys, steps, monkeypatch):
                  ["sn-walk", "--n", "30", "--r", "40", "--float", "--start", start]):
         assert main(argv) == 0
     snwalk.tv_to_plancherel(snwalk.walk_distribution(24, 30, mode="float"))
-    assert steps == []
-    assert snwalk._float_engine.cache_info().currsize == 0
+    assert steps == [] and tables == []
     assert snwalk._exact_engine.cache_info().currsize == 0 and turned == []
 
 
 def test_float_commands_build_no_lattice(capsys, monkeypatch):
-    # from cleared caches, the float sn-cutoff reads the float laws and
-    # sn-tv-curve --float a stepping engine built on the same cached level
-    # and laws: neither builds an exact engine, and only the stepping
-    # engine turns level n's edges around, once
+    # from cleared caches, the float sn-cutoff reads a float engine's law
+    # and sn-tv-curve --float steps on step tables built from the same
+    # cached level: neither builds an exact engine, and only the step
+    # tables turn level n's edges around, once
     _clear()
-    snwalk._float_laws.cache_clear()
     snwalk._complete_level.cache_clear()
     snwalk._exact_engine.cache_clear()
     turned = _turned(monkeypatch)
@@ -142,12 +139,23 @@ def test_float_commands_build_no_lattice(capsys, monkeypatch):
     _clear()
 
 
-def test_cache_clear_frees_the_walk(steps):
+def test_cutoff_and_curve_share_one_engine_that_keeps_no_walk(capsys, steps):
+    # from cleared caches, sn-cutoff builds the engine of n and
+    # sn-tv-curve --float reads it back; the engine then holds its size,
+    # dims and pi, and neither step tables nor a walk
+    _cutoff(capsys, 24, 0.5)
+    _tv_curve(capsys, 24, _cutoff_r(24, 0.5))
+    info = snwalk._float_engine.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    assert set(vars(snwalk._float_engine(24))) == {"n", "dims", "pi"}
+
+
+def test_cache_clear_frees_the_engine(steps):
     # the benchmark worker clears the engine cache before its cold builds,
-    # and that frees the memoized walk too
+    # and that frees the engine, with its dims and pi
     snwalk.sn_tv_curve(24, 10, "float")
     engine = snwalk._float_engine(24)
-    refs = weakref.ref(engine), weakref.ref(engine._walk[0])
+    refs = weakref.ref(engine), weakref.ref(engine.pi)
     del engine
     snwalk._float_engine.cache_clear()
     assert [ref() for ref in refs] == [None, None]

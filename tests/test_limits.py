@@ -168,7 +168,7 @@ def test_exact_walks_stay_within_the_cached_levels():
     # make every law past it rebuild and evict the levels it reads
     assert max(snwalk.EXACT_KERNEL_LIMIT, snwalk.FLOAT_LIMIT) <= partitions.LEVEL_LIMIT
     assert partitions._complete_level.cache_info().maxsize == partitions.LEVEL_LIMIT + 1
-    assert snwalk._float_laws.cache_info().maxsize >= snwalk.FLOAT_LIMIT - 1
+    assert snwalk._float_engine.cache_info().maxsize >= snwalk.FLOAT_LIMIT - 1
 
 
 def test_plancherel_measure_stays_within_the_cached_levels():
@@ -215,8 +215,7 @@ def test_caches_hold_their_working_sets():
     # holds whole up to n = 32 and no further; the character tables up to
     # DEFAULT_TABLE_LIMIT are rim-hook matrix products and read no MN value,
     # so only single mn_character lookups fill that bounded cache
-    for fn in (partitions.enumerate_partitions, characters.enumerate_classes):
-        assert fn.cache_info().maxsize >= snwalk.FLOAT_LIMIT + 1
+    assert partitions.enumerate_partitions.cache_info().maxsize >= snwalk.FLOAT_LIMIT + 1
     levels = [partitions.partition_count(n) + partitions.partition_count(n - 1) for n in (32, 33)]
     dimension_cache = partitions.dimension_sn.cache_info().maxsize
     assert dimension_cache == partitions.DIMENSION_CACHE_SIZE
@@ -240,5 +239,5 @@ def test_every_cache_is_bounded():
                 assert isinstance(maxsize, int) and maxsize > 0, f"{info.name}.{name}"
                 seen.add(value)
     assert {partitions.enumerate_partitions, partitions.dimension_sn, partitions._complete_level,
-            characters.enumerate_classes, characters._mn, snwalk._float_engine,
-            snwalk._float_laws, snwalk._exact_engine, glasymptotics._plan} <= seen
+            characters._mn, snwalk._float_engine, snwalk._exact_engine,
+            glasymptotics._plan} <= seen

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from operator import mul
 
@@ -23,7 +24,6 @@ from repwalk.snwalk import (
     _FloatEngine,
     _float_engine,
     _float_error_bound,
-    _float_laws,
     _skew_counts,
     class_walk_probability,
     kernel_downup,
@@ -462,7 +462,8 @@ def test_exact_tv_curve_equals_tv_over_reference_walk():
         eng = _float_engine(n)
         curve = sn_tv_curve(n, rmax, "float")
         assert [r for r, _, _ in curve] == list(range(1, rmax + 1))
-        laws = _float_walk(lattice(n), Partition((n,)), eng.step)
+        step = partial(eng.step, tables=eng._step_tables())
+        laws = _float_walk(lattice(n), Partition((n,)), step)
         for (r, tv, bound), law in zip(curve, islice(laws, 1, None)):
             assert tv == eng.tv(law)
             assert bound == sn_upper_bound(n, r)
@@ -504,10 +505,11 @@ def test_float_step_matches_segment_sums():
     rng = np.random.default_rng(18)
     for n in range(2, 41):
         eng, lat = _FloatEngine(n), lattice(n)
+        step = partial(eng.step, tables=eng._step_tables())
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
                 w = _mixed_vector(rng, len(lat.dims), low, high)
-                got, ref = eng.step(w), _apply_counts(lat, w) / n
+                got, ref = step(w), _apply_counts(lat, w) / n
                 if n <= 36:
                     assert np.array_equal(got, ref), n
                 elif low == -300:
@@ -522,10 +524,11 @@ def test_float_step_matches_padded_tables():
     rng = np.random.default_rng(20)
     for n in range(2, 41):
         eng, padded = _FloatEngine(n), padded_float_step(n)
+        step = partial(eng.step, tables=eng._step_tables())
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
                 w = _mixed_vector(rng, len(_dims(n)), low, high)
-                assert np.array_equal(eng.step(w), padded(w)), n
+                assert np.array_equal(step(w), padded(w)), n
 
 
 def test_float_laws_match_padded_tables():
@@ -533,9 +536,10 @@ def test_float_laws_match_padded_tables():
     # the cutoff, equal the padded walk's to the bit
     for n in range(2, 41):
         eng, lat = _FloatEngine(n), lattice(n)
+        step = partial(eng.step, tables=eng._step_tables())
         parts = enumerate_partitions(n)
         for start in (parts[0], parts[len(parts) // 2], parts[-1]):
-            walks = zip(range(2 * cutoff_steps(n) + 1), _float_walk(lat, start, eng.step),
+            walks = zip(range(2 * cutoff_steps(n) + 1), _float_walk(lat, start, step),
                         padded_reference_walk(n, start))
             for r, law, ref in walks:
                 assert np.array_equal(law, ref), (n, start, r)
@@ -545,12 +549,12 @@ def test_float_tables_store_each_edge_once():
     # the rows hold exactly the lattice's edges, no pad, and shrink down
     # each table, so row j is a prefix of row j - 1's columns
     for n in range(2, 41):
-        eng, lat = _FloatEngine(n), lattice(n)
-        for rows, edges in ((eng.up, lat.above), (eng.down, lat.below)):
+        (up, down, ids), lat = _FloatEngine(n)._step_tables(), lattice(n)
+        for rows, edges in ((up, lat.above), (down, lat.below)):
             lengths = [len(row) for row in rows]
             assert sum(lengths) == len(edges), n
             assert all(a >= b for a, b in zip(lengths, lengths[1:])), n
-        assert sorted(eng.ids.tolist()) == list(range(len(lat.dims)))
+        assert sorted(ids.tolist()) == list(range(len(lat.dims)))
 
 
 def test_float_laws_match_reference_walk():
@@ -558,8 +562,9 @@ def test_float_laws_match_reference_walk():
     # cutoff, equals the reduceat walk's to the bit
     for n in (19, 27, 36):
         eng, rmax = _FloatEngine(n), 2 * cutoff_steps(n)
+        step = partial(eng.step, tables=eng._step_tables())
         for start in (Partition((n,)), enumerate_partitions(n)[-1]):
-            laws = _float_walk(lattice(n), start, eng.step)
+            laws = _float_walk(lattice(n), start, step)
             for r, law, ref in zip(range(rmax + 1), laws, float_reference_walk(n, start)):
                 assert np.array_equal(law, ref), (n, r)
 
@@ -572,15 +577,16 @@ def test_one_r_float_law_matches_the_stepped_law(n):
     # tables (3.6e-14 to 3.1e-13 relative here; the largest gap measured
     # is 1.4e-15).  At n = 36 and 40 the middle and last ids hold the down pass
     # past int64 (test_down_pass_counts_past_int64)
-    eng, laws, parts = _FloatEngine(n), _float_laws(n), enumerate_partitions(n)
+    eng, parts = _float_engine(n), enumerate_partitions(n)
+    step = partial(eng.step, tables=eng._step_tables())
     cutoff = 0.5 * n * math.log(n)
     rs = {math.ceil(cutoff - n / 2), math.ceil(cutoff + n / 2), 2 * cutoff_steps(n)}
     relerr = {r: float_law_relerr(n, r) for r in rs}
     for s in (0, 1, len(parts) // 2, len(parts) - 1):
-        walk = _float_walk(lattice(n), parts[s], eng.step)
+        walk = _float_walk(lattice(n), parts[s], step)
         for r, stepped in zip(range(max(rs) + 1), walk):
             if r in rs:
-                got = laws.law(r, parts[s])
+                got = eng.law(r, parts[s])
                 assert np.all(np.abs(got - stepped) <= relerr[r] * stepped), (n, s, r)
 
 
@@ -601,27 +607,24 @@ def test_down_pass_counts_past_int64(n):
 
 
 def test_float_engine_reads_the_float_laws():
-    # a stepping engine holds its size's float laws' own dims and pi, and
     # pi is d * d / n! over the lattice's dimensions, each rounded once
     for n in range(2, FLOAT_LIMIT + 1):
-        laws, dims, n_fact = _float_laws(n), _dims(n), math.factorial(n)
-        eng = _float_engine(n)
-        assert eng.pi is laws.pi and eng.dims is laws.dims, n
-        assert laws.pi.tolist() == [d * d / n_fact for d in dims], n
-        assert laws.dims.tolist() == [float(d) for d in dims], n
+        eng, dims, n_fact = _float_engine(n), _dims(n), math.factorial(n)
+        assert eng.pi.tolist() == [d * d / n_fact for d in dims], n
+        assert eng.dims.tolist() == [float(d) for d in dims], n
 
 
 def test_float_engine_memory_is_bounded():
-    # a cold engine at n = 36 on cached levels and float laws keeps 1.59 MB:
-    # the jagged corner rows (81156 intp entries a side, one per lattice
-    # edge, 1.30 MB), ids and its memo walk; dims and pi are the laws'.
-    # Its peak, 2.19 MB, adds the up edges turned around from the level's
-    # down edges, freed before the down rows are built; the bound leaves
-    # 0.81 MB of margin
-    _float_laws(36)
+    # the step tables at n = 36, built on a cached level, keep 1.44 MB: the
+    # jagged corner rows (81156 intp entries a side, one per lattice edge,
+    # 1.30 MB) and ids.  Their peak, 2.15 MB, adds the up edges turned
+    # around from the level's down edges, freed before the down rows are
+    # built; the bound leaves 0.85 MB of margin
+    eng = _float_engine(36)
+    _complete_level(36)
     tracemalloc.start()
     try:
-        _FloatEngine(36)
+        eng._step_tables()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

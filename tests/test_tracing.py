@@ -55,7 +55,7 @@ def test_float_step_metric_counts_every_step(capsys):
     # snwalk.float_step_ms is the wrapped _FloatEngine.step averaged over its
     # calls; a float walk that stepped past the wrapper would read 0.  Only
     # sn-tv-curve --float steps (the one-r laws take no step), so it drives
-    # a fresh engine, whose memo holds no step yet
+    # one curve, which steps its whole rmax
     snwalk._float_engine.cache_clear()
     tracer = _load_tracing().Tracer()
     tracer.install()
@@ -73,7 +73,7 @@ def test_names_the_benchmark_reads_resolve():
     # perfbench/worker.py clears the engine cache between cold builds, and
     # perfbench/checks.py recomputes the printed float bound from this constant
     assert callable(snwalk._float_engine.cache_clear)
-    assert snwalk._float_engine.cache_info().maxsize == 4
+    assert snwalk._float_engine.cache_info().maxsize == snwalk.FLOAT_LIMIT - 1
     bound = 3 * partitions.partition_count(19) * snwalk.FLOAT_ENTRY_RELERR
     assert snwalk._float_error_bound(19, 3) == bound
 
