@@ -230,8 +230,7 @@ def _cmd_sn_cutoff(args):
     r = 0.5 * n * math.log(n) + c * n
     r = r if math.isinf(r) else math.ceil(r)  # +-inf: refused as too long or negative
     _check_steps(r)  # before exp(-2c), which overflows where r < 0
-    eng = _engine(n, mode)
-    tv = float(eng.tv(eng.law(r)))
+    tv = float(_engine(n, mode).tv_at(r))
     extra = [_error_bound_line(n, r)] if mode == "float" else []
     rows = [[r, math.exp(-2 * c) / 2, tv, sn_upper_bound(n, r)]]
     _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows, extra)

@@ -7,23 +7,14 @@ of the symmetric common-corner matrix A = D D^T, where D is the containment
 matrix of the partitions of n over those of n-1, since by Pieri's rule
 mult(rho in lam (x) eta) = A(lam, rho).  A walk at one r reads the laws
 of _engine, _ExactEngine (ints over one denominator) or _FloatEngine
-(doubles), with law(r, start), the law after r steps, and tv(law), the TV
-to Plancherel measure.  Every reader takes the lattice from the complete
-levels that partitions._complete_level caches: their down edges, the up
-edges _up_edges turns from them and the dimensions _dims reads from them.
-Both form a law in one Horner pass up those levels, by normal ordering
-(_horner), with no step.  A whole TV curve steps instead
-(tvs): the exact engine steps A with _apply_counts, two segment sums
-through the partitions of n-1 on level n's edges, and the float engine on
-two jagged corner tables built from the same edges, rows sorted by corner
-count that store no pad, adding each segment in the segment sums' order,
-so its stepped laws are bit-identical to theirs for n <= 36.
-Each is cached per size (_exact_engine, _float_engine).  The exact engine
-memoizes its walk from (n) in tvs, kept as long as it; the float engine
-builds its tables and walk for each curve and keeps neither.  With X the
-character table, A X = X diag(fp), so the spectrum is indexed by conjugacy
-classes with eigenvalue fixed_points/n; the tests hold this and Pieri's
-rule as integer identities on A and X.
+(doubles): law(r, start), the law after r steps by one Horner pass up the
+levels that partitions._complete_level caches (_horner), and tv_at(r), the
+TV to Plancherel measure after r steps from (n).  A TV curve (tvs) is read
+off path counts by the exact engine and stepped by the float one, each
+cached per size (_exact_engine, _float_engine).  With X the character
+table, A X = X diag(fp), so the spectrum is indexed by conjugacy classes
+with eigenvalue fixed_points/n; the tests hold this and Pieri's rule as
+integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
@@ -137,11 +128,10 @@ def kernel_downup(n: int) -> SparseKernel:
     A row lists rho in the order the paths lam -> mu -> rho first reach it.
     """
     _check_walk(n, "exact")
-    eng, parts = _exact_engine(n), enumerate_partitions(n)
-    dims = eng.dims
+    level, parts, dims = _complete_level(n), enumerate_partitions(n), _dims(n)
+    edges = (level.below, level.down_off, *_up_edges(level.below, level.down_off))
     # as Python ints, which the loops read faster than numpy scalars
-    below, down_off, above, up_off = (
-        a.tolist() for a in (eng.below, eng.down_off, eng.above, eng.up_off))
+    below, down_off, above, up_off = (a.tolist() for a in edges)
     rows = {}
     for i, lam in enumerate(parts):
         counts: dict[int, int] = {}
@@ -177,18 +167,6 @@ def _check_walk(n: int, mode: str | None = None) -> None:
         raise CapacityError(f"{mode} kernel", n, limit)
     if mode not in (None, "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-
-
-def _apply_counts(eng, w: np.ndarray) -> np.ndarray:
-    """A w = D (D^T w) for the containment matrix D of the edges eng holds,
-    below/down_off and above/up_off as _ExactEngine keeps them, exact on
-    Python ints: the first sum takes each partition of n-1 to the total of
-    w over the lam above it, the second each lam to the total of those over
-    the partitions below it.  For n >= 1 no segment is empty.  The exact
-    engine steps with it; _FloatEngine.step adds in its order on jagged
-    tables."""
-    return np.add.reduceat(np.add.reduceat(w[eng.above], eng.up_off[:-1])[eng.below],
-                           eng.down_off[:-1])
 
 
 def _partition_of(n: int, lam) -> Partition:
@@ -400,9 +378,8 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 
 
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
-    """Rows (r, tv, l2_bound) for r = 1..rmax, sharing one walk and one
-    running L2 sum: the TVs are read from the walk from (n) that the cached
-    engine of mode steps (its tvs), the one walk that steps."""
+    """Rows (r, tv, l2_bound) for r = 1..rmax, with one running L2 sum: the
+    TVs from (n) of the cached engine of mode (its tvs)."""
     _check_steps(rmax)
     tvs = _engine(n, mode).tvs(rmax)
     return list(zip(range(1, rmax + 1), islice(tvs, 1, None), _upper_bounds(n)))
@@ -413,28 +390,21 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
 
 
 class _ExactEngine:
-    """The walk in Python ints on the partitions of n, for any n it holds:
-    their dims (_dims) and level n's down and up edges (_up_edges), which
-    _apply_counts steps on.  K is the Doob transform of A, so the law after
-    r steps is (a, den) with a = A^r e_s and den = n^r d_s, and rho has mass
-    d_rho a_rho / den.  sn-walk --exact prints each mass from (a, den) as a
-    reduced integer ratio, and walk_distribution makes it a Fraction.
+    """The walk in Python ints on the partitions of n, for any n the levels
+    hold: law(r, start) is (a, den), a = A^r e_s by one Horner pass and
+    den = n^r d_s, rho's mass d_rho a_rho / den (K is A's Doob transform).
 
-    law forms a in one Horner pass up the levels (_horner), with no r
-    steps.  tvs steps the walk from (n) instead, since a whole curve is
-    cheaper by stepping."""
+    The TVs from (n) form no law: D^k e_(n) = e_(n-k), so a_r = V S(r, .)
+    for V of _paths, and with A = {rho : a_rho n! > d_rho n^r} and
+    g = (d 1_A)^T V, TV_r = (n! sum_k S(r, k) g_k - n^r g_n) / (n^r n!), g
+    exact in doubles (partial sums at most n!/(n-k)! < 2^53).  _tv_rows reads
+    A off a n! - d n^r = N w in doubles outside _margin, in integers inside.
+    Curves at n = 10..18 to twice the cutoff took 8.1-8.4 ms, against 25-27
+    ms stepping the law (fresh engines, 2-core Xeon, Python 3.11)."""
 
     def __init__(self, n: int):
-        level = _complete_level(n)
         self.n, self.dims = n, _dims(n)
-        self.below, self.down_off = level.below, level.down_off
-        self.above, self.up_off = _up_edges(level.below, level.down_off)
-        self.n_fact = n_fact = math.factorial(n)
-        self.scaled = np.array([d * n_fact for d in self.dims], dtype=object)
-        self.squares = np.array([d * d for d in self.dims], dtype=object)
-        a = np.zeros(len(self.dims), dtype=object)
-        a[0] = 1  # (n) has id 0 and d = 1
-        self._walk = ((a, 1), ())  # the walk from (n) that tvs memoizes
+        self._tvs = ()  # the TVs after 0..R steps from (n) that tvs keeps
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -449,24 +419,69 @@ class _ExactEngine:
         s = 0 if start is None else partition_id(start)
         return _horner(n, _stirling_row(r, n), s, object), n**r * self.dims[s]
 
-    def tv(self, law) -> Fraction:
-        """TV = sum of the positive u_rho / (den n!), u = d_rho a_rho n! - d_rho^2
-        den, one Fraction.  sum_rho d_rho a_rho = den and sum_rho d_rho^2 = n!,
-        so the u sum to 0, which is checked."""
-        a, den = law
-        u = self.scaled * a - self.squares * den
-        if u.sum():
-            raise ArithmeticError(f"the law on the partitions of {self.n} does not sum to 1")
-        return Fraction(u[u > 0].sum(), den * self.n_fact)
+    @cached_property
+    def _paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, N) in doubles: V[:, k] = U^k e_(n-k) = f^(rho/(n-k)), the Horner
+        pass from (n) on the unit rows in int64, checked: d^T V[:, k] =
+        n!/(n-k)!, as D d = n d a level down; N[:, k] = (n-k)! V[:, k] - d for
+        k < n.  Both, and every sum of _tv_rows on them, are exact while n! < 2^53."""
+        n = self.n
+        if math.factorial(n) >= 2**53:
+            raise CapacityError("exact TV", n, EXACT_KERNEL_LIMIT)
+        paths = _horner(n, np.eye(n + 1, dtype=np.int64), 0, np.int64)
+        if (np.array(self.dims) @ paths).tolist() != [math.perm(n, k) for k in range(n + 1)]:
+            raise ArithmeticError(f"the path counts on the partitions of {n} do not sum to n!")
+        gaps = paths[:, :n] * [math.factorial(n - k) for k in range(n)] - paths[:, n:]
+        return paths.astype(float), gaps.astype(float)
+
+    def tv_at(self, r: int) -> Fraction:
+        """The TV to Plancherel measure after r steps from (n)."""
+        return self._tv_rows(r, [_stirling_row(r, self.n)])[0]
 
     def tvs(self, r: int) -> tuple[Fraction, ...]:
-        """The TVs to Plancherel measure after 0..R steps from (n), for some
-        R >= r, memoized on the engine, the law (a_R, n^R) stepping on
-        through _apply_counts."""
-        n = self.n
-        self._walk = walk = _walk_to(
-            self._walk, r, lambda law: (_apply_counts(self, law[0]), law[1] * n), self.tv)
-        return walk[1]
+        """The TVs after 0..R >= r steps from (n), extended in blocks of 32
+        rows, each S(r + 1, k) = k S(r, k) + S(r, k - 1) from the last, and
+        kept, replaced whole, so a reader on any thread sees one tuple."""
+        tvs = self._tvs
+        if len(tvs) <= r:
+            n, row = self.n, _stirling_row(len(tvs), self.n)
+            while len(tvs) <= r:
+                block = []
+                for _ in range(min(32, r + 1 - len(tvs))):
+                    block.append(row)
+                    row = [k * s + t for k, s, t in zip(range(n + 1), row, [0] + row)]
+                tvs += self._tv_rows(len(tvs), block)
+            self._tvs = tvs
+        return tvs
+
+    def _tv_rows(self, r: int, rows: list[list[int]]) -> tuple[Fraction, ...]:
+        """The TVs after r, r + 1, ... steps from (n), rows[i] = S(r + i, .)."""
+        n, (paths, gaps), n_fact = self.n, self._paths, math.factorial(self.n)
+        # a n! - d n^r = N w, w_k = S(r, k) n!/(n-k)!: n^r = sum_k w_k, V[:, n] = d
+        ws = [[s * math.perm(n, k) for k, s in enumerate(row[:n])] for row in rows]
+        c = np.array([[x / top for x in w] for w, top in zip(ws, map(max, ws))]).T
+        est, tol = gaps @ c, _margin(n, np.abs(gaps) @ c)
+        signs = est > tol
+        for i, j in np.argwhere(np.abs(est) <= tol).tolist():
+            signs[i, j] = sum(map(mul, map(int, gaps[i].tolist()), ws[j])) > 0
+        g = ((signs * paths[:, -1:]).T @ paths).astype(np.int64).tolist()
+        dens = [n ** (r + i) for i in range(len(rows))]
+        return tuple(Fraction(n_fact * sum(map(mul, row, gk)) - den * gk[n], den * n_fact)
+                     for row, den, gk in zip(rows, dens, g))
+
+
+def _margin(n: int, b: np.ndarray) -> np.ndarray:
+    """gamma_(n+3) b + 2^-900, gamma_m = m u / (1 - m u), u = 2^-53: where
+    the double N c of _tv_rows (c = w / max w, b = |N| c) exceeds it in
+    size, it has the sign of N w = a n! - d n^r.  Each c_k is rounded once
+    (int true division rounds correctly), each product once (N is exact:
+    a skew shape of k boxes has at most k! tableaux, so |N| <= n! < 2^53),
+    and n - 1 additions follow, so N c is within gamma_(n+1) sum_k |c_k N_k|
+    of its value (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3), at most gamma_(n+1) b / (1 - gamma_(n+1)) <= gamma_(n+2) b; the
+    rest leaves u b for the test's own roundings, and 2^-900 covers terms
+    below the normal range, (|N| + 1) 2^-1022 each, < 2^-960 in all."""
+    return (n + 3) * 2.0**-53 / (1 - (n + 3) * 2.0**-53) * b + 2.0**-900
 
 
 def _stirling_row(r: int, n: int) -> list[int]:
@@ -487,10 +502,10 @@ def _horner(n: int, coeffs, s: int, dtype) -> np.ndarray:
     y_n is returned.  With coeffs S(r, k) it is A^r e_s: A = U D, one box
     down and one up, and Young's lattice is 1-differential (D U - U D = I;
     Stanley, JAMS 1988), so A^r = sum_k S(r, k) U^k D^k.  Every sum runs in
-    dtype, object (Python ints) or float (doubles), and every term is
-    nonnegative."""
+    dtype, object, float or int64, every term is nonnegative, and from s = 0
+    each coeffs[k] may be a row, and so is each entry of the result."""
     levels = [_complete_level(j) for j in range(n + 1)]
-    y = np.zeros(1, dtype)
+    y = np.zeros((1, *np.shape(coeffs[0])), dtype)
     for j, (level, (at, counts)) in enumerate(zip(levels, _skew_counts(levels, s, dtype))):
         if j:
             y = np.add.reduceat(y[level.below], level.down_off[:-1])
@@ -548,8 +563,8 @@ class _FloatEngine:
     law forms in one Horner pass (_horner) with coefficients S(r, k) / n^r,
     each rounded once; every term is nonnegative, so each mass carries a
     relative error of a few ulp per sum on its paths up and down the levels
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  A
-    whole TV curve steps instead (tvs), w <- A w / n with no kernel."""
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
+    tv_at reads it; a TV curve steps instead (tvs), w <- A w / n."""
 
     def __init__(self, n: int):
         n_fact, dims = math.factorial(n), np.array(_dims(n), dtype=object)
@@ -566,6 +581,10 @@ class _FloatEngine:
     def tv(self, law: np.ndarray) -> float:
         """TV distance to pi of a law in id order, by numpy's pairwise sum."""
         return float(np.abs(law - self.pi).sum() / 2)
+
+    def tv_at(self, r: int) -> float:
+        """The TV to pi after r steps from (n), of the one-r law."""
+        return self.tv(self.law(r))
 
     def _step_tables(self):
         """(up, down, ids), the two jagged corner tables step applies A
@@ -603,7 +622,7 @@ class _FloatEngine:
         padded with 0.0, and a skipped pad only ever added +0.0: the laws are
         bit-identical to such padded gathers for every n <= FLOAT_LIMIT.
         Those in turn add as np.add.reduceat does while no segment holds
-        more than 8 entries, so the laws equal _apply_counts's sums over
+        more than 8 entries, so the laws equal two such segment sums over
         level n's edges, over n, to the bit for n <= 36; from n = 37 on,
         reduceat adds a segment of 9 in numpy's pairwise blocks and the last
         digits may differ."""
@@ -613,40 +632,21 @@ class _FloatEngine:
         return w
 
     def tvs(self, r: int) -> tuple[float, ...]:
-        """The TVs to pi after 0..r steps from (n), w_r = A^r e_s / n^r
-        stepping (_walk_to) on tables built for this call; neither they nor
-        the walk are kept.  Each TV is tv(dims * w) of the stepped law, whose
-        sums run in another order than law's: the two agree to a few ulp per
-        mass, not to the bit."""
+        """The TVs to pi after 0..r steps from (n), tv(dims * w) as w = A^r
+        e_s / n^r steps on tables built for this call and then dropped.  The
+        stepped sums run in another order than law's: the two agree to a few
+        ulp per mass, not to the bit."""
         tables, w = self._step_tables(), np.zeros(len(self.dims))
         w[0] = 1.0  # (n) has id 0 and d = 1
-        return _walk_to((w, ()), r, lambda w: self.step(w, tables),
-                        lambda w: self.tv(self.dims * w))[1]
+        tvs = [self.tv(self.dims * w)]
+        for _ in range(r):
+            w = self.step(w, tables)
+            tvs.append(self.tv(self.dims * w))
+        return tuple(tvs)
 
 
-def _walk_to(walk, r: int, step, tv):
-    """The walk = (state_R, tvs), tvs the TVs after 0..R steps (none yet
-    for a walk not started), or, when R < r, a new pair stepped on from R
-    to r.  Only tvs, and so only sn_tv_curve, reads it: a law at one r
-    steps no walk.  The float engine walks a new pair per call; the exact
-    engine memoizes its pair, replaced whole, never changed in place, so a
-    reader on any thread sees one consistent pair.  That memo grows to the
-    longest walk asked of its engine, uncapped: the CLI caps exact output
-    at sys.get_int_max_str_digits() digits (an exact one at n = 18 holds at
-    most about 3425 TVs under the default 4300) and a walk at MAX_WALK_STEPS."""
-    state, tvs = walk
-    if len(tvs) > r:
-        return walk
-    more = [] if tvs else [tv(state)]  # a walk not started: its TV at step 0
-    while len(tvs) + len(more) <= r:
-        state = step(state)
-        more.append(tv(state))
-    return state, tvs + tuple(more)
-
-
-# every exact size, each holding its dims, edges and memo walk: at n = 18
-# about 7.6 MB once its memo is walked to the CLI's digit cap, 0.5 MB for
-# all sizes walked to three times their cutoffs (tracemalloc)
+# every exact size with its dims, path counts and TVs: 0.54 MB for all sizes
+# to 3x their cutoffs, 6.6 MB at n = 18 with TVs to the CLI's digit cap (tracemalloc)
 @lru_cache(maxsize=EXACT_KERNEL_LIMIT)
 def _exact_engine(n: int) -> _ExactEngine:
     return _ExactEngine(n)
@@ -661,7 +661,7 @@ def _float_engine(n: int) -> _FloatEngine:
 
 def _engine(n: int, mode: str):
     """The cached engine of the walk on S_n in mode, once _check_walk
-    passes: the exact one memoizes the walk of its tvs, the float one none."""
+    passes: the exact one keeps the TVs of its tvs, the float one none."""
     _check_walk(n, mode)
     return _exact_engine(n) if mode == "exact" else _float_engine(n)
 

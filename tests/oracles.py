@@ -914,7 +914,7 @@ def lattice(n: int):
     """Level n of the package's lattice, as the tests read it: n, the dims
     of _dims(n), the down edges below/down_off of _complete_level(n) and
     the up edges above/up_off that _up_edges turns from them, the fields
-    _apply_counts reads."""
+    apply_counts reads."""
     from types import SimpleNamespace
 
     from repwalk.partitions import _complete_level, _dims, _up_edges
@@ -925,14 +925,42 @@ def lattice(n: int):
                            above=above, up_off=up_off)
 
 
-def exact_reference_walk(n: int, start: Partition):
-    """The exact laws (a, den) after 0, 1, 2, ... steps from start, a = A^r e_s
-    and den = n^r d_s, stepped by the package's _apply_counts on
-    lattice(n): the stepped walk the exact engine's one-pass law
-    replaced."""
+def apply_counts(lat, w):
+    """A w = D (D^T w) on lat = lattice(n), in w's own arithmetic (exact on
+    Python ints): the first segment sum takes each partition of n-1 to the
+    total of w over the lam above it, the second each lam to the total of
+    those over the partitions below it.  For n >= 1 no segment is empty.
+    The exact engine stepped its walk with it before its TVs were read off
+    the path counts; _FloatEngine.step adds in its order on jagged
+    tables."""
     import numpy as np
 
-    from repwalk.snwalk import _apply_counts
+    return np.add.reduceat(np.add.reduceat(w[lat.above], lat.up_off[:-1])[lat.below],
+                           lat.down_off[:-1])
+
+
+def exact_law_tv(n: int, law) -> Fraction:
+    """The TV to Plancherel measure of an exact law (a, den), rho's mass
+    d_rho a_rho / den, as the exact engine read it off a stepped law: the
+    sum of the positive u_rho = d_rho a_rho n! - d_rho^2 den over den n!, in
+    object arrays.  sum_rho d_rho a_rho = den and sum_rho d_rho^2 = n!, so
+    the u sum to 0, which is asserted."""
+    import numpy as np
+
+    from repwalk.partitions import _dims
+
+    a, den = law
+    dims, n_fact = np.array(_dims(n), dtype=object), math.factorial(n)
+    u = dims * n_fact * a - dims * dims * den
+    assert u.sum() == 0
+    return Fraction(u[u > 0].sum(), den * n_fact)
+
+
+def exact_reference_walk(n: int, start: Partition):
+    """The exact laws (a, den) after 0, 1, 2, ... steps from start, a = A^r e_s
+    and den = n^r d_s, stepped by apply_counts on lattice(n): the stepped
+    walk the exact engine's one-pass law and path counts replaced."""
+    import numpy as np
 
     lat = lattice(n)
     s = partition_id(start)
@@ -941,7 +969,7 @@ def exact_reference_walk(n: int, start: Partition):
     den = lat.dims[s]
     while True:
         yield a, den
-        a = _apply_counts(lat, a)
+        a = apply_counts(lat, a)
         den *= n
 
 
@@ -965,11 +993,8 @@ def float_reference_walk(n: int, start: Partition):
     w <- A w / n by the two np.add.reduceat segment sums over the lattice's
     CSR edges, with no corner tables: the float step before the corner
     tables, whose addition order fixes the last digits of every law."""
-    import numpy as np
-
     lat = lattice(n)
-    return _float_walk(lat, start, lambda w: np.add.reduceat(
-        np.add.reduceat(w[lat.above], lat.up_off[:-1])[lat.below], lat.down_off[:-1]) / n)
+    return _float_walk(lat, start, lambda w: apply_counts(lat, w) / n)
 
 
 def gamma(k: int) -> float:
@@ -1059,13 +1084,11 @@ def padded_reference_walk(n: int, start: Partition):
 
 def common_corner_matrix(n: int):
     """A = D D^T on the lattice of n, an array of Python ints in lattice-id
-    order: the exact engine's step _apply_counts applied to the identity."""
+    order: the exact step apply_counts applied to the identity."""
     import numpy as np
 
-    from repwalk.snwalk import _apply_counts
-
     lat = lattice(n)
-    return _apply_counts(lat, np.eye(len(lat.dims), dtype=np.int64)).astype(object)
+    return apply_counts(lat, np.eye(len(lat.dims), dtype=np.int64)).astype(object)
 
 
 def _character_matrix(n: int):

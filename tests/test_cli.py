@@ -28,7 +28,7 @@ from repwalk.snwalk import (
     walk_samples,
 )
 
-from oracles import float_tv_gap
+from oracles import exact_law_tv, float_tv_gap
 
 
 def run(tmp_path, *argv):
@@ -1290,8 +1290,8 @@ def test_float_cutoff_tv_matches_exact_tv(capsys, n):
     code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", "0.5"])
     assert code == 0
     r, _, tv, _ = out.splitlines()[-1].split(",")
-    # the exact engine's stepped walk takes any n the lattice holds
-    exact = _ExactEngine(n).tvs(int(r))[int(r)]
+    # the exact engine's one-pass law takes any n the lattice holds
+    exact = exact_law_tv(n, _ExactEngine(n).law(int(r)))
     assert abs(Fraction(float(tv)) - exact) <= 2e-15
 
 

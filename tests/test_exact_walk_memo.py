@@ -1,11 +1,15 @@
-"""The exact engine of n is cached, with its walk from (n) and its one-pass law.
+"""The exact engine of n is cached, with its TVs from (n) and its one-pass law.
 
-_exact_engine keeps one _ExactEngine per exact size.  Its tvs memoizes the
-walk from (n) as _FloatEngine.tvs does: sn_tv_curve(n, rmax, "exact") steps
-only past what it holds, and whatever it holds gives the TVs a walk run
-afresh gives.  Its law(r, start) is the law after r steps from any start,
-sum_k S(r, k) U^k D^k e_s by Horner's rule up the levels, equal as
-integers to the stepped law.
+_exact_engine keeps one _ExactEngine per exact size.  Its tvs keeps the TVs
+from (n) it has computed: sn_tv_curve(n, rmax, "exact") computes rows only
+past what it holds, and whatever it holds gives the TVs a cleared cache
+gives.  The rows form no law: each is read off the path counts V, whose
+column k is U^k e_(n-k), as a_r = V S(r, .), its signs decided in doubles
+outside a certified margin (snwalk._margin) and in integers inside it, and
+every row is == the Fraction TV of the law stepped on Python ints.  Its
+law(r, start) is the law after r steps from any start, sum_k S(r, k)
+U^k D^k e_s by Horner's rule up the levels, equal as integers to the
+stepped law.
 """
 
 import math
@@ -13,15 +17,19 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from fractions import Fraction
 from itertools import islice
+from operator import mul
 
+import numpy as np
 import pytest
 
 from repwalk import snwalk
 from repwalk.cli import main
+from repwalk.errors import CapacityError
 from repwalk.partitions import Partition, enumerate_partitions
 
-from oracles import exact_reference_walk
+from oracles import exact_law_tv, exact_reference_walk
 
 
 def _cutoff_r(n, c=0.0):
@@ -39,16 +47,18 @@ def _cutoff(capsys, n, c):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The sizes of the _apply_counts calls made from an empty exact engine
-    cache on."""
+    """n once for each curve row an exact engine computes (and keeps) in
+    tvs, from an empty exact engine cache on."""
     calls = []
-    apply_counts = snwalk._apply_counts
+    tvs = snwalk._ExactEngine.tvs
 
-    def counted(lat, w):
-        calls.append(lat.n)
-        return apply_counts(lat, w)
+    def counted(self, r):
+        before = len(self._tvs)
+        out = tvs(self, r)
+        calls.extend([self.n] * (len(out) - before))
+        return out
 
-    monkeypatch.setattr(snwalk, "_apply_counts", counted)
+    monkeypatch.setattr(snwalk._ExactEngine, "tvs", counted)
     snwalk._exact_engine.cache_clear()
     yield calls
     snwalk._exact_engine.cache_clear()
@@ -68,14 +78,93 @@ def test_law_equals_the_stepped_law(n):
 
 
 def test_repeat_curve_reads_the_memo(steps):
+    # the rows r = 0..rmax, the TV at r = 0 among them
     r1, r2 = _cutoff_r(14, -0.5), _cutoff_r(14, 0.5)
     first = _curve(14, r2)
-    assert steps == [14] * r2
+    assert steps == [14] * (r2 + 1)
     assert _curve(14, r2) == first and _curve(14, r1) == first[:r1]
-    assert steps == [14] * r2
+    assert steps == [14] * (r2 + 1)
     longer = _curve(14, 2 * r2)
     assert longer[:r2] == first
-    assert steps == [14] * (2 * r2)
+    assert steps == [14] * (2 * r2 + 1)
+
+
+@pytest.mark.parametrize("n", range(2, snwalk.EXACT_KERNEL_LIMIT + 1))
+def test_rows_equal_the_stepped_law_tv(n):
+    # every row to 3x the cutoff, and the one-r TV at each of them, is ==
+    # the Fraction TV of the law stepped on Python ints
+    rmax = 3 * _cutoff_r(n)
+    eng = snwalk._ExactEngine(n)
+    tvs = eng.tvs(rmax)
+    assert len(tvs) == rmax + 1
+    for r, law in zip(range(rmax + 1), exact_reference_walk(n, Partition((n,)))):
+        ref = exact_law_tv(n, law)
+        assert tvs[r] == ref and eng.tv_at(r) == ref, r
+
+
+@pytest.mark.parametrize("n", [5, 12, 18])
+def test_deep_rows_equal_the_stepped_law_tv(n):
+    # by r = 400 a_rho n! and d_rho n^r agree to far more digits than a
+    # double holds (from r = 72, 207 and 324 on, at every rho), so a sign
+    # read from the difference of the two in doubles would be undecided
+    eng, r = snwalk._ExactEngine(n), 400
+    laws = islice(exact_reference_walk(n, Partition((n,))), r + 1)
+    assert eng.tvs(r) == tuple(exact_law_tv(n, law) for law in laws)
+    assert eng.tv_at(r) == eng.tvs(r)[r] == exact_law_tv(n, eng.law(r))
+
+
+@pytest.mark.parametrize("n", [3, 10, 18])
+def test_integer_signs_alone_give_the_same_rows(monkeypatch, n):
+    # a margin no double clears sends every sign to the integer test
+    rmax = 2 * _cutoff_r(n)
+    want = snwalk._ExactEngine(n).tvs(rmax)
+    sizes = []
+
+    def everywhere(n, b):
+        sizes.append(b.size)
+        return np.full_like(b, np.inf)
+
+    monkeypatch.setattr(snwalk, "_margin", everywhere)
+    eng = snwalk._ExactEngine(n)
+    assert eng.tvs(rmax) == want and eng.tv_at(rmax) == want[rmax]
+    assert sum(sizes) == len(eng.dims) * (rmax + 2)
+
+
+@pytest.mark.parametrize("n", [4, 11, 18])
+def test_the_margin_bounds_the_float_error(n):
+    # at every r to 3x the cutoff and at r = 400, each double N c that
+    # _tv_rows forms lies within _margin of its exact value N w / max(w),
+    # which is (a n! - d n^r) / max(w) for the law a after r steps
+    eng, n_fact = snwalk._ExactEngine(n), math.factorial(n)
+    gaps = eng._paths[1]
+    rows = gaps.astype(np.int64).tolist()
+    for r in [*range(3 * _cutoff_r(n) + 1), 400]:
+        w = [s * math.perm(n, k) for k, s in enumerate(snwalk._stirling_row(r, n)[:n])]
+        c = np.array([x / max(w) for x in w])
+        est, tol = gaps @ c, snwalk._margin(n, np.abs(gaps) @ c)
+        a, den = eng.law(r)
+        for x, t, row, ar, d in zip(est.tolist(), tol.tolist(), rows, a, eng.dims):
+            exact = sum(map(mul, row, w))
+            assert exact == ar * n_fact - d * den
+            assert abs(Fraction(x) - Fraction(exact, max(w))) <= t, (r, row)
+
+
+def test_a_memo_extended_twice_equals_one_call():
+    # extensions that end inside and across blocks of 32 rows
+    n, cuts = 16, (1, 20, 33, 64, 90)
+    want = snwalk._ExactEngine(n).tvs(cuts[-1])
+    eng = snwalk._ExactEngine(n)
+    for r in cuts:
+        assert eng.tvs(r)[:r + 1] == want[:r + 1]
+    assert eng.tvs(cuts[-1]) == want
+
+
+def test_path_count_sums_are_exact_in_doubles():
+    # every partial sum of g is at most n!, so the exact engine's sizes keep
+    # it below 2^53; a size past that is refused
+    assert math.factorial(snwalk.EXACT_KERNEL_LIMIT) < 2**53
+    with pytest.raises(CapacityError):
+        snwalk._ExactEngine(19).tv_at(50)
 
 
 def test_law_and_cutoff_step_no_walk(capsys, steps):
@@ -87,17 +176,17 @@ def test_law_and_cutoff_step_no_walk(capsys, steps):
     # so does a walk from another start, which keeps no memo
     snwalk.walk_distribution(12, 3, start=(11, 1))
     assert steps == []
-    assert snwalk._exact_engine(12)._walk[1] == ()
+    assert snwalk._exact_engine(12)._tvs == ()
 
 
 def test_cache_clear_frees_the_engine(steps):
     snwalk.sn_tv_curve(16, 10, "exact")
     engine = snwalk._exact_engine(16)
     engine.law(5)
-    refs = [weakref.ref(x) for x in (engine, engine._walk[0][0])]
+    refs = [weakref.ref(x) for x in (engine, *engine._paths)]
     del engine
     snwalk._exact_engine.cache_clear()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None] * 3
 
 
 @pytest.mark.parametrize("n", [10, 15, 18])
@@ -175,16 +264,17 @@ def test_threads_on_one_size_read_their_single_thread_values():
 
 
 def test_an_unbalanced_law_fails_its_check(capsys, monkeypatch):
-    # sum_rho d_rho a_rho = den for every law; a step that breaks it is
-    # caught by tv's zero-sum check, and the CLI exits 1
-    apply_counts = snwalk._apply_counts
+    # sum_rho d_rho V[rho, k] = n!/(n-k)! for the path counts, so that
+    # sum_rho d_rho a_rho = n^r for every law they give; path counts that
+    # break it are caught when the engine forms them, and the CLI exits 1
+    horner = snwalk._horner
 
-    def broken(lat, w):
-        out = apply_counts(lat, w)
+    def broken(*args):
+        out = horner(*args)
         out[-1] += 1
         return out
 
-    monkeypatch.setattr(snwalk, "_apply_counts", broken)
+    monkeypatch.setattr(snwalk, "_horner", broken)
     snwalk._exact_engine.cache_clear()
     try:
         assert main(["sn-tv-curve", "--n", "12", "--rmax", "3", "--exact"]) == 1
@@ -194,9 +284,10 @@ def test_an_unbalanced_law_fails_its_check(capsys, monkeypatch):
 
 
 def test_exact_caches_hold_a_bounded_footprint():
-    # every exact engine after a law and its memo walked to 3x the cutoff:
-    # what the cache holds then, measured from a cleared cache (0.52 MB,
-    # 0.98 MB while each engine kept its skew-tableau matrix)
+    # every exact engine after a law and its TVs to 3x the cutoff: what the
+    # cache holds then, its path counts included, measured from a cleared
+    # cache (0.54 MB; 0.52 MB with a stepped walk kept instead of the path
+    # counts, 0.98 MB while each engine kept its skew-tableau matrix)
     snwalk._exact_engine.cache_clear()
     snwalk._complete_level(snwalk.EXACT_KERNEL_LIMIT)  # the cached levels, outside the bound
     tracemalloc.start()

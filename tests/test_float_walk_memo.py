@@ -163,13 +163,13 @@ def test_cache_clear_frees_the_engine(steps):
 
 def test_exact_cutoff_computes_one_tv(capsys, monkeypatch, steps):
     calls = []
-    tv = snwalk._ExactEngine.tv
+    tv_at = snwalk._ExactEngine.tv_at
 
-    def counted(self, law):
-        calls.append(law)
-        return tv(self, law)
+    def counted(self, r):
+        calls.append(r)
+        return tv_at(self, r)
 
-    monkeypatch.setattr(snwalk._ExactEngine, "tv", counted)
+    monkeypatch.setattr(snwalk._ExactEngine, "tv_at", counted)
     _cutoff(capsys, 18, 0.5)
     assert len(calls) == 1 and steps == []
     assert snwalk._float_engine.cache_info().currsize == 0

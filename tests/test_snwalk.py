@@ -20,7 +20,6 @@ from repwalk.partitions import (
 )
 from repwalk.snwalk import (
     FLOAT_LIMIT,
-    _apply_counts,
     _FloatEngine,
     _float_engine,
     _float_error_bound,
@@ -44,6 +43,7 @@ from repwalk.snwalk import (
 from oracles import (
     _float_walk,
     _rank_mod_p,
+    apply_counts,
     character_table_brute,
     class_sizes_brute,
     class_walk_probability_reference,
@@ -509,7 +509,7 @@ def test_float_step_matches_segment_sums():
         for low, high in ((-300, 5), (0, 1)):
             for _ in range(4):
                 w = _mixed_vector(rng, len(lat.dims), low, high)
-                got, ref = step(w), _apply_counts(lat, w) / n
+                got, ref = step(w), apply_counts(lat, w) / n
                 if n <= 36:
                     assert np.array_equal(got, ref), n
                 elif low == -300:
