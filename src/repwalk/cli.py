@@ -8,7 +8,8 @@ Exit codes: 0 ok, 1 a self-check failed (gl-cycle-index --check found a
 mismatch, or an internal exact check raised ArithmeticError), 2 usage
 error, 3 capacity error, 4 sampler failure (the GL sampler reached its
 attempt cap, or its threshold enclosures failed to separate a uniform
-draw).
+draw).  The S_n walk commands refuse through snwalk._walk_start, as the
+library does, and add only the digit cap after it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .glirreps import (
     unipotent_tail_bound,
 )
 from .hsp import hsp_bounds, subgroup_closure
-from .partitions import Partition, dimension_sn, enumerate_partitions, partition_id
+from .partitions import Partition, enumerate_partitions, partition_id
 from .rng import derive_seed
 from .series import DEFAULT_ORDER, _check_order, euler_lhs_rhs, q_pochhammer
 from .snwalk import (
@@ -55,8 +56,7 @@ from .snwalk import (
     _check_walk,
     _engine,
     _float_error_bound,
-    _partition_of,
-    _walk_law,
+    _walk_start,
     moment_fc_reduced,
     rsk_samples,
     sn_tv_curve,
@@ -183,26 +183,21 @@ def _cmd_characters(args):
     return 0
 
 
-def _error_bound_line(n: int, r: int) -> str:
-    return f"# accumulated float error bound: {_float_error_bound(n, r)!r}"
+def _error_bound_line(n: int, r: int, at: str = "") -> str:
+    return f"# accumulated float error bound{at}: {_float_error_bound(n, r)!r}"
 
 
 def _cmd_sn_walk(args):
     start = Partition.from_string(args.start) if args.start is not None else None
-    if args.mode == "exact":
-        _check_steps(args.r)  # a walk past the step cap keeps that message
-        if start is not None:  # its size before dimension_sn, which is slow on a long one
-            _partition_of(args.n, start)
-        _check_walk(args.n, "exact")
-        _check_digits(args.n, args.r, 1 if start is None else dimension_sn(start))
-    eng, law = _walk_law(args.n, args.r, start, args.mode)
+    eng, s = _walk_start(args.n, args.r, start, args.mode)
     if args.mode == "float":
         labels = (lam.to_string() for lam in enumerate_partitions(args.n))
-        masses = map(repr, law.tolist())
+        masses = map(repr, eng.law(args.r, s).tolist())
         extra = [_error_bound_line(args.n, args.r)]
     else:
-        # mass d_rho a_rho / den, whose digits _check_digits bounded by den's
-        a, den = law
+        # mass d_rho a_rho / den, whose digits _check_digits bounds by den's
+        _check_digits(args.n, args.r, eng.dims[s])
+        a, den = eng.law(args.r, s)
         labels = eng.labels
         masses = (_ratio(d * x, den) for d, x in zip(eng.dims, a))
         extra = []
@@ -212,12 +207,10 @@ def _cmd_sn_walk(args):
 
 def _cmd_sn_tv_curve(args):
     if args.mode == "exact":
-        _check_steps(args.rmax)
-        _check_walk(args.n, "exact")  # a size past its cap keeps that message
+        _walk_start(args.n, args.rmax, None, "exact")  # its refusals before the digit cap
         _check_digits(args.n, args.rmax)
     rows = sn_tv_curve(args.n, args.rmax, args.mode)
-    err = _float_error_bound(args.n, args.rmax)
-    extra = [f"# accumulated float error bound at rmax: {err!r}"] if args.mode == "float" else []
+    extra = [_error_bound_line(args.n, args.rmax, " at rmax")] if args.mode == "float" else []
     _write_csv(args, "sn-tv-curve", ["r", "tv", "l2_bound"], rows, extra)
     return 0
 
@@ -226,11 +219,11 @@ def _cmd_sn_cutoff(args):
     n, c = args.n, args.c
     mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     # n before r, whose log(n) and float n fail for n < 1 and n past 10**308
-    _check_walk(n, mode)
+    eng = _engine(n, mode)
     r = 0.5 * n * math.log(n) + c * n
     r = r if math.isinf(r) else math.ceil(r)  # +-inf: refused as too long or negative
     _check_steps(r)  # before exp(-2c), which overflows where r < 0
-    tv = float(_engine(n, mode).tv_at(r))
+    tv = float(eng.tv_at(r))
     extra = [_error_bound_line(n, r)] if mode == "float" else []
     rows = [[r, math.exp(-2 * c) / 2, tv, sn_upper_bound(n, r)]]
     _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows, extra)
@@ -304,6 +297,8 @@ def _cmd_gl_counts(args):
 
 def _cmd_gl_bound(args):
     _check_digits(args.q, 2 * args.r * max(args.n, 0))
+    if args.n >= 1 and args.r >= 1:  # square >= (|GL| - 1) / (4 q^(2rn)) > q^(n^2 - 2rn) / 32
+        _refuse_digits((args.n - 2 * args.r) * args.n * math.log10(args.q) - 1.51, "printed digits")
     bound = gl_upper_bound(args.n, args.q, args.r)
     squared = gl_upper_bound_squared(args.n, args.q, args.r)
     rows = [[args.r, bound, squared]]

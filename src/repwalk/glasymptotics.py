@@ -81,8 +81,8 @@ DEFAULT_PREC = 320
 DEFAULT_ATTEMPT_CAP = 10_000_000
 MAX_DOUBLINGS = 6  # precision doublings a threshold set tries before giving up
 # sampler plans kept, one per (n, q, u): the default u depends on n alone, so
-# every (n <= SAMPLE_N_LIMIT, q in 2..SAMPLE_Q_LIMIT) at it is 20 * 2 = 40
-PLAN_CACHE_SIZE = 40
+# one for every (n <= SAMPLE_N_LIMIT, q in 2..SAMPLE_Q_LIMIT) at it
+PLAN_CACHE_SIZE = SAMPLE_N_LIMIT * (SAMPLE_Q_LIMIT - 1)
 
 
 # ---------------------------------------------------------------------------

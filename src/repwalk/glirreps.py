@@ -16,6 +16,7 @@ builds the measure S_{u,q} on the same two functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -240,8 +241,10 @@ def gl_upper_bound_squared(n: int, q: int, r: int) -> Fraction:
 
 
 def gl_upper_bound(n: int, q: int, r: int) -> float:
-    """L2 upper bound on TV distance after r steps; <= 1/(2 q^c) at r = n + c."""
-    return math.sqrt(gl_upper_bound_squared(n, q, r))
+    """L2 upper bound on TV distance after r steps, inf past the double range
+    (an upper bound rounded up still bounds); <= 1/(2 q^c) at r = n + c."""
+    squared = gl_upper_bound_squared(n, q, r)
+    return math.sqrt(squared) if squared <= sys.float_info.max else math.inf
 
 
 def unipotent_marginal(n: int, q: int) -> dict[Partition, Fraction]:

@@ -7,14 +7,14 @@ of the symmetric common-corner matrix A = D D^T, where D is the containment
 matrix of the partitions of n over those of n-1, since by Pieri's rule
 mult(rho in lam (x) eta) = A(lam, rho).  A walk at one r reads the laws
 of _engine, _ExactEngine (ints over one denominator) or _FloatEngine
-(doubles): law(r, start), the law after r steps by one Horner pass up the
-levels that partitions._complete_level caches (_horner), and tv_at(r), the
-TV to Plancherel measure after r steps from (n).  A TV curve (tvs) is read
-off path counts by the exact engine and stepped by the float one, each
-cached per size (_exact_engine, _float_engine).  With X the character
-table, A X = X diag(fp), so the spectrum is indexed by conjugacy classes
-with eigenvalue fixed_points/n; the tests hold this and Pieri's rule as
-integer identities on A and X.
+(doubles), past one refusal gate (_walk_start): law(r, s), the law after r
+steps from id s by one Horner pass up the levels partitions._complete_level
+caches (_horner), and tv_at(r), the TV to Plancherel after r steps from
+(n).  A TV curve (tvs) is read off path counts by the exact engine and
+stepped by the float one, each cached per size (_exact_engine,
+_float_engine).  With X the character table, A X = X diag(fp), so the
+spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n;
+the tests hold this and Pieri's rule as integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
 round it out, each an RSK shape of a seeded permutation: the walk's law as a
@@ -29,6 +29,7 @@ samplers to.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,28 +179,29 @@ def _partition_of(n: int, lam) -> Partition:
     return lam
 
 
-def _walk_law(n: int, r: int, start, mode: str):
-    """The cached laws of mode (_engine) and their law(r, start), from the
-    one-row partition by default.  An exact law is (a, den), rho's mass
-    d_rho a_rho / den; a float law is the masses in lattice-id order."""
+def _walk_start(n: int, r: int, start, mode: str):
+    """The cached engine of mode and the lattice id of start (default 0,
+    the one-row partition), once the step cap, the size of start and then
+    _engine's size cap and mode pass: no start past the cap is numbered.
+    An exact law(r, s) is (a, den), rho's mass d_rho a_rho / den; a float
+    one is the masses in lattice-id order."""
     _check_steps(r)
-    if start is not None:
-        start = _partition_of(n, start)
+    start = None if start is None else _partition_of(n, start)
     eng = _engine(n, mode)
-    return eng, eng.law(r, start)
+    return eng, 0 if start is None else partition_id(start)
 
 
 def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDistribution:
     """Distribution after r steps from start (default: the one-row partition).
 
-    The Fraction view of the engine's law (_walk_law): in exact mode rho's
+    The Fraction view of the engine's law (_walk_start): in exact mode rho's
     mass is Fraction(d_rho a_rho, den), and an unreached rho has none."""
-    eng, law = _walk_law(n, r, start, mode)
+    eng, s = _walk_start(n, r, start, mode)
     parts = enumerate_partitions(n)
     if mode == "float":
-        masses = dict(zip(parts, law.tolist()))
+        masses = dict(zip(parts, eng.law(r, s).tolist()))
         return WalkDistribution(n, mode, masses, _float_error_bound(n, r))
-    a, den = law
+    a, den = eng.law(r, s)
     masses = {p: Fraction(d * x, den) for p, d, x in zip(parts, eng.dims, a) if x}
     return WalkDistribution(n, mode, masses)
 
@@ -232,17 +234,18 @@ def tv_to_plancherel(dist: WalkDistribution):
 
 
 def sn_upper_bound_squared(n: int, r: int) -> Fraction:
-    """Exact square of the L2 bound: (1/4) sum_i count(i) (i/n)^(2r), as one
-    integer sum over 4 n^(2r)."""
-    if n < 2 or r < 1:
-        raise ValueError("need n >= 2 and r >= 1")
+    """Exact square of the L2 bound, chi^2 / 4: (1/4) sum_i count(i) (i/n)^(2r),
+    one integer sum over 4 n^(2r), and (n! - 1) / 4 at r = 0."""
+    if n < 2 or r < 0:
+        raise ValueError("need n >= 2 and r >= 0")
     num = sum(count * i ** (2 * r) for i, count in fixed_point_profile(n).items() if i <= n - 2)
     return Fraction(num, 4 * n ** (2 * r))
 
 
 def sn_upper_bound(n: int, r: int) -> float:
-    """L2 upper bound on total variation after r steps."""
-    return math.sqrt(sn_upper_bound_squared(n, r))
+    """L2 upper bound on TV after r steps, inf past the double range."""
+    squared = sn_upper_bound_squared(n, r)
+    return math.sqrt(squared) if squared <= sys.float_info.max else math.inf
 
 
 def _upper_bounds(n: int):
@@ -380,8 +383,7 @@ def sn_lower_bound_estimate(n: int, r: int, alpha: float) -> float:
 def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
     """Rows (r, tv, l2_bound) for r = 1..rmax, with one running L2 sum: the
     TVs from (n) of the cached engine of mode (its tvs)."""
-    _check_steps(rmax)
-    tvs = _engine(n, mode).tvs(rmax)
+    tvs = _walk_start(n, rmax, None, mode)[0].tvs(rmax)
     return list(zip(range(1, rmax + 1), islice(tvs, 1, None), _upper_bounds(n)))
 
 
@@ -391,7 +393,7 @@ def sn_tv_curve(n: int, rmax: int, mode: str = "exact"):
 
 class _ExactEngine:
     """The walk in Python ints on the partitions of n, for any n the levels
-    hold: law(r, start) is (a, den), a = A^r e_s by one Horner pass and
+    hold: law(r, s) is (a, den), a = A^r e_s by one Horner pass and
     den = n^r d_s, rho's mass d_rho a_rho / den (K is A's Doob transform).
 
     The TVs from (n) form no law: D^k e_(n) = e_(n-k), so a_r = V S(r, .)
@@ -412,11 +414,10 @@ class _ExactEngine:
         built once per engine and kept as long as it."""
         return tuple(lam.to_string() for lam in enumerate_partitions(self.n))
 
-    def law(self, r: int, start: Partition | None = None):
-        """The law (a, n^r d_s) after r steps from start (default (n)), a the
-        Horner pass (_horner) with coefficients S(r, k), in Python ints."""
+    def law(self, r: int, s: int = 0):
+        """The law (a, n^r d_s) after r steps from id s (default 0, (n)), a
+        the Horner pass (_horner) with coefficients S(r, k), in Python ints."""
         n = self.n
-        s = 0 if start is None else partition_id(start)
         return _horner(n, _stirling_row(r, n), s, object), n**r * self.dims[s]
 
     @cached_property
@@ -558,7 +559,7 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 
 class _FloatEngine:
     """The walk in doubles on the partitions of n: dims d and pi d^2/n! from
-    level n's dimensions (_dims), each rounded once, law(r, start) and
+    level n's dimensions (_dims), each rounded once, law(r, s) and
     tv(law).  K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which
     law forms in one Horner pass (_horner) with coefficients S(r, k) / n^r,
     each rounded once; every term is nonnegative, so each mass carries a
@@ -570,10 +571,9 @@ class _FloatEngine:
         n_fact, dims = math.factorial(n), np.array(_dims(n), dtype=object)
         self.n, self.dims, self.pi = n, dims.astype(float), (dims * dims / n_fact).astype(float)
 
-    def law(self, r: int, start: Partition | None = None) -> np.ndarray:
-        """The law after r steps from start (default (n)), in lattice-id order."""
+    def law(self, r: int, s: int = 0) -> np.ndarray:
+        """The law after r steps from id s (default 0, (n)), in lattice-id order."""
         n = self.n
-        s = 0 if start is None else partition_id(start)
         den = n**r
         w = _horner(n, [x / den for x in _stirling_row(r, n)], s, float)
         return self.dims / self.dims[s] * w

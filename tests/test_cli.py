@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -12,9 +13,9 @@ from repwalk import characters, cli, glasymptotics, snwalk
 from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
-from repwalk.glirreps import fixed_space_counts
+from repwalk.glirreps import fixed_space_counts, gl_upper_bound_squared
 from repwalk.hsp import hsp_bounds
-from repwalk.partitions import Partition, enumerate_partitions
+from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.snwalk import (
     EXACT_KERNEL_LIMIT,
     FLOAT_LIMIT,
@@ -807,10 +808,10 @@ def _must_not_run(*args, **kwargs):
 @pytest.mark.parametrize("argv,slow,code,refusal", [
     (["hsp", "--n", str(10**7), "--gens", "(1 2)"], "subgroup_closure", 3,
      "capacity error: character table: requested 10000000"),
-    (["sn-walk", "--n", "5", "--r", "1", "--exact", "--start", "300000"], "dimension_sn", 2,
-     "usage error: partition 300000 has size 300000, expected 5"),
-    (["sn-walk", "--n", "100000", "--r", "1", "--exact", "--start", "100000"], "dimension_sn", 3,
-     "capacity error: exact kernel: requested 100000"),
+    (["sn-walk", "--n", "5", "--r", "1", "--exact", "--start", "300000"],
+     "repwalk.snwalk.partition_id", 2, "usage error: partition 300000 has size 300000, expected 5"),
+    (["sn-walk", "--n", "100000", "--r", "1", "--exact", "--start", "100000"],
+     "repwalk.snwalk.partition_id", 3, "capacity error: exact kernel: requested 100000"),
     (["sn-moments", "--n", str(10**7), "--r", "1"], "Partition", 3,
      "capacity error: character table: requested 10000000"),
     (["sn-cutoff", "--n", "10", "--c", "-400"], "math.exp", 2,
@@ -820,8 +821,10 @@ def test_refused_before_the_slow_call(capsys, monkeypatch, argv, slow, code, ref
     # each was refused only after its slow step: 3 s for the n-part
     # partition, 44 s for the hook product of 300000 boxes, over 120 s for
     # the closure at n = 4 * 10**6; sn-cutoff overflowed in exp(-2c) and
-    # exited 1 with a traceback
-    monkeypatch.setattr(f"repwalk.cli.{slow}", _must_not_run)
+    # exited 1 with a traceback.  sn-walk --start reads d_s off the engine
+    # at the id partition_id gives, which _walk_start asks for last
+    monkeypatch.setattr(slow if slow.startswith("repwalk.") else f"repwalk.cli.{slow}",
+                        _must_not_run)
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -934,6 +937,7 @@ def test_printed_digits_past_the_prediction_are_a_capacity_error(capsys):
     ["gl-counts", "--n", "2000", "--q", "3"],
     ["gl-lower", "--n", "6", "--q", "2", "--c", "14284"],
     ["gl-lower", "--n", "6", "--q", "3", "--c", "9000"],
+    ["gl-bound", "--n", "200", "--q", "2", "--r", "1"],
 ])
 def test_printed_digit_predictions_fail_fast(capsys, argv):
     # gl-counts ran 3 to 10 s and gl-lower --c 14284 2.8 s before str()
@@ -945,6 +949,73 @@ def test_printed_digit_predictions_fail_fast(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "capacity error: printed digits: requested" in captured.err
+
+
+@pytest.mark.parametrize("n,q,r", [(121, 2, 1), (122, 2, 2), (96, 3, 1), (80, 5, 1)])
+def test_gl_bound_digit_prediction_is_a_lower_bound(capsys, monkeypatch, n, q, r):
+    # (n, q, r) is the first n at which the prediction
+    # (n^2 - 2rn) log10(q) - log10(32) passes the limit, so the square's
+    # numerator does too, and gl-bound is refused before its fixed-space
+    # counts; one n lower it is not refused before them
+    limit = sys.get_int_max_str_digits()
+    predicted = [(m - 2 * r) * m * math.log10(q) - 1.51 for m in (n - 1, n)]
+    assert predicted[0] < limit <= predicted[1]
+    assert gl_upper_bound_squared(n, q, r).numerator >= 10**limit
+    for m in (n - 1, n):
+        argv = ["gl-bound", "--n", str(m), "--q", str(q), "--r", str(r)]
+        calls = []
+        monkeypatch.setattr("repwalk.glirreps.fixed_space_counts",
+                            lambda *a: calls.append(a) or fixed_space_counts(*a))
+        code, out = _main_stdout(capsys, argv)
+        if m < n:
+            assert code == 0 and calls and out
+        else:
+            assert code == 3 and not calls and out == ""
+
+
+def test_gl_bound_past_the_double_range_prints_inf(capsys):
+    # the bound's square root raised OverflowError, reported as "check
+    # failed" (exit 1); it is now inf, beside the exact square
+    code, out = _main_stdout(capsys, ["gl-bound", "--n", "40", "--q", "2", "--r", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == f"1,inf,{gl_upper_bound_squared(40, 2, 1)}"
+
+
+@pytest.mark.parametrize("n,c", [(2, "-0.35"), (40, "-1.845")])
+def test_sn_cutoff_at_r0_prints_the_start_row(capsys, n, c):
+    # the derived r is 0, which sn_upper_bound refused: exit 2 with "usage
+    # error: need n >= 2 and r >= 1"; the row is now the point mass at (n):
+    # TV 1 - 1/n! and L2 bound sqrt(n! - 1) / 2
+    code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
+    assert code == 0
+    r, _, tv, bound = out.splitlines()[-1].split(",")
+    assert r == "0" and float(tv) <= float(bound)
+    assert float(tv) == float(1 - Fraction(1, math.factorial(n)))
+    assert float(bound) == math.sqrt(Fraction(math.factorial(n) - 1, 4))
+
+
+def test_sn_walk_start_runs_each_refusal_once(capsys, monkeypatch):
+    # an exact sn-walk --start ran _check_steps, _partition_of and
+    # _check_walk in cli and again in snwalk's law helper, and took d_s for
+    # its digit cap from dimension_sn's hook product; one gate
+    # (_walk_start) now runs each once, and d_s is the engine's
+    calls = collections.Counter()
+    for name in ("_check_steps", "_partition_of", "_check_walk"):
+        def counted(*args, _name=name, _f=getattr(snwalk, name)):
+            calls[_name] += 1
+            return _f(*args)
+        for module in (cli, snwalk):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    start = Partition((5, 4, 2, 1))
+    before = dimension_sn.cache_info()
+    code, out = _main_stdout(capsys, ["sn-walk", "--n", "12", "--r", "7", "--start", "5+4+2+1"])
+    assert code == 0
+    assert dimension_sn.cache_info() == before
+    assert calls == {"_check_steps": 1, "_partition_of": 1, "_check_walk": 1}
+    masses = walk_distribution(12, 7, start).masses
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    assert {Partition.from_string(lam): Fraction(m) for lam, m in rows if m != "0"} == masses
 
 
 @pytest.mark.parametrize("q,n,digits", [(3, 37, 653), (2, 56, 944), (2, 48, 694)])
@@ -1301,7 +1372,7 @@ def test_sn_cutoff_reads_the_engine_alone(capsys, monkeypatch, n, c):
     # one engine: no WalkDistribution, no Fraction-dict TV, and not the
     # law helper sn-walk reads
     want = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
-    for name in ("repwalk.cli._walk_law", "repwalk.snwalk.walk_distribution",
+    for name in ("repwalk.cli._walk_start", "repwalk.snwalk.walk_distribution",
                  "repwalk.snwalk.tv_to_plancherel"):
         monkeypatch.setattr(name, _must_not_run)
     assert _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c]) == want

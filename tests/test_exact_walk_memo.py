@@ -73,7 +73,7 @@ def test_law_equals_the_stepped_law(n):
     rmax = 3 * _cutoff_r(n)
     for s in dict.fromkeys((0, 1, len(parts) // 2, len(parts) - 1)):
         for r, (a, den) in zip(range(rmax + 1), exact_reference_walk(n, parts[s])):
-            b, d = eng.law(r, parts[s])
+            b, d = eng.law(r, s)
             assert d == den and list(b) == list(a), (s, r)
 
 

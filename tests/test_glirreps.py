@@ -183,6 +183,15 @@ def test_gl_upper_bound_headline():
                 assert sq <= Fraction(1, 4 * q ** (2 * c))
 
 
+def test_gl_upper_bound_past_the_double_range_is_inf():
+    # math.sqrt of the exact square raised OverflowError, which gl-bound
+    # reported as a failed check (exit 1)
+    for n, q, r in ((40, 2, 1), (30, 3, 1), (35, 2, 2)):
+        assert gl_upper_bound_squared(n, q, r) > sys.float_info.max
+        assert gl_upper_bound(n, q, r) == math.inf
+    assert math.isfinite(gl_upper_bound(33, 2, 1)) and gl_upper_bound(34, 2, 1) == math.inf
+
+
 def test_gl_upper_bound_monotone_to_zero():
     values = [gl_upper_bound(3, 2, r) for r in range(1, 40)]
     assert all(a >= b for a, b in zip(values, values[1:]))

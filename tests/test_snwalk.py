@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -270,6 +271,23 @@ def test_upper_bound_examples():
     values = [sn_upper_bound(6, r) for r in range(1, 61)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_upper_bound_at_r0_is_the_point_mass_chi2(n):
+    # no step taken: the law is the point mass at (n), whose chi^2 to
+    # Plancherel measure is n!/d_(n)^2 - 1 = n! - 1; a negative r is refused
+    assert sn_upper_bound_squared(n, 0) == Fraction(math.factorial(n) - 1, 4)
+    with pytest.raises(ValueError, match="r >= 0"):
+        sn_upper_bound_squared(n, -1)
+
+
+def test_upper_bound_past_the_double_range_is_inf():
+    # math.sqrt of the exact square raised OverflowError from n = 173 at r = 1;
+    # an upper bound rounded up to inf still bounds
+    assert sn_upper_bound_squared(173, 1) > sys.float_info.max
+    assert sn_upper_bound(173, 1) == math.inf
+    assert math.isfinite(sn_upper_bound(172, 1))
 
 
 def test_tv_curve_bound_column_is_the_closed_form():
@@ -586,7 +604,7 @@ def test_one_r_float_law_matches_the_stepped_law(n):
         walk = _float_walk(lattice(n), parts[s], step)
         for r, stepped in zip(range(max(rs) + 1), walk):
             if r in rs:
-                got = eng.law(r, parts[s])
+                got = eng.law(r, s)
                 assert np.all(np.abs(got - stepped) <= relerr[r] * stepped), (n, s, r)
 
 
