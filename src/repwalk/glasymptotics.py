@@ -12,7 +12,8 @@ S-distributed, so rejection on the total degree yields exact Plancherel
 samples of GL(n,q).  The sampler's accept/reject path compares lazily
 extended uniforms against certified rational interval thresholds; no
 floating point is involved.  A representation-valued cycle index ties the
-enumerated Plancherel data to the infinite product, coefficientwise.
+enumerated Plancherel data to the infinite product, coefficientwise; the
+product is read off its logarithm, whose coefficients have closed forms.
 
 The weight of S comes from glirreps (suq_weight), where the unipotent-part
 bounds are it and the size tail of S (suq_size_tail_bound) at u = 1.
@@ -73,7 +74,7 @@ from .intervals import (
 )
 from .partitions import Partition, _hook_lengths, enumerate_partitions
 from .rng import LazyUniform, SplitMix64
-from .series import TruncSeries, _check_order, q_pochhammer
+from .series import _check_order, _exp_coefficients, q_pochhammer
 
 SAMPLE_N_LIMIT = 20
 SAMPLE_Q_LIMIT = 3
@@ -201,31 +202,25 @@ def cycle_index_lhs(n_max: int, q: int) -> list[tuple[Fraction, ...]]:
 def cycle_index_rhs(q: int, order: int) -> list[tuple[Fraction, ...]]:
     """Same coefficients from the product over cuspidal labels.
 
-    Each degree-d label contributes 1 + sum_lam u^(d|lam|) w(lam), with w
-    the S-weight at (u^d, q^d); the cuspidal_count(d,q) interchangeable
-    copies give one series power.  Exactly one label (the unit character)
-    is tracked by t, so the coefficient of u^i t^k is marked[k] * rest[i-k],
-    marked[k] being its size-k weight and rest the product over the
-    untracked labels.
+    A degree-d label contributes sum_lam w_{1,q^d}(lam) u^(d|lam|) =
+    1/Z(u^d, q^d), of logarithm sum_k (u^(dk)/k) c_k(q^d), c_k(Q) =
+    Q^k/(Q^k - 1)^2 = c_{dk}(q) (Cauchy's identity).  Exactly one label (the
+    unit character) is tracked by t, so the coefficient of u^i t^k is
+    marked[k] * rest[i-k], read off series._exp_coefficients: marked has
+    m g_m = c_m(q), and rest, the other labels, m g_m = c_m(q) sum_{d|m} d N'_d,
+    N'_d being cuspidal_count(d, q) less the unit label at d = 1.
     """
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"q must be an integer >= 2, got {q}")
     _check_order(order, q)
-    rest = TruncSeries.one(order)
-    marked = [Fraction(1)]  # replaced at d = 1, which order 0 never reaches
-    for d in range(1, order + 1):
-        qd = Fraction(q) ** d
-        # by_size[s] = total weight of the partitions of s, the u^(d s) coefficient
-        by_size = [Fraction(1)] + [
-            sum(suq_weight(1, qd, lam) for lam in enumerate_partitions(size))
-            for size in range(1, order // d + 1)
-        ]
-        copies = cuspidal_count(d, q)
-        if d == 1:
-            marked = by_size
-            copies -= 1
-        plain = [Fraction(0)] * (order + 1)
-        plain[::d] = by_size
-        rest = rest * TruncSeries(order, tuple(plain)) ** copies
-    return [_poly_trim([marked[k] * rest.coeffs[i - k] for k in range(i + 1)])
+    cs = [Fraction(q**m, (q**m - 1) ** 2) for m in range(1, order + 1)]
+    copies = [0, q - 2] + [cuspidal_count(d, q) for d in range(2, order + 1)]
+    marked = _exp_coefficients(order, cs)
+    rest = _exp_coefficients(order, [
+        c * sum(d * copies[d] for d in range(1, m + 1) if m % d == 0)
+        for m, c in enumerate(cs, 1)
+    ])
+    return [_poly_trim([marked[k] * rest[i - k] for k in range(i + 1)])
             for i in range(order + 1)]
 
 

@@ -16,12 +16,12 @@ builds the measure S_{u,q} on the same two functions.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapacityError
+from .intervals import _sqrt_or_inf
 from .partitions import EMPTY, Partition, enumerate_partitions
 
 DEFAULT_ENUM_N = 5
@@ -56,15 +56,15 @@ def mobius(n: int) -> int:
     return (-1) ** len(factors)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: a Fraction or float q equal to a cached int is refused
 def cuspidal_count(d: int, q: int) -> int:
     """Number of cuspidal characters of GL(d,q): (1/d) sum_{e|d} mu(d/e)(q^e - 1).
 
     Equals the count of monic irreducible degree-d polynomials over the
     q-element field other than x; in particular q - 1 for d = 1.
     """
-    if d < 1 or q < 2:
-        raise ValueError("need d >= 1 and q >= 2")
+    if d < 1 or not isinstance(q, int) or q < 2:
+        raise ValueError(f"need d >= 1 and an integer q >= 2, got d = {d}, q = {q}")
     total = sum(mobius(d // e) * (q**e - 1) for e in range(1, d + 1) if d % e == 0)
     if total % d:
         raise ArithmeticError(f"Moebius sum {total} is not divisible by d = {d}")
@@ -241,10 +241,9 @@ def gl_upper_bound_squared(n: int, q: int, r: int) -> Fraction:
 
 
 def gl_upper_bound(n: int, q: int, r: int) -> float:
-    """L2 upper bound on TV distance after r steps, inf past the double range
-    (an upper bound rounded up still bounds); <= 1/(2 q^c) at r = n + c."""
-    squared = gl_upper_bound_squared(n, q, r)
-    return math.sqrt(squared) if squared <= sys.float_info.max else math.inf
+    """L2 upper bound on TV distance after r steps, inf past the double
+    range; <= 1/(2 q^c) at r = n + c."""
+    return _sqrt_or_inf(gl_upper_bound_squared(n, q, r))
 
 
 def unipotent_marginal(n: int, q: int) -> dict[Partition, Fraction]:
@@ -341,6 +340,14 @@ def _tail_denominator_log10(q: int, c: int) -> float:
     return total
 
 
+def _check_lower_c(n: int, c: int) -> None:
+    """Refuse c < 1, and c > n, whose r = n - c is a negative step count."""
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    if c > n:
+        raise ValueError(f"c must be at most n (r = n - c steps), got c = {c} > n = {n}")
+
+
 def gl_lower_bound(n: int, q: int, c: int):
     """Certified lower bound on TV distance at r = n - c steps.
 
@@ -348,8 +355,7 @@ def gl_lower_bound(n: int, q: int, c: int):
     at size >= c, an event of full walk probability, so TV >= 1 - pi(A).
     Enumerable cases use the exact marginal; larger ones the tail bound.
     """
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    _check_lower_c(n, c)
     if gl_enumerable(n, q):
         marg = unipotent_marginal(n, q)
         pa = sum(mass for lam, mass in marg.items() if lam and lam[0] >= c)

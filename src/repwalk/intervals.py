@@ -22,8 +22,15 @@ enclosure_from_scaled turns such endpoints into an Interval.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def _sqrt_or_inf(squared: Fraction) -> float:
+    """An L2 bound from its exact square; inf past the double range still bounds."""
+    return math.sqrt(squared) if squared <= sys.float_info.max else math.inf
 
 
 def floor_scaled(x: Fraction, scale: int) -> int:

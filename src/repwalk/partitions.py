@@ -30,8 +30,8 @@ from .errors import CapacityError
 # a float sweep up to snwalk.FLOAT_LIMIT cycles through
 SIZE_CACHE_SIZE = 64
 # dimensions kept.  snwalk.walk_step reads those of the partitions of n and
-# n - 1, and sn-walk --start one; 1 << 14 holds both levels whole for every
-# n <= 32 (p(32) + p(31) = 15191), and the samplers read none
+# n - 1; 1 << 14 holds both levels whole for every n <= 32 (p(32) + p(31) =
+# 15191).  The samplers read none, and sn-walk --start reads d_s off its engine
 DIMENSION_CACHE_SIZE = 1 << 14
 
 

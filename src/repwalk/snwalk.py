@@ -29,7 +29,6 @@ samplers to.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +45,7 @@ from .characters import (
     fixed_point_profile,
 )
 from .errors import CapacityError
+from .intervals import _sqrt_or_inf
 from .partitions import (
     Partition,
     _complete_level,
@@ -244,8 +244,7 @@ def sn_upper_bound_squared(n: int, r: int) -> Fraction:
 
 def sn_upper_bound(n: int, r: int) -> float:
     """L2 upper bound on TV after r steps, inf past the double range."""
-    squared = sn_upper_bound_squared(n, r)
-    return math.sqrt(squared) if squared <= sys.float_info.max else math.inf
+    return _sqrt_or_inf(sn_upper_bound_squared(n, r))
 
 
 def _upper_bounds(n: int):

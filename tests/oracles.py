@@ -11,8 +11,10 @@ engines, the stepped exact walk against the one-pass law, the down-up
 chain against the coupon-count sampler, the samplers' inlined word draws
 against plain randrange, the Fraction interval products and running sums,
 the Interval threshold entries and the full-product normalizer loop against
-the integer endpoints, one locate per table against the inlined attempt, and
-the exact walk step against the Murnaghan-Nakayama table.
+the integer endpoints, one locate per table against the inlined attempt,
+the exact walk step against the Murnaghan-Nakayama table, and the Euler
+partial products and per-partition cycle index product against the
+exponential recurrence.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repwalk.glirreps import CuspidalLabel, GLIrrep, cuspidal_count
 from repwalk.intervals import Interval, ceil_scaled, floor_scaled, guard_bits
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions, partition_id
 from repwalk.rng import _GOLDEN, mix64
+from repwalk.series import TruncSeries
 
 
 def cycle_type_brute(perm: tuple[int, ...]) -> Partition:
@@ -893,6 +896,59 @@ def gaussian_binomial(a: int, b: int, x: Fraction) -> Fraction:
     out = Fraction(1)
     for k in range(1, b + 1):
         out *= (1 - x ** (a - b + k)) / (1 - x**k)
+    return out
+
+
+def euler_partial_product(q, order: int, n_factors: int) -> TruncSeries:
+    """prod_{m=0}^{n_factors-1} (1 - u/q^m)^(-1), truncated, one geometric
+    factor sum_k (u/q^m)^k at a time."""
+    q = Fraction(q)
+    out = TruncSeries.one(order)
+    for m in range(n_factors):
+        out = out * TruncSeries.from_coeffs(order, [q ** (-m * k) for k in range(order + 1)])
+    return out
+
+
+def check_partial_product_closed_form(q: Fraction, limit: TruncSeries, series: TruncSeries,
+                                      n_factors: int):
+    """Raise unless coefficient n of the n_factors-factor partial product is
+    limit.coeffs[n] * prod_{j<n} (1 - q^(-(n_factors+j))) for every n: the
+    Gaussian binomial [n_factors+n-1, n] at 1/q when limit is the Euler
+    series."""
+    correction = Fraction(1)
+    for n, (c, lim) in enumerate(zip(series.coeffs, limit.coeffs)):
+        if c != lim * correction:
+            raise ArithmeticError("partial product disagrees with its closed form")
+        correction *= 1 - q ** -(n_factors + n)
+
+
+def cycle_index_rhs_by_partitions(q: int, order: int) -> list[tuple[Fraction, ...]]:
+    """cycle_index_rhs as a product over cuspidal labels of per-partition
+    weight sums: a degree-d label's u^(d s) coefficient is the sum of
+    suq_weight(1, q^d, lam) over the partitions of s, the cuspidal_count(d, q)
+    labels of degree d give one series power, and the unit label, tracked by
+    t, is left out of it."""
+    rest = TruncSeries.one(order)
+    marked = [Fraction(1)]
+    for d in range(1, order + 1):
+        qd = Fraction(q) ** d
+        by_size = [Fraction(1)] + [
+            sum(suq_weight(1, qd, lam) for lam in enumerate_partitions(size))
+            for size in range(1, order // d + 1)
+        ]
+        copies = cuspidal_count(d, q)
+        if d == 1:
+            marked = by_size
+            copies -= 1
+        plain = [Fraction(0)] * (order + 1)
+        plain[::d] = by_size
+        rest = rest * TruncSeries(order, tuple(plain)) ** copies
+    out = []
+    for i in range(order + 1):
+        poly = [marked[k] * rest.coeffs[i - k] for k in range(i + 1)]
+        while len(poly) > 1 and not poly[-1]:
+            poly.pop()
+        out.append(tuple(poly))
     return out
 
 

@@ -13,7 +13,7 @@ from repwalk import characters, cli, glasymptotics, snwalk
 from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
-from repwalk.glirreps import fixed_space_counts, gl_upper_bound_squared
+from repwalk.glirreps import fixed_space_counts, gl_upper_bound, gl_upper_bound_squared
 from repwalk.hsp import hsp_bounds
 from repwalk.partitions import Partition, dimension_sn, enumerate_partitions
 from repwalk.snwalk import (
@@ -204,6 +204,40 @@ def test_gl_cycle_index_none_rows_check_the_euler_coefficient(tmp_path, monkeypa
     assert [rows[("none", str(k))] for k in (0, 1, 3)] == ["OK"] * 3
     assert all(rows[("unipotent", str(k))] == "OK" for k in range(4))
     assert rows[("euler", "4")] == "OK"
+
+
+def test_gl_cycle_index_compares_the_euler_sides_exactly(tmp_path, monkeypatch):
+    # one right-side coefficient off by 10^-40: the 10^-30 tolerance that the
+    # stabilized partial product needed printed OK, the exact comparison not
+    sides = cli.euler_lhs_rhs
+
+    def perturbed(q, order):
+        lhs, rhs = sides(q, order)
+        coeffs = list(rhs.coeffs)
+        coeffs[3] += Fraction(1, 10**40)
+        return lhs, dataclasses.replace(rhs, coeffs=tuple(coeffs))
+
+    monkeypatch.setattr(cli, "euler_lhs_rhs", perturbed)
+    code, text = run(tmp_path, "gl-cycle-index", "--q", "2", "--order", "6", "--check")
+    assert code == 1
+    assert text.splitlines()[-1] == "euler,6,MISMATCH"
+
+
+# gl-cycle-index at its caps: one sha256 over (argv, exit code, stdout) of
+# every run, recorded while the Euler side was a stabilized partial product
+# and the cycle index a sum of suq_weight over every partition
+CYCLE_INDEX_GRID_SHA256 = "b8d0d69e6565323685e02f698d4c15b2baab086e7285030290858d34baaed188"
+
+
+def test_gl_cycle_index_grid_golden(capsys):
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 16):
+        for order in (0, 1, 6, 12, 20, 30):
+            for check in ([], ["--check"]) if q <= 4 else ([],):
+                argv = ["gl-cycle-index", "--q", str(q), "--order", str(order), *check]
+                code, out = _main_stdout(capsys, argv)
+                digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == CYCLE_INDEX_GRID_SHA256
 
 
 def test_hsp_json(tmp_path):
@@ -886,7 +920,7 @@ def test_negative_order_rejected_while_parsing(capsys):
     ["sn-tv-curve", "--n", "6", "--rmax", "6000", "--exact"],
     ["sn-moments", "--n", "6", "--r", "9000"],
     ["gl-bound", "--n", "3", "--q", "2", "--r", "100000"],
-    ["gl-lower", "--n", "6", "--q", "2", "--c", "20000"],
+    ["gl-lower", "--n", "20000", "--q", "2", "--c", "20000"],
 ])
 def test_exact_output_digit_limit_fails_fast(capsys, argv):
     # each ran for 0.8 to 17 s before str() refused its output as a usage error
@@ -921,9 +955,9 @@ def test_printed_digits_past_the_prediction_are_a_capacity_error(capsys):
     # printed number that no prediction refused (c = 265 here) is refused as
     # a capacity error all the same; gl-counts is refused by its own
     # prediction of the group order, with the same message
-    assert main(["gl-lower", "--n", "6", "--q", "2", "--c", "264"]) == 0
+    assert main(["gl-lower", "--n", "264", "--q", "2", "--c", "264"]) == 0
     capsys.readouterr()
-    for argv in (["gl-lower", "--n", "6", "--q", "2", "--c", "265"],
+    for argv in (["gl-lower", "--n", "265", "--q", "2", "--c", "265"],
                  ["gl-counts", "--n", "80", "--q", "5"]):
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -935,8 +969,8 @@ def test_printed_digits_past_the_prediction_are_a_capacity_error(capsys):
     ["gl-counts", "--n", "200", "--q", "2"],
     ["gl-counts", "--n", "120", "--q", "5"],
     ["gl-counts", "--n", "2000", "--q", "3"],
-    ["gl-lower", "--n", "6", "--q", "2", "--c", "14284"],
-    ["gl-lower", "--n", "6", "--q", "3", "--c", "9000"],
+    ["gl-lower", "--n", "14284", "--q", "2", "--c", "14284"],
+    ["gl-lower", "--n", "9000", "--q", "3", "--c", "9000"],
     ["gl-bound", "--n", "200", "--q", "2", "--r", "1"],
 ])
 def test_printed_digit_predictions_fail_fast(capsys, argv):
@@ -973,12 +1007,38 @@ def test_gl_bound_digit_prediction_is_a_lower_bound(capsys, monkeypatch, n, q, r
             assert code == 3 and not calls and out == ""
 
 
+@pytest.mark.parametrize("n,q,r", [(4, 2, 5), (40, 2, 1)])
+def test_gl_bound_counts_fixed_spaces_once(capsys, monkeypatch, n, q, r):
+    # gl-bound took its bound from gl_upper_bound and its square from
+    # gl_upper_bound_squared, two fixed_space_counts passes an op; the bound
+    # is now the root of the one square, inf past the double range
+    calls = []
+    monkeypatch.setattr("repwalk.glirreps.fixed_space_counts",
+                        lambda *a: calls.append(a) or fixed_space_counts(*a))
+    code, out = _main_stdout(capsys, ["gl-bound", "--n", str(n), "--q", str(q), "--r", str(r)])
+    assert code == 0 and calls == [(n, q)]
+    squared = gl_upper_bound_squared(n, q, r)
+    assert out.splitlines()[-1] == f"{r},{gl_upper_bound(n, q, r)!r},{squared}"
+
+
 def test_gl_bound_past_the_double_range_prints_inf(capsys):
     # the bound's square root raised OverflowError, reported as "check
     # failed" (exit 1); it is now inf, beside the exact square
     code, out = _main_stdout(capsys, ["gl-bound", "--n", "40", "--q", "2", "--r", "1"])
     assert code == 0
     assert out.splitlines()[-1] == f"1,inf,{gl_upper_bound_squared(40, 2, 1)}"
+
+
+@pytest.mark.parametrize("n,c", [(3, 5), (30, 31), (0, 1)])
+def test_gl_lower_refuses_a_negative_step_count(capsys, n, c):
+    # r = n - c < 0: gl-lower --n 3 --q 2 --c 5 printed a TV bound of 1 at
+    # r = -2 from the exact marginal, and n = 30 from the tail bound; c > n
+    # is refused before the digit predictions, whatever c is
+    assert main(["gl-lower", "--n", str(n), "--q", "2", "--c", str(c)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: c must be at most n (r = n - c steps), got c = {c} > n = {n}" \
+        in captured.err
 
 
 @pytest.mark.parametrize("n,c", [(2, "-0.35"), (40, "-1.845")])

@@ -12,6 +12,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 from repwalk.errors import CapacityError
 from oracles import (
+    cycle_index_rhs_by_partitions,
     draw_indices_list,
     high_degree_empty_direct,
     suq_normalizer_pow_int,
@@ -37,7 +38,7 @@ from repwalk.glirreps import plancherel_gl, suq_size_tail_bound, unipotent_margi
 from repwalk.intervals import Interval
 from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.rng import SplitMix64
-from repwalk.series import euler_lhs, q_pochhammer
+from repwalk.series import _exp_coefficients, euler_lhs, q_pochhammer
 
 
 def test_suq_weight_examples():
@@ -215,6 +216,35 @@ def test_cycle_index_rhs_closed_form(q):
         assert len(marked) == m_max + 1
         for m in range(m_max + 1):
             assert sum(marked[m]) == 1 / q_pochhammer(q, m)
+
+
+def test_suq_weight_sums_are_the_exponential_of_their_logarithm():
+    # sum_{lam |- s} w_{u,Q}(lam) = u^s f_s with f = exp(sum_k x^k c_k(Q)/k),
+    # c_k(Q) = Q^k/(Q^k - 1)^2, that is 1/Z(x, Q): the closed form that
+    # cycle_index_rhs reads its product off, for integer and rational Q
+    order = 12
+    for Q in (2, 3, Fraction(5, 2), 9, Fraction(7, 3)):
+        Q = Fraction(Q)
+        f = _exp_coefficients(order, [Q**k / (Q**k - 1) ** 2 for k in range(1, order + 1)])
+        for u in (1, Fraction(1, 2), Fraction(3, 4)):
+            for s in range(order + 1):
+                assert sum(suq_weight(u, Q, lam) for lam in enumerate_partitions(s)) == u**s * f[s]
+
+
+def test_cycle_index_rhs_matches_the_per_partition_product():
+    for q in (2, 3, 4, 5, 7, 16):
+        for order in range(13):
+            assert cycle_index_rhs(q, order) == cycle_index_rhs_by_partitions(q, order), (q, order)
+
+
+def test_cycle_index_sides_refuse_a_q_that_is_no_field_size():
+    # cycle_index_rhs raised ArithmeticError at q = 5/2, which the CLI
+    # reports as a failed self-check, and ZeroDivisionError at q = 1
+    for q in (Fraction(5, 2), Fraction(3), 1, 0, 2.0):
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            cycle_index_rhs(q, 3)
+    with pytest.raises(ValueError, match="an integer q >= 2"):
+        cycle_index_lhs(3, Fraction(5, 2))
 
 
 def test_cycle_index_reduces_to_euler_series():

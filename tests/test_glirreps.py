@@ -49,6 +49,16 @@ def test_cuspidal_count_indivisible_sum_raises(monkeypatch):
         cuspidal_count.__wrapped__(3, 2)
 
 
+def test_cuspidal_count_refuses_a_q_that_is_no_field_size():
+    # q = 5/2 raised ArithmeticError from the Moebius divisibility check,
+    # which the CLI reports as a failed self-check; a q equal to a cached
+    # integer q was read from the cache
+    assert cuspidal_count(1, 3) == 2
+    for q in (Fraction(5, 2), Fraction(3), 3.0, 1, 0, -2):
+        with pytest.raises(ValueError, match="an integer q >= 2"):
+            cuspidal_count(1, q)
+
+
 def test_cuspidal_count_matches_irreducible_polynomials():
     for p in (2, 3):
         for d in (1, 2, 3, 4):
@@ -247,6 +257,15 @@ def test_gl_lower_bound():
     assert gl_lower_bound(30, 2, 1) == 0
 
 
+@pytest.mark.parametrize("n,q,c", [(3, 2, 5), (30, 2, 31), (0, 2, 1)])
+def test_gl_lower_bound_refuses_c_past_n(n, q, c):
+    # r = n - c steps: c > n returned a bound at a negative step count, from
+    # the exact marginal at (3, 2) and from the tail bound at n = 30
+    with pytest.raises(ValueError, match="c must be at most n"):
+        gl_lower_bound(n, q, c)
+    assert gl_lower_bound(c, q, c) <= 1
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 97])
 def test_tail_denominator_log10_is_a_lower_bound(q):
     # the CLI refuses gl-lower from this bound before summing, so it must
@@ -259,7 +278,7 @@ def test_tail_denominator_log10_is_a_lower_bound(q):
             bound = glirreps._tail_denominator_log10(q, c)
             assert bound <= math.log10(tail.denominator)
             if tail < 1:
-                assert bound <= math.log10(gl_lower_bound(6, q, c).denominator)
+                assert bound <= math.log10(gl_lower_bound(max(6, c), q, c).denominator)
             if c >= 100:  # and it grows with the sum, not with q^c alone
                 assert bound > 0.6 * math.log10(tail.denominator)
     finally:

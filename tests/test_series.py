@@ -1,19 +1,24 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repwalk.series import (
+    ORDER_LIMIT,
     TruncSeries,
-    _check_partial_product_closed_form,
+    _exp_coefficients,
     euler_lhs,
     euler_lhs_rhs,
-    euler_partial_product,
-    geometric_factor,
     q_pochhammer,
 )
 
-from oracles import gaussian_binomial, q_pochhammer_reference
+from oracles import (
+    check_partial_product_closed_form,
+    euler_partial_product,
+    gaussian_binomial,
+    q_pochhammer_reference,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=12
@@ -31,7 +36,7 @@ def test_basic_arithmetic():
     sq = one_plus_u * one_plus_u
     assert sq.coeffs == (1, 2, 1, 0, 0)
     one_minus_u = TruncSeries.from_coeffs(4, [1, -1])
-    assert (one_minus_u * geometric_factor(4, 1)).coeffs == (1, 0, 0, 0, 0)
+    assert (one_minus_u * TruncSeries.from_coeffs(4, [1] * 5)).coeffs == (1, 0, 0, 0, 0)
 
 
 def test_order_mismatch_rejected():
@@ -48,7 +53,7 @@ def test_ring_laws(a, b, c):
 
 
 def test_powers():
-    g = geometric_factor(5, Fraction(1, 2))
+    g = TruncSeries.from_coeffs(5, [Fraction(1, 2**k) for k in range(6)])
     assert (g**0).coeffs == TruncSeries.one(5).coeffs
     assert (g**3).coeffs == (g * g * g).coeffs
     with pytest.raises(ValueError):
@@ -98,21 +103,49 @@ def test_closed_form_check_catches_a_perturbed_coefficient(q):
     lhs = euler_lhs(q, order)
     for n_factors in (1, 6, 11):
         p = euler_partial_product(q, order, n_factors)
-        _check_partial_product_closed_form(q, lhs, p, n_factors)
+        check_partial_product_closed_form(q, lhs, p, n_factors)
         for n in range(order + 1):
             coeffs = list(p.coeffs)
             coeffs[n] += Fraction(1, 10**40)
             with pytest.raises(ArithmeticError, match="closed form"):
-                _check_partial_product_closed_form(q, lhs, TruncSeries(order, tuple(coeffs)),
-                                                   n_factors)
+                check_partial_product_closed_form(q, lhs, TruncSeries(order, tuple(coeffs)),
+                                                  n_factors)
 
 
-def test_euler_identity_stabilized():
-    for q in (2, 3):
-        lhs, rhs = euler_lhs_rhs(q, 6)
-        assert lhs.coeffs[0] == rhs.coeffs[0] == 1
-        for a, b in zip(lhs.coeffs, rhs.coeffs):
-            assert abs(a - b) < Fraction(1, 10**30)
+def test_euler_identity_is_exact():
+    # the right side read off its logarithm equals the left side exactly,
+    # for integer and rational q, at every order up to the cap
+    for q in (2, 3, Fraction(5, 2), 7):
+        for order in range(ORDER_LIMIT + 1):
+            lhs, rhs = euler_lhs_rhs(q, order)
+            assert lhs == rhs
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_partial_products_close_on_the_right_side(q):
+    # the N-factor partial product is rhs_n prod_{j<n} (1 - q^-(N+j)): this
+    # ties the product to the right side, not to the left
+    order = 6
+    _, rhs = euler_lhs_rhs(q, order)
+    for n_factors in (1, 6, 11, 40):
+        check_partial_product_closed_form(Fraction(q), rhs,
+                                          euler_partial_product(q, order, n_factors), n_factors)
+
+
+def test_exp_coefficients():
+    # exp(u) has f_s = 1/s!, exp(-log(1 - u)) = 1/(1 - u) has f_s = 1, and
+    # exp(2 log(1 + u)) = (1 + u)^2 ends at u^2
+    exp_u = _exp_coefficients(5, [1, 0, 0, 0, 0])
+    assert exp_u == [Fraction(1, math.factorial(s)) for s in range(6)]
+    assert _exp_coefficients(5, [1] * 5) == [1] * 6
+    assert _exp_coefficients(5, [2 * (-1) ** (m + 1) for m in range(1, 6)]) == [1, 2, 1, 0, 0, 0]
+    assert _exp_coefficients(0, []) == [1]
+
+
+def test_euler_sides_refuse_q_at_most_one():
+    for q in (1, 0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="q must exceed 1"):
+            euler_lhs_rhs(q, 3)
 
 
 def test_partial_products_increase_to_limit():
