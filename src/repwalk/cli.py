@@ -46,7 +46,7 @@ from .glirreps import (
     unipotent_tail_bound,
 )
 from .hsp import hsp_bounds, subgroup_closure
-from .intervals import _sqrt_or_inf
+from .intervals import _sqrt_up
 from .partitions import Partition, enumerate_partitions, partition_id
 from .rng import derive_seed
 from .series import DEFAULT_ORDER, _check_order, euler_lhs_rhs, q_pochhammer
@@ -301,7 +301,7 @@ def _cmd_gl_bound(args):
     if args.n >= 1 and args.r >= 1:  # square >= (|GL| - 1) / (4 q^(2rn)) > q^(n^2 - 2rn) / 32
         _refuse_digits((args.n - 2 * args.r) * args.n * math.log10(args.q) - 1.51, "printed digits")
     squared = gl_upper_bound_squared(args.n, args.q, args.r)
-    rows = [[args.r, _sqrt_or_inf(squared), squared]]
+    rows = [[args.r, _sqrt_up(squared.numerator, squared.denominator), squared]]
     _write_csv(args, "gl-bound", ["r", "bound", "bound_squared"], rows)
     return 0
 

@@ -8,43 +8,43 @@ The two-parameter measure on all partitions
 is the limit law of each cuspidal component of a Plancherel-random family.
 Mixing Plancherel measures of GL(N,q) over N with weights
 prod_m (1 - u/q^m) u^N/(1/q)_N makes the components exactly independent
-S-distributed, so rejection on the total degree yields exact Plancherel
-samples of GL(n,q).  The sampler's accept/reject path compares lazily
-extended uniforms against certified rational interval thresholds; no
-floating point is involved.  A representation-valued cycle index ties the
-enumerated Plancherel data to the infinite product, coefficientwise; the
-product is read off its logarithm, whose coefficients have closed forms.
+S-distributed.  Labels of degree > n are empty whenever the total is n, an
+event independent of the rest, so the sampler draws the labels of degree
+<= n alone and rejects on their total: exact Plancherel samples of
+GL(n,q).  Its accept/reject path compares lazily extended uniforms against
+certified rational interval thresholds, with no floating point.  A
+representation-valued cycle index ties the enumerated Plancherel data to
+the infinite product, coefficientwise; the product is read off its
+logarithm, whose coefficients have closed forms.
 
 The weight of S comes from glirreps (suq_weight), where the unipotent-part
 bounds are it and the size tail of S (suq_size_tail_bound) at u = 1.
 Z(u,q) is enclosed here, truncated by one depth rule (_normalizer_terms),
-and limit_marginal multiplies it by the weight; the mixing weight
-prod_m (1 - u/q^m) is (1 - u) Z(u,q)/Z(u/q,q), and every product
-prod_d Z(u^d, q^d)^(N_d) goes through _z_power_product.
+and limit_marginal multiplies it by the weight; every product
+prod_d Z(u^d, q^d)^(N_d), the sampler's acceptance probability among them,
+goes through _z_power_product.
 
 Certified enclosures of Z(u,q) are memoized by suq_normalizer, a bounded
 lru cache on (u, q, prec) (512 entries, see cache_info()): one sampler's
-count, component and high-degree thresholds share one Z(u^d, q^d) per
-degree and precision, and euler_product_enclosure reads Z(u,q) and
-Z(u/q,q) from it.  Every table a sampler reads comes from one plan per
-(n, q, u), cached by _plan (PLAN_CACHE_SIZE = 40): per degree d <= n, the
-count and component threshold sets, and the high-degree threshold set.
-Samplers with the same (n, q, u) share it; the plan holds no sampler, so
-a finished sampler is freed at once.  Tables are read lazily, component
-tables partition by partition in size order, only as far as draws land,
-and a threshold set keeps of each threshold read only its outcome and two
-64-bit words, one table that a first word indexes by one bisect; the rare
-draw that cannot decide reads the builder anew at each precision.  Every
-builder yields its thresholds as integer ends at scale 2^prec: the count
-tables' binomial tails, the component laws (one integer numerator of the
-cumulative weight over a common denominator) and the high-degree
-threshold, like every interval power and suq_normalizer's products, run on
-integers.  An attempt reads the count, high-degree and component tables in
-its own loops, one word, one bisect and one slot per draw, except that a
-count word below its degree's cut, the count table's first 64-bit end
-(most count words), is count 0 after one compare; it draws a single label
-index by one randrange, and builds the CuspidalLabels only once it is
-accepted.
+count and component thresholds and its acceptance probability share one
+Z(u^d, q^d) per degree and precision.  Every table a sampler reads comes
+from one plan per (n, q, u), cached by _plan (PLAN_CACHE_SIZE = 40): per
+degree d <= n, the count and component threshold sets.  Samplers with the
+same (n, q, u) share it; the plan holds no sampler, so a finished sampler
+is freed at once.  Tables are read lazily, component tables partition by
+partition in size order, only as far as draws land, and a threshold set
+keeps of each threshold read only its outcome and two 64-bit words, one
+table that a first word indexes by one bisect; the rare draw that cannot
+decide reads the builder anew at each precision.  Every builder yields its
+thresholds as integer ends at scale 2^prec: the count tables' binomial
+tails and the component laws (one integer numerator of the cumulative
+weight over a common denominator), like every interval power and
+suq_normalizer's products, run on integers.  An attempt reads the count
+and component tables in its own loops, one word, one bisect and one slot
+per draw, except that a count word below its degree's cut, the count
+table's first 64-bit end (most count words), is count 0 after one compare;
+it draws a single label index by one randrange, and builds the
+CuspidalLabels only once it is accepted.
 """
 
 from __future__ import annotations
@@ -148,17 +148,6 @@ def suq_normalizer(u, q, prec: int = DEFAULT_PREC) -> Interval:
     return enclosure_from_scaled(head_lo, head_hi, scale, prec, max(den - num, 0), den)
 
 
-def euler_product_enclosure(u, q, prec: int) -> Interval:
-    """Enclosure of E(u,q) = prod_{m>=0} (1 - u/q^m), 0 < u < 1 < q, rounded
-    outward to prec bits: Z(u,q)/Z(u/q,q) = prod_{t>=1} (1 - u/q^t), so E is
-    (1 - u) Z(u,q)/Z(u/q,q), from two cached suq_normalizer enclosures."""
-    u, q = Fraction(u), Fraction(q)
-    if not 0 < u < 1 or q <= 1:
-        raise ValueError("need 0 < u < 1 < q")
-    ratio = suq_normalizer(u, q, prec=prec) / suq_normalizer(u / q, q, prec=prec)
-    return ((1 - u) * ratio).rounded(prec)
-
-
 def limit_marginal(q, c_degree: int, truncation_size: int) -> dict[Partition, Interval]:
     """Masses of S_{1, q^d} on |lam| <= truncation_size, each the certified
     enclosure Z(1, q^d) times the weight of lam: the large-n limit law of a
@@ -250,9 +239,14 @@ def _z_power_product(degrees: range, q: int, u: Fraction, prec: int) -> Interval
 
 
 def acceptance_probability(n: int, q: int, u) -> Interval:
-    """P(total degree = n) = prod_{m>=0}(1 - u/q^m) u^n/(1/q)_n, enclosed."""
+    """P(an attempt is accepted) = P(the labels of degree <= n total n) =
+    prod_{d<=n} Z(u^d, q^d)^(N_d) u^n/(1/q)_n, enclosed: P(total degree = n),
+    prod_{m>=0} (1 - u/q^m) u^n/(1/q)_n, over the independent probability
+    prod_{d>n} Z(u^d, q^d)^(N_d) that every label of higher degree is empty."""
     u = Fraction(u)
-    return euler_product_enclosure(u, q, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
+    if not 0 < u < 1 or q <= 1:
+        raise ValueError("need 0 < u < 1 < q")
+    return _z_power_product(range(1, n + 1), q, u, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
 
 
 _REJECT = object()
@@ -420,17 +414,6 @@ def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
             yield (lam, m), lo_num * cum // lo_den, -(-hi_num * cum // hi_den)
 
 
-def _high_degree_entries(n: int, q: int, u: Fraction, prec: int) -> tuple:
-    """Single threshold: probability that every label of degree > n is empty.
-
-    Computed as prod_{m>=0}(1 - u/q^m) / prod_{d<=n} Z_d^(N_d): the full
-    all-empty probability divided by the explicit low-degree factors, its
-    upper end capped at 1.  The entry is (True, lo, hi) at scale 2^prec.
-    """
-    iv = euler_product_enclosure(u, q, prec) / _z_power_product(range(1, n + 1), q, u, prec)
-    return ((True, floor_scaled(iv.lo, prec), min(ceil_scaled(iv.hi, prec), 1 << prec)),)
-
-
 class _DegreePlan(NamedTuple):
     """Degree d's tables: how many of its n_labels labels are occupied, and
     an occupied label's partition with its size, at most n // d, as a
@@ -447,10 +430,9 @@ class _DegreePlan(NamedTuple):
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(n: int, q: int, u: Fraction) -> tuple[tuple[_DegreePlan, ...], _ThresholdSet]:
+def _plan(n: int, q: int, u: Fraction) -> tuple[_DegreePlan, ...]:
     """Every table a sampler for (n, q, u) reads: one plan per degree d <= n,
-    each with its count table's first threshold read, and the high-degree
-    threshold."""
+    each with its count table's first threshold read."""
     plans = []
     for d in range(1, n + 1):
         n_labels = cuspidal_count(d, q)
@@ -460,7 +442,7 @@ def _plan(n: int, q: int, u: Fraction) -> tuple[tuple[_DegreePlan, ...], _Thresh
         plans.append(_DegreePlan(
             d, n_labels, counts._ends[0], counts,
             _ThresholdSet(partial(_component_entries, ud, qd, n // d))))
-    return tuple(plans), _ThresholdSet(partial(_high_degree_entries, n, q, u))
+    return tuple(plans)
 
 
 def _check_sample_size(n: int, q: int) -> None:
@@ -482,7 +464,7 @@ class GLPlancherelSampler:
             raise ValueError("need 0 < u < 1")
         self.rng = SplitMix64(seed)
         self.attempts = 0
-        self.plans, self.high_degree_empty = _plan(n, q, self.u)
+        self.plans = _plan(n, q, self.u)
 
     def _draw_indices(self, count: int, pool: int) -> list[int]:
         """Uniform sorted count-subset of range(pool)."""
@@ -521,13 +503,6 @@ class GLPlancherelSampler:
                 occupied.append((d, n_labels, k, components))
                 floor_total += d * k
         if floor_total > n:
-            return None
-        high = self.high_degree_empty
-        v = next_u64()
-        outcome = high._slots[bisect_right(high._ends, v)]
-        if outcome is None:
-            outcome = high._settle(rng, v)
-        if outcome is _REJECT:
             return None
         drawn = []
         total = 0

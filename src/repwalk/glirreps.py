@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapacityError
-from .intervals import _sqrt_or_inf
+from .intervals import _sqrt_up
 from .partitions import EMPTY, Partition, enumerate_partitions
 
 DEFAULT_ENUM_N = 5
@@ -241,9 +241,10 @@ def gl_upper_bound_squared(n: int, q: int, r: int) -> Fraction:
 
 
 def gl_upper_bound(n: int, q: int, r: int) -> float:
-    """L2 upper bound on TV distance after r steps, inf past the double
-    range; <= 1/(2 q^c) at r = n + c."""
-    return _sqrt_or_inf(gl_upper_bound_squared(n, q, r))
+    """L2 upper bound on TV distance after r steps, rounded up to a double,
+    inf past the double range; <= 1/(2 q^c) at r = n + c."""
+    squared = gl_upper_bound_squared(n, q, r)
+    return _sqrt_up(squared.numerator, squared.denominator)
 
 
 def unipotent_marginal(n: int, q: int) -> dict[Partition, Fraction]:

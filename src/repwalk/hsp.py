@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .characters import character_table
 from .errors import CapacityError
+from .intervals import _sqrt_up
 from .partitions import Partition
 from .snwalk import WalkDistribution, tv_to_plancherel
 
@@ -193,9 +194,7 @@ def hsp_bounds(H: SubgroupSpec) -> HspBounds:
         inter = H.class_intersections.get(c.cycle_lengths, 0)
         sharp_sq += Fraction(inter * inter, c.class_size)
         ks += inter / math.sqrt(c.class_size)
-    sharp = math.sqrt(sharp_sq) / 2
-    while Fraction(sharp) ** 2 < sharp_sq / 4:
-        sharp = math.nextafter(sharp, math.inf)
+    sharp = _sqrt_up(sharp_sq.numerator, 4 * sharp_sq.denominator)
     return HspBounds(tv, sharp, max(ks / 2, sharp), sharp_sq / 4, law)
 
 

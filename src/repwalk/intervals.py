@@ -28,9 +28,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _sqrt_or_inf(squared: Fraction) -> float:
-    """An L2 bound from its exact square; inf past the double range still bounds."""
-    return math.sqrt(squared) if squared <= sys.float_info.max else math.inf
+def _sqrt_up(num: int, den: int) -> float:
+    """A double at or above sqrt(num/den), num >= 0 and den > 0 integers: an
+    L2 bound from its exact square, inf (still a bound) for a square past
+    the double range.  It starts from the root of the correctly rounded
+    quotient, taken on num * 4^k and scaled by 2^-k where the quotient lies
+    below the normal range, so within an ulp or two, and steps up while
+    p^2 den < num q^2 for the double p/q, compared in integers."""
+    e = num.bit_length() - den.bit_length()  # 2^(e-1) < num/den < 2^(e+1)
+    if e > 1022 and num > den * int(sys.float_info.max):
+        return math.inf
+    if e < -1000:
+        k = (1 - e) // 2
+        bound = math.ldexp(math.sqrt((num << 2 * k) / den), -k)
+    else:
+        bound = math.sqrt(num / den)
+    p, q = bound.as_integer_ratio()  # q = 2^s: num q^2 is a shift
+    while p * p * den < num << 2 * q.bit_length() - 2:
+        bound = math.nextafter(bound, math.inf)
+        p, q = bound.as_integer_ratio()
+    return bound
 
 
 def floor_scaled(x: Fraction, scale: int) -> int:

@@ -45,7 +45,7 @@ from .characters import (
     fixed_point_profile,
 )
 from .errors import CapacityError
-from .intervals import _sqrt_or_inf
+from .intervals import _sqrt_up
 from .partitions import (
     Partition,
     _complete_level,
@@ -243,21 +243,23 @@ def sn_upper_bound_squared(n: int, r: int) -> Fraction:
 
 
 def sn_upper_bound(n: int, r: int) -> float:
-    """L2 upper bound on TV after r steps, inf past the double range."""
-    return _sqrt_or_inf(sn_upper_bound_squared(n, r))
+    """L2 upper bound on TV after r steps, rounded up to a double, inf past
+    the double range."""
+    squared = sn_upper_bound_squared(n, r)
+    return _sqrt_up(squared.numerator, squared.denominator)
 
 
 def _upper_bounds(n: int):
     """sn_upper_bound(n, r) for r = 1, 2, ...: each term count(i) i^(2r) and
-    the denominator 4 n^(2r) carried from r to r + 1 as ints.  Int true
-    division rounds correctly, as float(Fraction) does, so each double is
-    the closed form's."""
+    the denominator 4 n^(2r) carried from r to r + 1 as ints, and each
+    double _sqrt_up of the integer sum over it, as the closed form's is."""
     profile = [(count, i * i) for i, count in fixed_point_profile(n).items() if i <= n - 2]
-    terms, den = [count for count, _ in profile], 4
+    terms, squares = map(list, zip(*profile))
+    den = 4
     while True:
-        terms = [t * sq for t, (_, sq) in zip(terms, profile)]
+        terms = list(map(mul, terms, squares))
         den *= n * n
-        yield math.sqrt(sum(terms) / den)
+        yield _sqrt_up(sum(terms), den)
 
 
 def _scaled_powers(table, ci: int, s: int) -> tuple[list[int], int]:

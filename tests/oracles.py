@@ -12,9 +12,11 @@ chain against the coupon-count sampler, the samplers' inlined word draws
 against plain randrange, the Fraction interval products and running sums,
 the Interval threshold entries and the full-product normalizer loop against
 the integer endpoints, one locate per table against the inlined attempt,
-the exact walk step against the Murnaghan-Nakayama table, and the Euler
+the exact walk step against the Murnaghan-Nakayama table, the Euler
 partial products and per-partition cycle index product against the
-exponential recurrence.
+exponential recurrence, and the Euler product enclosure, over the
+high-degree product built degree by degree, against the sampler's
+acceptance probability.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repwalk.glasymptotics import (
     DEFAULT_PREC,
     GLPlancherelSampler,
     _z_power_product,
-    euler_product_enclosure,
     suq_normalizer,
     suq_weight,
 )
@@ -400,12 +401,25 @@ def euler_product_exact(u, q, terms: int) -> tuple[Fraction, Fraction]:
     return head * max(Fraction(0), 1 - u * q ** (1 - terms) / (q - 1)), head
 
 
+def euler_product_enclosure(u, q, prec: int) -> Interval:
+    """Enclosure of E(u,q) = prod_{m>=0} (1 - u/q^m), 0 < u < 1 < q, rounded
+    outward to prec bits: Z(u,q)/Z(u/q,q) = prod_{t>=1} (1 - u/q^t), so E is
+    (1 - u) Z(u,q)/Z(u/q,q), from two cached suq_normalizer enclosures.
+    E(u,q) u^n/(1/q)_n is P(total degree = n) under the mixed measure."""
+    u, q = Fraction(u), Fraction(q)
+    if not 0 < u < 1 or q <= 1:
+        raise ValueError("need 0 < u < 1 < q")
+    ratio = suq_normalizer(u, q, prec=prec) / suq_normalizer(u / q, q, prec=prec)
+    return ((1 - u) * ratio).rounded(prec)
+
+
 EXPLICIT_DEGREES = 24  # degrees high_degree_empty_direct takes as exact powers
 
 
 def high_degree_empty_direct(n: int, q: int, u) -> Interval:
-    """Enclosure of prod_{d>n} Z(u^d, q^d)^(N_d) built degree by degree, the
-    high-degree threshold's quantity, which the sampler gets by division.
+    """Enclosure of prod_{d>n} Z(u^d, q^d)^(N_d) built degree by degree: the
+    probability that every label of degree > n is empty, the factor by which
+    P(total degree = n) falls short of the sampler's acceptance probability.
 
     EXPLICIT_DEGREES degrees enter as explicit interval powers; the rest are
     bounded below through 1 - Z_d <= sum_t t (u^d/q^(dt)) and the geometric
@@ -758,13 +772,6 @@ def component_entries_fraction(ud, qd, sizes_cap: int, prec: int):
             yield (lam, m), lo_num * num // (lo_den * den), -(-hi_num * num // (hi_den * den))
 
 
-def high_degree_entries_interval(n: int, q: int, u, prec: int) -> tuple:
-    """The high-degree threshold as an Interval: the Euler product over the
-    degree <= n normalizer powers, capped at 1."""
-    iv = euler_product_enclosure(u, q, prec) / _z_power_product(range(1, n + 1), q, u, prec)
-    return ((True, Interval(iv.lo, min(Fraction(1), iv.hi))),)
-
-
 def threshold_ends_reference(entries) -> list[int]:
     """A threshold set's 64-bit ends over (outcome, Interval) entries, as
     they were formed from the Intervals: the running maxima of
@@ -805,8 +812,6 @@ class LocateSampler(GLPlancherelSampler):
             counts.append(outcome)
             floor_total += plan.d * outcome
         if floor_total > self.n:
-            return None
-        if self.high_degree_empty.locate(rng) is _REJECT:
             return None
         assignment = []
         total = 0

@@ -14,6 +14,7 @@ from repwalk.errors import CapacityError
 from oracles import (
     cycle_index_rhs_by_partitions,
     draw_indices_list,
+    euler_product_enclosure,
     high_degree_empty_direct,
     suq_normalizer_pow_int,
     suq_normalizer_reference,
@@ -23,7 +24,6 @@ from repwalk.glasymptotics import (
     DEFAULT_PREC,
     SAMPLE_N_LIMIT,
     GLPlancherelSampler,
-    _high_degree_entries,
     _plan,
     acceptance_probability,
     cycle_index_lhs,
@@ -35,7 +35,6 @@ from repwalk.glasymptotics import (
     suq_weight,
 )
 from repwalk.glirreps import plancherel_gl, suq_size_tail_bound, unipotent_marginal
-from repwalk.intervals import Interval
 from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.rng import SplitMix64
 from repwalk.series import _exp_coefficients, euler_lhs, q_pochhammer
@@ -139,9 +138,9 @@ def test_sampler_freed_by_reference_counting():
     # collection, while its plan stays cached for the next one
     sampler = GLPlancherelSampler(4, 2, seed=1)
     sampler.sample()
-    plans, high = _plan(4, 2, sampler.u)
-    assert plans is sampler.plans and high is sampler.high_degree_empty
-    reached = _reachable((plans, high))
+    plans = _plan(4, 2, sampler.u)
+    assert plans is sampler.plans
+    reached = _reachable(plans)
     assert not any(obj is sampler or obj is sampler.rng for obj in reached)
     ref = weakref.ref(sampler)
     gc.disable()
@@ -273,13 +272,23 @@ def test_default_rejection_u():
     assert default_rejection_u(1000) == Fraction(63, 64)
 
 
-def test_high_degree_enclosures_agree():
-    for n, q, u in ((2, 2, Fraction(1, 2)), (3, 2, Fraction(2, 3)), (2, 3, Fraction(1, 2))):
-        ((_, lo, hi),) = _high_degree_entries(n, q, u, DEFAULT_PREC)
-        identity = Interval(Fraction(lo, 1 << DEFAULT_PREC), Fraction(hi, 1 << DEFAULT_PREC))
-        direct = high_degree_empty_direct(n, q, u)
-        assert identity.lo <= direct.hi and direct.lo <= identity.hi
-        assert identity.width < Fraction(1, 2**200)
+def test_acceptance_times_high_degree_empty_is_the_total_degree_law():
+    # the paper's identity: the labels of degree <= n total n, and every
+    # label of higher degree is empty, independently, exactly when the total
+    # degree is n, of probability E(u,q) u^n/(1/q)_n
+    for q, n in ((q, n) for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)):
+        for u in (default_rejection_u(n), Fraction(1, 2)):
+            rate = acceptance_probability(n, q, u)
+            assert rate.width < Fraction(1, 2**200)
+            joint = rate * high_degree_empty_direct(n, q, u)
+            total = euler_product_enclosure(u, q, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
+            assert joint.lo <= total.hi and total.lo <= joint.hi, (q, n, u)
+
+
+@pytest.mark.parametrize("u", [1, Fraction(3, 2), 0])
+def test_acceptance_probability_refuses_u_outside_the_unit_interval(u):
+    with pytest.raises(ValueError, match="need 0 < u < 1 < q"):
+        acceptance_probability(3, 2, u)
 
 
 def test_draw_indices_small_pool_uniform_over_subsets():
@@ -364,13 +373,15 @@ def test_sampler_capacity():
 
 
 # one family per (n, q, u, seed), recorded from the single-sample function
-# that once stood beside gl_plancherel_samples; count=1 must reproduce it
+# that once stood beside gl_plancherel_samples; count=1 must reproduce it.
+# Re-recorded (from LocateSampler too) when attempts stopped drawing the
+# high-degree word; (2, 2, 1/2, 9) happens to keep its family
 GL_SINGLE = {
-    (3, 2, None, 1): "1.0:1+1+1",
+    (3, 2, None, 1): "1.0:1;2.0:1",
     (2, 2, Fraction(1, 2), 9): "1.0:1+1",
-    (4, 3, Fraction(1, 2), 5): "1.0:1;3.1:1",
-    (6, 2, None, 17): "1.0:3+1+1+1",
-    (10, 2, Fraction(1, 2), 3): "3.0:1;7.1:1",
+    (4, 3, Fraction(1, 2), 5): "1.0:1;1.1:1+1+1",
+    (6, 2, None, 17): "1.0:1+1+1;3.0:1",
+    (10, 2, Fraction(1, 2), 3): "1.0:1+1;2.0:1;6.6:1",
 }
 
 
@@ -403,6 +414,20 @@ def test_sampler_rate_at_pinned_u():
     for _ in range(count):
         sampler.sample()
     rate = acceptance_probability(3, 2, Fraction(1, 2))
+    p = rate.midpoint()
+    sigma = math.sqrt(p * (1 - p) / sampler.attempts)
+    assert abs(count / sampler.attempts - p) <= 4 * sigma + float(rate.width)
+
+
+def test_sampler_rate_at_a_size_past_enumeration():
+    # (12, 2) has no Plancherel table to compare with; its rate is the
+    # product over degrees <= 12 alone, 0.0404 against the 0.0334 that
+    # P(total degree = 12) would predict
+    count = 3000
+    sampler = GLPlancherelSampler(12, 2, seed=2024)
+    for _ in range(count):
+        sampler.sample()
+    rate = acceptance_probability(12, 2, sampler.u)
     p = rate.midpoint()
     sigma = math.sqrt(p * (1 - p) / sampler.attempts)
     assert abs(count / sampler.attempts - p) <= 4 * sigma + float(rate.width)

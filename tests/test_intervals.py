@@ -1,11 +1,16 @@
+import math
 import random
+import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from oracles import euler_product_exact, pow_int_fraction
-from repwalk.glasymptotics import _normalizer_terms, default_rejection_u, euler_product_enclosure
-from repwalk.intervals import Interval
+from oracles import euler_product_enclosure, euler_product_exact, pow_int_fraction
+from repwalk.glasymptotics import _normalizer_terms, default_rejection_u
+from repwalk.glirreps import gl_upper_bound, gl_upper_bound_squared
+from repwalk.intervals import Interval, _sqrt_up
+from repwalk.snwalk import _upper_bounds, sn_tv_curve, sn_upper_bound, sn_upper_bound_squared
 
 
 def test_interval_basics():
@@ -108,3 +113,50 @@ def test_euler_product_rounded_contains_exact(u, q):
     assert rounded.lo <= exact_lo and exact_hi <= rounded.hi
     assert rounded.width < Fraction(1, 2**300)
 
+
+
+def _bounds(bound: float, squared: Fraction) -> bool:
+    return bound == math.inf or Fraction(bound) ** 2 >= squared
+
+
+def test_printed_l2_bounds_lie_at_or_above_the_exact_bound():
+    # rounded to the nearest double, about half of these fell an ulp below
+    # the exact root (97 of 196, 78 of 160 and 503 of 1003)
+    for n in range(2, 30):
+        for r in range(8):
+            assert _bounds(sn_upper_bound(n, r), sn_upper_bound_squared(n, r)), (n, r)
+    for n in range(1, 9):
+        for q in (2, 3, 4, 5):
+            for r in range(1, 6):
+                assert _bounds(gl_upper_bound(n, q, r), gl_upper_bound_squared(n, q, r)), (n, q, r)
+    for n in range(2, 19):
+        for r, _, bound in sn_tv_curve(n, 59):
+            assert bound == sn_upper_bound(n, r)
+            assert _bounds(bound, sn_upper_bound_squared(n, r)), (n, r)
+
+
+def test_bounds_below_the_double_range_stay_positive():
+    # the square of sn_upper_bound(3, 400) is about 1e-382, below every
+    # double; its root is a normal double
+    bound = sn_upper_bound(3, 400)
+    assert 0 < bound < 1e-190 and _bounds(bound, sn_upper_bound_squared(3, 400))
+    # the n = 18 curve column read 0.0 from r = 3179 on
+    column = list(islice(_upper_bounds(18), 3400))
+    for r in (3178, 3179, 3180, 3400):
+        assert 0 < column[r - 1] == sn_upper_bound(18, r)
+        assert _bounds(column[r - 1], sn_upper_bound_squared(18, r))
+    # roots past the subnormal range round up to the least double
+    assert _sqrt_up(1, 10**700) == math.nextafter(0.0, 1.0)
+    assert _sqrt_up(1, 10**640) > 0 and _bounds(_sqrt_up(1, 10**640), Fraction(1, 10**640))
+    assert _sqrt_up(0, 10**700) == 0.0
+
+
+def test_bounds_past_the_double_range_are_inf():
+    largest = int(sys.float_info.max)
+    assert _sqrt_up(largest + 1, 1) == math.inf
+    assert _bounds(_sqrt_up(largest, 1), Fraction(largest)) and _sqrt_up(largest, 1) < math.inf
+    # a denominator past the double range takes no float product
+    assert _sqrt_up(10**1000, 10**600) == math.inf
+    assert _bounds(_sqrt_up(10**900, 10**600), Fraction(10**300))
+    assert sn_upper_bound(171, 0) == math.inf  # (171! - 1) / 4 > the largest double
+    assert sn_upper_bound(170, 0) < math.inf

@@ -43,7 +43,7 @@ REMOVED = [
     (glasymptotics.limit_marginal, "prec"),
     (glasymptotics.acceptance_probability, "prec"),
     (glasymptotics._DegreePlan, "prec"),
-    (glasymptotics.euler_product_enclosure, "terms"),
+    (oracles.euler_product_enclosure, "terms"),
     (oracles.high_degree_empty_direct, "explicit_degrees"),
     (oracles.high_degree_empty_direct, "prec"),
     (glasymptotics._ThresholdSet, "terminal"),

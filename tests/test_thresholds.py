@@ -21,7 +21,6 @@ from oracles import (
     component_entries_fraction,
     component_entries_interval,
     count_entries_fraction,
-    high_degree_entries_interval,
     pow_int_fraction,
     scaled_entries,
     threshold_ends_reference,
@@ -37,13 +36,14 @@ from repwalk.glasymptotics import (
     Interval,
     _component_entries,
     _count_entries,
-    _high_degree_entries,
     _REJECT,
     _ThresholdSet,
     _z_power_product,
+    acceptance_probability,
     default_rejection_u,
 )
 from repwalk.rng import _GOLDEN, SplitMix64
+from repwalk.series import q_pochhammer
 
 
 def _first_word(seed: int) -> int:
@@ -257,8 +257,8 @@ def test_component_gap_product_that_does_not_divide_raises(monkeypatch):
 @pytest.mark.parametrize("n", [3, 8, 13, 20])
 def test_count_entries_match_fraction_products(n, q, monkeypatch):
     # the binomial tail and the powers on integer endpoints give every entry
-    # the Fraction form gives, at every degree; so do the high-degree
-    # entries, whose low-degree product raises each normalizer by pow_int
+    # the Fraction form gives, at every degree; so does the acceptance
+    # probability, whose low-degree product raises each normalizer by pow_int
     u = default_rejection_u(n)
     for d in range(1, n + 1):
         ud, qd = u**d, Fraction(q) ** d
@@ -267,11 +267,11 @@ def test_count_entries_match_fraction_products(n, q, monkeypatch):
         for prec in (DEFAULT_PREC, DEFAULT_PREC << 1):
             assert _as_fractions(_count_entries(ud, qd, n_labels, max_count, prec), prec) == \
                 _as_endpoints(count_entries_fraction(ud, qd, n_labels, max_count, prec)), (d, prec)
-    high = _high_degree_entries(n, q, u, DEFAULT_PREC)
-    assert high == tuple(scaled_entries(high_degree_entries_interval(n, q, u, DEFAULT_PREC),
-                                        DEFAULT_PREC))
+    rate = acceptance_probability(n, q, u)
+    assert rate == z_power_product_fraction(range(1, n + 1), q, u, DEFAULT_PREC) \
+        * (u**n / q_pochhammer(q, n))
     monkeypatch.setattr(Interval, "pow_int", pow_int_fraction)
-    assert high == _high_degree_entries(n, q, u, DEFAULT_PREC)
+    assert rate == acceptance_probability(n, q, u)
 
 
 @pytest.mark.parametrize("n,q", [(5, 2), (8, 3), (20, 3)])
@@ -280,7 +280,7 @@ def test_integer_ends_match_interval_entries(n, q):
     # the 64-bit ends the Interval entries give: the running maxima of their
     # endpoints floored and ceiled at 64 bits
     u = default_rejection_u(n)
-    plans, high = glasymptotics._plan(n, q, u)
+    plans = glasymptotics._plan(n, q, u)
     for plan in plans:
         ud, qd = u**plan.d, Fraction(q) ** plan.d
         max_count = min(plan.n_labels, n // plan.d)
@@ -293,16 +293,13 @@ def test_integer_ends_match_interval_entries(n, q):
             while table._grow():
                 pass
             assert table._ends == threshold_ends_reference(entries), plan.d
-    while high._grow():
-        pass
-    assert high._ends == threshold_ends_reference(high_degree_entries_interval(n, q, u, DEFAULT_PREC))
 
 
 @pytest.mark.parametrize("n,q", [(20, 3), (12, 2), (5, 2)])
 def test_z_power_product_matches_fraction_loop(n, q):
     # the running product on integer endpoints rounds each factor as the
     # Fraction product rounded outward does, over the degrees the
-    # high-degree entries divide out and those the direct bound multiplies
+    # acceptance probability multiplies and those the direct bound multiplies
     u = default_rejection_u(n)
     for degrees in (range(1, n + 1), range(n + 1, n + 1 + EXPLICIT_DEGREES)):
         assert _z_power_product(degrees, q, u, DEFAULT_PREC) == \
@@ -351,8 +348,7 @@ def test_every_plan_keeps_its_count_cut():
     keys = [(n, q, default_rejection_u(n)) for n in range(1, 21) for q in (2, 3)]
     keys += [(16, 2, Fraction(1, 2)), (20, 3, Fraction(1, 2)), (5, 3, Fraction(9, 10))]
     for n, q, u in keys:
-        plans, _ = glasymptotics._plan(n, q, u)
-        for plan in plans:
+        for plan in glasymptotics._plan(n, q, u):
             counts = plan.count_thresholds
             assert plan.empty_below == counts._ends[0], (n, q, u, plan.d)
             assert counts._slots[0] == 0 and counts._slots[0] is not False, (n, q, u, plan.d)
@@ -375,8 +371,7 @@ def test_count_word_at_the_cut_reads_the_stream_locate_reads(n, q, u, monkeypatc
     # count 0.  Either way the attempt draws what locate draws.  The count
     # words are the first n words, one per degree.
     u = u if u is not None else default_rejection_u(n)
-    plans, _ = glasymptotics._plan(n, q, u)
-    cuts = [plan.empty_below for plan in plans]
+    cuts = [plan.empty_below for plan in glasymptotics._plan(n, q, u)]
     scans = []
     scan = _ThresholdSet._scan
     monkeypatch.setattr(_ThresholdSet, "_scan", lambda self, u: scans.append(1) or scan(self, u))
@@ -434,7 +429,6 @@ def test_component_table_grows_only_where_draws_land():
     # a second sampler with the same (n, q, u) reads the same tables
     again = GLPlancherelSampler(20, 3, seed=5)
     assert again.plans is sampler.plans
-    assert again.high_degree_empty is sampler.high_degree_empty
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 3), (6, 2)])
