@@ -31,7 +31,6 @@ from .glasymptotics import (
     acceptance_probability,
     cycle_index_lhs,
     cycle_index_rhs,
-    default_rejection_u,
 )
 from .glirreps import (
     _check_lower_c,
@@ -319,15 +318,13 @@ def _cmd_gl_lower(args):
 
 def _cmd_gl_sample(args):
     _check_sample_size(args.n, args.q)  # before _split, so --count 0 is refused too
-    # an empty --u is refused by Fraction, not taken for the default
-    u = Fraction(args.u) if args.u is not None else default_rejection_u(args.n)
     samples = []
     attempts = 0
     for size, seed in _split(args.count, args.seed, args.threads):
-        sampler = GLPlancherelSampler(args.n, args.q, u, seed)
+        sampler = GLPlancherelSampler(args.n, args.q, seed)
         samples.extend(sampler.sample() for _ in range(size))
         attempts += sampler.attempts
-    rate = acceptance_probability(args.n, args.q, u)
+    rate = acceptance_probability(args.n, args.q)
     extra = [
         f"# attempts: {attempts}",
         f"# predicted acceptance rate: {rate.midpoint()!r}",
@@ -483,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gl-sample", _cmd_gl_sample, help="exact GL(n,q) Plancherel samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=_field_size, required=True)
-    p.add_argument("--u", default=None, help="rejection parameter in (0,1), e.g. 1/2")
     _sampling_flags(p)
 
     p = add("gl-cycle-index", _cmd_gl_cycle_index, help="cycle index and Euler identity")
@@ -565,10 +561,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # ZeroDivisionError stays a usage error
+    except ArithmeticError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except SamplerError as exc:

@@ -17,21 +17,22 @@ representation-valued cycle index ties the enumerated Plancherel data to
 the infinite product, coefficientwise; the product is read off its
 logarithm, whose coefficients have closed forms.
 
-The weight of S comes from glirreps (suq_weight), where the unipotent-part
-bounds are it and the size tail of S (suq_size_tail_bound) at u = 1.
-Z(u,q) is enclosed here, truncated by one depth rule (_normalizer_terms),
-and limit_marginal multiplies it by the weight; every product
-prod_d Z(u^d, q^d)^(N_d), the sampler's acceptance probability among them,
-goes through _z_power_product.
+The weight of S comes from glirreps (suq_weight), whose unipotent-part
+bounds are S at u = 1.  Z(u,q) is enclosed here, truncated by one depth
+rule (_normalizer_terms), and limit_marginal multiplies it by the weight.
+The sampler's u is a rule of n (_rejection_u): it sets the speed and the
+words drawn, never the law.  The acceptance probability multiplies the
+first entries of the count tables, P(no label of degree d occupied) =
+Z(u^d, q^d)^(N_d), on the integer ends those tables use.
 
 Certified enclosures of Z(u,q) are memoized by suq_normalizer, a bounded
 lru cache on (u, q, prec) (512 entries, see cache_info()): one sampler's
 count and component thresholds and its acceptance probability share one
 Z(u^d, q^d) per degree and precision.  Every table a sampler reads comes
-from one plan per (n, q, u), cached by _plan (PLAN_CACHE_SIZE = 40): per
-degree d <= n, the count and component threshold sets.  Samplers with the
-same (n, q, u) share it; the plan holds no sampler, so a finished sampler
-is freed at once.  Tables are read lazily, component tables partition by
+from one plan per (n, q), cached by _plan (PLAN_CACHE_SIZE = 40) under
+(n, q, u) with u the rule's value: per degree d <= n, the count and
+component threshold sets.  Samplers with the same (n, q) share it; the
+plan holds no sampler, so a finished sampler is freed at once.  Tables are read lazily, component tables partition by
 partition in size order, only as far as draws land, and a threshold set
 keeps of each threshold read only its outcome and two 64-bit words, one
 table that a first word indexes by one bisect; the rare draw that cannot
@@ -81,8 +82,7 @@ SAMPLE_Q_LIMIT = 3
 DEFAULT_PREC = 320
 DEFAULT_ATTEMPT_CAP = 10_000_000
 MAX_DOUBLINGS = 6  # precision doublings a threshold set tries before giving up
-# sampler plans kept, one per (n, q, u): the default u depends on n alone, so
-# one for every (n <= SAMPLE_N_LIMIT, q in 2..SAMPLE_Q_LIMIT) at it
+# sampler plans kept, one for every (n <= SAMPLE_N_LIMIT, q in 2..SAMPLE_Q_LIMIT)
 PLAN_CACHE_SIZE = SAMPLE_N_LIMIT * (SAMPLE_Q_LIMIT - 1)
 
 
@@ -217,36 +217,31 @@ def cycle_index_rhs(q: int, order: int) -> list[tuple[Fraction, ...]]:
 # exact Plancherel sampler
 
 
-def default_rejection_u(n: int) -> Fraction:
-    """u = 1 - 1/max(n,2), clamped to [1/2, 63/64]: flattens P(N=n) near n."""
+def _rejection_u(n: int) -> Fraction:
+    """The sampler's u = 1 - 1/max(n,2), clamped to [1/2, 63/64]: flattens
+    P(N=n) near n."""
     u = 1 - Fraction(1, max(n, 2))
     return min(max(u, Fraction(1, 2)), Fraction(63, 64))
 
 
-def _z_power_product(degrees: range, q: int, u: Fraction, prec: int) -> Interval:
-    """prod_{d in degrees} Z(u^d, q^d)^(N_d), N_d = cuspidal_count(d, q),
-    rounded outward to prec bits after every factor.  The powers are dyadic
-    at prec, so the running product stays on integer endpoints at scale
-    2^prec, floor below and ceiling above: each step is the outward prec-bit
-    rounding of the Fraction product."""
-    lo = hi = one = 1 << prec
-    for d in degrees:
-        z_d = suq_normalizer(u**d, Fraction(q) ** d, prec=prec)
-        p = z_d.pow_int(cuspidal_count(d, q), prec)
-        lo = lo * floor_scaled(p.lo, prec) >> prec
-        hi = -(-hi * ceil_scaled(p.hi, prec) >> prec)
-    return Interval(Fraction(lo, one), Fraction(hi, one))
-
-
-def acceptance_probability(n: int, q: int, u) -> Interval:
+def acceptance_probability(n: int, q: int) -> Interval:
     """P(an attempt is accepted) = P(the labels of degree <= n total n) =
-    prod_{d<=n} Z(u^d, q^d)^(N_d) u^n/(1/q)_n, enclosed: P(total degree = n),
-    prod_{m>=0} (1 - u/q^m) u^n/(1/q)_n, over the independent probability
-    prod_{d>n} Z(u^d, q^d)^(N_d) that every label of higher degree is empty."""
-    u = Fraction(u)
-    if not 0 < u < 1 or q <= 1:
-        raise ValueError("need 0 < u < 1 < q")
-    return _z_power_product(range(1, n + 1), q, u, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
+    prod_{d<=n} Z(u^d, q^d)^(N_d) u^n/(1/q)_n at u = _rejection_u(n),
+    enclosed: P(total degree = n), prod_{m>=0} (1 - u/q^m) u^n/(1/q)_n, over
+    the independent probability prod_{d>n} Z(u^d, q^d)^(N_d) that every
+    label of higher degree is empty.  Each factor is the first entry of
+    degree d's count table, P(no label occupied), and the running product
+    stays on integer ends at scale 2^DEFAULT_PREC, floor below and ceiling
+    above, as the count tables' binomial tails do."""
+    _check_sample_size(n, q)
+    u = _rejection_u(n)
+    lo = hi = one = 1 << DEFAULT_PREC
+    for d in range(1, n + 1):
+        _, z_lo, z_hi = next(_count_entries(u**d, Fraction(q) ** d, cuspidal_count(d, q), 0,
+                                            DEFAULT_PREC))
+        lo = lo * z_lo >> DEFAULT_PREC
+        hi = -(-hi * z_hi >> DEFAULT_PREC)
+    return Interval(Fraction(lo, one), Fraction(hi, one)) * (u**n / q_pochhammer(q, n))
 
 
 _REJECT = object()
@@ -431,8 +426,10 @@ class _DegreePlan(NamedTuple):
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(n: int, q: int, u: Fraction) -> tuple[_DegreePlan, ...]:
-    """Every table a sampler for (n, q, u) reads: one plan per degree d <= n,
-    each with its count table's first threshold read."""
+    """Every table a sampler for (n, q) reads at u = _rejection_u(n): one
+    plan per degree d <= n, each with its count table's first threshold
+    read.  Keyed on the u the rule gave, so a patched rule reads no stale
+    plan."""
     plans = []
     for d in range(1, n + 1):
         n_labels = cuspidal_count(d, q)
@@ -455,16 +452,13 @@ def _check_sample_size(n: int, q: int) -> None:
 class GLPlancherelSampler:
     """Exact Plancherel sampler for Irr(GL(n,q)) by rejection on total degree."""
 
-    def __init__(self, n: int, q: int, u=None, seed: int = 0):
+    def __init__(self, n: int, q: int, seed: int = 0):
         _check_sample_size(n, q)
         self.n = n
         self.q = q
-        self.u = Fraction(u) if u is not None else default_rejection_u(n)
-        if not 0 < self.u < 1:
-            raise ValueError("need 0 < u < 1")
         self.rng = SplitMix64(seed)
         self.attempts = 0
-        self.plans = _plan(n, q, self.u)
+        self.plans = _plan(n, q, _rejection_u(n))
 
     def _draw_indices(self, count: int, pool: int) -> list[int]:
         """Uniform sorted count-subset of range(pool)."""
@@ -533,13 +527,10 @@ class GLPlancherelSampler:
             phi = self._attempt()
             if phi is not None:
                 return phi
-        raise SamplerError(
-            f"no acceptance within {cap} attempts; try a different u "
-            f"(current u = {self.u})"
-        )
+        raise SamplerError(f"no acceptance within {cap} attempts")
 
 
-def gl_plancherel_samples(n: int, q: int, count: int, u=None, seed: int = 0) -> list[GLIrrep]:
+def gl_plancherel_samples(n: int, q: int, count: int, seed: int = 0) -> list[GLIrrep]:
     """count exact Plancherel-distributed irreducible families of GL(n,q), from one sampler."""
-    sampler = GLPlancherelSampler(n, q, u, seed)
+    sampler = GLPlancherelSampler(n, q, seed)
     return [sampler.sample() for _ in range(count)]

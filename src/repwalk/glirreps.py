@@ -7,10 +7,10 @@ is polynomial in q, so q is any integer >= 2 (only prime powers are
 group-theoretically meaningful; the brute-force test oracles require a
 prime).  Dimensions, Plancherel measure, fixed-space element counts, the
 L2 mixing bound, and the unipotent-part bounds are all exact.  The
-unipotent-part bounds are the S_{u,q} weight and size tail at u = 1:
+unipotent-part bounds are the S_{1,q} weight and size tail:
 suq_weight(1, q, lam) bounds the marginal mass of lam, and
-unipotent_tail_bound is suq_size_tail_bound at u = 1.  glasymptotics
-builds the measure S_{u,q} on the same two functions.
+unipotent_tail_bound the mass of the sizes >= c.  glasymptotics builds the
+measure S_{u,q} on suq_weight.
 """
 
 from __future__ import annotations
@@ -197,9 +197,11 @@ def dimension_gl(phi: GLIrrep) -> int:
 
 
 def plancherel_gl(n: int, q: int) -> dict[GLIrrep, Fraction]:
-    """Plancherel measure d_phi^2 / |GL(n,q)|; sums to 1 exactly."""
+    """Plancherel measure d_phi^2 / |GL(n,q)|; sums to 1 exactly.  The
+    enumeration refuses sizes past its limits before the order is formed."""
+    families = enumerate_gl_irreps(n, q)
     g = order_gl(n, q)
-    masses = {phi: Fraction(dimension_gl(phi) ** 2, g) for phi in enumerate_gl_irreps(n, q)}
+    masses = {phi: Fraction(dimension_gl(phi) ** 2, g) for phi in families}
     if sum(masses.values()) != 1:
         raise ArithmeticError("Plancherel masses do not sum to 1")
     return masses
@@ -275,35 +277,29 @@ def suq_weight(u, q, lam: Partition) -> Fraction:
     return Fraction(num, den)
 
 
-def suq_size_tail_bound(u, q, size_cut: int) -> Fraction:
-    """Upper bound (1-1/q)^(-6) sum_{m>size_cut} u^m/(q^m - 1) on the S_{u,q}
-    mass of {|lam| > size_cut}, for 0 < u < q.
+def unipotent_tail_bound(q: int, c: int) -> Fraction:
+    """Upper bound (1-1/q)^(-6) sum_{m>=c} 1/(q^m - 1) on P(|unipotent part| >= c):
+    the S_{1,q} mass of {|lam| >= c}.
 
-    The total weight in size m is at most u^m / ((q^m - 1)(1 - 1/q)^6) and
-    the normalizer is at most 1.  The sum is evaluated exactly until the
+    The total weight in size m is at most 1/((q^m - 1)(1 - 1/q)^6) and the
+    normalizer is at most 1.  The sum is evaluated exactly until the
     geometric remainder drops below TAIL_REL_TOL times the sum, then closed
     with that remainder, so the result stays an upper bound.
     """
-    u, q = Fraction(u), Fraction(q)
-    if not 0 < u < q:
-        raise ValueError("need 0 < u < q")
-    total = Fraction(0)
-    m = size_cut + 1
-    while True:
-        total += u**m / (q**m - 1)
-        m += 1
-        # u^m/(q^m - 1) <= 2 (u/q)^m once q^m >= 2
-        remainder = 2 * (u / q) ** m / (1 - u / q)
-        if remainder < TAIL_REL_TOL * total:
-            return (1 - 1 / q) ** -6 * (total + remainder)
-
-
-def unipotent_tail_bound(q: int, c: int) -> Fraction:
-    """Upper bound (1-1/q)^(-6) sum_{m>=c} 1/(q^m - 1) on P(|unipotent part| >= c):
-    the S_{1,q} size tail past c - 1."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    return suq_size_tail_bound(1, q, c - 1)
+    q = Fraction(q)
+    if q <= 1:
+        raise ValueError("need q > 1")
+    total = Fraction(0)
+    m = c
+    while True:
+        total += 1 / (q**m - 1)
+        m += 1
+        # 1/(q^m - 1) <= 2 q^-m once q^m >= 2
+        remainder = 2 / q**m / (1 - 1 / q)
+        if remainder < TAIL_REL_TOL * total:
+            return (1 - 1 / q) ** -6 * (total + remainder)
 
 
 def _divisor_totients(m: int) -> list[tuple[int, int]]:

@@ -310,7 +310,9 @@ def transposition_moments_closed(n: int, r: int) -> tuple[Fraction, Fraction]:
 
     Returns (E[f]/|C|^(1/2), E[f^2]) for the walk started at the one-row
     partition: (1-2/n)^r and 1 + C(n-2,2)(1-4/n)^r + (2n-4)(1-3/n)^r.
+    r is refused as a walk's step count is, before any power is formed.
     """
+    _check_steps(r)
     mean_red = Fraction(n - 2, n) ** r
     second = (
         1

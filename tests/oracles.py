@@ -31,7 +31,6 @@ from repwalk.glasymptotics import (
     _REJECT,
     DEFAULT_PREC,
     GLPlancherelSampler,
-    _z_power_product,
     suq_normalizer,
     suq_weight,
 )
@@ -427,7 +426,7 @@ def high_degree_empty_direct(n: int, q: int, u) -> Interval:
     """
     u = Fraction(u)
     d = n + 1 + EXPLICIT_DEGREES
-    explicit = _z_power_product(range(n + 1, d), q, u, DEFAULT_PREC)
+    explicit = z_power_product_fraction(range(n + 1, d), q, u, DEFAULT_PREC)
     tail_deficit = Fraction(q, q - 1) ** 2 * u**d / (1 - u)
     lo = max(Fraction(0), explicit.lo * (1 - tail_deficit))
     return Interval(lo, explicit.hi)

@@ -252,7 +252,7 @@ def test_criterion_13_gl_plancherel_sampler():
             expected = [float(m) * count for m in marg.values()]
             stat, pval = chisquare(observed, expected)
             assert pval >= 0.001, (n, q, pval)
-            rate = acceptance_probability(n, q, sampler.u)
+            rate = acceptance_probability(n, q)
             p = rate.midpoint()
             sigma = math.sqrt(p * (1 - p) / sampler.attempts)
             assert abs(count / sampler.attempts - p) <= 4 * sigma + float(rate.width)

@@ -170,7 +170,7 @@ def test_gl_sample_deterministic(tmp_path):
     b = tmp_path / "b.csv"
     for path in (a, b):
         assert main(["gl-sample", "--n", "2", "--q", "2", "--count", "10",
-                     "--seed", "5", "--u", "1/2", "--out", str(path)]) == 0
+                     "--seed", "5", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert "attempts" in a.read_text()
 
@@ -347,23 +347,32 @@ def test_self_check_failure_exit_code(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_zero_division_stays_a_usage_error(capsys):
-    # ZeroDivisionError is an ArithmeticError, but a zero denominator in an
-    # argument is the caller's: exit 2, not 1
-    assert main(["gl-sample", "--n", "2", "--q", "2", "--u", "1/0"]) == 2
-    err = capsys.readouterr().err
-    assert any(line.startswith("usage error:") for line in err.splitlines())
-    assert "check failed" not in err
+def test_internal_zero_division_is_a_failed_check(capsys, monkeypatch):
+    # no argument reaches a division by zero, so one raised inside a command
+    # is an internal arithmetic fault: exit 1, not a usage error
+    def broken(n, q):
+        raise ZeroDivisionError("dividing by an interval containing 0")
 
-
-@pytest.mark.parametrize("u", ["1", "3/2"])
-def test_gl_sample_refuses_u_outside_the_unit_interval_with_no_sample(capsys, u):
-    # with --count 0 no sampler is made, so the refusal comes from the
-    # predicted acceptance rate alone
-    assert main(["gl-sample", "--n", "3", "--q", "2", "--count", "0", "--u", u]) == 2
+    monkeypatch.setattr(cli, "acceptance_probability", broken)
+    assert main(["gl-sample", "--n", "2", "--q", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["usage error: need 0 < u < 1 < q"]
+    assert "check failed: dividing by an interval containing 0" in captured.err.splitlines()
+    assert "usage error" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gl-irreps", "--n", "1000", "--q", "2"],
+    ["gl-irreps", "--n", "10000", "--q", "2"],
+    ["gl-irreps", "--n", str(10**30), "--q", "3"],
+])
+def test_gl_irreps_refuses_before_the_group_order(capsys, argv):
+    # |GL(1000, 2)| took 0.8 s before the enumeration refused the size, and
+    # n = 10**4 or 10**30 ran past 3 s
+    started = time.process_time()
+    assert main(argv) == 3
+    assert time.process_time() - started < 0.2
+    assert "GL family enumeration" in capsys.readouterr().err
 
 
 def _main_stdout(capsys, argv):
@@ -380,7 +389,7 @@ def _fresh_stdout(capsys, argv):
 @pytest.mark.parametrize("with_flags,without", [
     (["sn-walk", "--n", "5", "--r", "3", "--start", "3+2"],
      ["sn-walk", "--n", "5", "--r", "3"]),
-    (["gl-sample", "--n", "3", "--q", "2", "--count", "4", "--u", "1/2", "--threads", "2"],
+    (["gl-sample", "--n", "3", "--q", "2", "--count", "4", "--threads", "2"],
      ["gl-sample", "--n", "3", "--q", "2", "--count", "4"]),
     (["sn-sample", "--n", "6", "--r", "4", "--count", "6", "--threads", "2"],
      ["sn-sample", "--n", "6", "--r", "4", "--count", "6"]),
@@ -419,16 +428,18 @@ index,family
 3,1.0:2+1+1
 4,1.0:1+1+1+1
 """,
-    ("--n", "3", "--q", "3", "--count", "4", "--seed", "2", "--u", "1/2"): """\
+    # recorded when --u was deleted, by the commit before it: the argv of a
+    # --u 1/2 golden, at the u the rule gives at n = 3
+    ("--n", "3", "--q", "3", "--count", "4", "--seed", "2"): """\
 # repwalk 0.1.0
-# command: gl-sample count=4 n=3 q=3 seed=2 threads=1 u=1/2
-# attempts: 19
-# predicted acceptance rate: 0.08594070105371011
+# command: gl-sample count=4 n=3 q=3 seed=2 threads=1
+# attempts: 45
+# predicted acceptance rate: 0.13347364037813972
 index,family
-0,1.0:1;2.0:1
-1,1.0:1;2.2:1
+0,3.3:1
+1,3.7:1
 2,1.0:1+1+1
-3,1.0:1;2.1:1
+3,1.0:1;1.1:1+1
 """,
     ("--n", "6", "--q", "2", "--count", "5", "--seed", "7", "--threads", "2"): """\
 # repwalk 0.1.0
@@ -725,9 +736,9 @@ BAD_ARGUMENTS = [
     # with base 10: ''" and "... '(1'"
     (["sn-walk", "--n", "5", "--r", "1", "--start", "5+"], "bad partition '5+'"),
     (["hsp", "--n", "4", "--gens", "((1 2))"], "bad cycle notation: '((1 2))'"),
-    # an empty u printed "u=" on the command line and sampled at the default u
-    (["gl-sample", "--n", "3", "--q", "2", "--count", "1", "--u", ""],
-     "Invalid literal for Fraction: ''"),
+    # u is a rule of n, no longer an option
+    (["gl-sample", "--n", "3", "--q", "2", "--count", "1", "--u", "1/2"],
+     "unrecognized arguments: --u 1/2"),
 ]
 
 

@@ -25,16 +25,16 @@ from repwalk.glasymptotics import (
     SAMPLE_N_LIMIT,
     GLPlancherelSampler,
     _plan,
+    _rejection_u,
     acceptance_probability,
     cycle_index_lhs,
     cycle_index_rhs,
-    default_rejection_u,
     gl_plancherel_samples,
     limit_marginal,
     suq_normalizer,
     suq_weight,
 )
-from repwalk.glirreps import plancherel_gl, suq_size_tail_bound, unipotent_marginal
+from repwalk.glirreps import plancherel_gl, unipotent_marginal, unipotent_tail_bound
 from repwalk.partitions import EMPTY, Partition, enumerate_partitions
 from repwalk.rng import SplitMix64
 from repwalk.series import _exp_coefficients, euler_lhs, q_pochhammer
@@ -62,7 +62,7 @@ def test_normalizer_suffix_products_match_pow_int(u, q):
 
 # the normalizers the default samplers read at n = 20: Z(u^d, q^d) for every
 # degree, and Z(u/q, q) for the Euler product of the high-degree threshold
-_U20 = default_rejection_u(20)
+_U20 = _rejection_u(20)
 _SAMPLER_NORMALIZERS = [(_U20**d, Fraction(q) ** d) for q in (2, 3) for d in range(1, 21)] \
     + [(_U20 / q, q) for q in (2, 3)]
 
@@ -92,18 +92,18 @@ def test_suq_weight_integer_quotient(u, q):
 def test_sampler_setup_shares_cached_enclosures():
     sampler = GLPlancherelSampler(7, 2, seed=1)
     sampler.sample()
-    acceptance_probability(7, 2, sampler.u)
+    acceptance_probability(7, 2)
     normalizers = suq_normalizer.cache_info()
-    # a second sampler with the same (n, q, u) builds no new enclosure
+    # a second sampler with the same (n, q) builds no new enclosure
     again = GLPlancherelSampler(7, 2, seed=2)
     again.sample()
-    acceptance_probability(7, 2, again.u)
+    acceptance_probability(7, 2)
     assert suq_normalizer.cache_info().misses == normalizers.misses
     assert suq_normalizer.cache_info().maxsize
 
 
 def test_plan_cache_holds_every_default_sampler():
-    # every (n, q) the sampler takes, at its default u, fits the plan cache:
+    # every (n, q) the sampler takes fits the plan cache:
     # a second pass over them builds no plan
     sizes = [(n, q) for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)]
     _plan.cache_clear()
@@ -138,7 +138,7 @@ def test_sampler_freed_by_reference_counting():
     # collection, while its plan stays cached for the next one
     sampler = GLPlancherelSampler(4, 2, seed=1)
     sampler.sample()
-    plans = _plan(4, 2, sampler.u)
+    plans = _plan(4, 2, _rejection_u(4))
     assert plans is sampler.plans
     reached = _reachable(plans)
     assert not any(obj is sampler or obj is sampler.rng for obj in reached)
@@ -178,16 +178,8 @@ def test_suq_measure_normalization():
     lo_sum = sum(iv.lo for iv in masses)
     hi_sum = sum(iv.hi for iv in masses)
     assert lo_sum <= 1
-    assert hi_sum + suq_size_tail_bound(1, 2, 12) >= 1
+    assert hi_sum + unipotent_tail_bound(2, 13) >= 1
     assert hi_sum <= 1 + Fraction(1, 2**200)
-
-
-def test_suq_tail_bound_dominates_truncated_mass():
-    u, q = Fraction(1, 2), 2
-    z = suq_normalizer(u, q)
-    hi_sum = sum((z * suq_weight(u, q, lam)).hi for m in range(9) for lam in enumerate_partitions(m))
-    assert suq_size_tail_bound(u, q, 8) >= 1 - hi_sum
-    assert suq_size_tail_bound(u, q, 30) < Fraction(1, 10**7)
 
 
 def test_limit_marginal_ratio():
@@ -267,28 +259,32 @@ def test_cycle_index_marker_examples():
 
 
 def test_default_rejection_u():
-    assert default_rejection_u(2) == Fraction(1, 2)
-    assert default_rejection_u(3) == Fraction(2, 3)
-    assert default_rejection_u(1000) == Fraction(63, 64)
+    assert _rejection_u(1) == _rejection_u(2) == Fraction(1, 2)
+    assert _rejection_u(3) == Fraction(2, 3)
+    assert _rejection_u(1000) == Fraction(63, 64)
 
 
-def test_acceptance_times_high_degree_empty_is_the_total_degree_law():
+def test_acceptance_times_high_degree_empty_is_the_total_degree_law(pin_u):
     # the paper's identity: the labels of degree <= n total n, and every
     # label of higher degree is empty, independently, exactly when the total
     # degree is n, of probability E(u,q) u^n/(1/q)_n
     for q, n in ((q, n) for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)):
-        for u in (default_rejection_u(n), Fraction(1, 2)):
-            rate = acceptance_probability(n, q, u)
+        for u in (_rejection_u(n), Fraction(1, 2)):
+            pin_u(u)
+            rate = acceptance_probability(n, q)
             assert rate.width < Fraction(1, 2**200)
             joint = rate * high_degree_empty_direct(n, q, u)
             total = euler_product_enclosure(u, q, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
             assert joint.lo <= total.hi and total.lo <= joint.hi, (q, n, u)
 
 
-@pytest.mark.parametrize("u", [1, Fraction(3, 2), 0])
-def test_acceptance_probability_refuses_u_outside_the_unit_interval(u):
-    with pytest.raises(ValueError, match="need 0 < u < 1 < q"):
-        acceptance_probability(3, 2, u)
+def test_acceptance_probability_refuses_what_the_sampler_refuses():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be positive"):
+            acceptance_probability(n, 2)
+    for n, q in ((21, 2), (2, 4)):
+        with pytest.raises(CapacityError, match="GL Plancherel sampler"):
+            acceptance_probability(n, q)
 
 
 def test_draw_indices_small_pool_uniform_over_subsets():
@@ -354,14 +350,14 @@ def test_draw_indices_small_pool_matches_full_list_shuffle():
 
 
 def test_sampler_n1_unique_family():
-    sampler = GLPlancherelSampler(1, 2, Fraction(1, 2), seed=5)
+    sampler = GLPlancherelSampler(1, 2, seed=5)
     for _ in range(30):
         assert sampler.sample().descriptor() == "1.0:1"
 
 
 def test_sampler_determinism():
-    a = gl_plancherel_samples(2, 2, 25, u=Fraction(1, 2), seed=9)
-    b = gl_plancherel_samples(2, 2, 25, u=Fraction(1, 2), seed=9)
+    a = gl_plancherel_samples(2, 2, 25, seed=9)
+    b = gl_plancherel_samples(2, 2, 25, seed=9)
     assert a == b
 
 
@@ -374,6 +370,7 @@ def test_sampler_capacity():
 
 # one family per (n, q, u, seed), recorded from the single-sample function
 # that once stood beside gl_plancherel_samples; count=1 must reproduce it.
+# A u other than None was passed when u was an argument, and is now pinned.
 # Re-recorded (from LocateSampler too) when attempts stopped drawing the
 # high-degree word; (2, 2, 1/2, 9) happens to keep its family
 GL_SINGLE = {
@@ -386,34 +383,36 @@ GL_SINGLE = {
 
 
 @pytest.mark.parametrize("key", list(GL_SINGLE))
-def test_gl_samples_count_one_recorded(key):
+def test_gl_samples_count_one_recorded(key, pin_u):
     n, q, u, seed = key
-    (phi,) = gl_plancherel_samples(n, q, 1, u=u, seed=seed)
+    pin_u(u)
+    (phi,) = gl_plancherel_samples(n, q, 1, seed=seed)
     assert phi.descriptor() == GL_SINGLE[key]
 
 
 def test_sampler_matches_plancherel_22():
     count = 20000
-    sampler = GLPlancherelSampler(2, 2, Fraction(1, 2), seed=314)
+    sampler = GLPlancherelSampler(2, 2, seed=314)  # at u = 1/2
     freq = Counter(s.descriptor() for s in (sampler.sample() for _ in range(count)))
     exact = {phi.descriptor(): float(m) for phi, m in plancherel_gl(2, 2).items()}
     for desc, p in exact.items():
         sigma = math.sqrt(p * (1 - p) / count)
         assert abs(freq.get(desc, 0) / count - p) <= 4 * sigma
     # acceptance rate within 4 sigma of the predicted probability
-    rate = acceptance_probability(2, 2, Fraction(1, 2))
+    rate = acceptance_probability(2, 2)
     p = rate.midpoint()
     sigma = math.sqrt(p * (1 - p) / sampler.attempts)
     assert abs(count / sampler.attempts - p) <= 4 * sigma + float(rate.width)
 
 
-def test_sampler_rate_at_pinned_u():
-    # the rate formula also holds away from the default u choice
+def test_sampler_rate_at_pinned_u(pin_u):
+    # the rate formula also holds away from the rule's u
     count = 6000
-    sampler = GLPlancherelSampler(3, 2, Fraction(1, 2), seed=555)
+    pin_u(Fraction(1, 2))
+    sampler = GLPlancherelSampler(3, 2, seed=555)
     for _ in range(count):
         sampler.sample()
-    rate = acceptance_probability(3, 2, Fraction(1, 2))
+    rate = acceptance_probability(3, 2)
     p = rate.midpoint()
     sigma = math.sqrt(p * (1 - p) / sampler.attempts)
     assert abs(count / sampler.attempts - p) <= 4 * sigma + float(rate.width)
@@ -427,7 +426,7 @@ def test_sampler_rate_at_a_size_past_enumeration():
     sampler = GLPlancherelSampler(12, 2, seed=2024)
     for _ in range(count):
         sampler.sample()
-    rate = acceptance_probability(12, 2, sampler.u)
+    rate = acceptance_probability(12, 2)
     p = rate.midpoint()
     sigma = math.sqrt(p * (1 - p) / sampler.attempts)
     assert abs(count / sampler.attempts - p) <= 4 * sigma + float(rate.width)

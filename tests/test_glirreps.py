@@ -19,7 +19,6 @@ from repwalk.glirreps import (
     mobius,
     order_gl,
     plancherel_gl,
-    suq_size_tail_bound,
     suq_weight,
     unipotent_marginal,
     unipotent_tail_bound,
@@ -295,6 +294,9 @@ def test_divisor_totients():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_unipotent_bounds_are_the_suq_weight_and_tail_at_u_one(q):
-    # the per-partition bound is suq_weight(1, q, lam) itself
+    # the tail bound is the S_{1,q} size tail (1-1/q)^(-6) sum_{m>=c} 1/(q^m - 1):
+    # at least its first 200 terms, and within the relative tolerance of them
+    prefactor = (1 - Fraction(1, q)) ** -6
     for c in range(1, 13):
-        assert unipotent_tail_bound(q, c) == suq_size_tail_bound(1, q, c - 1)
+        head = prefactor * sum(Fraction(1, q**m - 1) for m in range(c, c + 200))
+        assert head <= unipotent_tail_bound(q, c) <= head * (1 + 2 * glirreps.TAIL_REL_TOL)

@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 
 from oracles import euler_product_enclosure, euler_product_exact, pow_int_fraction
-from repwalk.glasymptotics import _normalizer_terms, default_rejection_u
+from repwalk.glasymptotics import _normalizer_terms, _rejection_u
 from repwalk.glirreps import gl_upper_bound, gl_upper_bound_squared
 from repwalk.intervals import Interval, _sqrt_up
 from repwalk.snwalk import _upper_bounds, sn_tv_curve, sn_upper_bound, sn_upper_bound_squared
@@ -105,7 +105,7 @@ def test_euler_product_enclosure():
 @pytest.mark.parametrize("u,q", [
     (Fraction(1, 2), 2), (Fraction(63, 64), 2), (Fraction(5, 6), 3),
     (Fraction(2, 3), Fraction(7, 2)), (Fraction(19, 20) ** 3, 27),
-] + [(u, q) for q in (2, 3) for u in sorted({default_rejection_u(n) for n in range(1, 21)})])
+] + [(u, q) for q in (2, 3) for u in sorted({_rejection_u(n) for n in range(1, 21)})])
 def test_euler_product_rounded_contains_exact(u, q):
     terms = _normalizer_terms(u, Fraction(q), Fraction(1, 2**320))
     exact_lo, exact_hi = euler_product_exact(u, q, terms)

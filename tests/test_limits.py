@@ -42,6 +42,8 @@ REMOVED = [
     (glasymptotics.suq_normalizer, "terms"),
     (glasymptotics.limit_marginal, "prec"),
     (glasymptotics.acceptance_probability, "prec"),
+    (glasymptotics.acceptance_probability, "u"),
+    (glasymptotics.gl_plancherel_samples, "u"),
     (glasymptotics._DegreePlan, "prec"),
     (oracles.euler_product_enclosure, "terms"),
     (oracles.high_degree_empty_direct, "explicit_degrees"),
@@ -51,6 +53,7 @@ REMOVED = [
     (glasymptotics._ThresholdSet, "max_doublings"),
     (glasymptotics.GLPlancherelSampler, "prec"),
     (glasymptotics.GLPlancherelSampler, "attempt_cap"),
+    (glasymptotics.GLPlancherelSampler, "u"),
     (glirreps.enumerate_gl_irreps, "max_n"),
     (glirreps.enumerate_gl_irreps, "max_q"),
     (glirreps.gl_lower_bound, "max_n"),

@@ -1,6 +1,7 @@
 """The README's library quick tour runs as written, so a name retired or
 renamed in the package cannot linger in it."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -72,3 +73,19 @@ def test_exit_codes_are_documented():
     assert {0, 1, 2, 3, 4} <= codes  # the walk still reads every command
     assert codes <= _exit_code_sentence(README.read_text())
     assert codes <= _exit_code_sentence(cli.__doc__)
+
+
+def test_cli_flags_match_the_cli_section():
+    # every option of every subcommand is named in the README's CLI section,
+    # and every flag written there is an option of some subcommand, so a
+    # retired or a new flag cannot drift from the docs
+    cli = importlib.import_module("repwalk.cli")
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {flag for parser in subcommands.choices.values() for action in parser._actions
+               for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    written = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert {"--count", "--threads", "--gens"} <= options
+    assert sorted(options - written) == []
+    assert sorted(written - options) == []

@@ -9,6 +9,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from repwalk import snwalk
 from repwalk.characters import character_table, enumerate_classes, fixed_point_profile
 from repwalk.errors import CapacityError
 from repwalk.partitions import (
@@ -21,6 +22,7 @@ from repwalk.partitions import (
 )
 from repwalk.snwalk import (
     FLOAT_LIMIT,
+    MAX_WALK_STEPS,
     _FloatEngine,
     _float_engine,
     _float_error_bound,
@@ -404,6 +406,20 @@ def test_lower_bound_estimate_refuses_n_below_2(n):
     # n = 0 raised ZeroDivisionError and n = 1 a math.comb message
     with pytest.raises(ValueError, match="the walk needs n >= 2"):
         sn_lower_bound_estimate(n, 3, 2.0)
+
+
+def test_closed_moments_refuse_bad_step_counts(monkeypatch):
+    # r = -3 gave an estimate of 0.704 and r = 10**6 ran past a minute:
+    # both are refused as a walk's step count, before any power is formed
+    def no_power(*args):
+        raise AssertionError("a power was formed")
+
+    monkeypatch.setattr(snwalk, "Fraction", no_power)
+    for moments in (transposition_moments_closed, lambda n, r: sn_lower_bound_estimate(n, r, 2.0)):
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            moments(10, -1)
+        with pytest.raises(CapacityError, match="walk steps"):
+            moments(10, MAX_WALK_STEPS + 1)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -16,7 +16,6 @@ from functools import partial
 import pytest
 
 from oracles import (
-    EXPLICIT_DEGREES,
     LocateSampler,
     component_entries_fraction,
     component_entries_interval,
@@ -38,9 +37,8 @@ from repwalk.glasymptotics import (
     _count_entries,
     _REJECT,
     _ThresholdSet,
-    _z_power_product,
+    _rejection_u,
     acceptance_probability,
-    default_rejection_u,
 )
 from repwalk.rng import _GOLDEN, SplitMix64
 from repwalk.series import q_pochhammer
@@ -149,10 +147,12 @@ def test_unresolvable_threshold_raises_after_the_same_words():
 
 
 @pytest.mark.parametrize("n,q,u", [(6, 2, None), (9, 3, None), (4, 2, Fraction(1, 2))])
-def test_locate_matches_scan_on_sampler_tables(n, q, u):
-    sampler = GLPlancherelSampler(n, q, u)
+def test_locate_matches_scan_on_sampler_tables(n, q, u, pin_u):
+    pin_u(u)
+    u = glasymptotics._rejection_u(n)
+    sampler = GLPlancherelSampler(n, q)
     for plan in sampler.plans:
-        ud, qd = sampler.u**plan.d, Fraction(q) ** plan.d
+        ud, qd = u**plan.d, Fraction(q) ** plan.d
         counts = partial(_count_entries, ud, qd, plan.n_labels, min(plan.n_labels, n // plan.d))
         _draw_both(counts, plan.d, 60)
         _draw_both(partial(_component_entries, ud, qd, n // plan.d), plan.d, 60)
@@ -226,7 +226,7 @@ def test_component_entries_match_rounded_products():
 def test_component_entries_match_fraction_running_sum(n, q, u):
     # the integer numerator over b^cap P^2 gives every entry the Fraction
     # running sum of suq_weight gives, drained to the cap at every degree
-    u = u if u is not None else default_rejection_u(n)
+    u = u if u is not None else _rejection_u(n)
     for d in range(1, n + 1):
         ud, qd = u**d, Fraction(q) ** d
         assert list(_component_entries(ud, qd, n // d, DEFAULT_PREC)) == \
@@ -257,9 +257,10 @@ def test_component_gap_product_that_does_not_divide_raises(monkeypatch):
 @pytest.mark.parametrize("n", [3, 8, 13, 20])
 def test_count_entries_match_fraction_products(n, q, monkeypatch):
     # the binomial tail and the powers on integer endpoints give every entry
-    # the Fraction form gives, at every degree; so does the acceptance
-    # probability, whose low-degree product raises each normalizer by pow_int
-    u = default_rejection_u(n)
+    # the Fraction form gives, at every degree; the acceptance probability,
+    # which multiplies the count tables' first entries, is unchanged when
+    # pow_int is the Fraction form's
+    u = _rejection_u(n)
     for d in range(1, n + 1):
         ud, qd = u**d, Fraction(q) ** d
         n_labels = glirreps.cuspidal_count(d, q)
@@ -267,11 +268,9 @@ def test_count_entries_match_fraction_products(n, q, monkeypatch):
         for prec in (DEFAULT_PREC, DEFAULT_PREC << 1):
             assert _as_fractions(_count_entries(ud, qd, n_labels, max_count, prec), prec) == \
                 _as_endpoints(count_entries_fraction(ud, qd, n_labels, max_count, prec)), (d, prec)
-    rate = acceptance_probability(n, q, u)
-    assert rate == z_power_product_fraction(range(1, n + 1), q, u, DEFAULT_PREC) \
-        * (u**n / q_pochhammer(q, n))
+    rate = acceptance_probability(n, q)
     monkeypatch.setattr(Interval, "pow_int", pow_int_fraction)
-    assert rate == acceptance_probability(n, q, u)
+    assert rate == acceptance_probability(n, q)
 
 
 @pytest.mark.parametrize("n,q", [(5, 2), (8, 3), (20, 3)])
@@ -279,7 +278,7 @@ def test_integer_ends_match_interval_entries(n, q):
     # every table of a plan, grown to its end from the integer entries, holds
     # the 64-bit ends the Interval entries give: the running maxima of their
     # endpoints floored and ceiled at 64 bits
-    u = default_rejection_u(n)
+    u = _rejection_u(n)
     plans = glasymptotics._plan(n, q, u)
     for plan in plans:
         ud, qd = u**plan.d, Fraction(q) ** plan.d
@@ -295,15 +294,18 @@ def test_integer_ends_match_interval_entries(n, q):
             assert table._ends == threshold_ends_reference(entries), plan.d
 
 
-@pytest.mark.parametrize("n,q", [(20, 3), (12, 2), (5, 2)])
-def test_z_power_product_matches_fraction_loop(n, q):
-    # the running product on integer endpoints rounds each factor as the
-    # Fraction product rounded outward does, over the degrees the
-    # acceptance probability multiplies and those the direct bound multiplies
-    u = default_rejection_u(n)
-    for degrees in (range(1, n + 1), range(n + 1, n + 1 + EXPLICIT_DEGREES)):
-        assert _z_power_product(degrees, q, u, DEFAULT_PREC) == \
-            z_power_product_fraction(degrees, q, u, DEFAULT_PREC), degrees
+@pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3) for n in range(20, 0, -1)])
+def test_z_power_product_matches_fraction_loop(n, q, pin_u):
+    # the acceptance probability's running product of the count tables'
+    # first entries, on integer endpoints, rounds each factor
+    # Z(u^d, q^d)^(N_d) as the Fraction product rounded outward does, at
+    # every size the sampler takes, at the rule's u and at a pinned one
+    for u in (None, Fraction(1, 2)):
+        pin_u(u)
+        u = glasymptotics._rejection_u(n)
+        assert acceptance_probability(n, q) == \
+            z_power_product_fraction(range(1, n + 1), q, u, DEFAULT_PREC) \
+            * (u**n / q_pochhammer(q, n)), u
 
 
 @pytest.mark.parametrize("n,q,u,count", [
@@ -311,13 +313,14 @@ def test_z_power_product_matches_fraction_loop(n, q):
     (2, 2, Fraction(1, 2), 200), (5, 3, Fraction(1, 2), 40),
     (16, 2, None, 60), (20, 3, Fraction(9, 10), 20),
 ])
-def test_count_phase_reads_the_stream_locate_reads(n, q, u, count):
+def test_count_phase_reads_the_stream_locate_reads(n, q, u, count, pin_u):
     # every phase of an attempt decides from the tables in its own loop and
     # draws a single index by one randrange; a sampler calling locate per
     # table and _draw_indices per degree must draw the same families from
     # the same words, in as many attempts
+    pin_u(u)
     for seed in (0, 1, 9):
-        fast, slow = GLPlancherelSampler(n, q, u, seed), LocateSampler(n, q, u, seed)
+        fast, slow = GLPlancherelSampler(n, q, seed), LocateSampler(n, q, seed)
         for _ in range(count):
             assert fast.sample().descriptor() == slow.sample().descriptor()
         assert fast.attempts == slow.attempts
@@ -329,13 +332,14 @@ def _outcome(phi):
 
 
 @pytest.mark.parametrize("n,q,u", [(16, 2, Fraction(1, 2)), (20, 3, Fraction(1, 2))])
-def test_attempts_at_low_acceptance_read_the_stream_locate_reads(n, q, u):
+def test_attempts_at_low_acceptance_read_the_stream_locate_reads(n, q, u, pin_u):
     # at u = 1/2 most count words fall below their degree's cut, but an
     # attempt is accepted only about 1.5e-5 (16,2) and 6.5e-7 (20,3) of the
     # time, so the two samplers are compared attempt by attempt, not sample
     # by sample
+    pin_u(u)
     for seed in (0, 1, 9):
-        fast, slow = GLPlancherelSampler(n, q, u, seed), LocateSampler(n, q, u, seed)
+        fast, slow = GLPlancherelSampler(n, q, seed), LocateSampler(n, q, seed)
         for _ in range(10000):
             assert _outcome(fast._attempt()) == _outcome(slow._attempt())
             assert fast.rng._state == slow.rng._state
@@ -345,7 +349,7 @@ def test_every_plan_keeps_its_count_cut():
     # the cut is the count table's first 64-bit end, read when the plan is
     # made, and the gap below it decides count 0: every default plan, and
     # a few at other u
-    keys = [(n, q, default_rejection_u(n)) for n in range(1, 21) for q in (2, 3)]
+    keys = [(n, q, _rejection_u(n)) for n in range(1, 21) for q in (2, 3)]
     keys += [(16, 2, Fraction(1, 2)), (20, 3, Fraction(1, 2)), (5, 3, Fraction(9, 10))]
     for n, q, u in keys:
         for plan in glasymptotics._plan(n, q, u):
@@ -365,12 +369,13 @@ def _scripted(seed: int, words: dict) -> SplitMix64:
 
 
 @pytest.mark.parametrize("n,q,u", [(20, 3, None), (16, 2, None), (8, 3, Fraction(1, 2))])
-def test_count_word_at_the_cut_reads_the_stream_locate_reads(n, q, u, monkeypatch):
+def test_count_word_at_the_cut_reads_the_stream_locate_reads(n, q, u, monkeypatch, pin_u):
     # a count word equal to the cut is not below it: it is bisected, lands
     # in the first threshold's straddle and goes to the scan; the cut - 1 is
     # count 0.  Either way the attempt draws what locate draws.  The count
     # words are the first n words, one per degree.
-    u = u if u is not None else default_rejection_u(n)
+    pin_u(u)
+    u = glasymptotics._rejection_u(n)
     cuts = [plan.empty_below for plan in glasymptotics._plan(n, q, u)]
     scans = []
     scan = _ThresholdSet._scan
@@ -378,8 +383,8 @@ def test_count_word_at_the_cut_reads_the_stream_locate_reads(n, q, u, monkeypatc
     for at, below in ((0, 1), (1, 0), (n - 1, 0), (0, n - 1)):
         for seed in range(4):
             words = {at: cuts[at], below: cuts[below] - 1}
-            fast = GLPlancherelSampler(n, q, u, seed)
-            slow = LocateSampler(n, q, u, seed)
+            fast = GLPlancherelSampler(n, q, seed)
+            slow = LocateSampler(n, q, seed)
             fast.rng, slow.rng = _scripted(seed, words), _scripted(seed, words)
             scans.clear()
             phi = fast._attempt()
@@ -426,7 +431,7 @@ def test_component_table_grows_only_where_draws_land():
         sampler.sample()
     first = sampler.plans[0].component_thresholds
     assert 0 < len(first._ends) // 2 < sum(partition_count(m) for m in range(1, 21))
-    # a second sampler with the same (n, q, u) reads the same tables
+    # a second sampler with the same (n, q) reads the same tables
     again = GLPlancherelSampler(20, 3, seed=5)
     assert again.plans is sampler.plans
 
