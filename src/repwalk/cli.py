@@ -137,6 +137,17 @@ def _emit(args, text: str):
             fh.write(text)
 
 
+# the most samples one command draws (--count, sn-moments --samples): every
+# sample is held in memory until the command prints them all
+MAX_SAMPLE_COUNT = 10**5
+
+
+def _check_count(count: int) -> None:
+    """Refuse a sample count past MAX_SAMPLE_COUNT, before _split and any draw."""
+    if count > MAX_SAMPLE_COUNT:
+        raise CapacityError("sample count", count, MAX_SAMPLE_COUNT)
+
+
 def _split(count: int, seed: int, threads: int) -> list[tuple[int, int]]:
     """(count, derived seed) per seed stream that has work, in stream order."""
     if count < 0:
@@ -234,6 +245,7 @@ def _cmd_sn_samples(args):
     """sn-sample (walk_samples) and sn-rsk (rsk_samples)."""
     sampler = walk_samples if args.command == "sn-sample" else rsk_samples
     _check_sampler_size(args.n)  # before _split, so --count 0 is refused too
+    _check_count(args.count)
     samples = _chunked(
         lambda count, seed: sampler(args.n, args.r, count, seed),
         args.count, args.seed, args.threads,
@@ -244,6 +256,7 @@ def _cmd_sn_samples(args):
 
 
 def _cmd_sn_moments(args):
+    _check_count(args.samples)  # before the exact moments, which come first
     _check_steps(args.r)
     _check_walk(args.n)  # the character table's cap comes next
     table = character_table(args.n)  # its size cap before the n-part partition
@@ -318,6 +331,7 @@ def _cmd_gl_lower(args):
 
 def _cmd_gl_sample(args):
     _check_sample_size(args.n, args.q)  # before _split, so --count 0 is refused too
+    _check_count(args.count)
     samples = []
     attempts = 0
     for size, seed in _split(args.count, args.seed, args.threads):

@@ -23,16 +23,18 @@ rule (_normalizer_terms), and limit_marginal multiplies it by the weight.
 The sampler's u is a rule of n (_rejection_u): it sets the speed and the
 words drawn, never the law.  The acceptance probability multiplies the
 first entries of the count tables, P(no label of degree d occupied) =
-Z(u^d, q^d)^(N_d), on the integer ends those tables use.
+Z(u^d, q^d)^(N_d), on the integer ends those tables use, as the cached
+plan keeps them.
 
 Certified enclosures of Z(u,q) are memoized by suq_normalizer, a bounded
 lru cache on (u, q, prec) (512 entries, see cache_info()): one sampler's
-count and component thresholds and its acceptance probability share one
-Z(u^d, q^d) per degree and precision.  Every table a sampler reads comes
-from one plan per (n, q), cached by _plan (PLAN_CACHE_SIZE = 40) under
-(n, q, u) with u the rule's value: per degree d <= n, the count and
-component threshold sets.  Samplers with the same (n, q) share it; the
-plan holds no sampler, so a finished sampler is freed at once.  Tables are read lazily, component tables partition by
+count and component thresholds share one Z(u^d, q^d) per degree and
+precision.  Every table a sampler reads, and the acceptance probability,
+comes from one plan per (n, q), cached by _plan (PLAN_CACHE_SIZE = 40)
+under (n, q, u) with u the rule's value: per degree d <= n, the count and
+component threshold sets and P(no label occupied).  Samplers with the
+same (n, q) share it; the plan holds no sampler, so a finished sampler is
+freed at once.  Tables are read lazily, component tables partition by
 partition in size order, only as far as draws land, and a threshold set
 keeps of each threshold read only its outcome and two 64-bit words, one
 table that a first word indexes by one bisect; the rare draw that cannot
@@ -230,15 +232,15 @@ def acceptance_probability(n: int, q: int) -> Interval:
     enclosed: P(total degree = n), prod_{m>=0} (1 - u/q^m) u^n/(1/q)_n, over
     the independent probability prod_{d>n} Z(u^d, q^d)^(N_d) that every
     label of higher degree is empty.  Each factor is the first entry of
-    degree d's count table, P(no label occupied), and the running product
-    stays on integer ends at scale 2^DEFAULT_PREC, floor below and ceiling
-    above, as the count tables' binomial tails do."""
+    degree d's count table, P(no label occupied), which the cached plan
+    keeps (_DegreePlan.empty), and the running product stays on integer
+    ends at scale 2^DEFAULT_PREC, floor below and ceiling above, as the
+    count tables' binomial tails do."""
     _check_sample_size(n, q)
     u = _rejection_u(n)
     lo = hi = one = 1 << DEFAULT_PREC
-    for d in range(1, n + 1):
-        _, z_lo, z_hi = next(_count_entries(u**d, Fraction(q) ** d, cuspidal_count(d, q), 0,
-                                            DEFAULT_PREC))
+    for plan in _plan(n, q, u):
+        z_lo, z_hi = plan.empty
         lo = lo * z_lo >> DEFAULT_PREC
         hi = -(-hi * z_hi >> DEFAULT_PREC)
     return Interval(Fraction(lo, one), Fraction(hi, one)) * (u**n / q_pochhammer(q, n))
@@ -287,16 +289,17 @@ class _ThresholdSet:
         self._ends: list[int] = []
         self._slots: list = [None]
 
-    def _grow(self) -> bool:
-        """Read one more threshold; False once the builder has ended."""
+    def _grow(self):
+        """Read one more threshold and return its entry (outcome, lo, hi);
+        None once the builder has ended."""
         with self._lock:
             ends, slots = self._ends, self._slots
             if self._entries is None:
                 self._entries = islice(self._builder(DEFAULT_PREC), len(ends) // 2, None)
             if self._entries is False:
-                return False
+                return None
             try:
-                outcome, lo, hi = next(self._entries)
+                entry = outcome, lo, hi = next(self._entries)
                 shift = DEFAULT_PREC - 64
                 lo64 = max(lo >> shift, ends[-1] if ends else 0)
                 hi64 = max(-(-hi >> shift), lo64)
@@ -306,14 +309,14 @@ class _ThresholdSet:
             except StopIteration:
                 self._entries = False
                 slots[-1] = _REJECT
-                return False
+                return None
             except BaseException:
                 # a generator that raised is finished but has not ended: drop
                 # it, and any half-kept entry, so the next read starts again
                 self._entries = None
                 del slots[len(ends) + 1:]
                 raise
-            return True
+            return entry
 
     def locate(self, rng: SplitMix64):
         """The outcome of the first threshold above a fresh uniform, or _REJECT."""
@@ -412,9 +415,10 @@ def _component_entries(ud: Fraction, qd: Fraction, sizes_cap: int, prec: int):
 class _DegreePlan(NamedTuple):
     """Degree d's tables: how many of its n_labels labels are occupied, and
     an occupied label's partition with its size, at most n // d, as a
-    larger one alone exceeds the total degree n.  empty_below is the count
-    table's first 64-bit end, read when the plan is made: a count word below
-    it lies under the first threshold, P(no label occupied), and decides
+    larger one alone exceeds the total degree n.  empty is the count table's
+    first entry, P(no label occupied), as its integer ends [lo, hi] at scale
+    2^DEFAULT_PREC, read when the plan is made, and empty_below its 64-bit
+    lower end: a count word below it lies under that threshold and decides
     count 0 with no bisect."""
 
     d: int
@@ -422,6 +426,7 @@ class _DegreePlan(NamedTuple):
     empty_below: int
     count_thresholds: _ThresholdSet
     component_thresholds: _ThresholdSet
+    empty: tuple[int, int]
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -435,10 +440,10 @@ def _plan(n: int, q: int, u: Fraction) -> tuple[_DegreePlan, ...]:
         n_labels = cuspidal_count(d, q)
         ud, qd = u**d, Fraction(q) ** d
         counts = _ThresholdSet(partial(_count_entries, ud, qd, n_labels, min(n_labels, n // d)))
-        counts._grow()  # the count 0 entry, which every count table yields
+        _, lo, hi = counts._grow()  # the count 0 entry, which every count table yields
         plans.append(_DegreePlan(
             d, n_labels, counts._ends[0], counts,
-            _ThresholdSet(partial(_component_entries, ud, qd, n // d))))
+            _ThresholdSet(partial(_component_entries, ud, qd, n // d)), (lo, hi)))
     return tuple(plans)
 
 
@@ -484,7 +489,7 @@ class GLPlancherelSampler:
         next_u64 = rng.next_u64
         occupied = []
         floor_total = 0
-        for d, n_labels, empty_below, counts, components in self.plans:
+        for d, n_labels, empty_below, counts, components, _ in self.plans:
             v = next_u64()
             if v < empty_below:
                 continue

@@ -8,11 +8,14 @@ The partitions of n are generated by counting, in reverse-lexicographic
 order, each from a partition of a smaller size with one first row added.
 enumerate_partitions runs that recursion on plain tuples; the cached
 levels of Young's lattice (_complete_level) run it on their down edges
-alone (int64, numpy's index type), in numpy, numbering the partitions in
-read-only arrays with no tuple, recording which partitions of n-1 lie
-below each, by partition_id, and summing the dimensions up those edges by
-the branching rule.  _dims reads a level's dimensions, and _up_edges turns
-its down edges around.  Sizes past 127 (_MAX_PART) are refused.
+alone, in numpy, numbering the partitions in read-only arrays with no
+tuple, recording which partitions of n-1 lie below each, by partition_id,
+and summing the dimensions up those edges by the branching rule.  The
+levels the exact laws read (to EXACT_KERNEL_LIMIT) keep their edges in
+int64, numpy's index type; the larger ones in int16 and int32, as the
+float laws gather through their own rows (snwalk._sorted_level).  _dims
+reads a level's dimensions, and _up_edges turns its down edges around.
+Sizes past 127 (_MAX_PART) are refused.
 """
 
 from __future__ import annotations
@@ -153,12 +156,19 @@ def partition_id(lam) -> int:
     return _bounded_counts(n)[n] - 1 - after
 
 
+# the largest size of the exact walks (snwalk reads it from here): the levels
+# 0..EXACT_KERNEL_LIMIT keep int64 edges, which the exact laws' segment sums
+# gather through without a cast
+EXACT_KERNEL_LIMIT = 18
+
+
 class _Level(NamedTuple):
     """Level j of the lattice's partition recursion: the p(j) partitions of
     j in reverse-lexicographic order, held by their lattice fields alone.
 
-    dims holds their dimensions; below[down_off[i]:down_off[i+1]] (int64)
-    the ids of the partitions of j-1 under row i, bottom corner first."""
+    dims holds their dimensions; below[down_off[i]:down_off[i+1]] the ids
+    of the partitions of j-1 under row i, bottom corner first: int64 for
+    j <= EXACT_KERNEL_LIMIT, past it int16 below and int32 down_off."""
 
     dims: np.ndarray
     below: np.ndarray
@@ -175,10 +185,12 @@ def _grow(j: int, stack: list[_Level]) -> _Level:
     have a part above f, plus the p(j-1) - N(j-1, f) partitions of j-1
     with a first part above f; then the first-row edge (f-1, nu), which
     only the last N(j-f, f-1) rows have, and whose ids run on from
-    p(j-1) - N(j-1, f-1).  The edges are int64, the index type numpy
-    gathers with.  The dimensions are level j-1's summed over them, by the
-    branching rule d(lam) = sum of d(mu) over the mu under lam (Stanley,
-    Differential posets, JAMS 1, 1988)."""
+    p(j-1) - N(j-1, f-1).  The edges are built in int64, the index type
+    numpy gathers with, and the dimensions are level j-1's summed over
+    them, by the branching rule d(lam) = sum of d(mu) over the mu under lam
+    (Stanley, Differential posets, JAMS 1, 1988).  Past EXACT_KERNEL_LIMIT
+    the level keeps below in int16 and down_off in int32: every id is below
+    p(39) = 31185 < 2^15 and every offset below 2^31."""
     counts = _bounded_counts
     rows = counts(j)[j]
     plan, edges = [], 0
@@ -197,13 +209,13 @@ def _grow(j: int, stack: list[_Level]) -> _Level:
     firsts = []  # per block: its first row with a first-row edge, that edge's id, m
     for f, src, s0, k, m in plan:
         a = int(src.down_off[s0])
-        np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1])
+        np.add(src.down_off[s0:], e - a, out=down_off[r:r + k + 1], dtype=np.int64)
         shift = 0
         if f < j:
             low = counts(j - f - 1)
             shift = prev[-1] - prev[f] - low[-1] + low[min(f, j - f - 1)]
         e_next = e + int(src.down_off[-1]) - a
-        np.add(src.below[a:], shift, out=own[e:e_next])
+        np.add(src.below[a:], shift, out=own[e:e_next], dtype=np.int64)
         e = e_next
         firsts.append((r + k - m, prev[-1] - prev[f - 1], m))
         r += k
@@ -219,21 +231,24 @@ def _grow(j: int, stack: list[_Level]) -> _Level:
     keep[at] = False
     below[keep] = own
     below[at] = rank + np.repeat(first_id, m)
+    del own, keep  # freed before the dimensions are gathered
     if not j:
         return _Level(np.ones(1, np.int64), below, down_off)  # d(()) = 1
     # the d^2 sum to j!, so while j! < 2^126 every d, and every partial sum
     # of a segment, is below 2^63: int64 up to j = 33, Python ints past it
     dtype = np.int64 if math.factorial(j) < 1 << 126 else object
     dims = np.add.reduceat(stack[-1].dims[below].astype(dtype, copy=False), down_off[:-1])
+    if j > EXACT_KERNEL_LIMIT:
+        below, down_off = below.astype(np.int16), down_off.astype(np.int32)
     return _Level(dims, below, down_off)
 
 
 # the largest level kept complete, each built when first asked for: every
-# size a walk law reads in one pass over the levels 0..n (snwalk's
-# EXACT_KERNEL_LIMIT and FLOAT_LIMIT), and so the largest n whose
-# dimensions _dims, plancherel_sn and the character tables' check read.
-# The levels 0..36 hold 6.6 MB and the levels 0..40 17.3 MB (tracemalloc),
-# most of it the int64 edges, and the dimensions, Python ints past j = 33
+# size a walk law reads in one pass over the levels 0..n (EXACT_KERNEL_LIMIT
+# and snwalk.FLOAT_LIMIT), and so the largest n whose dimensions _dims,
+# plancherel_sn and the character tables' check read.  The levels 0..36
+# hold 3.8 MB and the levels 0..40 10.8 MB (tracemalloc), most of it the
+# dimensions, Python ints past j = 33, and the edges
 LEVEL_LIMIT = 40
 
 
@@ -286,13 +301,17 @@ def _up_edges(below: np.ndarray, down_off: np.ndarray) -> tuple[np.ndarray, np.n
     """(above, up_off), a level's down edges turned around, read-only as
     they are: above[up_off[m]:up_off[m+1]] lists the ids of the lam over the
     partition of n-1 with id m, in id order (top row first).  Every
-    partition of n-1 has a lam above, so bincount counts all."""
+    partition of n-1 has a lam above, so bincount counts all.  above holds
+    the ids in int16 while p(n) < 2^15 (n <= 39) and in int32 past it: only
+    the float step's jagged up rows read it in bulk, and they are built in
+    intp."""
     counts = np.bincount(below)
     # stable, so the lam above one mu stay in id order; ids below p(39)
     # fit int16, which numpy sorts by radix
-    order = np.argsort(below.astype(np.int16) if len(counts) < 1 << 15 else below, kind="stable")
-    edges = (np.repeat(np.arange(len(down_off) - 1), np.diff(down_off))[order],
-             np.concatenate([[0], np.cumsum(counts)]))
+    order = np.argsort(below.astype(np.int16, copy=False) if len(counts) < 1 << 15 else below,
+                       kind="stable")
+    ids = np.arange(len(down_off) - 1, dtype=np.int16 if len(down_off) <= 1 << 15 else np.int32)
+    edges = (np.repeat(ids, np.diff(down_off))[order], np.concatenate([[0], np.cumsum(counts)]))
     for a in edges:
         a.flags.writeable = False
     return edges

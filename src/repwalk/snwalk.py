@@ -9,11 +9,12 @@ mult(rho in lam (x) eta) = A(lam, rho).  A walk at one r reads the laws
 of _engine, _ExactEngine (ints over one denominator) or _FloatEngine
 (doubles), past one refusal gate (_walk_start): law(r, s), the law after r
 steps from id s by one Horner pass up the levels partitions._complete_level
-caches (_horner), and tv_at(r), the TV to Plancherel after r steps from
-(n).  A TV curve (tvs) is read off path counts by the exact engine and
-stepped by the float one, each cached per size (_exact_engine,
-_float_engine).  With X the character table, A X = X diag(fp), so the
-spectrum is indexed by conjugacy classes with eigenvalue fixed_points/n;
+caches (_horner; in doubles on each level's jagged rows, _sorted_level),
+and tv_at(r), the TV to Plancherel after r steps from (n).  A TV curve
+(tvs) is read off path counts by the exact engine and stepped by the float
+one, each cached per size (_exact_engine, _float_engine).  With X the
+character table, A X = X diag(fp), so the spectrum is indexed by
+conjugacy classes with eigenvalue fixed_points/n;
 the tests hold this and Pieri's rule as integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
 the Chebyshev lower-bound estimate.  Exact samplers that read no dimension
@@ -47,6 +48,7 @@ from .characters import (
 from .errors import CapacityError
 from .intervals import _sqrt_up
 from .partitions import (
+    EXACT_KERNEL_LIMIT,
     Partition,
     _complete_level,
     _dims,
@@ -58,7 +60,6 @@ from .partitions import (
 )
 from .rng import BLOCK, SplitMix64
 
-EXACT_KERNEL_LIMIT = 18
 FLOAT_LIMIT = 40
 # the most steps one walk may take.  Every walk the engines accept is mixed
 # to below double precision long before it (the cutoff at n = FLOAT_LIMIT
@@ -502,12 +503,14 @@ def _stirling_row(r: int, n: int) -> list[int]:
 def _horner(n: int, coeffs, s: int, dtype) -> np.ndarray:
     """sum_k coeffs[k] U^k D^k e_s, s an id of level n, by Horner's rule up
     the complete levels 0..n (_complete_level): y_0 = coeffs[n] D^n e_s,
-    y_j = U y_(j-1) + coeffs[n-j] D^(n-j) e_s, each U one segment sum, and
-    y_n is returned.  With coeffs S(r, k) it is A^r e_s: A = U D, one box
-    down and one up, and Young's lattice is 1-differential (D U - U D = I;
-    Stanley, JAMS 1988), so A^r = sum_k S(r, k) U^k D^k.  Every sum runs in
-    dtype, object, float or int64, every term is nonnegative, and from s = 0
-    each coeffs[k] may be a row, and so is each entry of the result."""
+    y_j = U y_(j-1) + coeffs[n-j] D^(n-j) e_s, each U one np.add.reduceat
+    over level j's int64 edges, and y_n is returned.  With coeffs S(r, k)
+    it is A^r e_s: A = U D, one box down and one up, and Young's lattice is
+    1-differential (D U - U D = I; Stanley, JAMS 1988), so
+    A^r = sum_k S(r, k) U^k D^k.  Every sum runs in dtype, object or int64,
+    the exact laws' arithmetic (n <= EXACT_KERNEL_LIMIT), and from s = 0
+    each coeffs[k] may be a row, and so is each entry of the result.  The
+    float law runs the same pass on jagged rows (_FloatEngine.law)."""
     levels = [_complete_level(j) for j in range(n + 1)]
     y = np.zeros((1, *np.shape(coeffs[0])), dtype)
     for j, (level, (at, counts)) in enumerate(zip(levels, _skew_counts(levels, s, dtype))):
@@ -542,14 +545,15 @@ def _jagged_rows(targets, off, relabel=None):
     The segments are ordered by a stable sort on their lengths, longest
     first, so the j-th entries of those that have one are a prefix of that
     order: row j lists them, each through relabel if given.  Returns the
-    order and the rows, which store every entry once and no pad."""
+    order and the rows, which store every entry once and no pad, in intp,
+    the index type numpy gathers with."""
     counts = np.diff(off)
     order = np.argsort(-counts, kind="stable")
     starts, counts = off[:-1][order], counts[order]
     rows = []
     for j in range(counts[0]):
         row = targets[starts[:np.count_nonzero(counts > j)] + j]
-        rows.append(row if relabel is None else relabel[row])
+        rows.append(row.astype(np.intp, copy=False) if relabel is None else relabel[row])
     return order, tuple(rows)
 
 
@@ -560,26 +564,60 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return inv
 
 
+# every level's jagged down rows and place, each built the first time a float
+# law or curve reaches it: one int64 per edge and per partition, 4.2 MB for
+# the levels 0..36 (tracemalloc)
+@lru_cache(maxsize=FLOAT_LIMIT + 1)
+def _sorted_level(j: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(rows, place), level j's down edges (_complete_level) as the jagged
+    rows of _jagged_rows in the level's own sorted order: its partitions
+    sorted stably by how many lie below each, most first, place[i] the
+    sorted position of id i, and rows[t] the sorted position in level j-1
+    of the (t+1)-th partition below each that has one.  Read-only, shared
+    by every float law and step table."""
+    level = _complete_level(j)
+    lower = _sorted_level(j - 1)[1] if j else None
+    order, rows = _jagged_rows(level.below, level.down_off, lower)
+    place = _inverse(order)
+    for a in (*rows, place):
+        a.flags.writeable = False
+    return rows, place
+
+
 class _FloatEngine:
     """The walk in doubles on the partitions of n: dims d and pi d^2/n! from
     level n's dimensions (_dims), each rounded once, law(r, s) and
     tv(law).  K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which
-    law forms in one Horner pass (_horner) with coefficients S(r, k) / n^r,
-    each rounded once; every term is nonnegative, so each mass carries a
+    law forms in one Horner pass with coefficients S(r, k) / n^r, each
+    rounded once; every term is nonnegative, so each mass carries a
     relative error of a few ulp per sum on its paths up and down the levels
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
-    tv_at reads it; a TV curve steps instead (tvs), w <- A w / n."""
+    tv_at reads it; a TV curve steps instead (tvs), w <- A w / n.  Both
+    gather through the cached jagged rows of _sorted_level."""
 
     def __init__(self, n: int):
-        n_fact, dims = math.factorial(n), np.array(_dims(n), dtype=object)
-        self.n, self.dims, self.pi = n, dims.astype(float), (dims * dims / n_fact).astype(float)
+        dims, n_fact = _dims(n), math.factorial(n)
+        self.n, self.dims = n, np.array(dims, dtype=float)
+        self.pi = np.fromiter((d * d / n_fact for d in dims), float, len(dims))
 
     def law(self, r: int, s: int = 0) -> np.ndarray:
-        """The law after r steps from id s (default 0, (n)), in lattice-id order."""
+        """The law after r steps from id s (default 0, (n)), in lattice-id
+        order: _horner's pass on doubles, run in each level's sorted order
+        (_sorted_level), each U one _half_step on the level's rows, and
+        taken back to lattice ids by one gather at the end.  A partition of
+        j has at most 8 below it for j < 45, so each U adds as
+        np.add.reduceat would, and the law is _horner's to the bit."""
         n = self.n
         den = n**r
-        w = _horner(n, [x / den for x in _stirling_row(r, n)], s, float)
-        return self.dims / self.dims[s] * w
+        coeffs = [x / den for x in _stirling_row(r, n)]
+        levels = [_complete_level(j) for j in range(n + 1)]
+        y = np.zeros(1)
+        for j, (at, counts) in enumerate(_skew_counts(levels, s, float)):
+            rows, place = _sorted_level(j)
+            if j:
+                y = self._half_step(y, rows)
+            y[place[at]] += coeffs[n - j] * counts
+        return self.dims / self.dims[s] * y[place]
 
     def tv(self, law: np.ndarray) -> float:
         """TV distance to pi of a law in id order, by numpy's pairwise sum."""
@@ -591,18 +629,19 @@ class _FloatEngine:
 
     def _step_tables(self):
         """(up, down, ids), the two jagged corner tables step applies A
-        through, from level n's edges (_complete_level).  The partitions of
-        n-1 are sorted by how many lam lie above each, most first, and up[j]
-        lists the (j+1)-th lam above each that has one, by lattice id.  The
-        partitions of n are sorted likewise by how many lie below, and
-        down[j] lists the (j+1)-th partition below each, by its place in the
-        first sort; ids takes the second sort back to lattice ids.  Each row
-        is as long as the number of segments that reach it, so no pad is
-        stored, gathered or added."""
+        through.  The partitions of n-1 are sorted by how many lam lie above
+        each, most first, and up[j] lists the (j+1)-th lam above each that
+        has one, by lattice id, from level n's edges turned around
+        (_up_edges).  A partition of n-1 has exactly one more corner to add
+        than to remove, so that sort is level n-1's own (_sorted_level), and
+        down and ids are level n's rows and place: down[j] lists the (j+1)-th
+        partition below each lam by its place in the first sort, and ids
+        takes the lam back to lattice ids.  Each row is as long as the
+        number of segments that reach it, so no pad is stored, gathered or
+        added."""
         level = _complete_level(self.n)
-        mu_order, up = _jagged_rows(*_up_edges(level.below, level.down_off))
-        lam_order, down = _jagged_rows(level.below, level.down_off, _inverse(mu_order))
-        return up, down, _inverse(lam_order)
+        up = _jagged_rows(*_up_edges(level.below, level.down_off))[1]
+        return (up, *_sorted_level(self.n))
 
     @staticmethod
     def _half_step(x: np.ndarray, rows) -> np.ndarray:
@@ -636,9 +675,10 @@ class _FloatEngine:
 
     def tvs(self, r: int) -> tuple[float, ...]:
         """The TVs to pi after 0..r steps from (n), tv(dims * w) as w = A^r
-        e_s / n^r steps on tables built for this call and then dropped.  The
-        stepped sums run in another order than law's: the two agree to a few
-        ulp per mass, not to the bit."""
+        e_s / n^r steps on _step_tables: the up half built for this call and
+        then dropped, the down half level n's cached rows.  The stepped sums
+        run in another order than law's: the two agree to a few ulp per
+        mass, not to the bit."""
         tables, w = self._step_tables(), np.zeros(len(self.dims))
         w[0] = 1.0  # (n) has id 0 and d = 1
         tvs = [self.tv(self.dims * w)]

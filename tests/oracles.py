@@ -740,6 +740,25 @@ def z_power_product_fraction(degrees, q: int, u, prec: int) -> Interval:
     return out
 
 
+def acceptance_probability_direct(n: int, q: int) -> Interval:
+    """acceptance_probability(n, q) as it was formed before the plan kept
+    its factors: each degree's P(no label occupied) read afresh as the
+    first entry of _count_entries, multiplied on integer ends at scale
+    2^DEFAULT_PREC, floor below and ceiling above, times u^n/(1/q)_n at the
+    sampler's u."""
+    from repwalk.glasymptotics import _count_entries, _rejection_u
+    from repwalk.series import q_pochhammer
+
+    u = _rejection_u(n)
+    lo = hi = one = 1 << DEFAULT_PREC
+    for d in range(1, n + 1):
+        _, z_lo, z_hi = next(_count_entries(u**d, Fraction(q) ** d, cuspidal_count(d, q), 0,
+                                            DEFAULT_PREC))
+        lo = lo * z_lo >> DEFAULT_PREC
+        hi = -(-hi * z_hi >> DEFAULT_PREC)
+    return Interval(Fraction(lo, one), Fraction(hi, one)) * (u**n / q_pochhammer(q, n))
+
+
 def component_entries_interval(ud, qd, sizes_cap: int, prec: int):
     """The component law's thresholds as Intervals: Z/(1-Z) times the
     cumulative weight, rounded outward to prec bits, over the partitions of
@@ -1055,6 +1074,51 @@ def float_reference_walk(n: int, start: Partition):
     tables, whose addition order fixes the last digits of every law."""
     lat = lattice(n)
     return _float_walk(lat, start, lambda w: apply_counts(lat, w) / n)
+
+
+def float_law_reference(n: int, r: int, s: int = 0):
+    """The float law after r steps from id s by Horner's rule up the
+    complete levels, each U one np.add.reduceat over the level's CSR edges
+    in lattice-id order: the float law before it ran on jagged rows, which
+    adds as reduceat does while no partition has more than 8 below it.  The
+    counts D^(n-j) e_s come from one down pass of np.add.at in doubles, and
+    the dimensions are rounded once through an object array."""
+    import numpy as np
+
+    from repwalk.partitions import _complete_level, _dims
+    from repwalk.snwalk import _stirling_row
+
+    levels = [_complete_level(j) for j in range(n + 1)]
+    x = np.zeros(len(levels[-1].dims))
+    x[s] = 1.0
+    counts = [x]
+    for level, lower in zip(levels[:0:-1], levels[-2::-1]):
+        x = np.zeros(len(lower.dims))
+        np.add.at(x, level.below, np.repeat(counts[-1], np.diff(level.down_off)))
+        counts.append(x)
+    counts.reverse()
+    coeffs = [c / n**r for c in _stirling_row(r, n)]
+    y = np.zeros(1)
+    for j, level in enumerate(levels):
+        if j:
+            y = np.add.reduceat(y[level.below], level.down_off[:-1])
+        y += coeffs[n - j] * counts[j]
+    dims = np.array(_dims(n), dtype=object).astype(float)
+    return dims / dims[s] * y
+
+
+def per_curve_down_table(n: int):
+    """(down, ids) as the float step built them for each curve before they
+    were cached per level: the partitions of n-1 sorted stably by how many
+    lie above each, most first, then the jagged rows of level n's down
+    edges by their place in that sort, with the lam sorted stably by how
+    many lie below, and ids taking that sort back to lattice ids."""
+    from repwalk.snwalk import _inverse, _jagged_rows
+
+    lat = lattice(n)
+    mu_order, _ = _jagged_rows(lat.above, lat.up_off)
+    lam_order, down = _jagged_rows(lat.below, lat.down_off, _inverse(mu_order))
+    return down, _inverse(lam_order)
 
 
 def gamma(k: int) -> float:

@@ -375,6 +375,24 @@ def test_gl_irreps_refuses_before_the_group_order(capsys, argv):
     assert "GL family enumeration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sn-sample", "--n", "10", "--r", "12", "--count"],
+    ["sn-rsk", "--n", "10", "--r", "12", "--count"],
+    ["gl-sample", "--n", "20", "--q", "3", "--count"],
+    ["sn-moments", "--n", "12", "--r", "30", "--samples"],
+])
+def test_sample_counts_past_the_cap_are_refused(capsys, argv):
+    # every sample is held in memory until printed, so a count one past
+    # MAX_SAMPLE_COUNT exits 3 before any stream is split or drawn (and
+    # before sn-moments' exact moments), within a fixed CPU budget; the cap
+    # takes the README's largest example, 100000 shapes
+    assert cli.MAX_SAMPLE_COUNT >= 100000
+    started = time.process_time()
+    assert main([*argv, str(cli.MAX_SAMPLE_COUNT + 1)]) == 3
+    assert time.process_time() - started < 0.2
+    assert "capacity error: sample count" in capsys.readouterr().err
+
+
 def _main_stdout(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out

@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
+from repwalk import glasymptotics
 from repwalk.errors import CapacityError
 from oracles import (
+    acceptance_probability_direct,
     cycle_index_rhs_by_partitions,
     draw_indices_list,
     euler_product_enclosure,
@@ -276,6 +278,23 @@ def test_acceptance_times_high_degree_empty_is_the_total_degree_law(pin_u):
             joint = rate * high_degree_empty_direct(n, q, u)
             total = euler_product_enclosure(u, q, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
             assert joint.lo <= total.hi and total.lo <= joint.hi, (q, n, u)
+
+
+def test_acceptance_probability_reads_the_plan(monkeypatch):
+    # the product of the first count entries the plan keeps equals the one
+    # read afresh from _count_entries for every (n, q) the sampler takes;
+    # once the plan is cached, no entry is computed again
+    sizes = [(n, q) for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)]
+    for n, q in sizes:
+        rate, direct = acceptance_probability(n, q), acceptance_probability_direct(n, q)
+        assert (rate.lo, rate.hi) == (direct.lo, direct.hi), (n, q)
+
+    def refused(*args):
+        raise AssertionError("a count entry was computed again")
+
+    monkeypatch.setattr(glasymptotics, "_count_entries", refused)
+    for n, q in sizes:
+        assert acceptance_probability(n, q).lo > 0
 
 
 def test_acceptance_probability_refuses_what_the_sampler_refuses():

@@ -19,7 +19,7 @@ from repwalk.partitions import (
 
 import repwalk.partitions as partitions_module
 from repwalk.errors import CapacityError
-from repwalk.snwalk import EXACT_KERNEL_LIMIT, FLOAT_LIMIT, _ExactEngine
+from repwalk.snwalk import EXACT_KERNEL_LIMIT, FLOAT_LIMIT, _ExactEngine, _sorted_level
 
 from oracles import (_gen_partitions, count_standard_tableaux, lattice, log_dimension_sn,
                      young_lattice_reference)
@@ -266,15 +266,17 @@ def test_lattice_edges_name_the_removable_corners(n):
         assert ids == [partition_id(mu) for mu in parts[i].removable_corners()], (n, i)
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 20, 21, 36])
+@pytest.mark.parametrize("n", [1, 2, 9, 20, 21, 36, 40])
 def test_lattice_above_lists_each_mu_in_id_order(n):
-    # the lam over each mu are the lam whose edges name mu, in id order
+    # the lam over each mu are the lam whose edges name mu, in id order;
+    # at n = 40, p(n) = 37338 passes int16 and above holds int32
     lat = lattice(n)
     over = [[] for _ in range(partition_count(n - 1))]
     for i in range(len(lat.dims)):
         for m in lat.below[lat.down_off[i]:lat.down_off[i + 1]].tolist():
             over[m].append(i)
     assert [lat.above[lat.up_off[m]:lat.up_off[m + 1]].tolist() for m in range(len(over))] == over
+    assert lat.above.dtype == (np.int16 if n < 40 else np.int32)
 
 
 def test_small_levels_are_built_on_demand():
@@ -285,15 +287,28 @@ def test_small_levels_are_built_on_demand():
     assert _complete_level.cache_info().currsize == 7
 
 
+def _edge_dtypes(n):
+    """(below, down_off) dtypes of level n: int64, the index type numpy
+    gathers with, where the exact laws' segment sums read them, and int16
+    ids with int32 offsets past EXACT_KERNEL_LIMIT."""
+    return (np.int64, np.int64) if n <= EXACT_KERNEL_LIMIT else (np.int16, np.int32)
+
+
 def test_levels_keep_read_only_int64_edges():
-    # every complete level keeps its edges read-only in int64, the index
-    # type numpy gathers with, and an exact engine holds no edges of its
-    # own; its dimensions are read-only too, and int64 exactly while
-    # n! < 2^126, so that each d^2 <= n! is
+    # every complete level keeps its edges read-only, in int64 through
+    # EXACT_KERNEL_LIMIT and in int16/int32 past it, and the float laws'
+    # jagged rows and place of every level are read-only int64, so their
+    # gathers cast nothing; an exact engine holds no edges of its own.  The
+    # dimensions are read-only too, and int64 exactly while n! < 2^126, so
+    # that each d^2 <= n! is
     for n in range(partitions_module.LEVEL_LIMIT + 1):
         level = _complete_level(n)
-        for a in (level.below, level.down_off):
-            assert a.dtype == np.int64 and not a.flags.writeable, n
+        assert (level.below.dtype, level.down_off.dtype) == _edge_dtypes(n), n
+        rows, place = _sorted_level(n)
+        for a in (*rows, place):
+            assert a.dtype == np.int64, n
+        for a in (level.below, level.down_off, *rows, place):
+            assert not a.flags.writeable, n
         assert not level.dims.flags.writeable, n
         assert (level.dims.dtype == np.int64) == (math.factorial(n) < 2**126), n
         if 2 <= n <= EXACT_KERNEL_LIMIT:
@@ -302,13 +317,16 @@ def test_levels_keep_read_only_int64_edges():
 
 
 def test_complete_levels_memory_is_bounded():
-    # a cold build of the levels 0..36 holds 6.6 MB (the LEVEL_LIMIT
-    # comment's figure), most of it the int64 edges, and the dimensions,
-    # Python ints past j = 33; the bound leaves about 1.4 MB
+    # a cold build of the levels 0..36 holds 3.8 MB (the LEVEL_LIMIT
+    # comment's figure), most of it the dimensions, Python ints past j = 33,
+    # and the edges, and their float rows and places 4.2 MB more, one int64
+    # per edge and per partition: 7.9 MB in all
     _complete_level.cache_clear()
+    _sorted_level.cache_clear()
     tracemalloc.start()
     try:
         _complete_level(36)
+        _sorted_level(36)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -382,7 +400,12 @@ def test_young_lattice_arrays_are_read_only(field):
     for n in (0, 1, 7, 25):
         a = getattr(lattice(n), field)
         before = a.tolist()
-        assert a.dtype == np.int64 and not a.flags.writeable
+        # the level's own edges narrow past EXACT_KERNEL_LIMIT; the up edges
+        # turned from them hold the lam ids in int16 (p(n) < 2^15 here) and
+        # their offsets in int64
+        dtype = {"above": np.int16, "up_off": np.int64,
+                 **dict(zip(("below", "down_off"), _edge_dtypes(n)))}[field]
+        assert a.dtype == dtype and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[:1] = 7
         with pytest.raises(ValueError, match="read-only"):

@@ -52,12 +52,14 @@ from oracles import (
     class_walk_probability_reference,
     common_corner_matrix,
     exact_reference_walk,
+    float_law_reference,
     float_law_relerr,
     float_reference_walk,
     gamma,
     lattice,
     padded_float_step,
     padded_reference_walk,
+    per_curve_down_table,
     pieri_sides,
     reference_walk,
     spectrum_sides,
@@ -648,14 +650,41 @@ def test_float_engine_reads_the_float_laws():
         assert eng.dims.tolist() == [float(d) for d in dims], n
 
 
+@pytest.mark.parametrize("n", range(2, FLOAT_LIMIT + 1))
+def test_float_law_matches_the_reduceat_pass(n):
+    # the Horner pass on the levels' jagged rows, in their sorted order,
+    # equals the reduceat pass in lattice-id order to the bit: from (n) at
+    # r = 1, half the cutoff, the cutoff and 3x the cutoff, and from a
+    # middle and the last id at five sizes past EXACT_KERNEL_LIMIT
+    eng, c = _float_engine(n), cutoff_steps(n)
+    p = len(eng.dims)
+    starts = (0, p // 2, p - 1) if n in (19, 25, 30, 36, 40) else (0,)
+    for s in starts:
+        for r in (1, -(-c // 2), c, 3 * c):
+            assert np.array_equal(eng.law(r, s), float_law_reference(n, r, s)), (n, s, r)
+
+
+def test_step_tables_read_the_cached_down_rows():
+    # a partition of n-1 has one more corner to add than to remove, so the
+    # sort by up-degree the up rows follow is level n-1's own, and the
+    # cached down rows and place are the per-curve build's, entry for entry
+    for n in range(2, FLOAT_LIMIT + 1):
+        _, down, ids = _FloatEngine(n)._step_tables()
+        ref_down, ref_ids = per_curve_down_table(n)
+        assert len(down) == len(ref_down), n
+        assert all(np.array_equal(a, b) for a, b in zip(down, ref_down)), n
+        assert np.array_equal(ids, ref_ids), n
+
+
 def test_float_engine_memory_is_bounded():
-    # the step tables at n = 36, built on a cached level, keep 1.44 MB: the
-    # jagged corner rows (81156 intp entries a side, one per lattice edge,
-    # 1.30 MB) and ids.  Their peak, 2.15 MB, adds the up edges turned
-    # around from the level's down edges, freed before the down rows are
-    # built; the bound leaves 0.85 MB of margin
+    # the step tables at n = 36, built on a cached level and its cached
+    # rows, build only the up half: its jagged rows (81156 intp entries,
+    # one per lattice edge, 0.65 MB) are kept, and its peak, 1.31 MB, adds
+    # the up edges turned around from the level's down edges, their ids in
+    # int16, and the int64 sort order that turns them.  The whole tables
+    # built per curve peaked at 2.15 MB; the bound leaves 1.69 MB of margin
     eng = _float_engine(36)
-    _complete_level(36)
+    snwalk._sorted_level(36)
     tracemalloc.start()
     try:
         eng._step_tables()
