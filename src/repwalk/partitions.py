@@ -10,11 +10,10 @@ enumerate_partitions runs that recursion on plain tuples; the cached
 levels of Young's lattice (_complete_level) run it on their down edges
 alone, in numpy, numbering the partitions in read-only arrays with no
 tuple, recording which partitions of n-1 lie below each, by partition_id,
-and summing the dimensions up those edges by the branching rule.  The
-levels the exact laws read (to EXACT_KERNEL_LIMIT) keep their edges in
-int64, numpy's index type; the larger ones in int16 and int32, as the
-float laws gather through their own rows (snwalk._sorted_level).  _dims
-reads a level's dimensions, and _up_edges turns its down edges around.
+and summing the dimensions up those edges by the branching rule.  Every
+level keeps its edges in int16 ids and int32 offsets, as the walk laws
+gather through their own rows (snwalk._sorted_level).  _dims reads a
+level's dimensions, and _up_edges turns its down edges around.
 Sizes past 127 (_MAX_PART) are refused.
 """
 
@@ -156,19 +155,13 @@ def partition_id(lam) -> int:
     return _bounded_counts(n)[n] - 1 - after
 
 
-# the largest size of the exact walks (snwalk reads it from here): the levels
-# 0..EXACT_KERNEL_LIMIT keep int64 edges, which the exact laws' segment sums
-# gather through without a cast
-EXACT_KERNEL_LIMIT = 18
-
-
 class _Level(NamedTuple):
     """Level j of the lattice's partition recursion: the p(j) partitions of
     j in reverse-lexicographic order, held by their lattice fields alone.
 
     dims holds their dimensions; below[down_off[i]:down_off[i+1]] the ids
-    of the partitions of j-1 under row i, bottom corner first: int64 for
-    j <= EXACT_KERNEL_LIMIT, past it int16 below and int32 down_off."""
+    of the partitions of j-1 under row i, bottom corner first, below in
+    int16 and down_off in int32."""
 
     dims: np.ndarray
     below: np.ndarray
@@ -185,12 +178,11 @@ def _grow(j: int, stack: list[_Level]) -> _Level:
     have a part above f, plus the p(j-1) - N(j-1, f) partitions of j-1
     with a first part above f; then the first-row edge (f-1, nu), which
     only the last N(j-f, f-1) rows have, and whose ids run on from
-    p(j-1) - N(j-1, f-1).  The edges are built in int64, the index type
-    numpy gathers with, and the dimensions are level j-1's summed over
-    them, by the branching rule d(lam) = sum of d(mu) over the mu under lam
-    (Stanley, Differential posets, JAMS 1, 1988).  Past EXACT_KERNEL_LIMIT
-    the level keeps below in int16 and down_off in int32: every id is below
-    p(39) = 31185 < 2^15 and every offset below 2^31."""
+    p(j-1) - N(j-1, f-1).  The level keeps below in int16 and down_off in
+    int32: every id is below p(39) = 31185 < 2^15 and every offset below
+    2^31.  The dimensions are level j-1's summed over the edges, by the
+    branching rule d(lam) = sum of d(mu) over the mu under lam (Stanley,
+    Differential posets, JAMS 1, 1988)."""
     counts = _bounded_counts
     rows = counts(j)[j]
     plan, edges = [], 0
@@ -202,9 +194,9 @@ def _grow(j: int, stack: list[_Level]) -> _Level:
         plan.append((f, src, s0, k, m))
         edges += int(src.down_off[-1] - src.down_off[s0]) + m
     prev = counts(j - 1)
-    below = np.empty(edges, np.int64)
-    own = np.empty(edges - sum(m for *_, m in plan), np.int64)  # nu's edges, shifted
-    down_off = np.zeros(rows + 1, np.int64)
+    below = np.empty(edges, np.int16)
+    own = np.empty(edges - sum(m for *_, m in plan), np.int16)  # nu's edges, shifted
+    down_off = np.zeros(rows + 1, np.int32)
     r = e = 0
     firsts = []  # per block: its first row with a first-row edge, that edge's id, m
     for f, src, s0, k, m in plan:
@@ -238,17 +230,16 @@ def _grow(j: int, stack: list[_Level]) -> _Level:
     # of a segment, is below 2^63: int64 up to j = 33, Python ints past it
     dtype = np.int64 if math.factorial(j) < 1 << 126 else object
     dims = np.add.reduceat(stack[-1].dims[below].astype(dtype, copy=False), down_off[:-1])
-    if j > EXACT_KERNEL_LIMIT:
-        below, down_off = below.astype(np.int16), down_off.astype(np.int32)
     return _Level(dims, below, down_off)
 
 
 # the largest level kept complete, each built when first asked for: every
-# size a walk law reads in one pass over the levels 0..n (EXACT_KERNEL_LIMIT
-# and snwalk.FLOAT_LIMIT), and so the largest n whose dimensions _dims,
-# plancherel_sn and the character tables' check read.  The levels 0..36
-# hold 3.8 MB and the levels 0..40 10.8 MB (tracemalloc), most of it the
-# dimensions, Python ints past j = 33, and the edges
+# size a walk law reads in one pass over the levels 0..n
+# (snwalk.EXACT_KERNEL_LIMIT and snwalk.FLOAT_LIMIT), and so the largest n
+# whose dimensions _dims, plancherel_sn and the character tables' check
+# read.  The levels 0..36 hold 3.7 MB and the levels 0..40 10.7 MB
+# (tracemalloc), most of it the dimensions, Python ints past j = 33, and
+# the edges
 LEVEL_LIMIT = 40
 
 
@@ -306,10 +297,9 @@ def _up_edges(below: np.ndarray, down_off: np.ndarray) -> tuple[np.ndarray, np.n
     the float step's jagged up rows read it in bulk, and they are built in
     intp."""
     counts = np.bincount(below)
-    # stable, so the lam above one mu stay in id order; ids below p(39)
-    # fit int16, which numpy sorts by radix
-    order = np.argsort(below.astype(np.int16, copy=False) if len(counts) < 1 << 15 else below,
-                       kind="stable")
+    # stable, so the lam above one mu stay in id order; numpy sorts the
+    # int16 ids by radix
+    order = np.argsort(below, kind="stable")
     ids = np.arange(len(down_off) - 1, dtype=np.int16 if len(down_off) <= 1 << 15 else np.int32)
     edges = (np.repeat(ids, np.diff(down_off))[order], np.concatenate([[0], np.cumsum(counts)]))
     for a in edges:

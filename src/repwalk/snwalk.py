@@ -9,11 +9,11 @@ mult(rho in lam (x) eta) = A(lam, rho).  A walk at one r reads the laws
 of _engine, _ExactEngine (ints over one denominator) or _FloatEngine
 (doubles), past one refusal gate (_walk_start): law(r, s), the law after r
 steps from id s by one Horner pass up the levels partitions._complete_level
-caches (_horner; in doubles on each level's jagged rows, _sorted_level),
-and tv_at(r), the TV to Plancherel after r steps from (n).  A TV curve
-(tvs) is read off path counts by the exact engine and stepped by the float
-one, each cached per size (_exact_engine, _float_engine).  With X the
-character table, A X = X diag(fp), so the spectrum is indexed by
+caches (_horner, in the law's own arithmetic on each level's jagged rows,
+_sorted_level), and tv_at(r), the TV to Plancherel after r steps from (n).
+A TV curve (tvs) is read off path counts by the exact engine and stepped
+by the float one, each cached per size (_exact_engine, _float_engine).
+With X the character table, A X = X diag(fp), so the spectrum is indexed by
 conjugacy classes with eigenvalue fixed_points/n;
 the tests hold this and Pieri's rule as integer identities on A and X.
 The spectrum drives the L2 mixing bound, the moment transfer method, and
@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import mul
 
 import numpy as np
@@ -48,7 +48,7 @@ from .characters import (
 from .errors import CapacityError
 from .intervals import _sqrt_up
 from .partitions import (
-    EXACT_KERNEL_LIMIT,
+    LEVEL_LIMIT,
     Partition,
     _complete_level,
     _dims,
@@ -60,6 +60,9 @@ from .partitions import (
 )
 from .rng import BLOCK, SplitMix64
 
+# the largest sizes of the exact walks, whose path counts _ExactEngine reads
+# in doubles while n! < 2^53, and of the float walks
+EXACT_KERNEL_LIMIT = 18
 FLOAT_LIMIT = 40
 # the most steps one walk may take.  Every walk the engines accept is mixed
 # to below double precision long before it (the cutoff at n = FLOAT_LIMIT
@@ -253,14 +256,20 @@ def sn_upper_bound(n: int, r: int) -> float:
 def _upper_bounds(n: int):
     """sn_upper_bound(n, r) for r = 1, 2, ...: each term count(i) i^(2r) and
     the denominator 4 n^(2r) carried from r to r + 1 as ints, and each
-    double _sqrt_up of the integer sum over it, as the closed form's is."""
+    double _sqrt_up of the integer sum over it, as the closed form's is.
+    The squares never increase with r and _sqrt_up rounds up, so once a
+    root is the least positive double (0.0 at n = 2) it is every later
+    one, repeated with no more integer work."""
     profile = [(count, i * i) for i, count in fixed_point_profile(n).items() if i <= n - 2]
     terms, squares = map(list, zip(*profile))
     den = 4
     while True:
         terms = list(map(mul, terms, squares))
         den *= n * n
-        yield _sqrt_up(sum(terms), den)
+        bound = _sqrt_up(sum(terms), den)
+        if bound <= math.ulp(0.0):
+            yield from repeat(bound)
+        yield bound
 
 
 def _scaled_powers(table, ci: int, s: int) -> tuple[list[int], int]:
@@ -503,21 +512,26 @@ def _stirling_row(r: int, n: int) -> list[int]:
 def _horner(n: int, coeffs, s: int, dtype) -> np.ndarray:
     """sum_k coeffs[k] U^k D^k e_s, s an id of level n, by Horner's rule up
     the complete levels 0..n (_complete_level): y_0 = coeffs[n] D^n e_s,
-    y_j = U y_(j-1) + coeffs[n-j] D^(n-j) e_s, each U one np.add.reduceat
-    over level j's int64 edges, and y_n is returned.  With coeffs S(r, k)
-    it is A^r e_s: A = U D, one box down and one up, and Young's lattice is
-    1-differential (D U - U D = I; Stanley, JAMS 1988), so
-    A^r = sum_k S(r, k) U^k D^k.  Every sum runs in dtype, object or int64,
-    the exact laws' arithmetic (n <= EXACT_KERNEL_LIMIT), and from s = 0
-    each coeffs[k] may be a row, and so is each entry of the result.  The
-    float law runs the same pass on jagged rows (_FloatEngine.law)."""
+    y_j = U y_(j-1) + coeffs[n-j] D^(n-j) e_s, and y_n is returned in
+    lattice-id order.  With coeffs S(r, k) it is A^r e_s: A = U D, one box
+    down and one up, and Young's lattice is 1-differential (D U - U D = I;
+    Stanley, JAMS 1988), so A^r = sum_k S(r, k) U^k D^k.  Every sum runs in
+    dtype: object or int64 (exact laws and path counts) or float.  From
+    s = 0 each coeffs[k] may be a row, and so is each entry of the result.
+    Each U is one _half_step on level j's rows in its sorted order
+    (_sorted_level), and one gather by level n's place ends the pass.  No
+    partition of j < 45 has 9 below it, so in doubles each U adds as
+    numpy's reduceat over the level's edges does, and the float laws are
+    the reduceat pass's (tests/oracles.py::float_law_reference) to the bit;
+    integer sums do not depend on the order."""
     levels = [_complete_level(j) for j in range(n + 1)]
     y = np.zeros((1, *np.shape(coeffs[0])), dtype)
-    for j, (level, (at, counts)) in enumerate(zip(levels, _skew_counts(levels, s, dtype))):
+    for j, (at, counts) in enumerate(_skew_counts(levels, s, dtype)):
+        rows, place = _sorted_level(j)
         if j:
-            y = np.add.reduceat(y[level.below], level.down_off[:-1])
-        y[at] += coeffs[n - j] * counts
-    return y
+            y = _half_step(y, rows)
+        y[place[at]] += coeffs[n - j] * counts
+    return y[place]
 
 
 def _skew_counts(levels, s: int, dtype) -> list:
@@ -537,6 +551,19 @@ def _skew_counts(levels, s: int, dtype) -> list:
         np.add.at(x, level.below, np.repeat(out[-1], np.diff(level.down_off)))
         out.append(x)
     return [(slice(None), x) for x in reversed(out)]
+
+
+def _half_step(x: np.ndarray, rows) -> np.ndarray:
+    """Each segment's sum over the gathered x, as entry 0 + ((entry 1 +
+    entry 2) + ...), running down the jagged rows on their shrinking
+    prefixes: one U of the Horner pass, or one half of the float step."""
+    out = x[rows[0]]
+    if len(rows) > 1:
+        acc = x[rows[1]]
+        for row in rows[2:]:
+            acc[:len(row)] += x[row]
+        out[:len(acc)] += acc
+    return out
 
 
 def _jagged_rows(targets, off, relabel=None):
@@ -564,17 +591,17 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return inv
 
 
-# every level's jagged down rows and place, each built the first time a float
-# law or curve reaches it: one int64 per edge and per partition, 4.2 MB for
-# the levels 0..36 (tracemalloc)
-@lru_cache(maxsize=FLOAT_LIMIT + 1)
+# every level's jagged down rows and place, each built the first time a walk
+# law or float curve reaches it: one int64 per edge and per partition, 4.2 MB
+# for the levels 0..36 (tracemalloc)
+@lru_cache(maxsize=LEVEL_LIMIT + 1)
 def _sorted_level(j: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(rows, place), level j's down edges (_complete_level) as the jagged
     rows of _jagged_rows in the level's own sorted order: its partitions
     sorted stably by how many lie below each, most first, place[i] the
     sorted position of id i, and rows[t] the sorted position in level j-1
     of the (t+1)-th partition below each that has one.  Read-only, shared
-    by every float law and step table."""
+    by every walk law and float step table."""
     level = _complete_level(j)
     lower = _sorted_level(j - 1)[1] if j else None
     order, rows = _jagged_rows(level.below, level.down_off, lower)
@@ -588,7 +615,7 @@ class _FloatEngine:
     """The walk in doubles on the partitions of n: dims d and pi d^2/n! from
     level n's dimensions (_dims), each rounded once, law(r, s) and
     tv(law).  K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which
-    law forms in one Horner pass with coefficients S(r, k) / n^r, each
+    law forms in _horner's pass with coefficients S(r, k) / n^r, each
     rounded once; every term is nonnegative, so each mass carries a
     relative error of a few ulp per sum on its paths up and down the levels
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
@@ -602,22 +629,11 @@ class _FloatEngine:
 
     def law(self, r: int, s: int = 0) -> np.ndarray:
         """The law after r steps from id s (default 0, (n)), in lattice-id
-        order: _horner's pass on doubles, run in each level's sorted order
-        (_sorted_level), each U one _half_step on the level's rows, and
-        taken back to lattice ids by one gather at the end.  A partition of
-        j has at most 8 below it for j < 45, so each U adds as
-        np.add.reduceat would, and the law is _horner's to the bit."""
+        order: (dims / d_s) times _horner's pass in doubles."""
         n = self.n
         den = n**r
-        coeffs = [x / den for x in _stirling_row(r, n)]
-        levels = [_complete_level(j) for j in range(n + 1)]
-        y = np.zeros(1)
-        for j, (at, counts) in enumerate(_skew_counts(levels, s, float)):
-            rows, place = _sorted_level(j)
-            if j:
-                y = self._half_step(y, rows)
-            y[place[at]] += coeffs[n - j] * counts
-        return self.dims / self.dims[s] * y[place]
+        y = _horner(n, [x / den for x in _stirling_row(r, n)], s, float)
+        return self.dims / self.dims[s] * y
 
     def tv(self, law: np.ndarray) -> float:
         """TV distance to pi of a law in id order, by numpy's pairwise sum."""
@@ -643,33 +659,21 @@ class _FloatEngine:
         up = _jagged_rows(*_up_edges(level.below, level.down_off))[1]
         return (up, *_sorted_level(self.n))
 
-    @staticmethod
-    def _half_step(x: np.ndarray, rows) -> np.ndarray:
-        """Each segment's sum over the gathered x, as entry 0 + ((entry 1 +
-        entry 2) + ...), running down the rows on their shrinking prefixes."""
-        out = x[rows[0]]
-        if len(rows) > 1:
-            acc = x[rows[1]]
-            for row in rows[2:]:
-                acc[:len(row)] += x[row]
-            out[:len(acc)] += acc
-        return out
-
     def step(self, w: np.ndarray, tables) -> np.ndarray:
         """A w / n for w in lattice-id order, returned in that order, on the
         tables of _step_tables.
 
-        Each half adds a segment as its first entry plus the sequential sum
-        of the rest, the order of a sum down the corner axis of tables
-        padded with 0.0, and a skipped pad only ever added +0.0: the laws are
-        bit-identical to such padded gathers for every n <= FLOAT_LIMIT.
-        Those in turn add as np.add.reduceat does while no segment holds
-        more than 8 entries, so the laws equal two such segment sums over
-        level n's edges, over n, to the bit for n <= 36; from n = 37 on,
-        reduceat adds a segment of 9 in numpy's pairwise blocks and the last
-        digits may differ."""
+        Each half (_half_step) adds a segment as its first entry plus the
+        sequential sum of the rest, the order of a sum down the corner axis
+        of tables padded with 0.0, and a skipped pad only ever added +0.0:
+        the laws are bit-identical to such padded gathers for every
+        n <= FLOAT_LIMIT.  Those in turn add as numpy's reduceat does while
+        no segment holds more than 8 entries, so the laws equal the two
+        segment sums of tests/oracles.py::apply_counts over n to the bit for
+        n <= 36; from n = 37 on, reduceat adds a segment of 9 in numpy's
+        pairwise blocks and the last digits may differ."""
         up, down, ids = tables
-        w = self._half_step(self._half_step(w, up), down)[ids]
+        w = _half_step(_half_step(w, up), down)[ids]
         w /= self.n
         return w
 

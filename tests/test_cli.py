@@ -393,6 +393,23 @@ def test_sample_counts_past_the_cap_are_refused(capsys, argv):
     assert "capacity error: sample count" in capsys.readouterr().err
 
 
+# the longest float curve the caps allow at n = 21, recorded while its
+# l2_bound column multiplied ever-longer exact integers at every row, which
+# took 58.8 s of CPU time on a 2-core Xeon with Python 3.11
+LONG_FLOAT_CURVE_SHA256 = "2b78556597a7157c44410d13834ffbd22ffb72d43054eebc88553bf23bc9a5a1"
+
+
+def test_long_float_curve_is_linear_in_rmax(capsys):
+    # from r = 7458 on the column repeats the least positive double with no
+    # integer work, so the 10^5 rows keep their bytes and take about 5 s,
+    # most of it the float steps
+    started = time.process_time()
+    code, out = _main_stdout(capsys, ["sn-tv-curve", "--n", "21", "--rmax", "100000", "--float"])
+    assert time.process_time() - started < 10
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_FLOAT_CURVE_SHA256
+
+
 def _main_stdout(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out

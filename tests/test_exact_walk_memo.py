@@ -67,11 +67,12 @@ def steps(monkeypatch):
 @pytest.mark.parametrize("n", range(2, snwalk.EXACT_KERNEL_LIMIT + 1))
 def test_law_equals_the_stepped_law(n):
     # from ids 0 (the one-row partition, no down pass), 1, p(n)//2 and
-    # p(n)-1, at every r up to 3x the cutoff
+    # p(n)-1, and from every id for n <= 8, at every r up to 3x the cutoff
     eng = snwalk._ExactEngine(n)
     parts = enumerate_partitions(n)
     rmax = 3 * _cutoff_r(n)
-    for s in dict.fromkeys((0, 1, len(parts) // 2, len(parts) - 1)):
+    starts = range(len(parts)) if n <= 8 else (0, 1, len(parts) // 2, len(parts) - 1)
+    for s in dict.fromkeys(starts):
         for r, (a, den) in zip(range(rmax + 1), exact_reference_walk(n, parts[s])):
             b, d = eng.law(r, s)
             assert d == den and list(b) == list(a), (s, r)

@@ -151,6 +151,18 @@ def test_bounds_below_the_double_range_stay_positive():
     assert _sqrt_up(0, 10**700) == 0.0
 
 
+@pytest.mark.parametrize("n, first", [(2, 1), (3, 678), (21, 7458)])
+def test_l2_column_repeats_the_least_double_once_reached(n, first):
+    # from the first row whose root is the least positive double (0.0 at
+    # n = 2) the column repeats it with no integer work; the rows on both
+    # sides of that switch are the closed form's
+    column = list(islice(_upper_bounds(n), first + 3))
+    least = 0.0 if n == 2 else math.ulp(0.0)
+    assert column[first - 1] == least and (first == 1 or column[first - 2] > least)
+    for r in range(max(1, first - 2), first + 4):
+        assert column[r - 1] == sn_upper_bound(n, r), (n, r)
+
+
 def test_bounds_past_the_double_range_are_inf():
     largest = int(sys.float_info.max)
     assert _sqrt_up(largest + 1, 1) == math.inf

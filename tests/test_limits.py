@@ -167,10 +167,12 @@ def test_sampler_size_cap(monkeypatch):
 
 def test_exact_walks_stay_within_the_cached_levels():
     # an exact or float law is one pass over the complete levels 0..n that
-    # _complete_level caches up to LEVEL_LIMIT; a walk limit past it would
-    # make every law past it rebuild and evict the levels it reads
+    # _complete_level caches up to LEVEL_LIMIT, and over their sorted rows,
+    # which _sorted_level caches as far; a walk limit past it would make
+    # every law past it rebuild and evict the levels it reads
     assert max(snwalk.EXACT_KERNEL_LIMIT, snwalk.FLOAT_LIMIT) <= partitions.LEVEL_LIMIT
     assert partitions._complete_level.cache_info().maxsize == partitions.LEVEL_LIMIT + 1
+    assert snwalk._sorted_level.cache_info().maxsize == partitions.LEVEL_LIMIT + 1
     assert snwalk._float_engine.cache_info().maxsize >= snwalk.FLOAT_LIMIT - 1
 
 

@@ -287,23 +287,21 @@ def test_small_levels_are_built_on_demand():
     assert _complete_level.cache_info().currsize == 7
 
 
-def _edge_dtypes(n):
-    """(below, down_off) dtypes of level n: int64, the index type numpy
-    gathers with, where the exact laws' segment sums read them, and int16
-    ids with int32 offsets past EXACT_KERNEL_LIMIT."""
-    return (np.int64, np.int64) if n <= EXACT_KERNEL_LIMIT else (np.int16, np.int32)
+# (below, down_off) dtypes of every level: int16 ids, as every id is below
+# p(39) = 31185 < 2^15, and int32 offsets; the walk laws gather through the
+# levels' own int64 rows (_sorted_level), so no bulk reader needs more
+EDGE_DTYPES = (np.int16, np.int32)
 
 
-def test_levels_keep_read_only_int64_edges():
-    # every complete level keeps its edges read-only, in int64 through
-    # EXACT_KERNEL_LIMIT and in int16/int32 past it, and the float laws'
-    # jagged rows and place of every level are read-only int64, so their
-    # gathers cast nothing; an exact engine holds no edges of its own.  The
-    # dimensions are read-only too, and int64 exactly while n! < 2^126, so
-    # that each d^2 <= n! is
+def test_levels_keep_read_only_narrow_edges():
+    # every complete level keeps its edges read-only in int16/int32, and the
+    # walk laws' jagged rows and place of every level are read-only int64,
+    # so their gathers cast nothing; an exact engine holds no edges of its
+    # own.  The dimensions are read-only too, and int64 exactly while
+    # n! < 2^126, so that each d^2 <= n! is
     for n in range(partitions_module.LEVEL_LIMIT + 1):
         level = _complete_level(n)
-        assert (level.below.dtype, level.down_off.dtype) == _edge_dtypes(n), n
+        assert (level.below.dtype, level.down_off.dtype) == EDGE_DTYPES, n
         rows, place = _sorted_level(n)
         for a in (*rows, place):
             assert a.dtype == np.int64, n
@@ -317,9 +315,9 @@ def test_levels_keep_read_only_int64_edges():
 
 
 def test_complete_levels_memory_is_bounded():
-    # a cold build of the levels 0..36 holds 3.8 MB (the LEVEL_LIMIT
+    # a cold build of the levels 0..36 holds 3.7 MB (the LEVEL_LIMIT
     # comment's figure), most of it the dimensions, Python ints past j = 33,
-    # and the edges, and their float rows and places 4.2 MB more, one int64
+    # and the edges, and their sorted rows and places 4.2 MB more, one int64
     # per edge and per partition: 7.9 MB in all
     _complete_level.cache_clear()
     _sorted_level.cache_clear()
@@ -400,11 +398,11 @@ def test_young_lattice_arrays_are_read_only(field):
     for n in (0, 1, 7, 25):
         a = getattr(lattice(n), field)
         before = a.tolist()
-        # the level's own edges narrow past EXACT_KERNEL_LIMIT; the up edges
+        # the level's own edges are int16/int32 at every size; the up edges
         # turned from them hold the lam ids in int16 (p(n) < 2^15 here) and
         # their offsets in int64
         dtype = {"above": np.int16, "up_off": np.int64,
-                 **dict(zip(("below", "down_off"), _edge_dtypes(n)))}[field]
+                 **dict(zip(("below", "down_off"), EDGE_DTYPES))}[field]
         assert a.dtype == dtype and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[:1] = 7
