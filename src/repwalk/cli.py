@@ -2,8 +2,10 @@
 
 Every run with an identical configuration produces byte-identical output:
 rationals serialize as p/q strings, floats as shortest round-trip decimals,
-samplers are pinned by --seed (and --threads, through per-stream derived
-seeds).  Wall-clock timing goes to stderr so artifacts stay deterministic.
+samplers are pinned by --seed alone: each draws from one stream seeded by
+rng.derive_seed(seed).  --threads is parsed and echoed but reaches no draw;
+it is accepted until the perfbench workloads stop passing it.  Wall-clock
+timing goes to stderr so artifacts stay deterministic.
 Exit codes: 0 ok, 1 a self-check failed (gl-cycle-index --check found a
 mismatch, or an internal exact check raised ArithmeticError), 2 usage
 error, 3 capacity error, 4 sampler failure (the GL sampler reached its
@@ -143,27 +145,11 @@ MAX_SAMPLE_COUNT = 10**5
 
 
 def _check_count(count: int) -> None:
-    """Refuse a sample count past MAX_SAMPLE_COUNT, before _split and any draw."""
-    if count > MAX_SAMPLE_COUNT:
-        raise CapacityError("sample count", count, MAX_SAMPLE_COUNT)
-
-
-def _split(count: int, seed: int, threads: int) -> list[tuple[int, int]]:
-    """(count, derived seed) per seed stream that has work, in stream order."""
+    """Refuse a negative sample count, and one past MAX_SAMPLE_COUNT, before any draw."""
     if count < 0:
         raise ValueError(f"the sample count must be non-negative, got {count}")
-    base, extra = divmod(count, threads)
-    sizes = [base + (i < extra) for i in range(threads)]
-    return [(size, derive_seed(seed, i)) for i, size in enumerate(sizes) if size]
-
-
-def _chunked(sample_fn, count: int, seed: int, threads: int) -> list:
-    """Run the seed streams of _split in turn and merge them in stream order.
-
-    --threads only chooses the split (a thread pool gave no speedup under
-    the GIL), so output is pinned by (seed, threads).
-    """
-    return [x for c, s in _split(count, seed, threads) for x in sample_fn(c, s)]
+    if count > MAX_SAMPLE_COUNT:
+        raise CapacityError("sample count", count, MAX_SAMPLE_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +230,9 @@ def _cmd_sn_cutoff(args):
 def _cmd_sn_samples(args):
     """sn-sample (walk_samples) and sn-rsk (rsk_samples)."""
     sampler = walk_samples if args.command == "sn-sample" else rsk_samples
-    _check_sampler_size(args.n)  # before _split, so --count 0 is refused too
+    _check_sampler_size(args.n)  # n's refusals before the count's
     _check_count(args.count)
-    samples = _chunked(
-        lambda count, seed: sampler(args.n, args.r, count, seed),
-        args.count, args.seed, args.threads,
-    )
+    samples = sampler(args.n, args.r, args.count, derive_seed(args.seed))
     rows = [[i, lam.to_string()] for i, lam in enumerate(samples)]
     _write_csv(args, args.command, ["index", "partition"], rows)
     return 0
@@ -272,10 +255,8 @@ def _cmd_sn_moments(args):
     if args.samples:
         values = table.values
         ci = partition_id(transposition)
-        draws = [partition_id(lam) for lam in _chunked(
-            lambda count, seed: walk_samples(args.n, args.r, count, seed),
-            args.samples, args.seed, args.threads,
-        )]
+        samples = walk_samples(args.n, args.r, args.samples, derive_seed(args.seed))
+        draws = [partition_id(lam) for lam in samples]
         for s in (1, 2):
             total = 0.0
             for i in draws:
@@ -330,17 +311,13 @@ def _cmd_gl_lower(args):
 
 
 def _cmd_gl_sample(args):
-    _check_sample_size(args.n, args.q)  # before _split, so --count 0 is refused too
+    _check_sample_size(args.n, args.q)  # n's and q's refusals before the count's
     _check_count(args.count)
-    samples = []
-    attempts = 0
-    for size, seed in _split(args.count, args.seed, args.threads):
-        sampler = GLPlancherelSampler(args.n, args.q, seed)
-        samples.extend(sampler.sample() for _ in range(size))
-        attempts += sampler.attempts
+    sampler = GLPlancherelSampler(args.n, args.q, derive_seed(args.seed))
+    samples = [sampler.sample() for _ in range(args.count)]
     rate = acceptance_probability(args.n, args.q)
     extra = [
-        f"# attempts: {attempts}",
+        f"# attempts: {sampler.attempts}",
         f"# predicted acceptance rate: {rate.midpoint()!r}",
     ]
     rows = [[i, phi.descriptor()] for i, phi in enumerate(samples)]
@@ -516,6 +493,7 @@ def _mode_flags(p):
     p.add_argument("--float", dest="mode", action="store_const", const="float")
 
 
+# --threads reaches no draw; it is parsed so that argvs passing it still run
 MAX_THREADS = 64
 
 

@@ -1,12 +1,11 @@
 """Seedable 64-bit random number generation.
 
 All samplers in this package draw from SplitMix64, a tiny reproducible
-64-bit generator.  The T seed streams of ``--threads T``, which run one
-after another, take stream i's seed from ``derive_seed(seed, i)``, so a
-(seed, T) pair pins every sampled byte.  Exact categorical sampling never
-touches floating point: uniform integers below an arbitrary bound come
-from bit-rejection, and lazily extended uniforms in [0,1) support
-comparisons against dyadic interval thresholds.
+64-bit generator.  A sampler command draws from the one stream seeded by
+``derive_seed(seed)``, so its ``--seed`` pins every sampled byte.  Exact
+categorical sampling never touches floating point: uniform integers below
+an arbitrary bound come from bit-rejection, and lazily extended uniforms in
+[0,1) support comparisons against dyadic interval thresholds.
 
 Word k of the stream seeded s is mix64(s + k * gamma) mod 2^64, so the
 words need no sequential state and are computed ahead in numpy ``uint64``
@@ -53,9 +52,9 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(seed: int, worker: int) -> int:
-    """Per-worker stream seed: mix64(seed + (worker+1) * golden gamma)."""
-    return mix64((seed + (worker + 1) * _GOLDEN) & _MASK)
+def derive_seed(seed: int) -> int:
+    """A command's stream seed: mix64(seed + golden gamma)."""
+    return mix64((seed + _GOLDEN) & _MASK)
 
 
 class SplitMix64:

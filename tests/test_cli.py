@@ -306,7 +306,7 @@ def test_threads_flag_accepted(tmp_path):
 
 
 def test_threads_cap_usage_error(tmp_path):
-    # rejected while parsing, before any seed stream is split or sampled
+    # rejected while parsing, before any draw
     for cmd in (["sn-sample", "--n", "5", "--r", "2"], ["sn-moments", "--n", "5", "--r", "2"],
                 ["gl-sample", "--n", "2", "--q", "2"]):
         for value in ("100000", "0"):
@@ -476,18 +476,6 @@ index,family
 2,1.0:1+1+1
 3,1.0:1;1.1:1+1
 """,
-    ("--n", "6", "--q", "2", "--count", "5", "--seed", "7", "--threads", "2"): """\
-# repwalk 0.1.0
-# command: gl-sample count=5 n=6 q=2 seed=7 threads=2
-# attempts: 34
-# predicted acceptance rate: 0.08299887123275719
-index,family
-0,1.0:2+1;3.1:1
-1,1.0:1;2.0:1;3.1:1
-2,1.0:1+1+1;3.1:1
-3,1.0:1+1+1;3.1:1
-4,1.0:2+1+1;2.0:1
-""",
     ("--n", "12", "--q", "3", "--count", "3", "--seed", "5"): """\
 # repwalk 0.1.0
 # command: gl-sample count=3 n=12 q=3 seed=5 threads=1
@@ -577,14 +565,13 @@ def test_gl_sample_golden(capsys, argv):
     assert _main_stdout(capsys, ["gl-sample", *argv]) == (0, GL_SAMPLE_GOLDEN[argv])
 
 
-# sampler stdout recorded when --threads ran its seed streams on a thread
-# pool; running them in turn must print the same bytes.  The sn-sample and
-# sn-moments --samples entries were re-recorded, with the streams run in
-# turn, when walk_samples began to draw as a coupon count plus Plancherel
-# growth, and again when it began to draw as the RSK shape of a shuffle
-# whose first n - K entries are sorted: each reads the words differently.
-# Only the partitions and the empirical rows moved; the sn-rsk entries are
-# the pool's bytes
+# sampler stdout at --threads 1, recorded when --threads ran its seed
+# streams on a thread pool.  The sn-sample and sn-moments --samples entries
+# were re-recorded when walk_samples began to draw as a coupon count plus
+# Plancherel growth, and again when it began to draw as the RSK shape of a
+# shuffle whose first n - K entries are sorted: each reads the words
+# differently.  Only the partitions and the empirical rows moved; the
+# sn-rsk entry is the pool's bytes
 THREADS_GOLDEN = {
     ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '1'): """\
 # repwalk 0.1.0
@@ -623,86 +610,29 @@ s,method,value,reduced_exact
 1,empirical,0.458257569495584,
 2,empirical,0.5571428571428572,
 """,
-    ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '2'): """\
-# repwalk 0.1.0
-# command: sn-sample count=7 n=9 r=12 seed=5 threads=2
-index,partition
-0,4+3+1+1
-1,4+2+2+1
-2,4+3+1+1
-3,4+2+1+1+1
-4,4+4+1
-5,4+2+1+1+1
-6,4+3+2
-""",
-    ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '2'): """\
-# repwalk 0.1.0
-# command: sn-rsk count=7 n=8 r=11 seed=4 threads=2
-index,partition
-0,3+2+2+1
-1,4+3+1
-2,4+2+1+1
-3,6+2
-4,3+3+1+1
-5,5+2+1
-6,3+2+2+1
-""",
-    ('sn-moments', '--n', '7', '--r', '9', '--samples', '10', '--seed', '2', '--threads', '2'): """\
-# repwalk 0.1.0
-# command: sn-moments n=7 r=9 samples=10 seed=2 threads=2
-s,method,value,reduced_exact
-1,transfer,0.2217978470725213,1953125/40353607
-1,direct,0.2217978470725213,1953125/40353607
-1,closed,0.2217978470725213,1953125/40353607
-2,transfer,1.069839357854677,6167411/121060821
-2,direct,1.069839357854677,6167411/121060821
-2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.2182178902359923,
-2,empirical,1.0476190476190474,
-""",
-    ('sn-sample', '--n', '9', '--r', '12', '--count', '7', '--seed', '5', '--threads', '3'): """\
-# repwalk 0.1.0
-# command: sn-sample count=7 n=9 r=12 seed=5 threads=3
-index,partition
-0,4+3+1+1
-1,4+2+2+1
-2,4+3+1+1
-3,4+4+1
-4,4+2+1+1+1
-5,5+2+1+1
-6,3+2+2+1+1
-""",
-    ('sn-rsk', '--n', '8', '--r', '11', '--count', '7', '--seed', '4', '--threads', '3'): """\
-# repwalk 0.1.0
-# command: sn-rsk count=7 n=8 r=11 seed=4 threads=3
-index,partition
-0,3+2+2+1
-1,4+3+1
-2,4+2+1+1
-3,3+3+1+1
-4,5+2+1
-5,4+2+2
-6,3+3+1+1
-""",
-    ('sn-moments', '--n', '7', '--r', '9', '--samples', '10', '--seed', '2', '--threads', '3'): """\
-# repwalk 0.1.0
-# command: sn-moments n=7 r=9 samples=10 seed=2 threads=3
-s,method,value,reduced_exact
-1,transfer,0.2217978470725213,1953125/40353607
-1,direct,0.2217978470725213,1953125/40353607
-1,closed,0.2217978470725213,1953125/40353607
-2,transfer,1.069839357854677,6167411/121060821
-2,direct,1.069839357854677,6167411/121060821
-2,closed,1.069839357854677,6167411/121060821
-1,empirical,0.08728715609439693,
-2,empirical,0.8952380952380953,
-""",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(THREADS_GOLDEN))
+def _at_threads(argv, threads):
+    return (*argv[:-1], str(threads))
+
+
+# --threads reaches no draw: at every T each sampler command prints its
+# --threads 1 golden, with threads=T on the echo line.  The sn argvs at
+# T = 1, 2, 3 come first, in the order that keeps each one's test id
+GL_ONE_THREAD = ("gl-sample", "--n", "4", "--q", "2", "--count", "5", "--seed", "11",
+                 "--threads", "1")
+ONE_THREAD_GOLDEN = {**THREADS_GOLDEN, GL_ONE_THREAD: GL_SAMPLE_GOLDEN[GL_ONE_THREAD[1:-2]]}
+THREADS_ARGVS = [_at_threads(argv, t) for argv in sorted(THREADS_GOLDEN) for t in (1, 2, 3)]
+THREADS_ARGVS += [_at_threads(argv, cli.MAX_THREADS) for argv in sorted(THREADS_GOLDEN)]
+THREADS_ARGVS += [_at_threads(GL_ONE_THREAD, t) for t in (2, 3, cli.MAX_THREADS)]
+
+
+@pytest.mark.parametrize("argv", THREADS_ARGVS)
 def test_threads_split_golden(capsys, argv):
-    assert _main_stdout(capsys, list(argv)) == (0, THREADS_GOLDEN[argv])
+    golden = ONE_THREAD_GOLDEN[_at_threads(argv, 1)]
+    expected = golden.replace(" threads=1\n", f" threads={argv[-1]}\n", 1)
+    assert _main_stdout(capsys, list(argv)) == (0, expected)
 
 
 BAD_ARGUMENTS = [
@@ -735,7 +665,7 @@ BAD_ARGUMENTS = [
     (["sn-tv-curve", "--n", "-4", "--rmax", "1", "--float"], "the walk needs n >= 2"),
     (["sn-moments", "--n", "1", "--r", "1"], "the walk needs n >= 2"),
     (["sn-moments", "--n", "0", "--r", "1"], "the walk needs n >= 2"),
-    # below the samplers' range, refused before the count is split
+    # below the samplers' range, refused before the count
     (["sn-sample", "--n", "0", "--r", "1"], "n must be positive"),
     (["sn-sample", "--n", "-2", "--r", "1"], "n must be positive"),
     (["sn-sample", "--n", "0", "--r", "1", "--count", "0"], "n must be positive"),
@@ -805,9 +735,9 @@ def test_sampler_argument_checks():
     for n, q in ((21, 2), (2, 4)):
         with pytest.raises(CapacityError, match="GL Plancherel sampler"):
             GLPlancherelSampler(n, q)
-    with pytest.raises(ValueError):
-        cli._split(-2, 0, 1)
-    assert cli._split(0, 0, 3) == []
+    with pytest.raises(ValueError, match="the sample count must be non-negative, got -2"):
+        cli._check_count(-2)
+    cli._check_count(0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -818,8 +748,8 @@ def test_sampler_argument_checks():
     ["sn-moments", "--n", "5", "--r", "-1", "--samples", "0"],
 ])
 def test_negative_steps_rejected_while_parsing(capsys, argv):
-    # rejected before any stream is split, so a run that draws nothing
-    # rejects it too, on a line that names the flag
+    # rejected while parsing, so a run that draws nothing rejects it too,
+    # on a line that names the flag
     assert main(argv) == 2
     captured = capsys.readouterr()
     flag = argv[argv.index("-1") - 1]
@@ -834,6 +764,10 @@ def test_negative_steps_rejected_while_parsing(capsys, argv):
     ["sn-sample", "--n", "5", "--r", "1000000000", "--count", "1"],
     ["sn-rsk", "--n", "5", "--r", "1000000000", "--count", "1"],
     ["sn-moments", "--n", "5", "--r", "1000000000", "--samples", "1"],
+    # a count of 0 makes no draw, but the sampler still checks its steps:
+    # both exited 0 while no seed stream was made for an empty count
+    ["sn-sample", "--n", "5", "--r", str(MAX_WALK_STEPS + 1), "--count", "0"],
+    ["sn-rsk", "--n", "5", "--r", str(MAX_WALK_STEPS + 1), "--count", "0"],
 ])
 def test_step_cap_capacity_error(capsys, argv):
     # one capacity error before any step is taken, not a run until killed
@@ -910,6 +844,10 @@ def _must_not_run(*args, **kwargs):
      "capacity error: character table: requested 10000000"),
     (["sn-cutoff", "--n", "10", "--c", "-400"], "math.exp", 2,
      "usage error: r must be non-negative"),
+    # a negative count was refused only when the draws were split, after
+    # the exact moments
+    (["sn-moments", "--n", "5", "--r", "2", "--samples", "-1"], "moment_fc_reduced", 2,
+     "usage error: the sample count must be non-negative, got -1"),
 ])
 def test_refused_before_the_slow_call(capsys, monkeypatch, argv, slow, code, refusal):
     # each was refused only after its slow step: 3 s for the n-part
@@ -919,7 +857,9 @@ def test_refused_before_the_slow_call(capsys, monkeypatch, argv, slow, code, ref
     # at the id partition_id gives, which _walk_start asks for last
     monkeypatch.setattr(slow if slow.startswith("repwalk.") else f"repwalk.cli.{slow}",
                         _must_not_run)
+    started = time.process_time()
     assert main(argv) == code
+    assert time.process_time() - started < 0.2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert refusal in captured.err

@@ -39,7 +39,7 @@ def test_splitmix_reproducible():
 
 
 def test_derive_seed_distinct():
-    seeds = {derive_seed(42, i) for i in range(100)}
+    seeds = {derive_seed(seed) for seed in range(100)}
     assert len(seeds) == 100
 
 

@@ -141,11 +141,12 @@ def test_traced_gl_sample_counts_every_word(capsys, monkeypatch):
     assert (vars(sampler_cls)["__init__"], vars(sampler_cls)["sample"]) == originals
     samples, _, attempts = tracer.aggs["glasymptotics.attempts"].totals()
     names = [span[1] for span in tracer.spans]
-    assert streams == 2 and words == advanced > 0
+    # --threads 2 makes no second stream
+    assert streams == 1 and words == advanced > 0
     assert samples == 12 and f"# attempts: {attempts}\n" in capsys.readouterr().out
-    assert names.count("glasymptotics.sampler_init") == 2
-    assert names.count("glasymptotics.first_sample") == 2
-    assert names.count("glasymptotics.warm_sample") == 10
+    assert names.count("glasymptotics.sampler_init") == 1
+    assert names.count("glasymptotics.first_sample") == 1
+    assert names.count("glasymptotics.warm_sample") == 11
 
 
 @pytest.mark.parametrize("command, words_per_step", [("sn-sample", 2), ("sn-rsk", 1)])
@@ -160,6 +161,6 @@ def test_traced_sn_samplers_draw_words_past_next_u64(capsys, monkeypatch, comman
         [command, "--n", "12", "--r", "20", "--count", "9", "--seed", "6", "--threads", "2"])
     # a step draws at least one word per randrange: two for a walk step,
     # one for a shuffle
-    assert streams == 2 and words == 0 and advanced >= words_per_step * 9 * 20
+    assert streams == 1 and words == 0 and advanced >= words_per_step * 9 * 20
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert rows[0] == "index,partition" and len(rows) == 1 + 9
