@@ -55,7 +55,6 @@ from .partitions import (
     _up_edges,
     dimension_sn,
     enumerate_partitions,
-    partition_count,
     partition_id,
 )
 from .rng import BLOCK, SplitMix64
@@ -74,14 +73,11 @@ MAX_WALK_STEPS = 10**5
 # at n = 3000 and 110-165 ms at n = 10**4
 SAMPLER_N_LIMIT = 10**4
 
-# per-entry relative accuracy budget; float distributions report the
-# accumulated bound r * p(n) * this
+# the float error allowance per step and partition that the benchmark's
+# sn-cutoff check still multiplies by r p(n); no float walk reads it, each
+# prints and reports the bound it derives (_law_error_bound and
+# _curve_error_bound)
 FLOAT_ENTRY_RELERR = 1e-14
-
-
-def _float_error_bound(n: int, r: int) -> float:
-    """The accumulated float error bound after r steps on the partitions of n."""
-    return r * partition_count(n) * FLOAT_ENTRY_RELERR
 
 
 @dataclass
@@ -204,7 +200,7 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
     parts = enumerate_partitions(n)
     if mode == "float":
         masses = dict(zip(parts, eng.law(r, s).tolist()))
-        return WalkDistribution(n, mode, masses, _float_error_bound(n, r))
+        return WalkDistribution(n, mode, masses, _law_error_bound(n))
     a, den = eng.law(r, s)
     masses = {p: Fraction(d * x, den) for p, d, x in zip(parts, eng.dims, a) if x}
     return WalkDistribution(n, mode, masses)
@@ -612,20 +608,19 @@ def _sorted_level(j: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 
 
 class _FloatEngine:
-    """The walk in doubles on the partitions of n: dims d and pi d^2/n! from
-    level n's dimensions (_dims), each rounded once, law(r, s) and
-    tv(law).  K^r(s, .) = (dims / d_s) w_r with w_r = A^r e_s / n^r, which
-    law forms in _horner's pass with coefficients S(r, k) / n^r, each
-    rounded once; every term is nonnegative, so each mass carries a
-    relative error of a few ulp per sum on its paths up and down the levels
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
-    tv_at reads it; a TV curve steps instead (tvs), w <- A w / n.  Both
-    gather through the cached jagged rows of _sorted_level."""
+    """The walk in doubles on the partitions of n: dims, level n's
+    dimensions (_complete_level) each rounded once, and pi = dims * dims /
+    n! in doubles, law(r, s) and tv(law).  K^r(s, .) = (dims / d_s) w_r with
+    w_r = A^r e_s / n^r, which law forms in _horner's pass with
+    coefficients S(r, k) / n^r, each rounded once, and tv_at reads; a TV
+    curve steps instead (tvs), w <- A w / n.  Both gather through the
+    cached jagged rows of _sorted_level, and the errors of both are bounded
+    a priori (_law_error_bound, _curve_error_bound)."""
 
     def __init__(self, n: int):
-        dims, n_fact = _dims(n), math.factorial(n)
-        self.n, self.dims = n, np.array(dims, dtype=float)
-        self.pi = np.fromiter((d * d / n_fact for d in dims), float, len(dims))
+        self.n, self.dims = n, _complete_level(n).dims.astype(float)
+        # each entry within relative gamma_5 of d^2 / n! (_rounding_bound)
+        self.pi = self.dims * self.dims / float(math.factorial(n))
 
     def law(self, r: int, s: int = 0) -> np.ndarray:
         """The law after r steps from id s (default 0, (n)), in lattice-id
@@ -690,6 +685,75 @@ class _FloatEngine:
             w = self.step(w, tables)
             tvs.append(self.tv(self.dims * w))
         return tuple(tvs)
+
+
+def _gamma(k: int) -> Fraction:
+    """gamma_k = k u / (1 - k u), u = 2^-53, exactly: a double formed from
+    exact nonnegative values by k roundings of sums, products and
+    quotients, none below the normal range, lies within relative gamma_k
+    of its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3)."""
+    return Fraction(k, 2**53 - k)
+
+
+def _rounding_bound(n: int, k: int) -> float:
+    """A double at or above two errors of a float law on the partitions of
+    n whose every mass lies within relative gamma_k of the exact law P: its
+    L1 distance to P, at most gamma_k, and the error of its TV to pi as
+    _FloatEngine.tv sums it.
+
+    Each entry of the engine's pi carries 5 roundings (two dims, their
+    product, n! and the quotient), so sum |h - pi^| over the float law h
+    is within gamma_k + gamma_5 of 2 TV.  Each h - pi^ is rounded once,
+    and numpy's pairwise sum of the p = p(n) terms adds blocks of at most
+    128 on 8 accumulators (at most 14 + 3 + 7 roundings a term) and joins
+    halves above that, at most ceil(log2 p) - 6 deep, so each term carries
+    at most gamma_m = g, m = ceil(log2 p) + 19, and the float TV is within
+    (gamma_k + gamma_5)(1 + g) / 2 + g TV of the exact one, TV <= 1.
+    Below the normal range only products and quotients round with an
+    absolute error, at most 2^-1074 each; each reaches the L1 sum with
+    weight at most n! < 2^160 (a step's at most d_lam < 2^80, r p(n) <
+    2^33 of them), and a law makes fewer than 2^23, so 2^-880 covers them."""
+    p = len(_sorted_level(n)[1])
+    g, law = _gamma((p - 1).bit_length() + 19), _gamma(k)
+    tv = (law + _gamma(5)) * (1 + g) / 2 + g
+    bound = max(law, tv) + Fraction(1, 2**880)
+    x = float(bound)
+    return x if x >= bound else math.nextafter(x, math.inf)
+
+
+def _down_degrees(n: int) -> list[int]:
+    """The most partitions below one partition of j, for j = 0..n: the
+    number of level j's jagged rows (_sorted_level).  A partition of j has
+    one more corner to add than to remove, so the most above one is
+    that plus 1."""
+    return [len(_sorted_level(j)[0]) for j in range(n + 1)]
+
+
+def _law_error_bound(n: int) -> float:
+    """A bound on the float error of a one-r law (_FloatEngine.law) from
+    any start, for any r: on its L1 distance to the exact law and on its
+    TV's error (_rounding_bound).  Every term is nonnegative, and m
+    terms summed in any order cost m - 1 roundings, so a mass carries at
+    most gamma_K, K the roundings on its longest chain: one for its
+    coefficient S(r, k) / n^r and one for its product with its count; per
+    level j the down pass sums at most the d_(j-1) + 1 partitions above
+    one of level j - 1 and U at most the d_j below one of level j, and one
+    term is added (d_j of _down_degrees); then the scale dims / d_s adds
+    two dims, one quotient and one product.  K = 6 + sum_j (d_(j-1) + d_j),
+    which does not depend on r or the start."""
+    d = _down_degrees(n)
+    return _rounding_bound(n, 6 + sum(d[j - 1] + d[j] for j in range(1, n + 1)))
+
+
+def _curve_error_bound(n: int, r: int) -> float:
+    """A bound on the float error of every TV of a stepped curve
+    (_FloatEngine.tvs) after at most r steps (_rounding_bound).  Each
+    step sums at most d_(n-1) + 1 and d_n terms (_down_degrees) and divides
+    once by n, and the law dims * w adds one rounded dim and one product:
+    K = r (d_(n-1) + d_n) + 2."""
+    d = _down_degrees(n)
+    return _rounding_bound(n, r * (d[n - 1] + d[n]) + 2)
 
 
 # every exact size with its dims, path counts and TVs: 0.54 MB for all sizes

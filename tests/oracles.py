@@ -1145,17 +1145,33 @@ def float_law_relerr(n: int, r: int) -> float:
         integers, one quotient and one product.
     h = x(1 + a) and s = x(1 + b) give |h - s| <= (gamma_Kh + gamma_Ks) x,
     and x <= s / (1 - gamma_Ks)."""
+    k_h, k_s = horner_roundings(n), r * step_roundings(n) + 4
+    return (gamma(k_h) + gamma(k_s)) / (1 - gamma(k_s))
+
+
+def horner_roundings(n: int) -> int:
+    """K of the Horner pass in float_law_relerr, from the levels' edges:
+    per level the longest down-pass sum, the longest U sum and one add,
+    then a coefficient, its product and the scale by dims / d_s."""
     import numpy as np
 
     from repwalk.partitions import _complete_level
 
-    lat = lattice(n)
-    k_s = r * (int(np.diff(lat.up_off).max()) + int(np.diff(lat.down_off).max()) - 1) + 4
     k_h = 2 + 4
     for j in range(1, n + 1):
         level = _complete_level(j)
         k_h += int(np.bincount(level.below).max()) + int(np.diff(level.down_off).max()) - 1
-    return (gamma(k_h) + gamma(k_s)) / (1 - gamma(k_s))
+    return k_h
+
+
+def step_roundings(n: int) -> int:
+    """The roundings one float step adds to a mass in float_law_relerr: the
+    longest up sum, the longest down sum and the division by n, from the
+    CSR edges of lattice(n)."""
+    import numpy as np
+
+    lat = lattice(n)
+    return int(np.diff(lat.up_off).max()) + int(np.diff(lat.down_off).max()) - 1
 
 
 def float_tv_gap(n: int, r: int) -> float:

@@ -32,6 +32,7 @@ from repwalk.hsp import hsp_bounds, induced_character_check, load_catalogue, sub
 from repwalk.partitions import Partition, _dims, enumerate_partitions
 from repwalk.series import euler_lhs_rhs, q_pochhammer
 from repwalk.snwalk import (
+    _curve_error_bound,
     kernel_downup,
     moment_fc_reduced,
     plancherel_sn,
@@ -96,7 +97,7 @@ def test_criterion_03_cutoff_upper_bound():
         r = math.ceil(0.5 * n * math.log(n) + n)  # c = 1
         curve = sn_tv_curve(n, r, "float")
         tv = curve[-1][1]
-        err = r * len(enumerate_partitions(n)) * 1e-14
+        err = _curve_error_bound(n, r)  # the derived bound sn-tv-curve --float prints
         assert tv <= math.exp(-2) / 2 + err
         assert tv <= sn_upper_bound(n, r) + err
         for m in range(8, 13):

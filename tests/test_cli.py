@@ -395,8 +395,11 @@ def test_sample_counts_past_the_cap_are_refused(capsys, argv):
 
 # the longest float curve the caps allow at n = 21, recorded while its
 # l2_bound column multiplied ever-longer exact integers at every row, which
-# took 58.8 s of CPU time on a 2-core Xeon with Python 3.11
-LONG_FLOAT_CURVE_SHA256 = "2b78556597a7157c44410d13834ffbd22ffb72d43054eebc88553bf23bc9a5a1"
+# took 58.8 s of CPU time on a 2-core Xeon with Python 3.11.  Re-recorded
+# when its bound line came to print the derived bound and pi came to be
+# formed in doubles: 99750 TVs moved, by at most 5.6e-17, most of them the
+# rounding floor the walk settles to (2.62e-16, now 2.65e-16)
+LONG_FLOAT_CURVE_SHA256 = "674a8b41e8fff6a0fd07cb38621e1dd910a4498ab316c68ec6c4a73bd36f0967"
 
 
 def test_long_float_curve_is_linear_in_rmax(capsys):
@@ -1115,7 +1118,10 @@ def test_gl_counts_digit_prediction_is_exact(capsys, monkeypatch, q, n, digits):
 # the float law at one r came to be one Horner pass over the lattice
 # levels, with no step: the TV at n=24 moved by 4.2e-17 (3 ulp), and 358
 # of the 490 masses at n=19 by at most 1.4e-17 (9.8e-16 relative);
-# test_one_r_float_law_matches_the_stepped_law bounds every such move
+# test_one_r_float_law_matches_the_stepped_law bounds every such move.
+# Re-recorded when the float bound line came to print the derived bound
+# (_law_error_bound) in place of r p(n) 1e-14, and pi came to be formed in
+# doubles: the TV at n=24 moved by 1 ulp (1.4e-17); no n=19 mass moved
 LOOKUP_GOLDEN = {
     ("sn-walk", "--n", "6", "--r", "1", "--exact"): """\
 # repwalk 0.1.0
@@ -1136,12 +1142,12 @@ partition,mass
     ("sn-cutoff", "--n", "24", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=24
-# accumulated float error bound: 8.0325e-10
+# accumulated float error bound: 2.087219286295338e-14
 r,cutoff_bound,tv,l2_bound
-51,0.18393972058572117,0.07982168100451813,0.10536090622868025
+51,0.18393972058572117,0.07982168100451811,0.10536090622868025
 """,
     ("sn-walk", "--n", "19", "--r", "20", "--float"):
-        "6a65bb0b08a448eb4a1b7de1b1946d7226879aa064a2b0bc59ff9e18dc9bec2b",
+        "0087b31f471da7539bfa1b036f87d072afe899a23927bf446f0bc1956bf2099b",
     ("gl-lower", "--n", "5", "--q", "4", "--c", "2"):
         "ddc3198bc8c6ea2d5532819e13b71b406a27ea883d5cf883cf30d0186c97fdf2",
     ("gl-lower", "--n", "6", "--q", "2", "--c", "2"):
@@ -1170,14 +1176,15 @@ def test_lookup_golden(capsys, argv):
 # walk_distribution, kept as the sha256 of its bytes.  The float walk was
 # re-recorded when its law at one r came to be one Horner pass over the
 # lattice levels, with no step: 331 of its 490 masses moved, by at most
-# 1.0e-17 (5.8e-16 relative); the exact outputs stay
+# 1.0e-17 (5.8e-16 relative); the exact outputs stay.  Re-recorded when
+# the float bound line came to print the derived bound: no mass moved
 SN_WALK_GOLDEN = {
     ("sn-walk", "--n", "18", "--r", "22", "--exact"):
         "43a62d2b9bf18e9b96af09b70b0911b30fb8422951a0a8b4460d4a3459fcd86e",
     ("sn-walk", "--n", "12", "--r", "9", "--start", "5+4+2+1"):
         "4bb7925531301b3e98eb5e9888c369daf2a159a87c8413627e0ea6aa591e2e43",
     ("sn-walk", "--n", "19", "--r", "28", "--float", "--start", "7+5+4+2+1"):
-        "8c58c60e8dac89e5055fb3360eb13988595c06f72d1aa357c15e2d483f4b3e6b",
+        "3c1f8f0c647a394f56fb29d0a1e9560964b832af5e51ca0677275a0fadded9b7",
 }
 
 
@@ -1344,66 +1351,71 @@ def test_sn_walk_rows_are_the_fraction_masses(capsys, n):
 # double at or above the exact root, not to the nearest one: the bound at
 # n = 19 and 27, c = 0.5, and n = 40, c = -0.5, and bounds of both curves
 # (69 rows at n = 33, 19 at n = 14) moved up by 1 ulp or so.  Exact output
-# and every other digit stay.
+# and every other digit stay.  Re-recorded when the float bound lines came
+# to print the derived bounds (_law_error_bound, _curve_error_bound) in
+# place of r p(n) 1e-14, and pi came to be formed as float(d)^2 / n! in
+# doubles: the TVs at n = 36, c = 0.5 and n = 40, c = -0.5 moved by 1 ulp,
+# and 93 of the 160 rows at n = 33 by at most 2.2e-16, each within the
+# printed bound (test_printed_float_bounds_hold_the_measured_error).
 LATTICE_GOLDEN = {
     ("sn-cutoff", "--n", "19", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=19
-# accumulated float error bound: 9.31e-11
+# accumulated float error bound: 1.4543921622589765e-14
 r,cutoff_bound,tv,l2_bound
 19,1.3591409142295225,0.6011551463654219,2.355002656148524
 """,
     ("sn-cutoff", "--n", "19", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=19
-# accumulated float error bound: 1.862e-10
+# accumulated float error bound: 1.4543921622589765e-14
 r,cutoff_bound,tv,l2_bound
 38,0.18393972058572117,0.07713440462203083,0.1014637549902869
 """,
     ("sn-cutoff", "--n", "27", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=27
-# accumulated float error bound: 9.331e-10
+# accumulated float error bound: 2.4868995751604128e-14
 r,cutoff_bound,tv,l2_bound
 31,1.3591409142295225,0.6326450596638991,4.400767117230023
 """,
     ("sn-cutoff", "--n", "27", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=27
-# accumulated float error bound: 1.7458e-09
+# accumulated float error bound: 2.4868995751604128e-14
 r,cutoff_bound,tv,l2_bound
 58,0.18393972058572117,0.08813897106471721,0.11715367277492028
 """,
     ("sn-cutoff", "--n", "36", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=36
-# accumulated float error bound: 8.44919e-09
+# accumulated float error bound: 3.8857805861881994e-14
 r,cutoff_bound,tv,l2_bound
 47,1.3591409142295225,0.6475737591235977,6.2543825699959115
 """,
     ("sn-cutoff", "--n", "36", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=36
-# accumulated float error bound: 1.492091e-08
+# accumulated float error bound: 3.8857805861881994e-14
 r,cutoff_bound,tv,l2_bound
-83,0.18393972058572117,0.08991669033871659,0.11974601735080319
+83,0.18393972058572117,0.0899166903387166,0.11974601735080319
 """,
     ("sn-cutoff", "--n", "40", "--c", "-0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=-0.5 n=40
-# accumulated float error bound: 2.016252e-08
+# accumulated float error bound: 4.5963233219483595e-14
 r,cutoff_bound,tv,l2_bound
-54,1.3591409142295225,0.6610916327418936,8.200251570791696
+54,1.3591409142295225,0.6610916327418935,8.200251570791696
 """,
     ("sn-cutoff", "--n", "40", "--c", "0.5"): """\
 # repwalk 0.1.0
 # command: sn-cutoff c=0.5 n=40
-# accumulated float error bound: 3.509772e-08
+# accumulated float error bound: 4.5963233219483595e-14
 r,cutoff_bound,tv,l2_bound
 94,0.18393972058572117,0.0929604257031077,0.12409376489566282
 """,
     ("sn-tv-curve", "--n", "33", "--rmax", "160", "--float"):
-        "bf5f03d7d6e062c3698209bfccf0a152ebcd2ef687a4684e7178376d7bfd6c67",
+        "4ca1f45cce9e21cbfbb025133b000f590e937d42941d85c5f9f47056c2d10cbb",
     ("sn-tv-curve", "--n", "14", "--rmax", "40", "--exact"):
         "6cca4b2886886d50de95b9b1158cfd69c2ce2d4d059f38931175bbc4587b44b6",
 }
@@ -1433,6 +1445,39 @@ def test_float_cutoff_tv_matches_exact_tv(capsys, n):
     assert abs(Fraction(float(tv)) - exact) <= 2e-15
 
 
+def _float_output(capsys, argv):
+    """(the printed float error bound, the rows) of one float command."""
+    code, out = _main_stdout(capsys, argv)
+    assert code == 0
+    meta = [line for line in out.splitlines() if line.startswith("# accumulated float error")]
+    rows = [line.split(",") for line in out.splitlines()[len(meta) + 3:]]
+    return Fraction(float(meta[0].split(": ")[1])), rows
+
+
+@pytest.mark.parametrize("n", range(19, FLOAT_LIMIT + 1))
+def test_printed_float_bounds_hold_the_measured_error(capsys, n):
+    # the bound sn-cutoff prints holds the error of its TV, and the bound
+    # sn-tv-curve --float prints at rmax that of every row, each measured
+    # against the TV of the exact law (exact_law_tv, the integer Horner
+    # pass): at the cutoff r = ceil(n log(n) / 2) for every float size, and
+    # at r = 1, half, once and 3x the cutoff at n = 19, 30 and 40.  The
+    # one-r TV at any r is the engine's tv_at, which sn-cutoff prints, and
+    # its bound does not depend on r.  The errors measure at most 6.9e-17
+    # (one-r) and 1.5e-16 (curve rows), under 0.3% of their bounds
+    c = math.ceil(0.5 * n * math.log(n))
+    rs = (1, -(-c // 2), c, 3 * c) if n in (19, 30, 40) else (c,)
+    law_bound, rows = _float_output(capsys, ["sn-cutoff", "--n", str(n), "--c", "0"])
+    assert int(rows[0][0]) == c
+    curve_bound, curve = _float_output(
+        capsys, ["sn-tv-curve", "--n", str(n), "--rmax", str(max(rs)), "--float"])
+    eng, exact_eng = snwalk._float_engine(n), _ExactEngine(n)
+    for r in rs:
+        exact = exact_law_tv(n, exact_eng.law(r))
+        one_r = float(rows[0][2]) if r == c else eng.tv_at(r)
+        assert abs(Fraction(one_r) - exact) <= law_bound, (n, r)
+        assert abs(Fraction(float(curve[r - 1][1])) - exact) <= curve_bound, (n, r)
+
+
 @pytest.mark.parametrize("n,c", [(2, "0"), (12, "-0.5"), (18, "0.5"), (19, "0.5"), (33, "-0.5")])
 def test_sn_cutoff_reads_the_engine_alone(capsys, monkeypatch, n, c):
     # both sides of EXACT_KERNEL_LIMIT, sn-cutoff takes its law and TV from
@@ -1449,7 +1494,8 @@ def test_sn_cutoff_reads_the_engine_alone(capsys, monkeypatch, n, c):
 def test_float_commands_form_no_partition_tuples(capsys):
     # the float walk reads lattice ids alone: its lattice comes from the
     # counted partition matrix, its start id from partition_id and its
-    # error bound from partition_count, so no size is enumerated
+    # error bound from the row counts of the levels' jagged rows, so no
+    # size is enumerated
     enumerate_partitions.cache_clear()
     for argv in (["sn-cutoff", "--n", "30", "--c", "0.5"],
                  ["sn-tv-curve", "--n", "24", "--rmax", "40", "--float"]):
@@ -1462,17 +1508,20 @@ def test_cutoff_tv_is_near_the_float_curve_row(capsys):
     # sn-tv-curve --float that of its stepped law, both by the float laws'
     # tv; the laws add in different orders, so the two TVs agree within the
     # a priori gap of float_tv_gap, not to the bit (a sum over the masses
-    # dict differed in the last digits at most points)
-    for n in (19, 24, 40):
-        for c in ("-0.5", "0.5"):
-            code, out = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
-            r, _, tv, _ = out.splitlines()[-1].split(",")
-            code_curve, curve = _main_stdout(
+    # dict differed in the last digits at most points), and within the sum
+    # of the two printed bounds, each of which holds its own error.  At the
+    # float sweep's sizes and c bands, -0.5 and 0.5 within 0.1, and at n = 40
+    # (the benchmark's "float TV rises" check compares the two TVs)
+    for n in (*range(19, 37), 40):
+        for c in ("-0.6", "-0.5", "-0.4", "0.4", "0.5", "0.6"):
+            law_bound, rows = _float_output(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
+            r, tv = rows[0][0], Fraction(float(rows[0][2]))
+            curve_bound, curve = _float_output(
                 capsys, ["sn-tv-curve", "--n", str(n), "--rmax", r, "--float"])
-            assert code == code_curve == 0
-            r_curve, tv_curve = curve.splitlines()[-1].split(",")[:2]
-            assert r_curve == r
-            assert abs(float(tv) - float(tv_curve)) <= float_tv_gap(n, int(r)), (n, c)
+            assert curve[-1][0] == r
+            gap = abs(tv - Fraction(float(curve[-1][1])))
+            assert gap <= float_tv_gap(n, int(r)), (n, c)
+            assert gap <= law_bound + curve_bound, (n, c)
 
 
 # stdout recorded while the character-table paths found their rows by

@@ -16,7 +16,7 @@ import weakref
 
 import pytest
 
-from repwalk import snwalk
+from repwalk import partitions, snwalk
 from repwalk.cli import main
 
 SIZES = (19, 24, 30, 36)
@@ -134,7 +134,7 @@ def test_float_commands_build_no_lattice(capsys, monkeypatch):
     _cutoff(capsys, 24, 0.5)
     assert turned == []
     _tv_curve(capsys, 24, _cutoff_r(24, 0.5))
-    assert turned == [snwalk.partition_count(24)]
+    assert turned == [partitions.partition_count(24)]
     assert snwalk._exact_engine.cache_info().currsize == 0
     _clear()
 

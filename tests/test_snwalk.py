@@ -24,8 +24,9 @@ from repwalk.snwalk import (
     FLOAT_LIMIT,
     MAX_WALK_STEPS,
     _FloatEngine,
+    _curve_error_bound,
     _float_engine,
-    _float_error_bound,
+    _law_error_bound,
     _skew_counts,
     class_walk_probability,
     kernel_downup,
@@ -56,6 +57,7 @@ from oracles import (
     float_law_relerr,
     float_reference_walk,
     gamma,
+    horner_roundings,
     lattice,
     padded_float_step,
     padded_reference_walk,
@@ -63,6 +65,7 @@ from oracles import (
     pieri_sides,
     reference_walk,
     spectrum_sides,
+    step_roundings,
     tv_witness,
 )
 
@@ -516,7 +519,7 @@ def test_float_masses_within_error_bound_of_exact_law():
             for r, (a, den) in zip(range(rmax + 1), exact_reference_walk(n, start)):
                 assert den == n**r * lat.dims[partition_id(start)]
                 dist = walk_distribution(n, r, start, mode="float")
-                assert dist.error_bound == _float_error_bound(n, r)
+                assert dist.error_bound == _law_error_bound(n)
                 bound = Fraction(dist.error_bound)
                 assert list(dist.masses) == list(enumerate_partitions(n))
                 for (lam, m), d, x in zip(dist.masses.items(), lat.dims, a):
@@ -626,6 +629,20 @@ def test_one_r_float_law_matches_the_stepped_law(n):
                 assert np.all(np.abs(got - stepped) <= relerr[r] * stepped), (n, s, r)
 
 
+def test_float_bounds_count_every_rounding_the_edges_show():
+    # the chain lengths the bounds read off the levels' jagged row counts
+    # are at least those counted from the lattice's edges (oracles): the
+    # law bound covers gamma of the Horner pass's, the curve bound at r
+    # that of r steps and the two roundings of dims * w, and both cover
+    # the gamma_5 of pi halved
+    for n in range(2, FLOAT_LIMIT + 1):
+        law = Fraction(_law_error_bound(n))
+        assert law >= Fraction(gamma(horner_roundings(n))), n
+        assert law >= Fraction(gamma(5)) / 2, n
+        for r in (1, cutoff_steps(n), MAX_WALK_STEPS):
+            assert Fraction(_curve_error_bound(n, r)) >= Fraction(gamma(r * step_roundings(n) + 2))
+
+
 @pytest.mark.parametrize("n", [36, 40])
 def test_down_pass_counts_past_int64(n):
     # D^n e_s at level 0 is f^s = d_s, which for the largest d_s passes
@@ -643,11 +660,19 @@ def test_down_pass_counts_past_int64(n):
 
 
 def test_float_engine_reads_the_float_laws():
-    # pi is d * d / n! over the lattice's dimensions, each rounded once
+    # pi is float(d)^2 / float(n!) over the lattice's dimensions, each
+    # rounded once: the correctly rounded d^2 / n! to the bit for n <= 20
+    # (every d^2 and n! exact in doubles), and past that within gamma_5
+    # relative of it, the five roundings the float bound counts for pi
+    g5 = Fraction(gamma(5))
     for n in range(2, FLOAT_LIMIT + 1):
         eng, dims, n_fact = _float_engine(n), _dims(n), math.factorial(n)
-        assert eng.pi.tolist() == [d * d / n_fact for d in dims], n
         assert eng.dims.tolist() == [float(d) for d in dims], n
+        if n <= 20:
+            assert eng.pi.tolist() == [d * d / n_fact for d in dims], n
+        for x, d in zip(eng.pi.tolist(), dims):
+            exact = Fraction(d * d, n_fact)
+            assert abs(Fraction(x) - exact) <= g5 * exact, n
 
 
 @pytest.mark.parametrize("n", range(2, FLOAT_LIMIT + 1))
