@@ -58,7 +58,6 @@ from .snwalk import (
     _check_walk,
     _curve_error_bound,
     _engine,
-    _law_error_bound,
     _walk_start,
     moment_fc_reduced,
     rsk_samples,
@@ -199,7 +198,7 @@ def _cmd_sn_walk(args):
     if args.mode == "float":
         labels = (lam.to_string() for lam in enumerate_partitions(args.n))
         masses = map(repr, eng.law(args.r, s).tolist())
-        extra = [_error_bound_line(_law_error_bound(args.n))]
+        extra = [_error_bound_line(eng.law_error_bound)]
     else:
         # mass d_rho a_rho / den, whose digits _check_digits bounds by den's
         _check_digits(args.n, args.r, eng.dims[s])
@@ -231,7 +230,7 @@ def _cmd_sn_cutoff(args):
     r = r if math.isinf(r) else math.ceil(r)  # +-inf: refused as too long or negative
     _check_steps(r)  # before exp(-2c), which overflows where r < 0
     tv = float(eng.tv_at(r))
-    extra = [_error_bound_line(_law_error_bound(n))] if mode == "float" else []
+    extra = [_error_bound_line(eng.law_error_bound)] if mode == "float" else []
     rows = [[r, math.exp(-2 * c) / 2, tv, sn_upper_bound(n, r)]]
     _write_csv(args, "sn-cutoff", ["r", "cutoff_bound", "tv", "l2_bound"], rows, extra)
     return 0

@@ -48,6 +48,22 @@ per draw, except that a count word below its degree's cut, the count
 table's first 64-bit end (most count words), is count 0 after one compare;
 it draws a single label index by one randrange, and builds the
 CuspidalLabels only once it is accepted.
+
+The tables are built at DEFAULT_PREC = 128 bits, the precision their 64-bit
+ends need.  A 64-bit end is the same at any precision whose enclosure
+crosses no 2^-64 grid point that the exact threshold does not.
+suq_normalizer encloses Z(u^d, q^d) to w_d ulps of 2^-128: at most 2^16,
+its tail target, and one where q^d is large.  A count entry raises Z and
+1 - Z to powers up to N_d < 2^28 (the most labels of one degree at q <= 3,
+n <= 20): Z's width grows N_d-fold, and pow_int's floors below and
+ceilings above add at most N_d + log2 N_d ulps to each end, as each
+squaring doubles the error before it, so the entry is about N_d (w_d + 2)
+ulps wide, under 2^29 at every degree the sampler reads.  A component
+entry divides by 1 - Z >= 2^-34.  Their enclosures are narrower than
+2^-98 and 2^-93, some 30 bits below the 64-bit ends, and the tests hold
+every end of every table to the one read at 2 DEFAULT_PREC and at 320
+bits.  The rare straddled draw rebuilds at DEFAULT_PREC << level, up to
+MAX_DOUBLINGS = 8 doublings, a last scale of 32768 bits.
 """
 
 from __future__ import annotations
@@ -81,9 +97,14 @@ from .series import _check_order, _exp_coefficients, q_pochhammer
 
 SAMPLE_N_LIMIT = 20
 SAMPLE_Q_LIMIT = 3
-DEFAULT_PREC = 320
+# the bits every enclosure is built at: a threshold table keeps only its
+# 64-bit ends, and its entries here are narrower than 2^-93 (module
+# docstring), so no higher precision moves an end
+DEFAULT_PREC = 128
 DEFAULT_ATTEMPT_CAP = 10_000_000
-MAX_DOUBLINGS = 6  # precision doublings a threshold set tries before giving up
+# precision doublings a threshold set tries before giving up: the last scale
+# is DEFAULT_PREC << 8 = 32768 bits
+MAX_DOUBLINGS = 8
 # sampler plans kept, one for every (n <= SAMPLE_N_LIMIT, q in 2..SAMPLE_Q_LIMIT)
 PLAN_CACHE_SIZE = SAMPLE_N_LIMIT * (SAMPLE_Q_LIMIT - 1)
 
@@ -129,6 +150,12 @@ def suq_normalizer(u, q, prec: int = DEFAULT_PREC) -> Interval:
     and denominator; terms is the smallest depth whose tail stays below
     2^-(prec-16).  Memoized on (u, q, prec) in a bounded cache; every caller
     passes prec by keyword, so one enclosure has one cache key.
+
+    The sampler's tables read it at DEFAULT_PREC = 128, at most 2^16 ulps
+    of 2^-128 wide (its tail target) and one ulp where q is large: their
+    powers up to N_d < 2^28 and quotients by 1 - Z >= 2^-34 leave every
+    entry narrower than 2^-93, some 30 bits below the 2^-64 grid of the
+    ends an attempt reads (module docstring).
     """
     u, q = Fraction(u), Fraction(q)
     if not 0 < u < q or q <= 1:
@@ -235,7 +262,15 @@ def acceptance_probability(n: int, q: int) -> Interval:
     degree d's count table, P(no label occupied), which the cached plan
     keeps (_DegreePlan.empty), and the running product stays on integer
     ends at scale 2^DEFAULT_PREC, floor below and ceiling above, as the
-    count tables' binomial tails do."""
+    count tables' binomial tails do.
+
+    Its width, relatively, in ulps of 2^-DEFAULT_PREC: factor d, Z^(N_d),
+    is within N_d w_d / Z of itself from Z's own width w_d, and within
+    2 (N_d + log2 N_d) / Z^(N_d) more from pow_int's roundings (module
+    docstring).  The rate times the sum of these over d stays below 2^25
+    at every n <= 20, q <= 3, at the rule's u and at u = 1/2 (largest at
+    (20, 3), about 2^24.2), so the enclosure is narrower than
+    2^-(DEFAULT_PREC - 25)."""
     _check_sample_size(n, q)
     u = _rejection_u(n)
     lo = hi = one = 1 << DEFAULT_PREC
@@ -259,8 +294,13 @@ class _ThresholdSet:
     of lo and hi shifted down to scale 2^64, floor below and ceiling above,
     which are floor(t_lo * 2^64) and ceil(t_hi * 2^64) of the enclosure
     [t_lo, t_hi] itself, and _slots[k] says what a word v with bisect_right(_ends, v) == k
-    decides.  An even k is the gap below threshold k // 2, where U < t holds
-    for it and for no earlier one: the slot holds its outcome.  An odd k is
+    decides.  Those ends are the same at every precision whose enclosure
+    crosses no 2^-64 grid point that the exact threshold does not; the
+    sampler's enclosures at DEFAULT_PREC = 128 are narrower than 2^-93
+    (module docstring), so its tables equal those read at higher
+    precision, as the tests check at 256 and 320 bits for every end.  An even k
+    is the gap below threshold k // 2, where U < t holds for it and for no
+    earlier one: the slot holds its outcome.  An odd k is
     a word inside a threshold's 64-bit [lo, hi] (about 2^-64 per
     threshold), and k == len(_ends) a word past every threshold read: these
     slots hold None, except that the last becomes _REJECT once the builder

@@ -200,7 +200,7 @@ def walk_distribution(n: int, r: int, start=None, mode: str = "exact") -> WalkDi
     parts = enumerate_partitions(n)
     if mode == "float":
         masses = dict(zip(parts, eng.law(r, s).tolist()))
-        return WalkDistribution(n, mode, masses, _law_error_bound(n))
+        return WalkDistribution(n, mode, masses, eng.law_error_bound)
     a, den = eng.law(r, s)
     masses = {p: Fraction(d * x, den) for p, d, x in zip(parts, eng.dims, a) if x}
     return WalkDistribution(n, mode, masses)
@@ -621,6 +621,12 @@ class _FloatEngine:
         self.n, self.dims = n, _complete_level(n).dims.astype(float)
         # each entry within relative gamma_5 of d^2 / n! (_rounding_bound)
         self.pi = self.dims * self.dims / float(math.factorial(n))
+
+    @cached_property
+    def law_error_bound(self) -> float:
+        """_law_error_bound(n), which no r or start changes: formed in
+        Fractions once per engine, not once per law."""
+        return _law_error_bound(self.n)
 
     def law(self, r: int, s: int = 0) -> np.ndarray:
         """The law after r steps from id s (default 0, (n)), in lattice-id

@@ -17,3 +17,17 @@ def pin_u(monkeypatch):
         monkeypatch.setattr(glasymptotics, "_rejection_u", rule if u is None else lambda n: u)
 
     return pin
+
+
+@pytest.fixture
+def pin_prec(monkeypatch):
+    """pin_prec(prec) makes the GL sampler build its enclosures and tables
+    at prec bits in place of DEFAULT_PREC.  The plan cache is not keyed on
+    the precision, so it is cleared at each pin and after the test."""
+
+    def pin(prec):
+        monkeypatch.setattr(glasymptotics, "DEFAULT_PREC", prec)
+        glasymptotics._plan.cache_clear()
+
+    yield pin
+    glasymptotics._plan.cache_clear()

@@ -411,6 +411,20 @@ def test_long_float_curve_is_linear_in_rmax(capsys):
     assert time.process_time() - started < 10
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LONG_FLOAT_CURVE_SHA256
+    # a float tv carries the bound at rmax: past the rounding floor it sits
+    # above its row's l2_bound, never by more than that bound
+    lines = out.splitlines()
+    prefix = "# accumulated float error bound at rmax: "
+    bound = Fraction(float(next(x for x in lines if x.startswith(prefix))[len(prefix):]))
+    rows = [row.split(",") for row in lines[lines.index("r,tv,l2_bound") + 1:]]
+    assert len(rows) == 100000
+    above = 0
+    for _, tv, l2 in rows:
+        tv, l2 = float(tv), float(l2)
+        if tv > l2:
+            above += 1
+            assert Fraction(tv) <= Fraction(l2) + bound, (tv, l2)
+    assert above > 0
 
 
 def _main_stdout(capsys, argv):

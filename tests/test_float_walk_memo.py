@@ -2,7 +2,8 @@
 float engine of n, which keeps no walk.
 
 sn_tv_curve(n, rmax, "float") reads its TVs from _FloatEngine.tvs: each
-curve steps exactly its rmax, the engine holds only n, dims and pi, and
+curve steps exactly its rmax, the engine holds only n, dims, pi and the
+law error bound once a law has printed it, and
 whatever came before, the curve and the float sn-cutoff print the bits a
 walk run afresh prints.  The float sn-cutoff, sn-walk --float and
 walk_distribution(mode="float") read one Horner law at their r instead,
@@ -142,12 +143,28 @@ def test_float_commands_build_no_lattice(capsys, monkeypatch):
 def test_cutoff_and_curve_share_one_engine_that_keeps_no_walk(capsys, steps):
     # from cleared caches, sn-cutoff builds the engine of n and
     # sn-tv-curve --float reads it back; the engine then holds its size,
-    # dims and pi, and neither step tables nor a walk
+    # dims, pi and the law bound sn-cutoff printed, and neither step tables
+    # nor a walk
     _cutoff(capsys, 24, 0.5)
     _tv_curve(capsys, 24, _cutoff_r(24, 0.5))
     info = snwalk._float_engine.cache_info()
     assert info.misses == 1 and info.hits >= 1
-    assert set(vars(snwalk._float_engine(24))) == {"n", "dims", "pi"}
+    assert set(vars(snwalk._float_engine(24))) == {"n", "dims", "pi", "law_error_bound"}
+
+
+def test_law_bound_is_formed_once_per_size(capsys, monkeypatch, steps):
+    # sn-cutoff, sn-walk --float and walk_distribution read the bound off
+    # the engine of n, which forms it on the first read only
+    calls = []
+    bound = snwalk._law_error_bound
+    monkeypatch.setattr(snwalk, "_law_error_bound", lambda n: calls.append(n) or bound(n))
+    line = f"# accumulated float error bound: {bound(24)!r}\n"
+    outs = [_cutoff(capsys, 24, c) for c in (-0.5, 0.5)]
+    assert main(["sn-walk", "--n", "24", "--r", "9", "--float"]) == 0
+    outs.append(capsys.readouterr().out)
+    assert all(line in out for out in outs)
+    assert snwalk.walk_distribution(24, 9, mode="float").error_bound == bound(24)
+    assert calls == [24]
 
 
 def test_cache_clear_frees_the_engine(steps):

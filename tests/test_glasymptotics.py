@@ -154,7 +154,7 @@ def test_sampler_freed_by_reference_counting():
 
 
 def test_normalizer_enclosure():
-    z = suq_normalizer(Fraction(1, 2), 2)
+    z = suq_normalizer(Fraction(1, 2), 2, prec=320)
     assert 0 < float(z.lo) <= float(z.hi) < 1
     assert z.width < Fraction(1, 2**250)
     # brute float product for comparison
@@ -266,18 +266,25 @@ def test_default_rejection_u():
     assert _rejection_u(1000) == Fraction(63, 64)
 
 
-def test_acceptance_times_high_degree_empty_is_the_total_degree_law(pin_u):
+def test_acceptance_times_high_degree_empty_is_the_total_degree_law(pin_u, pin_prec):
     # the paper's identity: the labels of degree <= n total n, and every
     # label of higher degree is empty, independently, exactly when the total
     # degree is n, of probability E(u,q) u^n/(1/q)_n
-    for q, n in ((q, n) for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)):
+    sizes = [(n, q) for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)]
+    for n, q in sizes:
         for u in (_rejection_u(n), Fraction(1, 2)):
             pin_u(u)
             rate = acceptance_probability(n, q)
-            assert rate.width < Fraction(1, 2**200)
+            # the width acceptance_probability's docstring derives
+            assert rate.width < Fraction(1, 2 ** (DEFAULT_PREC - 25))
             joint = rate * high_degree_empty_direct(n, q, u)
             total = euler_product_enclosure(u, q, DEFAULT_PREC) * (u**n / q_pochhammer(q, n))
             assert joint.lo <= total.hi and total.lo <= joint.hi, (q, n, u)
+    # the rate gl-sample prints is the double of the enclosure read at 320 bits
+    pin_u(None)
+    printed = [acceptance_probability(n, q).midpoint() for n, q in sizes]
+    pin_prec(320)
+    assert printed == [acceptance_probability(n, q).midpoint() for n, q in sizes]
 
 
 def test_acceptance_probability_reads_the_plan(monkeypatch):

@@ -31,6 +31,7 @@ from repwalk.errors import SamplerError
 from repwalk.partitions import partition_count
 from repwalk.glasymptotics import (
     DEFAULT_PREC,
+    SAMPLE_N_LIMIT,
     GLPlancherelSampler,
     Interval,
     _component_entries,
@@ -117,9 +118,9 @@ def test_point_threshold_on_a_64_bit_dyadic():
 
 
 def test_word_equal_to_a_threshold_lo64():
-    # lo >> 256 == v for one threshold: the first word cannot decide it, so
-    # the scan reads a second word and resolves it (U >= t there); thresholds
-    # around it must not change that
+    # lo >> (DEFAULT_PREC - 64) == v for one threshold: the first word cannot
+    # decide it, so the scan reads a second word and resolves it (U >= t
+    # there); thresholds around it must not change that
     for seed in range(5):
         v = _first_word(seed)
         near = Fraction(v, 1 << 64) + Fraction(1, 1 << 300)
@@ -358,6 +359,50 @@ def test_every_plan_keeps_its_count_cut():
             assert counts._slots[0] == 0 and counts._slots[0] is not False, (n, q, u, plan.d)
 
 
+def test_table_ends_do_not_depend_on_the_precision(pin_prec):
+    # every 64-bit end of every count and component table a default plan
+    # holds, read whole by _grow at DEFAULT_PREC, is the one read at twice
+    # that and at 320 bits: the precision decides no draw
+    builders = [(n, q, plan.d, kind, table._builder)
+                for q in (2, 3) for n in range(1, SAMPLE_N_LIMIT + 1)
+                for plan in glasymptotics._plan(n, q, _rejection_u(n))
+                for kind, table in (("count", plan.count_thresholds),
+                                    ("component", plan.component_thresholds))]
+
+    def ends(prec):
+        pin_prec(prec)
+        out = []
+        for *_, builder in builders:
+            table = _ThresholdSet(builder)
+            while table._grow():
+                pass
+            out.append(table._ends)
+        return out
+
+    expected = ends(DEFAULT_PREC)
+    for prec in (DEFAULT_PREC << 1, 320):
+        for key, want, got in zip(builders, expected, ends(prec)):
+            assert got == want, (prec, *key[:4])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_samples_do_not_depend_on_the_precision(q, pin_prec):
+    # a seeded grid of samplers draws the same families, with the same
+    # attempts and words, from tables built at 320 bits
+    def run():
+        out = []
+        for n in (1, 2, 5, 9, 14, 20):
+            for seed in (0, 11):
+                sampler = GLPlancherelSampler(n, q, seed)
+                families = [sampler.sample().descriptor() for _ in range(4)]
+                out.append((families, sampler.attempts, sampler.rng._state))
+        return out
+
+    expected = run()
+    pin_prec(320)
+    assert run() == expected
+
+
 def _scripted(seed: int, words: dict) -> SplitMix64:
     """SplitMix64(seed) with its words at the positions in words replaced:
     the state still counts every word handed out."""
@@ -398,14 +443,14 @@ def test_count_word_at_the_cut_reads_the_stream_locate_reads(n, q, u, monkeypatc
 
 
 def test_count_phase_straddles_read_the_stream_locate_reads(monkeypatch):
-    # count enclosures widened by 2^-(prec - 312), 1/256 at DEFAULT_PREC, so
-    # that first words often land inside one and the loop hands them to
-    # _settle and the scan; the draws must still be locate's
+    # count enclosures widened by 2^-(prec - DEFAULT_PREC + 8), 1/256 at
+    # DEFAULT_PREC, so that first words often land inside one and the loop
+    # hands them to _settle and the scan; the draws must still be locate's
     count_entries = glasymptotics._count_entries
 
     def widened(*args):
         *head, prec = args
-        w = 1 << 312  # 2^-(prec - 312) at scale 2^prec
+        w = 1 << (DEFAULT_PREC - 8)  # 2^-(prec - DEFAULT_PREC + 8) at scale 2^prec
         return [(j, max(0, lo - w), hi + w) for j, lo, hi in count_entries(*head, prec)]
 
     scans = []
