@@ -12,12 +12,23 @@ error, 3 capacity error, 4 sampler failure (the GL sampler reached its
 attempt cap, or its threshold enclosures failed to separate a uniform
 draw).  The S_n walk commands refuse through snwalk._walk_start, as the
 library does, and add only the digit cap after it.
+
+Import at start-up holds only what the parser and every command share:
+errors, partitions, rng and series (for DEFAULT_ORDER).  Each command
+imports the library modules it runs when it runs: characters imports
+characters; sn-walk, sn-tv-curve, sn-cutoff, sn-sample, sn-rsk and
+sn-moments import snwalk (which brings characters and intervals); hsp
+imports hsp (which brings characters, snwalk and intervals); gl-irreps,
+gl-counts, gl-bound and gl-lower import glirreps (which brings
+intervals); gl-sample and gl-cycle-index import glasymptotics (which
+brings glirreps and intervals).  So a GL command never compiles snwalk,
+characters or hsp, and an S_n command never compiles glirreps or
+glasymptotics.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -25,46 +36,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .characters import character_table
 from .errors import CapacityError, SamplerError
-from .glasymptotics import (
-    GLPlancherelSampler,
-    _check_sample_size,
-    acceptance_probability,
-    cycle_index_lhs,
-    cycle_index_rhs,
-)
-from .glirreps import (
-    _check_lower_c,
-    _tail_denominator_log10,
-    dimension_gl,
-    fixed_space_counts,
-    gl_enumerable,
-    gl_lower_bound,
-    gl_upper_bound_squared,
-    order_gl,
-    plancherel_gl,
-    unipotent_tail_bound,
-)
-from .hsp import hsp_bounds, subgroup_closure
-from .intervals import _sqrt_up
 from .partitions import Partition, enumerate_partitions, partition_id
 from .rng import derive_seed
 from .series import DEFAULT_ORDER, _check_order, euler_lhs_rhs, q_pochhammer
-from .snwalk import (
-    EXACT_KERNEL_LIMIT,
-    _check_sampler_size,
-    _check_steps,
-    _check_walk,
-    _curve_error_bound,
-    _engine,
-    _walk_start,
-    moment_fc_reduced,
-    rsk_samples,
-    sn_tv_curve,
-    sn_upper_bound,
-    walk_samples,
-)
 
 
 def _fmt(x) -> str:
@@ -125,6 +100,8 @@ def _write_csv(args, command: str, header: list[str], rows, extra_meta=()):
 
 
 def _write_json(args, command: str, payload: dict):
+    import json
+
     doc = {"meta": {"tool": f"repwalk {__version__}", "command": command}}
     doc.update(payload)
     _emit(args, json.dumps(doc, indent=2) + "\n")
@@ -165,6 +142,8 @@ def _check_count(count: int) -> None:
 
 
 def _cmd_characters(args):
+    from .characters import character_table
+
     table = character_table(args.n)
     class_labels = [c.cycle_lengths.to_string() for c in table.classes]
     if args.format == "json":
@@ -193,6 +172,8 @@ def _error_bound_line(bound: float, at: str = "") -> str:
 
 
 def _cmd_sn_walk(args):
+    from .snwalk import _walk_start
+
     start = Partition.from_string(args.start) if args.start is not None else None
     eng, s = _walk_start(args.n, args.r, start, args.mode)
     if args.mode == "float":
@@ -211,6 +192,8 @@ def _cmd_sn_walk(args):
 
 
 def _cmd_sn_tv_curve(args):
+    from .snwalk import _curve_error_bound, _walk_start, sn_tv_curve
+
     if args.mode == "exact":
         _walk_start(args.n, args.rmax, None, "exact")  # its refusals before the digit cap
         _check_digits(args.n, args.rmax)
@@ -222,6 +205,8 @@ def _cmd_sn_tv_curve(args):
 
 
 def _cmd_sn_cutoff(args):
+    from .snwalk import EXACT_KERNEL_LIMIT, _check_steps, _engine, sn_upper_bound
+
     n, c = args.n, args.c
     mode = "exact" if n <= EXACT_KERNEL_LIMIT else "float"
     # n before r, whose log(n) and float n fail for n < 1 and n past 10**308
@@ -238,6 +223,8 @@ def _cmd_sn_cutoff(args):
 
 def _cmd_sn_samples(args):
     """sn-sample (walk_samples) and sn-rsk (rsk_samples)."""
+    from .snwalk import _check_sampler_size, _check_steps, rsk_samples, walk_samples
+
     sampler = walk_samples if args.command == "sn-sample" else rsk_samples
     _check_sampler_size(args.n)  # n's refusals before the count's
     _check_count(args.count)
@@ -253,6 +240,9 @@ def _cmd_sn_samples(args):
 
 
 def _cmd_sn_moments(args):
+    from .characters import character_table
+    from .snwalk import _check_steps, _check_walk, moment_fc_reduced, walk_samples
+
     _check_count(args.samples)  # before the exact moments, which come first
     _check_steps(args.r)
     _check_walk(args.n)  # the character table's cap comes next
@@ -281,6 +271,8 @@ def _cmd_sn_moments(args):
 
 
 def _cmd_gl_irreps(args):
+    from .glirreps import dimension_gl, order_gl, plancherel_gl
+
     masses = plancherel_gl(args.n, args.q)
     rows = [
         [phi.descriptor(), dimension_gl(phi), mass]
@@ -292,6 +284,8 @@ def _cmd_gl_irreps(args):
 
 
 def _cmd_gl_counts(args):
+    from .glirreps import fixed_space_counts, order_gl
+
     if args.n >= 1:
         # |GL(n,q)| = q^(n^2) prod_{k<=n} (1 - q^-k) > q^(n^2) / 4, the largest number printed
         _refuse_digits(args.n**2 * math.log10(args.q) - 0.61, "printed digits",
@@ -304,6 +298,9 @@ def _cmd_gl_counts(args):
 
 
 def _cmd_gl_bound(args):
+    from .glirreps import gl_upper_bound_squared
+    from .intervals import _sqrt_up
+
     _check_digits(args.q, 2 * args.r * max(args.n, 0))
     if args.n >= 1 and args.r >= 1:  # square >= (|GL| - 1) / (4 q^(2rn)) > q^(n^2 - 2rn) / 32
         _refuse_digits((args.n - 2 * args.r) * args.n * math.log10(args.q) - 1.51, "printed digits")
@@ -314,6 +311,14 @@ def _cmd_gl_bound(args):
 
 
 def _cmd_gl_lower(args):
+    from .glirreps import (
+        _check_lower_c,
+        _tail_denominator_log10,
+        gl_enumerable,
+        gl_lower_bound,
+        unipotent_tail_bound,
+    )
+
     _check_lower_c(args.n, args.c)  # before the digit predictions, which take any c
     _check_digits(args.q, args.c)
     _refuse_digits(_tail_denominator_log10(args.q, args.c), "printed digits")
@@ -325,6 +330,8 @@ def _cmd_gl_lower(args):
 
 
 def _cmd_gl_sample(args):
+    from .glasymptotics import GLPlancherelSampler, _check_sample_size, acceptance_probability
+
     _check_sample_size(args.n, args.q)  # n's and q's refusals before the count's
     _check_count(args.count)
     sampler = GLPlancherelSampler(args.n, args.q, derive_seed(args.seed))
@@ -340,6 +347,8 @@ def _cmd_gl_sample(args):
 
 
 def _cmd_gl_cycle_index(args):
+    from .glasymptotics import cycle_index_lhs, cycle_index_rhs
+
     _check_order(args.order, args.q)  # before the --check work at a smaller depth
     failures = 0
     lines = []
@@ -367,6 +376,9 @@ def _cmd_gl_cycle_index(args):
 
 
 def _cmd_hsp(args):
+    from .characters import character_table
+    from .hsp import hsp_bounds, subgroup_closure
+
     table = character_table(args.n)  # its size cap before the closure
     H = subgroup_closure(args.n, args.gens)
     bounds = hsp_bounds(H)

@@ -821,8 +821,9 @@ def walk_step(rng: SplitMix64, lam: Partition) -> Partition:
 def _rsk_draws(n: int, seed: int, count: int, base: int, draw) -> list[Partition]:
     """The RSK shapes of count decks from the stream seeded seed, each
     draw(tops, j) reading on from tops[j], a list of the words' top
-    n.bit_length() bits, and returning its deck and the index past its last
-    word.  base is at least the words a draw reads on average, as a redo
+    n.bit_length() bits, and returning its deck as the tableau's first row
+    (see rsk_shape) and the cards inserted after it, and the index past its
+    last word.  base is at least the words a draw reads on average, as a redo
     costs more than a word made and not read.  When a draw overruns, the
     unread words are followed by as many as the draws left read at base
     words each, at most a block, but at least base and at least as many as
@@ -831,14 +832,14 @@ def _rsk_draws(n: int, seed: int, count: int, base: int, draw) -> list[Partition
     rng, tops, j, out = SplitMix64(seed), [], 0, []
     while len(out) < count:
         try:
-            deck, j_next = draw(tops, j)
+            first_row, cards, j_next = draw(tops, j)
         except IndexError:
             rest = tops[j:]
             more = max(len(rest), base, min((count - len(out)) * base, BLOCK))
             tops, j = rest + rng.words(more, shift), 0
             continue
         j = j_next
-        out.append(rsk_shape(deck))
+        out.append(rsk_shape(cards, first_row))
     return out
 
 
@@ -850,14 +851,17 @@ def _shuffle_shifts(n: int) -> list[int]:
 
 
 def _prefix_sorted_deck(tops: list[int], j: int, n: int, k: int,
-                        shifts: list[int]) -> tuple[list[int], int]:
+                        shifts: list[int]) -> tuple[list[int], list[int], int]:
     """A uniform permutation of [n] whose first n - k entries increase, read
-    from tops[j:] with _shuffle_shifts(n), and the index past its last word.
-    A partial Fisher-Yates shuffle swaps position i with randrange(i + 1)
-    for i = n - 1 down to n - k, and the first n - k entries are then
-    sorted.  The RSK shape's law is Q_k, Plancherel growth run k steps from
-    (n - k): RSK puts 1..n-k in the first row of the recording tableau
-    exactly when the first n - k letters increase."""
+    from tops[j:] with _shuffle_shifts(n): its first n - k entries, its
+    other k, and the index past its last word.  A partial Fisher-Yates
+    shuffle swaps position i with randrange(i + 1) for i = n - 1 down to
+    n - k, and the first n - k entries are then sorted.  The RSK shape's
+    law is Q_k, Plancherel growth run k steps from (n - k): RSK puts 1..n-k
+    in the first row of the recording tableau exactly when the first n - k
+    letters increase.  Row-inserting the sorted entries into an empty
+    tableau only builds its first row, so they come back as that row and
+    rsk_shape inserts only the k shuffled ones."""
     deck = list(range(n))
     for i in range(n - 1, n - k - 1, -1):
         shift = shifts[i]
@@ -868,7 +872,7 @@ def _prefix_sorted_deck(tops: list[int], j: int, n: int, k: int,
             j += 1
         deck[i], deck[v] = deck[v], deck[i]
     m = n - k
-    return sorted(deck[:m]) + deck[m:], j
+    return sorted(deck[:m]), deck[m:], j
 
 
 def walk_samples(n: int, r: int, count: int, seed: int) -> list[Partition]:
@@ -917,9 +921,11 @@ def plancherel_samples(n: int, count: int, seed: int) -> list[Partition]:
                       lambda tops, j: _prefix_sorted_deck(tops, j, n, n, shifts))
 
 
-def rsk_shape(word) -> Partition:
-    """Shape of the row-insertion tableau of a sequence of distinct values."""
-    rows: list[list[int]] = []
+def rsk_shape(word, first_row: list[int] | None = None) -> Partition:
+    """Shape of the row-insertion tableau of a sequence of distinct values,
+    inserted into the one-row tableau first_row (an increasing list, which
+    it extends in place; none or empty: the empty tableau)."""
+    rows: list[list[int]] = [first_row] if first_row else []
     for x in word:
         for row in rows:
             pos = bisect_left(row, x)

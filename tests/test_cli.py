@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from repwalk import characters, cli, glasymptotics, snwalk
+from repwalk import characters, cli, glasymptotics, glirreps, hsp, snwalk
 from repwalk.cli import build_parser, main
 from repwalk.errors import CapacityError, SamplerError
 from repwalk.glasymptotics import GLPlancherelSampler
@@ -192,9 +192,9 @@ def test_gl_cycle_index_none_rows_check_the_euler_coefficient(tmp_path, monkeypa
     def doubled(polys):
         return [tuple(2 * c for c in poly) if k == 2 else poly for k, poly in enumerate(polys)]
 
-    lhs, rhs = cli.cycle_index_lhs, cli.cycle_index_rhs
-    monkeypatch.setattr(cli, "cycle_index_lhs", lambda depth, q: doubled(lhs(depth, q)))
-    monkeypatch.setattr(cli, "cycle_index_rhs", lambda q, depth: doubled(rhs(q, depth)))
+    lhs, rhs = glasymptotics.cycle_index_lhs, glasymptotics.cycle_index_rhs
+    monkeypatch.setattr(glasymptotics, "cycle_index_lhs", lambda depth, q: doubled(lhs(depth, q)))
+    monkeypatch.setattr(glasymptotics, "cycle_index_rhs", lambda q, depth: doubled(rhs(q, depth)))
     code, text = run(tmp_path, "gl-cycle-index", "--q", "3", "--order", "4", "--check")
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     assert lines[0] == "check,order,status"
@@ -264,7 +264,7 @@ def test_hsp_csv_reads_no_sampling_distribution(capsys, monkeypatch):
         bounds = hsp_bounds(H)
         return bounds._replace(law=dataclasses.replace(bounds.law, masses=Watched(bounds.law.masses)))
 
-    monkeypatch.setattr(cli, "hsp_bounds", watched_bounds)
+    monkeypatch.setattr(hsp, "hsp_bounds", watched_bounds)
     argv = ["hsp", "--n", "5", "--gens", "(1 2 3)"]
     assert main([*argv, "--format", "csv"]) == 0
     assert reads == [] and "# tv: " in capsys.readouterr().out
@@ -340,7 +340,7 @@ def test_self_check_failure_exit_code(monkeypatch, capsys):
     def broken(n, q):
         raise ArithmeticError("Plancherel masses do not sum to 1")
 
-    monkeypatch.setattr(cli, "plancherel_gl", broken)
+    monkeypatch.setattr(glirreps, "plancherel_gl", broken)
     assert main(["gl-irreps", "--n", "2", "--q", "2"]) == 1
     captured = capsys.readouterr()
     assert "check failed: Plancherel masses do not sum to 1" in captured.err.splitlines()
@@ -353,7 +353,7 @@ def test_internal_zero_division_is_a_failed_check(capsys, monkeypatch):
     def broken(n, q):
         raise ZeroDivisionError("dividing by an interval containing 0")
 
-    monkeypatch.setattr(cli, "acceptance_probability", broken)
+    monkeypatch.setattr(glasymptotics, "acceptance_probability", broken)
     assert main(["gl-sample", "--n", "2", "--q", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -872,7 +872,10 @@ def test_refused_before_the_slow_call(capsys, monkeypatch, argv, slow, code, ref
     # the closure at n = 4 * 10**6; sn-cutoff overflowed in exp(-2c) and
     # exited 1 with a traceback.  sn-walk --start reads d_s off the engine
     # at the id partition_id gives, which _walk_start asks for last
-    monkeypatch.setattr(slow if slow.startswith("repwalk.") else f"repwalk.cli.{slow}",
+    # a bare name is patched where cli reads it: cli itself, or the module a
+    # command imports it from when it runs
+    owner = {"subgroup_closure": "hsp", "moment_fc_reduced": "snwalk"}.get(slow, "cli")
+    monkeypatch.setattr(slow if slow.startswith("repwalk.") else f"repwalk.{owner}.{slow}",
                         _must_not_run)
     started = time.process_time()
     assert main(argv) == code
@@ -1105,7 +1108,8 @@ def test_gl_counts_digit_prediction_is_exact(capsys, monkeypatch, q, n, digits):
     # refuses it before the counts are computed; at (2, 48) the lower bound
     # q^(n^2) / 4 has only `digits` - 1 digits, so the order itself decides
     counted = []
-    monkeypatch.setattr(cli, "fixed_space_counts", lambda *a: counted.append(a) or fixed_space_counts(*a))
+    monkeypatch.setattr(glirreps, "fixed_space_counts",
+                        lambda *a: counted.append(a) or fixed_space_counts(*a))
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(digits)
@@ -1498,7 +1502,7 @@ def test_sn_cutoff_reads_the_engine_alone(capsys, monkeypatch, n, c):
     # one engine: no WalkDistribution, no Fraction-dict TV, and not the
     # law helper sn-walk reads
     want = _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c])
-    for name in ("repwalk.cli._walk_start", "repwalk.snwalk.walk_distribution",
+    for name in ("repwalk.snwalk._walk_start", "repwalk.snwalk.walk_distribution",
                  "repwalk.snwalk.tv_to_plancherel"):
         monkeypatch.setattr(name, _must_not_run)
     assert _main_stdout(capsys, ["sn-cutoff", "--n", str(n), "--c", c]) == want

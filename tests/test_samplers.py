@@ -139,14 +139,18 @@ def test_prefix_sorted_shapes_have_the_growth_law():
     # RSK puts 1..n-k in the first row of the recording tableau exactly when
     # the first n - k letters increase, so the shapes of the n!/(n-k)! such
     # permutations, a sorted rest before each ordered k-tuple, have the
-    # growth law Q_k: every (n, k) with n <= 8, 44 pairs
+    # growth law Q_k: every (n, k) with n <= 8, 44 pairs.  walk_samples
+    # hands rsk_shape the sorted rest as the tableau's first row and inserts
+    # only the tail, which must give the whole permutation's shape
     pairs = 0
     for n in range(1, 9):
         for k in range(n + 1):
             shapes = Counter()
             for tail in permutations(range(n), k):
                 rest = sorted(set(range(n)).difference(tail))
-                shapes[rsk_shape(rest + list(tail))] += 1
+                shape = rsk_shape(rest + list(tail))
+                assert rsk_shape(list(tail), rest) == shape, (rest, tail)
+                shapes[shape] += 1
             law = {lam: Fraction(c, math.perm(n, k)) for lam, c in shapes.items()}
             assert law == growth_law(n, k), (n, k)
             pairs += 1
@@ -287,6 +291,10 @@ def test_rsk_shape_known_words():
     assert rsk_shape([4, 3, 2, 1]) == Partition((1, 1, 1, 1))
     assert rsk_shape([3, 1, 2]) == Partition((2, 1))
     assert rsk_shape([2, 4, 1, 3]) == Partition((2, 2))
+    # the last word from its increasing start as the first row, and a word
+    # from an empty first row
+    assert rsk_shape([1, 3], [2, 4]) == Partition((2, 2))
+    assert rsk_shape([3, 1, 2], []) == Partition((2, 1))
 
 
 def test_rsk_oracle_r0():
